@@ -8,7 +8,7 @@ solution. Ships a closed-form non-uniqueness fixture, a residual auditor,
 stopping-rule extraction with forward policy replay, and a CLI.
 """
 
-from .grid import BinomialBackend, DeterministicBackend, FieldSurface, TimeGrid, make_backend
+from .grid import FieldSurface, Lattice, TimeGrid, make_backend
 from .model import (
     COMPONENTS,
     MINUS,
@@ -54,15 +54,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceSheetSolution",
-    "BinomialBackend",
     "COMPONENTS",
     "ClosedFormFamily",
     "CoefficientFunction",
     "ConvergenceTrace",
-    "DeterministicBackend",
     "Driver",
     "FieldSurface",
     "Iterate",
+    "Lattice",
     "MINUS",
     "ObstacleQuadruple",
     "PLUS",

@@ -88,26 +88,9 @@ def _summary_payload(solution, config: RunConfig) -> dict:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    try:
-        problem, backend = _prepare(config)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
-    except SchemeError as exc:
-        report = getattr(exc, "report", None)
-        print(f"error: {exc}", file=sys.stderr)
-        if report is not None:
-            for line in report.lines():
-                print(line, file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        _ensure_outdir(config.out)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    problem, backend = _prepare(config)
+    solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
+    _ensure_outdir(config.out)
     for side, mode in COMPONENTS:
         comp = solution.component(side, mode)
         write_surface_csv(config.out / f"Y_{side}_{mode}.csv", comp.y)
@@ -126,16 +109,8 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    try:
-        _ensure_outdir(config.out)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = check_nonuniqueness(T=1.0, N=config.steps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _ensure_outdir(config.out)
+    report = check_nonuniqueness(T=1.0, N=config.steps)
     write_json(config.out / "fixtures.json", report.as_dict())
     ok = report.report_family_1.passed and report.report_family_2.passed and report.distinct
     for name, rep in (("family 1", report.report_family_1), ("family 2", report.report_family_2)):
@@ -148,24 +123,12 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    try:
-        problem, backend = _prepare(config)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
-    except SchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    problem, backend = _prepare(config)
+    solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
     if not trace.converged:
         print("solver did not converge; no policy to simulate", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    try:
-        _ensure_outdir(config.out)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _ensure_outdir(config.out)
     report = simulate_policy(solution, n_paths=config.paths, seed=config.seed, start_mode=config.mode)
     write_json(config.out / "strategy.json", report.as_dict())
     for side, leg in report.legs.items():
@@ -177,12 +140,8 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    try:
-        problem, backend = _prepare(config)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = validate_assumptions(problem, backend.grid)
+    problem, backend = _prepare(config)
+    report = validate_assumptions(problem, backend)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.all_passed else EXIT_INPUT
@@ -223,19 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Input, validation and solver errors (including any
+    ``ValueError``) print ``error: ...`` plus the attached validation report,
+    if any, and exit 1."""
     args = build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     dispatch = {
         "solve": cmd_solve,
         "verify-fixtures": cmd_verify,
         "simulate": cmd_simulate,
         "check-assumptions": cmd_check,
     }
-    return dispatch[args.command](config)
+    try:
+        return dispatch[args.command](_config_from_args(args))
+    except (SchemeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        report = getattr(exc, "report", None)
+        for line in report.lines() if report is not None else ():
+            print(line, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,10 +1,17 @@
-"""Time grid, noise backends, and adapted surfaces.
+"""Time grid, the recombining lattice, and adapted surfaces.
 
-Two backends share one interface: a deterministic backend (single node per
-step, no noise) and a one-dimensional recombining binomial lattice where the
-state moves by +-sqrt(dt) with probability 1/2 each, the standard weak-order-1
-walk approximation of Brownian motion. Node j at step k carries state
-x = (k - 2j) * sqrt(dt); an up move keeps j, a down move sends j to j+1.
+One lattice serves both backends. The state moves by +-spread with
+probability 1/2 each; a down move shifts the node index by ``down``. The
+binomial kind (``down = 1``, ``spread = sqrt(dt)``) is the standard
+weak-order-1 walk approximation of Brownian motion: node j at step k carries
+state x = (k - 2j) * sqrt(dt), an up move keeps j, a down move sends j to
+j+1. The deterministic kind is its width-1 case (``down = 0``, ``spread =
+0``): one node per step, both moves land on it, and the conditional
+expectation is the identity.
+
+A surface holds the node values of every step in one flat buffer; step k
+occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node`` / ``node_index``
+map a flat index back to its step and its node within the step.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Down-move index offset of each lattice kind.
+DOWN = {"deterministic": 0, "binomial": 1}
 
 
 @dataclass(frozen=True)
@@ -37,56 +47,37 @@ class TimeGrid:
         return k * self.dt
 
 
-class DeterministicBackend:
-    """No-noise backend: one node per step, conditional expectation is the identity."""
+class Lattice:
+    """Recombining fair-coin lattice with 1 + down * k nodes at step k."""
 
-    kind = "deterministic"
-
-    def __init__(self, grid: TimeGrid):
+    def __init__(self, kind: str, grid: TimeGrid):
+        if kind not in DOWN:
+            raise ValueError(f"unknown backend kind {kind!r}")
+        self.kind = kind
         self.grid = grid
-
-    def n_nodes(self, k: int) -> int:
-        return 1
-
-    def state(self, k: int) -> np.ndarray:
-        return np.zeros(1)
-
-    def _check(self, next_values, k):
-        next_values = np.asarray(next_values, dtype=float)
-        if next_values.shape != (self.n_nodes(k + 1),):
-            raise ValueError(
-                f"expected {self.n_nodes(k + 1)} node values at step {k + 1}, got shape {next_values.shape}"
-            )
-        return next_values
-
-    def condexp(self, next_values, k: int) -> np.ndarray:
-        return self._check(next_values, k).copy()
-
-    def martingale_projection(self, next_values, k: int) -> np.ndarray:
-        self._check(next_values, k)
-        return np.zeros(1)
-
-    def sample_paths(self, n_paths: int, seed: int) -> np.ndarray:
-        if n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        return np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)
-
-
-class BinomialBackend:
-    """Recombining +-sqrt(dt) random walk lattice with fair-coin transitions."""
-
-    kind = "binomial"
-
-    def __init__(self, grid: TimeGrid):
-        self.grid = grid
+        self.down = DOWN[kind]
         self._sqrt_dt = np.sqrt(grid.dt)
+        self.spread = self.down * self._sqrt_dt
+        n = grid.n_steps
+        counts = 1 + self.down * np.arange(n + 1)
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.size = int(self.offsets[-1])
+        self.step_of_node = np.repeat(np.arange(n + 1), counts)
+        self.node_index = np.arange(self.size) - self.offsets[self.step_of_node]
+        self.states = (self.step_of_node - 2 * self.node_index) * self.spread
+        self.node_times = grid.times[self.step_of_node]
+        # Flat index of the up child of every node before the horizon.
+        self._up = np.arange(self.offsets[n]) + counts[self.step_of_node[: self.offsets[n]]]
 
     def n_nodes(self, k: int) -> int:
-        return k + 1
+        return 1 + self.down * k
 
     def state(self, k: int) -> np.ndarray:
-        j = np.arange(k + 1)
-        return (k - 2 * j) * self._sqrt_dt
+        return self.states[self.offsets[k] : self.offsets[k + 1]]
+
+    def locate(self, flat: int) -> tuple[int, int]:
+        """(step, node) of a flat index."""
+        return int(self.step_of_node[flat]), int(self.node_index[flat])
 
     def _check(self, next_values, k):
         next_values = np.asarray(next_values, dtype=float)
@@ -98,38 +89,38 @@ class BinomialBackend:
 
     def condexp(self, next_values, k: int) -> np.ndarray:
         v = self._check(next_values, k)
-        return 0.5 * (v[:-1] + v[1:])
+        m = self.n_nodes(k)
+        return 0.5 * (v[:m] + v[self.down : self.down + m])
 
     def martingale_projection(self, next_values, k: int) -> np.ndarray:
         v = self._check(next_values, k)
-        return (v[:-1] - v[1:]) / (2.0 * self._sqrt_dt)
+        m = self.n_nodes(k)
+        return (v[:m] - v[self.down : self.down + m]) / (2.0 * self._sqrt_dt)
+
+    def continuation(self, data: np.ndarray) -> np.ndarray:
+        """E_k[V_{k+1}] at every node before the horizon, from a flat buffer."""
+        return 0.5 * (data[self._up] + data[self._up + self.down])
 
     def sample_paths(self, n_paths: int, seed: int) -> np.ndarray:
         """Node-index paths, shape (n_paths, N+1); entry k is the node at step k."""
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        rng = np.random.default_rng(seed)
-        downs = rng.integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
         paths = np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)
-        np.cumsum(downs, axis=1, out=paths[:, 1:])
+        if self.down:
+            rng = np.random.default_rng(seed)
+            downs = rng.integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
+            np.cumsum(downs, axis=1, out=paths[:, 1:])
         return paths
 
 
-Backend = DeterministicBackend | BinomialBackend
-
-
-def make_backend(kind: str, grid: TimeGrid) -> Backend:
-    if kind == "deterministic":
-        return DeterministicBackend(grid)
-    if kind == "binomial":
-        return BinomialBackend(grid)
-    raise ValueError(f"unknown backend kind {kind!r}")
+def make_backend(kind: str, grid: TimeGrid) -> Lattice:
+    return Lattice(kind, grid)
 
 
 class FieldSurface:
-    """One adapted process sampled on the grid: an array of node values per step."""
+    """One adapted process sampled on the lattice, as one flat buffer of node values."""
 
-    def __init__(self, backend: Backend, values: list[np.ndarray]):
+    def __init__(self, backend: Lattice, values: list[np.ndarray]):
         n = backend.grid.n_steps
         if len(values) != n + 1:
             raise ValueError(f"surface needs {n + 1} steps of values, got {len(values)}")
@@ -140,56 +131,51 @@ class FieldSurface:
                 raise ValueError(f"step {k}: expected {backend.n_nodes(k)} nodes, got shape {v.shape}")
             vals.append(v)
         self.backend = backend
-        self.values = vals
+        self.data = np.concatenate(vals)
 
     @classmethod
-    def zeros(cls, backend: Backend) -> "FieldSurface":
-        return cls(backend, [np.zeros(backend.n_nodes(k)) for k in range(backend.grid.n_steps + 1)])
+    def from_buffer(cls, backend: Lattice, data: np.ndarray) -> "FieldSurface":
+        """Surface over a flat buffer of ``backend.size`` node values (not copied)."""
+        if data.shape != (backend.size,):
+            raise ValueError(f"flat surface needs {backend.size} node values, got shape {data.shape}")
+        surface = cls.__new__(cls)
+        surface.backend, surface.data = backend, data
+        return surface
 
     @classmethod
-    def constant(cls, backend: Backend, c: float) -> "FieldSurface":
-        return cls(backend, [np.full(backend.n_nodes(k), float(c)) for k in range(backend.grid.n_steps + 1)])
+    def zeros(cls, backend: Lattice) -> "FieldSurface":
+        return cls.from_buffer(backend, np.zeros(backend.size))
 
     @classmethod
-    def from_time_function(cls, backend: Backend, f) -> "FieldSurface":
+    def constant(cls, backend: Lattice, c: float) -> "FieldSurface":
+        return cls.from_buffer(backend, np.full(backend.size, float(c)))
+
+    @classmethod
+    def from_time_function(cls, backend: Lattice, f) -> "FieldSurface":
         times = backend.grid.times
-        return cls(backend, [np.full(backend.n_nodes(k), float(f(times[k]))) for k in range(backend.grid.n_steps + 1)])
+        per_step = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)
+        return cls.from_buffer(backend, per_step[backend.step_of_node])
 
     def at(self, k: int) -> np.ndarray:
-        return self.values[k]
+        return self.data[self.backend.offsets[k] : self.backend.offsets[k + 1]]
 
     @property
     def n_steps(self) -> int:
         return self.backend.grid.n_steps
 
     def copy(self) -> "FieldSurface":
-        return FieldSurface(self.backend, [v.copy() for v in self.values])
+        return FieldSurface.from_buffer(self.backend, self.data.copy())
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(v))) if v.size else 0.0 for v in self.values)
+        return float(np.max(np.abs(self.data)))
 
     def sup_diff(self, other: "FieldSurface") -> float:
-        return max(float(np.max(np.abs(a - b))) for a, b in zip(self.values, other.values))
-
-    def binop(self, other, op) -> "FieldSurface":
-        if isinstance(other, FieldSurface):
-            return FieldSurface(self.backend, [op(a, b) for a, b in zip(self.values, other.values)])
-        return FieldSurface(self.backend, [op(a, other) for a in self.values])
+        return float(np.max(np.abs(self.data - other.data)))
 
     def __add__(self, other):
-        return self.binop(other, np.add)
+        other = other.data if isinstance(other, FieldSurface) else other
+        return FieldSurface.from_buffer(self.backend, self.data + other)
 
     def __sub__(self, other):
-        return self.binop(other, np.subtract)
-
-    def shift_by_time_function(self, f, sign: float = 1.0) -> "FieldSurface":
-        """Surface plus sign * f(t_k) applied stepwise (cost shifts)."""
-        times = self.backend.grid.times
-        return FieldSurface(
-            self.backend,
-            [v + sign * float(f(times[k])) for k, v in enumerate(self.values)],
-        )
-
-    def along_path(self, path: np.ndarray) -> np.ndarray:
-        """Values gathered along one node-index path (length N+1)."""
-        return np.asarray([self.values[k][int(path[k])] for k in range(len(self.values))])
+        other = other.data if isinstance(other, FieldSurface) else other
+        return FieldSurface.from_buffer(self.backend, self.data - other)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Backend, FieldSurface
+from .grid import FieldSurface, Lattice
 from .model import (
     COMPONENTS,
     MINUS,
@@ -148,22 +148,24 @@ def load_problem(path) -> SwitchingProblem:
 
 def write_surface_csv(path, surface: FieldSurface):
     path = Path(path)
+    backend = surface.backend
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "node", "value"])
-        for k in range(surface.n_steps + 1):
-            for j, v in enumerate(surface.at(k)):
-                writer.writerow([k, j, repr(float(v))])
+        rows = zip(backend.step_of_node.tolist(), backend.node_index.tolist(), map(repr, surface.data.tolist()))
+        writer.writerows(rows)
 
 
-def read_surface_csv(path, backend: Backend) -> FieldSurface:
+def read_surface_csv(path, backend: Lattice) -> FieldSurface:
     path = Path(path)
-    values = [np.zeros(backend.n_nodes(k)) for k in range(backend.grid.n_steps + 1)]
+    data = np.zeros(backend.size)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values[int(row["step"])][int(row["node"])] = float(row["value"])
-    return FieldSurface(backend, values)
+        for row in csv.DictReader(fh):
+            k, j = int(row["step"]), int(row["node"])
+            if not (0 <= k <= backend.grid.n_steps and 0 <= j < backend.n_nodes(k)):
+                raise ValueError(f"{path}: node ({k}, {j}) is not on the lattice")
+            data[backend.offsets[k] + j] = float(row["value"])
+    return FieldSurface.from_buffer(backend, data)
 
 
 def write_trace_csv(path, trace):

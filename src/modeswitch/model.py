@@ -180,17 +180,18 @@ class SwitchingProblem:
     def terminal(self, side: str, mode: int) -> Terminal:
         return self.terminals[(side, mode)]
 
-    def cost_slice(self, t) -> "CostSlice":
+    def cost_table(self, times) -> "CostSlice":
+        """The six costs tabulated on an array of times, one call per coefficient."""
         return CostSlice(
-            ell=(self.ell[0](t), self.ell[1](t)),
-            a=(self.a[0](t), self.a[1](t)),
-            b=(self.b[0](t), self.b[1](t)),
+            ell=(self.ell[0](times), self.ell[1](times)),
+            a=(self.a[0](times), self.a[1](times)),
+            b=(self.b[0](times), self.b[1](times)),
         )
 
 
 @dataclass(frozen=True)
 class CostSlice:
-    """The six cost values at one time."""
+    """The six cost values: scalars at one time, or arrays over times or nodes."""
 
     ell: tuple[float, float]
     a: tuple[float, float]
@@ -265,43 +266,46 @@ class ValidationReport:
         return out
 
 
-def _first_violation(times, values, ok_mask):
-    bad = np.nonzero(~ok_mask)[0]
+def _first_violation(where, values, ok_mask):
+    """(location, value) of the first entry failing ``ok_mask``, else (None, None)."""
+    bad = np.flatnonzero(~ok_mask)
     if bad.size == 0:
         return None, None
     i = int(bad[0])
-    return float(times[i]), float(values[i])
+    return where[i].item(), values[i].item()
 
 
-def validate_assumptions(problem: SwitchingProblem, grid) -> ValidationReport:
-    """Check the admissibility of a problem on a given time grid.
+def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport:
+    """Check the admissibility of a problem on a given lattice.
 
     Covers: Lipschitz/integrability of the four drivers, positivity of the
     switching costs, square-integrable terminals with the four boundary
-    inequalities at the horizon, and availability of Ito data (closed-form
-    drift) for the ``b`` and ``ell`` cost processes. Reports every check;
-    never raises.
+    inequalities at every terminal node of the lattice, the discrete
+    comparison condition of the one-step map, and availability of Ito data
+    (closed-form drift) for the ``b`` and ``ell`` cost processes. Reports
+    every check; never raises.
     """
     report = ValidationReport()
-    times = np.asarray(grid.times, dtype=float)
-    T = float(problem.horizon)
+    grid = lattice.grid
+    times = grid.times
+    T = float(times[-1])
 
     for side, mode in COMPONENTS:
         drv = problem.driver(side, mode)
-        name = f"A1 driver psi_{side}_{mode}"
-        c0_vals = np.asarray([drv.c0(t) for t in times], dtype=float)
+        c0_vals = drv.c0(times)
         finite = np.isfinite(c0_vals) & np.isfinite(drv.lipschitz)
         t_bad, v_bad = _first_violation(times, c0_vals, finite)
         report.add(
-            name,
+            f"A1 driver psi_{side}_{mode}",
             t_bad is None,
             f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid",
             at_time=t_bad,
             value=v_bad,
         )
 
+    costs = problem.cost_table(times)
     for i, mode in enumerate(MODES):
-        ell_vals = np.asarray([problem.ell[i](t) for t in times], dtype=float)
+        ell_vals = costs.ell[i]
         ok = np.isfinite(ell_vals) & (ell_vals > 0.0)
         t_bad, v_bad = _first_violation(times, ell_vals, ok)
         report.add(
@@ -311,35 +315,50 @@ def validate_assumptions(problem: SwitchingProblem, grid) -> ValidationReport:
             at_time=t_bad,
             value=v_bad,
         )
-        for fam_name, fam in (("a", problem.a), ("b", problem.b)):
-            vals = np.asarray([fam[i](t) for t in times], dtype=float)
-            ok = np.isfinite(vals)
-            t_bad, v_bad = _first_violation(times, vals, ok)
+        for fam_name, fam in (("a", costs.a), ("b", costs.b)):
+            t_bad, v_bad = _first_violation(times, fam[i], np.isfinite(fam[i]))
             report.add(f"A2 cost {fam_name}_{mode} finite", t_bad is None, at_time=t_bad, value=v_bad)
 
-    # Terminal inequalities at the horizon. With state-dependent terminals the
-    # inequalities must hold at every terminal node of the backend's support;
-    # the validator checks them on the model data itself at the grid horizon
-    # (backend-specific node values are checked by the solver preconditions).
-    xi = {key: problem.terminal(*key) for key in COMPONENTS}
-    x_probe = np.asarray([0.0])
-    xi_val = {key: float(np.asarray(xi[key](x_probe))[0]) for key in COMPONENTS}
+    # Terminal data at every terminal node of the lattice; a failure names
+    # the first failing node.
+    x_T = lattice.state(grid.n_steps)
+    nodes = np.arange(x_T.size)
+    xi = {key: np.asarray(problem.terminal(*key)(x_T), dtype=float) for key in COMPONENTS}
     for key in COMPONENTS:
+        j_bad, v_bad = _first_violation(nodes, xi[key], np.isfinite(xi[key]))
         report.add(
             f"A3 terminal xi_{key[0]}_{key[1]} square integrable",
-            np.isfinite(xi_val[key]),
-            value=xi_val[key],
+            j_bad is None,
+            "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
+            value=v_bad,
         )
-    costs_T = problem.cost_slice(T)
-    bc = evaluate_obstacles({k: xi_val[k] for k in COMPONENTS}, costs_T)
+    bc = evaluate_obstacles(xi, problem.cost_table(times[-1:]))
     bc_checks = (
-        ("BC terminal xi_plus_1", xi_val[(PLUS, 1)] - bc.s_plus_1),
-        ("BC terminal xi_plus_2", xi_val[(PLUS, 2)] - bc.s_plus_2),
-        ("BC terminal xi_minus_1", bc.s_minus_1 - xi_val[(MINUS, 1)]),
-        ("BC terminal xi_minus_2", bc.s_minus_2 - xi_val[(MINUS, 2)]),
+        ("BC terminal xi_plus_1", xi[(PLUS, 1)] - bc.s_plus_1),
+        ("BC terminal xi_plus_2", xi[(PLUS, 2)] - bc.s_plus_2),
+        ("BC terminal xi_minus_1", bc.s_minus_1 - xi[(MINUS, 1)]),
+        ("BC terminal xi_minus_2", bc.s_minus_2 - xi[(MINUS, 2)]),
     )
     for name, margin in bc_checks:
-        report.add(name, margin >= -BOUNDARY_SLACK, f"margin {float(margin):.3g}", at_time=T, value=float(margin))
+        j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
+        j = int(np.argmin(margin)) if j is None else j
+        m = float(margin[j])
+        report.add(name, m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", at_time=T, value=m)
+
+    # Discrete comparison: the one-step map y = E + psi * dt, with
+    # E = (u + v) / 2 and z = (u - v) / (2 sqrt(dt)) over the two children
+    # u, v, is nondecreasing in both exactly when |c2| * spread <= 1 + c1 * dt
+    # (spread = 0 on the width-1 lattice). Minimality of the Picard limit and
+    # the scheme's order assertions rely on it.
+    for side, mode in COMPONENTS:
+        drv = problem.driver(side, mode)
+        margin = 1.0 + drv.c1 * grid.dt - abs(drv.c2) * lattice.spread
+        report.add(
+            f"A5 comparison psi_{side}_{mode}",
+            margin >= 0.0,
+            "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt",
+            value=margin,
+        )
 
     for i, mode in enumerate(MODES):
         report.add(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Backend, DeterministicBackend, FieldSurface
+from .grid import FieldSurface, Lattice
 
 # Explicit scheme validity guard: dt * Lipschitz below this keeps the one-step
 # operator a contraction in y.
@@ -26,13 +26,13 @@ STABILITY_LIMIT = 0.5
 CONTACT_TOL = 1e-10
 
 
-def hitting_tolerance(backend: Backend, scale: float = 1.0) -> float:
+def hitting_tolerance(backend: Lattice, scale: float = 1.0) -> float:
     """Contact tolerance for obstacle-hitting detection.
 
-    Absolute 1e-10 on the deterministic backend; relative 1e-3 * sqrt(dt) on
-    the lattice where surfaces carry state noise.
+    Absolute 1e-10 on the width-1 (deterministic) lattice; relative
+    1e-3 * sqrt(dt) on the binomial lattice where surfaces carry state noise.
     """
-    if isinstance(backend, DeterministicBackend):
+    if not backend.down:
         return CONTACT_TOL
     return 1e-3 * np.sqrt(backend.grid.dt) * max(1.0, abs(scale))
 
@@ -53,36 +53,34 @@ class RbsdeSolution:
     dk: FieldSurface
 
     @property
-    def backend(self) -> Backend:
+    def backend(self) -> Lattice:
         return self.y.backend
 
     def k_cumulative(self) -> FieldSurface:
         backend = self.backend
-        n = backend.grid.n_steps
-        acc = [np.zeros(backend.n_nodes(k)) for k in range(n + 1)]
-        for k in range(n):
-            prev = acc[k] + self.dk.at(k)
-            nxt = np.zeros(backend.n_nodes(k + 1))
-            if backend.n_nodes(k + 1) == backend.n_nodes(k):
-                nxt[:] = prev
-            else:
-                # Parent weights on the recombining walk: node j at step k+1 is
-                # reached from up-parent j (weight (k+1-j)/(k+1), its path count
-                # share) and down-parent j-1 (weight j/(k+1)).
-                j = np.arange(k + 2)
-                w_up = (k + 1 - j) / (k + 1)
-                w_dn = j / (k + 1)
-                padded = np.concatenate(([0.0], prev, [0.0]))
-                nxt = w_up * padded[1:] + w_dn * padded[:-1]
-            acc[k + 1] = nxt
-        return FieldSurface(backend, acc)
+        off = backend.offsets
+        acc = np.zeros(backend.size)
+        for k in range(backend.grid.n_steps):
+            prev = acc[off[k] : off[k + 1]] + self.dk.at(k)
+            if not backend.down:
+                acc[off[k + 1] : off[k + 2]] = prev
+                continue
+            # Parent weights on the recombining walk: node j at step k+1 is
+            # reached from up-parent j (weight (k+1-j)/(k+1), its path count
+            # share) and down-parent j-1 (weight j/(k+1)).
+            j = np.arange(k + 2)
+            w_up = (k + 1 - j) / (k + 1)
+            w_dn = j / (k + 1)
+            padded = np.concatenate(([0.0], prev, [0.0]))
+            acc[off[k + 1] : off[k + 2]] = w_up * padded[1:] + w_dn * padded[:-1]
+        return FieldSurface.from_buffer(backend, acc)
 
     def k_total(self) -> float:
         """Expected terminal reflection mass E[K_T]."""
         return float(np.mean(self.k_cumulative().at(self.backend.grid.n_steps)))
 
 
-def _check_stability(driver, backend: Backend):
+def _check_stability(driver, backend: Lattice):
     lip = getattr(driver, "lipschitz", None)
     if lip is not None and backend.grid.dt * lip >= STABILITY_LIMIT:
         raise ValueError(
@@ -91,43 +89,32 @@ def _check_stability(driver, backend: Backend):
         )
 
 
-def _terminal_array(terminal, backend: Backend) -> np.ndarray:
+def _terminal_array(terminal, backend: Lattice) -> np.ndarray:
     n = backend.grid.n_steps
     term = np.asarray(terminal, dtype=float)
     if term.ndim == 0:
         term = np.full(backend.n_nodes(n), float(term))
     if term.shape != (backend.n_nodes(n),):
         raise ValueError(f"terminal values must have {backend.n_nodes(n)} nodes, got shape {term.shape}")
-    return term.copy()
+    return term
 
 
-def solve_bsde(driver, terminal, backend: Backend) -> tuple[FieldSurface, FieldSurface]:
+def solve_bsde(driver, terminal, backend: Lattice) -> tuple[FieldSurface, FieldSurface]:
     """Plain backward equation: returns the (Y, Z) surfaces.
 
     ``driver`` is any callable (t, x, y, z) -> rate; an optional ``lipschitz``
     attribute activates the step-size validity guard.
     """
+    sol = _solve_reflected(driver, terminal, None, backend, lower=True)
+    return sol.y, sol.z
+
+
+def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) -> RbsdeSolution:
     _check_stability(driver, backend)
     n = backend.grid.n_steps
     dt = backend.grid.dt
     times = backend.grid.times
-    y = [None] * (n + 1)
-    z = [None] * (n + 1)
-    y[n] = _terminal_array(terminal, backend)
-    z[n] = np.zeros(backend.n_nodes(n))
-    for k in range(n - 1, -1, -1):
-        e = backend.condexp(y[k + 1], k)
-        zk = backend.martingale_projection(y[k + 1], k)
-        y[k] = e + driver(times[k], backend.state(k), e, zk) * dt
-        z[k] = zk
-    return FieldSurface(backend, y), FieldSurface(backend, z)
-
-
-def _solve_reflected(driver, terminal, obstacle, backend: Backend, lower: bool) -> RbsdeSolution:
-    _check_stability(driver, backend)
-    n = backend.grid.n_steps
-    dt = backend.grid.dt
-    times = backend.grid.times
+    off = backend.offsets
     term = _terminal_array(terminal, backend)
     if obstacle is not None:
         s_T = obstacle.at(n)
@@ -135,34 +122,31 @@ def _solve_reflected(driver, terminal, obstacle, backend: Backend, lower: bool) 
             raise ValueError("lower barrier exceeds the terminal value at the horizon")
         if not lower and np.any(s_T < term - CONTACT_TOL):
             raise ValueError("upper barrier below the terminal value at the horizon")
-    y = [None] * (n + 1)
-    z = [None] * (n + 1)
-    dk = [None] * (n + 1)
-    y[n] = term
-    z[n] = np.zeros(backend.n_nodes(n))
-    dk[n] = np.zeros(backend.n_nodes(n))
+    y = np.empty(backend.size)
+    z = np.zeros(backend.size)
+    dk = np.zeros(backend.size)
+    y[off[n] :] = term
     for k in range(n - 1, -1, -1):
-        e = backend.condexp(y[k + 1], k)
-        zk = backend.martingale_projection(y[k + 1], k)
-        ytilde = e + driver(times[k], backend.state(k), e, zk) * dt
+        here = slice(off[k], off[k + 1])
+        nxt = y[off[k + 1] : off[k + 2]]
+        e = backend.condexp(nxt, k)
+        z[here] = backend.martingale_projection(nxt, k)
+        ytilde = e + driver(times[k], backend.state(k), e, z[here]) * dt
         if obstacle is None:
-            yk = ytilde
-            push = np.zeros_like(ytilde)
+            y[here] = ytilde
+        elif lower:
+            y[here] = np.maximum(ytilde, obstacle.data[here])
+            dk[here] = y[here] - ytilde
         else:
-            s = obstacle.at(k)
-            if lower:
-                yk = np.maximum(ytilde, s)
-                push = yk - ytilde
-            else:
-                yk = np.minimum(ytilde, s)
-                push = ytilde - yk
-        # +-inf sentinels (barrier never binds) leave infinities in the push.
-        push = np.where(np.isfinite(push), push, 0.0)
-        y[k], z[k], dk[k] = yk, zk, push
-    return RbsdeSolution(FieldSurface(backend, y), FieldSurface(backend, z), FieldSurface(backend, dk))
+            y[here] = np.minimum(ytilde, obstacle.data[here])
+            dk[here] = ytilde - y[here]
+    # +-inf sentinels (barrier never binds) leave infinities in the push.
+    dk[~np.isfinite(dk)] = 0.0
+    surfaces = (FieldSurface.from_buffer(backend, v) for v in (y, z, dk))
+    return RbsdeSolution(*surfaces)
 
 
-def solve_rbsde_lower(driver, terminal, obstacle, backend: Backend) -> RbsdeSolution:
+def solve_rbsde_lower(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolution:
     """Equation reflected upward off a lower barrier: Y >= obstacle, K pushes up.
 
     ``obstacle`` is a FieldSurface, or None / a -inf surface for the
@@ -171,40 +155,39 @@ def solve_rbsde_lower(driver, terminal, obstacle, backend: Backend) -> RbsdeSolu
     return _solve_reflected(driver, terminal, obstacle, backend, lower=True)
 
 
-def solve_rbsde_upper(driver, terminal, obstacle, backend: Backend) -> RbsdeSolution:
+def solve_rbsde_upper(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolution:
     """Equation reflected downward off an upper barrier: Y <= obstacle, K pushes down."""
     return _solve_reflected(driver, terminal, obstacle, backend, lower=False)
 
 
-def snell_envelope(payoff: FieldSurface, backend: Backend, contact_tol: float = CONTACT_TOL):
+def snell_envelope(payoff: FieldSurface, backend: Lattice, contact_tol: float = CONTACT_TOL):
     """Smallest supermartingale dominating a payoff surface.
 
-    Returns (envelope, contact) where ``contact`` marks nodes at which the
-    envelope touches the payoff (within ``contact_tol``); stopping at the
-    first contact at or after the current step is optimal.
+    Returns (envelope, contact) where ``contact`` is a boolean surface marking
+    nodes at which the envelope touches the payoff (within ``contact_tol``);
+    stopping at the first contact at or after the current step is optimal.
     """
     n = backend.grid.n_steps
-    env = [None] * (n + 1)
-    contact = [None] * (n + 1)
-    env[n] = payoff.at(n).copy()
-    contact[n] = np.ones(backend.n_nodes(n), dtype=bool)
+    off = backend.offsets
+    env = payoff.data.copy()
     for k in range(n - 1, -1, -1):
-        cont = backend.condexp(env[k + 1], k)
-        u = payoff.at(k)
-        env[k] = np.maximum(u, cont)
-        contact[k] = env[k] - u <= contact_tol
-    return FieldSurface(backend, env), contact
+        cont = backend.condexp(env[off[k + 1] : off[k + 2]], k)
+        env[off[k] : off[k + 1]] = np.maximum(payoff.at(k), cont)
+    contact = env - payoff.data <= contact_tol
+    contact[off[n] :] = True
+    return FieldSurface.from_buffer(backend, env), FieldSurface.from_buffer(backend, contact)
 
 
 def first_contact(contact, from_step: int, path=None) -> int:
-    """First step index >= from_step at which contact holds, else N.
+    """First step index >= from_step at which a contact surface holds, else N.
 
-    On the deterministic backend ``path`` may be omitted; on the lattice the
-    stopping time is a path object and a node-index path is required.
+    Reference implementation, one step at a time. On the width-1 lattice
+    ``path`` may be omitted; on the binomial lattice the stopping time is a
+    path object and a node-index path is required.
     """
-    n = len(contact) - 1
+    n = contact.n_steps
     for k in range(from_step, n + 1):
-        mask = contact[k]
+        mask = contact.at(k)
         if path is None:
             if mask.shape != (1,):
                 raise ValueError("a node-index path is required on the lattice backend")

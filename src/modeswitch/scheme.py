@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Backend, FieldSurface
+from .grid import FieldSurface, Lattice
 from .model import (
     COMPONENTS,
     MINUS,
     MODES,
     PLUS,
+    CostSlice,
     SwitchingProblem,
     evaluate_obstacles,
     other_mode,
@@ -104,7 +105,7 @@ class BalanceSheetSolution:
     """Converged system solution: four (Y, Z, dK) triples plus metadata."""
 
     problem: SwitchingProblem
-    backend: Backend
+    backend: Lattice
     sol: dict
     trace: ConvergenceTrace
 
@@ -118,43 +119,70 @@ class BalanceSheetSolution:
         return system_obstacles(self.problem, {k: s.y for k, s in self.sol.items()}, self.backend)
 
 
-def terminal_values(problem: SwitchingProblem, backend: Backend, side: str, mode: int) -> np.ndarray:
+def terminal_values(problem: SwitchingProblem, backend: Lattice, side: str, mode: int) -> np.ndarray:
     x = backend.state(backend.grid.n_steps)
     return np.asarray(problem.terminal(side, mode)(x), dtype=float)
 
 
-def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Backend) -> dict:
+def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
+    """The six costs at every lattice node, from one table on the grid times."""
+    table = problem.cost_table(backend.grid.times)
+    at = backend.step_of_node
+    return CostSlice(*(tuple(c[at] for c in pair) for pair in (table.ell, table.a, table.b)))
+
+
+def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
     """Barrier surfaces implied by a set of four Y surfaces."""
-    times = backend.grid.times
-    per_key = {key: [] for key in COMPONENTS}
-    for k in range(backend.grid.n_steps + 1):
-        quad = evaluate_obstacles(
-            {key: ys[key].at(k) for key in COMPONENTS}, problem.cost_slice(times[k])
-        )
-        for side, mode in COMPONENTS:
-            per_key[(side, mode)].append(quad.get(side, mode))
-    return {key: FieldSurface(backend, vals) for key, vals in per_key.items()}
+    quad = evaluate_obstacles({key: ys[key].data for key in COMPONENTS}, node_costs(problem, backend))
+    return {key: FieldSurface.from_buffer(backend, quad.get(*key)) for key in COMPONENTS}
 
 
-def initialize_scheme(problem: SwitchingProblem, backend: Backend) -> SchemeStart:
+def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int) -> float:
+    """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
+    left to right like a step-by-step loop would."""
+    end = backend.offsets[n_steps]
+    per_step = np.maximum.reduceat((np.abs(gap) * dk)[:end], backend.offsets[:n_steps])
+    return float(np.cumsum(per_step)[-1])
+
+
+def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str, amount: str = "excess"):
+    """Raise SchemeError at the worst node where ``low`` exceeds ``high`` beyond the slack."""
+    excess = low - high
+    i = int(np.argmax(excess))
+    if excess[i] > MONOTONICITY_SLACK:
+        k, j = backend.locate(i)
+        raise SchemeError(f"{what} at step {k}, node {j}: {amount} {excess[i]:g}")
+
+
+def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
+    """One component reflected off a flat barrier buffer: up off a floor on
+    the profit side, down off a cap on the cost side."""
+    solve = solve_rbsde_lower if side == PLUS else solve_rbsde_upper
+    if terminal is None:
+        terminal = terminal_values(problem, backend, side, mode)
+    return solve(problem.driver(side, mode), terminal, FieldSurface.from_buffer(backend, barrier), backend)
+
+
+def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation.
 
     Aborts with the validation report attached if the problem fails the
     admissibility checks.
     """
-    report = validate_assumptions(problem, backend.grid)
+    report = validate_assumptions(problem, backend)
     if not report.all_passed:
         msg = "; ".join(f"{c.name}" for c in report.failures())
         err = SchemeError(f"assumption validation failed: {msg}")
         err.report = report
         raise err
 
+    costs = node_costs(problem, backend)
     y_plus0 = {}
     for mode in MODES:
         y, z = solve_bsde(problem.driver(PLUS, mode), terminal_values(problem, backend, PLUS, mode), backend)
         y_plus0[mode] = RbsdeSolution(y, z, FieldSurface.zeros(backend))
 
-    big_l = {mode: y_plus0[mode].y.shift_by_time_function(problem.b[mode - 1]) for mode in MODES}
+    big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
 
     shifted = [_ShiftedDriver(problem.driver(PLUS, mode), problem.b[mode - 1]) for mode in MODES]
     alpha = _MinDriver(shifted + [problem.driver(MINUS, mode) for mode in MODES])
@@ -173,23 +201,17 @@ def initialize_scheme(problem: SwitchingProblem, backend: Backend) -> SchemeStar
     # Lower-bound inequality seeding the cost side: dotY <= L^i and (with
     # ell > 0) dotY <= dotY + ell_i, at every node.
     for mode in MODES:
-        bound = big_l[mode].binop(dot_y.shift_by_time_function(problem.ell[mode - 1]), np.minimum)
-        gap = max(
-            float(np.max(dot_y.at(k) - bound.at(k))) for k in range(backend.grid.n_steps + 1)
-        )
-        if gap > MONOTONICITY_SLACK:
-            raise SchemeError(f"warm-start ordering violated for mode {mode}: excess {gap:g}")
+        bound = np.minimum(big_l[mode].data, dot_y.data + costs.ell[mode - 1])
+        _check_order(dot_y.data, bound, backend, f"warm-start ordering violated for mode {mode}")
 
     return SchemeStart(y_plus0=y_plus0, big_l=big_l, dot_y=dot_y, dot_z=dot_z, alpha=alpha)
 
 
 def _check_not_below(new: FieldSurface, old: FieldSurface, label: str):
-    drop = max(float(np.max(old.at(k) - new.at(k))) for k in range(new.n_steps + 1))
-    if drop > MONOTONICITY_SLACK:
-        raise SchemeError(f"iterate monotonicity violated for {label}: decrease {drop:g}")
+    _check_order(old.data, new.data, new.backend, f"iterate monotonicity violated for {label}", "decrease")
 
 
-def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Backend) -> Iterate:
+def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Lattice) -> Iterate:
     """First reflected sweep, seeded by the warm-start surfaces.
 
     The cost components stop at the minimum solution's horizon value and are
@@ -198,48 +220,34 @@ def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Backen
     from the stage-0 profits and the fresh cost components.
     """
     n = backend.grid.n_steps
+    costs = node_costs(problem, backend)
     sol = {}
     for mode in MODES:
-        cap = start.big_l[mode].binop(
-            start.dot_y.shift_by_time_function(problem.ell[mode - 1]), np.minimum
-        )
-        sol[(MINUS, mode)] = solve_rbsde_upper(
-            problem.driver(MINUS, mode), start.dot_y.at(n), cap, backend
-        )
+        cap = np.minimum(start.big_l[mode].data, start.dot_y.data + costs.ell[mode - 1])
+        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap, terminal=start.dot_y.at(n))
         _check_not_below(sol[(MINUS, mode)].y, start.dot_y, f"cost mode {mode} vs warm start")
     for mode in MODES:
-        j = other_mode(mode)
-        floor = start.y_plus0[j].y.shift_by_time_function(problem.ell[mode - 1], sign=-1.0).binop(
-            sol[(MINUS, mode)].y.shift_by_time_function(problem.a[mode - 1], sign=-1.0), np.maximum
-        )
-        sol[(PLUS, mode)] = solve_rbsde_lower(
-            problem.driver(PLUS, mode), terminal_values(problem, backend, PLUS, mode), floor, backend
-        )
+        y_other, y_cost = start.y_plus0[other_mode(mode)].y.data, sol[(MINUS, mode)].y.data
+        floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
+        sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
         _check_not_below(sol[(PLUS, mode)].y, start.y_plus0[mode].y, f"profit mode {mode} stage 0->1")
     return Iterate(n=1, sol=sol)
 
 
-def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Backend) -> Iterate:
+def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> Iterate:
     """One Picard sweep: cost pair (stage-n barriers), then profit pair
     (barriers mixing stage-n profit with stage-(n+1) cost)."""
+    costs = node_costs(problem, backend)
     sol = {}
     for mode in MODES:
-        j = other_mode(mode)
-        cap = prev.y(MINUS, j).shift_by_time_function(problem.ell[mode - 1]).binop(
-            prev.y(PLUS, mode).shift_by_time_function(problem.b[mode - 1]), np.minimum
-        )
-        sol[(MINUS, mode)] = solve_rbsde_upper(
-            problem.driver(MINUS, mode), terminal_values(problem, backend, MINUS, mode), cap, backend
-        )
+        y_other, y_profit = prev.y(MINUS, other_mode(mode)).data, prev.y(PLUS, mode).data
+        cap = np.minimum(y_other + costs.ell[mode - 1], y_profit + costs.b[mode - 1])
+        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap)
         _check_not_below(sol[(MINUS, mode)].y, prev.y(MINUS, mode), f"cost mode {mode} stage {prev.n}")
     for mode in MODES:
-        j = other_mode(mode)
-        floor = prev.y(PLUS, j).shift_by_time_function(problem.ell[mode - 1], sign=-1.0).binop(
-            sol[(MINUS, mode)].y.shift_by_time_function(problem.a[mode - 1], sign=-1.0), np.maximum
-        )
-        sol[(PLUS, mode)] = solve_rbsde_lower(
-            problem.driver(PLUS, mode), terminal_values(problem, backend, PLUS, mode), floor, backend
-        )
+        y_other, y_cost = prev.y(PLUS, other_mode(mode)).data, sol[(MINUS, mode)].y.data
+        floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
+        sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
         _check_not_below(sol[(PLUS, mode)].y, prev.y(PLUS, mode), f"profit mode {mode} stage {prev.n}")
     return Iterate(n=prev.n + 1, sol=sol)
 
@@ -248,28 +256,21 @@ def _assert_system_constraints(solution: BalanceSheetSolution):
     """Barrier inequalities, increment signs, and complementarity sums on the
     converged surfaces (barriers recomputed self-consistently)."""
     obstacles = solution.obstacles()
-    n = solution.backend.grid.n_steps
+    backend = solution.backend
     for side, mode in COMPONENTS:
         comp = solution.sol[(side, mode)]
-        s = obstacles[(side, mode)]
-        sko = 0.0
-        for k in range(n + 1):
-            gap = comp.y.at(k) - s.at(k) if side == PLUS else s.at(k) - comp.y.at(k)
-            if float(np.min(gap)) < -MONOTONICITY_SLACK:
-                raise SchemeError(
-                    f"barrier constraint violated for ({side},{mode}) at step {k}: {float(np.min(gap)):g}"
-                )
-            dk = comp.dk.at(k)
-            if float(np.min(dk)) < -MONOTONICITY_SLACK:
-                raise SchemeError(f"reflection increment negative for ({side},{mode}) at step {k}")
-            sko += float(np.max(np.abs(gap) * dk))
+        y, s, dk = comp.y.data, obstacles[(side, mode)].data, comp.dk.data
+        low, high = (s, y) if side == PLUS else (y, s)
+        _check_order(low, high, backend, f"barrier constraint violated for ({side},{mode})")
+        _check_order(-dk, 0.0, backend, f"reflection increment negative for ({side},{mode})")
+        sko = skorokhod_sum(high - low, dk, backend, backend.grid.n_steps + 1)
         if sko > SKOROKHOD_CAP:
             raise SchemeError(f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode})")
 
 
 def solve_system(
     problem: SwitchingProblem,
-    backend: Backend,
+    backend: Lattice,
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[BalanceSheetSolution, ConvergenceTrace]:

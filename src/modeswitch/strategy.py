@@ -4,8 +4,9 @@ A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, then take whichever branch of the barrier is
 binding (switch to the other mode, or terminate). This module extracts those
 contact times, classifies the branch, and replays the policy forward along
-sampled paths, accumulating the running yield by left-endpoint sums (the same
-convention as the backward solver) to measure the realized value against Y_0.
+sampled paths, accumulating the running yield by left-endpoint sums with the
+rate evaluated where the backward solver evaluates it (at the continuation
+value E_k[Y_{k+1}]), to measure the realized value against Y_0.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DeterministicBackend
 from .model import COMPONENTS, MINUS, PLUS, other_mode
 from .rbsde import hitting_tolerance
-from .scheme import BalanceSheetSolution
+from .scheme import BalanceSheetSolution, node_costs
 
 SWITCH = "switch"
 TERMINATE = "terminate"
@@ -26,54 +26,50 @@ MIXED = "mixed"
 
 
 def contact_masks(solution: BalanceSheetSolution, tol: float | None = None, obstacles: dict | None = None) -> dict:
-    """Per-component boolean node masks marking barrier contact."""
+    """Per-component flat boolean node masks marking barrier contact."""
     if obstacles is None:
         obstacles = solution.obstacles()
     masks = {}
     for key in COMPONENTS:
         y = solution.sol[key].y
-        s = obstacles[key]
         t = tol if tol is not None else hitting_tolerance(solution.backend, scale=y.sup_norm())
-        masks[key] = [np.abs(y.at(k) - s.at(k)) <= t for k in range(y.n_steps + 1)]
+        masks[key] = np.abs(y.data - obstacles[key].data) <= t
     return masks
 
 
 def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
     """First barrier-contact step at or after ``from_step`` per component, else N.
 
-    Stopping times are path objects on the lattice, so ``path`` (a node-index
-    path) is required there; the deterministic backend has a single path.
+    Stopping times are path objects on the binomial lattice, so ``path`` (a
+    node-index path) is required there; the width-1 lattice has a single path.
     """
-    n = solution.backend.grid.n_steps
+    backend = solution.backend
+    n = backend.grid.n_steps
     if not 0 <= from_step <= n:
         raise ValueError(f"from_step must lie in [0, {n}]")
     if path is None:
-        if not isinstance(solution.backend, DeterministicBackend):
+        if backend.down:
             raise ValueError("a node-index path is required on the lattice backend")
         path = np.zeros(n + 1, dtype=np.int64)
+    flat = backend.offsets[from_step:n] + np.asarray(path[from_step:n], dtype=np.int64)
     masks = contact_masks(solution)
     out = {}
     for key in COMPONENTS:
-        stop = n
-        for k in range(from_step, n):
-            if masks[key][k][int(path[k])]:
-                stop = k
-                break
-        out[key] = stop
+        hit = masks[key][flat]
+        out[key] = from_step + int(np.argmax(hit)) if hit.any() else n
     return out
 
 
-def _branch_values(solution, side, mode, node, step):
-    """(switch branch, exit branch, barrier value) at one node; array ``node`` ok."""
-    t = solution.backend.grid.t(step)
-    costs = solution.problem.cost_slice(t)
+def _branch_values(solution, side, mode, flat):
+    """(switch branch, exit branch, barrier value) at flat node index(es) ``flat``."""
+    costs = node_costs(solution.problem, solution.backend)
     j = other_mode(mode)
     if side == PLUS:
-        switch_branch = solution.sol[(PLUS, j)].y.at(step)[node] - costs.ell[mode - 1]
-        exit_branch = solution.sol[(MINUS, mode)].y.at(step)[node] - costs.a[mode - 1]
+        switch_branch = solution.sol[(PLUS, j)].y.data[flat] - costs.ell[mode - 1][flat]
+        exit_branch = solution.sol[(MINUS, mode)].y.data[flat] - costs.a[mode - 1][flat]
         return switch_branch, exit_branch, np.maximum(switch_branch, exit_branch)
-    switch_branch = solution.sol[(MINUS, j)].y.at(step)[node] + costs.ell[mode - 1]
-    exit_branch = solution.sol[(PLUS, mode)].y.at(step)[node] + costs.b[mode - 1]
+    switch_branch = solution.sol[(MINUS, j)].y.data[flat] + costs.ell[mode - 1][flat]
+    exit_branch = solution.sol[(PLUS, mode)].y.data[flat] + costs.b[mode - 1][flat]
     return switch_branch, exit_branch, np.minimum(switch_branch, exit_branch)
 
 
@@ -86,7 +82,8 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     most own profit plus the exit benefit.
     """
     y_here = float(solution.sol[(side, mode)].y.at(step)[node])
-    switch_branch, exit_branch, s_here = _branch_values(solution, side, mode, node, step)
+    flat = int(solution.backend.offsets[step]) + node
+    switch_branch, exit_branch, s_here = _branch_values(solution, side, mode, flat)
     tol = hitting_tolerance(solution.backend, scale=max(abs(y_here), 1.0))
     if abs(y_here - float(s_here)) > tol:
         raise ValueError(
@@ -139,50 +136,38 @@ class StrategyReport:
         }
 
 
-def _simulate_leg(solution, side, mode, paths, masks, obstacles) -> LegReport:
+def _simulate_leg(solution, side, mode, flat_paths, masks, obstacles) -> LegReport:
+    """Replay one leg along paths given as flat node indices, shape (n_paths, N+1)."""
     backend = solution.backend
-    grid = backend.grid
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times
-    n_paths = paths.shape[0]
+    n = backend.grid.n_steps
+    n_paths = flat_paths.shape[0]
     comp = solution.sol[(side, mode)]
     key = (side, mode)
 
-    y_along = np.empty((n_paths, n + 1))
-    z_along = np.empty((n_paths, n + 1))
-    x_along = np.empty((n_paths, n + 1))
-    s_along = np.empty((n_paths, n + 1))
-    hit = np.zeros((n_paths, n + 1), dtype=bool)
-    for k in range(n + 1):
-        idx = paths[:, k]
-        y_along[:, k] = comp.y.at(k)[idx]
-        z_along[:, k] = comp.z.at(k)[idx]
-        x_along[:, k] = backend.state(k)[idx]
-        s_along[:, k] = obstacles[key].at(k)[idx]
-        hit[:, k] = masks[key][k][idx]
+    hit = masks[key][flat_paths[:, :n]]
+    tau = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n)
+    stopped = tau < n
+    stop = flat_paths[np.arange(n_paths), tau]
 
-    hit_before_horizon = hit[:, :n]
-    any_hit = hit_before_horizon.any(axis=1)
-    tau = np.where(any_hit, np.argmax(hit_before_horizon, axis=1), n)
-
+    # Running rate at (t_k, x_k, E_k[Y_{k+1}], Z_k), the point at which the
+    # backward scheme evaluates the driver.
+    before = slice(0, backend.offsets[n])
     drv = solution.problem.driver(side, mode)
-    rate = drv(times[None, :n], x_along[:, :n], y_along[:, :n], z_along[:, :n])
-    running = np.sum(rate * (np.arange(n)[None, :] < tau[:, None]), axis=1) * dt
+    cont = backend.continuation(comp.y.data)
+    rate = drv(backend.node_times[before], backend.states[before], cont, comp.z.data[before])
+    running = rate[flat_paths[:, :n]]
+    running *= np.arange(n)[None, :] < tau[:, None]
+    running = np.sum(running, axis=1) * backend.grid.dt
 
     xi_nodes = np.asarray(solution.problem.terminal(side, mode)(backend.state(n)), dtype=float)
-    payoff = np.where(tau < n, s_along[np.arange(n_paths), tau], xi_nodes[paths[:, n]])
+    payoff = np.where(stopped, obstacles[key].data[stop], xi_nodes[flat_paths[:, n] - backend.offsets[n]])
     realized = running + payoff
 
-    actions = np.full(n_paths, HOLD, dtype=object)
-    for step in np.unique(tau[tau < n]):
-        rows = np.nonzero(tau == step)[0]
-        nodes = paths[rows, step]
-        switch_branch, exit_branch, _ = _branch_values(solution, side, mode, nodes, int(step))
-        prefer_switch = switch_branch >= exit_branch if side == PLUS else switch_branch <= exit_branch
-        actions[rows] = np.where(prefer_switch, SWITCH, TERMINATE)
-    unique = sorted(set(actions.tolist()))
-    action = unique[0] if len(unique) == 1 else MIXED
+    switch_branch, exit_branch, _ = _branch_values(solution, side, mode, stop[stopped])
+    prefer_switch = switch_branch >= exit_branch if side == PLUS else switch_branch <= exit_branch
+    seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
+    taken = [name for name, found in seen if found]
+    action = taken[0] if len(taken) == 1 else MIXED
 
     mean = float(np.mean(realized))
     std_error = float(np.std(realized, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -210,6 +195,7 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     if not solution.trace.converged:
         raise ValueError("policy simulation requires a converged solution")
     paths = solution.backend.sample_paths(n_paths, seed)
+    paths += solution.backend.offsets[:-1]  # node index -> flat index, in place
     obstacles = solution.obstacles()
     masks = contact_masks(solution, obstacles=obstacles)
     legs = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Backend, FieldSurface, TimeGrid, make_backend
+from .grid import FieldSurface, Lattice, TimeGrid, make_backend
 from .model import (
     COMPONENTS,
     MINUS,
@@ -27,7 +27,7 @@ from .model import (
     Terminal,
 )
 from .rbsde import RbsdeSolution
-from .scheme import BalanceSheetSolution, system_obstacles
+from .scheme import BalanceSheetSolution, skorokhod_sum, system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -99,27 +99,20 @@ class ClosedFormFamily:
     def z(self, side: str, mode: int, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def sample(self, backend: Backend) -> dict:
+    def sample(self, backend: Lattice) -> dict:
         """Grid sampling as four solution triples; increments use the
         trapezoid rule on the analytic reflection density."""
         grid = backend.grid
         times = grid.times
-        dt = grid.dt
+        at = backend.step_of_node
         out = {}
         for side, mode in COMPONENTS:
-            yv = self.y(side, mode, times)
             dens = self.k_density(side, mode, times)
-            ys, zs, dks = [], [], []
-            for k in range(grid.n_steps + 1):
-                nodes = backend.n_nodes(k)
-                ys.append(np.full(nodes, yv[k]))
-                zs.append(np.zeros(nodes))
-                if k < grid.n_steps:
-                    dks.append(np.full(nodes, 0.5 * (dens[k] + dens[k + 1]) * dt))
-                else:
-                    dks.append(np.zeros(nodes))
+            dk = np.append(0.5 * (dens[:-1] + dens[1:]) * grid.dt, 0.0)
             out[(side, mode)] = RbsdeSolution(
-                FieldSurface(backend, ys), FieldSurface(backend, zs), FieldSurface(backend, dks)
+                FieldSurface.from_buffer(backend, self.y(side, mode, times)[at]),
+                FieldSurface.zeros(backend),
+                FieldSurface.from_buffer(backend, dk[at]),
             )
         return out
 
@@ -204,7 +197,7 @@ def _as_solution_mapping(candidate) -> dict:
     raise TypeError("candidate must be a BalanceSheetSolution or a component mapping")
 
 
-def audit_solution(candidate, problem: SwitchingProblem, backend: Backend) -> ResidualReport:
+def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> ResidualReport:
     """Recompute the system's defining relations for a candidate solution.
 
     The per-step residual is measured per unit time with the running rate
@@ -215,46 +208,31 @@ def audit_solution(candidate, problem: SwitchingProblem, backend: Backend) -> Re
     sol = _as_solution_mapping(candidate)
     grid = backend.grid
     dt = grid.dt
-    times = grid.times
     n = grid.n_steps
+    before = slice(0, backend.offsets[n])
+    horizon = slice(backend.offsets[n], None)
+    times, x = backend.node_times[before], backend.states[before]
     ys = {key: sol[key].y for key in COMPONENTS}
     obstacles = system_obstacles(problem, ys, backend)
 
     components = {}
     for side, mode in COMPONENTS:
         comp = sol[(side, mode)]
-        drv = problem.driver(side, mode)
+        y, s = comp.y.data, obstacles[(side, mode)].data
         sign = -1.0 if side == PLUS else 1.0
-        s = obstacles[(side, mode)]
-        max_step = 0.0
-        max_violation = 0.0
-        sko = 0.0
-        k_sign = 0.0
-        max_density = 0.0
-        for k in range(n):
-            yk = comp.y.at(k)
-            e = backend.condexp(comp.y.at(k + 1), k)
-            zk = comp.z.at(k)
-            dk = comp.dk.at(k)
-            psi = drv(times[k], backend.state(k), 0.5 * (yk + e), zk)
-            resid = (yk - e - psi * dt + sign * dk) / dt
-            max_step = max(max_step, float(np.max(np.abs(resid))))
-            gap = yk - s.at(k) if side == PLUS else s.at(k) - yk
-            max_violation = max(max_violation, float(np.max(-gap)))
-            sko += float(np.max(np.abs(gap) * dk))
-            k_sign = max(k_sign, float(np.max(-dk)))
-            max_density = max(max_density, float(np.max(dk)) / dt)
-        gap_T = comp.y.at(n) - s.at(n) if side == PLUS else s.at(n) - comp.y.at(n)
-        max_violation = max(max_violation, float(np.max(-gap_T)))
+        gap = y - s if side == PLUS else s - y
+        yk, zk, dk = y[before], comp.z.data[before], comp.dk.data[before]
+        e = backend.continuation(y)
+        psi = problem.driver(side, mode)(times, x, 0.5 * (yk + e), zk)
+        resid = (yk - e - psi * dt + sign * dk) / dt
         xi = np.asarray(problem.terminal(side, mode)(backend.state(n)), dtype=float)
-        terminal_mismatch = float(np.max(np.abs(comp.y.at(n) - xi)))
         components[(side, mode)] = ComponentResiduals(
-            max_step_residual=max_step,
-            max_constraint_violation=max(max_violation, 0.0),
-            skorokhod_sum=sko,
-            k_sign_violation=max(k_sign, 0.0),
-            max_k_density=max_density,
-            terminal_mismatch=terminal_mismatch,
+            max_step_residual=max(0.0, float(np.max(np.abs(resid)))),
+            max_constraint_violation=max(0.0, float(np.max(-gap))),
+            skorokhod_sum=skorokhod_sum(gap, comp.dk.data, backend, n),
+            k_sign_violation=max(0.0, float(np.max(-dk))),
+            max_k_density=max(0.0, float(np.max(dk)) / dt),
+            terminal_mismatch=float(np.max(np.abs(y[horizon] - xi))),
         )
     return ResidualReport(dt=dt, components=components, step_residual_cap=RESIDUAL_RATE_SCALE * dt)
 
@@ -313,13 +291,7 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
     rep1 = audit_solution(fam1, problem, backend)
     rep2 = audit_solution(fam2, problem, backend)
     sup = max(fam2[key].y.sup_diff(fam1[key].y) for key in COMPONENTS)
-    below = all(
-        all(
-            float(np.max(fam1[key].y.at(k) - fam2[key].y.at(k))) <= 1e-12
-            for k in range(backend.grid.n_steps + 1)
-        )
-        for key in COMPONENTS
-    )
+    below = all(float(np.max(fam1[key].y.data - fam2[key].y.data)) <= 1e-12 for key in COMPONENTS)
     return NonUniquenessReport(
         horizon=float(T),
         n_steps=int(N),

@@ -154,7 +154,7 @@ def test_criterion_5_comparison_suite():
         bump = float(rng.uniform(0.01, 0.5))
         n = backend.grid.n_steps
 
-        lifted_vals = [v + bump for v in barrier.values]
+        lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
         lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
         variants = (
             solve_rbsde_lower(drv, xi + bump, barrier, backend),
@@ -227,16 +227,16 @@ def test_criterion_7_reflection_density():
 def test_criterion_8_assumption_validator():
     """The feasibility example passes; three injected defects are each caught
     by name with everything else still passing."""
-    grid = TimeGrid(64, 1.0)
-    base_ok = validate_assumptions(remark_problem(1.0), grid).all_passed
+    lattice = make_backend("deterministic", TimeGrid(64, 1.0))
+    base_ok = validate_assumptions(remark_problem(1.0), lattice).all_passed
 
-    zero_ell = validate_assumptions(build_problem(ell=0.0), grid)
+    zero_ell = validate_assumptions(build_problem(ell=0.0), lattice)
     ell_names = {c.name for c in zero_ell.failures()}
     ell_ok = ell_names == {"A2 switching cost ell_1 > 0", "A2 switching cost ell_2 > 0"}
 
     bad_bc = validate_assumptions(
         build_problem(terminals={(PLUS, 1): 0.0, (PLUS, 2): 10.0, (MINUS, 1): 0.0, (MINUS, 2): 0.0}),
-        grid,
+        lattice,
     )
     bc_ok = {c.name for c in bad_bc.failures()} == {"BC terminal xi_plus_1"}
 
@@ -244,7 +244,7 @@ def test_criterion_8_assumption_validator():
         build_problem(
             b=(CoefficientFunction.constant(0.0, has_ito_data=False), CoefficientFunction.constant(0.0))
         ),
-        grid,
+        lattice,
     )
     ito_ok = {c.name for c in no_ito.failures()} == {"A4 Ito data for b_1"}
 

@@ -256,3 +256,75 @@ class TestSurfaceRoundTrip:
             a, b = original.components[key].as_dict(), again.components[key].as_dict()
             for name in a:
                 assert abs(a[name] - b[name]) <= 1e-12
+
+
+def switching_doc():
+    """The bench switching problem: state-scaled profit rates, small switching
+    cost, zero terminals."""
+    return {
+        "horizon": 1.0,
+        "drivers": [
+            {"mode": 1, "side": "plus", "c0": 1.0, "state_feature": "x", "c1": 0.5},
+            {"mode": 2, "side": "plus", "c0": -1.0, "state_feature": "x", "c1": 0.5},
+            {"mode": 1, "side": "minus", "c0": 0.5, "c1": 0.2},
+            {"mode": 2, "side": "minus", "c0": 0.3, "c1": 0.2},
+        ],
+        "costs": {"ell_1": 0.05, "ell_2": 0.05, "a_1": 0.5, "a_2": 0.5, "b_1": 0.5, "b_2": 0.5},
+        "terminals": {f"{s}_{m}": 0.0 for s, m in COMPONENTS},
+    }
+
+
+def state_terminal_doc():
+    """Terminal inequalities hold at x = 0 but fail far out on the lattice."""
+    doc = switching_doc()
+    for drv in doc["drivers"]:
+        drv.pop("c1")
+    doc["terminals"]["plus_1"] = {"intercept": 0.0, "slope": 3.0}
+    doc["terminals"]["plus_2"] = {"intercept": 0.0, "slope": -3.0}
+    return doc
+
+
+class TestErrorBoundary:
+    def test_state_terminal_reproduction_exits_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, state_terminal_doc())
+        args = ["solve", "--problem", path, "--backend", "binomial", "--steps", "20"]
+        assert main(args + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "BC terminal xi_plus_" in err
+
+    def test_step_too_coarse_exits_one(self, tmp_path, capsys):
+        doc = counterexample_doc()
+        doc["drivers"][0]["c1"] = 10.0
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", "--problem", path, "--steps", "10", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too coarse" in err
+
+    def test_simulate_prints_validation_report(self, tmp_path, capsys):
+        doc = counterexample_doc()
+        doc["costs"]["ell_1"] = 0.0
+        path = write_doc(tmp_path, doc)
+        assert main(["simulate", "--problem", path, "--steps", "50", "--out", str(tmp_path / "x")]) == 1
+        assert "[FAIL] A2 switching cost ell_1 > 0" in capsys.readouterr().err
+
+
+class TestValidatorGaps:
+    def test_terminal_inequalities_checked_at_every_node(self, tmp_path, capsys):
+        path = write_doc(tmp_path, state_terminal_doc())
+        assert main(["check-assumptions", "--problem", path, "--backend", "binomial", "--steps", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] BC terminal xi_plus_1" in out
+        assert "[FAIL] BC terminal xi_plus_2" in out
+
+    def test_comparison_condition_refuses_coarse_lattice(self, tmp_path, capsys):
+        doc = switching_doc()
+        doc["drivers"][0]["c2"] = 4.0
+        path = write_doc(tmp_path, doc)
+        common = ["--problem", path, "--backend", "binomial", "--steps", "10"]
+        assert main(["check-assumptions", *common]) == 1
+        assert "[FAIL] A5 comparison psi_plus_1" in capsys.readouterr().out
+        assert main(["solve", *common, "--out", str(tmp_path / "x")]) == 1
+        assert "A5 comparison psi_plus_1" in capsys.readouterr().err
+        # finer steps restore the condition: 4 * sqrt(1/40) <= 1 + 0.5 / 40
+        assert main(["check-assumptions", "--problem", path, "--backend", "binomial", "--steps", "40"]) == 0

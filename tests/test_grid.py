@@ -164,13 +164,36 @@ class TestFieldSurface:
         assert (a - b).sup_norm() == 3.0
         assert (a + 1.0).at(0)[0] == 3.0
 
-    def test_shift_by_time_function(self):
-        be = det_backend(2)
-        surf = FieldSurface.zeros(be).shift_by_time_function(lambda t: t, sign=-1.0)
-        np.testing.assert_allclose([surf.at(k)[0] for k in range(3)], [0.0, -0.5, -1.0])
-
-    def test_along_path(self):
+    def test_flat_indices_along_path(self):
         be = bin_backend(3)
         surf = FieldSurface(be, [np.arange(k + 1, dtype=float) for k in range(4)])
-        vals = surf.along_path(np.array([0, 1, 1, 2]))
-        np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 2.0])
+        path = np.array([0, 1, 1, 2])
+        np.testing.assert_allclose(surf.data[be.offsets[:-1] + path], [0.0, 1.0, 1.0, 2.0])
+
+    def test_flat_buffer_layout(self):
+        be = bin_backend(3)
+        surf = FieldSurface(be, [np.full(k + 1, float(k)) for k in range(4)])
+        assert surf.data.shape == (10,)
+        np.testing.assert_array_equal(be.offsets, [0, 1, 3, 6, 10])
+        np.testing.assert_array_equal(surf.data, be.step_of_node)
+        assert np.shares_memory(surf.at(2), surf.data)
+        assert be.locate(7) == (3, 1)
+        with pytest.raises(ValueError):
+            FieldSurface.from_buffer(be, np.zeros(9))
+
+
+class TestWidthOneLattice:
+    def test_layout(self):
+        be = det_backend(4)
+        assert be.down == 0 and be.spread == 0.0
+        np.testing.assert_array_equal(be.offsets, np.arange(6))
+        np.testing.assert_array_equal(be.step_of_node, np.arange(5))
+        np.testing.assert_array_equal(be.states, np.zeros(5))
+
+    def test_continuation_matches_stepwise_condexp(self):
+        rng = np.random.default_rng(8)
+        for be in (det_backend(7), bin_backend(7)):
+            surf = FieldSurface(be, [rng.uniform(-1, 1, be.n_nodes(k)) for k in range(8)])
+            flat = be.continuation(surf.data)
+            stepwise = np.concatenate([be.condexp(surf.at(k + 1), k) for k in range(7)])
+            np.testing.assert_array_equal(flat, stepwise)

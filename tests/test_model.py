@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modeswitch.grid import TimeGrid
+from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -10,11 +10,12 @@ from modeswitch.model import (
     CostSlice,
     Driver,
     ProblemError,
+    Terminal,
     evaluate_obstacles,
     validate_assumptions,
 )
 
-from conftest import build_problem, remark_problem
+from conftest import bin_backend, build_problem, remark_problem
 
 
 class TestCoefficientFunction:
@@ -116,7 +117,7 @@ class TestValidateAssumptions:
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
     def test_feasibility_example_passes(self, horizon):
         problem = remark_problem(horizon)
-        report = validate_assumptions(problem, TimeGrid(64, horizon))
+        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(64, horizon)))
         assert report.all_passed, report.lines()
 
     def test_broken_terminal_inequality(self):
@@ -128,7 +129,7 @@ class TestValidateAssumptions:
                 (MINUS, 2): 0.0,
             }
         )
-        report = validate_assumptions(problem, TimeGrid(16, 1.0))
+        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
         failed = {c.name for c in report.failures()}
         assert failed == {"BC terminal xi_plus_1"}
         # the binding bound is (10 - 1) v (0 - 0) = 9, far above xi_plus_1 = 0
@@ -137,7 +138,7 @@ class TestValidateAssumptions:
 
     def test_zero_switching_cost_fails_everywhere(self):
         problem = build_problem(ell=0.0)
-        report = validate_assumptions(problem, TimeGrid(16, 1.0))
+        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
         failed = [c for c in report.failures() if c.name.startswith("A2 switching cost")]
         assert len(failed) == 2
         assert failed[0].at_time == 0.0
@@ -145,12 +146,35 @@ class TestValidateAssumptions:
     def test_missing_ito_data_for_b(self):
         problem = build_problem(b=(CoefficientFunction.constant(0.0, has_ito_data=False),
                                    CoefficientFunction.constant(0.0)))
-        report = validate_assumptions(problem, TimeGrid(16, 1.0))
+        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
         failed = {c.name for c in report.failures()}
         assert failed == {"A4 Ito data for b_1"}
 
     def test_report_lines_render(self):
-        report = validate_assumptions(remark_problem(1.0), TimeGrid(8, 1.0))
+        report = validate_assumptions(remark_problem(1.0), make_backend("deterministic", TimeGrid(8, 1.0)))
         lines = report.lines()
         assert any("A1" in line for line in lines)
         assert all(line.startswith("[pass]") for line in lines)
+
+    def test_terminal_inequality_names_first_failing_node(self):
+        # xi_plus_1 = x clears max(xi_plus_2 - ell, xi_minus_1 - a) = max(-1, -0.5)
+        # only for x >= -0.5; the binomial nodes at step 4 (dt = 1/16) sit at
+        # x = 1, 0.5, 0, -0.5, -1
+        terminals = {(PLUS, 1): Terminal(0.0, 1.0), (PLUS, 2): 0.0, (MINUS, 1): 0.0, (MINUS, 2): 0.0}
+        problem = build_problem(horizon=0.25, ell=1.0, a=0.5, b=2.0, terminals=terminals)
+        report = validate_assumptions(problem, bin_backend(4, horizon=0.25))
+        (bad,) = report.failures()
+        assert bad.name == "BC terminal xi_plus_1"
+        assert bad.detail == "margin -0.5 at node 4"
+        assert bad.value == pytest.approx(-0.5)
+        assert validate_assumptions(problem, make_backend("deterministic", TimeGrid(4, 0.25))).all_passed
+
+    def test_comparison_condition(self):
+        drivers = {(PLUS, 2): (0.0, -1.0, 2.0)}
+        problem = build_problem(drivers=drivers)
+        # |c2| sqrt(dt) <= 1 + c1 dt: 2 * 0.5 > 1 - 0.25 at N = 4; 2 / 3 <= 1 - 1 / 9 at N = 9
+        failed = {c.name for c in validate_assumptions(problem, bin_backend(4)).failures()}
+        assert failed == {"A5 comparison psi_plus_2"}
+        assert validate_assumptions(problem, bin_backend(9)).all_passed
+        # no Z on the width-1 lattice: only 1 + c1 dt >= 0 is needed
+        assert validate_assumptions(problem, make_backend("deterministic", TimeGrid(4, 1.0))).all_passed

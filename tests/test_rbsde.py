@@ -210,7 +210,7 @@ class TestComparison:
             bumped = Driver(drv.mode, drv.side, CoefficientFunction.constant(bump))
             up_psi = solve_rbsde_lower(_SumDriver(drv, bumped), xi, barrier, backend)
             n = backend.grid.n_steps
-            lifted_vals = [v + bump for v in barrier.values]
+            lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
             lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
             up_s = solve_rbsde_lower(drv, xi, FieldSurface(backend, lifted_vals), backend)
 

@@ -310,7 +310,7 @@ class TestRandomizedMonotoneConvergence:
         rng = np.random.default_rng(9000 + case)
         problem = random_admissible_problem(rng)
         backend = bin_backend(24) if case % 2 else det_backend(48)
-        assert validate_assumptions(problem, backend.grid).all_passed
+        assert validate_assumptions(problem, backend).all_passed
         n = backend.grid.n_steps
 
         start = initialize_scheme(problem, backend)
@@ -347,3 +347,22 @@ class TestRandomizedMonotoneConvergence:
                 )
                 assert float(np.min(gap)) >= -slack
                 assert float(np.min(comp.dk.at(k))) >= 0.0
+
+
+class TestWidthOneCase:
+    """The deterministic backend is the width-1 lattice: on state-free data
+    every binomial node carries the deterministic value of its step, bit for
+    bit, after the same number of sweeps."""
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_state_free_binomial_equals_deterministic(self, case):
+        problem = random_admissible_problem(np.random.default_rng(7000 + case))
+        det, det_trace = solve_system(problem, det_backend(40), tol=1e-12)
+        lat, lat_trace = solve_system(problem, bin_backend(40), tol=1e-12)
+        assert lat_trace.deltas == det_trace.deltas
+        for key in COMPONENTS:
+            for field in ("y", "z", "dk"):
+                width_one = getattr(det.sol[key], field)
+                lattice = getattr(lat.sol[key], field)
+                for k in range(41):
+                    np.testing.assert_array_equal(lattice.at(k), np.full(k + 1, width_one.at(k)[0]))

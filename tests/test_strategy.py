@@ -181,6 +181,17 @@ class TestSimulatePolicy:
         with pytest.raises(ValueError, match="converged"):
             simulate_policy(solution, n_paths=1, seed=0, start_mode=1)
 
+    def test_replay_rate_at_continuation_value(self):
+        # hold to the horizon with profit rate y: the replay evaluates the rate
+        # at E_k[Y_{k+1}] like the backward scheme, so the sum telescopes exactly
+        drivers = {(PLUS, 1): (0.0, 1.0, 0.0)}
+        problem = build_problem(drivers=drivers, ell=1e3, a=1e3, b=1e3, terminals=1.0)
+        solution, trace = solve_system(problem, det_backend(256))
+        assert trace.converged
+        leg = simulate_policy(solution, n_paths=1, seed=0, start_mode=1).leg(PLUS)
+        assert leg.action == HOLD
+        assert leg.value_gap <= 1e-12
+
     def test_bad_start_mode(self, fixture_solution):
         with pytest.raises(ValueError):
             simulate_policy(fixture_solution, n_paths=1, seed=0, start_mode=3)

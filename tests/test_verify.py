@@ -28,7 +28,7 @@ class TestCounterexampleProblem:
 
     def test_terminal_inequalities_hold(self):
         problem = counterexample_problem(1.0)
-        report = validate_assumptions(problem, det_backend(64).grid)
+        report = validate_assumptions(problem, det_backend(64))
         assert report.all_passed, report.lines()
 
     def test_rejects_nonpositive_horizon(self):
@@ -140,7 +140,7 @@ class TestAuditSolution:
         candidate = closed_form_family(1, 1.0).sample(be)
         scaled = candidate[(PLUS, 1)]
         candidate[(PLUS, 1)] = RbsdeSolution(
-            FieldSurface(be, [1.01 * v for v in scaled.y.values]), scaled.z, scaled.dk
+            FieldSurface(be, [1.01 * scaled.y.at(k) for k in range(501)]), scaled.z, scaled.dk
         )
         report = audit_solution(candidate, problem, be)
         assert not report.passed
@@ -178,7 +178,7 @@ class TestAuditSolution:
         tampered = dict(solution.sol)
         comp = tampered[(PLUS, 1)]
         tampered[(PLUS, 1)] = RbsdeSolution(
-            comp.y, FieldSurface(be, [2.0 * v for v in comp.z.values]), comp.dk
+            comp.y, FieldSurface(be, [2.0 * comp.z.at(k) for k in range(33)]), comp.dk
         )
         dirty = audit_solution(tampered, problem, be).max_over("max_step_residual")
         assert dirty > 10 * max(clean, 1e-12)
