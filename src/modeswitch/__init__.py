@@ -3,8 +3,9 @@
 Solves the coupled system of four reflected backward equations in which the
 expected profit and expected cost of each operating mode act as each other's
 barriers (switch to the other mode or terminate, on either side of the
-balance sheet), by a monotone Picard iteration converging to the minimal
-solution. Ships a closed-form non-uniqueness fixture, a residual auditor,
+balance sheet), in one backward pass with a per-step barrier projection
+(``solve_system``); the paper's Picard iteration (``picard_system``) is the
+reference. Ships a closed-form non-uniqueness fixture, a residual auditor,
 stopping-rule extraction with forward policy replay, and a CLI.
 """
 
@@ -33,11 +34,10 @@ from .rbsde import (
 from .scheme import (
     BalanceSheetSolution,
     ConvergenceTrace,
-    Iterate,
+    LocalSweepError,
+    PassTrace,
     SchemeError,
-    first_iterate,
-    initialize_scheme,
-    iterate_once,
+    picard_system,
     solve_system,
 )
 from .strategy import StrategyReport, classify_action, extract_stopping_times, simulate_policy
@@ -60,11 +60,12 @@ __all__ = [
     "ConvergenceTrace",
     "Driver",
     "FieldSurface",
-    "Iterate",
     "Lattice",
+    "LocalSweepError",
     "MINUS",
     "ObstacleQuadruple",
     "PLUS",
+    "PassTrace",
     "ProblemError",
     "RbsdeSolution",
     "ResidualReport",
@@ -81,10 +82,8 @@ __all__ = [
     "evaluate_obstacles",
     "extract_stopping_times",
     "first_contact",
-    "first_iterate",
-    "initialize_scheme",
-    "iterate_once",
     "make_backend",
+    "picard_system",
     "simulate_policy",
     "snell_envelope",
     "solve_bsde",

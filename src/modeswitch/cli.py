@@ -5,7 +5,7 @@ Commands: ``solve`` (run the system solver and persist surfaces/summary),
 check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
-Exit codes: 0 success, 1 input or validation error, 2 non-convergence.
+Exit codes: 0 success, 1 input or validation error, 2 a node that did not settle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from .grid import TimeGrid, make_backend
 from .io import load_problem, write_json, write_surface_csv, write_trace_csv
 from .model import COMPONENTS, ProblemError, validate_assumptions
-from .scheme import DEFAULT_MAX_ITER, SchemeError, solve_system
+from .scheme import LocalSweepError, SchemeError, solve_system
 from .strategy import simulate_policy
 from .verify import check_nonuniqueness
 
@@ -32,8 +32,6 @@ class RunConfig:
     problem: str | None
     backend: str
     steps: int
-    tol: float | None
-    max_iter: int
     seed: int
     out: Path
     mode: int = 1
@@ -42,8 +40,6 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise ProblemError("need at least 2 time steps")
-        if self.tol is not None and self.tol <= 0:
-            raise ProblemError("tol must be positive")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -51,8 +47,6 @@ def _config_from_args(args) -> RunConfig:
         problem=getattr(args, "problem", None),
         backend=args.backend,
         steps=args.steps,
-        tol=args.tol,
-        max_iter=args.max_iter,
         seed=args.seed,
         out=Path(args.out),
         mode=getattr(args, "mode", 1),
@@ -80,8 +74,7 @@ def _summary_payload(solution, config: RunConfig) -> dict:
     return {
         "backend": config.backend,
         "steps": config.steps,
-        "tol": solution.trace.tol,
-        "iterations": solution.trace.iterations,
+        "max_local_sweeps": int(solution.trace.local_sweeps.max()),
         "converged": solution.trace.converged,
         "y0": {f"{side}_{mode}": solution.y0(side, mode) for side, mode in COMPONENTS},
     }
@@ -89,7 +82,7 @@ def _summary_payload(solution, config: RunConfig) -> dict:
 
 def cmd_solve(config: RunConfig) -> int:
     problem, backend = _prepare(config)
-    solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
+    solution, trace = solve_system(problem, backend)
     _ensure_outdir(config.out)
     for side, mode in COMPONENTS:
         comp = solution.component(side, mode)
@@ -98,13 +91,6 @@ def cmd_solve(config: RunConfig) -> int:
         write_surface_csv(config.out / f"K_{side}_{mode}.csv", comp.dk)
     write_trace_csv(config.out / "trace.csv", trace)
     write_json(config.out / "summary.json", _summary_payload(solution, config))
-    if not trace.converged:
-        print(
-            f"did not converge within {config.max_iter} iterations "
-            f"(last delta {trace.deltas[-1]:.3g})",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
@@ -124,10 +110,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     problem, backend = _prepare(config)
-    solution, trace = solve_system(problem, backend, tol=config.tol, max_iter=config.max_iter)
-    if not trace.converged:
-        print("solver did not converge; no policy to simulate", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    solution, _ = solve_system(problem, backend)
     _ensure_outdir(config.out)
     report = simulate_policy(solution, n_paths=config.paths, seed=config.seed, start_mode=config.mode)
     write_json(config.out / "strategy.json", report.as_dict())
@@ -152,8 +135,6 @@ def _add_common(parser, needs_problem: bool):
         parser.add_argument("--problem", required=True, help="problem definition file (JSON)")
     parser.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
     parser.add_argument("--steps", type=int, default=2000, help="number of time steps N")
-    parser.add_argument("--tol", type=float, default=None, help="convergence tolerance (backend default)")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
 
@@ -184,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Input, validation and solver errors (including any
     ``ValueError``) print ``error: ...`` plus the attached validation report,
-    if any, and exit 1."""
+    if any, and exit 1; a node that did not settle exits 2."""
     args = build_parser().parse_args(argv)
     dispatch = {
         "solve": cmd_solve,
@@ -199,7 +180,7 @@ def main(argv=None) -> int:
         report = getattr(exc, "report", None)
         for line in report.lines() if report is not None else ():
             print(line, file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NO_CONVERGENCE if isinstance(exc, LocalSweepError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

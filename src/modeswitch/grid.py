@@ -80,8 +80,9 @@ class Lattice:
         return int(self.step_of_node[flat]), int(self.node_index[flat])
 
     def _check(self, next_values, k):
+        """Node values of step k+1 along the last axis; leading axes are separate equations."""
         next_values = np.asarray(next_values, dtype=float)
-        if next_values.shape != (self.n_nodes(k + 1),):
+        if next_values.shape[-1:] != (self.n_nodes(k + 1),):
             raise ValueError(
                 f"expected {self.n_nodes(k + 1)} node values at step {k + 1}, got shape {next_values.shape}"
             )
@@ -90,12 +91,12 @@ class Lattice:
     def condexp(self, next_values, k: int) -> np.ndarray:
         v = self._check(next_values, k)
         m = self.n_nodes(k)
-        return 0.5 * (v[:m] + v[self.down : self.down + m])
+        return 0.5 * (v[..., :m] + v[..., self.down : self.down + m])
 
     def martingale_projection(self, next_values, k: int) -> np.ndarray:
         v = self._check(next_values, k)
         m = self.n_nodes(k)
-        return (v[:m] - v[self.down : self.down + m]) / (2.0 * self._sqrt_dt)
+        return (v[..., :m] - v[..., self.down : self.down + m]) / (2.0 * self._sqrt_dt)
 
     def continuation(self, data: np.ndarray) -> np.ndarray:
         """E_k[V_{k+1}] at every node before the horizon, from a flat buffer."""

@@ -31,6 +31,13 @@ from .model import (
 _SIDES = {PLUS: PLUS, MINUS: MINUS, "+": PLUS, "-": MINUS}
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{where} must be a number") from None
+
+
 def _coefficient(spec, where: str) -> CoefficientFunction:
     if isinstance(spec, (int, float)):
         return CoefficientFunction.constant(float(spec))
@@ -62,12 +69,9 @@ def _terminal(spec, where: str) -> Terminal:
 def problem_from_dict(doc: dict) -> SwitchingProblem:
     if not isinstance(doc, dict):
         raise ProblemError("problem document must be a JSON object")
-    try:
-        horizon = float(doc["horizon"])
-    except KeyError:
-        raise ProblemError("missing field 'horizon'") from None
-    except (TypeError, ValueError):
-        raise ProblemError("'horizon' must be a number") from None
+    if "horizon" not in doc:
+        raise ProblemError("missing field 'horizon'")
+    horizon = _number(doc["horizon"], "'horizon'")
 
     raw_drivers = doc.get("drivers")
     if not isinstance(raw_drivers, list) or len(raw_drivers) != 4:
@@ -88,8 +92,8 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
             mode,
             side,
             _coefficient(entry.get("c0", 0.0), f"{where}.c0"),
-            c1=float(entry.get("c1", 0.0)),
-            c2=float(entry.get("c2", 0.0)),
+            c1=_number(entry.get("c1", 0.0), f"{where}.c1"),
+            c2=_number(entry.get("c2", 0.0), f"{where}.c2"),
             state_feature=str(entry.get("state_feature", "one")),
         )
         if (side, mode) in drivers:
@@ -172,9 +176,8 @@ def write_trace_csv(path, trace):
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "delta"])
-        for i, delta in enumerate(trace.deltas, start=1):
-            writer.writerow([i, repr(float(delta))])
+        writer.writerow(["step", "local_sweeps"])
+        writer.writerows(enumerate(trace.local_sweeps.tolist()))
 
 
 def write_json(path, payload: dict):

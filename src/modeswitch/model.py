@@ -197,6 +197,10 @@ class CostSlice:
     a: tuple[float, float]
     b: tuple[float, float]
 
+    def at(self, index) -> "CostSlice":
+        """The same six costs indexed by ``index`` (a time or node selection)."""
+        return CostSlice(*(tuple(c[index] for c in pair) for pair in (self.ell, self.a, self.b)))
+
 
 @dataclass(frozen=True)
 class ObstacleQuadruple:

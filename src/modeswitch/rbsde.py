@@ -1,6 +1,7 @@
-"""Single-equation backward solvers.
+"""Backward solvers.
 
-All solvers run the explicit backward Euler recursion: the integrand estimate
+All solvers run one explicit backward Euler recursion (``backward_pass``),
+also shared by the system solver in ``scheme``: the integrand estimate
 Z_k is the martingale-increment projection of Y_{k+1}, and the driver is
 evaluated at (t_k, x_k, E_k[Y_{k+1}], Z_k), so no per-step fixed point is
 needed. Reflection is applied by projection after the Euler step, which makes
@@ -109,41 +110,51 @@ def solve_bsde(driver, terminal, backend: Lattice) -> tuple[FieldSurface, FieldS
     return sol.y, sol.z
 
 
-def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) -> RbsdeSolution:
-    _check_stability(driver, backend)
-    n = backend.grid.n_steps
-    dt = backend.grid.dt
-    times = backend.grid.times
-    off = backend.offsets
-    term = _terminal_array(terminal, backend)
-    if obstacle is not None:
-        s_T = obstacle.at(n)
-        if lower and np.any(s_T > term + CONTACT_TOL):
-            raise ValueError("lower barrier exceeds the terminal value at the horizon")
-        if not lower and np.any(s_T < term - CONTACT_TOL):
-            raise ValueError("upper barrier below the terminal value at the horizon")
-    y = np.empty(backend.size)
-    z = np.zeros(backend.size)
-    dk = np.zeros(backend.size)
-    y[off[n] :] = term
+def check_horizon(barrier_T, terminal, lower: bool):
+    """Refuse a barrier that is on the wrong side of the terminal value."""
+    if np.any(barrier_T > terminal + CONTACT_TOL if lower else barrier_T < terminal - CONTACT_TOL):
+        where = "lower barrier exceeds" if lower else "upper barrier below"
+        raise ValueError(f"{where} the terminal value at the horizon")
+
+
+def backward_pass(drivers: dict, terminals: dict, project, backend: Lattice) -> dict:
+    """Explicit backward Euler for several equations at once.
+
+    At each step k the Euler values Y~_k = E_k[Y_{k+1}] + psi * dt of all
+    equations go to ``project(Y~, k)``, which returns the values Y_k; the
+    reflection increment is dK_k = |Y_k - Y~_k|. The equations share one
+    (equations x nodes) buffer, so each step takes one conditional
+    expectation and one projection for all of them. Returns one solution
+    triple per key.
+    """
+    for driver in drivers.values():
+        _check_stability(driver, backend)
+    n, dt, times, off = backend.grid.n_steps, backend.grid.dt, backend.grid.times, backend.offsets
+    keys = list(drivers)
+    y, z, ytilde = (np.zeros((len(keys), backend.size)) for _ in range(3))
+    y[:, off[n] :] = ytilde[:, off[n] :] = [terminals[key] for key in keys]
     for k in range(n - 1, -1, -1):
-        here = slice(off[k], off[k + 1])
-        nxt = y[off[k + 1] : off[k + 2]]
-        e = backend.condexp(nxt, k)
-        z[here] = backend.martingale_projection(nxt, k)
-        ytilde = e + driver(times[k], backend.state(k), e, z[here]) * dt
-        if obstacle is None:
-            y[here] = ytilde
-        elif lower:
-            y[here] = np.maximum(ytilde, obstacle.data[here])
-            dk[here] = y[here] - ytilde
-        else:
-            y[here] = np.minimum(ytilde, obstacle.data[here])
-            dk[here] = ytilde - y[here]
-    # +-inf sentinels (barrier never binds) leave infinities in the push.
-    dk[~np.isfinite(dk)] = 0.0
-    surfaces = (FieldSurface.from_buffer(backend, v) for v in (y, z, dk))
-    return RbsdeSolution(*surfaces)
+        here, nxt = slice(off[k], off[k + 1]), slice(off[k + 1], off[k + 2])
+        e = backend.condexp(y[:, nxt], k)
+        z[:, here] = backend.martingale_projection(y[:, nxt], k)
+        t, x = times[k], backend.state(k)
+        for i, key in enumerate(keys):
+            ytilde[i, here] = e[i] + drivers[key](t, x, e[i], z[i, here]) * dt
+        settled = project({key: ytilde[i, here] for i, key in enumerate(keys)}, k)
+        for i, key in enumerate(keys):
+            y[i, here] = settled[key]
+    dk = np.abs(y - ytilde)
+    surfaces = [[FieldSurface.from_buffer(backend, row) for row in v] for v in (y, z, dk)]
+    return {key: RbsdeSolution(*(s[i] for s in surfaces)) for i, key in enumerate(keys)}
+
+
+def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) -> RbsdeSolution:
+    term = _terminal_array(terminal, backend)
+    if obstacle is None:  # no barrier: clip against an infinite one
+        obstacle = FieldSurface.constant(backend, -np.inf if lower else np.inf)
+    check_horizon(obstacle.at(backend.grid.n_steps), term, lower)
+    clip = np.maximum if lower else np.minimum
+    return backward_pass({0: driver}, {0: term}, lambda ytilde, k: {0: clip(ytilde[0], obstacle.at(k))}, backend)[0]
 
 
 def solve_rbsde_lower(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolution:

@@ -1,15 +1,17 @@
-"""Monotone Picard iteration for the coupled four-equation system.
+"""Solvers for the coupled four-equation system.
 
-The iteration freezes the interconnected barriers at the previous stage and
-solves four single reflected equations per sweep, warm-started from the
-unreflected profit equations and an auxiliary minimum equation that seeds the
-cost side from below. Comparison of the one-step operators makes every sweep
-pointwise nondecreasing, so the limit is the minimal solution of the system.
+``solve_system`` builds the minimal solution in one backward pass: at each
+step it projects the four Euler values y~ onto their mutual barriers from
+below, repeating Y- = min(y~-, S-(Y)), then Y+ = max(y~+, S+(Y)), until no
+node changes. The one-step map is monotone (the comparison check), so this
+gives the smallest solution of each step and, by backward induction, the
+minimal discrete solution. One Picard sweep from that solution then has to
+leave every node where it is, or the solve fails.
 
-Within a sweep the order is load-bearing: both cost components are solved
-first (their barriers use only stage-n surfaces), then both profit components
-(whose barriers mix the stage-n profit of the other mode with the *fresh*
-stage-(n+1) cost of the same mode).
+``picard_system``, the paper's monotone Picard iteration, is the reference:
+each sweep freezes the barriers at the previous stage and solves four single
+reflected equations, cost pair first (stage-n barriers), then profit pair
+(barriers mixing the stage-n profit with the fresh stage-(n+1) cost).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .model import (
     other_mode,
     validate_assumptions,
 )
-from .rbsde import RbsdeSolution, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from .rbsde import RbsdeSolution, backward_pass, check_horizon, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
 
 # Pointwise slack for the scheme's order assertions (float noise only; the
 # discrete comparison argument is exact in exact arithmetic).
@@ -39,10 +41,15 @@ SKOROKHOD_CAP = 1e-8
 
 DEFAULT_TOL = {"deterministic": 1e-8, "binomial": 1e-4}
 DEFAULT_MAX_ITER = 500
+LOCAL_SWEEP_CAP = 500
 
 
 class SchemeError(RuntimeError):
     """An iteration invariant failed; signals a discretization or configuration bug."""
+
+
+class LocalSweepError(SchemeError):
+    """The one-step projection at a node did not settle within LOCAL_SWEEP_CAP sweeps."""
 
 
 class _ShiftedDriver:
@@ -76,7 +83,6 @@ class SchemeStart:
     y_plus0: dict
     big_l: dict
     dot_y: FieldSurface
-    dot_z: FieldSurface
     alpha: _MinDriver
 
 
@@ -101,13 +107,21 @@ class ConvergenceTrace:
 
 
 @dataclass(frozen=True)
+class PassTrace:
+    """Local sweep count of the one-pass solver at each step before the horizon."""
+
+    local_sweeps: np.ndarray
+    converged: bool = True  # a pass that returns settled at every node and is a Picard fixed point
+
+
+@dataclass(frozen=True)
 class BalanceSheetSolution:
     """Converged system solution: four (Y, Z, dK) triples plus metadata."""
 
     problem: SwitchingProblem
     backend: Lattice
     sol: dict
-    trace: ConvergenceTrace
+    trace: ConvergenceTrace | PassTrace
 
     def y0(self, side: str, mode: int) -> float:
         return float(self.sol[(side, mode)].y.at(0)[0])
@@ -126,9 +140,7 @@ def terminal_values(problem: SwitchingProblem, backend: Lattice, side: str, mode
 
 def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
     """The six costs at every lattice node, from one table on the grid times."""
-    table = problem.cost_table(backend.grid.times)
-    at = backend.step_of_node
-    return CostSlice(*(tuple(c[at] for c in pair) for pair in (table.ell, table.a, table.b)))
+    return problem.cost_table(backend.grid.times).at(backend.step_of_node)
 
 
 def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
@@ -163,12 +175,8 @@ def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, 
     return solve(problem.driver(side, mode), terminal, FieldSurface.from_buffer(backend, barrier), backend)
 
 
-def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
-    """Warm-start stage: unreflected profit equations and the minimum equation.
-
-    Aborts with the validation report attached if the problem fails the
-    admissibility checks.
-    """
+def _require_admissible(problem: SwitchingProblem, backend: Lattice):
+    """Abort with the validation report attached if the problem is inadmissible."""
     report = validate_assumptions(problem, backend)
     if not report.all_passed:
         msg = "; ".join(f"{c.name}" for c in report.failures())
@@ -176,6 +184,10 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
         err.report = report
         raise err
 
+
+def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
+    """Warm-start stage: unreflected profit equations and the minimum equation."""
+    _require_admissible(problem, backend)
     costs = node_costs(problem, backend)
     y_plus0 = {}
     for mode in MODES:
@@ -196,7 +208,7 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
         ]
         + [terminal_values(problem, backend, MINUS, mode) for mode in MODES]
     )
-    dot_y, dot_z = solve_bsde(alpha, dot_terminal, backend)
+    dot_y, _ = solve_bsde(alpha, dot_terminal, backend)
 
     # Lower-bound inequality seeding the cost side: dotY <= L^i and (with
     # ell > 0) dotY <= dotY + ell_i, at every node.
@@ -204,7 +216,7 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
         bound = np.minimum(big_l[mode].data, dot_y.data + costs.ell[mode - 1])
         _check_order(dot_y.data, bound, backend, f"warm-start ordering violated for mode {mode}")
 
-    return SchemeStart(y_plus0=y_plus0, big_l=big_l, dot_y=dot_y, dot_z=dot_z, alpha=alpha)
+    return SchemeStart(y_plus0=y_plus0, big_l=big_l, dot_y=dot_y, alpha=alpha)
 
 
 def _check_not_below(new: FieldSurface, old: FieldSurface, label: str):
@@ -268,13 +280,58 @@ def _assert_system_constraints(solution: BalanceSheetSolution):
             raise SchemeError(f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode})")
 
 
-def solve_system(
+def _project(ytilde: dict, costs: CostSlice, step: int, sweeps: np.ndarray) -> dict:
+    """Smallest solution of Y+ = max(y~+, S+(Y)), Y- = min(y~-, S-(Y)) at the
+    nodes of one step; the number of sweeps it took goes to ``sweeps[step]``."""
+    # With ell > 0 no cost value can sit below its own or the profit-plus-b
+    # Euler value of every mode, so this start is below the solution.
+    low = np.minimum(*(np.minimum(ytilde[(MINUS, m)], ytilde[(PLUS, m)] + costs.b[m - 1]) for m in MODES))
+    y = {**ytilde, (MINUS, 1): low, (MINUS, 2): low}
+    quiet = 0  # half sweeps in a row that changed no node: two make a fixed point
+    for half in range(2 * LOCAL_SWEEP_CAP):
+        side, clip = ((MINUS, np.minimum), (PLUS, np.maximum))[half % 2]
+        barriers = evaluate_obstacles(y, costs)
+        changed = False
+        for mode in MODES:
+            new = clip(ytilde[(side, mode)], barriers.get(side, mode))
+            changed = changed | (new != y[(side, mode)])
+            y[(side, mode)] = new
+        if changed.any():
+            quiet, moving = 0, changed
+        elif (quiet := quiet + 1) == 2:
+            sweeps[step] = half // 2 + 1
+            return y
+    raise LocalSweepError(f"did not converge at step {step}, node {int(np.argmax(moving))}")
+
+
+def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
+    """The minimal system solution in one backward pass (see the module notes)."""
+    _require_admissible(problem, backend)
+    terminals = {key: terminal_values(problem, backend, *key) for key in COMPONENTS}
+    costs = problem.cost_table(backend.grid.times)
+    horizon = evaluate_obstacles(terminals, costs.at(backend.grid.n_steps))
+    for side, mode in COMPONENTS:
+        check_horizon(horizon.get(side, mode), terminals[(side, mode)], lower=side == PLUS)
+    sweeps = np.zeros(backend.grid.n_steps, dtype=int)
+    drivers = {key: problem.driver(*key) for key in COMPONENTS}
+    sol = backward_pass(drivers, terminals, lambda ytilde, k: _project(ytilde, costs.at(k), k, sweeps), backend)
+    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(sweeps))
+    _assert_system_constraints(solution)
+    # The minimal solution is a fixed point of the Picard map: one sweep from it moves no node.
+    check = iterate_once(Iterate(n=0, sol=sol), problem, backend)
+    moved = max(check.y(*key).sup_diff(sol[key].y) for key in COMPONENTS)
+    if moved:
+        raise SchemeError(f"one Picard sweep moves the one-pass solution by {moved:g}")
+    return solution, solution.trace
+
+
+def picard_system(
     problem: SwitchingProblem,
     backend: Lattice,
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[BalanceSheetSolution, ConvergenceTrace]:
-    """Run the Picard iteration to the minimal system solution.
+    """Reference solver: the Picard iteration to the minimal system solution.
 
     Stops when the sup-distance across all four Y surfaces falls below
     ``tol`` (backend-dependent default) or after ``max_iter`` sweeps; a

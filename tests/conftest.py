@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.model import (
@@ -10,6 +11,11 @@ from modeswitch.model import (
     SwitchingProblem,
     Terminal,
 )
+
+# Property tests draw a fixed, small example set: reproducible failures, no
+# example database, no per-example deadline.
+settings.register_profile("modeswitch", derandomize=True, deadline=None, max_examples=50, database=None)
+settings.load_profile("modeswitch")
 
 
 def det_backend(n_steps, horizon=1.0):

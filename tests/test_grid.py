@@ -64,6 +64,12 @@ class TestCondexp:
         with pytest.raises(ValueError):
             be.martingale_projection(np.zeros(2), 2)
 
+    def test_leading_axis_holds_one_equation_per_row(self):
+        be = bin_backend(3)
+        rows = np.arange(12.0).reshape(3, 4) ** 2
+        for op in (be.condexp, be.martingale_projection):
+            np.testing.assert_array_equal(op(rows, 2), [op(row, 2) for row in rows])
+
     def test_deterministic_identity(self):
         be = det_backend(3)
         np.testing.assert_allclose(be.condexp(np.array([7.0]), 1), [7.0])

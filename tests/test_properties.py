@@ -1,0 +1,165 @@
+"""Randomized properties over small problems on both lattice kinds.
+
+The one-pass solver equals the Picard reference bit for bit, its solution
+satisfies the audit's constraint, K-sign and complementarity relations, and
+the CLI ends every run with an exit code, also on problems the validator
+rejects. Examples are drawn deterministically (settings profile in
+conftest.py), so failures reproduce.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from modeswitch.cli import main
+from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.model import (
+    COMPONENTS,
+    CoefficientFunction,
+    Driver,
+    SwitchingProblem,
+    Terminal,
+    validate_assumptions,
+)
+from modeswitch.scheme import picard_system, solve_system
+from modeswitch.verify import audit_solution
+
+KINDS = st.sampled_from(("deterministic", "binomial"))
+STEPS = st.integers(min_value=4, max_value=24)
+SIGNS = {"plus": 1.0, "minus": -1.0}  # profit terminals above the common level, cost terminals below
+
+
+def unit(lo=-1.0, hi=1.0):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def coefficients(draw):
+    kind = draw(st.sampled_from(("constant", "exponential", "polynomial")))
+    if kind == "constant":
+        return CoefficientFunction.constant(draw(unit(-3.0, 3.0)))
+    if kind == "exponential":
+        return CoefficientFunction.exponential(draw(unit(-3.0, 3.0)), draw(unit()))
+    return CoefficientFunction.polynomial(draw(st.lists(unit(-3.0, 3.0), min_size=1, max_size=3)))
+
+
+@st.composite
+def admissible_problems(draw):
+    """Problems the validator accepts on grids of 4..24 steps: the four
+    terminals share a slope and sit within ell/2 of a common level, which
+    gives the horizon inequalities whatever the exit costs, and driver slopes
+    stay below 1/2, which gives the step and comparison conditions.
+
+    When b > a the terminate chain gains b - a per local sweep, so the sweep
+    count grows like gap / (b - a); the draw keeps b <= a or b >= a + 0.05,
+    well inside the sweep cap."""
+    ell = draw(unit(0.05, 1.5))
+    a = draw(unit(0.0, 1.0))
+    b = draw(st.one_of(unit(0.0, a), unit(a + 0.05, a + 0.5)))
+    level, slope = draw(unit()), draw(unit(-0.5, 0.5))
+    offsets = [draw(unit(0.0, ell / 2)) for _ in COMPONENTS]
+    terminals = {
+        (side, mode): Terminal(level + SIGNS[side] * offset, slope)
+        for (side, mode), offset in zip(COMPONENTS, offsets)
+    }
+    drivers = {
+        (side, mode): Driver(
+            mode,
+            side,
+            draw(coefficients()),
+            c1=draw(unit(-0.5, 0.5)),
+            c2=draw(unit(-0.5, 0.5)),
+            state_feature=draw(st.sampled_from(("one", "x"))),
+        )
+        for side, mode in COMPONENTS
+    }
+    ell, a, b = ((CoefficientFunction.constant(v),) * 2 for v in (ell, a, b))
+    return SwitchingProblem(horizon=1.0, drivers=drivers, ell=ell, a=a, b=b, terminals=terminals)
+
+
+def admissible_case(problem, kind, steps):
+    backend = make_backend(kind, TimeGrid(steps, problem.horizon))
+    assume(validate_assumptions(problem, backend).all_passed)
+    return backend
+
+
+@given(admissible_problems(), KINDS, STEPS)
+def test_one_pass_equals_picard_reference(problem, kind, steps):
+    backend = admissible_case(problem, kind, steps)
+    fast, fast_trace = solve_system(problem, backend)
+    ref, ref_trace = picard_system(problem, backend, tol=1e-14)
+    assert fast_trace.converged and ref_trace.converged
+    for key in COMPONENTS:
+        for field in ("y", "z", "dk"):
+            np.testing.assert_array_equal(getattr(fast.sol[key], field).data, getattr(ref.sol[key], field).data)
+
+
+@given(admissible_problems(), KINDS, STEPS)
+def test_audit_relations_hold(problem, kind, steps):
+    backend = admissible_case(problem, kind, steps)
+    solution, _ = solve_system(problem, backend)
+    report = audit_solution(solution, problem, backend)
+    caps = report.caps()
+    for name in ("max_constraint_violation", "k_sign_violation", "skorokhod_sum"):
+        assert report.max_over(name) <= caps[name], name
+
+
+@st.composite
+def problem_documents(draw):
+    """Problem files shaped like ``admissible_problems``, each given at most
+    one defect: a non-positive switching cost, a terminal off its barrier, a
+    Lipschitz constant too large for the step, a z slope that breaks the
+    comparison condition, an exit benefit just above the exit cost, whose
+    terminate chain creeps past the local sweep cap, or a driver slope that is
+    not a number."""
+    ell, a = draw(unit(0.05, 1.5)), draw(unit(0.0, 1.0))
+    costs = {"ell_1": ell, "ell_2": ell, "a_1": a, "a_2": a, "b_1": draw(unit(0.0, a)), "b_2": a}
+    level, slope = draw(unit()), draw(unit(-0.5, 0.5))
+    terminals = {
+        f"{side}_{mode}": {"intercept": level + SIGNS[side] * draw(unit(0.0, ell / 2)), "slope": slope}
+        for side, mode in COMPONENTS
+    }
+    drivers = [
+        {"mode": mode, "side": side, "c0": draw(unit(-3.0, 3.0)), "c1": draw(unit(-0.5, 0.5)),
+         "c2": draw(unit(-0.5, 0.5)), "state_feature": draw(st.sampled_from(("one", "x")))}
+        for side, mode in COMPONENTS
+    ]
+    defect = draw(st.sampled_from((None, "ell", "terminal", "lipschitz", "comparison", "creep", "malformed")))
+    if defect == "ell":
+        costs["ell_2"] = draw(unit(-0.5, 0.0))
+    elif defect == "terminal":
+        terminals["plus_1"]["intercept"] = level + draw(unit(2.0, 5.0))
+    elif defect == "lipschitz":
+        drivers[0]["c1"] = draw(unit(10.0, 20.0))
+    elif defect == "comparison":
+        drivers[1]["c2"] = draw(unit(4.0, 8.0))
+    elif defect == "creep":
+        drivers[2]["c0"] = drivers[3]["c0"] = 10.0
+        costs.update(a_1=0.0, a_2=0.0, b_1=1e-5, b_2=1e-5)
+    elif defect == "malformed":
+        drivers[draw(st.integers(0, 3))][draw(st.sampled_from(("c1", "c2")))] = draw(
+            st.sampled_from(([1.0], {"kind": "constant"}, "fast", None))
+        )
+    return {"horizon": draw(unit(0.5, 2.0)), "drivers": drivers, "costs": costs, "terminals": terminals}
+
+
+@given(
+    problem_documents(),
+    st.sampled_from(("solve", "simulate", "check-assumptions")),
+    KINDS,
+    st.integers(min_value=2, max_value=24),
+)
+def test_cli_always_exits_with_a_code(doc, command, kind, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--problem", str(path), "--backend", kind, "--steps", str(steps)]
+        if command != "check-assumptions":
+            argv += ["--out", str(Path(tmp) / "out")]
+        if command == "simulate":
+            argv += ["--paths", "20"]
+        assert main(argv) in (0, 1, 2)

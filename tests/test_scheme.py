@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from modeswitch import scheme
+from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.io import load_problem
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -12,10 +17,12 @@ from modeswitch.model import (
     validate_assumptions,
 )
 from modeswitch.scheme import (
+    Iterate,
     SchemeError,
     first_iterate,
     initialize_scheme,
     iterate_once,
+    picard_system,
     solve_system,
     system_obstacles,
 )
@@ -113,8 +120,6 @@ class TestIterateOnce:
         be = det_backend(256)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        from modeswitch.scheme import Iterate
-
         again = iterate_once(Iterate(n=99, sol=solution.sol), problem, be)
         for key in COMPONENTS:
             assert again.sol[key].y.sup_diff(solution.sol[key].y) <= 1e-10
@@ -126,7 +131,6 @@ class TestIterateOnce:
         be = det_backend(128)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        from modeswitch.scheme import Iterate
         from modeswitch.rbsde import RbsdeSolution
 
         doctored = {}
@@ -160,7 +164,7 @@ class TestSolveSystem:
     def test_counterexample_minimal_solution(self):
         problem = counterexample_problem(1.0)
         be = det_backend(2000)
-        solution, trace = solve_system(problem, be, tol=1e-8)
+        solution, trace = solve_system(problem, be)
         assert trace.converged
         assert solution.y0(PLUS, 1) <= np.e + 1e-3
         fam1 = closed_form_family(1, 1.0)
@@ -171,7 +175,7 @@ class TestSolveSystem:
                 assert float(solution.sol[(side, mode)].y.at(k)[0]) <= exact[k] + 1e-3
 
     def test_zero_problem_converges_in_two_sweeps(self, zero_problem):
-        solution, trace = solve_system(zero_problem, det_backend(64))
+        solution, trace = picard_system(zero_problem, det_backend(64))
         assert trace.converged and trace.iterations <= 2
         for side, mode in COMPONENTS:
             assert solution.y0(side, mode) == 0.0
@@ -222,22 +226,22 @@ class TestSolveSystem:
     def test_multi_sweep_convergence_and_nonconvergence_report(self):
         problem = multi_sweep_problem()
         be = det_backend(128)
-        solution, trace = solve_system(problem, be)
+        solution, trace = picard_system(problem, be)
         assert trace.converged
         assert trace.iterations >= 5
         # once converged the mutual caps no longer bind: plain rate-5 integral
         assert solution.y0(MINUS, 1) == pytest.approx(5.0, abs=1e-10)
 
-        short, short_trace = solve_system(problem, be, max_iter=1)
+        short, short_trace = picard_system(problem, be, max_iter=1)
         assert not short_trace.converged
         assert short_trace.iterations == 1
         assert short_trace.deltas[0] >= short_trace.tol
 
     def test_bad_tolerance_rejected(self, zero_problem):
         with pytest.raises(ValueError):
-            solve_system(zero_problem, det_backend(16), tol=-1.0)
+            picard_system(zero_problem, det_backend(16), tol=-1.0)
         with pytest.raises(ValueError):
-            solve_system(zero_problem, det_backend(16), max_iter=0)
+            picard_system(zero_problem, det_backend(16), max_iter=0)
 
     def test_counterexample_on_lattice_matches_deterministic(self):
         # the fixture problem has no state dependence, so every lattice node
@@ -352,17 +356,59 @@ class TestRandomizedMonotoneConvergence:
 class TestWidthOneCase:
     """The deterministic backend is the width-1 lattice: on state-free data
     every binomial node carries the deterministic value of its step, bit for
-    bit, after the same number of sweeps."""
+    bit, after the same number of Picard sweeps and of local sweeps."""
 
-    @pytest.mark.parametrize("case", range(20))
-    def test_state_free_binomial_equals_deterministic(self, case):
-        problem = random_admissible_problem(np.random.default_rng(7000 + case))
-        det, det_trace = solve_system(problem, det_backend(40), tol=1e-12)
-        lat, lat_trace = solve_system(problem, bin_backend(40), tol=1e-12)
-        assert lat_trace.deltas == det_trace.deltas
+    @staticmethod
+    def assert_width_one(det, lat):
         for key in COMPONENTS:
             for field in ("y", "z", "dk"):
                 width_one = getattr(det.sol[key], field)
                 lattice = getattr(lat.sol[key], field)
                 for k in range(41):
                     np.testing.assert_array_equal(lattice.at(k), np.full(k + 1, width_one.at(k)[0]))
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_state_free_binomial_equals_deterministic(self, case):
+        problem = random_admissible_problem(np.random.default_rng(7000 + case))
+        det, det_trace = picard_system(problem, det_backend(40), tol=1e-12)
+        lat, lat_trace = picard_system(problem, bin_backend(40), tol=1e-12)
+        assert lat_trace.deltas == det_trace.deltas
+        self.assert_width_one(det, lat)
+
+        det, det_trace = solve_system(problem, det_backend(40))
+        lat, lat_trace = solve_system(problem, bin_backend(40))
+        np.testing.assert_array_equal(lat_trace.local_sweeps, det_trace.local_sweeps)
+        self.assert_width_one(det, lat)
+
+
+class TestOnePassAgainstPicard:
+    """The one-pass solution is a fixed point of the reference Picard sweep:
+    one more sweep from it changes no node."""
+
+    @pytest.mark.parametrize(
+        "path, kind, n",
+        [
+            ("bench/problems/switching_lattice.json", "binomial", 100),
+            ("problems/counterexample.json", "deterministic", 2000),
+        ],
+    )
+    def test_one_picard_sweep_changes_nothing(self, path, kind, n):
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
+        backend = make_backend(kind, TimeGrid(n, problem.horizon))
+        solution, trace = solve_system(problem, backend)
+        assert trace.converged and trace.local_sweeps.max() <= 2
+        again = iterate_once(Iterate(n=1, sol=solution.sol), problem, backend)
+        for key in COMPONENTS:
+            assert again.sol[key].y.sup_diff(solution.sol[key].y) == 0.0
+
+    def test_solver_refuses_a_solution_that_a_sweep_moves(self, monkeypatch):
+        picard_sweep = scheme.iterate_once
+
+        def nudged(prev, problem, backend):
+            nxt = picard_sweep(prev, problem, backend)
+            nxt.sol[(PLUS, 1)].y.data[0] += 1e-12
+            return nxt
+
+        monkeypatch.setattr(scheme, "iterate_once", nudged)
+        with pytest.raises(SchemeError, match="one Picard sweep moves the one-pass solution"):
+            solve_system(counterexample_problem(), det_backend(200))

@@ -4,7 +4,7 @@ import pytest
 from modeswitch.grid import FieldSurface
 from modeswitch.model import COMPONENTS, MINUS, PLUS
 from modeswitch.rbsde import RbsdeSolution
-from modeswitch.scheme import BalanceSheetSolution, ConvergenceTrace, solve_system
+from modeswitch.scheme import BalanceSheetSolution, ConvergenceTrace, picard_system, solve_system
 from modeswitch.strategy import (
     HOLD,
     SWITCH,
@@ -176,7 +176,7 @@ class TestSimulatePolicy:
     def test_requires_converged_solution(self):
         from test_scheme import multi_sweep_problem
 
-        solution, trace = solve_system(multi_sweep_problem(), det_backend(64), max_iter=1)
+        solution, trace = picard_system(multi_sweep_problem(), det_backend(64), max_iter=1)
         assert not trace.converged
         with pytest.raises(ValueError, match="converged"):
             simulate_policy(solution, n_paths=1, seed=0, start_mode=1)
