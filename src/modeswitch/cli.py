@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="solve, then replay the extracted policy")
     _add_common(p_sim, needs_problem=True)
     p_sim.add_argument("--mode", type=int, choices=(1, 2), default=1, help="starting mode")
-    p_sim.add_argument("--paths", type=int, default=10000, help="Monte Carlo path count")
+    p_sim.add_argument(
+        "--paths", type=int, default=10000, help="Monte Carlo path count (>= 1; the deterministic backend replays one)"
+    )
 
     p_check = sub.add_parser("check-assumptions", help="run the problem validator")
     _add_common(p_check, needs_problem=True)

@@ -102,8 +102,12 @@ class Lattice:
         """E_k[V_{k+1}] at every node before the horizon, from a flat buffer."""
         return 0.5 * (data[self._up] + data[self._up + self.down])
 
-    def sample_paths(self, n_paths: int, seed: int) -> np.ndarray:
-        """Node-index paths, shape (n_paths, N+1); entry k is the node at step k."""
+    def sample_paths(self, n_paths: int, seed) -> np.ndarray:
+        """Node-index paths, shape (n_paths, N+1); entry k is the node at step k.
+
+        ``seed`` is a seed or a ``np.random.Generator``; drawing the rows of one
+        generator in several calls gives the rows of one call.
+        """
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         paths = np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)

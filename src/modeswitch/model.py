@@ -124,10 +124,19 @@ class Driver:
         return abs(self.c1) + abs(self.c2)
 
     def __call__(self, t, x, y, z):
-        base = self.c0(t)
-        if self.state_feature == "x":
-            base = base * x
-        return base + self.c1 * y + self.c2 * z
+        return self.tabulate(t)(..., x, y, z)
+
+    def tabulate(self, times):
+        """The rate as a function of (k, x, y, z), where k indexes ``times``:
+        c0 is evaluated once on all of them. Calling the driver at times t
+        reads the table of t at index ``...``."""
+        c0 = np.asarray(self.c0(times))
+
+        def rate(k, x, y, z):
+            base = c0[k] * x if self.state_feature == "x" else c0[k]
+            return base + self.c1 * y + self.c2 * z
+
+        return rate
 
 
 @dataclass(frozen=True)
@@ -215,8 +224,9 @@ class ObstacleQuadruple:
         return getattr(self, f"s_{side}_{mode}")
 
 
-def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) -> ObstacleQuadruple:
-    """Barrier values from the four yields and the six costs at one time.
+def side_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
+    """The barrier values of one side, (mode 1, mode 2), from the four yields
+    and the six costs at one time.
 
     Profit in mode i is held up by the better of switching (other mode's
     profit minus ell_i) and terminating (own cost minus a_i). Cost in mode i
@@ -227,14 +237,16 @@ def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) ->
     yp1, yp2 = y[(PLUS, 1)], y[(PLUS, 2)]
     ym1, ym2 = y[(MINUS, 1)], y[(MINUS, 2)]
     ell1, ell2 = costs.ell
-    a1, a2 = costs.a
+    if side == PLUS:
+        a1, a2 = costs.a
+        return np.maximum(yp2 - ell1, ym1 - a1), np.maximum(yp1 - ell2, ym2 - a2)
     b1, b2 = costs.b
-    return ObstacleQuadruple(
-        s_plus_1=np.maximum(yp2 - ell1, ym1 - a1),
-        s_plus_2=np.maximum(yp1 - ell2, ym2 - a2),
-        s_minus_1=np.minimum(ym2 + ell1, yp1 + b1),
-        s_minus_2=np.minimum(ym1 + ell2, yp2 + b2),
-    )
+    return np.minimum(ym2 + ell1, yp1 + b1), np.minimum(ym1 + ell2, yp2 + b2)
+
+
+def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) -> ObstacleQuadruple:
+    """All four barrier values (see ``side_obstacles``)."""
+    return ObstacleQuadruple(*side_obstacles(y, costs, PLUS), *side_obstacles(y, costs, MINUS))
 
 
 @dataclass(frozen=True)

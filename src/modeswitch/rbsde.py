@@ -4,8 +4,9 @@ All solvers run one explicit backward Euler recursion (``backward_pass``),
 also shared by the system solver in ``scheme``: the integrand estimate
 Z_k is the martingale-increment projection of Y_{k+1}, and the driver is
 evaluated at (t_k, x_k, E_k[Y_{k+1}], Z_k), so no per-step fixed point is
-needed. Reflection is applied by projection after the Euler step, which makes
-the discrete complementarity condition exact by construction: the push amount
+needed; its time coefficients are tabulated once on the grid times.
+Reflection is applied by projection after the Euler step, which makes the
+discrete complementarity condition exact by construction: the push amount
 dK_k is nonzero only where the projected value sits on the barrier.
 """
 
@@ -103,8 +104,9 @@ def _terminal_array(terminal, backend: Lattice) -> np.ndarray:
 def solve_bsde(driver, terminal, backend: Lattice) -> tuple[FieldSurface, FieldSurface]:
     """Plain backward equation: returns the (Y, Z) surfaces.
 
-    ``driver`` is any callable (t, x, y, z) -> rate; an optional ``lipschitz``
-    attribute activates the step-size validity guard.
+    ``driver`` has ``tabulate(times)``, which returns the rate as a function
+    of (step index k, x, y, z) on the grid times (see ``model.Driver``); an
+    optional ``lipschitz`` attribute activates the step-size validity guard.
     """
     sol = _solve_reflected(driver, terminal, None, backend, lower=True)
     return sol.y, sol.z
@@ -131,15 +133,16 @@ def backward_pass(drivers: dict, terminals: dict, project, backend: Lattice) -> 
         _check_stability(driver, backend)
     n, dt, times, off = backend.grid.n_steps, backend.grid.dt, backend.grid.times, backend.offsets
     keys = list(drivers)
+    rates = [drivers[key].tabulate(times) for key in keys]
     y, z, ytilde = (np.zeros((len(keys), backend.size)) for _ in range(3))
     y[:, off[n] :] = ytilde[:, off[n] :] = [terminals[key] for key in keys]
     for k in range(n - 1, -1, -1):
         here, nxt = slice(off[k], off[k + 1]), slice(off[k + 1], off[k + 2])
         e = backend.condexp(y[:, nxt], k)
         z[:, here] = backend.martingale_projection(y[:, nxt], k)
-        t, x = times[k], backend.state(k)
-        for i, key in enumerate(keys):
-            ytilde[i, here] = e[i] + drivers[key](t, x, e[i], z[i, here]) * dt
+        x = backend.state(k)
+        for i, rate in enumerate(rates):
+            ytilde[i, here] = e[i] + rate(k, x, e[i], z[i, here]) * dt
         settled = project({key: ytilde[i, here] for i, key in enumerate(keys)}, k)
         for i, key in enumerate(keys):
             y[i, here] = settled[key]

@@ -30,6 +30,7 @@ from .model import (
     SwitchingProblem,
     evaluate_obstacles,
     other_mode,
+    side_obstacles,
     validate_assumptions,
 )
 from .rbsde import RbsdeSolution, backward_pass, check_horizon, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
@@ -61,7 +62,12 @@ class _ShiftedDriver:
         self.lipschitz = base.lipschitz
 
     def __call__(self, t, x, l, z):
-        return self.base(t, x, l - self.b_coeff(t), z) - self.b_coeff.derivative(t)
+        return self.tabulate(t)(..., x, l, z)
+
+    def tabulate(self, times):
+        base = self.base.tabulate(times)
+        b, db = np.asarray(self.b_coeff(times)), np.asarray(self.b_coeff.derivative(times))
+        return lambda k, x, l, z: base(k, x, l - b[k], z) - db[k]
 
 
 class _MinDriver:
@@ -72,7 +78,11 @@ class _MinDriver:
         self.lipschitz = max(d.lipschitz for d in self.drivers)
 
     def __call__(self, t, x, y, z):
-        return np.minimum.reduce([d(t, x, y, z) for d in self.drivers])
+        return self.tabulate(t)(..., x, y, z)
+
+    def tabulate(self, times):
+        rates = [d.tabulate(times) for d in self.drivers]
+        return lambda k, x, y, z: np.minimum.reduce([rate(k, x, y, z) for rate in rates])
 
 
 @dataclass(frozen=True)
@@ -290,10 +300,10 @@ def _project(ytilde: dict, costs: CostSlice, step: int, sweeps: np.ndarray) -> d
     quiet = 0  # half sweeps in a row that changed no node: two make a fixed point
     for half in range(2 * LOCAL_SWEEP_CAP):
         side, clip = ((MINUS, np.minimum), (PLUS, np.maximum))[half % 2]
-        barriers = evaluate_obstacles(y, costs)
+        barriers = side_obstacles(y, costs, side)
         changed = False
         for mode in MODES:
-            new = clip(ytilde[(side, mode)], barriers.get(side, mode))
+            new = clip(ytilde[(side, mode)], barriers[mode - 1])
             changed = changed | (new != y[(side, mode)])
             y[(side, mode)] = new
         if changed.any():

@@ -6,7 +6,9 @@ binding (switch to the other mode, or terminate). This module extracts those
 contact times, classifies the branch, and replays the policy forward along
 sampled paths, accumulating the running yield by left-endpoint sums with the
 rate evaluated where the backward solver evaluates it (at the continuation
-value E_k[Y_{k+1}]), to measure the realized value against Y_0.
+value E_k[Y_{k+1}]), to measure the realized value against Y_0. Paths are
+replayed in chunks against per-node tables, so memory is bounded by the
+surfaces and the chunk, not by paths x steps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ SWITCH = "switch"
 TERMINATE = "terminate"
 HOLD = "hold-to-horizon"
 MIXED = "mixed"
+
+# Path steps replayed per chunk: the replay holds a few arrays of this size
+# at a time, whatever the path count.
+REPLAY_CELLS = 1 << 19
 
 
 def contact_masks(solution: BalanceSheetSolution, tol: float | None = None, obstacles: dict | None = None) -> dict:
@@ -60,16 +66,15 @@ def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, p
     return out
 
 
-def _branch_values(solution, side, mode, flat):
-    """(switch branch, exit branch, barrier value) at flat node index(es) ``flat``."""
-    costs = node_costs(solution.problem, solution.backend)
+def _branch_values(solution, side, mode, costs):
+    """(switch branch, exit branch, barrier value) at every node, given the node costs."""
     j = other_mode(mode)
     if side == PLUS:
-        switch_branch = solution.sol[(PLUS, j)].y.data[flat] - costs.ell[mode - 1][flat]
-        exit_branch = solution.sol[(MINUS, mode)].y.data[flat] - costs.a[mode - 1][flat]
+        switch_branch = solution.sol[(PLUS, j)].y.data - costs.ell[mode - 1]
+        exit_branch = solution.sol[(MINUS, mode)].y.data - costs.a[mode - 1]
         return switch_branch, exit_branch, np.maximum(switch_branch, exit_branch)
-    switch_branch = solution.sol[(MINUS, j)].y.data[flat] + costs.ell[mode - 1][flat]
-    exit_branch = solution.sol[(PLUS, mode)].y.data[flat] + costs.b[mode - 1][flat]
+    switch_branch = solution.sol[(MINUS, j)].y.data + costs.ell[mode - 1]
+    exit_branch = solution.sol[(PLUS, mode)].y.data + costs.b[mode - 1]
     return switch_branch, exit_branch, np.minimum(switch_branch, exit_branch)
 
 
@@ -83,7 +88,8 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     """
     y_here = float(solution.sol[(side, mode)].y.at(step)[node])
     flat = int(solution.backend.offsets[step]) + node
-    switch_branch, exit_branch, s_here = _branch_values(solution, side, mode, flat)
+    branches = _branch_values(solution, side, mode, node_costs(solution.problem, solution.backend))
+    switch_branch, exit_branch, s_here = (v[flat] for v in branches)
     tol = hitting_tolerance(solution.backend, scale=max(abs(y_here), 1.0))
     if abs(y_here - float(s_here)) > tol:
         raise ValueError(
@@ -136,50 +142,60 @@ class StrategyReport:
         }
 
 
-def _simulate_leg(solution, side, mode, flat_paths, masks, obstacles) -> LegReport:
-    """Replay one leg along paths given as flat node indices, shape (n_paths, N+1)."""
-    backend = solution.backend
-    n = backend.grid.n_steps
-    n_paths = flat_paths.shape[0]
-    comp = solution.sol[(side, mode)]
-    key = (side, mode)
+class _Leg:
+    """Node tables of one leg, and the realized value and stopping step of
+    every path replayed so far."""
 
-    hit = masks[key][flat_paths[:, :n]]
-    tau = np.where(hit.any(axis=1), np.argmax(hit, axis=1), n)
-    stopped = tau < n
-    stop = flat_paths[np.arange(n_paths), tau]
+    def __init__(self, solution, side, mode, masks, obstacles, costs, rows):
+        backend = solution.backend
+        self.side, self.mode, self.n, self.dt = side, mode, backend.grid.n_steps, backend.grid.dt
+        before = slice(0, backend.offsets[self.n])
+        comp = solution.sol[(side, mode)]
+        # Barrier contact, and every path stops at the horizon.
+        self.stop_here = masks[(side, mode)].copy()
+        self.stop_here[before.stop :] = True
+        # Running rate at (t_k, x_k, E_k[Y_{k+1}], Z_k), the point at which the
+        # backward scheme evaluates the driver.
+        drv = solution.problem.driver(side, mode)
+        cont = backend.continuation(comp.y.data)
+        self.rate = drv(backend.node_times[before], backend.states[before], cont, comp.z.data[before])
+        # Value collected where a path stops: the barrier, or the horizon value.
+        self.payoff = obstacles[(side, mode)].data.copy()
+        self.payoff[before.stop :] = solution.problem.terminal(side, mode)(backend.state(self.n))
+        switch_branch, exit_branch, _ = _branch_values(solution, side, mode, costs)
+        self.prefer_switch = switch_branch >= exit_branch if side == PLUS else switch_branch <= exit_branch
+        self.tau = np.empty(rows, dtype=np.int64)
+        self.realized = np.empty(rows)
+        self.actions = set()
 
-    # Running rate at (t_k, x_k, E_k[Y_{k+1}], Z_k), the point at which the
-    # backward scheme evaluates the driver.
-    before = slice(0, backend.offsets[n])
-    drv = solution.problem.driver(side, mode)
-    cont = backend.continuation(comp.y.data)
-    rate = drv(backend.node_times[before], backend.states[before], cont, comp.z.data[before])
-    running = rate[flat_paths[:, :n]]
-    running *= np.arange(n)[None, :] < tau[:, None]
-    running = np.sum(running, axis=1) * backend.grid.dt
+    def replay(self, flat, first: int):
+        """Replay paths given as flat node indices, shape (rows, N+1), as rows ``first``, ... of the leg."""
+        n = self.n
+        tau = np.argmax(self.stop_here[flat], axis=1)
+        stop = flat[np.arange(len(flat)), tau]
+        running = self.rate[flat[:, :n]]
+        running *= np.arange(n)[None, :] < tau[:, None]
+        rows = slice(first, first + len(flat))
+        self.tau[rows] = tau
+        self.realized[rows] = np.sum(running, axis=1) * self.dt + self.payoff[stop]
+        stopped = tau < n
+        prefer_switch = self.prefer_switch[stop[stopped]]
+        seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
+        self.actions.update(name for name, found in seen if found)
 
-    xi_nodes = np.asarray(solution.problem.terminal(side, mode)(backend.state(n)), dtype=float)
-    payoff = np.where(stopped, obstacles[key].data[stop], xi_nodes[flat_paths[:, n] - backend.offsets[n]])
-    realized = running + payoff
-
-    switch_branch, exit_branch, _ = _branch_values(solution, side, mode, stop[stopped])
-    prefer_switch = switch_branch >= exit_branch if side == PLUS else switch_branch <= exit_branch
-    seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
-    taken = [name for name, found in seen if found]
-    action = taken[0] if len(taken) == 1 else MIXED
-
-    mean = float(np.mean(realized))
-    std_error = float(np.std(realized, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return LegReport(
-        side=side,
-        mode=mode,
-        stop_step=float(np.mean(tau)),
-        action=action,
-        realized=mean,
-        value_gap=abs(mean - solution.y0(side, mode)),
-        std_error=std_error,
-    )
+    def report(self, y0: float) -> LegReport:
+        rows = self.realized.size
+        mean = float(np.mean(self.realized))
+        std_error = float(np.std(self.realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0
+        return LegReport(
+            side=self.side,
+            mode=self.mode,
+            stop_step=float(np.mean(self.tau)),
+            action=next(iter(self.actions)) if len(self.actions) == 1 else MIXED,
+            realized=mean,
+            value_gap=abs(mean - y0),
+            std_error=std_error,
+        )
 
 
 def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, start_mode: int) -> StrategyReport:
@@ -189,17 +205,29 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     profit rate until its stopping step and collects the barrier value there
     (or the horizon value), the cost leg likewise with the running cost. The
     report carries the Monte Carlo gap to the solved Y_0 per leg.
+
+    Paths are drawn from one generator and replayed in chunks of
+    ``REPLAY_CELLS`` path steps, so memory does not grow with paths x steps.
+    Every path of the width-1 lattice is the same path, so it replays one.
     """
     if start_mode not in (1, 2):
         raise ValueError("start_mode must be 1 or 2")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     if not solution.trace.converged:
         raise ValueError("policy simulation requires a converged solution")
-    paths = solution.backend.sample_paths(n_paths, seed)
-    paths += solution.backend.offsets[:-1]  # node index -> flat index, in place
+    backend = solution.backend
+    rows = n_paths if backend.down else 1
+    chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
     obstacles = solution.obstacles()
     masks = contact_masks(solution, obstacles=obstacles)
-    legs = {
-        side: _simulate_leg(solution, side, start_mode, paths, masks, obstacles)
-        for side in (PLUS, MINUS)
-    }
-    return StrategyReport(start_mode=start_mode, n_paths=n_paths, seed=seed, legs=legs)
+    costs = node_costs(solution.problem, backend)
+    legs = {side: _Leg(solution, side, start_mode, masks, obstacles, costs, rows) for side in (PLUS, MINUS)}
+    rng = np.random.default_rng(seed)
+    for first in range(0, rows, chunk):
+        flat = backend.sample_paths(min(chunk, rows - first), rng)
+        flat += backend.offsets[:-1]  # node index -> flat index, in place
+        for leg in legs.values():
+            leg.replay(flat, first)
+    reports = {side: leg.report(solution.y0(side, start_mode)) for side, leg in legs.items()}
+    return StrategyReport(start_mode=start_mode, n_paths=n_paths, seed=seed, legs=reports)

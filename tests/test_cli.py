@@ -239,6 +239,16 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "strategy.json").read_bytes() == (out2 / "strategy.json").read_bytes()
 
+    @pytest.mark.parametrize("backend", ["deterministic", "binomial"])
+    def test_zero_paths_is_an_input_error(self, tmp_path, capsys, backend):
+        # the width-1 lattice replays one path, so the check cannot come from drawing them
+        path = write_doc(tmp_path, smoke_doc())
+        out = tmp_path / "sim"
+        args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20", "--paths", "0"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "n_paths must be >= 1" in capsys.readouterr().err
+        assert not (out / "strategy.json").exists()
+
 
 class TestCheckAssumptionsCommand:
     def test_valid_problem_passes(self, tmp_path, capsys):

@@ -63,6 +63,22 @@ class TestDriver:
         x = np.array([0.0, 1.5])
         np.testing.assert_allclose(d(0.0, x, 0.0, 0.0), [0.0, 3.0])
 
+    @pytest.mark.parametrize("n", [100, 400, 2000, 4000])
+    @pytest.mark.parametrize(
+        "c0",
+        [CoefficientFunction.exponential(0.7, -1.3), CoefficientFunction.polynomial((0.2, -1.1, 0.4))],
+    )
+    def test_tabulated_rate_equals_the_call_bit_for_bit(self, n, c0):
+        # the backward pass reads c0 from one table on the grid times
+        d = Driver(1, PLUS, c0, c1=0.3, c2=-0.2, state_feature="x")
+        times = TimeGrid(n, 1.0).times
+        rate = d.tabulate(times)
+        x, y, z = np.array([0.5, -0.5]), np.array([1.2, -0.7]), np.array([0.1, 0.3])
+        for k in range(n + 1):
+            expected = c0(times[k]) * x + d.c1 * y + d.c2 * z
+            np.testing.assert_array_equal(rate(k, x, y, z), expected)
+            np.testing.assert_array_equal(d(times[k], x, y, z), expected)
+
     def test_bad_mode(self):
         with pytest.raises(ProblemError):
             Driver(3, PLUS, CoefficientFunction.constant(0.0))

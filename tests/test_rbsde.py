@@ -225,8 +225,9 @@ class _SumDriver:
         self.first, self.second = first, second
         self.lipschitz = first.lipschitz + second.lipschitz
 
-    def __call__(self, t, x, y, z):
-        return self.first(t, x, y, z) + self.second(t, x, y, z)
+    def tabulate(self, times):
+        first, second = self.first.tabulate(times), self.second.tabulate(times)
+        return lambda k, x, y, z: first(k, x, y, z) + second(k, x, y, z)
 
 
 class TestAprioriBound:

@@ -1,7 +1,12 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from modeswitch import strategy
 from modeswitch.grid import FieldSurface
+from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS
 from modeswitch.rbsde import RbsdeSolution
 from modeswitch.scheme import BalanceSheetSolution, ConvergenceTrace, picard_system, solve_system
@@ -16,6 +21,8 @@ from modeswitch.strategy import (
 from modeswitch.verify import counterexample_problem
 
 from conftest import bin_backend, build_problem, det_backend, smoke_problem
+
+SWITCHING_LATTICE = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +202,39 @@ class TestSimulatePolicy:
     def test_bad_start_mode(self, fixture_solution):
         with pytest.raises(ValueError):
             simulate_policy(fixture_solution, n_paths=1, seed=0, start_mode=3)
+
+
+class TestStreamingReplay:
+    def test_width_one_replays_one_path(self):
+        # averaging 10 000 copies of the one path gave rounding noise
+        # (std_error 4.4e-18, value_gap 4.4e-16)
+        solution, _ = solve_system(counterexample_problem(1.0), det_backend(2000))
+        report = simulate_policy(solution, n_paths=10000, seed=1, start_mode=1)
+        assert report.n_paths == 10000
+        for side in (PLUS, MINUS):
+            assert report.leg(side).std_error == 0.0
+            assert report.leg(side).value_gap == 0.0
+
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        n, n_paths = 25, 30001
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
+        default_rows = strategy.REPLAY_CELLS // n
+        assert n_paths > default_rows and n_paths % default_rows and n_paths % 7
+        for mode in (1, 2):
+            default = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
+            with monkeypatch.context() as patched:
+                patched.setattr(strategy, "REPLAY_CELLS", 7 * n)  # 7 paths per chunk
+                assert simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict() == default
+
+    def test_replay_memory_does_not_grow_with_paths(self):
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
+        tracemalloc.start()
+        try:
+            simulate_policy(solution, n_paths=100_000, seed=1, start_mode=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestDynamicProgrammingConsistency:
