@@ -16,7 +16,6 @@ from .model import (
     PLUS,
     CoefficientFunction,
     Driver,
-    ObstacleQuadruple,
     ProblemError,
     SwitchingProblem,
     Terminal,
@@ -63,7 +62,6 @@ __all__ = [
     "Lattice",
     "LocalSweepError",
     "MINUS",
-    "ObstacleQuadruple",
     "PLUS",
     "PassTrace",
     "ProblemError",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import TimeGrid, make_backend
@@ -27,77 +26,48 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 
-@dataclass
-class RunConfig:
-    problem: str | None
-    backend: str
-    steps: int
-    seed: int
-    out: Path
-    mode: int = 1
-    paths: int = 10000
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ProblemError("need at least 2 time steps")
+def _prepare(args):
+    problem = load_problem(args.problem)
+    return problem, make_backend(args.backend, TimeGrid(args.steps, problem.horizon))
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        problem=getattr(args, "problem", None),
-        backend=args.backend,
-        steps=args.steps,
-        seed=args.seed,
-        out=Path(args.out),
-        mode=getattr(args, "mode", 1),
-        paths=getattr(args, "paths", 10000),
-    )
-
-
-def _prepare(config: RunConfig):
-    if config.problem is None:
-        raise ProblemError("a problem file is required (--problem)")
-    problem = load_problem(config.problem)
-    grid = TimeGrid(config.steps, problem.horizon)
-    backend = make_backend(config.backend, grid)
-    return problem, backend
-
-
-def _ensure_outdir(out: Path):
+def _ensure_outdir(args) -> Path:
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ProblemError(f"cannot create output directory {out}: {exc}") from None
+    return out
 
 
-def _summary_payload(solution, config: RunConfig) -> dict:
+def _summary_payload(solution, args) -> dict:
     return {
-        "backend": config.backend,
-        "steps": config.steps,
+        "backend": args.backend,
+        "steps": args.steps,
         "max_local_sweeps": int(solution.trace.local_sweeps.max()),
         "converged": solution.trace.converged,
         "y0": {f"{side}_{mode}": solution.y0(side, mode) for side, mode in COMPONENTS},
     }
 
 
-def cmd_solve(config: RunConfig) -> int:
-    problem, backend = _prepare(config)
+def cmd_solve(args) -> int:
+    problem, backend = _prepare(args)
     solution, trace = solve_system(problem, backend)
-    _ensure_outdir(config.out)
+    out = _ensure_outdir(args)
     for side, mode in COMPONENTS:
         comp = solution.component(side, mode)
-        write_surface_csv(config.out / f"Y_{side}_{mode}.csv", comp.y)
-        write_surface_csv(config.out / f"Z_{side}_{mode}.csv", comp.z)
-        write_surface_csv(config.out / f"K_{side}_{mode}.csv", comp.dk)
-    write_trace_csv(config.out / "trace.csv", trace)
-    write_json(config.out / "summary.json", _summary_payload(solution, config))
+        write_surface_csv(out / f"Y_{side}_{mode}.csv", comp.y)
+        write_surface_csv(out / f"Z_{side}_{mode}.csv", comp.z)
+        write_surface_csv(out / f"K_{side}_{mode}.csv", comp.dk)
+    write_trace_csv(out / "trace.csv", trace)
+    write_json(out / "summary.json", _summary_payload(solution, args))
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    _ensure_outdir(config.out)
-    report = check_nonuniqueness(T=1.0, N=config.steps)
-    write_json(config.out / "fixtures.json", report.as_dict())
+def cmd_verify(args) -> int:
+    out = _ensure_outdir(args)
+    report = check_nonuniqueness(T=1.0, N=args.steps)
+    write_json(out / "fixtures.json", report.as_dict())
     ok = report.report_family_1.passed and report.report_family_2.passed and report.distinct
     for name, rep in (("family 1", report.report_family_1), ("family 2", report.report_family_2)):
         status = "pass" if rep.passed else "FAIL"
@@ -108,12 +78,14 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    problem, backend = _prepare(config)
+def cmd_simulate(args) -> int:
+    if args.paths < 1:  # refused before the solve it would otherwise wait for
+        raise ValueError("n_paths must be >= 1")
+    problem, backend = _prepare(args)
     solution, _ = solve_system(problem, backend)
-    _ensure_outdir(config.out)
-    report = simulate_policy(solution, n_paths=config.paths, seed=config.seed, start_mode=config.mode)
-    write_json(config.out / "strategy.json", report.as_dict())
+    out = _ensure_outdir(args)
+    report = simulate_policy(solution, n_paths=args.paths, seed=args.seed, start_mode=args.mode)
+    write_json(out / "strategy.json", report.as_dict())
     for side, leg in report.legs.items():
         print(
             f"{side} leg: action {leg.action} at mean step {leg.stop_step:g}, "
@@ -122,8 +94,8 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig) -> int:
-    problem, backend = _prepare(config)
+def cmd_check(args) -> int:
+    problem, backend = _prepare(args)
     report = validate_assumptions(problem, backend)
     for line in report.lines():
         print(line)
@@ -176,7 +148,9 @@ def main(argv=None) -> int:
         "check-assumptions": cmd_check,
     }
     try:
-        return dispatch[args.command](_config_from_args(args))
+        if args.steps < 2:
+            raise ProblemError("need at least 2 time steps")
+        return dispatch[args.command](args)
     except (SchemeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report = getattr(exc, "report", None)

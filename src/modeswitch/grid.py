@@ -168,9 +168,6 @@ class FieldSurface:
     def n_steps(self) -> int:
         return self.backend.grid.n_steps
 
-    def copy(self) -> "FieldSurface":
-        return FieldSurface.from_buffer(self.backend, self.data.copy())
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.data)))
 

@@ -4,14 +4,18 @@ A problem couples four running yields: an expected profit and an expected cost
 per mode. Each yield may stop by switching to the other mode (paying the
 switching cost ``ell``) or by terminating the project (paying ``a`` on the
 profit side, receiving ``b`` on the cost side). The four value processes act
-as each other's barriers; this module holds the static data and the barrier
-algebra, plus the admissibility checks the solver relies on.
+as each other's barriers. This module holds the static data, the admissibility
+checks the solver relies on, and the whole barrier algebra: each barrier is
+the better of a switch and a terminate branch (``branches``), "better" is the
+larger on the profit side, where the barrier is a floor, and the smaller on
+the cost side, where it is a cap, and a tie between the branches switches.
+Every other module reads the direction of a side from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,42 +215,64 @@ class CostSlice:
         return CostSlice(*(tuple(c[index] for c in pair) for pair in (self.ell, self.a, self.b)))
 
 
-@dataclass(frozen=True)
-class ObstacleQuadruple:
-    """The four barrier values built from one set of yield values."""
+class _Push(NamedTuple):
+    """The way one side's value is held by its barrier."""
 
-    s_plus_1: object
-    s_plus_2: object
-    s_minus_1: object
-    s_minus_2: object
+    better: Callable  # the better of two values: np.maximum on a floor, np.minimum under a cap
+    sign: float  # +1 where the value is pushed up, -1 where it is pushed down
 
-    def get(self, side: str, mode: int):
-        return getattr(self, f"s_{side}_{mode}")
+    def inside(self, y, barrier):
+        """How far ``y`` sits inside its barrier: above a floor, below a cap;
+        negative where it crosses. The same bits as y - barrier on a floor
+        and barrier - y under a cap, signed zeros included."""
+        return self.sign * y - self.sign * barrier
+
+    def switch_binds(self, switch, terminate):
+        """The tie rule: switching is taken where its branch is at least as good as terminating."""
+        return self.better(switch, terminate) == switch
 
 
-def side_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
-    """The barrier values of one side, (mode 1, mode 2), from the four yields
-    and the six costs at one time.
+# The one place that says which way each side is pushed: profit up off a
+# floor, cost down off a cap. Package-internal: the solver, the replay and the
+# audit read a side's direction, gap and tie rule from here.
+_PUSH = {PLUS: _Push(np.maximum, 1.0), MINUS: _Push(np.minimum, -1.0)}
 
-    Profit in mode i is held up by the better of switching (other mode's
-    profit minus ell_i) and terminating (own cost minus a_i). Cost in mode i
-    is pressed down by the cheaper of switching (other mode's cost plus
-    ell_i) and terminating (own profit plus b_i). Pure function; scalar or
-    array valued.
+
+def branches(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
+    """Each mode's (switch, terminate) branch values on one side, (mode 1,
+    mode 2), from the four yields and the six costs at one time.
+
+    Profit in mode i may switch (the other mode's profit minus ell_i) or
+    terminate (its own cost minus a_i); cost in mode i may switch (the other
+    mode's cost plus ell_i) or terminate (its own profit plus b_i). Pure
+    function; scalar or array valued.
     """
     yp1, yp2 = y[(PLUS, 1)], y[(PLUS, 2)]
     ym1, ym2 = y[(MINUS, 1)], y[(MINUS, 2)]
     ell1, ell2 = costs.ell
     if side == PLUS:
         a1, a2 = costs.a
-        return np.maximum(yp2 - ell1, ym1 - a1), np.maximum(yp1 - ell2, ym2 - a2)
+        return (yp2 - ell1, ym1 - a1), (yp1 - ell2, ym2 - a2)
     b1, b2 = costs.b
-    return np.minimum(ym2 + ell1, yp1 + b1), np.minimum(ym1 + ell2, yp2 + b2)
+    return (ym2 + ell1, yp1 + b1), (ym1 + ell2, yp2 + b2)
 
 
-def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) -> ObstacleQuadruple:
-    """All four barrier values (see ``side_obstacles``)."""
-    return ObstacleQuadruple(*side_obstacles(y, costs, PLUS), *side_obstacles(y, costs, MINUS))
+def side_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
+    """The barrier values of one side, (mode 1, mode 2): the better of each
+    mode's two branches, the larger under a profit floor and the smaller
+    over a cost cap."""
+    better = _PUSH[side].better
+    (switch1, terminate1), (switch2, terminate2) = branches(y, costs, side)
+    return better(switch1, terminate1), better(switch2, terminate2)
+
+
+def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) -> dict:
+    """All four barrier values, keyed by component (see ``side_obstacles``)."""
+    return {
+        (side, mode): barrier
+        for side in (PLUS, MINUS)
+        for mode, barrier in zip(MODES, side_obstacles(y, costs, side))
+    }
 
 
 @dataclass(frozen=True)
@@ -349,16 +375,12 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
             value=v_bad,
         )
     bc = evaluate_obstacles(xi, problem.cost_table(times[-1:]))
-    bc_checks = (
-        ("BC terminal xi_plus_1", xi[(PLUS, 1)] - bc.s_plus_1),
-        ("BC terminal xi_plus_2", xi[(PLUS, 2)] - bc.s_plus_2),
-        ("BC terminal xi_minus_1", bc.s_minus_1 - xi[(MINUS, 1)]),
-        ("BC terminal xi_minus_2", bc.s_minus_2 - xi[(MINUS, 2)]),
-    )
-    for name, margin in bc_checks:
+    for side, mode in COMPONENTS:
+        margin = _PUSH[side].inside(xi[(side, mode)], bc[(side, mode)])
         j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
         j = int(np.argmin(margin)) if j is None else j
         m = float(margin[j])
+        name = f"BC terminal xi_{side}_{mode}"
         report.add(name, m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", at_time=T, value=m)
 
     # Discrete comparison: the one-step map y = E + psi * dt, with

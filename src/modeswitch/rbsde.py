@@ -174,12 +174,13 @@ def solve_rbsde_upper(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolu
     return _solve_reflected(driver, terminal, obstacle, backend, lower=False)
 
 
-def snell_envelope(payoff: FieldSurface, backend: Lattice, contact_tol: float = CONTACT_TOL):
+def snell_envelope(payoff: FieldSurface, backend: Lattice):
     """Smallest supermartingale dominating a payoff surface.
 
     Returns (envelope, contact) where ``contact`` is a boolean surface marking
-    nodes at which the envelope touches the payoff (within ``contact_tol``);
-    stopping at the first contact at or after the current step is optimal.
+    nodes at which the envelope touches the payoff (within ``CONTACT_TOL``),
+    and every horizon node; stopping at the first contact at or after the
+    current step is optimal.
     """
     n = backend.grid.n_steps
     off = backend.offsets
@@ -187,7 +188,7 @@ def snell_envelope(payoff: FieldSurface, backend: Lattice, contact_tol: float = 
     for k in range(n - 1, -1, -1):
         cont = backend.condexp(env[off[k + 1] : off[k + 2]], k)
         env[off[k] : off[k + 1]] = np.maximum(payoff.at(k), cont)
-    contact = env - payoff.data <= contact_tol
+    contact = env - payoff.data <= CONTACT_TOL
     contact[off[n] :] = True
     return FieldSurface.from_buffer(backend, env), FieldSurface.from_buffer(backend, contact)
 

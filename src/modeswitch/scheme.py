@@ -26,6 +26,7 @@ from .model import (
     MINUS,
     MODES,
     PLUS,
+    _PUSH,
     CostSlice,
     SwitchingProblem,
     evaluate_obstacles,
@@ -33,7 +34,7 @@ from .model import (
     side_obstacles,
     validate_assumptions,
 )
-from .rbsde import RbsdeSolution, backward_pass, check_horizon, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from .rbsde import RbsdeSolution, backward_pass, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
 
 # Pointwise slack for the scheme's order assertions (float noise only; the
 # discrete comparison argument is exact in exact arithmetic).
@@ -155,8 +156,8 @@ def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
 
 def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
     """Barrier surfaces implied by a set of four Y surfaces."""
-    quad = evaluate_obstacles({key: ys[key].data for key in COMPONENTS}, node_costs(problem, backend))
-    return {key: FieldSurface.from_buffer(backend, quad.get(*key)) for key in COMPONENTS}
+    barriers = evaluate_obstacles({key: ys[key].data for key in COMPONENTS}, node_costs(problem, backend))
+    return {key: FieldSurface.from_buffer(backend, barrier) for key, barrier in barriers.items()}
 
 
 def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int) -> float:
@@ -281,11 +282,10 @@ def _assert_system_constraints(solution: BalanceSheetSolution):
     backend = solution.backend
     for side, mode in COMPONENTS:
         comp = solution.sol[(side, mode)]
-        y, s, dk = comp.y.data, obstacles[(side, mode)].data, comp.dk.data
-        low, high = (s, y) if side == PLUS else (y, s)
-        _check_order(low, high, backend, f"barrier constraint violated for ({side},{mode})")
+        gap, dk = _PUSH[side].inside(comp.y.data, obstacles[(side, mode)].data), comp.dk.data
+        _check_order(-gap, 0.0, backend, f"barrier constraint violated for ({side},{mode})")
         _check_order(-dk, 0.0, backend, f"reflection increment negative for ({side},{mode})")
-        sko = skorokhod_sum(high - low, dk, backend, backend.grid.n_steps + 1)
+        sko = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1)
         if sko > SKOROKHOD_CAP:
             raise SchemeError(f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode})")
 
@@ -299,11 +299,11 @@ def _project(ytilde: dict, costs: CostSlice, step: int, sweeps: np.ndarray) -> d
     y = {**ytilde, (MINUS, 1): low, (MINUS, 2): low}
     quiet = 0  # half sweeps in a row that changed no node: two make a fixed point
     for half in range(2 * LOCAL_SWEEP_CAP):
-        side, clip = ((MINUS, np.minimum), (PLUS, np.maximum))[half % 2]
-        barriers = side_obstacles(y, costs, side)
+        side = (MINUS, PLUS)[half % 2]
+        better, barriers = _PUSH[side].better, side_obstacles(y, costs, side)
         changed = False
         for mode in MODES:
-            new = clip(ytilde[(side, mode)], barriers[mode - 1])
+            new = better(ytilde[(side, mode)], barriers[mode - 1])
             changed = changed | (new != y[(side, mode)])
             y[(side, mode)] = new
         if changed.any():
@@ -319,9 +319,6 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     _require_admissible(problem, backend)
     terminals = {key: terminal_values(problem, backend, *key) for key in COMPONENTS}
     costs = problem.cost_table(backend.grid.times)
-    horizon = evaluate_obstacles(terminals, costs.at(backend.grid.n_steps))
-    for side, mode in COMPONENTS:
-        check_horizon(horizon.get(side, mode), terminals[(side, mode)], lower=side == PLUS)
     sweeps = np.zeros(backend.grid.n_steps, dtype=int)
     drivers = {key: problem.driver(*key) for key in COMPONENTS}
     sol = backward_pass(drivers, terminals, lambda ytilde, k: _project(ytilde, costs.at(k), k, sweeps), backend)

@@ -1,9 +1,11 @@
 """Stopping-rule extraction and forward policy evaluation.
 
 A solved system encodes its own optimal first action: stop at the first time
-the value touches its barrier, then take whichever branch of the barrier is
-binding (switch to the other mode, or terminate). This module extracts those
-contact times, classifies the branch, and replays the policy forward along
+the value touches its barrier, or at the horizon, then take whichever branch
+of the barrier is binding (switch to the other mode, or terminate), by the
+tie rule of ``model`` (a tie switches). This module extracts those stopping
+times from one stop mask per component, barrier contact closed at the
+horizon, classifies the branch, and replays the policy forward along
 sampled paths, accumulating the running yield by left-endpoint sums with the
 rate evaluated where the backward solver evaluates it (at the continuation
 value E_k[Y_{k+1}]), to measure the realized value against Y_0. Paths are
@@ -13,11 +15,11 @@ surfaces and the chunk, not by paths x steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import COMPONENTS, MINUS, PLUS, other_mode
+from .model import COMPONENTS, MINUS, PLUS, _PUSH, branches
 from .rbsde import hitting_tolerance
 from .scheme import BalanceSheetSolution, node_costs
 
@@ -31,20 +33,23 @@ MIXED = "mixed"
 REPLAY_CELLS = 1 << 19
 
 
-def contact_masks(solution: BalanceSheetSolution, tol: float | None = None, obstacles: dict | None = None) -> dict:
-    """Per-component flat boolean node masks marking barrier contact."""
+def contact_masks(solution: BalanceSheetSolution, obstacles: dict | None = None) -> dict:
+    """Per-component flat boolean node masks of where a path stops: barrier
+    contact, and every horizon node."""
     if obstacles is None:
         obstacles = solution.obstacles()
+    backend = solution.backend
     masks = {}
     for key in COMPONENTS:
         y = solution.sol[key].y
-        t = tol if tol is not None else hitting_tolerance(solution.backend, scale=y.sup_norm())
-        masks[key] = np.abs(y.data - obstacles[key].data) <= t
+        masks[key] = np.abs(y.data - obstacles[key].data) <= hitting_tolerance(backend, scale=y.sup_norm())
+        masks[key][backend.offsets[backend.grid.n_steps] :] = True
     return masks
 
 
 def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
-    """First barrier-contact step at or after ``from_step`` per component, else N.
+    """First step at or after ``from_step`` where each component's stop mask
+    holds: its first barrier contact, else N.
 
     Stopping times are path objects on the binomial lattice, so ``path`` (a
     node-index path) is required there; the width-1 lattice has a single path.
@@ -57,48 +62,26 @@ def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, p
         if backend.down:
             raise ValueError("a node-index path is required on the lattice backend")
         path = np.zeros(n + 1, dtype=np.int64)
-    flat = backend.offsets[from_step:n] + np.asarray(path[from_step:n], dtype=np.int64)
+    flat = backend.offsets[from_step:-1] + np.asarray(path[from_step : n + 1], dtype=np.int64)
     masks = contact_masks(solution)
-    out = {}
-    for key in COMPONENTS:
-        hit = masks[key][flat]
-        out[key] = from_step + int(np.argmax(hit)) if hit.any() else n
-    return out
-
-
-def _branch_values(solution, side, mode, costs):
-    """(switch branch, exit branch, barrier value) at every node, given the node costs."""
-    j = other_mode(mode)
-    if side == PLUS:
-        switch_branch = solution.sol[(PLUS, j)].y.data - costs.ell[mode - 1]
-        exit_branch = solution.sol[(MINUS, mode)].y.data - costs.a[mode - 1]
-        return switch_branch, exit_branch, np.maximum(switch_branch, exit_branch)
-    switch_branch = solution.sol[(MINUS, j)].y.data + costs.ell[mode - 1]
-    exit_branch = solution.sol[(PLUS, mode)].y.data + costs.b[mode - 1]
-    return switch_branch, exit_branch, np.minimum(switch_branch, exit_branch)
+    return {key: from_step + int(np.argmax(masks[key][flat])) for key in COMPONENTS}
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
-    """Branch decision at a barrier-contact point; ties break to switching.
-
-    Profit side: switching wins when the other mode's profit net of the
-    switching cost at least matches own cost net of the exit cost. Cost side:
-    switching wins when the other mode's cost plus the switching cost is at
-    most own profit plus the exit benefit.
-    """
-    y_here = float(solution.sol[(side, mode)].y.at(step)[node])
-    flat = int(solution.backend.offsets[step]) + node
-    branches = _branch_values(solution, side, mode, node_costs(solution.problem, solution.backend))
-    switch_branch, exit_branch, s_here = (v[flat] for v in branches)
-    tol = hitting_tolerance(solution.backend, scale=max(abs(y_here), 1.0))
-    if abs(y_here - float(s_here)) > tol:
+    """Branch decision at a barrier-contact point, by ``model``'s tie rule:
+    the better branch binds, and a tie switches."""
+    backend = solution.backend
+    flat = int(backend.offsets[step]) + node
+    y = {key: solution.sol[key].y.data[flat] for key in COMPONENTS}
+    switch, terminate = branches(y, solution.problem.cost_table(backend.grid.times).at(step), side)[mode - 1]
+    push, y_here = _PUSH[side], float(y[(side, mode)])
+    s_here = float(push.better(switch, terminate))
+    tol = hitting_tolerance(backend, scale=max(abs(y_here), 1.0))
+    if abs(y_here - s_here) > tol:
         raise ValueError(
-            f"({side},{mode}) does not touch its barrier at step {step}, node {node}: "
-            f"gap {y_here - float(s_here):g}"
+            f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
         )
-    if side == PLUS:
-        return SWITCH if switch_branch >= exit_branch else TERMINATE
-    return SWITCH if switch_branch <= exit_branch else TERMINATE
+    return SWITCH if push.switch_binds(switch, terminate) else TERMINATE
 
 
 @dataclass(frozen=True)
@@ -112,15 +95,7 @@ class LegReport:
     std_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "mode": self.mode,
-            "stop_step": self.stop_step,
-            "action": self.action,
-            "realized": self.realized,
-            "value_gap": self.value_gap,
-            "std_error": self.std_error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -134,12 +109,7 @@ class StrategyReport:
         return self.legs[side]
 
     def as_dict(self) -> dict:
-        return {
-            "start_mode": self.start_mode,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "legs": {side: leg.as_dict() for side, leg in self.legs.items()},
-        }
+        return asdict(self)
 
 
 class _Leg:
@@ -151,9 +121,7 @@ class _Leg:
         self.side, self.mode, self.n, self.dt = side, mode, backend.grid.n_steps, backend.grid.dt
         before = slice(0, backend.offsets[self.n])
         comp = solution.sol[(side, mode)]
-        # Barrier contact, and every path stops at the horizon.
-        self.stop_here = masks[(side, mode)].copy()
-        self.stop_here[before.stop :] = True
+        self.stop_here = masks[(side, mode)]  # closed at the horizon
         # Running rate at (t_k, x_k, E_k[Y_{k+1}], Z_k), the point at which the
         # backward scheme evaluates the driver.
         drv = solution.problem.driver(side, mode)
@@ -162,8 +130,8 @@ class _Leg:
         # Value collected where a path stops: the barrier, or the horizon value.
         self.payoff = obstacles[(side, mode)].data.copy()
         self.payoff[before.stop :] = solution.problem.terminal(side, mode)(backend.state(self.n))
-        switch_branch, exit_branch, _ = _branch_values(solution, side, mode, costs)
-        self.prefer_switch = switch_branch >= exit_branch if side == PLUS else switch_branch <= exit_branch
+        y = {key: solution.sol[key].y.data for key in COMPONENTS}
+        self.prefer_switch = _PUSH[side].switch_binds(*branches(y, costs, side)[mode - 1])
         self.tau = np.empty(rows, dtype=np.int64)
         self.realized = np.empty(rows)
         self.actions = set()

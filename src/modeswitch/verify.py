@@ -12,7 +12,7 @@ the same numbers can back both CI gating and diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .model import (
     COMPONENTS,
     MINUS,
     PLUS,
+    _PUSH,
     CoefficientFunction,
     Driver,
     SwitchingProblem,
@@ -133,14 +134,7 @@ class ComponentResiduals:
     terminal_mismatch: float
 
     def as_dict(self) -> dict:
-        return {
-            "max_step_residual": self.max_step_residual,
-            "max_constraint_violation": self.max_constraint_violation,
-            "skorokhod_sum": self.skorokhod_sum,
-            "k_sign_violation": self.k_sign_violation,
-            "max_k_density": self.max_k_density,
-            "terminal_mismatch": self.terminal_mismatch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -218,13 +212,12 @@ def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> Re
     components = {}
     for side, mode in COMPONENTS:
         comp = sol[(side, mode)]
-        y, s = comp.y.data, obstacles[(side, mode)].data
-        sign = -1.0 if side == PLUS else 1.0
-        gap = y - s if side == PLUS else s - y
+        y, push = comp.y.data, _PUSH[side]
+        gap = push.inside(y, obstacles[(side, mode)].data)
         yk, zk, dk = y[before], comp.z.data[before], comp.dk.data[before]
         e = backend.continuation(y)
         psi = problem.driver(side, mode)(times, x, 0.5 * (yk + e), zk)
-        resid = (yk - e - psi * dt + sign * dk) / dt
+        resid = (yk - e - psi * dt - push.sign * dk) / dt
         xi = np.asarray(problem.terminal(side, mode)(backend.state(n)), dtype=float)
         components[(side, mode)] = ComponentResiduals(
             max_step_residual=max(0.0, float(np.max(np.abs(resid)))),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from modeswitch import cli
 from modeswitch.cli import main
 from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
@@ -138,6 +139,13 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert all(v == 0.0 for v in summary["y0"].values())
 
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_too_few_steps_exits_one(self, tmp_path, capsys, steps):
+        path = write_doc(tmp_path, counterexample_doc())
+        assert main(["solve", "--problem", path, "--steps", steps, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == "error: need at least 2 time steps\n"
+        assert not (tmp_path / "s").exists()
+
     def test_zero_switching_cost_exits_one_naming_check(self, tmp_path, capsys):
         doc = counterexample_doc()
         doc["costs"]["ell_1"] = 0.0
@@ -240,14 +248,18 @@ class TestSimulateCommand:
         assert (out1 / "strategy.json").read_bytes() == (out2 / "strategy.json").read_bytes()
 
     @pytest.mark.parametrize("backend", ["deterministic", "binomial"])
-    def test_zero_paths_is_an_input_error(self, tmp_path, capsys, backend):
-        # the width-1 lattice replays one path, so the check cannot come from drawing them
+    def test_zero_paths_is_an_input_error(self, tmp_path, capsys, monkeypatch, backend):
+        def no_solve(*_args, **_kwargs):
+            pytest.fail("simulate solved a problem whose path count it refuses")
+
+        # refused before the solve, which is the costly part
+        monkeypatch.setattr(cli, "solve_system", no_solve)
         path = write_doc(tmp_path, smoke_doc())
         out = tmp_path / "sim"
         args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20", "--paths", "0"]
         assert main(args + ["--out", str(out)]) == 1
-        assert "n_paths must be >= 1" in capsys.readouterr().err
-        assert not (out / "strategy.json").exists()
+        assert capsys.readouterr().err == "error: n_paths must be >= 1\n"
+        assert not out.exists()
 
 
 class TestCheckAssumptionsCommand:

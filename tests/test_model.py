@@ -6,12 +6,15 @@ from modeswitch.model import (
     COMPONENTS,
     MINUS,
     PLUS,
+    _PUSH,
     CoefficientFunction,
     CostSlice,
     Driver,
     ProblemError,
     Terminal,
+    branches,
     evaluate_obstacles,
+    side_obstacles,
     validate_assumptions,
 )
 
@@ -89,14 +92,14 @@ class TestEvaluateObstacles:
         y = {(PLUS, 1): 0.0, (PLUS, 2): 3.0, (MINUS, 1): 2.5, (MINUS, 2): 0.0}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
         quad = evaluate_obstacles(y, costs)
-        assert quad.s_plus_1 == pytest.approx(max(3.0 - 1.0, 2.5))
+        assert quad[(PLUS, 1)] == pytest.approx(max(3.0 - 1.0, 2.5))
 
     def test_symmetric_zero_case(self):
         y = {key: 0.0 for key in COMPONENTS}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
         quad = evaluate_obstacles(y, costs)
-        assert quad.s_plus_1 == 0.0 and quad.s_plus_2 == 0.0
-        assert quad.s_minus_1 == 0.0 and quad.s_minus_2 == 0.0
+        assert quad[(PLUS, 1)] == 0.0 and quad[(PLUS, 2)] == 0.0
+        assert quad[(MINUS, 1)] == 0.0 and quad[(MINUS, 2)] == 0.0
 
     def test_fixture_family_geometry_at_zero(self):
         # T = 1 closed-form values at t = 0: the profit barrier of mode 1
@@ -107,7 +110,7 @@ class TestEvaluateObstacles:
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
         quad = evaluate_obstacles(y, costs)
         assert y_plus_2 - 1.0 == pytest.approx(2.0350, abs=1e-4)
-        assert quad.s_plus_1 == pytest.approx(e)
+        assert quad[(PLUS, 1)] == pytest.approx(e)
 
     def test_monotone_in_inputs(self):
         rng = np.random.default_rng(11)
@@ -120,13 +123,45 @@ class TestEvaluateObstacles:
             bumped[bump_key] = bumped[bump_key] + float(rng.uniform(0, 1))
             res = evaluate_obstacles(bumped, costs)
             for side, mode in COMPONENTS:
-                assert res.get(side, mode) >= base.get(side, mode) - 1e-15
+                assert res[(side, mode)] >= base[(side, mode)] - 1e-15
 
     def test_array_inputs(self):
         y = {key: np.array([0.0, 1.0]) for key in COMPONENTS}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
         quad = evaluate_obstacles(y, costs)
-        np.testing.assert_allclose(quad.s_plus_1, [0.0, 1.0])
+        np.testing.assert_allclose(quad[(PLUS, 1)], [0.0, 1.0])
+
+
+class TestBarrierAlgebra:
+    Y = {(PLUS, 1): 1.0, (PLUS, 2): 3.0, (MINUS, 1): 2.5, (MINUS, 2): 0.5}
+    COSTS = CostSlice(ell=(1.0, 0.25), a=(0.5, 0.0), b=(0.125, 2.0))
+
+    def test_branches(self):
+        # switch: the other mode's value -/+ ell_i; terminate: own other side -a_i / +b_i
+        assert branches(self.Y, self.COSTS, PLUS) == ((3.0 - 1.0, 2.5 - 0.5), (1.0 - 0.25, 0.5 - 0.0))
+        assert branches(self.Y, self.COSTS, MINUS) == ((0.5 + 1.0, 1.0 + 0.125), (2.5 + 0.25, 3.0 + 2.0))
+
+    def test_barrier_is_the_better_branch(self):
+        assert side_obstacles(self.Y, self.COSTS, PLUS) == (2.0, 0.75)  # a floor: the larger
+        assert side_obstacles(self.Y, self.COSTS, MINUS) == (1.125, 2.75)  # a cap: the smaller
+        assert list(evaluate_obstacles(self.Y, self.COSTS)) == list(COMPONENTS)
+
+    @pytest.mark.parametrize("y,barrier", [(1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (0.1, 0.3), (1e300, -1e300)])
+    def test_gap_has_the_bits_of_the_side_difference(self, y, barrier):
+        pairs = ((_PUSH[PLUS].inside(y, barrier), y - barrier), (_PUSH[MINUS].inside(y, barrier), barrier - y))
+        for gap, expected in pairs:
+            assert gap == expected and np.signbit(gap) == np.signbit(expected)
+
+    def test_gap_is_positive_inside(self):
+        assert _PUSH[PLUS].inside(2.0, 1.0) > 0 > _PUSH[PLUS].inside(1.0, 2.0)
+        assert _PUSH[MINUS].inside(1.0, 2.0) > 0 > _PUSH[MINUS].inside(2.0, 1.0)
+
+    def test_ties_switch(self):
+        for side in (PLUS, MINUS):
+            assert _PUSH[side].switch_binds(1.0, 1.0)
+            assert _PUSH[side].switch_binds(np.array([0.0, 2.0]), np.array([-0.0, 2.0])).all()
+        assert _PUSH[PLUS].switch_binds(2.0, 1.0) and not _PUSH[PLUS].switch_binds(1.0, 2.0)
+        assert _PUSH[MINUS].switch_binds(1.0, 2.0) and not _PUSH[MINUS].switch_binds(2.0, 1.0)
 
 
 class TestValidateAssumptions:

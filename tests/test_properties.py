@@ -1,12 +1,14 @@
 """Randomized properties over small problems on both lattice kinds.
 
 The one-pass solver equals the Picard reference bit for bit, its solution
-satisfies the audit's constraint, K-sign and complementarity relations, and
-the CLI ends every run with an exit code, also on problems the validator
-rejects. Examples are drawn deterministically (settings profile in
+satisfies the audit's constraint, K-sign and complementarity relations, no Y
+drops when the data gives more to collect (the system's comparison
+ordering), and the CLI ends every run with an exit code, also on problems
+the validator rejects. Examples are drawn deterministically (settings profile in
 conftest.py), so failures reproduce.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -106,6 +108,38 @@ def test_audit_relations_hold(problem, kind, steps):
     caps = report.caps()
     for name in ("max_constraint_violation", "k_sign_violation", "skorokhod_sum"):
         assert report.max_over(name) <= caps[name], name
+
+
+@st.composite
+def raised_pairs(draw):
+    """A problem from ``admissible_problems`` and a copy with more to collect:
+    all four terminal intercepts raised by the same d >= 0, or the c0 of one
+    driver with state feature "one" raised by a constant d >= 0 (a constant
+    or polynomial c0 carries the constant in its own kind)."""
+    problem = draw(admissible_problems())
+    d = draw(unit(0.0, 2.0))
+    raisable = [
+        key for key, drv in problem.drivers.items() if drv.state_feature == "one" and drv.c0.kind != "exponential"
+    ]
+    if raisable and draw(st.booleans()):
+        key = draw(st.sampled_from(raisable))
+        drv = problem.drivers[key]
+        c0 = CoefficientFunction(drv.c0.kind, (drv.c0.params[0] + d, *drv.c0.params[1:]))
+        changes = {"drivers": {**problem.drivers, key: dataclasses.replace(drv, c0=c0)}}
+    else:
+        changes = {"terminals": {key: Terminal(t.intercept + d, t.slope) for key, t in problem.terminals.items()}}
+    return problem, dataclasses.replace(problem, **changes)
+
+
+@given(raised_pairs(), KINDS, STEPS)
+def test_system_comparison_ordering(pair, kind, steps):
+    low, high = pair
+    backend = admissible_case(low, kind, steps)
+    assume(validate_assumptions(high, backend).all_passed)
+    below, _ = solve_system(low, backend)
+    above, _ = solve_system(high, backend)
+    for key in COMPONENTS:
+        assert np.min(above.sol[key].y.data - below.sol[key].y.data) >= -1e-12, key
 
 
 @st.composite

@@ -15,6 +15,7 @@ from modeswitch.strategy import (
     SWITCH,
     TERMINATE,
     classify_action,
+    contact_masks,
     extract_stopping_times,
     simulate_policy,
 )
@@ -81,6 +82,18 @@ class TestExtractStoppingTimes:
     def test_bad_from_step(self, fixture_solution):
         with pytest.raises(ValueError):
             extract_stopping_times(fixture_solution, -1)
+
+    def test_from_the_horizon_stops_at_the_horizon(self, fixture_solution):
+        stops = extract_stopping_times(fixture_solution, 1000)
+        assert stops == {key: 1000 for key in COMPONENTS}
+
+    @pytest.mark.parametrize("backend", [det_backend(16), bin_backend(16)])
+    def test_masks_are_closed_at_the_horizon(self, far_obstacle_problem, backend):
+        # no barrier is ever touched, so the only stops are the horizon nodes
+        solution, _ = solve_system(far_obstacle_problem, backend)
+        horizon = backend.offsets[16]
+        for mask in contact_masks(solution).values():
+            assert mask[horizon:].all() and not mask[:horizon].any()
 
 
 class TestClassifyAction:
@@ -202,6 +215,13 @@ class TestSimulatePolicy:
     def test_bad_start_mode(self, fixture_solution):
         with pytest.raises(ValueError):
             simulate_policy(fixture_solution, n_paths=1, seed=0, start_mode=3)
+
+    @pytest.mark.parametrize("backend", [det_backend(20), bin_backend(20)])
+    def test_zero_paths_is_refused(self, backend):
+        # the width-1 lattice replays one path, so the check cannot come from drawing them
+        solution, _ = solve_system(smoke_problem(), backend)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            simulate_policy(solution, n_paths=0, seed=0, start_mode=1)
 
 
 class TestStreamingReplay:
