@@ -5,8 +5,15 @@ step it projects the four Euler values y~ onto their mutual barriers from
 below, repeating Y- = min(y~-, S-(Y)), then Y+ = max(y~+, S+(Y)), until no
 node changes. The one-step map is monotone (the comparison check), so this
 gives the smallest solution of each step and, by backward induction, the
-minimal discrete solution. One Picard sweep from that solution then has to
-leave every node where it is, or the solve fails.
+minimal discrete solution. The paper reaches that solution as the limit of
+its Picard scheme, so the solve then certifies that one Picard sweep from it
+would leave every node where it is, without running the sweep: at every node
+before the horizon, Y must equal its reflected Euler value
+better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y itself on the whole flat
+buffer (the discrete reflection relation of El Karoui et al., "Reflected
+solutions of backward SDE's", 1997). By backward induction from the horizon,
+where both sides are the terminal values, this holds exactly when the sweep
+moves no node. Any node that fails it, by any amount, fails the solve.
 
 ``picard_system``, the paper's monotone Picard iteration, is the reference:
 each sweep freezes the barriers at the previous stage and solves four single
@@ -275,10 +282,9 @@ def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> 
     return Iterate(n=prev.n + 1, sol=sol)
 
 
-def _assert_system_constraints(solution: BalanceSheetSolution):
+def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: dict):
     """Barrier inequalities, increment signs, and complementarity sums on the
-    converged surfaces (barriers recomputed self-consistently)."""
-    obstacles = solution.obstacles()
+    converged surfaces, against the barriers ``solution.obstacles()``."""
     backend = solution.backend
     for side, mode in COMPONENTS:
         comp = solution.sol[(side, mode)]
@@ -287,7 +293,35 @@ def _assert_system_constraints(solution: BalanceSheetSolution):
         _check_order(-dk, 0.0, backend, f"reflection increment negative for ({side},{mode})")
         sko = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1)
         if sko > SKOROKHOD_CAP:
-            raise SchemeError(f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode})")
+            terms = np.abs(gap) * dk
+            k, j = backend.locate(int(np.argmax(terms)))
+            raise SchemeError(
+                f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode}); "
+                f"largest term {terms.max():g} at step {k}, node {j}"
+            )
+
+
+def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
+    """Raise SchemeError unless one Picard sweep from the solution would move
+    no node (see the module notes).
+
+    Each term is the expression ``iterate_once`` evaluates at that node, so
+    requiring bitwise equality makes this exactly as strict as the sweep.
+    """
+    problem, backend = solution.problem, solution.backend
+    end = backend.offsets[backend.grid.n_steps]
+    steps, x = backend.step_of_node[:end], backend.states[:end]
+    for side, mode in COMPONENTS:
+        y = solution.sol[(side, mode)].y.data
+        e, z = backend.continuation(y), backend.martingale_increment(y)
+        rate = problem.driver(side, mode).tabulate(backend.grid.times)
+        euler = e + rate(steps, x, e, z) * backend.grid.dt
+        settled = _PUSH[side].better(euler, obstacles[(side, mode)].data[:end])
+        miss = np.where(settled == y[:end], 0.0, np.abs(settled - y[:end]))
+        i = int(np.argmax(miss))
+        if miss[i]:
+            k, j = backend.locate(i)
+            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {miss[i]:g}")
 
 
 def _project(ytilde: dict, costs: CostSlice, step: int, sweeps: np.ndarray) -> dict:
@@ -323,12 +357,9 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     drivers = {key: problem.driver(*key) for key in COMPONENTS}
     sol = backward_pass(drivers, terminals, lambda ytilde, k: _project(ytilde, costs.at(k), k, sweeps), backend)
     solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(sweeps))
-    _assert_system_constraints(solution)
-    # The minimal solution is a fixed point of the Picard map: one sweep from it moves no node.
-    check = iterate_once(Iterate(n=0, sol=sol), problem, backend)
-    moved = max(check.y(*key).sup_diff(sol[key].y) for key in COMPONENTS)
-    if moved:
-        raise SchemeError(f"one Picard sweep moves the one-pass solution by {moved:g}")
+    obstacles = solution.obstacles()
+    _assert_system_constraints(solution, obstacles)
+    _certify_fixed_point(solution, obstacles)
     return solution, solution.trace
 
 
@@ -365,5 +396,5 @@ def picard_system(
 
     solution = BalanceSheetSolution(problem=problem, backend=backend, sol=current.sol, trace=trace)
     if trace.converged:
-        _assert_system_constraints(solution)
+        _assert_system_constraints(solution, solution.obstacles())
     return solution, trace

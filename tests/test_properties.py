@@ -1,6 +1,7 @@
 """Randomized properties over small problems on both lattice kinds.
 
-The one-pass solver equals the Picard reference bit for bit, its solution
+The one-pass solver equals the Picard reference bit for bit, its fixed-point
+certificate passes exactly when one Picard sweep moves no node, its solution
 satisfies the audit's constraint, K-sign and complementarity relations, no Y
 drops when the data gives more to collect (the system's comparison
 ordering), and the CLI ends every run with an exit code, also on problems
@@ -14,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -27,7 +29,7 @@ from modeswitch.model import (
     Terminal,
     validate_assumptions,
 )
-from modeswitch.scheme import picard_system, solve_system
+from modeswitch.scheme import Iterate, SchemeError, _certify_fixed_point, iterate_once, picard_system, solve_system
 from modeswitch.verify import audit_solution
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -98,6 +100,29 @@ def test_one_pass_equals_picard_reference(problem, kind, steps):
     for key in COMPONENTS:
         for field in ("y", "z", "dk"):
             np.testing.assert_array_equal(getattr(fast.sol[key], field).data, getattr(ref.sol[key], field).data)
+
+
+def sweep_moves(solution) -> bool:
+    """Whether one reference Picard sweep from the solution moves any node."""
+    again = iterate_once(Iterate(n=0, sol=solution.sol), solution.problem, solution.backend)
+    return any(again.y(*key).sup_diff(solution.sol[key].y) for key in COMPONENTS)
+
+
+@given(admissible_problems(), KINDS, STEPS, st.data())
+def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
+    backend = admissible_case(problem, kind, steps)
+    solution, _ = solve_system(problem, backend)
+    _certify_fixed_point(solution, solution.obstacles())
+    assert not sweep_moves(solution)
+
+    key = data.draw(st.sampled_from(COMPONENTS))
+    i = data.draw(st.integers(0, backend.offsets[steps] - 1))  # a node before the horizon
+    y = solution.sol[key].y.data
+    y[i] = np.nextafter(y[i], data.draw(st.sampled_from((-np.inf, np.inf))))
+    assert sweep_moves(solution)
+    k, _ = backend.locate(i)
+    with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
+        _certify_fixed_point(solution, solution.obstacles())
 
 
 @given(admissible_problems(), KINDS, STEPS)

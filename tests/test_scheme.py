@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modeswitch import scheme
+from modeswitch import rbsde, scheme
 from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.io import load_problem
 from modeswitch.model import (
@@ -402,13 +402,49 @@ class TestOnePassAgainstPicard:
             assert again.sol[key].y.sup_diff(solution.sol[key].y) == 0.0
 
     def test_solver_refuses_a_solution_that_a_sweep_moves(self, monkeypatch):
-        picard_sweep = scheme.iterate_once
+        one_pass = scheme.backward_pass
 
-        def nudged(prev, problem, backend):
-            nxt = picard_sweep(prev, problem, backend)
-            nxt.sol[(PLUS, 1)].y.data[0] += 1e-12
-            return nxt
+        def nudged(*args):
+            sol = one_pass(*args)
+            sol[(PLUS, 1)].y.data[0] += 1e-12
+            return sol
 
-        monkeypatch.setattr(scheme, "iterate_once", nudged)
-        with pytest.raises(SchemeError, match="one Picard sweep moves the one-pass solution"):
+        monkeypatch.setattr(scheme, "backward_pass", nudged)
+        with pytest.raises(SchemeError, match=r"one Picard sweep would move \(plus,1\) at step 0, node 0 by"):
             solve_system(counterexample_problem(), det_backend(200))
+
+    @pytest.mark.parametrize(
+        "path, kind, n",
+        [
+            ("problems/counterexample.json", "deterministic", 200),
+            ("bench/problems/switching_lattice.json", "binomial", 100),
+        ],
+    )
+    def test_solve_runs_one_backward_pass_and_no_sweep(self, path, kind, n, monkeypatch):
+        calls = {}
+        for module, name in ((scheme, "backward_pass"), (rbsde, "backward_pass"), (scheme, "iterate_once")):
+            label, real = f"{module.__name__}.{name}", getattr(module, name)
+            calls[label] = 0
+
+            def counted(*args, _label=label, _real=real):
+                calls[_label] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
+        solve_system(problem, make_backend(kind, TimeGrid(n, problem.horizon)))
+        assert calls == {
+            "modeswitch.scheme.backward_pass": 1,
+            "modeswitch.rbsde.backward_pass": 0,
+            "modeswitch.scheme.iterate_once": 0,
+        }
+
+    def test_complementarity_failure_names_the_largest_term(self):
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
+        backend = bin_backend(100, problem.horizon)
+        solution, _ = solve_system(problem, backend)
+        obstacles = solution.obstacles()
+        k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
+        solution.sol[(PLUS, 1)].dk.data[backend.offsets[k] + j] += 1.0
+        with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
+            scheme._assert_system_constraints(solution, obstacles)
