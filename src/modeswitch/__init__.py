@@ -24,8 +24,6 @@ from .model import (
 )
 from .rbsde import (
     RbsdeSolution,
-    first_contact,
-    snell_envelope,
     solve_bsde,
     solve_rbsde_lower,
     solve_rbsde_upper,
@@ -79,11 +77,9 @@ __all__ = [
     "counterexample_problem",
     "evaluate_obstacles",
     "extract_stopping_times",
-    "first_contact",
     "make_backend",
     "picard_system",
     "simulate_policy",
-    "snell_envelope",
     "solve_bsde",
     "solve_rbsde_lower",
     "solve_rbsde_upper",

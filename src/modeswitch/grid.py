@@ -79,6 +79,16 @@ class Lattice:
         """(step, node) of a flat index."""
         return int(self.step_of_node[flat]), int(self.node_index[flat])
 
+    def flat_index(self, steps, nodes) -> np.ndarray:
+        """Flat index of each (step, node) pair, the inverse of ``locate``;
+        refuses a pair that is not on the lattice."""
+        steps, nodes = np.broadcast_arrays(np.asarray(steps, dtype=np.int64), np.asarray(nodes, dtype=np.int64))
+        outside = (steps < 0) | (steps > self.grid.n_steps) | (nodes < 0) | (nodes >= 1 + self.down * steps)
+        if outside.any():
+            i = np.unravel_index(np.argmax(outside), outside.shape)
+            raise ValueError(f"step {steps[i]}, node {nodes[i]} is not on the lattice")
+        return self.offsets[steps] + nodes
+
     def _check(self, next_values, k):
         """Node values of step k+1 along the last axis; leading axes are separate equations."""
         next_values = np.asarray(next_values, dtype=float)

@@ -161,14 +161,21 @@ def write_surface_csv(path, surface: FieldSurface):
 
 
 def read_surface_csv(path, backend: Lattice) -> FieldSurface:
+    """A surface written by ``write_surface_csv``: every lattice node exactly once."""
     path = Path(path)
-    data = np.zeros(backend.size)
+    data, rows = np.zeros(backend.size), np.zeros(backend.size, dtype=np.int64)
     with path.open(newline="") as fh:
         for row in csv.DictReader(fh):
             k, j = int(row["step"]), int(row["node"])
-            if not (0 <= k <= backend.grid.n_steps and 0 <= j < backend.n_nodes(k)):
-                raise ValueError(f"{path}: node ({k}, {j}) is not on the lattice")
-            data[backend.offsets[k] + j] = float(row["value"])
+            try:
+                i = int(backend.flat_index(k, j))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            data[i], rows[i] = float(row["value"]), rows[i] + 1
+    i = int(np.argmax(rows != 1))
+    if rows[i] != 1:
+        k, j = backend.locate(i)
+        raise ValueError(f"{path}: step {k}, node {j} is {'missing' if rows[i] == 0 else 'repeated'}")
     return FieldSurface.from_buffer(backend, data)
 
 

@@ -7,7 +7,11 @@ evaluated at (t_k, x_k, E_k[Y_{k+1}], Z_k), so no per-step fixed point is
 needed; its time coefficients are tabulated once on the grid times.
 Reflection is applied by projection after the Euler step, which makes the
 discrete complementarity condition exact by construction: the push amount
-dK_k is nonzero only where the projected value sits on the barrier.
+dK_k is nonzero only where the projected value sits on the barrier, and
+there the value is the barrier's own float, so contact is Y == S bit for
+bit. The Snell envelope of a payoff (its smallest dominating
+supermartingale) is the lower reflected solve with a zero driver, the payoff
+as barrier and its horizon values as terminal.
 """
 
 from __future__ import annotations
@@ -22,64 +26,21 @@ from .grid import FieldSurface, Lattice
 # operator a contraction in y.
 STABILITY_LIMIT = 0.5
 
-# Barrier-contact tolerance: contact is exact by construction at binding
-# nodes (min/max return the barrier's value), so the tolerance only absorbs
-# float noise downstream.
+# Slack of the horizon check: a barrier may sit this far on the wrong side of
+# the terminal value (float noise in the problem's own coefficients).
 CONTACT_TOL = 1e-10
-
-
-def hitting_tolerance(backend: Lattice, scale: float = 1.0) -> float:
-    """Contact tolerance for obstacle-hitting detection.
-
-    Absolute 1e-10 on the width-1 (deterministic) lattice; relative
-    1e-3 * sqrt(dt) on the binomial lattice where surfaces carry state noise.
-    """
-    if not backend.down:
-        return CONTACT_TOL
-    return 1e-3 * np.sqrt(backend.grid.dt) * max(1.0, abs(scale))
 
 
 @dataclass(frozen=True)
 class RbsdeSolution:
     """Solution triple of one (reflected) backward equation.
 
-    ``dk`` holds the per-step reflection increments (dk at step N is zero);
-    cumulative K is path-dependent on a recombining lattice, so
-    :meth:`k_cumulative` returns the node-conditional mean E[K_{t_k} | X_{t_k}],
-    which reduces to the exact pathwise prefix sum on the deterministic
-    backend.
+    ``dk`` holds the per-step reflection increments (dk at step N is zero).
     """
 
     y: FieldSurface
     z: FieldSurface
     dk: FieldSurface
-
-    @property
-    def backend(self) -> Lattice:
-        return self.y.backend
-
-    def k_cumulative(self) -> FieldSurface:
-        backend = self.backend
-        off = backend.offsets
-        acc = np.zeros(backend.size)
-        for k in range(backend.grid.n_steps):
-            prev = acc[off[k] : off[k + 1]] + self.dk.at(k)
-            if not backend.down:
-                acc[off[k + 1] : off[k + 2]] = prev
-                continue
-            # Parent weights on the recombining walk: node j at step k+1 is
-            # reached from up-parent j (weight (k+1-j)/(k+1), its path count
-            # share) and down-parent j-1 (weight j/(k+1)).
-            j = np.arange(k + 2)
-            w_up = (k + 1 - j) / (k + 1)
-            w_dn = j / (k + 1)
-            padded = np.concatenate(([0.0], prev, [0.0]))
-            acc[off[k + 1] : off[k + 2]] = w_up * padded[1:] + w_dn * padded[:-1]
-        return FieldSurface.from_buffer(backend, acc)
-
-    def k_total(self) -> float:
-        """Expected terminal reflection mass E[K_T]."""
-        return float(np.mean(self.k_cumulative().at(self.backend.grid.n_steps)))
 
 
 def _check_stability(driver, backend: Lattice):
@@ -172,43 +133,3 @@ def solve_rbsde_lower(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolu
 def solve_rbsde_upper(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolution:
     """Equation reflected downward off an upper barrier: Y <= obstacle, K pushes down."""
     return _solve_reflected(driver, terminal, obstacle, backend, lower=False)
-
-
-def snell_envelope(payoff: FieldSurface, backend: Lattice):
-    """Smallest supermartingale dominating a payoff surface.
-
-    Returns (envelope, contact) where ``contact`` is a boolean surface marking
-    nodes at which the envelope touches the payoff (within ``CONTACT_TOL``),
-    and every horizon node; stopping at the first contact at or after the
-    current step is optimal.
-    """
-    n = backend.grid.n_steps
-    off = backend.offsets
-    env = payoff.data.copy()
-    for k in range(n - 1, -1, -1):
-        cont = backend.condexp(env[off[k + 1] : off[k + 2]], k)
-        env[off[k] : off[k + 1]] = np.maximum(payoff.at(k), cont)
-    contact = env - payoff.data <= CONTACT_TOL
-    contact[off[n] :] = True
-    return FieldSurface.from_buffer(backend, env), FieldSurface.from_buffer(backend, contact)
-
-
-def first_contact(contact, from_step: int, path=None) -> int:
-    """First step index >= from_step at which a contact surface holds, else N.
-
-    Reference implementation, one step at a time. On the width-1 lattice
-    ``path`` may be omitted; on the binomial lattice the stopping time is a
-    path object and a node-index path is required.
-    """
-    n = contact.n_steps
-    for k in range(from_step, n + 1):
-        mask = contact.at(k)
-        if path is None:
-            if mask.shape != (1,):
-                raise ValueError("a node-index path is required on the lattice backend")
-            hit = bool(mask[0])
-        else:
-            hit = bool(mask[int(path[k])])
-        if hit:
-            return k
-    return n

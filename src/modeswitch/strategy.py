@@ -3,10 +3,13 @@
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
 of the barrier is binding (switch to the other mode, or terminate), by the
-tie rule of ``model`` (a tie switches). This module extracts those stopping
-times from one stop mask per component, barrier contact closed at the
-horizon, classifies the branch, and replays the policy forward along
-sampled paths, accumulating the running yield by left-endpoint sums with the
+tie rule of ``model`` (a tie switches). Contact is exact: the one-pass
+solver stores the barrier's own bits wherever it pushes, and its fixed-point
+certificate holds bit for bit, so a path stops where Y == S and nowhere else
+before the horizon (``stop_mask``), and collects Y there, which is the
+barrier at contact and the terminal value at N. ``first_stop`` reads the
+first stop along paths; ``extract_stopping_times`` and the replay both use
+it. The replay accumulates the running yield by left-endpoint sums with the
 rate evaluated where the backward solver evaluates it (at the continuation
 value E_k[Y_{k+1}]), to measure the realized value against Y_0. Paths are
 replayed in chunks against per-node tables, so memory is bounded by the
@@ -20,7 +23,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import COMPONENTS, MINUS, PLUS, _PUSH, branches
-from .rbsde import hitting_tolerance
 from .scheme import BalanceSheetSolution, node_costs
 
 SWITCH = "switch"
@@ -33,28 +35,32 @@ MIXED = "mixed"
 REPLAY_CELLS = 1 << 19
 
 
-def contact_masks(solution: BalanceSheetSolution, obstacles: dict | None = None) -> dict:
-    """Per-component flat boolean node masks of where a path stops: barrier
-    contact, and every horizon node."""
-    if obstacles is None:
-        obstacles = solution.obstacles()
-    backend = solution.backend
-    masks = {}
-    for key in COMPONENTS:
-        y = solution.sol[key].y
-        masks[key] = np.abs(y.data - obstacles[key].data) <= hitting_tolerance(backend, scale=y.sup_norm())
-        masks[key][backend.offsets[backend.grid.n_steps] :] = True
-    return masks
+def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
+    """Flat boolean mask of where a path of one component stops: every node
+    where ``y`` equals its barrier bit for bit, and every horizon node."""
+    mask = y == barrier
+    mask[backend.offsets[backend.grid.n_steps] :] = True
+    return mask
 
 
-def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
-    """First step at or after ``from_step`` where each component's stop mask
-    holds: its first barrier contact, else N.
+def contact_masks(solution: BalanceSheetSolution) -> dict:
+    """``stop_mask`` of each component against the barriers the solution implies."""
+    obstacles = solution.obstacles()
+    return {key: stop_mask(solution.sol[key].y.data, obstacles[key].data, solution.backend) for key in COMPONENTS}
 
-    Stopping times are path objects on the binomial lattice, so ``path`` (a
-    node-index path) is required there; the width-1 lattice has a single path.
+
+def first_stop(mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Position along the last axis of ``flat`` (flat node indices of paths)
+    of the first node where ``mask`` holds; a path that never meets it reads 0."""
+    return np.argmax(mask[flat], axis=-1)
+
+
+def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
+    """Flat node indices of a node-index path at steps ``from_step``..N.
+
+    ``path[k]`` is the node at step k. The width-1 lattice has a single path,
+    so ``path`` may be omitted there; on the binomial lattice it is required.
     """
-    backend = solution.backend
     n = backend.grid.n_steps
     if not 0 <= from_step <= n:
         raise ValueError(f"from_step must lie in [0, {n}]")
@@ -62,22 +68,30 @@ def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, p
         if backend.down:
             raise ValueError("a node-index path is required on the lattice backend")
         path = np.zeros(n + 1, dtype=np.int64)
-    flat = backend.offsets[from_step:-1] + np.asarray(path[from_step : n + 1], dtype=np.int64)
+    nodes = np.asarray(path, dtype=np.int64)[from_step : n + 1]
+    if nodes.shape != (n + 1 - from_step,):
+        raise ValueError(f"a path needs one node per step 0..{n}, got shape {np.shape(path)}")
+    return backend.flat_index(np.arange(from_step, n + 1), nodes)
+
+
+def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
+    """First step at or after ``from_step`` where each component's stop mask
+    holds along ``path`` (see ``flat_path``): its first barrier contact, else N."""
+    flat = flat_path(solution.backend, from_step, path)
     masks = contact_masks(solution)
-    return {key: from_step + int(np.argmax(masks[key][flat])) for key in COMPONENTS}
+    return {key: from_step + int(first_stop(masks[key], flat)) for key in COMPONENTS}
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
     """Branch decision at a barrier-contact point, by ``model``'s tie rule:
     the better branch binds, and a tie switches."""
     backend = solution.backend
-    flat = int(backend.offsets[step]) + node
+    flat = int(backend.flat_index(step, node))
     y = {key: solution.sol[key].y.data[flat] for key in COMPONENTS}
     switch, terminate = branches(y, solution.problem.cost_table(backend.grid.times).at(step), side)[mode - 1]
     push, y_here = _PUSH[side], float(y[(side, mode)])
     s_here = float(push.better(switch, terminate))
-    tol = hitting_tolerance(backend, scale=max(abs(y_here), 1.0))
-    if abs(y_here - s_here) > tol:
+    if y_here != s_here:
         raise ValueError(
             f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
         )
@@ -116,7 +130,7 @@ class _Leg:
     """Node tables of one leg, and the realized value and stopping step of
     every path replayed so far."""
 
-    def __init__(self, solution, side, mode, masks, obstacles, costs, rows):
+    def __init__(self, solution, side, mode, masks, costs, rows):
         backend = solution.backend
         self.side, self.mode, self.n, self.dt = side, mode, backend.grid.n_steps, backend.grid.dt
         before = slice(0, backend.offsets[self.n])
@@ -127,9 +141,9 @@ class _Leg:
         drv = solution.problem.driver(side, mode)
         cont = backend.continuation(comp.y.data)
         self.rate = drv(backend.node_times[before], backend.states[before], cont, comp.z.data[before])
-        # Value collected where a path stops: the barrier, or the horizon value.
-        self.payoff = obstacles[(side, mode)].data.copy()
-        self.payoff[before.stop :] = solution.problem.terminal(side, mode)(backend.state(self.n))
+        # Value collected where a path stops: Y, which has the barrier's bits at
+        # contact and the terminal value's at the horizon.
+        self.payoff = comp.y.data
         y = {key: solution.sol[key].y.data for key in COMPONENTS}
         self.prefer_switch = _PUSH[side].switch_binds(*branches(y, costs, side)[mode - 1])
         self.tau = np.empty(rows, dtype=np.int64)
@@ -139,7 +153,7 @@ class _Leg:
     def replay(self, flat, first: int):
         """Replay paths given as flat node indices, shape (rows, N+1), as rows ``first``, ... of the leg."""
         n = self.n
-        tau = np.argmax(self.stop_here[flat], axis=1)
+        tau = first_stop(self.stop_here, flat)
         stop = flat[np.arange(len(flat)), tau]
         running = self.rate[flat[:, :n]]
         running *= np.arange(n)[None, :] < tau[:, None]
@@ -170,9 +184,10 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     """Forward-replay the extracted first action from a starting mode.
 
     Evaluates both balance-sheet sides: the profit leg accumulates the running
-    profit rate until its stopping step and collects the barrier value there
-    (or the horizon value), the cost leg likewise with the running cost. The
-    report carries the Monte Carlo gap to the solved Y_0 per leg.
+    profit rate until its stopping step and collects its value there (the
+    barrier at contact, or the horizon value), the cost leg likewise with the
+    running cost. The report carries the Monte Carlo gap to the solved Y_0
+    per leg.
 
     Paths are drawn from one generator and replayed in chunks of
     ``REPLAY_CELLS`` path steps, so memory does not grow with paths x steps.
@@ -187,10 +202,9 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     backend = solution.backend
     rows = n_paths if backend.down else 1
     chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
-    obstacles = solution.obstacles()
-    masks = contact_masks(solution, obstacles=obstacles)
+    masks = contact_masks(solution)
     costs = node_costs(solution.problem, backend)
-    legs = {side: _Leg(solution, side, start_mode, masks, obstacles, costs, rows) for side in (PLUS, MINUS)}
+    legs = {side: _Leg(solution, side, start_mode, masks, costs, rows) for side in (PLUS, MINUS)}
     rng = np.random.default_rng(seed)
     for first in range(0, rows, chunk):
         flat = backend.sample_paths(min(chunk, rows - first), rng)

@@ -19,7 +19,7 @@ from modeswitch.model import (
     Driver,
     validate_assumptions,
 )
-from modeswitch.rbsde import snell_envelope, solve_rbsde_lower
+from modeswitch.rbsde import solve_rbsde_lower
 from modeswitch.scheme import first_iterate, initialize_scheme, iterate_once, solve_system
 from modeswitch.strategy import TERMINATE, simulate_policy
 from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family, counterexample_problem
@@ -28,8 +28,9 @@ from conftest import build_problem, remark_problem, smoke_problem
 from test_rbsde import (
     _SumDriver,
     brute_force_optimal_stopping,
-    first_contact_rule_value,
+    first_stop_rule_value,
     random_lower_instance,
+    snell_envelope,
 )
 from conftest import bin_backend, det_backend
 
@@ -124,18 +125,19 @@ def test_criterion_3_minimality():
 
 
 def test_criterion_4_snell_oracle():
-    """Backward-induction envelope equals exhaustive stopping enumeration on
-    100 random depth-4 payoff surfaces, and the first-contact rule attains it."""
+    """The envelope from the production reflected solver (zero driver) equals
+    exhaustive stopping enumeration on 100 random depth-4 payoff surfaces, and
+    the production stop rule (exact contact, first stop) attains it."""
     rng = np.random.default_rng(2024)
     backend = bin_backend(4)
     ok = True
     worst = 0.0
     for _ in range(100):
         payoff = FieldSurface(backend, [rng.uniform(-1, 1, k + 1) for k in range(5)])
-        env, contact = snell_envelope(payoff, backend)
+        env, stops = snell_envelope(payoff)
         best = brute_force_optimal_stopping(payoff, 4)
         root = float(env.at(0)[0])
-        rule = first_contact_rule_value(payoff, contact, 4)
+        rule = first_stop_rule_value(payoff, stops, 4)
         worst = max(worst, abs(root - best), abs(rule - best))
         ok &= abs(root - best) <= 1e-12 and abs(rule - best) <= 1e-12
     report("criterion 4: stopping oracle equivalence", ok, f"worst gap {worst:.2e}")

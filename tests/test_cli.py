@@ -5,7 +5,7 @@ import pytest
 
 from modeswitch import cli
 from modeswitch.cli import main
-from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.grid import FieldSurface, TimeGrid, make_backend
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
 from modeswitch.model import COMPONENTS, ProblemError
 from modeswitch.rbsde import RbsdeSolution
@@ -301,6 +301,32 @@ class TestSurfaceRoundTrip:
             a, b = original.components[key].as_dict(), again.components[key].as_dict()
             for name in a:
                 assert abs(a[name] - b[name]) <= 1e-12
+
+    @staticmethod
+    def written_lines(tmp_path, be):
+        path = tmp_path / "Y.csv"
+        write_surface_csv(path, FieldSurface.from_buffer(be, np.arange(be.size, dtype=float)))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_missing_row_is_named(self, tmp_path):
+        be = make_backend("binomial", TimeGrid(4, 1.0))
+        path, lines = self.written_lines(tmp_path, be)
+        path.write_text("".join(lines[:-1]))  # drop the last horizon node
+        with pytest.raises(ValueError, match="step 4, node 4 is missing"):
+            read_surface_csv(path, be)
+        path.write_text("".join(lines[:2] + lines[3:]))  # drop (1, 0), the second node
+        with pytest.raises(ValueError, match="step 1, node 0 is missing"):
+            read_surface_csv(path, be)
+
+    def test_repeated_or_stray_row_is_named(self, tmp_path):
+        be = make_backend("binomial", TimeGrid(4, 1.0))
+        path, lines = self.written_lines(tmp_path, be)
+        path.write_text("".join(lines[:6] + [lines[5].replace(",4.0", ",-1.0")] + lines[6:]))  # (2, 1) again
+        with pytest.raises(ValueError, match="step 2, node 1 is repeated"):
+            read_surface_csv(path, be)
+        path.write_text("".join(lines + ["2,3,0.5\r\n"]))  # step 2 has nodes 0..2
+        with pytest.raises(ValueError, match="step 2, node 3 is not on the lattice"):
+            read_surface_csv(path, be)
 
 
 def switching_doc():

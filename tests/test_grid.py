@@ -39,6 +39,19 @@ class TestLatticeLayout:
         np.testing.assert_allclose(be.state(1), [s, -s])
         np.testing.assert_allclose(be.state(2), [2 * s, 0.0, -2 * s])
 
+    @pytest.mark.parametrize("be", [bin_backend(6), det_backend(6)])
+    def test_flat_index_inverts_locate(self, be):
+        every = np.arange(be.size)
+        np.testing.assert_array_equal(be.flat_index(be.step_of_node, be.node_index), every)
+        assert all(be.flat_index(*be.locate(i)) == i for i in every)
+
+    @pytest.mark.parametrize("step,node", [(2, 3), (2, -1), (-1, 0), (7, 0)])
+    def test_flat_index_refuses_a_node_off_the_lattice(self, step, node):
+        with pytest.raises(ValueError, match=f"step {step}, node {node} is not on the lattice"):
+            bin_backend(6).flat_index([0, step], [0, node])
+        with pytest.raises(ValueError, match="not on the lattice"):
+            det_backend(6).flat_index(1, 1)  # the width-1 lattice has node 0 only
+
 
 class TestCondexp:
     def test_constants_preserved(self):

@@ -2,9 +2,10 @@
 
 The one-pass solver equals the Picard reference bit for bit, its fixed-point
 certificate passes exactly when one Picard sweep moves no node, its solution
-satisfies the audit's constraint, K-sign and complementarity relations, no Y
-drops when the data gives more to collect (the system's comparison
-ordering), and the CLI ends every run with an exit code, also on problems
+satisfies the audit's constraint, K-sign and complementarity relations, paths
+stop exactly where Y equals its barrier (and every push is such a stop), the
+width-1 replay realizes Y_0, no Y drops when the data gives more to collect
+(the system's comparison ordering), and the CLI ends every run with an exit code, also on problems
 the validator rejects. Examples are drawn deterministically (settings profile in
 conftest.py), so failures reproduce.
 """
@@ -23,6 +24,8 @@ from modeswitch.cli import main
 from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.model import (
     COMPONENTS,
+    MINUS,
+    PLUS,
     CoefficientFunction,
     Driver,
     SwitchingProblem,
@@ -30,6 +33,7 @@ from modeswitch.model import (
     validate_assumptions,
 )
 from modeswitch.scheme import Iterate, SchemeError, _certify_fixed_point, iterate_once, picard_system, solve_system
+from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -133,6 +137,29 @@ def test_audit_relations_hold(problem, kind, steps):
     caps = report.caps()
     for name in ("max_constraint_violation", "k_sign_violation", "skorokhod_sum"):
         assert report.max_over(name) <= caps[name], name
+
+
+@given(admissible_problems(), KINDS, STEPS)
+def test_paths_stop_exactly_on_contact(problem, kind, steps):
+    backend = admissible_case(problem, kind, steps)
+    solution, _ = solve_system(problem, backend)
+    obstacles = solution.obstacles()
+    horizon = np.arange(backend.size) >= backend.offsets[steps]
+    for key, mask in contact_masks(solution).items():
+        comp = solution.sol[key]
+        np.testing.assert_array_equal(mask, (comp.y.data == obstacles[key].data) | horizon)
+        assert mask[comp.dk.data > 0].all(), key
+
+
+@given(admissible_problems(), STEPS)
+def test_width_one_replay_realizes_the_value(problem, steps):
+    # off the stops dK = 0, so the replayed running sum telescopes to Y_0
+    backend = admissible_case(problem, "deterministic", steps)
+    solution, _ = solve_system(problem, backend)
+    for mode in (1, 2):
+        report = simulate_policy(solution, n_paths=1, seed=0, start_mode=mode)
+        for side in (PLUS, MINUS):
+            assert report.leg(side).value_gap <= 1e-12 * max(1.0, abs(solution.y0(side, mode))), (side, mode)
 
 
 @st.composite

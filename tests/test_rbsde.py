@@ -5,13 +5,8 @@ import pytest
 
 from modeswitch.grid import FieldSurface
 from modeswitch.model import MINUS, PLUS, CoefficientFunction, Driver
-from modeswitch.rbsde import (
-    first_contact,
-    snell_envelope,
-    solve_bsde,
-    solve_rbsde_lower,
-    solve_rbsde_upper,
-)
+from modeswitch.rbsde import solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from modeswitch.strategy import first_stop, flat_path, stop_mask
 
 from conftest import bin_backend, det_backend, random_affine_driver
 
@@ -42,11 +37,26 @@ def brute_force_optimal_stopping(payoff: FieldSurface, depth: int) -> float:
     return float(total.max()) / len(paths)
 
 
-def first_contact_rule_value(payoff: FieldSurface, contact, depth: int) -> float:
+def snell_envelope(payoff: FieldSurface):
+    """The smallest supermartingale dominating a payoff, from the production
+    solver (lower reflection, zero driver, the payoff as barrier and horizon
+    value), and its stop mask: where the envelope equals the payoff, and N."""
+    be = payoff.backend
+    zero = Driver(1, PLUS, CoefficientFunction.constant(0.0))
+    env = solve_rbsde_lower(zero, payoff.at(be.grid.n_steps), payoff, be).y
+    return env, stop_mask(env.data, payoff.data, be)
+
+
+def stop_step(stops, backend, from_step: int = 0, path=None) -> int:
+    """First step at or after ``from_step`` where a stop mask holds along a path."""
+    return from_step + int(first_stop(stops, flat_path(backend, from_step, path)))
+
+
+def first_stop_rule_value(payoff: FieldSurface, stops, depth: int) -> float:
     total = 0.0
     for moves in product([0, 1], repeat=depth):
         path = np.concatenate(([0], np.cumsum(moves)))
-        tau = first_contact(contact, 0, path)
+        tau = stop_step(stops, payoff.backend, 0, path)
         total += payoff.at(tau)[path[tau]]
     return total / 2**depth
 
@@ -240,7 +250,7 @@ class TestAprioriBound:
             barrier = FieldSurface.from_time_function(be, lambda t: np.exp(T - t))
             sol = solve_rbsde_upper(drv, 1.0, barrier, be)
             z_energy = sum(float(np.mean(sol.z.at(k) ** 2)) * be.grid.dt for k in range(n))
-            energies[n] = sol.y.sup_norm() ** 2 + z_energy + sol.k_total() ** 2
+            energies[n] = sol.y.sup_norm() ** 2 + z_energy + sol.dk.data.sum() ** 2
         ratio = energies[512] / energies[256]
         assert 1 / 1.5 <= ratio <= 1.5
 
@@ -249,35 +259,35 @@ class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
         payoff = FieldSurface.from_time_function(be, lambda t: 2.0 - t)
-        env, contact = snell_envelope(payoff, be)
+        env, stops = snell_envelope(payoff)
         assert env.sup_diff(payoff) <= 1e-12
         for k in range(11):
-            assert first_contact(contact, k) == k
+            assert stop_step(stops, be, k) == k
 
     def test_terminal_spike_waits_to_the_end(self):
         be = det_backend(6)
         vals = [np.zeros(1) for _ in range(6)] + [np.ones(1)]
         payoff = FieldSurface(be, vals)
-        env, contact = snell_envelope(payoff, be)
+        env, stops = snell_envelope(payoff)
         for k in range(7):
             assert float(env.at(k)[0]) == 1.0
-        assert first_contact(contact, 0) == 6
+        assert stop_step(stops, be, 0) == 6
 
     def test_depth_four_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(101)
         be = bin_backend(4)
         for _ in range(25):
             payoff = FieldSurface(be, [rng.choice([-1.0, 0.0, 1.0], size=k + 1) for k in range(5)])
-            env, contact = snell_envelope(payoff, be)
+            env, stops = snell_envelope(payoff)
             best = brute_force_optimal_stopping(payoff, 4)
             assert float(env.at(0)[0]) == pytest.approx(best, abs=1e-12)
-            assert first_contact_rule_value(payoff, contact, 4) == pytest.approx(best, abs=1e-12)
+            assert first_stop_rule_value(payoff, stops, 4) == pytest.approx(best, abs=1e-12)
 
     def test_dominates_and_supermartingale(self):
         rng = np.random.default_rng(55)
         be = bin_backend(12)
         payoff = FieldSurface(be, [rng.uniform(-1, 1, k + 1) for k in range(13)])
-        env, contact = snell_envelope(payoff, be)
+        env, _ = snell_envelope(payoff)
         for k in range(13):
             assert np.all(env.at(k) >= payoff.at(k) - 1e-12)
         for k in range(12):
@@ -289,10 +299,10 @@ class TestSnellEnvelope:
     def test_lattice_first_contact_needs_path(self):
         be = bin_backend(4)
         vals = [np.zeros(k + 1) for k in range(4)] + [np.ones(5)]
-        _, contact = snell_envelope(FieldSurface(be, vals), be)
+        _, stops = snell_envelope(FieldSurface(be, vals))
         with pytest.raises(ValueError, match="path"):
-            first_contact(contact, 0)
-        assert first_contact(contact, 0, path=np.zeros(5, dtype=int)) == 4
+            stop_step(stops, be, 0)
+        assert stop_step(stops, be, 0, path=np.zeros(5, dtype=int)) == 4
 
 
 class TestPathwiseRepresentation:
@@ -317,38 +327,3 @@ class TestPathwiseRepresentation:
             np.testing.assert_allclose(
                 sol.y.at(k), e + psi * dt + sol.dk.at(k), atol=1e-12
             )
-
-
-class TestKCumulative:
-    def test_deterministic_prefix_sum(self):
-        be = det_backend(4, 2.0)
-        drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        barrier = FieldSurface.from_time_function(be, lambda t: 1.0 - t / 2.0)
-        sol = solve_rbsde_lower(drv, 0.0, barrier, be)
-        cum = sol.k_cumulative()
-        assert float(cum.at(0)[0]) == 0.0
-        np.testing.assert_allclose(
-            [float(cum.at(k)[0]) for k in range(5)], [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15
-        )
-        assert sol.k_total() == pytest.approx(1.0, abs=1e-15)
-
-    def test_lattice_conditional_mean_mass_conserved(self):
-        rng = np.random.default_rng(77)
-        be = bin_backend(6)
-        drv, xi, barrier = random_lower_instance(rng, be)
-        sol = solve_rbsde_lower(drv, xi, barrier, be)
-        # terminal conditional-mean accumulation must average to the total
-        # expected reflection mass sum_k E[dK_k]
-        expected = 0.0
-        for k in range(6):
-            probs = np.array([_binom(k, j) for j in range(k + 1)]) / 2.0**k
-            expected += float(probs @ sol.dk.at(k))
-        cum_T = sol.k_cumulative().at(6)
-        probs_T = np.array([_binom(6, j) for j in range(7)]) / 2.0**6
-        assert float(probs_T @ cum_T) == pytest.approx(expected, abs=1e-12)
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)

@@ -87,6 +87,21 @@ class TestExtractStoppingTimes:
         stops = extract_stopping_times(fixture_solution, 1000)
         assert stops == {key: 1000 for key in COMPONENTS}
 
+    def test_path_entries_must_be_nodes_of_their_step(self, far_obstacle_problem):
+        solution, _ = solve_system(far_obstacle_problem, bin_backend(16))
+        path = np.arange(17)  # node k at step k: the lowest node, a real path
+        assert extract_stopping_times(solution, 0, path=path)[(PLUS, 1)] == 16
+        path[5] = 6  # step 5 has nodes 0..5
+        with pytest.raises(ValueError, match="step 5, node 6 is not on the lattice"):
+            extract_stopping_times(solution, 0, path=path)
+        path[5] = -1
+        with pytest.raises(ValueError, match="step 5, node -1 is not on the lattice"):
+            extract_stopping_times(solution, 3, path=path)
+        # entries before from_step are not read
+        assert extract_stopping_times(solution, 6, path=path)[(PLUS, 1)] == 16
+        with pytest.raises(ValueError, match="one node per step"):
+            extract_stopping_times(solution, 0, path=path[:10])
+
     @pytest.mark.parametrize("backend", [det_backend(16), bin_backend(16)])
     def test_masks_are_closed_at_the_horizon(self, far_obstacle_problem, backend):
         # no barrier is ever touched, so the only stops are the horizon nodes
@@ -96,7 +111,29 @@ class TestExtractStoppingTimes:
             assert mask[horizon:].all() and not mask[:horizon].any()
 
 
+class TestContactIsExact:
+    def test_no_stop_strictly_inside_the_barrier(self):
+        # a relative contact tolerance (1e-3 sqrt(dt) sup|Y|) used to mark one
+        # node per profit component at N = 100 whose gap to the barrier was
+        # 2.53e-4: paths stopped there and collected S < Y
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
+        obstacles = solution.obstacles()
+        horizon = solution.backend.offsets[100]
+        masks = contact_masks(solution)
+        for key, mask in masks.items():
+            inside = solution.sol[key].y.data[:horizon] != obstacles[key].data[:horizon]
+            assert not (mask[:horizon] & inside).any(), key
+        assert masks[(PLUS, 1)][:horizon].any() and masks[(PLUS, 2)][:horizon].any()
+
+
 class TestClassifyAction:
+    def test_refuses_a_node_off_its_step(self):
+        # step 2 has 3 nodes on the binomial lattice: node 7 would read a node of step 4
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(20))
+        for step, node in ((2, 7), (2, 3), (2, -1), (-1, 0), (21, 0)):
+            with pytest.raises(ValueError, match=f"step {step}, node {node} is not on the lattice"):
+                classify_action(solution, MINUS, 1, node=node, step=step)
+
     def test_counterexample_terminates(self, fixture_solution):
         # switch branch ~ 2.035 loses to the termination branch ~ e
         assert classify_action(fixture_solution, PLUS, 1, 0, 0) == TERMINATE
