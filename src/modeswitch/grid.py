@@ -109,12 +109,12 @@ class Lattice:
         return (v[..., :m] - v[..., self.down : self.down + m]) / (2.0 * self._sqrt_dt)
 
     def continuation(self, data: np.ndarray) -> np.ndarray:
-        """E_k[V_{k+1}] at every node before the horizon, from a flat buffer."""
-        return 0.5 * (data[self._up] + data[self._up + self.down])
+        """E_k[V_{k+1}] at every node before the horizon, from flat buffers along the last axis."""
+        return 0.5 * (data[..., self._up] + data[..., self._up + self.down])
 
     def martingale_increment(self, data: np.ndarray) -> np.ndarray:
-        """``martingale_projection`` of V_{k+1} at every node before the horizon, from a flat buffer."""
-        return (data[self._up] - data[self._up + self.down]) / (2.0 * self._sqrt_dt)
+        """``martingale_projection`` of V_{k+1} at every node before the horizon, from flat buffers."""
+        return (data[..., self._up] - data[..., self._up + self.down]) / (2.0 * self._sqrt_dt)
 
     def sample_paths(self, n_paths: int, seed) -> np.ndarray:
         """Node-index paths, shape (n_paths, N+1); entry k is the node at step k.

@@ -10,6 +10,9 @@ the better of a switch and a terminate branch (``branches``), "better" is the
 larger on the profit side, where the barrier is a floor, and the smaller on
 the cost side, where it is a cap, and a tie between the branches switches.
 Every other module reads the direction of a side from here.
+The four components form one (side, mode, node) block, ``COMPONENTS`` its
+rows in C order; costs are stacked by mode, and the other mode of a side is
+its reversed mode axis, a view. ``DriverTable`` holds the four drivers.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .rbsde import STABILITY_LIMIT
+
 PLUS = "plus"
 MINUS = "minus"
+SIDES = (PLUS, MINUS)  # the side axis of a (side, mode, node) block
 MODES = (1, 2)
-COMPONENTS = ((PLUS, 1), (PLUS, 2), (MINUS, 1), (MINUS, 2))
+COMPONENTS = tuple((side, mode) for side in SIDES for mode in MODES)
 
 # Absolute slack when comparing terminal inequalities; absorbs float
 # evaluation of the exponential cost catalog.
@@ -143,6 +149,20 @@ class Driver:
         return rate
 
 
+class DriverTable(NamedTuple):
+    """The four drivers as one table on a lattice: the base rate c0(t_k) *
+    feature(x) at every node, and c1, c2 columns, with the operation order
+    (so the bits) of ``Driver.tabulate``."""
+
+    base: np.ndarray  # (2, 2, lattice size)
+    c1: np.ndarray  # (2, 2, 1)
+    c2: np.ndarray  # (2, 2, 1)
+
+    def rate(self, nodes, y, z):
+        """The four rates at the flat nodes ``nodes``, for (2, 2, nodes) blocks y and z."""
+        return (self.base[..., nodes] + self.c1 * y) + self.c2 * z
+
+
 @dataclass(frozen=True)
 class Terminal:
     """Horizon value xi(x) = intercept + slope * x.
@@ -176,8 +196,8 @@ class SwitchingProblem:
     terminals: Mapping[tuple[str, int], Terminal]
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ProblemError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ProblemError(f"'horizon' must be positive and finite, got {self.horizon!r}")
         for key in COMPONENTS:
             if key not in self.drivers:
                 raise ProblemError(f"missing driver for component {key}")
@@ -193,26 +213,33 @@ class SwitchingProblem:
     def terminal(self, side: str, mode: int) -> Terminal:
         return self.terminals[(side, mode)]
 
+    def terminal_block(self, x) -> np.ndarray:
+        """The four horizon values at states ``x``, as a (side, mode, node) block."""
+        return np.array([[self.terminal(side, mode)(x) for mode in MODES] for side in SIDES], dtype=float)
+
     def cost_table(self, times) -> "CostSlice":
-        """The six costs tabulated on an array of times, one call per coefficient."""
-        return CostSlice(
-            ell=(self.ell[0](times), self.ell[1](times)),
-            a=(self.a[0](times), self.a[1](times)),
-            b=(self.b[0](times), self.b[1](times)),
-        )
+        """The six costs tabulated on an array of times, one call per coefficient, stacked by mode."""
+        return CostSlice(*(np.array([pair[0](times), pair[1](times)]) for pair in (self.ell, self.a, self.b)))
+
+    def driver_table(self, lattice) -> DriverTable:
+        """The four drivers as one table on ``lattice``; c0 is evaluated once on the grid times."""
+        rows = [self.driver(side, mode) for side, mode in COMPONENTS]
+        c0 = [np.asarray(d.c0(lattice.grid.times))[lattice.step_of_node] for d in rows]
+        base = [c * lattice.states if d.state_feature == "x" else c for c, d in zip(c0, rows)]
+        column = lambda values: np.reshape(values, (2, 2, -1))  # noqa: E731
+        return DriverTable(column(base), column([d.c1 for d in rows]), column([d.c2 for d in rows]))
 
 
-@dataclass(frozen=True)
-class CostSlice:
-    """The six cost values: scalars at one time, or arrays over times or nodes."""
+class CostSlice(NamedTuple):
+    """The six costs, each stacked by mode: (2,) at one time, or (2, ...) over times or nodes."""
 
-    ell: tuple[float, float]
-    a: tuple[float, float]
-    b: tuple[float, float]
+    ell: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def at(self, index) -> "CostSlice":
-        """The same six costs indexed by ``index`` (a time or node selection)."""
-        return CostSlice(*(tuple(c[index] for c in pair) for pair in (self.ell, self.a, self.b)))
+        """The same six costs indexed by ``index`` (a time or node selection) on their last axis."""
+        return CostSlice(*(c[..., index] for c in self))
 
 
 class _Push(NamedTuple):
@@ -238,41 +265,37 @@ class _Push(NamedTuple):
 _PUSH = {PLUS: _Push(np.maximum, 1.0), MINUS: _Push(np.minimum, -1.0)}
 
 
-def branches(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
-    """Each mode's (switch, terminate) branch values on one side, (mode 1,
-    mode 2), from the four yields and the six costs at one time.
+def branches(y: np.ndarray, costs: CostSlice, side: str) -> tuple:
+    """The (switch, terminate) branch values of one side, each stacked by
+    mode, from a (side, mode, ...) block ``y`` of the four yields and the
+    costs (stacked by mode, broadcast over the trailing axes).
 
     Profit in mode i may switch (the other mode's profit minus ell_i) or
     terminate (its own cost minus a_i); cost in mode i may switch (the other
-    mode's cost plus ell_i) or terminate (its own profit plus b_i). Pure
-    function; scalar or array valued.
+    mode's cost plus ell_i) or terminate (its own profit plus b_i). The other
+    mode is the reversed mode axis. Pure function.
     """
-    yp1, yp2 = y[(PLUS, 1)], y[(PLUS, 2)]
-    ym1, ym2 = y[(MINUS, 1)], y[(MINUS, 2)]
-    ell1, ell2 = costs.ell
+    profit, cost = y[0], y[1]
     if side == PLUS:
-        a1, a2 = costs.a
-        return (yp2 - ell1, ym1 - a1), (yp1 - ell2, ym2 - a2)
-    b1, b2 = costs.b
-    return (ym2 + ell1, yp1 + b1), (ym1 + ell2, yp2 + b2)
+        return profit[::-1] - costs.ell, cost - costs.a
+    return cost[::-1] + costs.ell, profit + costs.b
 
 
-def side_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice, side: str) -> tuple:
-    """The barrier values of one side, (mode 1, mode 2): the better of each
+def side_obstacles(y: np.ndarray, costs: CostSlice, side: str) -> np.ndarray:
+    """The barrier values of one side, stacked by mode: the better of each
     mode's two branches, the larger under a profit floor and the smaller
     over a cost cap."""
-    better = _PUSH[side].better
-    (switch1, terminate1), (switch2, terminate2) = branches(y, costs, side)
-    return better(switch1, terminate1), better(switch2, terminate2)
+    return _PUSH[side].better(*branches(y, costs, side))
 
 
-def evaluate_obstacles(y: Mapping[tuple[str, int], object], costs: CostSlice) -> dict:
-    """All four barrier values, keyed by component (see ``side_obstacles``)."""
-    return {
-        (side, mode): barrier
-        for side in (PLUS, MINUS)
-        for mode, barrier in zip(MODES, side_obstacles(y, costs, side))
-    }
+def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> np.ndarray:
+    """All four barrier values, as a block shaped like ``y`` (see ``side_obstacles``)."""
+    return np.stack([side_obstacles(y, costs, side) for side in SIDES])
+
+
+def by_side(name: str, *blocks) -> np.ndarray:
+    """``_PUSH[side].<name>`` applied to each side's rows of (side, mode, ...) blocks, stacked back."""
+    return np.stack([getattr(_PUSH[side], name)(*(b[s] for b in blocks)) for s, side in enumerate(SIDES)])
 
 
 @dataclass(frozen=True)
@@ -323,9 +346,9 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     Covers: Lipschitz/integrability of the four drivers, positivity of the
     switching costs, square-integrable terminals with the four boundary
     inequalities at every terminal node of the lattice, the discrete
-    comparison condition of the one-step map, and availability of Ito data
-    (closed-form drift) for the ``b`` and ``ell`` cost processes. Reports
-    every check; never raises.
+    comparison condition of the one-step map, the step size, and availability
+    of Ito data (closed-form drift) for the ``b`` and ``ell`` cost processes.
+    Reports every check; never raises.
     """
     report = ValidationReport()
     grid = lattice.grid
@@ -365,18 +388,17 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     # the first failing node.
     x_T = lattice.state(grid.n_steps)
     nodes = np.arange(x_T.size)
-    xi = {key: np.asarray(problem.terminal(*key)(x_T), dtype=float) for key in COMPONENTS}
-    for key in COMPONENTS:
-        j_bad, v_bad = _first_violation(nodes, xi[key], np.isfinite(xi[key]))
+    xi = problem.terminal_block(x_T)
+    for (side, mode), values in zip(COMPONENTS, xi.reshape(4, -1)):
+        j_bad, v_bad = _first_violation(nodes, values, np.isfinite(values))
         report.add(
-            f"A3 terminal xi_{key[0]}_{key[1]} square integrable",
+            f"A3 terminal xi_{side}_{mode} square integrable",
             j_bad is None,
             "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
             value=v_bad,
         )
-    bc = evaluate_obstacles(xi, problem.cost_table(times[-1:]))
-    for side, mode in COMPONENTS:
-        margin = _PUSH[side].inside(xi[(side, mode)], bc[(side, mode)])
+    margins = by_side("inside", xi, evaluate_obstacles(xi, problem.cost_table(times[-1:])))
+    for (side, mode), margin in zip(COMPONENTS, margins.reshape(4, -1)):
         j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
         j = int(np.argmin(margin)) if j is None else j
         m = float(margin[j])
@@ -397,6 +419,10 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
             "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt",
             value=margin,
         )
+    for side, mode in COMPONENTS:  # the step guard of the explicit scheme (``rbsde``)
+        step = grid.dt * problem.driver(side, mode).lipschitz
+        detail = f"dt (|c1| + |c2|) < {STABILITY_LIMIT:g}; a larger time step is too coarse"
+        report.add(f"A6 step size psi_{side}_{mode}", step < STABILITY_LIMIT, detail, value=step)
 
     for i, mode in enumerate(MODES):
         report.add(

@@ -1,7 +1,8 @@
 """Backward solvers.
 
-All solvers run one explicit backward Euler recursion (``backward_pass``),
-also shared by the system solver in ``scheme``: the integrand estimate
+All solvers run one explicit backward Euler recursion (``backward_pass``)
+on a block of equations: a single equation here, the (side, mode, node)
+block of the four components in ``scheme``. The integrand estimate
 Z_k is the martingale-increment projection of Y_{k+1}, and the driver is
 evaluated at (t_k, x_k, E_k[Y_{k+1}], Z_k), so no per-step fixed point is
 needed; its time coefficients are tabulated once on the grid times.
@@ -22,8 +23,8 @@ import numpy as np
 
 from .grid import FieldSurface, Lattice
 
-# Explicit scheme validity guard: dt * Lipschitz below this keeps the one-step
-# operator a contraction in y.
+# Explicit scheme validity guard, also the validator's A6 check: dt * Lipschitz
+# below this keeps the one-step operator a contraction in y.
 STABILITY_LIMIT = 0.5
 
 # Slack of the horizon check: a barrier may sit this far on the wrong side of
@@ -80,36 +81,29 @@ def check_horizon(barrier_T, terminal, lower: bool):
         raise ValueError(f"{where} the terminal value at the horizon")
 
 
-def backward_pass(drivers: dict, terminals: dict, project, backend: Lattice) -> dict:
-    """Explicit backward Euler for several equations at once.
+def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice, keys=(0,)) -> dict:
+    """Explicit backward Euler for a block of equations at once.
 
-    At each step k the Euler values Y~_k = E_k[Y_{k+1}] + psi * dt of all
-    equations go to ``project(Y~, k)``, which returns the values Y_k; the
-    reflection increment is dK_k = |Y_k - Y~_k|. The equations share one
-    (equations x nodes) buffer, so each step takes one conditional
-    expectation and one projection for all of them. Returns one solution
-    triple per key.
+    ``terminal`` holds the horizon values, nodes on the last axis; its
+    leading axes are the equations, one per key of ``keys`` in C order (none
+    for one equation). ``rate(nodes, y, z)`` is the stacked driver: every
+    equation's rate at the flat nodes ``nodes``. Y, Z and the Euler values
+    Y~_k = E_k[Y_{k+1}] + psi * dt fill preallocated buffers of the block's
+    shape, and ``project(ytilde_k, y_k, k)`` writes Y_k into the view
+    ``y_k``; dK_k = |Y_k - Y~_k|. Returns one solution triple per key, over
+    views of the buffers.
     """
-    for driver in drivers.values():
-        _check_stability(driver, backend)
-    n, dt, times, off = backend.grid.n_steps, backend.grid.dt, backend.grid.times, backend.offsets
-    keys = list(drivers)
-    rates = [drivers[key].tabulate(times) for key in keys]
-    y, z, ytilde = (np.zeros((len(keys), backend.size)) for _ in range(3))
-    y[:, off[n] :] = ytilde[:, off[n] :] = [terminals[key] for key in keys]
+    n, dt, off = backend.grid.n_steps, backend.grid.dt, backend.offsets.tolist()
+    y, z, ytilde = (np.zeros(terminal.shape[:-1] + (backend.size,)) for _ in range(3))
+    y[..., off[n] :] = ytilde[..., off[n] :] = terminal
     for k in range(n - 1, -1, -1):
         here, nxt = slice(off[k], off[k + 1]), slice(off[k + 1], off[k + 2])
-        e = backend.condexp(y[:, nxt], k)
-        z[:, here] = backend.martingale_projection(y[:, nxt], k)
-        x = backend.state(k)
-        for i, rate in enumerate(rates):
-            ytilde[i, here] = e[i] + rate(k, x, e[i], z[i, here]) * dt
-        settled = project({key: ytilde[i, here] for i, key in enumerate(keys)}, k)
-        for i, key in enumerate(keys):
-            y[i, here] = settled[key]
-    dk = np.abs(y - ytilde)
-    surfaces = [[FieldSurface.from_buffer(backend, row) for row in v] for v in (y, z, dk)]
-    return {key: RbsdeSolution(*(s[i] for s in surfaces)) for i, key in enumerate(keys)}
+        e = backend.condexp(y[..., nxt], k)
+        zk = z[..., here] = backend.martingale_projection(y[..., nxt], k)
+        ytilde[..., here] = e + rate(here, e, zk) * dt
+        project(ytilde[..., here], y[..., here], k)
+    rows = [v.reshape(len(keys), backend.size) for v in (y, z, np.abs(y - ytilde))]
+    return {key: RbsdeSolution(*(FieldSurface.from_buffer(backend, r[i]) for r in rows)) for i, key in enumerate(keys)}
 
 
 def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) -> RbsdeSolution:
@@ -117,8 +111,12 @@ def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) 
     if obstacle is None:  # no barrier: clip against an infinite one
         obstacle = FieldSurface.constant(backend, -np.inf if lower else np.inf)
     check_horizon(obstacle.at(backend.grid.n_steps), term, lower)
+    _check_stability(driver, backend)
+    tab, steps, x = driver.tabulate(backend.grid.times), backend.step_of_node, backend.states
     clip = np.maximum if lower else np.minimum
-    return backward_pass({0: driver}, {0: term}, lambda ytilde, k: {0: clip(ytilde[0], obstacle.at(k))}, backend)[0]
+    rate = lambda nodes, y, z: tab(steps[nodes], x[nodes], y, z)  # noqa: E731
+    project = lambda ytilde, y, k: clip(ytilde, obstacle.at(k), out=y)  # noqa: E731
+    return backward_pass(rate, term, project, backend)[0]
 
 
 def solve_rbsde_lower(driver, terminal, obstacle, backend: Lattice) -> RbsdeSolution:

@@ -1,19 +1,19 @@
 """Solvers for the coupled four-equation system.
 
-``solve_system`` builds the minimal solution in one backward pass: at each
-step it projects the four Euler values y~ onto their mutual barriers from
-below, repeating Y- = min(y~-, S-(Y)), then Y+ = max(y~+, S+(Y)), until no
-node changes. The one-step map is monotone (the comparison check), so this
-gives the smallest solution of each step and, by backward induction, the
-minimal discrete solution. The paper reaches that solution as the limit of
-its Picard scheme, so the solve then certifies that one Picard sweep from it
-would leave every node where it is, without running the sweep: at every node
-before the horizon, Y must equal its reflected Euler value
-better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y itself on the whole flat
-buffer (the discrete reflection relation of El Karoui et al., "Reflected
-solutions of backward SDE's", 1997). By backward induction from the horizon,
-where both sides are the terminal values, this holds exactly when the sweep
-moves no node. Any node that fails it, by any amount, fails the solve.
+``solve_system`` builds the minimal solution in one backward pass over the
+(side, mode, node) block of ``model``: at each step it projects the block of
+Euler values y~ onto its barriers from below, in place, repeating Y- =
+min(y~-, S-(Y)), then Y+ = max(y~+, S+(Y)), until no node changes. The
+one-step map is monotone (the comparison check), so this gives the smallest
+solution of each step and, by backward induction, the minimal discrete
+solution. The paper reaches it as the limit of its Picard scheme, so the
+solve then certifies that one Picard sweep from it would move no node,
+without running the sweep: at every node before the horizon, Y must equal
+its reflected Euler value better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y
+itself on the whole block (the discrete reflection relation of El Karoui et
+al., "Reflected solutions of backward SDE's", 1997). By backward induction
+from the horizon, where both sides are the terminal values, this holds
+exactly when the sweep moves no node; a node that fails it fails the solve.
 
 ``picard_system``, the paper's monotone Picard iteration, is the reference:
 each sweep freezes the barriers at the previous stage and solves four single
@@ -33,9 +33,11 @@ from .model import (
     MINUS,
     MODES,
     PLUS,
+    SIDES,
     _PUSH,
     CostSlice,
     SwitchingProblem,
+    by_side,
     evaluate_obstacles,
     other_mode,
     side_obstacles,
@@ -68,9 +70,6 @@ class _ShiftedDriver:
         self.base = base
         self.b_coeff = b_coeff
         self.lipschitz = base.lipschitz
-
-    def __call__(self, t, x, l, z):
-        return self.tabulate(t)(..., x, l, z)
 
     def tabulate(self, times):
         base = self.base.tabulate(times)
@@ -147,13 +146,12 @@ class BalanceSheetSolution:
     def component(self, side: str, mode: int) -> RbsdeSolution:
         return self.sol[(side, mode)]
 
+    def block(self, field: str = "y") -> np.ndarray:
+        """One field (y, z or dk) of the four components as a (side, mode, node) block."""
+        return stack({key: getattr(comp, field) for key, comp in self.sol.items()})
+
     def obstacles(self) -> dict:
         return system_obstacles(self.problem, {k: s.y for k, s in self.sol.items()}, self.backend)
-
-
-def terminal_values(problem: SwitchingProblem, backend: Lattice, side: str, mode: int) -> np.ndarray:
-    x = backend.state(backend.grid.n_steps)
-    return np.asarray(problem.terminal(side, mode)(x), dtype=float)
 
 
 def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
@@ -161,18 +159,23 @@ def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
     return problem.cost_table(backend.grid.times).at(backend.step_of_node)
 
 
+def stack(surfaces: dict) -> np.ndarray:
+    """The (side, mode, node) block of four component surfaces (a copy)."""
+    return np.stack([surfaces[key].data for key in COMPONENTS]).reshape(2, 2, -1)
+
+
 def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
-    """Barrier surfaces implied by a set of four Y surfaces."""
-    barriers = evaluate_obstacles({key: ys[key].data for key in COMPONENTS}, node_costs(problem, backend))
-    return {key: FieldSurface.from_buffer(backend, barrier) for key, barrier in barriers.items()}
+    """Barrier surfaces implied by a set of four Y surfaces, over views of one block."""
+    barriers = evaluate_obstacles(stack(ys), node_costs(problem, backend)).reshape(4, -1)
+    return {key: FieldSurface.from_buffer(backend, row) for key, row in zip(COMPONENTS, barriers)}
 
 
-def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int) -> float:
+def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int):
     """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
-    left to right like a step-by-step loop would."""
+    left to right like a step-by-step loop would; one per row of a block."""
     end = backend.offsets[n_steps]
-    per_step = np.maximum.reduceat((np.abs(gap) * dk)[:end], backend.offsets[:n_steps])
-    return float(np.cumsum(per_step)[-1])
+    per_step = np.maximum.reduceat((np.abs(gap) * dk)[..., :end], backend.offsets[:n_steps], axis=-1)
+    return np.cumsum(per_step, axis=-1)[..., -1]
 
 
 def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str, amount: str = "excess"):
@@ -189,7 +192,7 @@ def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, 
     the profit side, down off a cap on the cost side."""
     solve = solve_rbsde_lower if side == PLUS else solve_rbsde_upper
     if terminal is None:
-        terminal = terminal_values(problem, backend, side, mode)
+        terminal = problem.terminal(side, mode)(backend.state(backend.grid.n_steps))
     return solve(problem.driver(side, mode), terminal, FieldSurface.from_buffer(backend, barrier), backend)
 
 
@@ -206,10 +209,10 @@ def _require_admissible(problem: SwitchingProblem, backend: Lattice):
 def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation."""
     _require_admissible(problem, backend)
-    costs = node_costs(problem, backend)
+    costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.grid.n_steps))
     y_plus0 = {}
     for mode in MODES:
-        y, z = solve_bsde(problem.driver(PLUS, mode), terminal_values(problem, backend, PLUS, mode), backend)
+        y, z = solve_bsde(problem.driver(PLUS, mode), xi[0, mode - 1], backend)
         y_plus0[mode] = RbsdeSolution(y, z, FieldSurface.zeros(backend))
 
     big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
@@ -218,14 +221,7 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
     alpha = _MinDriver(shifted + [problem.driver(MINUS, mode) for mode in MODES])
 
     T = problem.horizon
-    x_T = backend.state(backend.grid.n_steps)
-    dot_terminal = np.minimum.reduce(
-        [
-            np.asarray(problem.terminal(PLUS, mode)(x_T), dtype=float) + problem.b[mode - 1](T)
-            for mode in MODES
-        ]
-        + [terminal_values(problem, backend, MINUS, mode) for mode in MODES]
-    )
+    dot_terminal = np.minimum.reduce([xi[0, mode - 1] + problem.b[mode - 1](T) for mode in MODES] + list(xi[1]))
     dot_y, _ = solve_bsde(alpha, dot_terminal, backend)
 
     # Lower-bound inequality seeding the cost side: dotY <= L^i and (with
@@ -284,20 +280,19 @@ def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> 
 
 def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: dict):
     """Barrier inequalities, increment signs, and complementarity sums on the
-    converged surfaces, against the barriers ``solution.obstacles()``."""
+    converged block, against the barriers ``solution.obstacles()``; a failure
+    names the first failing component in ``COMPONENTS`` order."""
     backend = solution.backend
-    for side, mode in COMPONENTS:
-        comp = solution.sol[(side, mode)]
-        gap, dk = _PUSH[side].inside(comp.y.data, obstacles[(side, mode)].data), comp.dk.data
-        _check_order(-gap, 0.0, backend, f"barrier constraint violated for ({side},{mode})")
-        _check_order(-dk, 0.0, backend, f"reflection increment negative for ({side},{mode})")
-        sko = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1)
-        if sko > SKOROKHOD_CAP:
-            terms = np.abs(gap) * dk
-            k, j = backend.locate(int(np.argmax(terms)))
+    gap, dk = by_side("inside", solution.block("y"), stack(obstacles)), solution.block("dk")
+    sko, terms = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1), np.abs(gap) * dk
+    for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
+        _check_order(-gap[index], 0.0, backend, f"barrier constraint violated for ({side},{mode})")
+        _check_order(-dk[index], 0.0, backend, f"reflection increment negative for ({side},{mode})")
+        if sko[index] > SKOROKHOD_CAP:
+            k, j = backend.locate(int(np.argmax(terms[index])))
             raise SchemeError(
-                f"complementarity sum {sko:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode}); "
-                f"largest term {terms.max():g} at step {k}, node {j}"
+                f"complementarity sum {sko[index]:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode}); "
+                f"largest term {terms[index].max():g} at step {k}, node {j}"
             )
 
 
@@ -307,55 +302,50 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
 
     Each term is the expression ``iterate_once`` evaluates at that node, so
     requiring bitwise equality makes this exactly as strict as the sweep.
+    It runs on the whole block and names the first component that moves.
     """
-    problem, backend = solution.problem, solution.backend
-    end = backend.offsets[backend.grid.n_steps]
-    steps, x = backend.step_of_node[:end], backend.states[:end]
-    for side, mode in COMPONENTS:
-        y = solution.sol[(side, mode)].y.data
-        e, z = backend.continuation(y), backend.martingale_increment(y)
-        rate = problem.driver(side, mode).tabulate(backend.grid.times)
-        euler = e + rate(steps, x, e, z) * backend.grid.dt
-        settled = _PUSH[side].better(euler, obstacles[(side, mode)].data[:end])
-        miss = np.where(settled == y[:end], 0.0, np.abs(settled - y[:end]))
-        i = int(np.argmax(miss))
-        if miss[i]:
+    problem, backend, y = solution.problem, solution.backend, solution.block("y")
+    end, e, z = backend.offsets[backend.grid.n_steps], backend.continuation(y), backend.martingale_increment(y)
+    euler = e + problem.driver_table(backend).rate(slice(0, end), e, z) * backend.grid.dt
+    settled = by_side("better", euler, stack(obstacles)[..., :end])
+    miss = np.where(settled == y[..., :end], 0.0, np.abs(settled - y[..., :end]))
+    for (side, mode), row in zip(COMPONENTS, miss.reshape(4, -1)):
+        i = int(np.argmax(row))
+        if row[i]:
             k, j = backend.locate(i)
-            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {miss[i]:g}")
+            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {row[i]:g}")
 
 
-def _project(ytilde: dict, costs: CostSlice, step: int, sweeps: np.ndarray) -> dict:
+def _project(ytilde: np.ndarray, y: np.ndarray, costs: CostSlice, step: int, sweeps: np.ndarray):
     """Smallest solution of Y+ = max(y~+, S+(Y)), Y- = min(y~-, S-(Y)) at the
-    nodes of one step; the number of sweeps it took goes to ``sweeps[step]``."""
+    nodes of one step, swept into the block ``y`` in place, cost row first;
+    the number of sweeps it took goes to ``sweeps[step]``."""
     # With ell > 0 no cost value can sit below its own or the profit-plus-b
     # Euler value of every mode, so this start is below the solution.
-    low = np.minimum(*(np.minimum(ytilde[(MINUS, m)], ytilde[(PLUS, m)] + costs.b[m - 1]) for m in MODES))
-    y = {**ytilde, (MINUS, 1): low, (MINUS, 2): low}
+    low = np.minimum(ytilde[1], ytilde[0] + costs.b)
+    y[0], y[1] = ytilde[0], np.minimum(low[0], low[1])
     quiet = 0  # half sweeps in a row that changed no node: two make a fixed point
     for half in range(2 * LOCAL_SWEEP_CAP):
-        side = (MINUS, PLUS)[half % 2]
-        better, barriers = _PUSH[side].better, side_obstacles(y, costs, side)
-        changed = False
-        for mode in MODES:
-            new = better(ytilde[(side, mode)], barriers[mode - 1])
-            changed = changed | (new != y[(side, mode)])
-            y[(side, mode)] = new
+        row = 1 - half % 2  # the cost row first
+        new = _PUSH[SIDES[row]].better(ytilde[row], side_obstacles(y, costs, SIDES[row]))
+        changed = new != y[row]
+        y[row] = new
         if changed.any():
             quiet, moving = 0, changed
         elif (quiet := quiet + 1) == 2:
             sweeps[step] = half // 2 + 1
-            return y
-    raise LocalSweepError(f"did not converge at step {step}, node {int(np.argmax(moving))}")
+            return
+    raise LocalSweepError(f"did not converge at step {step}, node {int(np.argmax(moving.any(axis=0)))}")
 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
     _require_admissible(problem, backend)
-    terminals = {key: terminal_values(problem, backend, *key) for key in COMPONENTS}
-    costs = problem.cost_table(backend.grid.times)
-    sweeps = np.zeros(backend.grid.n_steps, dtype=int)
-    drivers = {key: problem.driver(*key) for key in COMPONENTS}
-    sol = backward_pass(drivers, terminals, lambda ytilde, k: _project(ytilde, costs.at(k), k, sweeps), backend)
+    n = backend.grid.n_steps
+    costs, sweeps = problem.cost_table(backend.grid.times), np.zeros(n, dtype=int)
+    project = lambda ytilde, y, k: _project(ytilde, y, costs.at(slice(k, k + 1)), k, sweeps)  # noqa: E731
+    terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).rate
+    sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
     solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(sweeps))
     obstacles = solution.obstacles()
     _assert_system_constraints(solution, obstacles)

@@ -3,17 +3,17 @@
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
 of the barrier is binding (switch to the other mode, or terminate), by the
-tie rule of ``model`` (a tie switches). Contact is exact: the one-pass
-solver stores the barrier's own bits wherever it pushes, and its fixed-point
-certificate holds bit for bit, so a path stops where Y == S and nowhere else
-before the horizon (``stop_mask``), and collects Y there, which is the
-barrier at contact and the terminal value at N. ``first_stop`` reads the
-first stop along paths; ``extract_stopping_times`` and the replay both use
-it. The replay accumulates the running yield by left-endpoint sums with the
-rate evaluated where the backward solver evaluates it (at the continuation
-value E_k[Y_{k+1}]), to measure the realized value against Y_0. Paths are
-replayed in chunks against per-node tables, so memory is bounded by the
-surfaces and the chunk, not by paths x steps.
+tie rule of ``model``, read from one table (``branch_table``). Contact is
+exact: the one-pass solver stores the barrier's own bits wherever it pushes,
+and its fixed-point certificate holds bit for bit, so a path stops where
+Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
+there, which is the barrier at contact and the terminal value at N.
+``first_stop`` reads the first stop along paths; ``extract_stopping_times``
+and the replay both use it. The replay accumulates the running yield by
+left-endpoint sums with the rate evaluated where the backward solver
+evaluates it (at the continuation value E_k[Y_{k+1}]), to measure the
+realized value against Y_0. Paths are replayed in chunks against per-node
+tables, so memory is bounded by the surfaces and chunk, not paths x steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import COMPONENTS, MINUS, PLUS, _PUSH, branches
+from .model import COMPONENTS, MINUS, PLUS, SIDES, _PUSH, branches, evaluate_obstacles
 from .scheme import BalanceSheetSolution, node_costs
 
 SWITCH = "switch"
@@ -36,17 +36,25 @@ REPLAY_CELLS = 1 << 19
 
 
 def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
-    """Flat boolean mask of where a path of one component stops: every node
-    where ``y`` equals its barrier bit for bit, and every horizon node."""
+    """Flat boolean mask (or block of them) of where a path of one component
+    stops: every node where ``y`` equals its barrier bit for bit, and every horizon node."""
     mask = y == barrier
-    mask[backend.offsets[backend.grid.n_steps] :] = True
+    mask[..., backend.offsets[backend.grid.n_steps] :] = True
     return mask
 
 
 def contact_masks(solution: BalanceSheetSolution) -> dict:
-    """``stop_mask`` of each component against the barriers the solution implies."""
-    obstacles = solution.obstacles()
-    return {key: stop_mask(solution.sol[key].y.data, obstacles[key].data, solution.backend) for key in COMPONENTS}
+    """``stop_mask`` of each component against the barriers the solution implies, from one block."""
+    y = solution.block("y")
+    mask = stop_mask(y, evaluate_obstacles(y, node_costs(solution.problem, solution.backend)), solution.backend)
+    return dict(zip(COMPONENTS, mask.reshape(4, -1)))
+
+
+def branch_table(solution: BalanceSheetSolution) -> np.ndarray:
+    """Boolean (side, mode, node) block of where a stop switches rather than
+    terminates, by ``model``'s tie rule; the classification and the replay read it."""
+    y, costs = solution.block("y"), node_costs(solution.problem, solution.backend)
+    return np.stack([_PUSH[side].switch_binds(*branches(y, costs, side)) for side in SIDES])
 
 
 def first_stop(mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -83,19 +91,15 @@ def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, p
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
-    """Branch decision at a barrier-contact point, by ``model``'s tie rule:
-    the better branch binds, and a tie switches."""
-    backend = solution.backend
-    flat = int(backend.flat_index(step, node))
-    y = {key: solution.sol[key].y.data[flat] for key in COMPONENTS}
-    switch, terminate = branches(y, solution.problem.cost_table(backend.grid.times).at(step), side)[mode - 1]
-    push, y_here = _PUSH[side], float(y[(side, mode)])
-    s_here = float(push.better(switch, terminate))
+    """Branch decision at a barrier-contact point, read from ``branch_table``."""
+    flat = int(solution.backend.flat_index(step, node))
+    y_here = float(solution.sol[(side, mode)].y.data[flat])
+    s_here = float(solution.obstacles()[(side, mode)].data[flat])
     if y_here != s_here:
         raise ValueError(
             f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
         )
-    return SWITCH if push.switch_binds(switch, terminate) else TERMINATE
+    return SWITCH if branch_table(solution)[SIDES.index(side), mode - 1, flat] else TERMINATE
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class _Leg:
     """Node tables of one leg, and the realized value and stopping step of
     every path replayed so far."""
 
-    def __init__(self, solution, side, mode, masks, costs, rows):
+    def __init__(self, solution, side, mode, masks, switches, rows):
         backend = solution.backend
         self.side, self.mode, self.n, self.dt = side, mode, backend.grid.n_steps, backend.grid.dt
         before = slice(0, backend.offsets[self.n])
@@ -144,8 +148,7 @@ class _Leg:
         # Value collected where a path stops: Y, which has the barrier's bits at
         # contact and the terminal value's at the horizon.
         self.payoff = comp.y.data
-        y = {key: solution.sol[key].y.data for key in COMPONENTS}
-        self.prefer_switch = _PUSH[side].switch_binds(*branches(y, costs, side)[mode - 1])
+        self.prefer_switch = switches[SIDES.index(side), mode - 1]
         self.tau = np.empty(rows, dtype=np.int64)
         self.realized = np.empty(rows)
         self.actions = set()
@@ -202,9 +205,8 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     backend = solution.backend
     rows = n_paths if backend.down else 1
     chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
-    masks = contact_masks(solution)
-    costs = node_costs(solution.problem, backend)
-    legs = {side: _Leg(solution, side, start_mode, masks, costs, rows) for side in (PLUS, MINUS)}
+    masks, switches = contact_masks(solution), branch_table(solution)
+    legs = {side: _Leg(solution, side, start_mode, masks, switches, rows) for side in (PLUS, MINUS)}
     rng = np.random.default_rng(seed)
     for first in range(0, rows, chunk):
         flat = backend.sample_paths(min(chunk, rows - first), rng)

@@ -26,9 +26,10 @@ from .model import (
     Driver,
     SwitchingProblem,
     Terminal,
+    by_side,
 )
 from .rbsde import RbsdeSolution
-from .scheme import BalanceSheetSolution, skorokhod_sum, system_obstacles
+from .scheme import BalanceSheetSolution, skorokhod_sum, stack, system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -197,7 +198,7 @@ def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> Re
     The per-step residual is measured per unit time with the running rate
     evaluated at (t_k, midpoint of Y_k and E_k[Y_{k+1}], Z_k); on the lattice
     the equation is audited in conditional expectation, which drops the
-    martingale increment term.
+    martingale increment term. Gaps, sums and continuations use the block.
     """
     sol = _as_solution_mapping(candidate)
     grid = backend.grid
@@ -207,25 +208,23 @@ def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> Re
     horizon = slice(backend.offsets[n], None)
     times, x = backend.node_times[before], backend.states[before]
     ys = {key: sol[key].y for key in COMPONENTS}
-    obstacles = system_obstacles(problem, ys, backend)
+    y, dk_all = stack(ys), stack({key: sol[key].dk for key in COMPONENTS})
+    gaps = by_side("inside", y, stack(system_obstacles(problem, ys, backend)))
+    sums, cont = skorokhod_sum(gaps, dk_all, backend, n), backend.continuation(y)
+    xi = problem.terminal_block(backend.state(n))
 
     components = {}
-    for side, mode in COMPONENTS:
-        comp = sol[(side, mode)]
-        y, push = comp.y.data, _PUSH[side]
-        gap = push.inside(y, obstacles[(side, mode)].data)
-        yk, zk, dk = y[before], comp.z.data[before], comp.dk.data[before]
-        e = backend.continuation(y)
+    for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
+        yk, zk, dk, e = y[index][before], sol[(side, mode)].z.data[before], dk_all[index][before], cont[index]
         psi = problem.driver(side, mode)(times, x, 0.5 * (yk + e), zk)
-        resid = (yk - e - psi * dt - push.sign * dk) / dt
-        xi = np.asarray(problem.terminal(side, mode)(backend.state(n)), dtype=float)
+        resid = (yk - e - psi * dt - _PUSH[side].sign * dk) / dt
         components[(side, mode)] = ComponentResiduals(
             max_step_residual=max(0.0, float(np.max(np.abs(resid)))),
-            max_constraint_violation=max(0.0, float(np.max(-gap))),
-            skorokhod_sum=skorokhod_sum(gap, comp.dk.data, backend, n),
+            max_constraint_violation=max(0.0, float(np.max(-gaps[index]))),
+            skorokhod_sum=float(sums[index]),
             k_sign_violation=max(0.0, float(np.max(-dk))),
             max_k_density=max(0.0, float(np.max(dk)) / dt),
-            terminal_mismatch=float(np.max(np.abs(y[horizon] - xi))),
+            terminal_mismatch=float(np.max(np.abs(y[index][horizon] - xi[index]))),
         )
     return ResidualReport(dt=dt, components=components, step_residual_cap=RESIDUAL_RATE_SCALE * dt)
 

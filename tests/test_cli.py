@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,35 @@ class TestErrorBoundary:
         assert main(["solve", "--problem", path, "--steps", "10", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too coarse" in err
+
+    def test_validator_refuses_a_step_too_coarse(self, tmp_path, capsys):
+        # dt (|c1| + |c2|) = 0.01 * 60 passes the comparison check (1 - 0.6 >= 0)
+        # but not the step guard of the solver
+        doc = counterexample_doc()
+        doc["drivers"][0]["c1"] = -60.0
+        path = write_doc(tmp_path, doc)
+        common = ["--problem", path, "--steps", "100", "--out", str(tmp_path / "x")]
+        assert main(["check-assumptions", *common]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] A6 step size psi_plus_1 (value 0.6): " in out and "too coarse" in out
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            line for line in out.splitlines() if "A6 step size psi_plus_1" in line
+        ]
+        assert main(["solve", *common]) == 1
+        assert "[FAIL] A6 step size psi_plus_1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_horizon_is_refused_at_load(self, tmp_path, capsys, value):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(counterexample_doc()).replace('"horizon": 1.0', f'"horizon": {value}'))
+        for command in ("check-assumptions", "solve"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--problem", str(path), "--out", str(tmp_path / "x")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines() == [
+                f"error: 'horizon' must be positive and finite, got {value.lower()[:3]}"
+            ]
 
     def test_simulate_prints_validation_report(self, tmp_path, capsys):
         doc = counterexample_doc()

@@ -5,7 +5,9 @@ from modeswitch.grid import TimeGrid, make_backend
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
+    MODES,
     PLUS,
+    SIDES,
     _PUSH,
     CoefficientFunction,
     CostSlice,
@@ -17,8 +19,19 @@ from modeswitch.model import (
     side_obstacles,
     validate_assumptions,
 )
+from modeswitch.scheme import solve_system
 
-from conftest import bin_backend, build_problem, remark_problem
+from conftest import bin_backend, build_problem, det_backend, remark_problem
+
+
+def block(y):
+    """The (side, mode, ...) block of a mapping from component to value."""
+    return np.array([[y[(side, mode)] for mode in MODES] for side in SIDES])
+
+
+def keyed(values):
+    """A (side, mode, ...) block as a mapping from component to its row."""
+    return dict(zip(COMPONENTS, values.reshape(4, *values.shape[2:])))
 
 
 class TestCoefficientFunction:
@@ -82,6 +95,32 @@ class TestDriver:
             np.testing.assert_array_equal(rate(k, x, y, z), expected)
             np.testing.assert_array_equal(d(times[k], x, y, z), expected)
 
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_stacked_rate_equals_each_tabulated_rate_bit_for_bit(self, kind):
+        # one table for the four drivers: mixed state features, c2 != 0
+        c0s = (
+            CoefficientFunction.exponential(0.7, -1.3),
+            CoefficientFunction.polynomial((0.2, -1.1, 0.4)),
+            CoefficientFunction.constant(0.5),
+            CoefficientFunction.exponential(-2.0, 0.4),
+        )
+        features = ("x", "one", "one", "x")
+        drivers = {
+            (side, mode): Driver(mode, side, c0, c1=0.3 - 0.2 * i, c2=0.25 * (i - 1.5), state_feature=features[i])
+            for i, ((side, mode), c0) in enumerate(zip(COMPONENTS, c0s))
+        }
+        problem = build_problem(drivers=drivers)
+        lattice = make_backend(kind, TimeGrid(50, 1.0))
+        table = problem.driver_table(lattice)
+        y, z = np.random.default_rng(3).normal(size=(2, 2, 2, lattice.size))
+        for k in range(51):
+            here = slice(lattice.offsets[k], lattice.offsets[k + 1])
+            stacked = table.rate(here, y[..., here], z[..., here])
+            for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
+                rate = drivers[(side, mode)].tabulate(lattice.grid.times)
+                one = rate(k, lattice.state(k), y[index][here], z[index][here])
+                assert stacked[index].tobytes() == one.tobytes(), (k, side, mode)
+
     def test_bad_mode(self):
         with pytest.raises(ProblemError):
             Driver(3, PLUS, CoefficientFunction.constant(0.0))
@@ -91,13 +130,13 @@ class TestEvaluateObstacles:
     def test_direct_evaluation(self):
         y = {(PLUS, 1): 0.0, (PLUS, 2): 3.0, (MINUS, 1): 2.5, (MINUS, 2): 0.0}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = evaluate_obstacles(y, costs)
+        quad = keyed(evaluate_obstacles(block(y), costs))
         assert quad[(PLUS, 1)] == pytest.approx(max(3.0 - 1.0, 2.5))
 
     def test_symmetric_zero_case(self):
         y = {key: 0.0 for key in COMPONENTS}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = evaluate_obstacles(y, costs)
+        quad = keyed(evaluate_obstacles(block(y), costs))
         assert quad[(PLUS, 1)] == 0.0 and quad[(PLUS, 2)] == 0.0
         assert quad[(MINUS, 1)] == 0.0 and quad[(MINUS, 2)] == 0.0
 
@@ -108,7 +147,7 @@ class TestEvaluateObstacles:
         y_plus_2 = e + (1.0 - np.exp(-3.0)) / 3.0
         y = {(PLUS, 1): e, (PLUS, 2): y_plus_2, (MINUS, 1): e, (MINUS, 2): y_plus_2}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = evaluate_obstacles(y, costs)
+        quad = keyed(evaluate_obstacles(block(y), costs))
         assert y_plus_2 - 1.0 == pytest.approx(2.0350, abs=1e-4)
         assert quad[(PLUS, 1)] == pytest.approx(e)
 
@@ -117,18 +156,19 @@ class TestEvaluateObstacles:
         costs = CostSlice(ell=(0.5, 0.8), a=(0.2, 0.1), b=(0.3, 0.4))
         for _ in range(200):
             y = {key: float(rng.uniform(-2, 2)) for key in COMPONENTS}
-            base = evaluate_obstacles(y, costs)
+            base = keyed(evaluate_obstacles(block(y), costs))
             bump_key = list(COMPONENTS)[rng.integers(0, 4)]
             bumped = dict(y)
             bumped[bump_key] = bumped[bump_key] + float(rng.uniform(0, 1))
-            res = evaluate_obstacles(bumped, costs)
+            res = keyed(evaluate_obstacles(block(bumped), costs))
             for side, mode in COMPONENTS:
                 assert res[(side, mode)] >= base[(side, mode)] - 1e-15
 
     def test_array_inputs(self):
         y = {key: np.array([0.0, 1.0]) for key in COMPONENTS}
-        costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = evaluate_obstacles(y, costs)
+        # node arrays: the costs' mode axis comes first, the nodes broadcast
+        costs = CostSlice(ell=np.ones((2, 1)), a=np.zeros((2, 1)), b=np.zeros((2, 1)))
+        quad = keyed(evaluate_obstacles(block(y), costs))
         np.testing.assert_allclose(quad[(PLUS, 1)], [0.0, 1.0])
 
 
@@ -137,14 +177,23 @@ class TestBarrierAlgebra:
     COSTS = CostSlice(ell=(1.0, 0.25), a=(0.5, 0.0), b=(0.125, 2.0))
 
     def test_branches(self):
-        # switch: the other mode's value -/+ ell_i; terminate: own other side -a_i / +b_i
-        assert branches(self.Y, self.COSTS, PLUS) == ((3.0 - 1.0, 2.5 - 0.5), (1.0 - 0.25, 0.5 - 0.0))
-        assert branches(self.Y, self.COSTS, MINUS) == ((0.5 + 1.0, 1.0 + 0.125), (2.5 + 0.25, 3.0 + 2.0))
+        # switch: the other mode's value -/+ ell_i; terminate: own other side -a_i / +b_i;
+        # read as (switch, terminate) of each mode, in mode order
+        by_mode = lambda side: tuple(zip(*branches(block(self.Y), self.COSTS, side)))  # noqa: E731
+        assert by_mode(PLUS) == ((3.0 - 1.0, 2.5 - 0.5), (1.0 - 0.25, 0.5 - 0.0))
+        assert by_mode(MINUS) == ((0.5 + 1.0, 1.0 + 0.125), (2.5 + 0.25, 3.0 + 2.0))
 
     def test_barrier_is_the_better_branch(self):
-        assert side_obstacles(self.Y, self.COSTS, PLUS) == (2.0, 0.75)  # a floor: the larger
-        assert side_obstacles(self.Y, self.COSTS, MINUS) == (1.125, 2.75)  # a cap: the smaller
-        assert list(evaluate_obstacles(self.Y, self.COSTS)) == list(COMPONENTS)
+        assert tuple(side_obstacles(block(self.Y), self.COSTS, PLUS)) == (2.0, 0.75)  # a floor: the larger
+        assert tuple(side_obstacles(block(self.Y), self.COSTS, MINUS)) == (1.125, 2.75)  # a cap: the smaller
+        # the block's rows are the components in COMPONENTS order
+        assert list(COMPONENTS) == [(side, mode) for side in SIDES for mode in MODES]
+        assert evaluate_obstacles(block(self.Y), self.COSTS).reshape(4).tolist() == [2.0, 0.75, 1.125, 2.75]
+
+    def test_other_mode_is_a_reversed_view(self):
+        y = block(self.Y)
+        switch, _ = branches(y, CostSlice(ell=np.zeros(2), a=np.zeros(2), b=np.zeros(2)), PLUS)
+        assert switch.tolist() == [3.0, 1.0] and np.shares_memory(y[0, ::-1], y)
 
     @pytest.mark.parametrize("y,barrier", [(1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (0.1, 0.3), (1e300, -1e300)])
     def test_gap_has_the_bits_of_the_side_difference(self, y, barrier):
@@ -223,9 +272,28 @@ class TestValidateAssumptions:
     def test_comparison_condition(self):
         drivers = {(PLUS, 2): (0.0, -1.0, 2.0)}
         problem = build_problem(drivers=drivers)
-        # |c2| sqrt(dt) <= 1 + c1 dt: 2 * 0.5 > 1 - 0.25 at N = 4; 2 / 3 <= 1 - 1 / 9 at N = 9
+        # |c2| sqrt(dt) <= 1 + c1 dt: 2 * 0.5 > 1 - 0.25 at N = 4; 2 / 3 <= 1 - 1 / 9 at N = 9.
+        # At N = 4 the step is also too coarse: dt (|c1| + |c2|) = 0.75 >= 1/2.
         failed = {c.name for c in validate_assumptions(problem, bin_backend(4)).failures()}
-        assert failed == {"A5 comparison psi_plus_2"}
+        assert failed == {"A5 comparison psi_plus_2", "A6 step size psi_plus_2"}
         assert validate_assumptions(problem, bin_backend(9)).all_passed
-        # no Z on the width-1 lattice: only 1 + c1 dt >= 0 is needed
-        assert validate_assumptions(problem, make_backend("deterministic", TimeGrid(4, 1.0))).all_passed
+        # no Z on the width-1 lattice: only 1 + c1 dt >= 0 is needed. With c1 = 0, c2 = 4
+        # at N = 10, 4 sqrt(0.1) > 1 fails on the binomial lattice, and dt * 4 = 0.4 < 1/2
+        problem = build_problem(drivers={(PLUS, 2): (0.0, 0.0, 4.0)})
+        failed = {c.name for c in validate_assumptions(problem, bin_backend(10)).failures()}
+        assert failed == {"A5 comparison psi_plus_2"}
+        assert validate_assumptions(problem, det_backend(10)).all_passed
+        assert solve_system(problem, det_backend(10))[1].converged
+
+    def test_step_size(self):
+        # the guard of the backward pass: dt (|c1| + |c2|) < 1/2
+        problem = build_problem(drivers={(MINUS, 1): (0.0, -60.0, 0.0)})
+        (bad,) = validate_assumptions(problem, det_backend(100)).failures()
+        assert bad.name == "A6 step size psi_minus_1" and "too coarse" in bad.detail
+        assert bad.value == pytest.approx(0.6)
+        assert validate_assumptions(problem, det_backend(121)).all_passed
+
+    def test_horizon_must_be_positive_and_finite(self):
+        for horizon in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ProblemError, match="'horizon'"):
+                build_problem(horizon=horizon)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from modeswitch.grid import FieldSurface
-from modeswitch.model import MINUS, PLUS, CoefficientFunction, Driver
-from modeswitch.rbsde import solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal
+from modeswitch.rbsde import backward_pass, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
-from conftest import bin_backend, det_backend, random_affine_driver
+from conftest import bin_backend, build_problem, det_backend, random_affine_driver
 
 
 def brute_force_optimal_stopping(payoff: FieldSurface, depth: int) -> float:
@@ -327,3 +327,22 @@ class TestPathwiseRepresentation:
             np.testing.assert_allclose(
                 sol.y.at(k), e + psi * dt + sol.dk.at(k), atol=1e-12
             )
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("backend", [det_backend(40), bin_backend(40)])
+    def test_unreflected_block_pass_equals_four_single_solves(self, backend):
+        rng = np.random.default_rng(5)
+        drivers = {(side, mode): random_affine_driver(rng, mode, side, max_slope=0.4) for side, mode in COMPONENTS}
+        terminals = {key: Terminal(*rng.uniform(-1, 1, size=2)) for key in COMPONENTS}
+        problem = build_problem(drivers=drivers, terminals=terminals)
+        keep = lambda ytilde, y, k: np.copyto(y, ytilde)  # noqa: E731
+        x_T = backend.state(backend.grid.n_steps)
+        rate, terminal = problem.driver_table(backend).rate, problem.terminal_block(x_T)
+        block = backward_pass(rate, terminal, keep, backend, COMPONENTS)
+        for key in COMPONENTS:
+            single = solve_rbsde_lower(drivers[key], terminals[key](x_T), None, backend)
+            for field in ("y", "z", "dk"):
+                assert getattr(block[key], field).data.tobytes() == getattr(single, field).data.tobytes(), key
+        # the surfaces are views of the pass's (side, mode, node) buffers
+        assert block[(PLUS, 1)].y.data.base is block[(MINUS, 2)].y.data.base

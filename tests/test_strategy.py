@@ -14,6 +14,7 @@ from modeswitch.strategy import (
     HOLD,
     SWITCH,
     TERMINATE,
+    branch_table,
     classify_action,
     contact_masks,
     extract_stopping_times,
@@ -124,6 +125,27 @@ class TestContactIsExact:
             inside = solution.sol[key].y.data[:horizon] != obstacles[key].data[:horizon]
             assert not (mask[:horizon] & inside).any(), key
         assert masks[(PLUS, 1)][:horizon].any() and masks[(PLUS, 2)][:horizon].any()
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize("problem, backend", [
+        (load_problem(SWITCHING_LATTICE), bin_backend(40)),
+        (counterexample_problem(1.0), det_backend(200)),
+    ])
+    def test_matches_the_written_out_branches_and_tie_rule(self, problem, backend):
+        # profit in mode i switches where Y+_j - ell_i >= Y-_i - a_i, cost in
+        # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
+        solution, _ = solve_system(problem, backend)
+        costs = problem.cost_table(solution.backend.grid.times)
+        at = solution.backend.step_of_node
+        y = {key: solution.sol[key].y.data for key in COMPONENTS}
+        table = branch_table(solution)
+        for i, (mode, other) in enumerate(((1, 2), (2, 1))):
+            ell, a, b = (c[i][at] for c in costs)
+            profit = y[(PLUS, other)] - ell >= y[(MINUS, mode)] - a
+            cost = y[(MINUS, other)] + ell <= y[(PLUS, mode)] + b
+            np.testing.assert_array_equal(table[0, i], profit)
+            np.testing.assert_array_equal(table[1, i], cost)
 
 
 class TestClassifyAction:
