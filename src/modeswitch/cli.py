@@ -5,7 +5,8 @@ Commands: ``solve`` (run the system solver and persist surfaces/summary),
 check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
-Exit codes: 0 success, 1 input or validation error, 2 a node that did not settle.
+Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
+type included), 2 a node whose projection did not settle in LOCAL_SWEEP_CAP rounds.
 """
 
 from __future__ import annotations

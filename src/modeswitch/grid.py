@@ -98,15 +98,18 @@ class Lattice:
             )
         return next_values
 
+    def moments(self, next_values, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """E_k[V_{k+1}] and the martingale projection of V_{k+1} at the nodes
+        of step k, from one shape check and one pair of child views."""
+        v, m = self._check(next_values, k), self.n_nodes(k)
+        up, down = v[..., :m], v[..., self.down : self.down + m]
+        return 0.5 * (up + down), (up - down) / (2.0 * self._sqrt_dt)
+
     def condexp(self, next_values, k: int) -> np.ndarray:
-        v = self._check(next_values, k)
-        m = self.n_nodes(k)
-        return 0.5 * (v[..., :m] + v[..., self.down : self.down + m])
+        return self.moments(next_values, k)[0]
 
     def martingale_projection(self, next_values, k: int) -> np.ndarray:
-        v = self._check(next_values, k)
-        m = self.n_nodes(k)
-        return (v[..., :m] - v[..., self.down : self.down + m]) / (2.0 * self._sqrt_dt)
+        return self.moments(next_values, k)[1]
 
     def continuation(self, data: np.ndarray) -> np.ndarray:
         """E_k[V_{k+1}] at every node before the horizon, from flat buffers along the last axis."""

@@ -20,6 +20,7 @@ from .grid import FieldSurface, Lattice
 from .model import (
     COMPONENTS,
     MINUS,
+    MODES,
     PLUS,
     CoefficientFunction,
     Driver,
@@ -32,38 +33,36 @@ _SIDES = {PLUS: PLUS, MINUS: MINUS, "+": PLUS, "-": MINUS}
 
 
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{where} must be a number") from None
+    """A JSON number; a boolean, a numeric string or an integer beyond the
+    float range is refused, not converted."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ProblemError(f"{where} must be a number")
 
 
 def _coefficient(spec, where: str) -> CoefficientFunction:
-    if isinstance(spec, (int, float)):
-        return CoefficientFunction.constant(float(spec))
     if not isinstance(spec, dict):
-        raise ProblemError(f"{where}: expected a number or an object with 'kind'/'params'")
+        return CoefficientFunction.constant(_number(spec, where))
+    if "kind" not in spec or not isinstance(spec.get("params"), list):
+        raise ProblemError(f"{where}: expected an object with 'kind' and a 'params' list")
+    if not isinstance(has_ito := spec.get("ito", True), bool):
+        raise ProblemError(f"{where}.ito must be true or false")
+    params = tuple(_number(p, f"{where}.params") for p in spec["params"])
     try:
-        kind = spec["kind"]
-        params = spec["params"]
-    except KeyError as missing:
-        raise ProblemError(f"{where}: missing field {missing}") from None
-    has_ito = bool(spec.get("ito", True))
-    try:
-        return CoefficientFunction(str(kind), tuple(float(p) for p in params), has_ito)
-    except (TypeError, ValueError, ProblemError) as exc:
+        return CoefficientFunction(str(spec["kind"]), params, has_ito)
+    except ProblemError as exc:
         raise ProblemError(f"{where}: {exc}") from None
 
 
 def _terminal(spec, where: str) -> Terminal:
-    if isinstance(spec, (int, float)):
-        return Terminal(float(spec))
-    if isinstance(spec, dict):
-        try:
-            return Terminal(float(spec["intercept"]), float(spec.get("slope", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemError(f"{where}: {exc}") from None
-    raise ProblemError(f"{where}: expected a number or an object with 'intercept'/'slope'")
+    if not isinstance(spec, dict):
+        return Terminal(_number(spec, where))
+    if "intercept" not in spec:
+        raise ProblemError(f"{where}: missing field 'intercept'")
+    return Terminal(_number(spec["intercept"], f"{where}.intercept"), _number(spec.get("slope", 0.0), f"{where}.slope"))
 
 
 def problem_from_dict(doc: dict) -> SwitchingProblem:
@@ -82,12 +81,11 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
         if not isinstance(entry, dict):
             raise ProblemError(f"{where}: expected an object")
         try:
-            mode = int(entry["mode"])
-            side = _SIDES[str(entry["side"])]
+            mode, side = entry["mode"], _SIDES[str(entry["side"])]
         except KeyError as missing:
             raise ProblemError(f"{where}: missing field {missing}") from None
-        except (TypeError, ValueError):
-            raise ProblemError(f"{where}: bad 'mode' or 'side'") from None
+        if isinstance(mode, bool) or not isinstance(mode, int) or mode not in MODES:
+            raise ProblemError(f"{where}.mode must be the integer 1 or 2")
         drv = Driver(
             mode,
             side,

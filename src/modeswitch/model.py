@@ -9,7 +9,8 @@ checks the solver relies on, and the whole barrier algebra: each barrier is
 the better of a switch and a terminate branch (``branches``), "better" is the
 larger on the profit side, where the barrier is a floor, and the smaller on
 the cost side, where it is a cap, and a tie between the branches switches.
-Every other module reads the direction of a side from here.
+``closure`` solves one side exactly for the other side held. Every other
+module reads the direction of a side from here.
 The four components form one (side, mode, node) block, ``COMPONENTS`` its
 rows in C order; costs are stacked by mode, and the other mode of a side is
 its reversed mode axis, a view. ``DriverTable`` holds the four drivers.
@@ -275,10 +276,27 @@ def branches(y: np.ndarray, costs: CostSlice, side: str) -> tuple:
     mode's cost plus ell_i) or terminate (its own profit plus b_i). The other
     mode is the reversed mode axis. Pure function.
     """
-    profit, cost = y[0], y[1]
-    if side == PLUS:
-        return profit[::-1] - costs.ell, cost - costs.a
-    return cost[::-1] + costs.ell, profit + costs.b
+    s = SIDES.index(side)
+    return _switch(y[s], costs, side), _terminate(y[1 - s], costs, side)
+
+
+def _switch(own, costs: CostSlice, side: str):
+    return own[::-1] - costs.ell if side == PLUS else own[::-1] + costs.ell
+
+
+def _terminate(other, costs: CostSlice, side: str):
+    return other - costs.a if side == PLUS else other + costs.b
+
+
+def closure(ytilde: np.ndarray, other: np.ndarray, costs: CostSlice, side: str) -> np.ndarray:
+    """The one solution of one side's equations Y = better(y~, switch(Y),
+    terminate) for the other side's row ``other`` held fixed, stacked by mode:
+    r = better(y~, terminate), then better(r, switch(r)). A switch there and
+    back only loses (ell_1 + ell_2 > 0, and a float sum never falls below its
+    larger term), so one switch step closes the mode cycle exactly."""
+    better = _PUSH[side].better
+    r = better(ytilde, _terminate(other, costs, side))
+    return better(r, _switch(r, costs, side))
 
 
 def side_obstacles(y: np.ndarray, costs: CostSlice, side: str) -> np.ndarray:

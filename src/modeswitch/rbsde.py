@@ -98,8 +98,8 @@ def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice, keys=(0
     y[..., off[n] :] = ytilde[..., off[n] :] = terminal
     for k in range(n - 1, -1, -1):
         here, nxt = slice(off[k], off[k + 1]), slice(off[k + 1], off[k + 2])
-        e = backend.condexp(y[..., nxt], k)
-        zk = z[..., here] = backend.martingale_projection(y[..., nxt], k)
+        e, zk = backend.moments(y[..., nxt], k)
+        z[..., here] = zk
         ytilde[..., here] = e + rate(here, e, zk) * dt
         project(ytilde[..., here], y[..., here], k)
     rows = [v.reshape(len(keys), backend.size) for v in (y, z, np.abs(y - ytilde))]

@@ -2,11 +2,12 @@
 
 ``solve_system`` builds the minimal solution in one backward pass over the
 (side, mode, node) block of ``model``: at each step it projects the block of
-Euler values y~ onto its barriers from below, in place, repeating Y- =
-min(y~-, S-(Y)), then Y+ = max(y~+, S+(Y)), until no node changes. The
-one-step map is monotone (the comparison check), so this gives the smallest
-solution of each step and, by backward induction, the minimal discrete
-solution. The paper reaches it as the limit of its Picard scheme, so the
+Euler values y~ onto its barriers from below, in rounds: the cost side
+solved exactly for the profit row held (``model.closure``), then the profit
+side for that cost row, from Y+ = y~+ until a profit closure changes no node.
+The one-step map is monotone (the comparison check), so this gives the
+smallest solution of each step and, by backward induction, the minimal
+discrete solution. The paper reaches it as the limit of its Picard scheme, so the
 solve then certifies that one Picard sweep from it would move no node,
 without running the sweep: at every node before the horizon, Y must equal
 its reflected Euler value better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y
@@ -33,14 +34,12 @@ from .model import (
     MINUS,
     MODES,
     PLUS,
-    SIDES,
-    _PUSH,
     CostSlice,
     SwitchingProblem,
     by_side,
+    closure,
     evaluate_obstacles,
     other_mode,
-    side_obstacles,
     validate_assumptions,
 )
 from .rbsde import RbsdeSolution, backward_pass, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
@@ -60,7 +59,7 @@ class SchemeError(RuntimeError):
 
 
 class LocalSweepError(SchemeError):
-    """The one-step projection at a node did not settle within LOCAL_SWEEP_CAP sweeps."""
+    """The one-step projection at a node did not settle within LOCAL_SWEEP_CAP rounds."""
 
 
 class _ShiftedDriver:
@@ -125,7 +124,7 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class PassTrace:
-    """Local sweep count of the one-pass solver at each step before the horizon."""
+    """Projection round count of the one-pass solver at each step before the horizon."""
 
     local_sweeps: np.ndarray
     converged: bool = True  # a pass that returns settled at every node and is a Picard fixed point
@@ -316,37 +315,33 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
             raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {row[i]:g}")
 
 
-def _project(ytilde: np.ndarray, y: np.ndarray, costs: CostSlice, step: int, sweeps: np.ndarray):
-    """Smallest solution of Y+ = max(y~+, S+(Y)), Y- = min(y~-, S-(Y)) at the
-    nodes of one step, swept into the block ``y`` in place, cost row first;
-    the number of sweeps it took goes to ``sweeps[step]``."""
-    # With ell > 0 no cost value can sit below its own or the profit-plus-b
-    # Euler value of every mode, so this start is below the solution.
-    low = np.minimum(ytilde[1], ytilde[0] + costs.b)
-    y[0], y[1] = ytilde[0], np.minimum(low[0], low[1])
-    quiet = 0  # half sweeps in a row that changed no node: two make a fixed point
-    for half in range(2 * LOCAL_SWEEP_CAP):
-        row = 1 - half % 2  # the cost row first
-        new = _PUSH[SIDES[row]].better(ytilde[row], side_obstacles(y, costs, SIDES[row]))
-        changed = new != y[row]
-        y[row] = new
-        if changed.any():
-            quiet, moving = 0, changed
-        elif (quiet := quiet + 1) == 2:
-            sweeps[step] = half // 2 + 1
+def _project(ytilde: np.ndarray, y: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray):
+    """Least solution of Y+ = max(y~+, S+(Y)), Y- = min(y~-, S-(Y)) at the
+    nodes of one step, written into the block ``y``: rounds of a cost
+    closure, then a profit closure, from Y+ = y~+, until a profit closure
+    changes no node; the number of rounds goes to ``rounds[step]``."""
+    profit = ytilde[0]
+    for n in range(1, LOCAL_SWEEP_CAP + 1):
+        y[1] = cost = closure(ytilde[1], profit, costs, MINUS)
+        last, profit = profit, closure(ytilde[0], cost, costs, PLUS)
+        if not np.count_nonzero(moving := profit != last):
+            y[0], rounds[step] = profit, n
             return
-    raise LocalSweepError(f"did not converge at step {step}, node {int(np.argmax(moving.any(axis=0)))}")
+    node = int(np.argmax(moving.any(axis=0)))
+    mode = int(np.argmax(moving[:, node]))
+    move = f"({PLUS},{MODES[mode]}) still moves by {profit[mode, node] - last[mode, node]:g}"
+    raise LocalSweepError(f"did not converge at step {step}, node {node}: {move}")
 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
     _require_admissible(problem, backend)
     n = backend.grid.n_steps
-    costs, sweeps = problem.cost_table(backend.grid.times), np.zeros(n, dtype=int)
-    project = lambda ytilde, y, k: _project(ytilde, y, costs.at(slice(k, k + 1)), k, sweeps)  # noqa: E731
+    costs, rounds = problem.cost_table(backend.grid.times), np.zeros(n, dtype=int)
+    project = lambda ytilde, y, k: _project(ytilde, y, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
     terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).rate
     sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
-    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(sweeps))
+    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(rounds))
     obstacles = solution.obstacles()
     _assert_system_constraints(solution, obstacles)
     _certify_fixed_point(solution, obstacles)

@@ -84,6 +84,30 @@ class TestProblemLoading:
         assert main(["check-assumptions", "--problem", str(write_doc(tmp_path, doc))]) == 1
         assert "drivers[2].c1 must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda doc: doc.update(horizon=True), "'horizon' must be a number"),
+            (lambda doc: doc.update(horizon="2.5"), "'horizon' must be a number"),
+            (lambda doc: doc.update(horizon=10**400), "'horizon' must be a number"),
+            (lambda doc: doc["drivers"][1].update(c1="1e0"), "drivers[1].c1 must be a number"),
+            (lambda doc: doc["drivers"][0].update(mode=1.9), "drivers[0].mode must be the integer 1 or 2"),
+            (lambda doc: doc["drivers"][0].update(mode=True), "drivers[0].mode must be the integer 1 or 2"),
+            (lambda doc: doc["terminals"].update(plus_2=True), "terminals.plus_2 must be a number"),
+            (
+                lambda doc: doc["costs"].update(ell_2={"kind": "constant", "params": [1.0], "ito": "false"}),
+                "costs.ell_2.ito must be true or false",
+            ),
+        ],
+        ids=["horizon-true", "horizon-string", "horizon-huge-int", "c1-string", "mode-float", "mode-true", "terminal-true", "ito-string"],
+    )
+    def test_ill_typed_field_exits_one_naming_it(self, tmp_path, capsys, edit, named):
+        # JSON booleans and numeric strings are refused, not read as numbers
+        doc = counterexample_doc()
+        edit(doc)
+        assert main(["check-assumptions", "--problem", str(write_doc(tmp_path, doc))]) == 1
+        assert f"error: {named}" in capsys.readouterr().err
+
     def test_missing_driver_entry(self, tmp_path):
         doc = counterexample_doc()
         doc["drivers"] = doc["drivers"][:3]

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from modeswitch import rbsde, scheme
 from modeswitch.grid import TimeGrid, make_backend
@@ -11,6 +13,7 @@ from modeswitch.model import (
     MINUS,
     PLUS,
     CoefficientFunction,
+    CostSlice,
     Driver,
     SwitchingProblem,
     Terminal,
@@ -18,6 +21,7 @@ from modeswitch.model import (
 )
 from modeswitch.scheme import (
     Iterate,
+    LocalSweepError,
     SchemeError,
     first_iterate,
     initialize_scheme,
@@ -448,3 +452,79 @@ class TestOnePassAgainstPicard:
         solution.sol[(PLUS, 1)].dk.data[backend.offsets[k] + j] += 1.0
         with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
             scheme._assert_system_constraints(solution, obstacles)
+
+
+def half_sweeps(ytilde, costs, cap=500):
+    """The projection as alternating Jacobi half sweeps, written out: both
+    cost values start at the least of min(y~-, y~+ + b) over the modes, the
+    profit values at y~+; then Y- = min(y~-, S-(Y)) and Y+ = max(y~+, S+(Y))
+    in turn until two half sweeps in a row change no node. Returns the
+    block and the sweep count, or None past ``cap`` sweeps."""
+    low = np.minimum(ytilde[1], ytilde[0] + costs.b)
+    y = np.stack([ytilde[0], np.broadcast_to(np.minimum(low[0], low[1]), ytilde[1].shape)])
+    quiet = 0
+    for half in range(2 * cap):
+        if half % 2 == 0:
+            new = np.minimum(ytilde[1], np.minimum(y[1][::-1] + costs.ell, y[0] + costs.b))
+        else:
+            new = np.maximum(ytilde[0], np.maximum(y[0][::-1] - costs.ell, y[1] - costs.a))
+        changed = new != y[1 - half % 2]
+        y[1 - half % 2] = new
+        if changed.any():
+            quiet = 0
+        elif (quiet := quiet + 1) == 2:
+            return y, half // 2 + 1
+    return None
+
+
+SPECIAL = (0.0, -0.0, 0.5, -0.5, 1.0)  # ties across entries, and both zeros
+
+
+def entries(shape, values):
+    return st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda v: np.array(v).reshape(shape)
+    )
+
+
+@st.composite
+def projection_steps(draw):
+    """A block of Euler values on 1..3 nodes and per-node costs by mode, with
+    b below a, equal to it, slightly above it, or well above it."""
+    m = draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats(-1.0, 1.0))
+    ytilde = draw(entries((2, 2, m), values))
+    ell = draw(entries((2, m), st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.01, 1.0))))
+    a = draw(entries((2, m), st.one_of(st.sampled_from((0.0, -0.0, 0.5)), st.floats(0.0, 1.0))))
+    above = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(2e-3, 2e-2), st.floats(0.05, 0.5))
+    return ytilde, CostSlice(ell, a, a + draw(entries((2, m), above)))
+
+
+class TestProjection:
+    """``_project`` (rounds of exact side closures) against the Jacobi half
+    sweeps it replaced: the same block, in no more rounds than sweeps."""
+
+    @given(projection_steps())
+    def test_closures_equal_half_sweeps(self, step):
+        ytilde, costs = step
+        swept = half_sweeps(ytilde, costs)
+        assume(swept is not None)
+        y, rounds = np.full_like(ytilde, np.nan), np.zeros(1, dtype=int)
+        scheme._project(ytilde, y, costs, 0, rounds)
+        # Equal values are equal bits, up to the sign of a zero: the sweeps
+        # leave that to their path (their last block can hold a cost -0.0
+        # next to a profit value built from the +0.0 before it).
+        np.testing.assert_array_equal(y, swept[0])
+        assert 1 <= rounds[0] <= swept[1]
+
+    def test_fixture_takes_one_round_per_step(self):
+        _, trace = solve_system(counterexample_problem(), det_backend(2000))
+        assert (trace.local_sweeps == 1).all()
+
+    def test_creep_names_step_node_and_component(self):
+        # only node 2 has b > a: its terminate loop lifts both profit values
+        # by 1e-6 a round on the way to the cost Euler value 0.1
+        ytilde = np.array([[[0.0] * 3] * 2, [[0.1] * 3] * 2])
+        b = np.array([[0.0, 0.0, 1e-6]] * 2)
+        costs = CostSlice(np.full((2, 3), 0.05), np.zeros((2, 3)), b)
+        with pytest.raises(LocalSweepError, match=r"^did not converge at step 7, node 2: \(plus,1\) still moves by 1e-06$"):
+            scheme._project(ytilde, np.zeros((2, 2, 3)), costs, 7, np.zeros(8, dtype=int))
