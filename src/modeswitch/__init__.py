@@ -7,82 +7,50 @@ balance sheet), in one backward pass with a per-step barrier projection
 (``solve_system``); the paper's Picard iteration (``picard_system``) is the
 reference. Ships a closed-form non-uniqueness fixture, a residual auditor,
 stopping-rule extraction with forward policy replay, and a CLI.
+
+The public names below are resolved lazily (PEP 562): ``import modeswitch``
+loads no submodule, and the first use of a name loads the one module that
+defines it, so a command pays only for the modules it runs.
 """
 
-from .grid import FieldSurface, Lattice, TimeGrid, make_backend
-from .model import (
-    COMPONENTS,
-    MINUS,
-    PLUS,
-    CoefficientFunction,
-    Driver,
-    ProblemError,
-    SwitchingProblem,
-    Terminal,
-    evaluate_obstacles,
-    validate_assumptions,
-)
-from .rbsde import (
-    RbsdeSolution,
-    solve_bsde,
-    solve_rbsde_lower,
-    solve_rbsde_upper,
-)
-from .scheme import (
-    BalanceSheetSolution,
-    ConvergenceTrace,
-    LocalSweepError,
-    PassTrace,
-    SchemeError,
-    picard_system,
-    solve_system,
-)
-from .strategy import StrategyReport, classify_action, extract_stopping_times, simulate_policy
-from .verify import (
-    ClosedFormFamily,
-    ResidualReport,
-    audit_solution,
-    check_nonuniqueness,
-    closed_form_family,
-    counterexample_problem,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceSheetSolution",
-    "COMPONENTS",
-    "ClosedFormFamily",
-    "CoefficientFunction",
-    "ConvergenceTrace",
-    "Driver",
-    "FieldSurface",
-    "Lattice",
-    "LocalSweepError",
-    "MINUS",
-    "PLUS",
-    "PassTrace",
-    "ProblemError",
-    "RbsdeSolution",
-    "ResidualReport",
-    "SchemeError",
-    "StrategyReport",
-    "SwitchingProblem",
-    "Terminal",
-    "TimeGrid",
-    "audit_solution",
-    "check_nonuniqueness",
-    "classify_action",
-    "closed_form_family",
-    "counterexample_problem",
-    "evaluate_obstacles",
-    "extract_stopping_times",
-    "make_backend",
-    "picard_system",
-    "simulate_policy",
-    "solve_bsde",
-    "solve_rbsde_lower",
-    "solve_rbsde_upper",
-    "solve_system",
-    "validate_assumptions",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("grid", "FieldSurface Lattice TimeGrid make_backend"),
+        (
+            "model",
+            "COMPONENTS MINUS PLUS CoefficientFunction Driver ProblemError SwitchingProblem Terminal "
+            "evaluate_obstacles validate_assumptions",
+        ),
+        ("rbsde", "RbsdeSolution solve_bsde solve_rbsde_lower solve_rbsde_upper"),
+        (
+            "scheme",
+            "BalanceSheetSolution ConvergenceTrace LocalSweepError PassTrace SchemeError picard_system solve_system",
+        ),
+        ("strategy", "StrategyReport classify_action extract_stopping_times simulate_policy"),
+        (
+            "verify",
+            "ClosedFormFamily ResidualReport audit_solution check_nonuniqueness closed_form_family "
+            "counterexample_problem",
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

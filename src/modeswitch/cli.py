@@ -7,6 +7,10 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
 type included), 2 a node whose projection did not settle in LOCAL_SWEEP_CAP rounds.
+
+Each command imports what it runs: ``strategy`` is loaded by ``simulate``
+only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and
+``check-assumptions`` load neither.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from .grid import TimeGrid, make_backend
 from .io import load_problem, write_json, write_surface_csv, write_trace_csv
 from .model import COMPONENTS, ProblemError, validate_assumptions
 from .scheme import LocalSweepError, SchemeError, solve_system
-from .strategy import simulate_policy
-from .verify import check_nonuniqueness
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,6 +68,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import check_nonuniqueness
+
     out = _ensure_outdir(args)
     report = check_nonuniqueness(T=1.0, N=args.steps)
     write_json(out / "fixtures.json", report.as_dict())
@@ -80,6 +84,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .strategy import simulate_policy
+
     if args.paths < 1:  # refused before the solve it would otherwise wait for
         raise ValueError("n_paths must be >= 1")
     problem, backend = _prepare(args)

@@ -56,8 +56,9 @@ class Lattice:
         self.kind = kind
         self.grid = grid
         self.down = DOWN[kind]
-        self._sqrt_dt = np.sqrt(grid.dt)
-        self.spread = self.down * self._sqrt_dt
+        sqrt_dt = np.sqrt(grid.dt)
+        self.spread = self.down * sqrt_dt
+        self._twice_sqrt_dt = 2.0 * sqrt_dt
         n = grid.n_steps
         counts = 1 + self.down * np.arange(n + 1)
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -103,7 +104,7 @@ class Lattice:
         of step k, from one shape check and one pair of child views."""
         v, m = self._check(next_values, k), self.n_nodes(k)
         up, down = v[..., :m], v[..., self.down : self.down + m]
-        return 0.5 * (up + down), (up - down) / (2.0 * self._sqrt_dt)
+        return (up + down) * 0.5, (up - down) / self._twice_sqrt_dt
 
     def condexp(self, next_values, k: int) -> np.ndarray:
         return self.moments(next_values, k)[0]
@@ -113,11 +114,11 @@ class Lattice:
 
     def continuation(self, data: np.ndarray) -> np.ndarray:
         """E_k[V_{k+1}] at every node before the horizon, from flat buffers along the last axis."""
-        return 0.5 * (data[..., self._up] + data[..., self._up + self.down])
+        return (data[..., self._up] + data[..., self._up + self.down]) * 0.5
 
     def martingale_increment(self, data: np.ndarray) -> np.ndarray:
         """``martingale_projection`` of V_{k+1} at every node before the horizon, from flat buffers."""
-        return (data[..., self._up] - data[..., self._up + self.down]) / (2.0 * self._sqrt_dt)
+        return (data[..., self._up] - data[..., self._up + self.down]) / self._twice_sqrt_dt
 
     def sample_paths(self, n_paths: int, seed) -> np.ndarray:
         """Node-index paths, shape (n_paths, N+1); entry k is the node at step k.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +81,13 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
         where = f"drivers[{i}]"
         if not isinstance(entry, dict):
             raise ProblemError(f"{where}: expected an object")
-        try:
-            mode, side = entry["mode"], _SIDES[str(entry["side"])]
-        except KeyError as missing:
-            raise ProblemError(f"{where}: missing field {missing}") from None
+        for name in ("mode", "side"):
+            if name not in entry:
+                raise ProblemError(f"{where}: missing field {name!r}")
+        mode, side = entry["mode"], entry["side"]
+        if not isinstance(side, str) or side not in _SIDES:
+            raise ProblemError(f"{where}.side must be one of {', '.join(map(repr, _SIDES))}")
+        side = _SIDES[side]
         if isinstance(mode, bool) or not isinstance(mode, int) or mode not in MODES:
             raise ProblemError(f"{where}.mode must be the integer 1 or 2")
         drv = Driver(
@@ -148,14 +152,17 @@ def load_problem(path) -> SwitchingProblem:
     return problem_from_dict(doc)
 
 
+@lru_cache(maxsize=1)
+def _row_prefixes(backend: Lattice) -> tuple:
+    """The ``step,node,`` start of every row of a surface file on ``backend``, in flat node order."""
+    return tuple(f"{k},{j}," for k, j in zip(backend.step_of_node.tolist(), backend.node_index.tolist()))
+
+
 def write_surface_csv(path, surface: FieldSurface):
-    path = Path(path)
-    backend = surface.backend
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "node", "value"])
-        rows = zip(backend.step_of_node.tolist(), backend.node_index.tolist(), map(repr, surface.data.tolist()))
-        writer.writerows(rows)
+    """One ``step,node,value`` row per node, as one string: CRLF line ends and
+    ``repr`` values, the bytes ``csv.writer`` writes for these rows."""
+    rows = [p + repr(v) + "\r\n" for p, v in zip(_row_prefixes(surface.backend), surface.data.tolist())]
+    Path(path).write_text("".join(["step,node,value\r\n", *rows]), newline="")
 
 
 def read_surface_csv(path, backend: Lattice) -> FieldSurface:

@@ -163,6 +163,12 @@ class DriverTable(NamedTuple):
         """The four rates at the flat nodes ``nodes``, for (2, 2, nodes) blocks y and z."""
         return (self.base[..., nodes] + self.c1 * y) + self.c2 * z
 
+    def per_step(self, lattice) -> Callable:
+        """``rate`` at the nodes of step k as rate(k, y, z), each step's base copied out once as a contiguous block."""
+        off, c1, c2 = lattice.offsets.tolist(), self.c1, self.c2
+        bases = [self.base[..., off[k] : off[k + 1]].copy() for k in range(lattice.grid.n_steps)]
+        return lambda k, y, z: (bases[k] + c1 * y) + c2 * z
+
 
 @dataclass(frozen=True)
 class Terminal:
@@ -241,6 +247,10 @@ class CostSlice(NamedTuple):
     def at(self, index) -> "CostSlice":
         """The same six costs indexed by ``index`` (a time or node selection) on their last axis."""
         return CostSlice(*(c[..., index] for c in self))
+
+    def columns(self) -> list:
+        """One CostSlice per time of a table over times, each cost a contiguous (2, 1) column."""
+        return list(map(CostSlice, *(np.ascontiguousarray(c.T[..., None]) for c in self)))
 
 
 class _Push(NamedTuple):

@@ -86,22 +86,22 @@ def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice, keys=(0
 
     ``terminal`` holds the horizon values, nodes on the last axis; its
     leading axes are the equations, one per key of ``keys`` in C order (none
-    for one equation). ``rate(nodes, y, z)`` is the stacked driver: every
-    equation's rate at the flat nodes ``nodes``. Y, Z and the Euler values
-    Y~_k = E_k[Y_{k+1}] + psi * dt fill preallocated buffers of the block's
-    shape, and ``project(ytilde_k, y_k, k)`` writes Y_k into the view
-    ``y_k``; dK_k = |Y_k - Y~_k|. Returns one solution triple per key, over
-    views of the buffers.
+    for one equation). ``rate(k, y, z)`` is the stacked driver: every
+    equation's rate at the nodes of step k. Each step reads E_k[Y_{k+1}] and
+    Z_k from the block Y_{k+1} the step before returned, forms the Euler
+    values Y~_k = E_k[Y_{k+1}] + psi * dt, and ``project(ytilde_k, k)``
+    returns the block Y_k; dK_k = |Y_k - Y~_k|. The step blocks are joined
+    into Y, Z and Y~ buffers once at the end; returns one solution triple per
+    key, over views of them.
     """
-    n, dt, off = backend.grid.n_steps, backend.grid.dt, backend.offsets.tolist()
-    y, z, ytilde = (np.zeros(terminal.shape[:-1] + (backend.size,)) for _ in range(3))
-    y[..., off[n] :] = ytilde[..., off[n] :] = terminal
-    for k in range(n - 1, -1, -1):
-        here, nxt = slice(off[k], off[k + 1]), slice(off[k + 1], off[k + 2])
-        e, zk = backend.moments(y[..., nxt], k)
-        z[..., here] = zk
-        ytilde[..., here] = e + rate(here, e, zk) * dt
-        project(ytilde[..., here], y[..., here], k)
+    dt, y = backend.grid.dt, terminal
+    blocks = [(y, np.zeros_like(y), y)]
+    for k in range(backend.grid.n_steps - 1, -1, -1):
+        e, z = backend.moments(y, k)
+        ytilde = e + rate(k, e, z) * dt
+        y = project(ytilde, k)
+        blocks.append((y, z, ytilde))
+    y, z, ytilde = (np.concatenate(field[::-1], axis=-1) for field in zip(*blocks))
     rows = [v.reshape(len(keys), backend.size) for v in (y, z, np.abs(y - ytilde))]
     return {key: RbsdeSolution(*(FieldSurface.from_buffer(backend, r[i]) for r in rows)) for i, key in enumerate(keys)}
 
@@ -112,10 +112,9 @@ def _solve_reflected(driver, terminal, obstacle, backend: Lattice, lower: bool) 
         obstacle = FieldSurface.constant(backend, -np.inf if lower else np.inf)
     check_horizon(obstacle.at(backend.grid.n_steps), term, lower)
     _check_stability(driver, backend)
-    tab, steps, x = driver.tabulate(backend.grid.times), backend.step_of_node, backend.states
-    clip = np.maximum if lower else np.minimum
-    rate = lambda nodes, y, z: tab(steps[nodes], x[nodes], y, z)  # noqa: E731
-    project = lambda ytilde, y, k: clip(ytilde, obstacle.at(k), out=y)  # noqa: E731
+    tab, clip = driver.tabulate(backend.grid.times), np.maximum if lower else np.minimum
+    rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
+    project = lambda ytilde, k: clip(ytilde, obstacle.at(k))  # noqa: E731
     return backward_pass(rate, term, project, backend)[0]
 
 

@@ -315,18 +315,19 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
             raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {row[i]:g}")
 
 
-def _project(ytilde: np.ndarray, y: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray):
+def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray) -> np.ndarray:
     """Least solution of Y+ = max(y~+, S+(Y)), Y- = min(y~-, S-(Y)) at the
-    nodes of one step, written into the block ``y``: rounds of a cost
-    closure, then a profit closure, from Y+ = y~+, until a profit closure
-    changes no node; the number of rounds goes to ``rounds[step]``."""
-    profit = ytilde[0]
+    nodes of one step, as a new block: rounds of a cost closure, then a
+    profit closure, from Y+ = y~+, until a profit closure changes no node;
+    the number of rounds goes to ``rounds[step]``."""
+    plus, minus = ytilde
+    profit = plus
     for n in range(1, LOCAL_SWEEP_CAP + 1):
-        y[1] = cost = closure(ytilde[1], profit, costs, MINUS)
-        last, profit = profit, closure(ytilde[0], cost, costs, PLUS)
+        cost = closure(minus, profit, costs, MINUS)
+        last, profit = profit, closure(plus, cost, costs, PLUS)
         if not np.count_nonzero(moving := profit != last):
-            y[0], rounds[step] = profit, n
-            return
+            rounds[step] = n
+            return np.array((profit, cost))
     node = int(np.argmax(moving.any(axis=0)))
     mode = int(np.argmax(moving[:, node]))
     move = f"({PLUS},{MODES[mode]}) still moves by {profit[mode, node] - last[mode, node]:g}"
@@ -337,9 +338,9 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     """The minimal system solution in one backward pass (see the module notes)."""
     _require_admissible(problem, backend)
     n = backend.grid.n_steps
-    costs, rounds = problem.cost_table(backend.grid.times), np.zeros(n, dtype=int)
-    project = lambda ytilde, y, k: _project(ytilde, y, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
-    terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).rate
+    costs, rounds = problem.cost_table(backend.grid.times).columns(), np.zeros(n, dtype=int)
+    project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
+    terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).per_step(backend)
     sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
     solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(rounds))
     obstacles = solution.obstacles()

@@ -207,7 +207,7 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
     masks, switches = contact_masks(solution), branch_table(solution)
     legs = {side: _Leg(solution, side, start_mode, masks, switches, rows) for side in (PLUS, MINUS)}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
     for first in range(0, rows, chunk):
         flat = backend.sample_paths(min(chunk, rows - first), rng)
         flat += backend.offsets[:-1]  # node index -> flat index, in place

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -11,6 +12,7 @@ from modeswitch.model import (
     SwitchingProblem,
     Terminal,
 )
+from modeswitch.scheme import LOCAL_SWEEP_CAP, solve_system
 
 # Property tests draw a fixed, small example set: reproducible failures, no
 # example database, no per-example deadline.
@@ -121,3 +123,46 @@ def random_affine_driver(rng, mode=1, side=PLUS, max_slope=1.0):
         c1=float(rng.uniform(-max_slope, max_slope)),
         c2=float(rng.uniform(-max_slope, max_slope)),
     )
+
+
+def pinned_pass(problem, backend):
+    """The one-pass solver's backward loop, written out as it stood before
+    the per-step blocks were carried contiguously: (side, mode, node) buffers
+    filled in place, E_k[Y_{k+1}] and Z_k from a strided view of step k+1,
+    and a projection that writes Y_k into its view of the buffer, in rounds
+    of a cost closure, then a profit closure, from Y+ = y~+, until a profit
+    closure changes no node. Returns the Y, Z and dK buffers and the round
+    count of each step."""
+    n, dt, off, lag = backend.grid.n_steps, backend.grid.dt, backend.offsets.tolist(), backend.down
+    costs, table = problem.cost_table(backend.grid.times), problem.driver_table(backend)
+    y, z, ytilde = (np.zeros((2, 2, backend.size)) for _ in range(3))
+    y[..., off[n] :] = ytilde[..., off[n] :] = problem.terminal_block(backend.state(n))
+    rounds = np.zeros(n, dtype=int)
+    for k in range(n - 1, -1, -1):
+        here, m = slice(off[k], off[k + 1]), off[k + 1] - off[k]
+        v = y[..., off[k + 1] : off[k + 2]]
+        up, down = v[..., :m], v[..., lag : lag + m]
+        e, zk = 0.5 * (up + down), (up - down) / (2.0 * np.sqrt(dt))
+        z[..., here] = zk
+        ytilde[..., here] = e + ((table.base[..., here] + table.c1 * e) + table.c2 * zk) * dt
+        ell, a, b = (c[..., k : k + 1] for c in costs)
+        profit = ytilde[0, :, here]
+        while rounds[k] < LOCAL_SWEEP_CAP:
+            rounds[k] += 1
+            r = np.minimum(ytilde[1, :, here], profit + b)
+            y[1, :, here] = cost = np.minimum(r, r[::-1] + ell)
+            q = np.maximum(ytilde[0, :, here], cost - a)
+            last, profit = profit, np.maximum(q, q[::-1] - ell)
+            if not (profit != last).any():
+                break
+        y[0, :, here] = profit
+    return y, z, np.abs(y - ytilde), rounds
+
+
+def assert_matches_pinned(problem, backend):
+    """``solve_system`` reproduces ``pinned_pass`` bit for bit: Y, Z, dK and the round counts."""
+    solution, trace = solve_system(problem, backend)
+    y, z, dk, rounds = pinned_pass(problem, backend)
+    for field, pinned in (("y", y), ("z", z), ("dk", dk)):
+        assert solution.block(field).tobytes() == pinned.tobytes(), field
+    np.testing.assert_array_equal(trace.local_sweeps, rounds)

@@ -1,9 +1,17 @@
+import csv
+import importlib
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modeswitch
 from modeswitch import cli
 from modeswitch.cli import main
 from modeswitch.grid import FieldSurface, TimeGrid, make_backend
@@ -51,6 +59,9 @@ def write_doc(tmp_path, doc, name="problem.json"):
     return str(path)
 
 
+SIDE_SPELLINGS = "must be one of 'plus', 'minus', '+', '-'"
+
+
 class TestProblemLoading:
     def test_counterexample_round_trip(self, tmp_path):
         path = write_doc(tmp_path, counterexample_doc())
@@ -93,13 +104,28 @@ class TestProblemLoading:
             (lambda doc: doc["drivers"][1].update(c1="1e0"), "drivers[1].c1 must be a number"),
             (lambda doc: doc["drivers"][0].update(mode=1.9), "drivers[0].mode must be the integer 1 or 2"),
             (lambda doc: doc["drivers"][0].update(mode=True), "drivers[0].mode must be the integer 1 or 2"),
+            (lambda doc: doc["drivers"][0].update(side="up"), f"drivers[0].side {SIDE_SPELLINGS}"),
+            (lambda doc: doc["drivers"][0].update(side=1), f"drivers[0].side {SIDE_SPELLINGS}"),
+            (lambda doc: doc["drivers"][3].update(side=["plus"]), f"drivers[3].side {SIDE_SPELLINGS}"),
             (lambda doc: doc["terminals"].update(plus_2=True), "terminals.plus_2 must be a number"),
             (
                 lambda doc: doc["costs"].update(ell_2={"kind": "constant", "params": [1.0], "ito": "false"}),
                 "costs.ell_2.ito must be true or false",
             ),
         ],
-        ids=["horizon-true", "horizon-string", "horizon-huge-int", "c1-string", "mode-float", "mode-true", "terminal-true", "ito-string"],
+        ids=[
+            "horizon-true",
+            "horizon-string",
+            "horizon-huge-int",
+            "c1-string",
+            "mode-float",
+            "mode-true",
+            "side-unknown",
+            "side-int",
+            "side-list",
+            "terminal-true",
+            "ito-string",
+        ],
     )
     def test_ill_typed_field_exits_one_naming_it(self, tmp_path, capsys, edit, named):
         # JSON booleans and numeric strings are refused, not read as numbers
@@ -327,6 +353,19 @@ class TestSurfaceRoundTrip:
             for name in a:
                 assert abs(a[name] - b[name]) <= 1e-12
 
+    @pytest.mark.parametrize("kind, n", [("binomial", 3), ("deterministic", 9)])
+    def test_bytes_are_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path, kind, n):
+        be = make_backend(kind, TimeGrid(n, 1.0))  # 10 nodes either way
+        data = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 7.0])
+        path = tmp_path / "Y.csv"
+        write_surface_csv(path, FieldSurface.from_buffer(be, data))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["step", "node", "value"])
+        writer.writerows(zip(be.step_of_node.tolist(), be.node_index.tolist(), map(repr, data.tolist())))
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert read_surface_csv(path, be).data.tobytes() == data.tobytes()
+
     @staticmethod
     def written_lines(tmp_path, be):
         path = tmp_path / "Y.csv"
@@ -453,3 +492,53 @@ class TestValidatorGaps:
         assert "A5 comparison psi_plus_1" in capsys.readouterr().err
         # finer steps restore the condition: 4 * sqrt(1/40) <= 1 + 0.5 / 40
         assert main(["check-assumptions", "--problem", path, "--backend", "binomial", "--steps", "40"]) == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_interpreter(code: str, *args) -> str:
+    """Last line of stdout of ``code`` run in a new interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+class TestImportScope:
+    """A command loads only the modules it runs, in a fresh interpreter."""
+
+    REPORT = (
+        "import json, sys\n"
+        "from modeswitch.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random')\n"
+        "print(json.dumps([code, [name for name in watched if name in sys.modules]]))"
+    )
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            (["check-assumptions"], []),
+            (["solve"], []),
+            (["simulate", "--paths", "100"], ["modeswitch.strategy"]),
+        ],
+    )
+    def test_fixture_command_loads_only_what_it_runs(self, tmp_path, command, loaded):
+        args = [*command, "--problem", "problems/counterexample.json", "--steps", "200", "--out", str(tmp_path)]
+        assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, loaded]
+
+    def test_every_public_name_resolves_lazily(self):
+        code = (
+            "import json, sys, modeswitch\n"
+            "before = sorted(m for m in sys.modules if m.startswith('modeswitch.'))\n"
+            "from modeswitch import *\n"
+            "missing = [name for name in modeswitch.__all__ if name not in globals()]\n"
+            "print(json.dumps([before, missing, len(modeswitch.__all__)]))"
+        )
+        assert json.loads(fresh_interpreter(code)) == [[], [], 35]
+        for name in modeswitch.__all__:
+            module = importlib.import_module(f"modeswitch.{modeswitch._EXPORTS[name]}")
+            assert getattr(modeswitch, name) is getattr(module, name), name
+        with pytest.raises(AttributeError, match="has no attribute 'solve'"):
+            modeswitch.solve  # noqa: B018

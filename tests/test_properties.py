@@ -36,6 +36,8 @@ from modeswitch.scheme import Iterate, SchemeError, _certify_fixed_point, iterat
 from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
+from conftest import assert_matches_pinned
+
 KINDS = st.sampled_from(("deterministic", "binomial"))
 STEPS = st.integers(min_value=4, max_value=24)
 SIGNS = {"plus": 1.0, "minus": -1.0}  # profit terminals above the common level, cost terminals below
@@ -104,6 +106,11 @@ def test_one_pass_equals_picard_reference(problem, kind, steps):
     for key in COMPONENTS:
         for field in ("y", "z", "dk"):
             np.testing.assert_array_equal(getattr(fast.sol[key], field).data, getattr(ref.sol[key], field).data)
+
+
+@given(admissible_problems(), KINDS, STEPS)
+def test_step_kernel_equals_pinned_pass(problem, kind, steps):
+    assert_matches_pinned(problem, admissible_case(problem, kind, steps))
 
 
 def sweep_moves(solution) -> bool:

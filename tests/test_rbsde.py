@@ -336,9 +336,9 @@ class TestBlockPass:
         drivers = {(side, mode): random_affine_driver(rng, mode, side, max_slope=0.4) for side, mode in COMPONENTS}
         terminals = {key: Terminal(*rng.uniform(-1, 1, size=2)) for key in COMPONENTS}
         problem = build_problem(drivers=drivers, terminals=terminals)
-        keep = lambda ytilde, y, k: np.copyto(y, ytilde)  # noqa: E731
+        keep = lambda ytilde, k: ytilde  # noqa: E731
         x_T = backend.state(backend.grid.n_steps)
-        rate, terminal = problem.driver_table(backend).rate, problem.terminal_block(x_T)
+        rate, terminal = problem.driver_table(backend).per_step(backend), problem.terminal_block(x_T)
         block = backward_pass(rate, terminal, keep, backend, COMPONENTS)
         for key in COMPONENTS:
             single = solve_rbsde_lower(drivers[key], terminals[key](x_T), None, backend)

@@ -32,7 +32,7 @@ from modeswitch.scheme import (
 )
 from modeswitch.verify import closed_form_family, counterexample_problem
 
-from conftest import bin_backend, build_problem, det_backend, random_affine_driver
+from conftest import assert_matches_pinned, bin_backend, build_problem, det_backend, random_affine_driver
 
 
 def multi_sweep_problem():
@@ -454,6 +454,23 @@ class TestOnePassAgainstPicard:
             scheme._assert_system_constraints(solution, obstacles)
 
 
+class TestStepKernelPinned:
+    """The backward pass against the written-out loop it replaced (``pinned_pass``)."""
+
+    @pytest.mark.parametrize(
+        "path, kind, n",
+        [
+            ("problems/counterexample.json", "deterministic", 2000),
+            ("bench/problems/switching_lattice.json", "binomial", 100),
+            ("bench/problems/switching_lattice.json", "binomial", 400),
+            ("problems/smoke_lattice.json", "binomial", 100),
+        ],
+    )
+    def test_solve_equals_pinned_pass_bit_for_bit(self, path, kind, n):
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
+        assert_matches_pinned(problem, make_backend(kind, TimeGrid(n, problem.horizon)))
+
+
 def half_sweeps(ytilde, costs, cap=500):
     """The projection as alternating Jacobi half sweeps, written out: both
     cost values start at the least of min(y~-, y~+ + b) over the modes, the
@@ -508,8 +525,8 @@ class TestProjection:
         ytilde, costs = step
         swept = half_sweeps(ytilde, costs)
         assume(swept is not None)
-        y, rounds = np.full_like(ytilde, np.nan), np.zeros(1, dtype=int)
-        scheme._project(ytilde, y, costs, 0, rounds)
+        rounds = np.zeros(1, dtype=int)
+        y = scheme._project(ytilde, costs, 0, rounds)
         # Equal values are equal bits, up to the sign of a zero: the sweeps
         # leave that to their path (their last block can hold a cost -0.0
         # next to a profit value built from the +0.0 before it).
@@ -527,4 +544,4 @@ class TestProjection:
         b = np.array([[0.0, 0.0, 1e-6]] * 2)
         costs = CostSlice(np.full((2, 3), 0.05), np.zeros((2, 3)), b)
         with pytest.raises(LocalSweepError, match=r"^did not converge at step 7, node 2: \(plus,1\) still moves by 1e-06$"):
-            scheme._project(ytilde, np.zeros((2, 2, 3)), costs, 7, np.zeros(8, dtype=int))
+            scheme._project(ytilde, costs, 7, np.zeros(8, dtype=int))
