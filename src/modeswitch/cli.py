@@ -6,7 +6,8 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
-type included), 2 a node whose projection did not settle in LOCAL_SWEEP_CAP rounds.
+type included, and data whose solve overflows float64), 2 a node whose
+projection did not settle in LOCAL_SWEEP_CAP rounds.
 
 Each command imports what it runs: ``strategy`` is loaded by ``simulate``
 only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and

@@ -43,9 +43,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def t(self, k: int) -> float:
-        return k * self.dt
-
 
 class Lattice:
     """Recombining fair-coin lattice with 1 + down * k nodes at step k."""
@@ -106,18 +103,12 @@ class Lattice:
         up, down = v[..., :m], v[..., self.down : self.down + m]
         return (up + down) * 0.5, (up - down) / self._twice_sqrt_dt
 
-    def condexp(self, next_values, k: int) -> np.ndarray:
-        return self.moments(next_values, k)[0]
-
-    def martingale_projection(self, next_values, k: int) -> np.ndarray:
-        return self.moments(next_values, k)[1]
-
     def continuation(self, data: np.ndarray) -> np.ndarray:
         """E_k[V_{k+1}] at every node before the horizon, from flat buffers along the last axis."""
         return (data[..., self._up] + data[..., self._up + self.down]) * 0.5
 
     def martingale_increment(self, data: np.ndarray) -> np.ndarray:
-        """``martingale_projection`` of V_{k+1} at every node before the horizon, from flat buffers."""
+        """The martingale projection of V_{k+1} at every node before the horizon, from flat buffers."""
         return (data[..., self._up] - data[..., self._up + self.down]) / self._twice_sqrt_dt
 
     def sample_paths(self, n_paths: int, seed) -> np.ndarray:
@@ -143,59 +134,18 @@ def make_backend(kind: str, grid: TimeGrid) -> Lattice:
 class FieldSurface:
     """One adapted process sampled on the lattice, as one flat buffer of node values."""
 
-    def __init__(self, backend: Lattice, values: list[np.ndarray]):
-        n = backend.grid.n_steps
-        if len(values) != n + 1:
-            raise ValueError(f"surface needs {n + 1} steps of values, got {len(values)}")
-        vals = []
-        for k, v in enumerate(values):
-            v = np.asarray(v, dtype=float)
-            if v.shape != (backend.n_nodes(k),):
-                raise ValueError(f"step {k}: expected {backend.n_nodes(k)} nodes, got shape {v.shape}")
-            vals.append(v)
-        self.backend = backend
-        self.data = np.concatenate(vals)
-
-    @classmethod
-    def from_buffer(cls, backend: Lattice, data: np.ndarray) -> "FieldSurface":
+    def __init__(self, backend: Lattice, data: np.ndarray):
         """Surface over a flat buffer of ``backend.size`` node values (not copied)."""
         if data.shape != (backend.size,):
             raise ValueError(f"flat surface needs {backend.size} node values, got shape {data.shape}")
-        surface = cls.__new__(cls)
-        surface.backend, surface.data = backend, data
-        return surface
+        self.backend, self.data = backend, data
 
     @classmethod
     def zeros(cls, backend: Lattice) -> "FieldSurface":
-        return cls.from_buffer(backend, np.zeros(backend.size))
-
-    @classmethod
-    def constant(cls, backend: Lattice, c: float) -> "FieldSurface":
-        return cls.from_buffer(backend, np.full(backend.size, float(c)))
-
-    @classmethod
-    def from_time_function(cls, backend: Lattice, f) -> "FieldSurface":
-        times = backend.grid.times
-        per_step = np.broadcast_to(np.asarray(f(times), dtype=float), times.shape)
-        return cls.from_buffer(backend, per_step[backend.step_of_node])
+        return cls(backend, np.zeros(backend.size))
 
     def at(self, k: int) -> np.ndarray:
         return self.data[self.backend.offsets[k] : self.backend.offsets[k + 1]]
 
-    @property
-    def n_steps(self) -> int:
-        return self.backend.grid.n_steps
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.data)))
-
     def sup_diff(self, other: "FieldSurface") -> float:
         return float(np.max(np.abs(self.data - other.data)))
-
-    def __add__(self, other):
-        other = other.data if isinstance(other, FieldSurface) else other
-        return FieldSurface.from_buffer(self.backend, self.data + other)
-
-    def __sub__(self, other):
-        other = other.data if isinstance(other, FieldSurface) else other
-        return FieldSurface.from_buffer(self.backend, self.data - other)

@@ -181,7 +181,7 @@ def read_surface_csv(path, backend: Lattice) -> FieldSurface:
     if rows[i] != 1:
         k, j = backend.locate(i)
         raise ValueError(f"{path}: step {k}, node {j} is {'missing' if rows[i] == 0 else 'repeated'}")
-    return FieldSurface.from_buffer(backend, data)
+    return FieldSurface(backend, data)
 
 
 def write_trace_csv(path, trace):

@@ -23,8 +23,6 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .rbsde import STABILITY_LIMIT
-
 PLUS = "plus"
 MINUS = "minus"
 SIDES = (PLUS, MINUS)  # the side axis of a (side, mode, node) block
@@ -34,6 +32,10 @@ COMPONENTS = tuple((side, mode) for side in SIDES for mode in MODES)
 # Absolute slack when comparing terminal inequalities; absorbs float
 # evaluation of the exponential cost catalog.
 BOUNDARY_SLACK = 1e-12
+
+# Step guard of the explicit backward scheme, the validator's A6 check:
+# dt * Lipschitz below this keeps the one-step operator a contraction in y.
+STABILITY_LIMIT = 0.5
 
 
 def other_mode(mode: int) -> int:

@@ -1,4 +1,4 @@
-"""Solvers for the coupled four-equation system.
+"""The system solver for the coupled four-equation system.
 
 ``solve_system`` builds the minimal solution in one backward pass over the
 (side, mode, node) block of ``model``: at each step it projects the block of
@@ -7,24 +7,28 @@ solved exactly for the profit row held (``model.closure``), then the profit
 side for that cost row, from Y+ = y~+ until a profit closure changes no node.
 The one-step map is monotone (the comparison check), so this gives the
 smallest solution of each step and, by backward induction, the minimal
-discrete solution. The paper reaches it as the limit of its Picard scheme, so the
-solve then certifies that one Picard sweep from it would move no node,
-without running the sweep: at every node before the horizon, Y must equal
-its reflected Euler value better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y
-itself on the whole block (the discrete reflection relation of El Karoui et
-al., "Reflected solutions of backward SDE's", 1997). By backward induction
-from the horizon, where both sides are the terminal values, this holds
-exactly when the sweep moves no node; a node that fails it fails the solve.
+discrete solution. The paper reaches it as the limit of its Picard scheme
+(each sweep freezes the barriers and solves four single reflected
+equations), so the solve then runs one check: it certifies that one Picard
+sweep from the solution would move no node, without running the sweep. At
+every node before the horizon, Y must equal its reflected Euler value
+better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y itself on the whole block
+(the discrete reflection relation of El Karoui et al., "Reflected solutions
+of backward SDE's", 1997). By backward induction from the horizon, where
+both sides are the terminal values, this holds exactly when the sweep moves
+no node; a node that fails it fails the solve. Where it holds, every value
+sits inside its barrier, and every push dK = |Y - y~| meets it, as the
+pass's y~ is the certificate's Euler value bit for bit; so the constraint
+and complementarity relations need no check of their own.
 
-``picard_system``, the paper's monotone Picard iteration, is the reference:
-each sweep freezes the barriers at the previous stage and solves four single
-reflected equations, cost pair first (stage-n barriers), then profit pair
-(barriers mixing the stage-n profit with the fresh stage-(n+1) cost).
+The solve runs with numpy's overflow and invalid-value warnings off; a value
+or push that is not finite fails it with a ``ProblemError`` naming its step,
+node and component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,91 +39,24 @@ from .model import (
     MODES,
     PLUS,
     CostSlice,
+    ProblemError,
     SwitchingProblem,
     by_side,
     closure,
     evaluate_obstacles,
-    other_mode,
     validate_assumptions,
 )
-from .rbsde import RbsdeSolution, backward_pass, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from .rbsde import RbsdeSolution, backward_pass
 
-# Pointwise slack for the scheme's order assertions (float noise only; the
-# discrete comparison argument is exact in exact arithmetic).
-MONOTONICITY_SLACK = 1e-10
-SKOROKHOD_CAP = 1e-8
-
-DEFAULT_TOL = {"deterministic": 1e-8, "binomial": 1e-4}
-DEFAULT_MAX_ITER = 500
 LOCAL_SWEEP_CAP = 500
 
 
 class SchemeError(RuntimeError):
-    """An iteration invariant failed; signals a discretization or configuration bug."""
+    """The solve failed a check; signals a discretization or configuration bug."""
 
 
 class LocalSweepError(SchemeError):
     """The one-step projection at a node did not settle within LOCAL_SWEEP_CAP rounds."""
-
-
-class _ShiftedDriver:
-    """Profit driver rewritten for the benefit-shifted unknown l = y + b(t)."""
-
-    def __init__(self, base, b_coeff):
-        self.base = base
-        self.b_coeff = b_coeff
-        self.lipschitz = base.lipschitz
-
-    def tabulate(self, times):
-        base = self.base.tabulate(times)
-        b, db = np.asarray(self.b_coeff(times)), np.asarray(self.b_coeff.derivative(times))
-        return lambda k, x, l, z: base(k, x, l - b[k], z) - db[k]
-
-
-class _MinDriver:
-    """Pointwise minimum of several drivers (Lipschitz with the max constant)."""
-
-    def __init__(self, drivers):
-        self.drivers = list(drivers)
-        self.lipschitz = max(d.lipschitz for d in self.drivers)
-
-    def __call__(self, t, x, y, z):
-        return self.tabulate(t)(..., x, y, z)
-
-    def tabulate(self, times):
-        rates = [d.tabulate(times) for d in self.drivers]
-        return lambda k, x, y, z: np.minimum.reduce([rate(k, x, y, z) for rate in rates])
-
-
-@dataclass(frozen=True)
-class SchemeStart:
-    """Warm-start data: unreflected profit solutions, their benefit shifts, and
-    the auxiliary minimum solution bounding the cost side from below."""
-
-    y_plus0: dict
-    big_l: dict
-    dot_y: FieldSurface
-    alpha: _MinDriver
-
-
-@dataclass(frozen=True)
-class Iterate:
-    n: int
-    sol: dict
-
-    def y(self, side: str, mode: int) -> FieldSurface:
-        return self.sol[(side, mode)].y
-
-
-@dataclass
-class ConvergenceTrace:
-    tol: float
-    deltas: list = field(default_factory=list)
-    converged: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.deltas)
 
 
 @dataclass(frozen=True)
@@ -137,7 +74,7 @@ class BalanceSheetSolution:
     problem: SwitchingProblem
     backend: Lattice
     sol: dict
-    trace: ConvergenceTrace | PassTrace
+    trace: PassTrace
 
     def y0(self, side: str, mode: int) -> float:
         return float(self.sol[(side, mode)].y.at(0)[0])
@@ -166,33 +103,7 @@ def stack(surfaces: dict) -> np.ndarray:
 def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
     """Barrier surfaces implied by a set of four Y surfaces, over views of one block."""
     barriers = evaluate_obstacles(stack(ys), node_costs(problem, backend)).reshape(4, -1)
-    return {key: FieldSurface.from_buffer(backend, row) for key, row in zip(COMPONENTS, barriers)}
-
-
-def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int):
-    """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
-    left to right like a step-by-step loop would; one per row of a block."""
-    end = backend.offsets[n_steps]
-    per_step = np.maximum.reduceat((np.abs(gap) * dk)[..., :end], backend.offsets[:n_steps], axis=-1)
-    return np.cumsum(per_step, axis=-1)[..., -1]
-
-
-def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str, amount: str = "excess"):
-    """Raise SchemeError at the worst node where ``low`` exceeds ``high`` beyond the slack."""
-    excess = low - high
-    i = int(np.argmax(excess))
-    if excess[i] > MONOTONICITY_SLACK:
-        k, j = backend.locate(i)
-        raise SchemeError(f"{what} at step {k}, node {j}: {amount} {excess[i]:g}")
-
-
-def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
-    """One component reflected off a flat barrier buffer: up off a floor on
-    the profit side, down off a cap on the cost side."""
-    solve = solve_rbsde_lower if side == PLUS else solve_rbsde_upper
-    if terminal is None:
-        terminal = problem.terminal(side, mode)(backend.state(backend.grid.n_steps))
-    return solve(problem.driver(side, mode), terminal, FieldSurface.from_buffer(backend, barrier), backend)
+    return {key: FieldSurface(backend, row) for key, row in zip(COMPONENTS, barriers)}
 
 
 def _require_admissible(problem: SwitchingProblem, backend: Lattice):
@@ -205,114 +116,46 @@ def _require_admissible(problem: SwitchingProblem, backend: Lattice):
         raise err
 
 
-def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
-    """Warm-start stage: unreflected profit equations and the minimum equation."""
-    _require_admissible(problem, backend)
-    costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.grid.n_steps))
-    y_plus0 = {}
-    for mode in MODES:
-        y, z = solve_bsde(problem.driver(PLUS, mode), xi[0, mode - 1], backend)
-        y_plus0[mode] = RbsdeSolution(y, z, FieldSurface.zeros(backend))
-
-    big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
-
-    shifted = [_ShiftedDriver(problem.driver(PLUS, mode), problem.b[mode - 1]) for mode in MODES]
-    alpha = _MinDriver(shifted + [problem.driver(MINUS, mode) for mode in MODES])
-
-    T = problem.horizon
-    dot_terminal = np.minimum.reduce([xi[0, mode - 1] + problem.b[mode - 1](T) for mode in MODES] + list(xi[1]))
-    dot_y, _ = solve_bsde(alpha, dot_terminal, backend)
-
-    # Lower-bound inequality seeding the cost side: dotY <= L^i and (with
-    # ell > 0) dotY <= dotY + ell_i, at every node.
-    for mode in MODES:
-        bound = np.minimum(big_l[mode].data, dot_y.data + costs.ell[mode - 1])
-        _check_order(dot_y.data, bound, backend, f"warm-start ordering violated for mode {mode}")
-
-    return SchemeStart(y_plus0=y_plus0, big_l=big_l, dot_y=dot_y, alpha=alpha)
-
-
-def _check_not_below(new: FieldSurface, old: FieldSurface, label: str):
-    _check_order(old.data, new.data, new.backend, f"iterate monotonicity violated for {label}", "decrease")
-
-
-def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Lattice) -> Iterate:
-    """First reflected sweep, seeded by the warm-start surfaces.
-
-    The cost components stop at the minimum solution's horizon value and are
-    capped by (profit + benefit) and (minimum + switching cost); the profit
-    components are then floored by the usual switch/terminate barrier built
-    from the stage-0 profits and the fresh cost components.
-    """
-    n = backend.grid.n_steps
-    costs = node_costs(problem, backend)
-    sol = {}
-    for mode in MODES:
-        cap = np.minimum(start.big_l[mode].data, start.dot_y.data + costs.ell[mode - 1])
-        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap, terminal=start.dot_y.at(n))
-        _check_not_below(sol[(MINUS, mode)].y, start.dot_y, f"cost mode {mode} vs warm start")
-    for mode in MODES:
-        y_other, y_cost = start.y_plus0[other_mode(mode)].y.data, sol[(MINUS, mode)].y.data
-        floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
-        sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
-        _check_not_below(sol[(PLUS, mode)].y, start.y_plus0[mode].y, f"profit mode {mode} stage 0->1")
-    return Iterate(n=1, sol=sol)
-
-
-def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> Iterate:
-    """One Picard sweep: cost pair (stage-n barriers), then profit pair
-    (barriers mixing stage-n profit with stage-(n+1) cost)."""
-    costs = node_costs(problem, backend)
-    sol = {}
-    for mode in MODES:
-        y_other, y_profit = prev.y(MINUS, other_mode(mode)).data, prev.y(PLUS, mode).data
-        cap = np.minimum(y_other + costs.ell[mode - 1], y_profit + costs.b[mode - 1])
-        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap)
-        _check_not_below(sol[(MINUS, mode)].y, prev.y(MINUS, mode), f"cost mode {mode} stage {prev.n}")
-    for mode in MODES:
-        y_other, y_cost = prev.y(PLUS, other_mode(mode)).data, sol[(MINUS, mode)].y.data
-        floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
-        sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
-        _check_not_below(sol[(PLUS, mode)].y, prev.y(PLUS, mode), f"profit mode {mode} stage {prev.n}")
-    return Iterate(n=prev.n + 1, sol=sol)
-
-
-def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: dict):
-    """Barrier inequalities, increment signs, and complementarity sums on the
-    converged block, against the barriers ``solution.obstacles()``; a failure
-    names the first failing component in ``COMPONENTS`` order."""
-    backend = solution.backend
-    gap, dk = by_side("inside", solution.block("y"), stack(obstacles)), solution.block("dk")
-    sko, terms = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1), np.abs(gap) * dk
-    for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
-        _check_order(-gap[index], 0.0, backend, f"barrier constraint violated for ({side},{mode})")
-        _check_order(-dk[index], 0.0, backend, f"reflection increment negative for ({side},{mode})")
-        if sko[index] > SKOROKHOD_CAP:
-            k, j = backend.locate(int(np.argmax(terms[index])))
-            raise SchemeError(
-                f"complementarity sum {sko[index]:g} exceeds {SKOROKHOD_CAP:g} for ({side},{mode}); "
-                f"largest term {terms[index].max():g} at step {k}, node {j}"
-            )
+def _euler(problem: SwitchingProblem, backend: Lattice, y: np.ndarray) -> np.ndarray:
+    """The Euler values E_k[Y_{k+1}] + psi dt of a (side, mode, node) block
+    at every node before the horizon, on the whole block."""
+    end, e, z = backend.offsets[backend.grid.n_steps], backend.continuation(y), backend.martingale_increment(y)
+    return e + problem.driver_table(backend).rate(slice(0, end), e, z) * backend.grid.dt
 
 
 def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
     """Raise SchemeError unless one Picard sweep from the solution would move
     no node (see the module notes).
 
-    Each term is the expression ``iterate_once`` evaluates at that node, so
-    requiring bitwise equality makes this exactly as strict as the sweep.
-    It runs on the whole block and names the first component that moves.
+    Each term is the expression the reference Picard sweep evaluates at that
+    node, so requiring bitwise equality makes this exactly as strict as the
+    sweep. It runs on the whole block and names the first component that moves.
     """
     problem, backend, y = solution.problem, solution.backend, solution.block("y")
-    end, e, z = backend.offsets[backend.grid.n_steps], backend.continuation(y), backend.martingale_increment(y)
-    euler = e + problem.driver_table(backend).rate(slice(0, end), e, z) * backend.grid.dt
-    settled = by_side("better", euler, stack(obstacles)[..., :end])
+    end = backend.offsets[backend.grid.n_steps]
+    settled = by_side("better", _euler(problem, backend, y), stack(obstacles)[..., :end])
     miss = np.where(settled == y[..., :end], 0.0, np.abs(settled - y[..., :end]))
     for (side, mode), row in zip(COMPONENTS, miss.reshape(4, -1)):
         i = int(np.argmax(row))
         if row[i]:
             k, j = backend.locate(i)
             raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {row[i]:g}")
+
+
+def _require_finite(block: np.ndarray, what: str, locate):
+    """Raise ProblemError at the last node of a (side, mode, node) block that
+    holds a value that is not finite (on a flat block, one of the latest
+    step), naming the first such component there; ``locate`` maps a node
+    index to its (step, node)."""
+    rows = block.reshape(4, -1)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))
+    if bad.size:
+        i = int(bad[-1])
+        c = int(np.argmin(np.isfinite(rows[:, i])))
+        (side, mode), (k, j) = COMPONENTS[c], locate(i)
+        raise ProblemError(
+            f"{what} not finite at step {k}, node {j}: ({side},{mode}) is {rows[c, i]:g}; the data overflows float64"
+        )
 
 
 def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray) -> np.ndarray:
@@ -328,6 +171,7 @@ def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray
         if not np.count_nonzero(moving := profit != last):
             rounds[step] = n
             return np.array((profit, cost))
+    _require_finite(ytilde, "Euler value", lambda i: (step, i))
     node = int(np.argmax(moving.any(axis=0)))
     mode = int(np.argmax(moving[:, node]))
     move = f"({PLUS},{MODES[mode]}) still moves by {profit[mode, node] - last[mode, node]:g}"
@@ -341,46 +185,10 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     costs, rounds = problem.cost_table(backend.grid.times).columns(), np.zeros(n, dtype=int)
     project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
     terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).per_step(backend)
-    sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
-    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(rounds))
-    obstacles = solution.obstacles()
-    _assert_system_constraints(solution, obstacles)
-    _certify_fixed_point(solution, obstacles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
+        solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(rounds))
+        for field, what in (("y", "value"), ("dk", "push")):  # a push is not finite where its Euler value is not
+            _require_finite(solution.block(field), what, backend.locate)
+        _certify_fixed_point(solution, solution.obstacles())
     return solution, solution.trace
-
-
-def picard_system(
-    problem: SwitchingProblem,
-    backend: Lattice,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[BalanceSheetSolution, ConvergenceTrace]:
-    """Reference solver: the Picard iteration to the minimal system solution.
-
-    Stops when the sup-distance across all four Y surfaces falls below
-    ``tol`` (backend-dependent default) or after ``max_iter`` sweeps; a
-    non-converged trace is returned to the caller rather than raised.
-    """
-    if tol is None:
-        tol = DEFAULT_TOL[backend.kind]
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
-    start = initialize_scheme(problem, backend)
-    current = first_iterate(start, problem, backend)
-    trace = ConvergenceTrace(tol=tol)
-    for _ in range(max_iter):
-        nxt = iterate_once(current, problem, backend)
-        delta = max(nxt.y(side, mode).sup_diff(current.y(side, mode)) for side, mode in COMPONENTS)
-        trace.deltas.append(delta)
-        current = nxt
-        if delta < tol:
-            trace.converged = True
-            break
-
-    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=current.sol, trace=trace)
-    if trace.converged:
-        _assert_system_constraints(solution, solution.obstacles())
-    return solution, trace

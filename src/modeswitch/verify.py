@@ -29,7 +29,7 @@ from .model import (
     by_side,
 )
 from .rbsde import RbsdeSolution
-from .scheme import BalanceSheetSolution, skorokhod_sum, stack, system_obstacles
+from .scheme import BalanceSheetSolution, stack, system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -63,6 +63,14 @@ def counterexample_problem(T: float = 1.0) -> SwitchingProblem:
         b=(zero, zero),
         terminals=terminals,
     )
+
+
+def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int):
+    """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
+    left to right like a step-by-step loop would; one per row of a block."""
+    end = backend.offsets[n_steps]
+    per_step = np.maximum.reduceat((np.abs(gap) * dk)[..., :end], backend.offsets[:n_steps], axis=-1)
+    return np.cumsum(per_step, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,9 @@ class ClosedFormFamily:
             dens = self.k_density(side, mode, times)
             dk = np.append(0.5 * (dens[:-1] + dens[1:]) * grid.dt, 0.0)
             out[(side, mode)] = RbsdeSolution(
-                FieldSurface.from_buffer(backend, self.y(side, mode, times)[at]),
+                FieldSurface(backend, self.y(side, mode, times)[at]),
                 FieldSurface.zeros(backend),
-                FieldSurface.from_buffer(backend, dk[at]),
+                FieldSurface(backend, dk[at]),
             )
         return out
 
@@ -154,14 +162,13 @@ class ResidualReport:
         }
 
     def failures(self) -> list[str]:
-        out = []
-        caps = self.caps()
-        for key, res in self.components.items():
-            for name, value in res.as_dict().items():
-                cap = caps.get(name)
-                if cap is not None and value > cap:
-                    out.append(f"{key[0]}_{key[1]}.{name} = {value:.3g} > {cap:.3g}")
-        return out
+        caps = self.caps()  # in the field order of ComponentResiduals
+        return [
+            f"{key[0]}_{key[1]}.{name} = {value:.3g} > {cap:.3g}"
+            for key, res in self.components.items()
+            for name, cap in caps.items()
+            if (value := getattr(res, name)) > cap
+        ]
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,7 @@ from modeswitch.model import (
     SwitchingProblem,
     Terminal,
 )
-from modeswitch.scheme import LOCAL_SWEEP_CAP, solve_system
+from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
 
 # Property tests draw a fixed, small example set: reproducible failures, no
 # example database, no per-example deadline.
@@ -166,3 +166,13 @@ def assert_matches_pinned(problem, backend):
     for field, pinned in (("y", y), ("z", z), ("dk", dk)):
         assert solution.block(field).tobytes() == pinned.tobytes(), field
     np.testing.assert_array_equal(trace.local_sweeps, rounds)
+
+
+def assert_certificate_premise(problem, backend):
+    """The pass's dK is |Y - y~| with y~ the Euler value the fixed-point
+    certificate builds from Y, bit for bit, and 0 at the horizon: where the
+    certificate holds, every push then sits on its barrier."""
+    solution, _ = solve_system(problem, backend)
+    y, dk, end = solution.block("y"), solution.block("dk"), backend.offsets[backend.grid.n_steps]
+    assert dk[..., :end].tobytes() == np.abs(y[..., :end] - _euler(problem, backend, y)).tobytes()
+    assert (dk[..., end:] == 0.0).all()

@@ -19,12 +19,12 @@ from modeswitch.model import (
     Driver,
     validate_assumptions,
 )
-from modeswitch.rbsde import solve_rbsde_lower
-from modeswitch.scheme import first_iterate, initialize_scheme, iterate_once, solve_system
+from modeswitch.scheme import solve_system
 from modeswitch.strategy import TERMINATE, simulate_policy
 from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family, counterexample_problem
 
 from conftest import build_problem, remark_problem, smoke_problem
+from picard_reference import first_iterate, initialize_scheme, iterate_once, reflect
 from test_rbsde import (
     _SumDriver,
     brute_force_optimal_stopping,
@@ -133,7 +133,7 @@ def test_criterion_4_snell_oracle():
     ok = True
     worst = 0.0
     for _ in range(100):
-        payoff = FieldSurface(backend, [rng.uniform(-1, 1, k + 1) for k in range(5)])
+        payoff = FieldSurface(backend, np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(5)]))
         env, stops = snell_envelope(payoff)
         best = brute_force_optimal_stopping(payoff, 4)
         root = float(env.at(0)[0])
@@ -152,18 +152,18 @@ def test_criterion_5_comparison_suite():
     for i in range(50):
         backend = bin_backend(16) if i % 2 else det_backend(32)
         drv, xi, barrier = random_lower_instance(rng, backend)
-        base = solve_rbsde_lower(drv, xi, barrier, backend)
+        base = reflect(drv, xi, barrier.data, backend)
         bump = float(rng.uniform(0.01, 0.5))
         n = backend.grid.n_steps
 
         lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
         lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
         variants = (
-            solve_rbsde_lower(drv, xi + bump, barrier, backend),
-            solve_rbsde_lower(
+            reflect(drv, xi + bump, barrier.data, backend),
+            reflect(
                 _SumDriver(drv, Driver(1, PLUS, CoefficientFunction.constant(bump))),
-                xi, barrier, backend),
-            solve_rbsde_lower(drv, xi, FieldSurface(backend, lifted_vals), backend),
+                xi, barrier.data, backend),
+            reflect(drv, xi, np.concatenate(lifted_vals), backend),
         )
         for variant in variants:
             drop = min(

@@ -358,7 +358,7 @@ class TestSurfaceRoundTrip:
         be = make_backend(kind, TimeGrid(n, 1.0))  # 10 nodes either way
         data = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 7.0])
         path = tmp_path / "Y.csv"
-        write_surface_csv(path, FieldSurface.from_buffer(be, data))
+        write_surface_csv(path, FieldSurface(be, data))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["step", "node", "value"])
@@ -369,7 +369,7 @@ class TestSurfaceRoundTrip:
     @staticmethod
     def written_lines(tmp_path, be):
         path = tmp_path / "Y.csv"
-        write_surface_csv(path, FieldSurface.from_buffer(be, np.arange(be.size, dtype=float)))
+        write_surface_csv(path, FieldSurface(be, np.arange(be.size, dtype=float)))
         return path, path.read_text().splitlines(keepends=True)
 
     def test_missing_row_is_named(self, tmp_path):
@@ -465,6 +465,18 @@ class TestErrorBoundary:
                 f"error: 'horizon' must be positive and finite, got {value.lower()[:3]}"
             ]
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_overflow_exits_one_with_one_error_line(self, tmp_path, command):
+        # every check passes (dt c1 = 0.4995 < 1/2), but Y grows by 1 + c1 dt a
+        # step and leaves float64 a few hundred steps before t = 0
+        doc = counterexample_doc()
+        doc["drivers"] = [{**driver, "c1": 999.0} for driver in doc["drivers"]]
+        done = run_python("-m", "modeswitch.cli", command, "--problem", write_doc(tmp_path, doc), "--out", str(tmp_path))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: Euler value not finite at step 263, node 0: (plus,1) is nan; the data overflows float64"
+        ]
+
     def test_simulate_prints_validation_report(self, tmp_path, capsys):
         doc = counterexample_doc()
         doc["costs"]["ell_1"] = 0.0
@@ -497,10 +509,15 @@ class TestValidatorGaps:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """``python argv...`` in a new interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+
+
 def fresh_interpreter(code: str, *args) -> str:
     """Last line of stdout of ``code`` run in a new interpreter on this source tree."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True, text=True)
+    done = run_python("-c", code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -536,7 +553,7 @@ class TestImportScope:
             "missing = [name for name in modeswitch.__all__ if name not in globals()]\n"
             "print(json.dumps([before, missing, len(modeswitch.__all__)]))"
         )
-        assert json.loads(fresh_interpreter(code)) == [[], [], 35]
+        assert json.loads(fresh_interpreter(code)) == [[], [], 30]
         for name in modeswitch.__all__:
             module = importlib.import_module(f"modeswitch.{modeswitch._EXPORTS[name]}")
             assert getattr(modeswitch, name) is getattr(module, name), name

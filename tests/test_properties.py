@@ -32,11 +32,12 @@ from modeswitch.model import (
     Terminal,
     validate_assumptions,
 )
-from modeswitch.scheme import Iterate, SchemeError, _certify_fixed_point, iterate_once, picard_system, solve_system
+from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system
 from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
-from conftest import assert_matches_pinned
+from conftest import assert_certificate_premise, assert_matches_pinned
+from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
 STEPS = st.integers(min_value=4, max_value=24)
@@ -111,6 +112,11 @@ def test_one_pass_equals_picard_reference(problem, kind, steps):
 @given(admissible_problems(), KINDS, STEPS)
 def test_step_kernel_equals_pinned_pass(problem, kind, steps):
     assert_matches_pinned(problem, admissible_case(problem, kind, steps))
+
+
+@given(admissible_problems(), KINDS, STEPS)
+def test_push_is_the_certificates_euler_gap(problem, kind, steps):
+    assert_certificate_premise(problem, admissible_case(problem, kind, steps))
 
 
 def sweep_moves(solution) -> bool:

@@ -5,10 +5,11 @@ import pytest
 
 from modeswitch.grid import FieldSurface
 from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal
-from modeswitch.rbsde import backward_pass, solve_bsde, solve_rbsde_lower, solve_rbsde_upper
+from modeswitch.rbsde import backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
 from conftest import bin_backend, build_problem, det_backend, random_affine_driver
+from picard_reference import reflect
 
 
 def brute_force_optimal_stopping(payoff: FieldSurface, depth: int) -> float:
@@ -43,7 +44,7 @@ def snell_envelope(payoff: FieldSurface):
     value), and its stop mask: where the envelope equals the payoff, and N."""
     be = payoff.backend
     zero = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-    env = solve_rbsde_lower(zero, payoff.at(be.grid.n_steps), payoff, be).y
+    env = reflect(zero, payoff.at(be.grid.n_steps), payoff.data, be).y
     return env, stop_mask(env.data, payoff.data, be)
 
 
@@ -76,7 +77,7 @@ def random_lower_instance(rng, backend):
     n = backend.grid.n_steps
     vals = [rng.uniform(-1.5, 0.5, backend.n_nodes(k)) for k in range(n + 1)]
     vals[n] = np.full(backend.n_nodes(n), xi - float(rng.uniform(0.1, 1.0)))
-    return drv, xi, FieldSurface(backend, vals)
+    return drv, xi, FieldSurface(backend, np.concatenate(vals))
 
 
 class TestSolveBsde:
@@ -84,17 +85,17 @@ class TestSolveBsde:
     def test_unit_rate_constant_terminal(self, make):
         be = make()
         drv = Driver(1, PLUS, CoefficientFunction.constant(1.0))
-        y, z = solve_bsde(drv, 3.0, be)
+        sol = reflect(drv, 3.0, None, be)
         for k in range(17):
-            np.testing.assert_allclose(y.at(k), 3.0 + (2.0 - be.grid.t(k)), atol=1e-12)
-        assert z.sup_norm() <= 1e-12
+            np.testing.assert_allclose(sol.y.at(k), 3.0 + (2.0 - be.grid.times[k]), atol=1e-12)
+        assert np.max(np.abs(sol.z.data)) <= 1e-12
 
     def test_linear_rate_matches_exponential_with_first_order_error(self):
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0), c1=1.0)
         errors = {}
         for n in (128, 256, 512):
             be = det_backend(n)
-            y, _ = solve_bsde(drv, 1.0, be)
+            y = reflect(drv, 1.0, None, be).y
             exact = np.exp(1.0 - be.grid.times)
             errors[n] = max(abs(float(y.at(k)[0]) - exact[k]) for k in range(n + 1))
             assert errors[n] <= 2.0 * be.grid.dt
@@ -104,34 +105,29 @@ class TestSolveBsde:
     def test_martingale_preserved(self):
         be = bin_backend(12)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        y, z = solve_bsde(drv, be.state(12), be)
+        sol = reflect(drv, be.state(12), None, be)
         for k in range(13):
-            np.testing.assert_allclose(y.at(k), be.state(k), atol=1e-12)
+            np.testing.assert_allclose(sol.y.at(k), be.state(k), atol=1e-12)
         for k in range(12):
-            np.testing.assert_allclose(z.at(k), np.ones(k + 1), atol=1e-12)
-
-    def test_stability_guard(self):
-        drv = Driver(1, PLUS, CoefficientFunction.constant(0.0), c1=2.0)
-        with pytest.raises(ValueError, match="too coarse"):
-            solve_bsde(drv, 1.0, det_backend(4))
+            np.testing.assert_allclose(sol.z.at(k), np.ones(k + 1), atol=1e-12)
 
 
 class TestSolveRbsdeLower:
     def test_sentinel_matches_plain_bsde(self):
         be = det_backend(32)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.3), c1=0.5)
-        y_plain, _ = solve_bsde(drv, 1.0, be)
-        sentinel = FieldSurface.constant(be, -np.inf)
-        sol = solve_rbsde_lower(drv, 1.0, sentinel, be)
+        y_plain = reflect(drv, 1.0, None, be).y
+        sentinel = np.full(be.size, -np.inf)
+        sol = reflect(drv, 1.0, sentinel, be)
         assert sol.y.sup_diff(y_plain) == 0.0
-        assert sol.dk.sup_norm() == 0.0
+        assert np.max(np.abs(sol.dk.data)) == 0.0
 
     def test_touching_without_push(self):
         be = det_backend(16)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        sol = solve_rbsde_lower(drv, 0.0, FieldSurface.zeros(be), be)
-        assert sol.y.sup_norm() == 0.0
-        assert sol.dk.sup_norm() == 0.0
+        sol = reflect(drv, 0.0, np.zeros(be.size), be)
+        assert np.max(np.abs(sol.y.data)) == 0.0
+        assert np.max(np.abs(sol.dk.data)) == 0.0
 
     def test_linear_ramp_hand_computed(self):
         # N = 4, zero driver, zero terminal, barrier 1 - t/T: the solution
@@ -139,24 +135,18 @@ class TestSolveRbsdeLower:
         T = 2.0
         be = det_backend(4, T)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        barrier = FieldSurface.from_time_function(be, lambda t: 1.0 - t / T)
-        sol = solve_rbsde_lower(drv, 0.0, barrier, be)
+        barrier = 1.0 - be.node_times / T
+        sol = reflect(drv, 0.0, barrier, be)
         for k in range(4):
-            assert float(sol.y.at(k)[0]) == pytest.approx(1.0 - be.grid.t(k) / T, abs=1e-15)
+            assert float(sol.y.at(k)[0]) == pytest.approx(1.0 - be.grid.times[k] / T, abs=1e-15)
             assert float(sol.dk.at(k)[0]) == pytest.approx(be.grid.dt / T, abs=1e-15)
         assert float(sol.y.at(4)[0]) == 0.0
-
-    def test_terminal_consistency_enforced(self):
-        be = det_backend(8)
-        drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        with pytest.raises(ValueError, match="barrier"):
-            solve_rbsde_lower(drv, 0.0, FieldSurface.constant(be, 1.0), be)
 
     def test_complementarity_exact(self):
         rng = np.random.default_rng(3)
         for backend in (det_backend(64), bin_backend(24)):
             drv, xi, barrier = random_lower_instance(rng, backend)
-            sol = solve_rbsde_lower(drv, xi, barrier, backend)
+            sol = reflect(drv, xi, barrier.data, backend)
             total = 0.0
             for k in range(backend.grid.n_steps + 1):
                 gap = sol.y.at(k) - barrier.at(k)
@@ -170,10 +160,10 @@ class TestSolveRbsdeUpper:
     def test_sentinel_matches_plain_bsde(self):
         be = bin_backend(16)
         drv = Driver(1, MINUS, CoefficientFunction.constant(-0.2), c1=0.4, c2=0.3)
-        y_plain, _ = solve_bsde(drv, 1.0, be)
-        sol = solve_rbsde_upper(drv, 1.0, FieldSurface.constant(be, np.inf), be)
+        y_plain = reflect(drv, 1.0, None, be).y
+        sol = reflect(drv, 1.0, np.full(be.size, np.inf), be, lower=False)
         assert sol.y.sup_diff(y_plain) == 0.0
-        assert sol.dk.sup_norm() == 0.0
+        assert np.max(np.abs(sol.dk.data)) == 0.0
 
     def test_exponential_barrier_reflection_density(self):
         # driver 2y with unit terminal, barrier e^{T-t}: the solution rides the
@@ -181,13 +171,12 @@ class TestSolveRbsdeUpper:
         T = 1.0
         be = det_backend(512, T)
         drv = Driver(1, MINUS, CoefficientFunction.constant(0.0), c1=2.0)
-        barrier = FieldSurface.from_time_function(be, lambda t: np.exp(T - t))
-        sol = solve_rbsde_upper(drv, 1.0, barrier, be)
+        sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
         dt = be.grid.dt
         for k in range(0, 512, 50):
-            assert float(sol.y.at(k)[0]) == pytest.approx(np.exp(T - be.grid.t(k)), abs=1e-12)
+            assert float(sol.y.at(k)[0]) == pytest.approx(np.exp(T - be.grid.times[k]), abs=1e-12)
             density = float(sol.dk.at(k)[0]) / dt
-            assert density == pytest.approx(np.exp(T - be.grid.t(k)), abs=3 * np.e * dt)
+            assert density == pytest.approx(np.exp(T - be.grid.times[k]), abs=3 * np.e * dt)
 
     def test_duality_with_lower_solver(self):
         rng = np.random.default_rng(17)
@@ -198,10 +187,9 @@ class TestSolveRbsdeUpper:
             n = backend.grid.n_steps
             vals = [rng.uniform(-0.5, 1.5, backend.n_nodes(k)) for k in range(n + 1)]
             vals[n] = np.full(backend.n_nodes(n), xi + float(rng.uniform(0.1, 1.0)))
-            barrier = FieldSurface(backend, vals)
-            up = solve_rbsde_upper(drv, xi, barrier, backend)
-            neg_barrier = FieldSurface(backend, [-v for v in vals])
-            low = solve_rbsde_lower(negated_driver(drv), -xi, neg_barrier, backend)
+            barrier = np.concatenate(vals)
+            up = reflect(drv, xi, barrier, backend, lower=False)
+            low = reflect(negated_driver(drv), -xi, -barrier, backend)
             for k in range(n + 1):
                 np.testing.assert_allclose(up.y.at(k), -low.y.at(k), atol=1e-12)
                 np.testing.assert_allclose(up.dk.at(k), low.dk.at(k), atol=1e-12)
@@ -213,16 +201,16 @@ class TestComparison:
         for _ in range(12):
             backend = bin_backend(16) if rng.integers(0, 2) else det_backend(32)
             drv, xi, barrier = random_lower_instance(rng, backend)
-            base = solve_rbsde_lower(drv, xi, barrier, backend)
+            base = reflect(drv, xi, barrier.data, backend)
             bump = float(rng.uniform(0.0, 0.5))
 
-            up_xi = solve_rbsde_lower(drv, xi + bump, barrier, backend)
+            up_xi = reflect(drv, xi + bump, barrier.data, backend)
             bumped = Driver(drv.mode, drv.side, CoefficientFunction.constant(bump))
-            up_psi = solve_rbsde_lower(_SumDriver(drv, bumped), xi, barrier, backend)
+            up_psi = reflect(_SumDriver(drv, bumped), xi, barrier.data, backend)
             n = backend.grid.n_steps
             lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
             lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
-            up_s = solve_rbsde_lower(drv, xi, FieldSurface(backend, lifted_vals), backend)
+            up_s = reflect(drv, xi, np.concatenate(lifted_vals), backend)
 
             for k in range(n + 1):
                 assert np.all(up_xi.y.at(k) >= base.y.at(k) - 1e-12)
@@ -233,7 +221,6 @@ class TestComparison:
 class _SumDriver:
     def __init__(self, first, second):
         self.first, self.second = first, second
-        self.lipschitz = first.lipschitz + second.lipschitz
 
     def tabulate(self, times):
         first, second = self.first.tabulate(times), self.second.tabulate(times)
@@ -247,10 +234,9 @@ class TestAprioriBound:
         energies = {}
         for n in (256, 512):
             be = det_backend(n, T)
-            barrier = FieldSurface.from_time_function(be, lambda t: np.exp(T - t))
-            sol = solve_rbsde_upper(drv, 1.0, barrier, be)
+            sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
             z_energy = sum(float(np.mean(sol.z.at(k) ** 2)) * be.grid.dt for k in range(n))
-            energies[n] = sol.y.sup_norm() ** 2 + z_energy + sol.dk.data.sum() ** 2
+            energies[n] = np.max(np.abs(sol.y.data)) ** 2 + z_energy + sol.dk.data.sum() ** 2
         ratio = energies[512] / energies[256]
         assert 1 / 1.5 <= ratio <= 1.5
 
@@ -258,7 +244,7 @@ class TestAprioriBound:
 class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
-        payoff = FieldSurface.from_time_function(be, lambda t: 2.0 - t)
+        payoff = FieldSurface(be, 2.0 - be.node_times)
         env, stops = snell_envelope(payoff)
         assert env.sup_diff(payoff) <= 1e-12
         for k in range(11):
@@ -267,7 +253,7 @@ class TestSnellEnvelope:
     def test_terminal_spike_waits_to_the_end(self):
         be = det_backend(6)
         vals = [np.zeros(1) for _ in range(6)] + [np.ones(1)]
-        payoff = FieldSurface(be, vals)
+        payoff = FieldSurface(be, np.concatenate(vals))
         env, stops = snell_envelope(payoff)
         for k in range(7):
             assert float(env.at(k)[0]) == 1.0
@@ -277,7 +263,7 @@ class TestSnellEnvelope:
         rng = np.random.default_rng(101)
         be = bin_backend(4)
         for _ in range(25):
-            payoff = FieldSurface(be, [rng.choice([-1.0, 0.0, 1.0], size=k + 1) for k in range(5)])
+            payoff = FieldSurface(be, np.concatenate([rng.choice([-1.0, 0.0, 1.0], size=k + 1) for k in range(5)]))
             env, stops = snell_envelope(payoff)
             best = brute_force_optimal_stopping(payoff, 4)
             assert float(env.at(0)[0]) == pytest.approx(best, abs=1e-12)
@@ -286,12 +272,12 @@ class TestSnellEnvelope:
     def test_dominates_and_supermartingale(self):
         rng = np.random.default_rng(55)
         be = bin_backend(12)
-        payoff = FieldSurface(be, [rng.uniform(-1, 1, k + 1) for k in range(13)])
+        payoff = FieldSurface(be, np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(13)]))
         env, _ = snell_envelope(payoff)
         for k in range(13):
             assert np.all(env.at(k) >= payoff.at(k) - 1e-12)
         for k in range(12):
-            cont = be.condexp(env.at(k + 1), k)
+            cont = be.moments(env.at(k + 1), k)[0]
             assert np.all(cont <= env.at(k) + 1e-12)
             strictly_above = env.at(k) > payoff.at(k) + 1e-10
             np.testing.assert_allclose(env.at(k)[strictly_above], cont[strictly_above], atol=1e-12)
@@ -299,7 +285,7 @@ class TestSnellEnvelope:
     def test_lattice_first_contact_needs_path(self):
         be = bin_backend(4)
         vals = [np.zeros(k + 1) for k in range(4)] + [np.ones(5)]
-        _, stops = snell_envelope(FieldSurface(be, vals))
+        _, stops = snell_envelope(FieldSurface(be, np.concatenate(vals)))
         with pytest.raises(ValueError, match="path"):
             stop_step(stops, be, 0)
         assert stop_step(stops, be, 0, path=np.zeros(5, dtype=int)) == 4
@@ -313,13 +299,13 @@ class TestPathwiseRepresentation:
         rng = np.random.default_rng(88)
         be = bin_backend(16)
         drv, xi, barrier = random_lower_instance(rng, be)
-        sol = solve_rbsde_lower(drv, xi, barrier, be)
+        sol = reflect(drv, xi, barrier.data, be)
         dt = be.grid.dt
         sq = np.sqrt(dt)
         times = be.grid.times
         for k in range(16):
             nxt = sol.y.at(k + 1)
-            e = be.condexp(nxt, k)
+            e = be.moments(nxt, k)[0]
             z = sol.z.at(k)
             np.testing.assert_allclose(e + z * sq, nxt[:-1], atol=1e-12)
             np.testing.assert_allclose(e - z * sq, nxt[1:], atol=1e-12)
@@ -341,7 +327,7 @@ class TestBlockPass:
         rate, terminal = problem.driver_table(backend).per_step(backend), problem.terminal_block(x_T)
         block = backward_pass(rate, terminal, keep, backend, COMPONENTS)
         for key in COMPONENTS:
-            single = solve_rbsde_lower(drivers[key], terminals[key](x_T), None, backend)
+            single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):
                 assert getattr(block[key], field).data.tobytes() == getattr(single, field).data.tobytes(), key
         # the surfaces are views of the pass's (side, mode, node) buffers

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch import rbsde, scheme
-from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.grid import FieldSurface, TimeGrid, make_backend
 from modeswitch.io import load_problem
 from modeswitch.model import (
     COMPONENTS,
@@ -15,24 +15,21 @@ from modeswitch.model import (
     CoefficientFunction,
     CostSlice,
     Driver,
+    ProblemError,
     SwitchingProblem,
     Terminal,
     validate_assumptions,
 )
-from modeswitch.scheme import (
-    Iterate,
-    LocalSweepError,
-    SchemeError,
-    first_iterate,
-    initialize_scheme,
-    iterate_once,
-    picard_system,
-    solve_system,
-    system_obstacles,
-)
+from modeswitch.rbsde import RbsdeSolution
+from modeswitch.scheme import LocalSweepError, SchemeError, solve_system, system_obstacles
 from modeswitch.verify import closed_form_family, counterexample_problem
 
-from conftest import assert_matches_pinned, bin_backend, build_problem, det_backend, random_affine_driver
+from conftest import (
+    assert_certificate_premise, assert_matches_pinned, bin_backend, build_problem, det_backend, random_affine_driver
+)
+from picard_reference import (
+    Iterate, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once, picard_system
+)
 
 
 def multi_sweep_problem():
@@ -59,8 +56,8 @@ class TestInitializeScheme:
     def test_zero_problem_all_zero(self, zero_problem):
         start = initialize_scheme(zero_problem, det_backend(64))
         for mode in (1, 2):
-            assert start.y_plus0[mode].y.sup_norm() == 0.0
-        assert start.dot_y.sup_norm() == 0.0
+            assert np.max(np.abs(start.y_plus0[mode].y.data)) == 0.0
+        assert np.max(np.abs(start.dot_y.data)) == 0.0
         assert start.alpha(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_alpha_minimum_on_counterexample(self):
@@ -94,8 +91,8 @@ class TestFirstIterate:
         start = initialize_scheme(zero_problem, be)
         it1 = first_iterate(start, zero_problem, be)
         for key in COMPONENTS:
-            assert it1.sol[key].y.sup_norm() == 0.0
-            assert it1.sol[key].dk.sup_norm() == 0.0
+            assert np.max(np.abs(it1.sol[key].y.data)) == 0.0
+            assert np.max(np.abs(it1.sol[key].dk.data)) == 0.0
 
     def test_counterexample_orderings(self):
         problem = counterexample_problem(1.0)
@@ -135,13 +132,11 @@ class TestIterateOnce:
         be = det_backend(128)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        from modeswitch.rbsde import RbsdeSolution
-
         doctored = {}
         for key in COMPONENTS:
             comp = solution.sol[key]
             lift = 1.0 if key[0] == MINUS else 0.0
-            doctored[key] = RbsdeSolution(comp.y + lift, comp.z, comp.dk)
+            doctored[key] = RbsdeSolution(FieldSurface(be, comp.y.data + lift), comp.z, comp.dk)
         with pytest.raises(SchemeError, match="cost mode"):
             iterate_once(Iterate(n=1, sol=doctored), problem, be)
 
@@ -207,7 +202,7 @@ class TestSolveSystem:
         sup = {}
         for n in (250, 500):
             solution, _ = solve_system(problem, det_backend(n))
-            sup[n] = max(solution.sol[key].y.sup_norm() for key in COMPONENTS)
+            sup[n] = max(np.max(np.abs(solution.sol[key].y.data)) for key in COMPONENTS)
         assert sup[500] / sup[250] <= 1.5
 
     def test_reflection_density_bounded(self):
@@ -225,7 +220,7 @@ class TestSolveSystem:
             assert np.e / 2 <= density_1 <= 2 * np.e
             assert density_2 == pytest.approx(phi0, rel=0.05)
             # the limit puts all reflection mass on the cost side
-            assert all(solution.sol[(PLUS, m)].dk.sup_norm() == 0.0 for m in (1, 2))
+            assert all(np.max(np.abs(solution.sol[(PLUS, m)].dk.data)) == 0.0 for m in (1, 2))
 
     def test_multi_sweep_convergence_and_nonconvergence_report(self):
         problem = multi_sweep_problem()
@@ -246,6 +241,17 @@ class TestSolveSystem:
             picard_system(zero_problem, det_backend(16), tol=-1.0)
         with pytest.raises(ValueError):
             picard_system(zero_problem, det_backend(16), max_iter=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sides, what", [((PLUS, MINUS), "value"), ((MINUS,), "push")])
+    def test_overflow_past_the_last_projection_is_named(self, sides, what):
+        # the rate 1e308 exp(-10 t) is finite on the grid, and so is its Euler
+        # step rate * dt at t = 5; at t = 0 the step overflows, and the
+        # projection settles on inf, or on the finite cap of zero profits
+        rate = CoefficientFunction.exponential(1e308, -10.0)
+        problem = build_problem(horizon=10.0, drivers={key: (rate, 0.0, 0.0) for key in COMPONENTS if key[0] in sides})
+        with pytest.raises(ProblemError, match=rf"^{what} not finite at step 0, node 0: \({sides[0]},1\) is inf;"):
+            solve_system(problem, det_backend(2, 10.0))
 
     def test_counterexample_on_lattice_matches_deterministic(self):
         # the fixture problem has no state dependence, so every lattice node
@@ -425,8 +431,9 @@ class TestOnePassAgainstPicard:
         ],
     )
     def test_solve_runs_one_backward_pass_and_no_sweep(self, path, kind, n, monkeypatch):
+        assert not hasattr(scheme, "iterate_once")
         calls = {}
-        for module, name in ((scheme, "backward_pass"), (rbsde, "backward_pass"), (scheme, "iterate_once")):
+        for module, name in ((scheme, "backward_pass"), (rbsde, "backward_pass")):
             label, real = f"{module.__name__}.{name}", getattr(module, name)
             calls[label] = 0
 
@@ -440,7 +447,6 @@ class TestOnePassAgainstPicard:
         assert calls == {
             "modeswitch.scheme.backward_pass": 1,
             "modeswitch.rbsde.backward_pass": 0,
-            "modeswitch.scheme.iterate_once": 0,
         }
 
     def test_complementarity_failure_names_the_largest_term(self):
@@ -451,24 +457,31 @@ class TestOnePassAgainstPicard:
         k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
         solution.sol[(PLUS, 1)].dk.data[backend.offsets[k] + j] += 1.0
         with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
-            scheme._assert_system_constraints(solution, obstacles)
+            _assert_system_constraints(solution, obstacles)
 
 
 class TestStepKernelPinned:
     """The backward pass against the written-out loop it replaced (``pinned_pass``)."""
 
-    @pytest.mark.parametrize(
-        "path, kind, n",
-        [
-            ("problems/counterexample.json", "deterministic", 2000),
-            ("bench/problems/switching_lattice.json", "binomial", 100),
-            ("bench/problems/switching_lattice.json", "binomial", 400),
-            ("problems/smoke_lattice.json", "binomial", 100),
-        ],
-    )
-    def test_solve_equals_pinned_pass_bit_for_bit(self, path, kind, n):
+    CASES = [
+        ("problems/counterexample.json", "deterministic", 2000),
+        ("bench/problems/switching_lattice.json", "binomial", 100),
+        ("bench/problems/switching_lattice.json", "binomial", 400),
+        ("problems/smoke_lattice.json", "binomial", 100),
+    ]
+
+    @staticmethod
+    def case(path, kind, n):
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
-        assert_matches_pinned(problem, make_backend(kind, TimeGrid(n, problem.horizon)))
+        return problem, make_backend(kind, TimeGrid(n, problem.horizon))
+
+    @pytest.mark.parametrize("path, kind, n", CASES)
+    def test_solve_equals_pinned_pass_bit_for_bit(self, path, kind, n):
+        assert_matches_pinned(*self.case(path, kind, n))
+
+    @pytest.mark.parametrize("path, kind, n", CASES)
+    def test_push_is_the_certificates_euler_gap(self, path, kind, n):
+        assert_certificate_premise(*self.case(path, kind, n))
 
 
 def half_sweeps(ytilde, costs, cap=500):

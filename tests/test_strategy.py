@@ -9,7 +9,7 @@ from modeswitch.grid import FieldSurface
 from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS
 from modeswitch.rbsde import RbsdeSolution
-from modeswitch.scheme import BalanceSheetSolution, ConvergenceTrace, picard_system, solve_system
+from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.strategy import (
     HOLD,
     SWITCH,
@@ -23,6 +23,7 @@ from modeswitch.strategy import (
 from modeswitch.verify import counterexample_problem
 
 from conftest import bin_backend, build_problem, det_backend, smoke_problem
+from picard_reference import ConvergenceTrace, picard_system
 
 SWITCHING_LATTICE = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
 
@@ -189,7 +190,7 @@ class TestClassifyAction:
         }
         sol = {
             key: RbsdeSolution(
-                FieldSurface.constant(be, values[key]),
+                FieldSurface(be, np.full(be.size, values[key])),
                 FieldSurface.zeros(be),
                 FieldSurface.zeros(be),
             )
@@ -334,7 +335,7 @@ class TestDynamicProgrammingConsistency:
             tau = stops[(PLUS, 1)]
             assert tau == n
             running = sum(
-                float(drv(be.grid.t(k), 0.0, comp.y.at(k)[0], comp.z.at(k)[0])) * dt
+                float(drv(be.grid.times[k], 0.0, comp.y.at(k)[0], comp.z.at(k)[0])) * dt
                 for k in range(start, tau)
             )
             realized = running + float(comp.y.at(n)[0])

@@ -140,7 +140,7 @@ class TestAuditSolution:
         candidate = closed_form_family(1, 1.0).sample(be)
         scaled = candidate[(PLUS, 1)]
         candidate[(PLUS, 1)] = RbsdeSolution(
-            FieldSurface(be, [1.01 * scaled.y.at(k) for k in range(501)]), scaled.z, scaled.dk
+            FieldSurface(be, 1.01 * scaled.y.data), scaled.z, scaled.dk
         )
         report = audit_solution(candidate, problem, be)
         assert not report.passed
@@ -178,7 +178,7 @@ class TestAuditSolution:
         tampered = dict(solution.sol)
         comp = tampered[(PLUS, 1)]
         tampered[(PLUS, 1)] = RbsdeSolution(
-            comp.y, FieldSurface(be, [2.0 * comp.z.at(k) for k in range(33)]), comp.dk
+            comp.y, FieldSurface(be, 2.0 * comp.z.data), comp.dk
         )
         dirty = audit_solution(tampered, problem, be).max_over("max_step_residual")
         assert dirty > 10 * max(clean, 1e-12)
