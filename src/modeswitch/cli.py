@@ -20,9 +20,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .grid import TimeGrid, make_backend
+from .grid import FieldSurface, TimeGrid, make_backend
 from .io import load_problem, write_json, write_surface_csv, write_trace_csv
-from .model import COMPONENTS, ProblemError, validate_assumptions
+from .model import COMPONENTS, ProblemError, row, validate_assumptions
 from .scheme import LocalSweepError, SchemeError, solve_system
 
 EXIT_OK = 0
@@ -59,10 +59,8 @@ def cmd_solve(args) -> int:
     solution, trace = solve_system(problem, backend)
     out = _ensure_outdir(args)
     for side, mode in COMPONENTS:
-        comp = solution.component(side, mode)
-        write_surface_csv(out / f"Y_{side}_{mode}.csv", comp.y)
-        write_surface_csv(out / f"Z_{side}_{mode}.csv", comp.z)
-        write_surface_csv(out / f"K_{side}_{mode}.csv", comp.dk)
+        for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
+            write_surface_csv(out / f"{name}_{side}_{mode}.csv", FieldSurface(backend, block[row(side, mode)]))
     write_trace_csv(out / "trace.csv", trace)
     write_json(out / "summary.json", _summary_payload(solution, args))
     return EXIT_OK

@@ -140,10 +140,6 @@ class FieldSurface:
             raise ValueError(f"flat surface needs {backend.size} node values, got shape {data.shape}")
         self.backend, self.data = backend, data
 
-    @classmethod
-    def zeros(cls, backend: Lattice) -> "FieldSurface":
-        return cls(backend, np.zeros(backend.size))
-
     def at(self, k: int) -> np.ndarray:
         return self.data[self.backend.offsets[k] : self.backend.offsets[k + 1]]
 

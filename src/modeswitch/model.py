@@ -42,6 +42,11 @@ def other_mode(mode: int) -> int:
     return 3 - mode
 
 
+def row(side: str, mode: int) -> tuple[int, int]:
+    """The index of a component's row in a (side, mode, ...) block."""
+    return SIDES.index(side), mode - 1
+
+
 class ProblemError(ValueError):
     """Raised for malformed or inadmissible problem data."""
 
@@ -136,13 +141,9 @@ class Driver:
     def lipschitz(self) -> float:
         return abs(self.c1) + abs(self.c2)
 
-    def __call__(self, t, x, y, z):
-        return self.tabulate(t)(..., x, y, z)
-
     def tabulate(self, times):
         """The rate as a function of (k, x, y, z), where k indexes ``times``:
-        c0 is evaluated once on all of them. Calling the driver at times t
-        reads the table of t at index ``...``."""
+        c0 is evaluated once on all of them."""
         c0 = np.asarray(self.c0(times))
 
         def rate(k, x, y, z):
@@ -267,14 +268,10 @@ class _Push(NamedTuple):
         and barrier - y under a cap, signed zeros included."""
         return self.sign * y - self.sign * barrier
 
-    def switch_binds(self, switch, terminate):
-        """The tie rule: switching is taken where its branch is at least as good as terminating."""
-        return self.better(switch, terminate) == switch
-
 
 # The one place that says which way each side is pushed: profit up off a
 # floor, cost down off a cap. Package-internal: the solver, the replay and the
-# audit read a side's direction, gap and tie rule from here.
+# audit read a side's direction and gap from here.
 _PUSH = {PLUS: _Push(np.maximum, 1.0), MINUS: _Push(np.minimum, -1.0)}
 
 

@@ -6,46 +6,43 @@ block of the four components. The integrand estimate Z_k is the
 martingale-increment projection of Y_{k+1}, and the driver is evaluated at
 (t_k, x_k, E_k[Y_{k+1}], Z_k), so no per-step fixed point is needed.
 Reflection is applied by projection after the Euler step, which makes the
-discrete complementarity condition exact by construction: the push amount
-dK_k is nonzero only where the projected value sits on the barrier, and
-there the value is the barrier's own float, so contact is Y == S bit for
-bit. A single reflected equation is the one-equation case, with the
-projection a clip against its barrier.
+discrete complementarity condition exact by construction: the push amount dK_k
+is nonzero only where the projected value sits on the barrier, and there the
+value is the barrier's own float, so contact is Y == S bit for bit. A single
+reflected equation is the one-equation case, with the projection a clip
+against its barrier. It returns the Y, Z and dK buffers it joins, the
+solution's only form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import FieldSurface, Lattice
+from .grid import Lattice
 
 
-@dataclass(frozen=True)
-class RbsdeSolution:
-    """Solution triple of one (reflected) backward equation.
+class RbsdeSolution(NamedTuple):
+    """Y, Z and dK of a block of (reflected) backward equations, each shaped
+    like its horizon values with the node axis widened to the lattice size;
+    dK at the horizon is zero."""
 
-    ``dk`` holds the per-step reflection increments (dk at step N is zero).
-    """
-
-    y: FieldSurface
-    z: FieldSurface
-    dk: FieldSurface
+    y: np.ndarray
+    z: np.ndarray
+    dk: np.ndarray
 
 
-def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice, keys=(0,)) -> dict:
+def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> RbsdeSolution:
     """Explicit backward Euler for a block of equations at once.
 
     ``terminal`` holds the horizon values, nodes on the last axis; its
-    leading axes are the equations, one per key of ``keys`` in C order (none
-    for one equation). ``rate(k, y, z)`` is the stacked driver: every
-    equation's rate at the nodes of step k. Each step reads E_k[Y_{k+1}] and
-    Z_k from the block Y_{k+1} the step before returned, forms the Euler
-    values Y~_k = E_k[Y_{k+1}] + psi * dt, and ``project(ytilde_k, k)``
-    returns the block Y_k; dK_k = |Y_k - Y~_k|. The step blocks are joined
-    into Y, Z and Y~ buffers once at the end; returns one solution triple per
-    key, over views of them.
+    leading axes are the equations (none for one equation). ``rate(k, y, z)``
+    is the stacked driver: every equation's rate at the nodes of step k. Each
+    step reads E_k[Y_{k+1}] and Z_k from the block Y_{k+1} the step before
+    returned, forms the Euler values Y~_k = E_k[Y_{k+1}] + psi * dt, and
+    ``project(ytilde_k, k)`` returns the block Y_k; dK_k = |Y_k - Y~_k|. The
+    step blocks are joined into the Y, Z and dK buffers once at the end.
     """
     dt, y = backend.grid.dt, terminal
     blocks = [(y, np.zeros_like(y), y)]
@@ -55,5 +52,4 @@ def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice, keys=(0
         y = project(ytilde, k)
         blocks.append((y, z, ytilde))
     y, z, ytilde = (np.concatenate(field[::-1], axis=-1) for field in zip(*blocks))
-    rows = [v.reshape(len(keys), backend.size) for v in (y, z, np.abs(y - ytilde))]
-    return {key: RbsdeSolution(*(FieldSurface(backend, r[i]) for r in rows)) for i, key in enumerate(keys)}
+    return RbsdeSolution(y, z, np.abs(np.subtract(y, ytilde, out=ytilde), out=ytilde))

@@ -21,6 +21,8 @@ sits inside its barrier, and every push dK = |Y - y~| meets it, as the
 pass's y~ is the certificate's Euler value bit for bit; so the constraint
 and complementarity relations need no check of their own.
 
+The solution is the pass's (side, mode, node) blocks of Y, Z and dK, read in place.
+
 The solve runs with numpy's overflow and invalid-value warnings off; a value
 or push that is not finite fails it with a ``ProblemError`` naming its step,
 node and component.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldSurface, Lattice
+from .grid import Lattice
 from .model import (
     COMPONENTS,
     MINUS,
@@ -44,9 +46,10 @@ from .model import (
     by_side,
     closure,
     evaluate_obstacles,
+    row,
     validate_assumptions,
 )
-from .rbsde import RbsdeSolution, backward_pass
+from .rbsde import backward_pass
 
 LOCAL_SWEEP_CAP = 500
 
@@ -69,25 +72,20 @@ class PassTrace:
 
 @dataclass(frozen=True)
 class BalanceSheetSolution:
-    """Converged system solution: four (Y, Z, dK) triples plus metadata."""
+    """Converged system solution: the (side, mode, node) blocks of Y, Z and dK, plus metadata."""
 
     problem: SwitchingProblem
     backend: Lattice
-    sol: dict
+    y: np.ndarray
+    z: np.ndarray
+    dk: np.ndarray
     trace: PassTrace
 
     def y0(self, side: str, mode: int) -> float:
-        return float(self.sol[(side, mode)].y.at(0)[0])
+        return float(self.y[row(side, mode)][0])
 
-    def component(self, side: str, mode: int) -> RbsdeSolution:
-        return self.sol[(side, mode)]
-
-    def block(self, field: str = "y") -> np.ndarray:
-        """One field (y, z or dk) of the four components as a (side, mode, node) block."""
-        return stack({key: getattr(comp, field) for key, comp in self.sol.items()})
-
-    def obstacles(self) -> dict:
-        return system_obstacles(self.problem, {k: s.y for k, s in self.sol.items()}, self.backend)
+    def obstacles(self) -> np.ndarray:
+        return system_obstacles(self.problem, self.y, self.backend)
 
 
 def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
@@ -95,15 +93,9 @@ def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
     return problem.cost_table(backend.grid.times).at(backend.step_of_node)
 
 
-def stack(surfaces: dict) -> np.ndarray:
-    """The (side, mode, node) block of four component surfaces (a copy)."""
-    return np.stack([surfaces[key].data for key in COMPONENTS]).reshape(2, 2, -1)
-
-
-def system_obstacles(problem: SwitchingProblem, ys: dict, backend: Lattice) -> dict:
-    """Barrier surfaces implied by a set of four Y surfaces, over views of one block."""
-    barriers = evaluate_obstacles(stack(ys), node_costs(problem, backend)).reshape(4, -1)
-    return {key: FieldSurface(backend, row) for key, row in zip(COMPONENTS, barriers)}
+def system_obstacles(problem: SwitchingProblem, y: np.ndarray, backend: Lattice) -> np.ndarray:
+    """The barrier block implied by a (side, mode, node) block of Y."""
+    return evaluate_obstacles(y, node_costs(problem, backend))
 
 
 def _require_admissible(problem: SwitchingProblem, backend: Lattice):
@@ -123,7 +115,7 @@ def _euler(problem: SwitchingProblem, backend: Lattice, y: np.ndarray) -> np.nda
     return e + problem.driver_table(backend).rate(slice(0, end), e, z) * backend.grid.dt
 
 
-def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
+def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray):
     """Raise SchemeError unless one Picard sweep from the solution would move
     no node (see the module notes).
 
@@ -131,15 +123,15 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: dict):
     node, so requiring bitwise equality makes this exactly as strict as the
     sweep. It runs on the whole block and names the first component that moves.
     """
-    problem, backend, y = solution.problem, solution.backend, solution.block("y")
+    problem, backend, y = solution.problem, solution.backend, solution.y
     end = backend.offsets[backend.grid.n_steps]
-    settled = by_side("better", _euler(problem, backend, y), stack(obstacles)[..., :end])
+    settled = by_side("better", _euler(problem, backend, y), obstacles[..., :end])
     miss = np.where(settled == y[..., :end], 0.0, np.abs(settled - y[..., :end]))
-    for (side, mode), row in zip(COMPONENTS, miss.reshape(4, -1)):
-        i = int(np.argmax(row))
-        if row[i]:
+    for (side, mode), moved in zip(COMPONENTS, miss.reshape(4, -1)):
+        i = int(np.argmax(moved))
+        if moved[i]:
             k, j = backend.locate(i)
-            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {row[i]:g}")
+            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {moved[i]:g}")
 
 
 def _require_finite(block: np.ndarray, what: str, locate):
@@ -186,9 +178,9 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
     terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).per_step(backend)
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = backward_pass(rate, terminal, project, backend, COMPONENTS)
-        solution = BalanceSheetSolution(problem=problem, backend=backend, sol=sol, trace=PassTrace(rounds))
-        for field, what in (("y", "value"), ("dk", "push")):  # a push is not finite where its Euler value is not
-            _require_finite(solution.block(field), what, backend.locate)
+        sol = backward_pass(rate, terminal, project, backend)
+        solution = BalanceSheetSolution(problem, backend, *sol, PassTrace(rounds))
+        for block, what in ((sol.y, "value"), (sol.dk, "push")):  # a push is not finite where its Euler value is not
+            _require_finite(block, what, backend.locate)
         _certify_fixed_point(solution, solution.obstacles())
     return solution, solution.trace

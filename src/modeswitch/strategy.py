@@ -2,18 +2,20 @@
 
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
-of the barrier is binding (switch to the other mode, or terminate), by the
-tie rule of ``model``, read from one table (``branch_table``). Contact is
+of the barrier is binding (switch to the other mode, or terminate): a tie
+switches. ``branch_table`` evaluates each side's branches once on the Y block
+and gives the barrier block and the switch table. Contact is
 exact: the one-pass solver stores the barrier's own bits wherever it pushes,
 and its fixed-point certificate holds bit for bit, so a path stops where
 Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
 there, which is the barrier at contact and the terminal value at N.
 ``first_stop`` reads the first stop along paths; ``extract_stopping_times``
 and the replay both use it. The replay accumulates the running yield by
-left-endpoint sums with the rate evaluated where the backward solver
-evaluates it (at the continuation value E_k[Y_{k+1}]), to measure the
-realized value against Y_0. Paths are replayed in chunks against per-node
-tables, so memory is bounded by the surfaces and chunk, not paths x steps.
+left-endpoint sums with the rate evaluated where and as the backward solver
+evaluates it (its driver table, at the continuation value E_k[Y_{k+1}]), to
+measure the realized value against Y_0. Paths are replayed in chunks against
+rows of the solution's blocks, so memory is bounded by the blocks and chunk,
+not paths x steps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import COMPONENTS, MINUS, PLUS, SIDES, _PUSH, branches, evaluate_obstacles
+from .model import COMPONENTS, SIDES, _PUSH, DriverTable, branches, row
 from .scheme import BalanceSheetSolution, node_costs
 
 SWITCH = "switch"
@@ -43,18 +45,25 @@ def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
     return mask
 
 
-def contact_masks(solution: BalanceSheetSolution) -> dict:
-    """``stop_mask`` of each component against the barriers the solution implies, from one block."""
-    y = solution.block("y")
-    mask = stop_mask(y, evaluate_obstacles(y, node_costs(solution.problem, solution.backend)), solution.backend)
-    return dict(zip(COMPONENTS, mask.reshape(4, -1)))
+def branch_table(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier block the solution implies (``model.side_obstacles``), and
+    the boolean (side, mode, node) block of where a stop switches rather than
+    terminates: where the barrier is the switch branch, so a tie switches.
+    Each side's branches are evaluated once."""
+    y, costs = solution.y, node_costs(solution.problem, solution.backend)
+    barrier, switches = np.empty_like(y), np.empty(y.shape, dtype=bool)
+    for s, side in enumerate(SIDES):
+        switch, terminate = branches(y, costs, side)
+        barrier[s] = _PUSH[side].better(switch, terminate)
+        switches[s] = barrier[s] == switch
+    return barrier, switches
 
 
-def branch_table(solution: BalanceSheetSolution) -> np.ndarray:
-    """Boolean (side, mode, node) block of where a stop switches rather than
-    terminates, by ``model``'s tie rule; the classification and the replay read it."""
-    y, costs = solution.block("y"), node_costs(solution.problem, solution.backend)
-    return np.stack([_PUSH[side].switch_binds(*branches(y, costs, side)) for side in SIDES])
+def contact_masks(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The ``stop_mask`` block against the barriers the solution implies, and
+    the switch block of ``branch_table``; the replay reads both."""
+    barrier, switches = branch_table(solution)
+    return stop_mask(solution.y, barrier, solution.backend), switches
 
 
 def first_stop(mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -85,21 +94,23 @@ def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
 def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
     """First step at or after ``from_step`` where each component's stop mask
     holds along ``path`` (see ``flat_path``): its first barrier contact, else N."""
-    flat = flat_path(solution.backend, from_step, path)
-    masks = contact_masks(solution)
-    return {key: from_step + int(first_stop(masks[key], flat)) for key in COMPONENTS}
+    flat, stops = flat_path(solution.backend, from_step, path), contact_masks(solution)[0]
+    return {key: from_step + int(first_stop(stops[row(*key)], flat)) for key in COMPONENTS}
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
-    """Branch decision at a barrier-contact point, read from ``branch_table``."""
-    flat = int(solution.backend.flat_index(step, node))
-    y_here = float(solution.sol[(side, mode)].y.data[flat])
-    s_here = float(solution.obstacles()[(side, mode)].data[flat])
+    """Branch decision at a barrier-contact point, by the expressions of
+    ``branch_table`` evaluated at that node alone."""
+    backend = solution.backend
+    y = solution.y[..., int(backend.flat_index(step, node))]
+    switch, terminate = branches(y, solution.problem.cost_table(backend.grid.times).at(step), side)
+    barrier = _PUSH[side].better(switch, terminate)
+    y_here, s_here = float(y[row(side, mode)]), float(barrier[mode - 1])
     if y_here != s_here:
         raise ValueError(
             f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
         )
-    return SWITCH if branch_table(solution)[SIDES.index(side), mode - 1, flat] else TERMINATE
+    return SWITCH if s_here == switch[mode - 1] else TERMINATE
 
 
 @dataclass(frozen=True)
@@ -134,21 +145,12 @@ class _Leg:
     """Node tables of one leg, and the realized value and stopping step of
     every path replayed so far."""
 
-    def __init__(self, solution, side, mode, masks, switches, rows):
-        backend = solution.backend
-        self.side, self.mode, self.n, self.dt = side, mode, backend.grid.n_steps, backend.grid.dt
-        before = slice(0, backend.offsets[self.n])
-        comp = solution.sol[(side, mode)]
-        self.stop_here = masks[(side, mode)]  # closed at the horizon
-        # Running rate at (t_k, x_k, E_k[Y_{k+1}], Z_k), the point at which the
-        # backward scheme evaluates the driver.
-        drv = solution.problem.driver(side, mode)
-        cont = backend.continuation(comp.y.data)
-        self.rate = drv(backend.node_times[before], backend.states[before], cont, comp.z.data[before])
-        # Value collected where a path stops: Y, which has the barrier's bits at
-        # contact and the terminal value's at the horizon.
-        self.payoff = comp.y.data
-        self.prefer_switch = switches[SIDES.index(side), mode - 1]
+    def __init__(self, side, mode, grid, tables, rows):
+        """``tables``: the leg's stop mask (closed at the horizon), switch table,
+        running rate, and Y, collected where a path stops (the barrier's bits
+        at contact, the terminal value's at the horizon)."""
+        self.side, self.mode, self.n, self.dt = side, mode, grid.n_steps, grid.dt
+        self.stop_here, self.prefer_switch, self.rate, self.payoff = tables
         self.tau = np.empty(rows, dtype=np.int64)
         self.realized = np.empty(rows)
         self.actions = set()
@@ -205,8 +207,12 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     backend = solution.backend
     rows = n_paths if backend.down else 1
     chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
-    masks, switches = contact_masks(solution), branch_table(solution)
-    legs = {side: _Leg(solution, side, start_mode, masks, switches, rows) for side in (PLUS, MINUS)}
+    m, before = start_mode - 1, slice(0, backend.offsets[backend.grid.n_steps])
+    # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
+    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
+    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
+    tables = zip(*(t[:, m] for t in contact_masks(solution)), rates, y)
+    legs = {side: _Leg(side, start_mode, backend.grid, t, rows) for side, t in zip(SIDES, tables)}
     rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
     for first in range(0, rows, chunk):
         flat = backend.sample_paths(min(chunk, rows - first), rng)

@@ -3,8 +3,9 @@
 Houses the closed-form non-uniqueness fixture (two exact solutions of the same
 problem, one where the cost side carries the reflection mass and one where the
 profit side does), and an auditor that recomputes every defining relation of
-the system on a grid: per-step equation residuals, barrier inequalities,
-complementarity sums, increment signs, and the empirical reflection density.
+the system on the (side, mode, node) blocks of Y, Z and dK: per-step equation
+residuals, barrier inequalities, complementarity sums, increment signs, and
+the empirical reflection density. A sampled family is such a triple of blocks.
 
 The auditor reports, it never judges; thresholds are evaluated separately so
 the same numbers can back both CI gating and diagnostics.
@@ -16,11 +17,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import FieldSurface, Lattice, TimeGrid, make_backend
+from .grid import Lattice, TimeGrid, make_backend
 from .model import (
     COMPONENTS,
     MINUS,
+    MODES,
     PLUS,
+    SIDES,
     _PUSH,
     CoefficientFunction,
     Driver,
@@ -29,7 +32,7 @@ from .model import (
     by_side,
 )
 from .rbsde import RbsdeSolution
-from .scheme import BalanceSheetSolution, stack, system_obstacles
+from .scheme import system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -109,22 +112,14 @@ class ClosedFormFamily:
     def z(self, side: str, mode: int, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def sample(self, backend: Lattice) -> dict:
-        """Grid sampling as four solution triples; increments use the
-        trapezoid rule on the analytic reflection density."""
-        grid = backend.grid
-        times = grid.times
-        at = backend.step_of_node
-        out = {}
-        for side, mode in COMPONENTS:
-            dens = self.k_density(side, mode, times)
-            dk = np.append(0.5 * (dens[:-1] + dens[1:]) * grid.dt, 0.0)
-            out[(side, mode)] = RbsdeSolution(
-                FieldSurface(backend, self.y(side, mode, times)[at]),
-                FieldSurface.zeros(backend),
-                FieldSurface(backend, dk[at]),
-            )
-        return out
+    def sample(self, backend: Lattice) -> RbsdeSolution:
+        """Grid sampling as one (side, mode, node) solution triple; increments
+        use the trapezoid rule on the analytic reflection density."""
+        times, at = backend.grid.times, backend.step_of_node
+        y, dens = (np.array([[f(s, m, times) for m in MODES] for s in SIDES]) for f in (self.y, self.k_density))
+        dk = np.zeros_like(dens)
+        dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.grid.dt
+        return RbsdeSolution(y[..., at], np.zeros((2, 2, backend.size)), dk[..., at])
 
 
 def closed_form_family(family_id: int, T: float) -> ClosedFormFamily:
@@ -191,47 +186,36 @@ class ResidualReport:
         }
 
 
-def _as_solution_mapping(candidate) -> dict:
-    if isinstance(candidate, BalanceSheetSolution):
-        return candidate.sol
-    if isinstance(candidate, dict):
-        return candidate
-    raise TypeError("candidate must be a BalanceSheetSolution or a component mapping")
-
-
 def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> ResidualReport:
-    """Recompute the system's defining relations for a candidate solution.
+    """Recompute the system's defining relations for a candidate solution:
+    anything with (side, mode, node) blocks ``y``, ``z`` and ``dk``, such as
+    a ``BalanceSheetSolution`` or the ``RbsdeSolution`` of a sampled family.
 
     The per-step residual is measured per unit time with the running rate
     evaluated at (t_k, midpoint of Y_k and E_k[Y_{k+1}], Z_k); on the lattice
     the equation is audited in conditional expectation, which drops the
-    martingale increment term. Gaps, sums and continuations use the block.
+    martingale increment term. Every relation is evaluated on the blocks.
     """
-    sol = _as_solution_mapping(candidate)
-    grid = backend.grid
-    dt = grid.dt
-    n = grid.n_steps
+    dt, n = backend.grid.dt, backend.grid.n_steps
     before = slice(0, backend.offsets[n])
-    horizon = slice(backend.offsets[n], None)
-    times, x = backend.node_times[before], backend.states[before]
-    ys = {key: sol[key].y for key in COMPONENTS}
-    y, dk_all = stack(ys), stack({key: sol[key].dk for key in COMPONENTS})
-    gaps = by_side("inside", y, stack(system_obstacles(problem, ys, backend)))
-    sums, cont = skorokhod_sum(gaps, dk_all, backend, n), backend.continuation(y)
-    xi = problem.terminal_block(backend.state(n))
+    y, z, dk = candidate.y, candidate.z[..., before], candidate.dk
+    gaps = by_side("inside", y, system_obstacles(problem, y, backend))
+    sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.continuation(y)
+    yk, dk_k = y[..., before], dk[..., before]
+    psi = problem.driver_table(backend).rate(before, 0.5 * (yk + cont), z)
+    signs = np.reshape([_PUSH[side].sign for side in SIDES], (2, 1, 1))
+    resid = (yk - cont - psi * dt - signs * dk_k) / dt
+    mismatch = np.abs(y[..., backend.offsets[n] :] - problem.terminal_block(backend.state(n)))
 
     components = {}
-    for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
-        yk, zk, dk, e = y[index][before], sol[(side, mode)].z.data[before], dk_all[index][before], cont[index]
-        psi = problem.driver(side, mode)(times, x, 0.5 * (yk + e), zk)
-        resid = (yk - e - psi * dt - _PUSH[side].sign * dk) / dt
-        components[(side, mode)] = ComponentResiduals(
-            max_step_residual=max(0.0, float(np.max(np.abs(resid)))),
+    for key, index in zip(COMPONENTS, np.ndindex(2, 2)):
+        components[key] = ComponentResiduals(
+            max_step_residual=max(0.0, float(np.max(np.abs(resid[index])))),
             max_constraint_violation=max(0.0, float(np.max(-gaps[index]))),
             skorokhod_sum=float(sums[index]),
-            k_sign_violation=max(0.0, float(np.max(-dk))),
-            max_k_density=max(0.0, float(np.max(dk)) / dt),
-            terminal_mismatch=float(np.max(np.abs(y[index][horizon] - xi[index]))),
+            k_sign_violation=max(0.0, float(np.max(-dk_k[index]))),
+            max_k_density=max(0.0, float(np.max(dk_k[index])) / dt),
+            terminal_mismatch=float(np.max(mismatch[index])),
         )
     return ResidualReport(dt=dt, components=components, step_residual_cap=RESIDUAL_RATE_SCALE * dt)
 
@@ -289,8 +273,8 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
     fam2 = closed_form_family(2, T).sample(backend)
     rep1 = audit_solution(fam1, problem, backend)
     rep2 = audit_solution(fam2, problem, backend)
-    sup = max(fam2[key].y.sup_diff(fam1[key].y) for key in COMPONENTS)
-    below = all(float(np.max(fam1[key].y.data - fam2[key].y.data)) <= 1e-12 for key in COMPONENTS)
+    sup = float(np.max(np.abs(fam2.y - fam1.y)))
+    below = float(np.max(fam1.y - fam2.y)) <= 1e-12
     return NonUniquenessReport(
         horizon=float(T),
         n_steps=int(N),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.grid import FieldSurface, TimeGrid, make_backend
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -11,6 +11,7 @@ from modeswitch.model import (
     Driver,
     SwitchingProblem,
     Terminal,
+    row,
 )
 from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
 
@@ -26,6 +27,16 @@ def det_backend(n_steps, horizon=1.0):
 
 def bin_backend(n_steps, horizon=1.0):
     return make_backend("binomial", TimeGrid(n_steps, horizon))
+
+
+def surface(solution, key, field="y"):
+    """One component's row of a solution's y, z or dk block, as a surface (a view)."""
+    return FieldSurface(solution.backend, getattr(solution, field)[row(*key)])
+
+
+def driver_rate(driver, t, x, y, z):
+    """A driver's rate at times ``t``, through its table on ``t``."""
+    return driver.tabulate(t)(..., x, y, z)
 
 
 def build_problem(horizon=1.0, drivers=None, ell=1.0, a=0.0, b=0.0, terminals=0.0):
@@ -164,7 +175,7 @@ def assert_matches_pinned(problem, backend):
     solution, trace = solve_system(problem, backend)
     y, z, dk, rounds = pinned_pass(problem, backend)
     for field, pinned in (("y", y), ("z", z), ("dk", dk)):
-        assert solution.block(field).tobytes() == pinned.tobytes(), field
+        assert getattr(solution, field).tobytes() == pinned.tobytes(), field
     np.testing.assert_array_equal(trace.local_sweeps, rounds)
 
 
@@ -173,6 +184,6 @@ def assert_certificate_premise(problem, backend):
     certificate builds from Y, bit for bit, and 0 at the horizon: where the
     certificate holds, every push then sits on its barrier."""
     solution, _ = solve_system(problem, backend)
-    y, dk, end = solution.block("y"), solution.block("dk"), backend.offsets[backend.grid.n_steps]
+    y, dk, end = solution.y, solution.dk, backend.offsets[backend.grid.n_steps]
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - _euler(problem, backend, y)).tobytes()
     assert (dk[..., end:] == 0.0).all()

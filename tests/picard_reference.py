@@ -9,19 +9,23 @@ stage-n profit with the fresh stage-(n+1) cost). Its caps and floors are
 written out here rather than read from ``model``, so that it stays
 independent of what it checks, and each sweep asserts that no value drops.
 Every single equation is ``reflect``: the production ``rbsde.backward_pass``
-with the driver's own rate, projected by a clip against its barrier.
+with the driver's own rate, projected by a clip against its barrier. The
+iteration holds its components apart, as surfaces (``Component``), and stacks
+them into the (side, mode, node) blocks of a ``BalanceSheetSolution`` once, at
+the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from modeswitch.grid import FieldSurface, Lattice
 from modeswitch.model import COMPONENTS, MINUS, MODES, PLUS, SwitchingProblem, by_side, other_mode
-from modeswitch.rbsde import RbsdeSolution, backward_pass
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, node_costs, stack
+from modeswitch.rbsde import backward_pass
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, node_costs
 from modeswitch.verify import skorokhod_sum
 
 # Pointwise slack for the order assertions (float noise only; the discrete
@@ -33,7 +37,15 @@ DEFAULT_TOL = {"deterministic": 1e-8, "binomial": 1e-4}
 DEFAULT_MAX_ITER = 500
 
 
-def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> RbsdeSolution:
+class Component(NamedTuple):
+    """Y, Z and dK of one equation, as surfaces."""
+
+    y: FieldSurface
+    z: FieldSurface
+    dk: FieldSurface
+
+
+def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> Component:
     """One equation, reflected up off a floor (``lower``) or down off a cap.
 
     ``driver`` has ``tabulate(times)`` (see ``model.Driver``); ``terminal`` is
@@ -46,7 +58,7 @@ def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> 
     rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
     project = lambda ytilde, k: clip(ytilde, barrier[off[k] : off[k + 1]])  # noqa: E731
     terminal = np.full(backend.n_nodes(backend.grid.n_steps), terminal, dtype=float)
-    return backward_pass(rate, terminal, project, backend)[0]
+    return Component(*(FieldSurface(backend, f) for f in backward_pass(rate, terminal, project, backend)))
 
 
 class _ShiftedDriver:
@@ -93,6 +105,17 @@ class Iterate:
 
     def y(self, side: str, mode: int) -> FieldSurface:
         return self.sol[(side, mode)].y
+
+    @classmethod
+    def of(cls, solution: BalanceSheetSolution, n: int) -> "Iterate":
+        """The iterate whose components are views of the rows of a solution's blocks."""
+        fields = (block.reshape(4, -1) for block in (solution.y, solution.z, solution.dk))
+        rows = (Component(*(FieldSurface(solution.backend, r) for r in comp)) for comp in zip(*fields))
+        return cls(n, dict(zip(COMPONENTS, rows)))
+
+    def stacked(self, name: str) -> np.ndarray:
+        """One field (y, z or dk) of the four components as a (side, mode, node) block."""
+        return np.stack([getattr(self.sol[key], name).data for key in COMPONENTS]).reshape(2, 2, -1)
 
 
 @dataclass
@@ -191,12 +214,12 @@ def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> 
     return Iterate(n=prev.n + 1, sol=sol)
 
 
-def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: dict):
+def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: np.ndarray):
     """Barrier inequalities, increment signs, and complementarity sums on the
     converged block, against the barriers ``solution.obstacles()``; a failure
     names the first failing component in ``COMPONENTS`` order."""
     backend = solution.backend
-    gap, dk = by_side("inside", solution.block("y"), stack(obstacles)), solution.block("dk")
+    gap, dk = by_side("inside", solution.y, obstacles), solution.dk
     sko, terms = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1), np.abs(gap) * dk
     for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
         _check_order(-gap[index], 0.0, backend, f"barrier constraint violated for ({side},{mode})")
@@ -235,7 +258,7 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
             trace.converged = True
             break
 
-    solution = BalanceSheetSolution(problem=problem, backend=backend, sol=current.sol, trace=trace)
+    solution = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")), trace)
     if trace.converged:
         _assert_system_constraints(solution, solution.obstacles())
     return solution, trace

@@ -23,7 +23,7 @@ from modeswitch.scheme import solve_system
 from modeswitch.strategy import TERMINATE, simulate_policy
 from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family, counterexample_problem
 
-from conftest import build_problem, remark_problem, smoke_problem
+from conftest import build_problem, remark_problem, smoke_problem, surface
 from picard_reference import first_iterate, initialize_scheme, iterate_once, reflect
 from test_rbsde import (
     _SumDriver,
@@ -219,7 +219,7 @@ def test_criterion_7_reflection_density():
         backend = make_backend("deterministic", TimeGrid(n, 1.0))
         solution, trace = solve_system(problem, backend)
         dt = backend.grid.dt
-        density = max(float(solution.sol[(MINUS, 1)].dk.at(k)[0]) / dt for k in range(n))
+        density = max(float(surface(solution, (MINUS, 1), "dk").at(k)[0]) / dt for k in range(n))
         ok &= trace.converged and target / 2 <= density <= 2 * target
         details.append(f"N={n}: {density:.3f}")
     report("criterion 7: reflection density bound", ok,

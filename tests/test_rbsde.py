@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from modeswitch.grid import FieldSurface
-from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal
+from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal, row
 from modeswitch.rbsde import backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
-from conftest import bin_backend, build_problem, det_backend, random_affine_driver
+from conftest import bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
 from picard_reference import reflect
 
 
@@ -309,7 +309,7 @@ class TestPathwiseRepresentation:
             z = sol.z.at(k)
             np.testing.assert_allclose(e + z * sq, nxt[:-1], atol=1e-12)
             np.testing.assert_allclose(e - z * sq, nxt[1:], atol=1e-12)
-            psi = drv(times[k], be.state(k), e, z)
+            psi = driver_rate(drv, times[k], be.state(k), e, z)
             np.testing.assert_allclose(
                 sol.y.at(k), e + psi * dt + sol.dk.at(k), atol=1e-12
             )
@@ -325,10 +325,10 @@ class TestBlockPass:
         keep = lambda ytilde, k: ytilde  # noqa: E731
         x_T = backend.state(backend.grid.n_steps)
         rate, terminal = problem.driver_table(backend).per_step(backend), problem.terminal_block(x_T)
-        block = backward_pass(rate, terminal, keep, backend, COMPONENTS)
+        block = backward_pass(rate, terminal, keep, backend)
         for key in COMPONENTS:
             single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):
-                assert getattr(block[key], field).data.tobytes() == getattr(single, field).data.tobytes(), key
-        # the surfaces are views of the pass's (side, mode, node) buffers
-        assert block[(PLUS, 1)].y.data.base is block[(MINUS, 2)].y.data.base
+                assert getattr(block, field)[row(*key)].tobytes() == getattr(single, field).data.tobytes(), key
+        # the solution is the pass's own (side, mode, node) buffers
+        assert all(field.shape == (2, 2, backend.size) and field.flags.c_contiguous for field in block)

@@ -20,15 +20,15 @@ from modeswitch.model import (
     Terminal,
     validate_assumptions,
 )
-from modeswitch.rbsde import RbsdeSolution
 from modeswitch.scheme import LocalSweepError, SchemeError, solve_system, system_obstacles
 from modeswitch.verify import closed_form_family, counterexample_problem
 
 from conftest import (
-    assert_certificate_premise, assert_matches_pinned, bin_backend, build_problem, det_backend, random_affine_driver
+    assert_certificate_premise, assert_matches_pinned, bin_backend, build_problem, det_backend, random_affine_driver,
+    surface,
 )
 from picard_reference import (
-    Iterate, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once, picard_system
+    Component, Iterate, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once, picard_system
 )
 
 
@@ -121,9 +121,9 @@ class TestIterateOnce:
         be = det_backend(256)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        again = iterate_once(Iterate(n=99, sol=solution.sol), problem, be)
+        again = iterate_once(Iterate.of(solution, n=99), problem, be)
         for key in COMPONENTS:
-            assert again.sol[key].y.sup_diff(solution.sol[key].y) <= 1e-10
+            assert again.sol[key].y.sup_diff(surface(solution, key)) <= 1e-10
 
     def test_decreasing_sweep_flagged_as_scheme_failure(self):
         # an iterate sitting above the fixed point must come back down, which
@@ -133,10 +133,9 @@ class TestIterateOnce:
         solution, trace = solve_system(problem, be)
         assert trace.converged
         doctored = {}
-        for key in COMPONENTS:
-            comp = solution.sol[key]
+        for key, comp in Iterate.of(solution, n=1).sol.items():
             lift = 1.0 if key[0] == MINUS else 0.0
-            doctored[key] = RbsdeSolution(FieldSurface(be, comp.y.data + lift), comp.z, comp.dk)
+            doctored[key] = Component(FieldSurface(be, comp.y.data + lift), comp.z, comp.dk)
         with pytest.raises(SchemeError, match="cost mode"):
             iterate_once(Iterate(n=1, sol=doctored), problem, be)
 
@@ -171,7 +170,7 @@ class TestSolveSystem:
         for side, mode in COMPONENTS:
             exact = fam1.y(side, mode, times)
             for k in range(0, 2001, 100):
-                assert float(solution.sol[(side, mode)].y.at(k)[0]) <= exact[k] + 1e-3
+                assert float(surface(solution, (side, mode)).at(k)[0]) <= exact[k] + 1e-3
 
     def test_zero_problem_converges_in_two_sweeps(self, zero_problem):
         solution, trace = picard_system(zero_problem, det_backend(64))
@@ -183,7 +182,7 @@ class TestSolveSystem:
         problem = counterexample_problem(1.0)
         solution, _ = solve_system(problem, det_backend(256))
         for side, mode in COMPONENTS:
-            assert float(solution.sol[(side, mode)].y.at(256)[0]) == 1.0
+            assert float(surface(solution, (side, mode)).at(256)[0]) == 1.0
 
     def test_refinement_order_at_least_one(self):
         problem = counterexample_problem(1.0)
@@ -202,7 +201,7 @@ class TestSolveSystem:
         sup = {}
         for n in (250, 500):
             solution, _ = solve_system(problem, det_backend(n))
-            sup[n] = max(np.max(np.abs(solution.sol[key].y.data)) for key in COMPONENTS)
+            sup[n] = np.max(np.abs(solution.y))
         assert sup[500] / sup[250] <= 1.5
 
     def test_reflection_density_bounded(self):
@@ -212,15 +211,15 @@ class TestSolveSystem:
             solution, _ = solve_system(problem, det_backend(n))
             dt = 1.0 / n
             density_1 = max(
-                float(solution.sol[(MINUS, 1)].dk.at(k)[0]) / dt for k in range(n)
+                float(surface(solution, (MINUS, 1), "dk").at(k)[0]) / dt for k in range(n)
             )
             density_2 = max(
-                float(solution.sol[(MINUS, 2)].dk.at(k)[0]) / dt for k in range(n)
+                float(surface(solution, (MINUS, 2), "dk").at(k)[0]) / dt for k in range(n)
             )
             assert np.e / 2 <= density_1 <= 2 * np.e
             assert density_2 == pytest.approx(phi0, rel=0.05)
             # the limit puts all reflection mass on the cost side
-            assert all(np.max(np.abs(solution.sol[(PLUS, m)].dk.data)) == 0.0 for m in (1, 2))
+            assert np.max(np.abs(solution.dk[0])) == 0.0
 
     def test_multi_sweep_convergence_and_nonconvergence_report(self):
         problem = multi_sweep_problem()
@@ -261,7 +260,7 @@ class TestSolveSystem:
         assert trace.converged
         assert solution.y0(PLUS, 1) == pytest.approx(np.e, abs=2e-2)
         spread = max(
-            float(np.ptp(solution.sol[key].y.at(k)))
+            float(np.ptp(surface(solution, key).at(k)))
             for key in COMPONENTS
             for k in range(201)
         )
@@ -345,20 +344,14 @@ class TestRandomizedMonotoneConvergence:
                 break
         assert delta < 1e-6
 
-        obstacles = system_obstacles(
-            problem, {key: current.sol[key].y for key in COMPONENTS}, backend
-        )
+        obstacles = system_obstacles(problem, current.stacked("y"), backend).reshape(4, -1)
         slack = 10 * delta + 1e-10
-        for side, mode in COMPONENTS:
-            comp = current.sol[(side, mode)]
+        for (side, mode), barrier in zip(COMPONENTS, obstacles):
+            comp, barrier = current.sol[(side, mode)], FieldSurface(backend, barrier)
             xi = problem.terminal(side, mode)(backend.state(n))
             np.testing.assert_array_equal(comp.y.at(n), np.asarray(xi, dtype=float))
             for k in range(n + 1):
-                gap = (
-                    comp.y.at(k) - obstacles[(side, mode)].at(k)
-                    if side == PLUS
-                    else obstacles[(side, mode)].at(k) - comp.y.at(k)
-                )
+                gap = comp.y.at(k) - barrier.at(k) if side == PLUS else barrier.at(k) - comp.y.at(k)
                 assert float(np.min(gap)) >= -slack
                 assert float(np.min(comp.dk.at(k))) >= 0.0
 
@@ -372,8 +365,7 @@ class TestWidthOneCase:
     def assert_width_one(det, lat):
         for key in COMPONENTS:
             for field in ("y", "z", "dk"):
-                width_one = getattr(det.sol[key], field)
-                lattice = getattr(lat.sol[key], field)
+                width_one, lattice = surface(det, key, field), surface(lat, key, field)
                 for k in range(41):
                     np.testing.assert_array_equal(lattice.at(k), np.full(k + 1, width_one.at(k)[0]))
 
@@ -407,16 +399,16 @@ class TestOnePassAgainstPicard:
         backend = make_backend(kind, TimeGrid(n, problem.horizon))
         solution, trace = solve_system(problem, backend)
         assert trace.converged and trace.local_sweeps.max() <= 2
-        again = iterate_once(Iterate(n=1, sol=solution.sol), problem, backend)
+        again = iterate_once(Iterate.of(solution, n=1), problem, backend)
         for key in COMPONENTS:
-            assert again.sol[key].y.sup_diff(solution.sol[key].y) == 0.0
+            assert again.sol[key].y.sup_diff(surface(solution, key)) == 0.0
 
     def test_solver_refuses_a_solution_that_a_sweep_moves(self, monkeypatch):
         one_pass = scheme.backward_pass
 
         def nudged(*args):
             sol = one_pass(*args)
-            sol[(PLUS, 1)].y.data[0] += 1e-12
+            sol.y[0, 0, 0] += 1e-12
             return sol
 
         monkeypatch.setattr(scheme, "backward_pass", nudged)
@@ -455,7 +447,7 @@ class TestOnePassAgainstPicard:
         solution, _ = solve_system(problem, backend)
         obstacles = solution.obstacles()
         k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
-        solution.sol[(PLUS, 1)].dk.data[backend.offsets[k] + j] += 1.0
+        solution.dk[0, 0, backend.offsets[k] + j] += 1.0
         with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
             _assert_system_constraints(solution, obstacles)
 

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from modeswitch import strategy
-from modeswitch.grid import FieldSurface
 from modeswitch.io import load_problem
-from modeswitch.model import COMPONENTS, MINUS, PLUS
-from modeswitch.rbsde import RbsdeSolution
+from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, row
 from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.strategy import (
     HOLD,
@@ -22,7 +20,7 @@ from modeswitch.strategy import (
 )
 from modeswitch.verify import counterexample_problem
 
-from conftest import bin_backend, build_problem, det_backend, smoke_problem
+from conftest import bin_backend, build_problem, det_backend, driver_rate, smoke_problem, surface
 from picard_reference import ConvergenceTrace, picard_system
 
 SWITCHING_LATTICE = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
@@ -109,7 +107,7 @@ class TestExtractStoppingTimes:
         # no barrier is ever touched, so the only stops are the horizon nodes
         solution, _ = solve_system(far_obstacle_problem, backend)
         horizon = backend.offsets[16]
-        for mask in contact_masks(solution).values():
+        for mask in contact_masks(solution)[0].reshape(4, -1):
             assert mask[horizon:].all() and not mask[:horizon].any()
 
 
@@ -121,11 +119,11 @@ class TestContactIsExact:
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
         obstacles = solution.obstacles()
         horizon = solution.backend.offsets[100]
-        masks = contact_masks(solution)
-        for key, mask in masks.items():
-            inside = solution.sol[key].y.data[:horizon] != obstacles[key].data[:horizon]
-            assert not (mask[:horizon] & inside).any(), key
-        assert masks[(PLUS, 1)][:horizon].any() and masks[(PLUS, 2)][:horizon].any()
+        masks, _ = contact_masks(solution)
+        inside = solution.y[..., :horizon] != obstacles[..., :horizon]
+        for key in COMPONENTS:
+            assert not (masks[row(*key)][:horizon] & inside[row(*key)]).any(), key
+        assert masks[row(PLUS, 1)][:horizon].any() and masks[row(PLUS, 2)][:horizon].any()
 
 
 class TestBranchTable:
@@ -139,8 +137,8 @@ class TestBranchTable:
         solution, _ = solve_system(problem, backend)
         costs = problem.cost_table(solution.backend.grid.times)
         at = solution.backend.step_of_node
-        y = {key: solution.sol[key].y.data for key in COMPONENTS}
-        table = branch_table(solution)
+        y = {key: solution.y[row(*key)] for key in COMPONENTS}
+        _, table = branch_table(solution)
         for i, (mode, other) in enumerate(((1, 2), (2, 1))):
             ell, a, b = (c[i][at] for c in costs)
             profit = y[(PLUS, other)] - ell >= y[(MINUS, mode)] - a
@@ -156,6 +154,21 @@ class TestClassifyAction:
         for step, node in ((2, 7), (2, 3), (2, -1), (-1, 0), (21, 0)):
             with pytest.raises(ValueError, match=f"step {step}, node {node} is not on the lattice"):
                 classify_action(solution, MINUS, 1, node=node, step=step)
+
+    def test_agrees_with_the_branch_table_at_every_contact_node(self):
+        # one node's branches against the whole-block evaluation
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
+        barrier, switches = branch_table(solution)
+        contact = solution.y == barrier
+        assert contact.any() and not contact.all()
+        for (s, m, i), touches in np.ndenumerate(contact):
+            side, mode, (step, node) = SIDES[s], m + 1, solution.backend.locate(i)
+            if touches:
+                expected = SWITCH if switches[s, m, i] else TERMINATE
+                assert classify_action(solution, side, mode, node=node, step=step) == expected
+            elif i % 7 == 0:
+                with pytest.raises(ValueError, match=f"does not touch its barrier at step {step}, node {node}"):
+                    classify_action(solution, side, mode, node=node, step=step)
 
     def test_counterexample_terminates(self, fixture_solution):
         # switch branch ~ 2.035 loses to the termination branch ~ e
@@ -188,18 +201,13 @@ class TestClassifyAction:
             (MINUS, 1): beta + shift + a,
             (MINUS, 2): max(alpha, beta) + shift,
         }
-        sol = {
-            key: RbsdeSolution(
-                FieldSurface(be, np.full(be.size, values[key])),
-                FieldSurface.zeros(be),
-                FieldSurface.zeros(be),
-            )
-            for key in COMPONENTS
-        }
+        y = np.array([np.full(be.size, values[key]) for key in COMPONENTS]).reshape(2, 2, -1)
         solution = BalanceSheetSolution(
             problem=problem,
             backend=be,
-            sol=sol,
+            y=y,
+            z=np.zeros_like(y),
+            dk=np.zeros_like(y),
             trace=ConvergenceTrace(tol=1e-8, deltas=[0.0], converged=True),
         )
         expected = SWITCH if alpha >= beta else TERMINATE
@@ -327,7 +335,7 @@ class TestDynamicProgrammingConsistency:
         be = det_backend(n)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        comp = solution.component(PLUS, 1)
+        y, z = surface(solution, (PLUS, 1)), surface(solution, (PLUS, 1), "z")
         dt = be.grid.dt
         drv = problem.driver(PLUS, 1)
         for start in range(0, n + 1, 16):
@@ -335,8 +343,8 @@ class TestDynamicProgrammingConsistency:
             tau = stops[(PLUS, 1)]
             assert tau == n
             running = sum(
-                float(drv(be.grid.times[k], 0.0, comp.y.at(k)[0], comp.z.at(k)[0])) * dt
+                float(driver_rate(drv, be.grid.times[k], 0.0, y.at(k)[0], z.at(k)[0])) * dt
                 for k in range(start, tau)
             )
-            realized = running + float(comp.y.at(n)[0])
-            assert abs(realized - float(comp.y.at(start)[0])) <= 10.0 * dt
+            realized = running + float(y.at(n)[0])
+            assert abs(realized - float(y.at(start)[0])) <= 10.0 * dt

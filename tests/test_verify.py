@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from modeswitch.grid import FieldSurface
 from modeswitch.model import COMPONENTS, MINUS, PLUS, validate_assumptions
 from modeswitch.rbsde import RbsdeSolution
 from modeswitch.scheme import solve_system
@@ -12,7 +11,7 @@ from modeswitch.verify import (
     counterexample_problem,
 )
 
-from conftest import det_backend
+from conftest import det_backend, driver_rate
 
 
 class TestCounterexampleProblem:
@@ -20,7 +19,7 @@ class TestCounterexampleProblem:
         problem = counterexample_problem(1.0)
         drv = problem.driver(PLUS, 2)
         # at t=0 the switching cost is 1, so the rate at y=1 is 1 + 1
-        assert drv(0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
+        assert driver_rate(drv, 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
 
     def test_switching_cost_at_horizon(self):
         problem = counterexample_problem(1.0)
@@ -109,12 +108,7 @@ class TestAuditSolution:
 
     def test_zero_solution_audits_exactly_zero(self, zero_problem):
         be = det_backend(64)
-        candidate = {
-            key: RbsdeSolution(
-                FieldSurface.zeros(be), FieldSurface.zeros(be), FieldSurface.zeros(be)
-            )
-            for key in COMPONENTS
-        }
+        candidate = RbsdeSolution(*np.zeros((3, 2, 2, be.size)))
         report = audit_solution(candidate, zero_problem, be)
         for key in COMPONENTS:
             res = report.components[key]
@@ -138,10 +132,7 @@ class TestAuditSolution:
         problem = counterexample_problem(1.0)
         be = det_backend(500)
         candidate = closed_form_family(1, 1.0).sample(be)
-        scaled = candidate[(PLUS, 1)]
-        candidate[(PLUS, 1)] = RbsdeSolution(
-            FieldSurface(be, 1.01 * scaled.y.data), scaled.z, scaled.dk
-        )
+        candidate.y[0, 0] *= 1.01  # (plus, 1)
         report = audit_solution(candidate, problem, be)
         assert not report.passed
         assert any("terminal_mismatch" in f for f in report.failures())
@@ -175,11 +166,9 @@ class TestAuditSolution:
         assert trace.converged
         clean = audit_solution(solution, problem, be).max_over("max_step_residual")
 
-        tampered = dict(solution.sol)
-        comp = tampered[(PLUS, 1)]
-        tampered[(PLUS, 1)] = RbsdeSolution(
-            comp.y, FieldSurface(be, 2.0 * comp.z.data), comp.dk
-        )
+        z = solution.z.copy()
+        z[0, 0] *= 2.0  # (plus, 1)
+        tampered = RbsdeSolution(solution.y, z, solution.dk)
         dirty = audit_solution(tampered, problem, be).max_over("max_step_residual")
         assert dirty > 10 * max(clean, 1e-12)
 
@@ -188,12 +177,7 @@ class TestAuditSolution:
         from modeswitch.grid import TimeGrid, make_backend
 
         be = make_backend("binomial", TimeGrid(16, 1.0))
-        candidate = {
-            key: RbsdeSolution(
-                FieldSurface.zeros(be), FieldSurface.zeros(be), FieldSurface.zeros(be)
-            )
-            for key in COMPONENTS
-        }
+        candidate = RbsdeSolution(*np.zeros((3, 2, 2, be.size)))
         report = audit_solution(candidate, zero_problem, be)
         assert report.passed
 
