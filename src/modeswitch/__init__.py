@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("grid", "FieldSurface Lattice TimeGrid make_backend"),
+        ("grid", "Lattice TimeGrid"),
         (
             "model",
             "COMPONENTS MINUS PLUS CoefficientFunction Driver ProblemError SwitchingProblem Terminal "

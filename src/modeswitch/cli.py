@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .grid import FieldSurface, TimeGrid, make_backend
+from .grid import Lattice, TimeGrid
 from .io import load_problem, write_json, write_surface_csv, write_trace_csv
 from .model import COMPONENTS, ProblemError, row, validate_assumptions
 from .scheme import LocalSweepError, SchemeError, solve_system
@@ -32,7 +32,7 @@ EXIT_NO_CONVERGENCE = 2
 
 def _prepare(args):
     problem = load_problem(args.problem)
-    return problem, make_backend(args.backend, TimeGrid(args.steps, problem.horizon))
+    return problem, Lattice(args.backend, TimeGrid(args.steps, problem.horizon))
 
 
 def _ensure_outdir(args) -> Path:
@@ -60,7 +60,7 @@ def cmd_solve(args) -> int:
     out = _ensure_outdir(args)
     for side, mode in COMPONENTS:
         for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
-            write_surface_csv(out / f"{name}_{side}_{mode}.csv", FieldSurface(backend, block[row(side, mode)]))
+            write_surface_csv(out / f"{name}_{side}_{mode}.csv", backend, block[row(side, mode)])
     write_trace_csv(out / "trace.csv", trace)
     write_json(out / "summary.json", _summary_payload(solution, args))
     return EXIT_OK
@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
 def _add_common(parser, needs_problem: bool):
     if needs_problem:
         parser.add_argument("--problem", required=True, help="problem definition file (JSON)")
-    parser.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
+        parser.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
     parser.add_argument("--steps", type=int, default=2000, help="number of time steps N")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")

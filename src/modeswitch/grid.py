@@ -1,4 +1,4 @@
-"""Time grid, the recombining lattice, and adapted surfaces.
+"""Time grid and the recombining lattice.
 
 One lattice serves both backends. The state moves by +-spread with
 probability 1/2 each; a down move shifts the node index by ``down``. The
@@ -9,9 +9,9 @@ j+1. The deterministic kind is its width-1 case (``down = 0``, ``spread =
 0``): one node per step, both moves land on it, and the conditional
 expectation is the identity.
 
-A surface holds the node values of every step in one flat buffer; step k
-occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node`` / ``node_index``
-map a flat index back to its step and its node within the step.
+Node data is a flat buffer of ``size`` values (or a block of them along its
+last axis); step k occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node``
+/ ``node_index`` map a flat index back to its step and its node within it.
 """
 
 from __future__ import annotations
@@ -125,23 +125,3 @@ class Lattice:
             downs = rng.integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
             np.cumsum(downs, axis=1, out=paths[:, 1:])
         return paths
-
-
-def make_backend(kind: str, grid: TimeGrid) -> Lattice:
-    return Lattice(kind, grid)
-
-
-class FieldSurface:
-    """One adapted process sampled on the lattice, as one flat buffer of node values."""
-
-    def __init__(self, backend: Lattice, data: np.ndarray):
-        """Surface over a flat buffer of ``backend.size`` node values (not copied)."""
-        if data.shape != (backend.size,):
-            raise ValueError(f"flat surface needs {backend.size} node values, got shape {data.shape}")
-        self.backend, self.data = backend, data
-
-    def at(self, k: int) -> np.ndarray:
-        return self.data[self.backend.offsets[k] : self.backend.offsets[k + 1]]
-
-    def sup_diff(self, other: "FieldSurface") -> float:
-        return float(np.max(np.abs(self.data - other.data)))

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FieldSurface, Lattice
+from .grid import Lattice
 from .model import (
     COMPONENTS,
     MINUS,
     MODES,
     PLUS,
+    STATE_FEATURES,
     CoefficientFunction,
     Driver,
     ProblemError,
@@ -44,9 +45,17 @@ def _number(value, where: str) -> float:
     raise ProblemError(f"{where} must be a number")
 
 
+def _known(spec: dict, fields, where: str = ""):
+    """Refuse the first key of ``spec`` that is not one of ``fields``, by name."""
+    for key in spec:
+        if key not in fields:
+            raise ProblemError(f"{where}: unknown field {key!r}" if where else f"unknown field {key!r}")
+
+
 def _coefficient(spec, where: str) -> CoefficientFunction:
     if not isinstance(spec, dict):
         return CoefficientFunction.constant(_number(spec, where))
+    _known(spec, ("kind", "params", "ito"), where)
     if "kind" not in spec or not isinstance(spec.get("params"), list):
         raise ProblemError(f"{where}: expected an object with 'kind' and a 'params' list")
     if not isinstance(has_ito := spec.get("ito", True), bool):
@@ -61,6 +70,7 @@ def _coefficient(spec, where: str) -> CoefficientFunction:
 def _terminal(spec, where: str) -> Terminal:
     if not isinstance(spec, dict):
         return Terminal(_number(spec, where))
+    _known(spec, ("intercept", "slope"), where)
     if "intercept" not in spec:
         raise ProblemError(f"{where}: missing field 'intercept'")
     return Terminal(_number(spec["intercept"], f"{where}.intercept"), _number(spec.get("slope", 0.0), f"{where}.slope"))
@@ -69,6 +79,7 @@ def _terminal(spec, where: str) -> Terminal:
 def problem_from_dict(doc: dict) -> SwitchingProblem:
     if not isinstance(doc, dict):
         raise ProblemError("problem document must be a JSON object")
+    _known(doc, ("horizon", "drivers", "costs", "terminals"))
     if "horizon" not in doc:
         raise ProblemError("missing field 'horizon'")
     horizon = _number(doc["horizon"], "'horizon'")
@@ -81,6 +92,7 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
         where = f"drivers[{i}]"
         if not isinstance(entry, dict):
             raise ProblemError(f"{where}: expected an object")
+        _known(entry, ("mode", "side", "c0", "c1", "c2", "state_feature"), where)
         for name in ("mode", "side"):
             if name not in entry:
                 raise ProblemError(f"{where}: missing field {name!r}")
@@ -90,13 +102,15 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
         side = _SIDES[side]
         if isinstance(mode, bool) or not isinstance(mode, int) or mode not in MODES:
             raise ProblemError(f"{where}.mode must be the integer 1 or 2")
+        if (feature := entry.get("state_feature", "one")) not in STATE_FEATURES:  # true, null and 1 included
+            raise ProblemError(f"{where}.state_feature must be one of {', '.join(map(repr, STATE_FEATURES))}")
         drv = Driver(
             mode,
             side,
             _coefficient(entry.get("c0", 0.0), f"{where}.c0"),
             c1=_number(entry.get("c1", 0.0), f"{where}.c1"),
             c2=_number(entry.get("c2", 0.0), f"{where}.c2"),
-            state_feature=str(entry.get("state_feature", "one")),
+            state_feature=feature,
         )
         if (side, mode) in drivers:
             raise ProblemError(f"{where}: duplicate driver for ({side}, {mode})")
@@ -108,8 +122,10 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
     raw_costs = doc.get("costs")
     if not isinstance(raw_costs, dict):
         raise ProblemError("'costs' must be an object with keys ell_1..b_2")
+    names = ("ell_1", "ell_2", "a_1", "a_2", "b_1", "b_2")
+    _known(raw_costs, names, "costs")
     cost = {}
-    for name in ("ell_1", "ell_2", "a_1", "a_2", "b_1", "b_2"):
+    for name in names:
         if name not in raw_costs:
             raise ProblemError(f"'costs' missing entry {name!r}")
         cost[name] = _coefficient(raw_costs[name], f"costs.{name}")
@@ -117,6 +133,7 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
     raw_terms = doc.get("terminals")
     if not isinstance(raw_terms, dict):
         raise ProblemError("'terminals' must be an object with keys plus_1..minus_2")
+    _known(raw_terms, [f"{side}_{mode}" for side, mode in COMPONENTS], "terminals")
     terminals = {}
     for side, mode in COMPONENTS:
         name = f"{side}_{mode}"
@@ -158,30 +175,32 @@ def _row_prefixes(backend: Lattice) -> tuple:
     return tuple(f"{k},{j}," for k, j in zip(backend.step_of_node.tolist(), backend.node_index.tolist()))
 
 
-def write_surface_csv(path, surface: FieldSurface):
-    """One ``step,node,value`` row per node, as one string: CRLF line ends and
-    ``repr`` values, the bytes ``csv.writer`` writes for these rows."""
-    rows = [p + repr(v) + "\r\n" for p, v in zip(_row_prefixes(surface.backend), surface.data.tolist())]
+def write_surface_csv(path, lattice: Lattice, values: np.ndarray):
+    """One ``step,node,value`` row per node of a flat buffer of node values, as one string:
+    CRLF line ends and ``repr`` values, the bytes ``csv.writer`` writes for these rows."""
+    if values.shape != (lattice.size,):
+        raise ValueError(f"flat surface needs {lattice.size} node values, got shape {values.shape}")
+    rows = [p + repr(v) + "\r\n" for p, v in zip(_row_prefixes(lattice), values.tolist())]
     Path(path).write_text("".join(["step,node,value\r\n", *rows]), newline="")
 
 
-def read_surface_csv(path, backend: Lattice) -> FieldSurface:
-    """A surface written by ``write_surface_csv``: every lattice node exactly once."""
+def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
+    """The flat buffer written by ``write_surface_csv``: every lattice node exactly once."""
     path = Path(path)
-    data, rows = np.zeros(backend.size), np.zeros(backend.size, dtype=np.int64)
+    data, rows = np.zeros(lattice.size), np.zeros(lattice.size, dtype=np.int64)
     with path.open(newline="") as fh:
         for row in csv.DictReader(fh):
             k, j = int(row["step"]), int(row["node"])
             try:
-                i = int(backend.flat_index(k, j))
+                i = int(lattice.flat_index(k, j))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             data[i], rows[i] = float(row["value"]), rows[i] + 1
     i = int(np.argmax(rows != 1))
     if rows[i] != 1:
-        k, j = backend.locate(i)
+        k, j = lattice.locate(i)
         raise ValueError(f"{path}: step {k}, node {j} is {'missing' if rows[i] == 0 else 'repeated'}")
-    return FieldSurface(backend, data)
+    return data
 
 
 def write_trace_csv(path, trace):

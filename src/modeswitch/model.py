@@ -28,6 +28,7 @@ MINUS = "minus"
 SIDES = (PLUS, MINUS)  # the side axis of a (side, mode, node) block
 MODES = (1, 2)
 COMPONENTS = tuple((side, mode) for side in SIDES for mode in MODES)
+STATE_FEATURES = ("one", "x")  # what a driver's c0 is scaled by: 1, or the lattice state
 
 # Absolute slack when comparing terminal inequalities; absorbs float
 # evaluation of the exponential cost catalog.
@@ -36,10 +37,6 @@ BOUNDARY_SLACK = 1e-12
 # Step guard of the explicit backward scheme, the validator's A6 check:
 # dt * Lipschitz below this keeps the one-step operator a contraction in y.
 STABILITY_LIMIT = 0.5
-
-
-def other_mode(mode: int) -> int:
-    return 3 - mode
 
 
 def row(side: str, mode: int) -> tuple[int, int]:
@@ -134,7 +131,7 @@ class Driver:
             raise ProblemError(f"driver mode must be 1 or 2, got {self.mode}")
         if self.side not in (PLUS, MINUS):
             raise ProblemError(f"driver side must be '{PLUS}' or '{MINUS}'")
-        if self.state_feature not in ("one", "x"):
+        if self.state_feature not in STATE_FEATURES:
             raise ProblemError("state_feature must be 'one' or 'x'")
 
     @property
@@ -308,16 +305,14 @@ def closure(ytilde: np.ndarray, other: np.ndarray, costs: CostSlice, side: str) 
     return better(r, _switch(r, costs, side))
 
 
-def side_obstacles(y: np.ndarray, costs: CostSlice, side: str) -> np.ndarray:
-    """The barrier values of one side, stacked by mode: the better of each
-    mode's two branches, the larger under a profit floor and the smaller
-    over a cost cap."""
-    return _PUSH[side].better(*branches(y, costs, side))
-
-
-def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> np.ndarray:
-    """All four barrier values, as a block shaped like ``y`` (see ``side_obstacles``)."""
-    return np.stack([side_obstacles(y, costs, side) for side in SIDES])
+def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> tuple[np.ndarray, np.ndarray]:
+    """All four barrier values, as a block shaped like ``y``: each mode's better
+    branch, the larger under a profit floor and the smaller over a cost cap;
+    and the boolean block of where a stop switches rather than terminates:
+    where the barrier is the switch branch, so a tie switches."""
+    pairs = [branches(y, costs, side) for side in SIDES]
+    barrier = np.stack([_PUSH[side].better(*pair) for side, pair in zip(SIDES, pairs)])
+    return barrier, np.stack([s == switch for s, (switch, _) in zip(barrier, pairs)])
 
 
 def by_side(name: str, *blocks) -> np.ndarray:
@@ -424,7 +419,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
             "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
             value=v_bad,
         )
-    margins = by_side("inside", xi, evaluate_obstacles(xi, problem.cost_table(times[-1:])))
+    margins = by_side("inside", xi, evaluate_obstacles(xi, problem.cost_table(times[-1:]))[0])
     for (side, mode), margin in zip(COMPONENTS, margins.reshape(4, -1)):
         j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
         j = int(np.argmin(margin)) if j is None else j

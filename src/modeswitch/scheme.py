@@ -84,18 +84,10 @@ class BalanceSheetSolution:
     def y0(self, side: str, mode: int) -> float:
         return float(self.y[row(side, mode)][0])
 
-    def obstacles(self) -> np.ndarray:
-        return system_obstacles(self.problem, self.y, self.backend)
 
-
-def node_costs(problem: SwitchingProblem, backend: Lattice) -> CostSlice:
-    """The six costs at every lattice node, from one table on the grid times."""
-    return problem.cost_table(backend.grid.times).at(backend.step_of_node)
-
-
-def system_obstacles(problem: SwitchingProblem, y: np.ndarray, backend: Lattice) -> np.ndarray:
-    """The barrier block implied by a (side, mode, node) block of Y."""
-    return evaluate_obstacles(y, node_costs(problem, backend))
+def system_obstacles(problem: SwitchingProblem, y: np.ndarray, backend: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier and switch blocks (``model.evaluate_obstacles``) implied by a (side, mode, node) block of Y."""
+    return evaluate_obstacles(y, problem.cost_table(backend.grid.times).at(backend.step_of_node))
 
 
 def _require_admissible(problem: SwitchingProblem, backend: Lattice):
@@ -182,5 +174,5 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
         solution = BalanceSheetSolution(problem, backend, *sol, PassTrace(rounds))
         for block, what in ((sol.y, "value"), (sol.dk, "push")):  # a push is not finite where its Euler value is not
             _require_finite(block, what, backend.locate)
-        _certify_fixed_point(solution, solution.obstacles())
+        _certify_fixed_point(solution, system_obstacles(problem, sol.y, backend)[0])
     return solution, solution.trace

@@ -2,9 +2,9 @@
 
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
-of the barrier is binding (switch to the other mode, or terminate): a tie
-switches. ``branch_table`` evaluates each side's branches once on the Y block
-and gives the barrier block and the switch table. Contact is
+of the barrier is binding (switch to the other mode, or terminate; a tie
+switches), as ``model.evaluate_obstacles`` reads it on the Y block
+(``contact_masks``) or at one node (``classify_action``). Contact is
 exact: the one-pass solver stores the barrier's own bits wherever it pushes,
 and its fixed-point certificate holds bit for bit, so a path stops where
 Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import COMPONENTS, SIDES, _PUSH, DriverTable, branches, row
-from .scheme import BalanceSheetSolution, node_costs
+from .model import COMPONENTS, SIDES, DriverTable, evaluate_obstacles, row
+from .scheme import BalanceSheetSolution, system_obstacles
 
 SWITCH = "switch"
 TERMINATE = "terminate"
@@ -45,24 +45,10 @@ def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
     return mask
 
 
-def branch_table(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The barrier block the solution implies (``model.side_obstacles``), and
-    the boolean (side, mode, node) block of where a stop switches rather than
-    terminates: where the barrier is the switch branch, so a tie switches.
-    Each side's branches are evaluated once."""
-    y, costs = solution.y, node_costs(solution.problem, solution.backend)
-    barrier, switches = np.empty_like(y), np.empty(y.shape, dtype=bool)
-    for s, side in enumerate(SIDES):
-        switch, terminate = branches(y, costs, side)
-        barrier[s] = _PUSH[side].better(switch, terminate)
-        switches[s] = barrier[s] == switch
-    return barrier, switches
-
-
 def contact_masks(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The ``stop_mask`` block against the barriers the solution implies, and
-    the switch block of ``branch_table``; the replay reads both."""
-    barrier, switches = branch_table(solution)
+    the block of where a stop switches (``scheme.system_obstacles``); the replay reads both."""
+    barrier, switches = system_obstacles(solution.problem, solution.y, solution.backend)
     return stop_mask(solution.y, barrier, solution.backend), switches
 
 
@@ -99,18 +85,16 @@ def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, p
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
-    """Branch decision at a barrier-contact point, by the expressions of
-    ``branch_table`` evaluated at that node alone."""
-    backend = solution.backend
+    """Branch decision at a barrier-contact point, by ``model.evaluate_obstacles`` at that node alone."""
+    backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
-    switch, terminate = branches(y, solution.problem.cost_table(backend.grid.times).at(step), side)
-    barrier = _PUSH[side].better(switch, terminate)
-    y_here, s_here = float(y[row(side, mode)]), float(barrier[mode - 1])
+    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.grid.times).at(step))
+    y_here, s_here = float(y[here]), float(barrier[here])
     if y_here != s_here:
         raise ValueError(
             f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
         )
-    return SWITCH if s_here == switch[mode - 1] else TERMINATE
+    return SWITCH if switches[here] else TERMINATE
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Lattice, TimeGrid, make_backend
+from .grid import Lattice, TimeGrid
 from .model import (
     COMPONENTS,
     MINUS,
@@ -199,7 +199,7 @@ def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> Re
     dt, n = backend.grid.dt, backend.grid.n_steps
     before = slice(0, backend.offsets[n])
     y, z, dk = candidate.y, candidate.z[..., before], candidate.dk
-    gaps = by_side("inside", y, system_obstacles(problem, y, backend))
+    gaps = by_side("inside", y, system_obstacles(problem, y, backend)[0])
     sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.continuation(y)
     yk, dk_k = y[..., before], dk[..., before]
     psi = problem.driver_table(backend).rate(before, 0.5 * (yk + cont), z)
@@ -268,7 +268,7 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
     if N < 100:
         raise ValueError("need N >= 100 for meaningful residual caps")
     problem = counterexample_problem(T)
-    backend = make_backend("deterministic", TimeGrid(N, T))
+    backend = Lattice("deterministic", TimeGrid(N, T))
     fam1 = closed_form_family(1, T).sample(backend)
     fam2 = closed_form_family(2, T).sample(backend)
     rep1 = audit_solution(fam1, problem, backend)

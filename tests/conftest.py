@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modeswitch.grid import FieldSurface, TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -11,7 +11,6 @@ from modeswitch.model import (
     Driver,
     SwitchingProblem,
     Terminal,
-    row,
 )
 from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
 
@@ -22,16 +21,16 @@ settings.load_profile("modeswitch")
 
 
 def det_backend(n_steps, horizon=1.0):
-    return make_backend("deterministic", TimeGrid(n_steps, horizon))
+    return Lattice("deterministic", TimeGrid(n_steps, horizon))
 
 
 def bin_backend(n_steps, horizon=1.0):
-    return make_backend("binomial", TimeGrid(n_steps, horizon))
+    return Lattice("binomial", TimeGrid(n_steps, horizon))
 
 
-def surface(solution, key, field="y"):
-    """One component's row of a solution's y, z or dk block, as a surface (a view)."""
-    return FieldSurface(solution.backend, getattr(solution, field)[row(*key)])
+def at(values, lattice, k):
+    """The node values of step k of a flat buffer, or of each buffer of a block along its last axis (a view)."""
+    return values[..., lattice.offsets[k] : lattice.offsets[k + 1]]
 
 
 def driver_rate(driver, t, x, y, z):

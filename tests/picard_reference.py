@@ -10,9 +10,9 @@ written out here rather than read from ``model``, so that it stays
 independent of what it checks, and each sweep asserts that no value drops.
 Every single equation is ``reflect``: the production ``rbsde.backward_pass``
 with the driver's own rate, projected by a clip against its barrier. The
-iteration holds its components apart, as surfaces (``Component``), and stacks
-them into the (side, mode, node) blocks of a ``BalanceSheetSolution`` once, at
-the end.
+iteration holds its components apart, as flat node buffers (``Component``),
+and stacks them into the (side, mode, node) blocks of a
+``BalanceSheetSolution`` once, at the end.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from modeswitch.grid import FieldSurface, Lattice
-from modeswitch.model import COMPONENTS, MINUS, MODES, PLUS, SwitchingProblem, by_side, other_mode
+from modeswitch.grid import Lattice
+from modeswitch.model import COMPONENTS, MINUS, MODES, PLUS, SwitchingProblem, by_side
 from modeswitch.rbsde import backward_pass
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, node_costs
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
 from modeswitch.verify import skorokhod_sum
 
 # Pointwise slack for the order assertions (float noise only; the discrete
@@ -38,11 +38,16 @@ DEFAULT_MAX_ITER = 500
 
 
 class Component(NamedTuple):
-    """Y, Z and dK of one equation, as surfaces."""
+    """Y, Z and dK of one equation, as flat buffers of node values."""
 
-    y: FieldSurface
-    z: FieldSurface
-    dk: FieldSurface
+    y: np.ndarray
+    z: np.ndarray
+    dk: np.ndarray
+
+
+def other_mode(mode: int) -> int:
+    """The mode a switch leads to."""
+    return 3 - mode
 
 
 def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> Component:
@@ -58,7 +63,7 @@ def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> 
     rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
     project = lambda ytilde, k: clip(ytilde, barrier[off[k] : off[k + 1]])  # noqa: E731
     terminal = np.full(backend.n_nodes(backend.grid.n_steps), terminal, dtype=float)
-    return Component(*(FieldSurface(backend, f) for f in backward_pass(rate, terminal, project, backend)))
+    return Component(*backward_pass(rate, terminal, project, backend))
 
 
 class _ShiftedDriver:
@@ -94,7 +99,7 @@ class SchemeStart:
 
     y_plus0: dict
     big_l: dict
-    dot_y: FieldSurface
+    dot_y: np.ndarray
     alpha: _MinDriver
 
 
@@ -103,19 +108,19 @@ class Iterate:
     n: int
     sol: dict
 
-    def y(self, side: str, mode: int) -> FieldSurface:
+    def y(self, side: str, mode: int) -> np.ndarray:
         return self.sol[(side, mode)].y
 
     @classmethod
     def of(cls, solution: BalanceSheetSolution, n: int) -> "Iterate":
         """The iterate whose components are views of the rows of a solution's blocks."""
         fields = (block.reshape(4, -1) for block in (solution.y, solution.z, solution.dk))
-        rows = (Component(*(FieldSurface(solution.backend, r) for r in comp)) for comp in zip(*fields))
+        rows = (Component(*comp) for comp in zip(*fields))
         return cls(n, dict(zip(COMPONENTS, rows)))
 
     def stacked(self, name: str) -> np.ndarray:
         """One field (y, z or dk) of the four components as a (side, mode, node) block."""
-        return np.stack([getattr(self.sol[key], name).data for key in COMPONENTS]).reshape(2, 2, -1)
+        return np.stack([getattr(self.sol[key], name) for key in COMPONENTS]).reshape(2, 2, -1)
 
 
 @dataclass
@@ -138,6 +143,11 @@ def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str,
         raise SchemeError(f"{what} at step {k}, node {j}: {amount} {excess[i]:g}")
 
 
+def node_costs(problem: SwitchingProblem, backend: Lattice):
+    """The six costs at every lattice node, from one table on the grid times."""
+    return problem.cost_table(backend.grid.times).at(backend.step_of_node)
+
+
 def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
     """One component reflected off a flat barrier buffer: up off a floor on
     the profit side, down off a cap on the cost side."""
@@ -151,7 +161,7 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
     _require_admissible(problem, backend)
     costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.grid.n_steps))
     y_plus0 = {mode: reflect(problem.driver(PLUS, mode), xi[0, mode - 1], None, backend) for mode in MODES}
-    big_l = {mode: FieldSurface(backend, y_plus0[mode].y.data + costs.b[mode - 1]) for mode in MODES}
+    big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
 
     shifted = [_ShiftedDriver(problem.driver(PLUS, mode), problem.b[mode - 1]) for mode in MODES]
     alpha = _MinDriver(shifted + [problem.driver(MINUS, mode) for mode in MODES])
@@ -163,14 +173,14 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
     # Lower-bound inequality seeding the cost side: dotY <= L^i and (with
     # ell > 0) dotY <= dotY + ell_i, at every node.
     for mode in MODES:
-        bound = np.minimum(big_l[mode].data, dot_y.data + costs.ell[mode - 1])
-        _check_order(dot_y.data, bound, backend, f"warm-start ordering violated for mode {mode}")
+        bound = np.minimum(big_l[mode], dot_y + costs.ell[mode - 1])
+        _check_order(dot_y, bound, backend, f"warm-start ordering violated for mode {mode}")
 
     return SchemeStart(y_plus0=y_plus0, big_l=big_l, dot_y=dot_y, alpha=alpha)
 
 
-def _check_not_below(new: FieldSurface, old: FieldSurface, label: str):
-    _check_order(old.data, new.data, new.backend, f"iterate monotonicity violated for {label}", "decrease")
+def _check_not_below(new: np.ndarray, old: np.ndarray, backend: Lattice, label: str):
+    _check_order(old, new, backend, f"iterate monotonicity violated for {label}", "decrease")
 
 
 def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Lattice) -> Iterate:
@@ -185,14 +195,14 @@ def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Lattic
     costs = node_costs(problem, backend)
     sol = {}
     for mode in MODES:
-        cap = np.minimum(start.big_l[mode].data, start.dot_y.data + costs.ell[mode - 1])
-        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap, terminal=start.dot_y.at(n))
-        _check_not_below(sol[(MINUS, mode)].y, start.dot_y, f"cost mode {mode} vs warm start")
+        cap = np.minimum(start.big_l[mode], start.dot_y + costs.ell[mode - 1])
+        sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap, terminal=start.dot_y[backend.offsets[n] :])
+        _check_not_below(sol[(MINUS, mode)].y, start.dot_y, backend, f"cost mode {mode} vs warm start")
     for mode in MODES:
-        y_other, y_cost = start.y_plus0[other_mode(mode)].y.data, sol[(MINUS, mode)].y.data
+        y_other, y_cost = start.y_plus0[other_mode(mode)].y, sol[(MINUS, mode)].y
         floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
         sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
-        _check_not_below(sol[(PLUS, mode)].y, start.y_plus0[mode].y, f"profit mode {mode} stage 0->1")
+        _check_not_below(sol[(PLUS, mode)].y, start.y_plus0[mode].y, backend, f"profit mode {mode} stage 0->1")
     return Iterate(n=1, sol=sol)
 
 
@@ -202,21 +212,21 @@ def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> 
     costs = node_costs(problem, backend)
     sol = {}
     for mode in MODES:
-        y_other, y_profit = prev.y(MINUS, other_mode(mode)).data, prev.y(PLUS, mode).data
+        y_other, y_profit = prev.y(MINUS, other_mode(mode)), prev.y(PLUS, mode)
         cap = np.minimum(y_other + costs.ell[mode - 1], y_profit + costs.b[mode - 1])
         sol[(MINUS, mode)] = _reflect(problem, backend, MINUS, mode, cap)
-        _check_not_below(sol[(MINUS, mode)].y, prev.y(MINUS, mode), f"cost mode {mode} stage {prev.n}")
+        _check_not_below(sol[(MINUS, mode)].y, prev.y(MINUS, mode), backend, f"cost mode {mode} stage {prev.n}")
     for mode in MODES:
-        y_other, y_cost = prev.y(PLUS, other_mode(mode)).data, sol[(MINUS, mode)].y.data
+        y_other, y_cost = prev.y(PLUS, other_mode(mode)), sol[(MINUS, mode)].y
         floor = np.maximum(y_other - costs.ell[mode - 1], y_cost - costs.a[mode - 1])
         sol[(PLUS, mode)] = _reflect(problem, backend, PLUS, mode, floor)
-        _check_not_below(sol[(PLUS, mode)].y, prev.y(PLUS, mode), f"profit mode {mode} stage {prev.n}")
+        _check_not_below(sol[(PLUS, mode)].y, prev.y(PLUS, mode), backend, f"profit mode {mode} stage {prev.n}")
     return Iterate(n=prev.n + 1, sol=sol)
 
 
 def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: np.ndarray):
     """Barrier inequalities, increment signs, and complementarity sums on the
-    converged block, against the barriers ``solution.obstacles()``; a failure
+    converged block, against the barriers ``scheme.system_obstacles``; a failure
     names the first failing component in ``COMPONENTS`` order."""
     backend = solution.backend
     gap, dk = by_side("inside", solution.y, obstacles), solution.dk
@@ -251,7 +261,7 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
     trace = ConvergenceTrace(tol=tol)
     for _ in range(max_iter):
         nxt = iterate_once(current, problem, backend)
-        delta = max(nxt.y(side, mode).sup_diff(current.y(side, mode)) for side, mode in COMPONENTS)
+        delta = max(float(np.max(np.abs(nxt.y(side, mode) - current.y(side, mode)))) for side, mode in COMPONENTS)
         trace.deltas.append(delta)
         current = nxt
         if delta < tol:
@@ -260,5 +270,5 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
 
     solution = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")), trace)
     if trace.converged:
-        _assert_system_constraints(solution, solution.obstacles())
+        _assert_system_constraints(solution, system_obstacles(problem, solution.y, backend)[0])
     return solution, trace

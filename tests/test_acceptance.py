@@ -10,20 +10,21 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import FieldSurface, TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
     PLUS,
     CoefficientFunction,
     Driver,
+    row,
     validate_assumptions,
 )
 from modeswitch.scheme import solve_system
 from modeswitch.strategy import TERMINATE, simulate_policy
 from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family, counterexample_problem
 
-from conftest import build_problem, remark_problem, smoke_problem, surface
+from conftest import at, build_problem, remark_problem, smoke_problem
 from picard_reference import first_iterate, initialize_scheme, iterate_once, reflect
 from test_rbsde import (
     _SumDriver,
@@ -52,7 +53,7 @@ def test_criterion_1_fixture_audit():
     ok = True
     details = []
     for n in (2000, 4000):
-        backend = make_backend("deterministic", TimeGrid(n, 1.0))
+        backend = Lattice("deterministic", TimeGrid(n, 1.0))
         for fid in (1, 2):
             rep = audit_solution(closed_form_family(fid, 1.0).sample(backend), problem, backend)
             step = rep.max_over("max_step_residual")
@@ -86,12 +87,12 @@ def test_criterion_2_nonuniqueness():
 def test_criterion_3_minimality():
     """The iteration converges to the smaller family and never steps down."""
     problem = counterexample_problem(1.0)
-    backend = make_backend("deterministic", TimeGrid(2000, 1.0))
+    backend = Lattice("deterministic", TimeGrid(2000, 1.0))
 
     start = initialize_scheme(problem, backend)
     current = first_iterate(start, problem, backend)
     monotone = all(
-        float(np.min(current.sol[(PLUS, mode)].y.at(k) - start.y_plus0[mode].y.at(k))) >= -1e-10
+        float(np.min(at(current.sol[(PLUS, mode)].y, backend, k) - at(start.y_plus0[mode].y, backend, k))) >= -1e-10
         for mode in (1, 2)
         for k in range(2001)
     )
@@ -100,22 +101,22 @@ def test_criterion_3_minimality():
         nxt = iterate_once(current, problem, backend)
         for key in COMPONENTS:
             worst = min(
-                float(np.min(nxt.sol[key].y.at(k) - current.sol[key].y.at(k)))
+                float(np.min(at(nxt.sol[key].y, backend, k) - at(current.sol[key].y, backend, k)))
                 for k in range(2001)
             )
             monotone &= worst >= -1e-10
-        deltas.append(max(nxt.sol[key].y.sup_diff(current.sol[key].y) for key in COMPONENTS))
+        deltas.append(max(np.max(np.abs(nxt.sol[key].y - current.sol[key].y)) for key in COMPONENTS))
         current = nxt
         if deltas[-1] < 1e-8:
             break
     converged = deltas[-1] < 1e-8 and len(deltas) <= 500
 
-    y0 = float(current.sol[(PLUS, 1)].y.at(0)[0])
+    y0 = float(at(current.sol[(PLUS, 1)].y, backend, 0)[0])
     below_e = y0 <= np.e + 1e-3
     fam1 = closed_form_family(1, 1.0)
     times = backend.grid.times
     below_family = all(
-        float(np.max(current.sol[key].y.at(k) - fam1.y(key[0], key[1], times[k]))) <= 1e-3
+        float(np.max(at(current.sol[key].y, backend, k) - fam1.y(key[0], key[1], times[k]))) <= 1e-3
         for key in COMPONENTS
         for k in range(2001)
     )
@@ -133,11 +134,11 @@ def test_criterion_4_snell_oracle():
     ok = True
     worst = 0.0
     for _ in range(100):
-        payoff = FieldSurface(backend, np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(5)]))
-        env, stops = snell_envelope(payoff)
-        best = brute_force_optimal_stopping(payoff, 4)
-        root = float(env.at(0)[0])
-        rule = first_stop_rule_value(payoff, stops, 4)
+        payoff = np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(5)])
+        env, stops = snell_envelope(payoff, backend)
+        best = brute_force_optimal_stopping(payoff, backend, 4)
+        root = float(at(env, backend, 0)[0])
+        rule = first_stop_rule_value(payoff, backend, stops, 4)
         worst = max(worst, abs(root - best), abs(rule - best))
         ok &= abs(root - best) <= 1e-12 and abs(rule - best) <= 1e-12
     report("criterion 4: stopping oracle equivalence", ok, f"worst gap {worst:.2e}")
@@ -152,22 +153,22 @@ def test_criterion_5_comparison_suite():
     for i in range(50):
         backend = bin_backend(16) if i % 2 else det_backend(32)
         drv, xi, barrier = random_lower_instance(rng, backend)
-        base = reflect(drv, xi, barrier.data, backend)
+        base = reflect(drv, xi, barrier, backend)
         bump = float(rng.uniform(0.01, 0.5))
         n = backend.grid.n_steps
 
-        lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
-        lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
+        lifted_vals = [at(barrier, backend, k) + bump for k in range(n + 1)]
+        lifted_vals[n] = np.minimum(at(barrier, backend, n) + bump, xi)
         variants = (
-            reflect(drv, xi + bump, barrier.data, backend),
+            reflect(drv, xi + bump, barrier, backend),
             reflect(
                 _SumDriver(drv, Driver(1, PLUS, CoefficientFunction.constant(bump))),
-                xi, barrier.data, backend),
+                xi, barrier, backend),
             reflect(drv, xi, np.concatenate(lifted_vals), backend),
         )
         for variant in variants:
             drop = min(
-                float(np.min(variant.y.at(k) - base.y.at(k))) for k in range(n + 1)
+                float(np.min(at(variant.y, backend, k) - at(base.y, backend, k))) for k in range(n + 1)
             )
             worst = min(worst, drop)
             ok &= drop >= -1e-12
@@ -179,7 +180,7 @@ def test_criterion_6_strategy_optimality():
     smoke test recovers horizon value + running profit within 3 MC errors."""
     t0 = time.perf_counter()
     problem = counterexample_problem(1.0)
-    backend = make_backend("deterministic", TimeGrid(2000, 1.0))
+    backend = Lattice("deterministic", TimeGrid(2000, 1.0))
     solution, trace = solve_system(problem, backend)
     rep = simulate_policy(solution, n_paths=1, seed=0, start_mode=1)
     leg = rep.leg(PLUS)
@@ -216,10 +217,10 @@ def test_criterion_7_reflection_density():
     ok = True
     details = []
     for n in (500, 1000, 2000):
-        backend = make_backend("deterministic", TimeGrid(n, 1.0))
+        backend = Lattice("deterministic", TimeGrid(n, 1.0))
         solution, trace = solve_system(problem, backend)
         dt = backend.grid.dt
-        density = max(float(surface(solution, (MINUS, 1), "dk").at(k)[0]) / dt for k in range(n))
+        density = max(float(at(solution.dk[row(MINUS, 1)], backend, k)[0]) / dt for k in range(n))
         ok &= trace.converged and target / 2 <= density <= 2 * target
         details.append(f"N={n}: {density:.3f}")
     report("criterion 7: reflection density bound", ok,
@@ -229,7 +230,7 @@ def test_criterion_7_reflection_density():
 def test_criterion_8_assumption_validator():
     """The feasibility example passes; three injected defects are each caught
     by name with everything else still passing."""
-    lattice = make_backend("deterministic", TimeGrid(64, 1.0))
+    lattice = Lattice("deterministic", TimeGrid(64, 1.0))
     base_ok = validate_assumptions(remark_problem(1.0), lattice).all_passed
 
     zero_ell = validate_assumptions(build_problem(ell=0.0), lattice)

@@ -14,14 +14,14 @@ import pytest
 import modeswitch
 from modeswitch import cli
 from modeswitch.cli import main
-from modeswitch.grid import FieldSurface, TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
-from modeswitch.model import COMPONENTS, ProblemError
+from modeswitch.model import COMPONENTS, ProblemError, row
 from modeswitch.rbsde import RbsdeSolution
 from modeswitch.scheme import solve_system
 from modeswitch.verify import audit_solution, counterexample_problem
 
-from conftest import driver_rate, surface
+from conftest import driver_rate
 
 def counterexample_doc():
     exp = {"kind": "exponential", "params": [1.0, -4.0]}
@@ -61,6 +61,8 @@ def write_doc(tmp_path, doc, name="problem.json"):
 
 
 SIDE_SPELLINGS = "must be one of 'plus', 'minus', '+', '-'"
+FEATURES = "must be one of 'one', 'x'"
+EXP = {"kind": "exponential", "params": [1.0, -4.0]}
 
 
 class TestProblemLoading:
@@ -113,6 +115,23 @@ class TestProblemLoading:
                 lambda doc: doc["costs"].update(ell_2={"kind": "constant", "params": [1.0], "ito": "false"}),
                 "costs.ell_2.ito must be true or false",
             ),
+            (lambda doc: doc["drivers"][0].update(state_feature=True), f"drivers[0].state_feature {FEATURES}"),
+            (lambda doc: doc["drivers"][1].update(state_feature=None), f"drivers[1].state_feature {FEATURES}"),
+            (lambda doc: doc["drivers"][2].update(state_feature=1), f"drivers[2].state_feature {FEATURES}"),
+            (lambda doc: doc["drivers"][3].update(state_feature="y"), f"drivers[3].state_feature {FEATURES}"),
+            (lambda doc: doc.update(name="fixture"), "unknown field 'name'"),
+            (lambda doc: doc["drivers"][0].update(c_1=1.0), "drivers[0]: unknown field 'c_1'"),
+            (lambda doc: doc["costs"].update(ell_3=1.0), "costs: unknown field 'ell_3'"),
+            (lambda doc: doc["terminals"].update(plus_3=1.0), "terminals: unknown field 'plus_3'"),
+            (lambda doc: doc["costs"].update(ell_1={**EXP, "rate": 2.0}), "costs.ell_1: unknown field 'rate'"),
+            (
+                lambda doc: doc["drivers"][1].update(c0={**EXP, "ito_data": True}),
+                "drivers[1].c0: unknown field 'ito_data'",
+            ),
+            (
+                lambda doc: doc["terminals"].update(plus_1={"intercept": 1.0, "slop": 2.0}),
+                "terminals.plus_1: unknown field 'slop'",
+            ),
         ],
         ids=[
             "horizon-true",
@@ -126,6 +145,17 @@ class TestProblemLoading:
             "side-list",
             "terminal-true",
             "ito-string",
+            "feature-true",
+            "feature-null",
+            "feature-int",
+            "feature-unknown",
+            "unknown-top-level",
+            "unknown-driver-field",
+            "unknown-cost",
+            "unknown-terminal",
+            "unknown-coefficient-field",
+            "unknown-driver-coefficient-field",
+            "unknown-terminal-field",
         ],
     )
     def test_ill_typed_field_exits_one_naming_it(self, tmp_path, capsys, edit, named):
@@ -246,7 +276,7 @@ class TestSolveCommand:
         assert summary["converged"] is True
         assert 50 <= summary["max_local_sweeps"] <= 500
         problem = load_problem(tmp_path / "creep-0.001.json")
-        solution, _ = solve_system(problem, make_backend("deterministic", TimeGrid(100, 1.0)))
+        solution, _ = solve_system(problem, Lattice("deterministic", TimeGrid(100, 1.0)))
         report = audit_solution(solution, problem, solution.backend)
         assert report.max_over("max_constraint_violation") <= 1e-10
         assert report.max_over("skorokhod_sum") <= 1e-8
@@ -272,6 +302,14 @@ class TestVerifyCommand:
         code = main(["verify-fixtures", "--steps", "10", "--out", str(tmp_path / "v")])
         assert code == 1
         assert "N >= 100" in capsys.readouterr().err
+
+    def test_backend_is_not_an_option(self, tmp_path, capsys):
+        # the fixtures are deterministic; the command takes --seed like every other
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-fixtures", "--backend", "binomial", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2 and "unrecognized arguments: --backend binomial" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+        assert cli.build_parser().parse_args(["verify-fixtures", "--seed", "3"]).seed == 3
 
 
 class TestSimulateCommand:
@@ -331,17 +369,17 @@ class TestCheckAssumptionsCommand:
 class TestSurfaceRoundTrip:
     def test_reaudit_from_csv_matches(self, tmp_path):
         problem = counterexample_problem(1.0)
-        be = make_backend("deterministic", TimeGrid(300, 1.0))
+        be = Lattice("deterministic", TimeGrid(300, 1.0))
         solution, _ = solve_system(problem, be)
         original = audit_solution(solution, problem, be)
 
         fields = {"Y": "y", "Z": "z", "K": "dk"}
         for side, mode in COMPONENTS:
             for name, field in fields.items():
-                write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", surface(solution, (side, mode), field))
+                write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be, getattr(solution, field)[row(side, mode)])
 
         reread = RbsdeSolution(*(
-            np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be).data for side, mode in COMPONENTS])
+            np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be) for side, mode in COMPONENTS])
             .reshape(2, 2, -1) for name in fields
         ))
         again = audit_solution(reread, problem, be)
@@ -352,25 +390,33 @@ class TestSurfaceRoundTrip:
 
     @pytest.mark.parametrize("kind, n", [("binomial", 3), ("deterministic", 9)])
     def test_bytes_are_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path, kind, n):
-        be = make_backend(kind, TimeGrid(n, 1.0))  # 10 nodes either way
+        be = Lattice(kind, TimeGrid(n, 1.0))  # 10 nodes either way
         data = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 7.0])
         path = tmp_path / "Y.csv"
-        write_surface_csv(path, FieldSurface(be, data))
+        write_surface_csv(path, be, data)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["step", "node", "value"])
         writer.writerows(zip(be.step_of_node.tolist(), be.node_index.tolist(), map(repr, data.tolist())))
         assert path.read_bytes() == expected.getvalue().encode()
-        assert read_surface_csv(path, be).data.tobytes() == data.tobytes()
+        assert read_surface_csv(path, be).tobytes() == data.tobytes()
+
+    def test_refuses_a_buffer_of_the_wrong_shape(self, tmp_path):
+        be = Lattice("binomial", TimeGrid(3, 1.0))
+        path = tmp_path / "Y.csv"
+        for shape in ((8,), (9,), (1, be.size)):
+            with pytest.raises(ValueError, match=rf"needs 10 node values, got shape \({shape[0]},"):
+                write_surface_csv(path, be, np.zeros(shape))
+        assert not path.exists()
 
     @staticmethod
     def written_lines(tmp_path, be):
         path = tmp_path / "Y.csv"
-        write_surface_csv(path, FieldSurface(be, np.arange(be.size, dtype=float)))
+        write_surface_csv(path, be, np.arange(be.size, dtype=float))
         return path, path.read_text().splitlines(keepends=True)
 
     def test_missing_row_is_named(self, tmp_path):
-        be = make_backend("binomial", TimeGrid(4, 1.0))
+        be = Lattice("binomial", TimeGrid(4, 1.0))
         path, lines = self.written_lines(tmp_path, be)
         path.write_text("".join(lines[:-1]))  # drop the last horizon node
         with pytest.raises(ValueError, match="step 4, node 4 is missing"):
@@ -380,7 +426,7 @@ class TestSurfaceRoundTrip:
             read_surface_csv(path, be)
 
     def test_repeated_or_stray_row_is_named(self, tmp_path):
-        be = make_backend("binomial", TimeGrid(4, 1.0))
+        be = Lattice("binomial", TimeGrid(4, 1.0))
         path, lines = self.written_lines(tmp_path, be)
         path.write_text("".join(lines[:6] + [lines[5].replace(",4.0", ",-1.0")] + lines[6:]))  # (2, 1) again
         with pytest.raises(ValueError, match="step 2, node 1 is repeated"):
@@ -550,7 +596,7 @@ class TestImportScope:
             "missing = [name for name in modeswitch.__all__ if name not in globals()]\n"
             "print(json.dumps([before, missing, len(modeswitch.__all__)]))"
         )
-        assert json.loads(fresh_interpreter(code)) == [[], [], 30]
+        assert json.loads(fresh_interpreter(code)) == [[], [], 28]
         for name in modeswitch.__all__:
             module = importlib.import_module(f"modeswitch.{modeswitch._EXPORTS[name]}")
             assert getattr(modeswitch, name) is getattr(module, name), name

@@ -3,9 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import FieldSurface, TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 
-from conftest import bin_backend, det_backend
+from conftest import at, bin_backend, det_backend
 
 
 class TestTimeGrid:
@@ -23,7 +23,7 @@ class TestTimeGrid:
 
     def test_unknown_backend_kind(self):
         with pytest.raises(ValueError):
-            make_backend("trinomial", TimeGrid(4, 1.0))
+            Lattice("trinomial", TimeGrid(4, 1.0))
 
 
 class TestLatticeLayout:
@@ -168,37 +168,22 @@ class TestSamplePaths:
 
 
 class TestFieldSurface:
-    def test_shape_validation(self):
-        be = bin_backend(3)
-        with pytest.raises(ValueError):
-            FieldSurface(be, np.zeros(8))
-        surf = FieldSurface(be, np.zeros(be.size))
-        assert surf.at(2).shape == (3,)
-
-    def test_sup_diff_and_arithmetic(self):
-        be = det_backend(4)
-        a = FieldSurface(be, np.full(be.size, 2.0))
-        b = FieldSurface(be, np.full(be.size, -1.0))
-        assert a.sup_diff(b) == 3.0
-        assert b.sup_diff(a) == 3.0
-        assert a.at(0)[0] == 2.0
+    """A field surface: one process's node values as a flat buffer of ``size`` values."""
 
     def test_flat_indices_along_path(self):
         be = bin_backend(3)
-        surf = FieldSurface(be, np.concatenate([np.arange(k + 1, dtype=float) for k in range(4)]))
+        surf = np.concatenate([np.arange(k + 1, dtype=float) for k in range(4)])
         path = np.array([0, 1, 1, 2])
-        np.testing.assert_allclose(surf.data[be.offsets[:-1] + path], [0.0, 1.0, 1.0, 2.0])
+        np.testing.assert_allclose(surf[be.offsets[:-1] + path], [0.0, 1.0, 1.0, 2.0])
 
     def test_flat_buffer_layout(self):
         be = bin_backend(3)
-        surf = FieldSurface(be, np.concatenate([np.full(k + 1, float(k)) for k in range(4)]))
-        assert surf.data.shape == (10,)
+        surf = np.concatenate([np.full(k + 1, float(k)) for k in range(4)])
+        assert surf.shape == (be.size,) == (10,)
         np.testing.assert_array_equal(be.offsets, [0, 1, 3, 6, 10])
-        np.testing.assert_array_equal(surf.data, be.step_of_node)
-        assert np.shares_memory(surf.at(2), surf.data)
+        np.testing.assert_array_equal(surf, be.step_of_node)
+        assert at(surf, be, 2).shape == (3,) and np.shares_memory(at(surf, be, 2), surf)
         assert be.locate(7) == (3, 1)
-        with pytest.raises(ValueError):
-            FieldSurface(be, np.zeros(9))
 
 
 class TestWidthOneLattice:
@@ -212,7 +197,7 @@ class TestWidthOneLattice:
     def test_continuation_matches_stepwise_condexp(self):
         rng = np.random.default_rng(8)
         for be in (det_backend(7), bin_backend(7)):
-            surf = FieldSurface(be, np.concatenate([rng.uniform(-1, 1, be.n_nodes(k)) for k in range(8)]))
-            flat = be.continuation(surf.data)
-            stepwise = np.concatenate([be.moments(surf.at(k + 1), k)[0] for k in range(7)])
+            surf = np.concatenate([rng.uniform(-1, 1, be.n_nodes(k)) for k in range(8)])
+            flat = be.continuation(surf)
+            stepwise = np.concatenate([be.moments(at(surf, be, k + 1), k)[0] for k in range(7)])
             np.testing.assert_array_equal(flat, stepwise)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -16,7 +16,6 @@ from modeswitch.model import (
     Terminal,
     branches,
     evaluate_obstacles,
-    side_obstacles,
     validate_assumptions,
 )
 from modeswitch.scheme import solve_system
@@ -110,7 +109,7 @@ class TestDriver:
             for i, ((side, mode), c0) in enumerate(zip(COMPONENTS, c0s))
         }
         problem = build_problem(drivers=drivers)
-        lattice = make_backend(kind, TimeGrid(50, 1.0))
+        lattice = Lattice(kind, TimeGrid(50, 1.0))
         table = problem.driver_table(lattice)
         y, z = np.random.default_rng(3).normal(size=(2, 2, 2, lattice.size))
         for k in range(51):
@@ -130,13 +129,13 @@ class TestEvaluateObstacles:
     def test_direct_evaluation(self):
         y = {(PLUS, 1): 0.0, (PLUS, 2): 3.0, (MINUS, 1): 2.5, (MINUS, 2): 0.0}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = keyed(evaluate_obstacles(block(y), costs))
+        quad = keyed(evaluate_obstacles(block(y), costs)[0])
         assert quad[(PLUS, 1)] == pytest.approx(max(3.0 - 1.0, 2.5))
 
     def test_symmetric_zero_case(self):
         y = {key: 0.0 for key in COMPONENTS}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = keyed(evaluate_obstacles(block(y), costs))
+        quad = keyed(evaluate_obstacles(block(y), costs)[0])
         assert quad[(PLUS, 1)] == 0.0 and quad[(PLUS, 2)] == 0.0
         assert quad[(MINUS, 1)] == 0.0 and quad[(MINUS, 2)] == 0.0
 
@@ -147,7 +146,7 @@ class TestEvaluateObstacles:
         y_plus_2 = e + (1.0 - np.exp(-3.0)) / 3.0
         y = {(PLUS, 1): e, (PLUS, 2): y_plus_2, (MINUS, 1): e, (MINUS, 2): y_plus_2}
         costs = CostSlice(ell=(1.0, 1.0), a=(0.0, 0.0), b=(0.0, 0.0))
-        quad = keyed(evaluate_obstacles(block(y), costs))
+        quad = keyed(evaluate_obstacles(block(y), costs)[0])
         assert y_plus_2 - 1.0 == pytest.approx(2.0350, abs=1e-4)
         assert quad[(PLUS, 1)] == pytest.approx(e)
 
@@ -156,11 +155,11 @@ class TestEvaluateObstacles:
         costs = CostSlice(ell=(0.5, 0.8), a=(0.2, 0.1), b=(0.3, 0.4))
         for _ in range(200):
             y = {key: float(rng.uniform(-2, 2)) for key in COMPONENTS}
-            base = keyed(evaluate_obstacles(block(y), costs))
+            base = keyed(evaluate_obstacles(block(y), costs)[0])
             bump_key = list(COMPONENTS)[rng.integers(0, 4)]
             bumped = dict(y)
             bumped[bump_key] = bumped[bump_key] + float(rng.uniform(0, 1))
-            res = keyed(evaluate_obstacles(block(bumped), costs))
+            res = keyed(evaluate_obstacles(block(bumped), costs)[0])
             for side, mode in COMPONENTS:
                 assert res[(side, mode)] >= base[(side, mode)] - 1e-15
 
@@ -168,7 +167,7 @@ class TestEvaluateObstacles:
         y = {key: np.array([0.0, 1.0]) for key in COMPONENTS}
         # node arrays: the costs' mode axis comes first, the nodes broadcast
         costs = CostSlice(ell=np.ones((2, 1)), a=np.zeros((2, 1)), b=np.zeros((2, 1)))
-        quad = keyed(evaluate_obstacles(block(y), costs))
+        quad = keyed(evaluate_obstacles(block(y), costs)[0])
         np.testing.assert_allclose(quad[(PLUS, 1)], [0.0, 1.0])
 
 
@@ -184,11 +183,12 @@ class TestBarrierAlgebra:
         assert by_mode(MINUS) == ((0.5 + 1.0, 1.0 + 0.125), (2.5 + 0.25, 3.0 + 2.0))
 
     def test_barrier_is_the_better_branch(self):
-        assert tuple(side_obstacles(block(self.Y), self.COSTS, PLUS)) == (2.0, 0.75)  # a floor: the larger
-        assert tuple(side_obstacles(block(self.Y), self.COSTS, MINUS)) == (1.125, 2.75)  # a cap: the smaller
+        plus, minus = evaluate_obstacles(block(self.Y), self.COSTS)[0]
+        assert tuple(plus) == (2.0, 0.75)  # a floor: the larger
+        assert tuple(minus) == (1.125, 2.75)  # a cap: the smaller
         # the block's rows are the components in COMPONENTS order
         assert list(COMPONENTS) == [(side, mode) for side in SIDES for mode in MODES]
-        assert evaluate_obstacles(block(self.Y), self.COSTS).reshape(4).tolist() == [2.0, 0.75, 1.125, 2.75]
+        assert evaluate_obstacles(block(self.Y), self.COSTS)[0].reshape(4).tolist() == [2.0, 0.75, 1.125, 2.75]
 
     def test_other_mode_is_a_reversed_view(self):
         y = block(self.Y)
@@ -207,9 +207,14 @@ class TestBarrierAlgebra:
 
     def test_ties_switch(self):
         # a stop switches where the barrier, the better branch, is the switch
-        # branch (``strategy.branch_table``)
+        # branch: with zero costs, mode 1 of a side switches to the other mode
+        # of its side, or terminates to mode 1 of the other side
         def switch_binds(side, switch, terminate):
-            return _PUSH[side].better(switch, terminate) == switch
+            s, switch = SIDES.index(side), np.asarray(switch, dtype=float)
+            y = np.zeros((2, 2, *switch.shape))
+            y[s, 1], y[1 - s, 0] = switch, terminate
+            zero = np.zeros((2, *(1,) * switch.ndim))
+            return evaluate_obstacles(y, CostSlice(ell=zero, a=zero, b=zero))[1][s, 0]
 
         for side in (PLUS, MINUS):
             assert switch_binds(side, 1.0, 1.0)
@@ -222,7 +227,7 @@ class TestValidateAssumptions:
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
     def test_feasibility_example_passes(self, horizon):
         problem = remark_problem(horizon)
-        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(64, horizon)))
+        report = validate_assumptions(problem, Lattice("deterministic", TimeGrid(64, horizon)))
         assert report.all_passed, report.lines()
 
     def test_broken_terminal_inequality(self):
@@ -234,7 +239,7 @@ class TestValidateAssumptions:
                 (MINUS, 2): 0.0,
             }
         )
-        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
+        report = validate_assumptions(problem, Lattice("deterministic", TimeGrid(16, 1.0)))
         failed = {c.name for c in report.failures()}
         assert failed == {"BC terminal xi_plus_1"}
         # the binding bound is (10 - 1) v (0 - 0) = 9, far above xi_plus_1 = 0
@@ -243,7 +248,7 @@ class TestValidateAssumptions:
 
     def test_zero_switching_cost_fails_everywhere(self):
         problem = build_problem(ell=0.0)
-        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
+        report = validate_assumptions(problem, Lattice("deterministic", TimeGrid(16, 1.0)))
         failed = [c for c in report.failures() if c.name.startswith("A2 switching cost")]
         assert len(failed) == 2
         assert failed[0].at_time == 0.0
@@ -251,12 +256,12 @@ class TestValidateAssumptions:
     def test_missing_ito_data_for_b(self):
         problem = build_problem(b=(CoefficientFunction.constant(0.0, has_ito_data=False),
                                    CoefficientFunction.constant(0.0)))
-        report = validate_assumptions(problem, make_backend("deterministic", TimeGrid(16, 1.0)))
+        report = validate_assumptions(problem, Lattice("deterministic", TimeGrid(16, 1.0)))
         failed = {c.name for c in report.failures()}
         assert failed == {"A4 Ito data for b_1"}
 
     def test_report_lines_render(self):
-        report = validate_assumptions(remark_problem(1.0), make_backend("deterministic", TimeGrid(8, 1.0)))
+        report = validate_assumptions(remark_problem(1.0), Lattice("deterministic", TimeGrid(8, 1.0)))
         lines = report.lines()
         assert any("A1" in line for line in lines)
         assert all(line.startswith("[pass]") for line in lines)
@@ -272,7 +277,7 @@ class TestValidateAssumptions:
         assert bad.name == "BC terminal xi_plus_1"
         assert bad.detail == "margin -0.5 at node 4"
         assert bad.value == pytest.approx(-0.5)
-        assert validate_assumptions(problem, make_backend("deterministic", TimeGrid(4, 0.25))).all_passed
+        assert validate_assumptions(problem, Lattice("deterministic", TimeGrid(4, 0.25))).all_passed
 
     def test_comparison_condition(self):
         drivers = {(PLUS, 2): (0.0, -1.0, 2.0)}

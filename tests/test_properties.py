@@ -21,7 +21,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch.cli import main
-from modeswitch.grid import TimeGrid, make_backend
+from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -30,13 +30,14 @@ from modeswitch.model import (
     Driver,
     SwitchingProblem,
     Terminal,
+    row,
     validate_assumptions,
 )
-from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system
+from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system, system_obstacles
 from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
-from conftest import assert_certificate_premise, assert_matches_pinned, surface
+from conftest import assert_certificate_premise, assert_matches_pinned
 from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -93,7 +94,7 @@ def admissible_problems(draw):
 
 
 def admissible_case(problem, kind, steps):
-    backend = make_backend(kind, TimeGrid(steps, problem.horizon))
+    backend = Lattice(kind, TimeGrid(steps, problem.horizon))
     assume(validate_assumptions(problem, backend).all_passed)
     return backend
 
@@ -121,24 +122,24 @@ def test_push_is_the_certificates_euler_gap(problem, kind, steps):
 def sweep_moves(solution) -> bool:
     """Whether one reference Picard sweep from the solution moves any node."""
     again = iterate_once(Iterate.of(solution, n=0), solution.problem, solution.backend)
-    return any(again.y(*key).sup_diff(surface(solution, key)) for key in COMPONENTS)
+    return any(np.max(np.abs(again.y(*key) - solution.y[row(*key)])) for key in COMPONENTS)
 
 
 @given(admissible_problems(), KINDS, STEPS, st.data())
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    _certify_fixed_point(solution, solution.obstacles())
+    _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0])
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
     i = data.draw(st.integers(0, backend.offsets[steps] - 1))  # a node before the horizon
-    y = surface(solution, key).data
+    y = solution.y[row(*key)]
     y[i] = np.nextafter(y[i], data.draw(st.sampled_from((-np.inf, np.inf))))
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
     with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution, solution.obstacles())
+        _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0])
 
 
 @given(admissible_problems(), KINDS, STEPS)
@@ -155,7 +156,7 @@ def test_audit_relations_hold(problem, kind, steps):
 def test_paths_stop_exactly_on_contact(problem, kind, steps):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    obstacles = solution.obstacles()
+    obstacles = system_obstacles(problem, solution.y, backend)[0]
     horizon = np.arange(backend.size) >= backend.offsets[steps]
     stops, _ = contact_masks(solution)
     rows = (b.reshape(4, -1) for b in (stops, solution.y, obstacles, solution.dk))
@@ -204,7 +205,7 @@ def test_system_comparison_ordering(pair, kind, steps):
     below, _ = solve_system(low, backend)
     above, _ = solve_system(high, backend)
     for key in COMPONENTS:
-        assert np.min(surface(above, key).data - surface(below, key).data) >= -1e-12, key
+        assert np.min(above.y[row(*key)] - below.y[row(*key)]) >= -1e-12, key
 
 
 @st.composite

@@ -3,16 +3,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import FieldSurface
 from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal, row
 from modeswitch.rbsde import backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
-from conftest import bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
+from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
 from picard_reference import reflect
 
 
-def brute_force_optimal_stopping(payoff: FieldSurface, depth: int) -> float:
+def brute_force_optimal_stopping(payoff: np.ndarray, backend, depth: int) -> float:
     """Max of E[U_tau] over every adapted stopping rule on the depth-``depth``
     lattice, by enumerating all stop-set assignments on interior nodes."""
     ids = {}
@@ -30,22 +29,21 @@ def brute_force_optimal_stopping(payoff: FieldSurface, depth: int) -> float:
         j = 0
         for k in range(depth):
             stop_here = ((rules >> ids[(k, j)]) & 1).astype(bool) & ~stopped
-            acc[stop_here] = payoff.at(k)[j]
+            acc[stop_here] = at(payoff, backend, k)[j]
             stopped |= stop_here
             j += moves[k]
-        acc[~stopped] = payoff.at(depth)[j]
+        acc[~stopped] = at(payoff, backend, depth)[j]
         total += acc
     return float(total.max()) / len(paths)
 
 
-def snell_envelope(payoff: FieldSurface):
+def snell_envelope(payoff: np.ndarray, be):
     """The smallest supermartingale dominating a payoff, from the production
     solver (lower reflection, zero driver, the payoff as barrier and horizon
     value), and its stop mask: where the envelope equals the payoff, and N."""
-    be = payoff.backend
     zero = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-    env = reflect(zero, payoff.at(be.grid.n_steps), payoff.data, be).y
-    return env, stop_mask(env.data, payoff.data, be)
+    env = reflect(zero, at(payoff, be, be.grid.n_steps), payoff, be).y
+    return env, stop_mask(env, payoff, be)
 
 
 def stop_step(stops, backend, from_step: int = 0, path=None) -> int:
@@ -53,12 +51,12 @@ def stop_step(stops, backend, from_step: int = 0, path=None) -> int:
     return from_step + int(first_stop(stops, flat_path(backend, from_step, path)))
 
 
-def first_stop_rule_value(payoff: FieldSurface, stops, depth: int) -> float:
+def first_stop_rule_value(payoff: np.ndarray, backend, stops, depth: int) -> float:
     total = 0.0
     for moves in product([0, 1], repeat=depth):
         path = np.concatenate(([0], np.cumsum(moves)))
-        tau = stop_step(stops, payoff.backend, 0, path)
-        total += payoff.at(tau)[path[tau]]
+        tau = stop_step(stops, backend, 0, path)
+        total += at(payoff, backend, tau)[path[tau]]
     return total / 2**depth
 
 
@@ -77,7 +75,7 @@ def random_lower_instance(rng, backend):
     n = backend.grid.n_steps
     vals = [rng.uniform(-1.5, 0.5, backend.n_nodes(k)) for k in range(n + 1)]
     vals[n] = np.full(backend.n_nodes(n), xi - float(rng.uniform(0.1, 1.0)))
-    return drv, xi, FieldSurface(backend, np.concatenate(vals))
+    return drv, xi, np.concatenate(vals)
 
 
 class TestSolveBsde:
@@ -87,8 +85,8 @@ class TestSolveBsde:
         drv = Driver(1, PLUS, CoefficientFunction.constant(1.0))
         sol = reflect(drv, 3.0, None, be)
         for k in range(17):
-            np.testing.assert_allclose(sol.y.at(k), 3.0 + (2.0 - be.grid.times[k]), atol=1e-12)
-        assert np.max(np.abs(sol.z.data)) <= 1e-12
+            np.testing.assert_allclose(at(sol.y, be, k), 3.0 + (2.0 - be.grid.times[k]), atol=1e-12)
+        assert np.max(np.abs(sol.z)) <= 1e-12
 
     def test_linear_rate_matches_exponential_with_first_order_error(self):
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0), c1=1.0)
@@ -97,7 +95,7 @@ class TestSolveBsde:
             be = det_backend(n)
             y = reflect(drv, 1.0, None, be).y
             exact = np.exp(1.0 - be.grid.times)
-            errors[n] = max(abs(float(y.at(k)[0]) - exact[k]) for k in range(n + 1))
+            errors[n] = max(abs(float(at(y, be, k)[0]) - exact[k]) for k in range(n + 1))
             assert errors[n] <= 2.0 * be.grid.dt
         assert errors[256] / errors[128] == pytest.approx(0.5, abs=0.1)
         assert errors[512] / errors[256] == pytest.approx(0.5, abs=0.1)
@@ -107,9 +105,9 @@ class TestSolveBsde:
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
         sol = reflect(drv, be.state(12), None, be)
         for k in range(13):
-            np.testing.assert_allclose(sol.y.at(k), be.state(k), atol=1e-12)
+            np.testing.assert_allclose(at(sol.y, be, k), be.state(k), atol=1e-12)
         for k in range(12):
-            np.testing.assert_allclose(sol.z.at(k), np.ones(k + 1), atol=1e-12)
+            np.testing.assert_allclose(at(sol.z, be, k), np.ones(k + 1), atol=1e-12)
 
 
 class TestSolveRbsdeLower:
@@ -119,15 +117,15 @@ class TestSolveRbsdeLower:
         y_plain = reflect(drv, 1.0, None, be).y
         sentinel = np.full(be.size, -np.inf)
         sol = reflect(drv, 1.0, sentinel, be)
-        assert sol.y.sup_diff(y_plain) == 0.0
-        assert np.max(np.abs(sol.dk.data)) == 0.0
+        assert np.max(np.abs(sol.y - y_plain)) == 0.0
+        assert np.max(np.abs(sol.dk)) == 0.0
 
     def test_touching_without_push(self):
         be = det_backend(16)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
         sol = reflect(drv, 0.0, np.zeros(be.size), be)
-        assert np.max(np.abs(sol.y.data)) == 0.0
-        assert np.max(np.abs(sol.dk.data)) == 0.0
+        assert np.max(np.abs(sol.y)) == 0.0
+        assert np.max(np.abs(sol.dk)) == 0.0
 
     def test_linear_ramp_hand_computed(self):
         # N = 4, zero driver, zero terminal, barrier 1 - t/T: the solution
@@ -138,21 +136,21 @@ class TestSolveRbsdeLower:
         barrier = 1.0 - be.node_times / T
         sol = reflect(drv, 0.0, barrier, be)
         for k in range(4):
-            assert float(sol.y.at(k)[0]) == pytest.approx(1.0 - be.grid.times[k] / T, abs=1e-15)
-            assert float(sol.dk.at(k)[0]) == pytest.approx(be.grid.dt / T, abs=1e-15)
-        assert float(sol.y.at(4)[0]) == 0.0
+            assert float(at(sol.y, be, k)[0]) == pytest.approx(1.0 - be.grid.times[k] / T, abs=1e-15)
+            assert float(at(sol.dk, be, k)[0]) == pytest.approx(be.grid.dt / T, abs=1e-15)
+        assert float(at(sol.y, be, 4)[0]) == 0.0
 
     def test_complementarity_exact(self):
         rng = np.random.default_rng(3)
         for backend in (det_backend(64), bin_backend(24)):
             drv, xi, barrier = random_lower_instance(rng, backend)
-            sol = reflect(drv, xi, barrier.data, backend)
+            sol = reflect(drv, xi, barrier, backend)
             total = 0.0
             for k in range(backend.grid.n_steps + 1):
-                gap = sol.y.at(k) - barrier.at(k)
+                gap = at(sol.y, backend, k) - at(barrier, backend, k)
                 assert np.all(gap >= -1e-12)
-                assert np.all(sol.dk.at(k) >= 0.0)
-                total += float(np.max(gap * sol.dk.at(k)))
+                assert np.all(at(sol.dk, backend, k) >= 0.0)
+                total += float(np.max(gap * at(sol.dk, backend, k)))
             assert total <= 1e-10
 
 
@@ -162,8 +160,8 @@ class TestSolveRbsdeUpper:
         drv = Driver(1, MINUS, CoefficientFunction.constant(-0.2), c1=0.4, c2=0.3)
         y_plain = reflect(drv, 1.0, None, be).y
         sol = reflect(drv, 1.0, np.full(be.size, np.inf), be, lower=False)
-        assert sol.y.sup_diff(y_plain) == 0.0
-        assert np.max(np.abs(sol.dk.data)) == 0.0
+        assert np.max(np.abs(sol.y - y_plain)) == 0.0
+        assert np.max(np.abs(sol.dk)) == 0.0
 
     def test_exponential_barrier_reflection_density(self):
         # driver 2y with unit terminal, barrier e^{T-t}: the solution rides the
@@ -174,8 +172,8 @@ class TestSolveRbsdeUpper:
         sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
         dt = be.grid.dt
         for k in range(0, 512, 50):
-            assert float(sol.y.at(k)[0]) == pytest.approx(np.exp(T - be.grid.times[k]), abs=1e-12)
-            density = float(sol.dk.at(k)[0]) / dt
+            assert float(at(sol.y, be, k)[0]) == pytest.approx(np.exp(T - be.grid.times[k]), abs=1e-12)
+            density = float(at(sol.dk, be, k)[0]) / dt
             assert density == pytest.approx(np.exp(T - be.grid.times[k]), abs=3 * np.e * dt)
 
     def test_duality_with_lower_solver(self):
@@ -191,8 +189,8 @@ class TestSolveRbsdeUpper:
             up = reflect(drv, xi, barrier, backend, lower=False)
             low = reflect(negated_driver(drv), -xi, -barrier, backend)
             for k in range(n + 1):
-                np.testing.assert_allclose(up.y.at(k), -low.y.at(k), atol=1e-12)
-                np.testing.assert_allclose(up.dk.at(k), low.dk.at(k), atol=1e-12)
+                np.testing.assert_allclose(at(up.y, backend, k), -at(low.y, backend, k), atol=1e-12)
+                np.testing.assert_allclose(at(up.dk, backend, k), at(low.dk, backend, k), atol=1e-12)
 
 
 class TestComparison:
@@ -201,21 +199,21 @@ class TestComparison:
         for _ in range(12):
             backend = bin_backend(16) if rng.integers(0, 2) else det_backend(32)
             drv, xi, barrier = random_lower_instance(rng, backend)
-            base = reflect(drv, xi, barrier.data, backend)
+            base = reflect(drv, xi, barrier, backend)
             bump = float(rng.uniform(0.0, 0.5))
 
-            up_xi = reflect(drv, xi + bump, barrier.data, backend)
+            up_xi = reflect(drv, xi + bump, barrier, backend)
             bumped = Driver(drv.mode, drv.side, CoefficientFunction.constant(bump))
-            up_psi = reflect(_SumDriver(drv, bumped), xi, barrier.data, backend)
+            up_psi = reflect(_SumDriver(drv, bumped), xi, barrier, backend)
             n = backend.grid.n_steps
-            lifted_vals = [barrier.at(k) + bump for k in range(n + 1)]
-            lifted_vals[n] = np.minimum(barrier.at(n) + bump, xi)
+            lifted_vals = [at(barrier, backend, k) + bump for k in range(n + 1)]
+            lifted_vals[n] = np.minimum(at(barrier, backend, n) + bump, xi)
             up_s = reflect(drv, xi, np.concatenate(lifted_vals), backend)
 
             for k in range(n + 1):
-                assert np.all(up_xi.y.at(k) >= base.y.at(k) - 1e-12)
-                assert np.all(up_psi.y.at(k) >= base.y.at(k) - 1e-12)
-                assert np.all(up_s.y.at(k) >= base.y.at(k) - 1e-12)
+                assert np.all(at(up_xi.y, backend, k) >= at(base.y, backend, k) - 1e-12)
+                assert np.all(at(up_psi.y, backend, k) >= at(base.y, backend, k) - 1e-12)
+                assert np.all(at(up_s.y, backend, k) >= at(base.y, backend, k) - 1e-12)
 
 
 class _SumDriver:
@@ -235,8 +233,8 @@ class TestAprioriBound:
         for n in (256, 512):
             be = det_backend(n, T)
             sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
-            z_energy = sum(float(np.mean(sol.z.at(k) ** 2)) * be.grid.dt for k in range(n))
-            energies[n] = np.max(np.abs(sol.y.data)) ** 2 + z_energy + sol.dk.data.sum() ** 2
+            z_energy = sum(float(np.mean(at(sol.z, be, k) ** 2)) * be.grid.dt for k in range(n))
+            energies[n] = np.max(np.abs(sol.y)) ** 2 + z_energy + sol.dk.sum() ** 2
         ratio = energies[512] / energies[256]
         assert 1 / 1.5 <= ratio <= 1.5
 
@@ -244,48 +242,48 @@ class TestAprioriBound:
 class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
-        payoff = FieldSurface(be, 2.0 - be.node_times)
-        env, stops = snell_envelope(payoff)
-        assert env.sup_diff(payoff) <= 1e-12
+        payoff = 2.0 - be.node_times
+        env, stops = snell_envelope(payoff, be)
+        assert np.max(np.abs(env - payoff)) <= 1e-12
         for k in range(11):
             assert stop_step(stops, be, k) == k
 
     def test_terminal_spike_waits_to_the_end(self):
         be = det_backend(6)
         vals = [np.zeros(1) for _ in range(6)] + [np.ones(1)]
-        payoff = FieldSurface(be, np.concatenate(vals))
-        env, stops = snell_envelope(payoff)
+        payoff = np.concatenate(vals)
+        env, stops = snell_envelope(payoff, be)
         for k in range(7):
-            assert float(env.at(k)[0]) == 1.0
+            assert float(at(env, be, k)[0]) == 1.0
         assert stop_step(stops, be, 0) == 6
 
     def test_depth_four_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(101)
         be = bin_backend(4)
         for _ in range(25):
-            payoff = FieldSurface(be, np.concatenate([rng.choice([-1.0, 0.0, 1.0], size=k + 1) for k in range(5)]))
-            env, stops = snell_envelope(payoff)
-            best = brute_force_optimal_stopping(payoff, 4)
-            assert float(env.at(0)[0]) == pytest.approx(best, abs=1e-12)
-            assert first_stop_rule_value(payoff, stops, 4) == pytest.approx(best, abs=1e-12)
+            payoff = np.concatenate([rng.choice([-1.0, 0.0, 1.0], size=k + 1) for k in range(5)])
+            env, stops = snell_envelope(payoff, be)
+            best = brute_force_optimal_stopping(payoff, be, 4)
+            assert float(at(env, be, 0)[0]) == pytest.approx(best, abs=1e-12)
+            assert first_stop_rule_value(payoff, be, stops, 4) == pytest.approx(best, abs=1e-12)
 
     def test_dominates_and_supermartingale(self):
         rng = np.random.default_rng(55)
         be = bin_backend(12)
-        payoff = FieldSurface(be, np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(13)]))
-        env, _ = snell_envelope(payoff)
+        payoff = np.concatenate([rng.uniform(-1, 1, k + 1) for k in range(13)])
+        env, _ = snell_envelope(payoff, be)
         for k in range(13):
-            assert np.all(env.at(k) >= payoff.at(k) - 1e-12)
+            assert np.all(at(env, be, k) >= at(payoff, be, k) - 1e-12)
         for k in range(12):
-            cont = be.moments(env.at(k + 1), k)[0]
-            assert np.all(cont <= env.at(k) + 1e-12)
-            strictly_above = env.at(k) > payoff.at(k) + 1e-10
-            np.testing.assert_allclose(env.at(k)[strictly_above], cont[strictly_above], atol=1e-12)
+            cont = be.moments(at(env, be, k + 1), k)[0]
+            assert np.all(cont <= at(env, be, k) + 1e-12)
+            strictly_above = at(env, be, k) > at(payoff, be, k) + 1e-10
+            np.testing.assert_allclose(at(env, be, k)[strictly_above], cont[strictly_above], atol=1e-12)
 
     def test_lattice_first_contact_needs_path(self):
         be = bin_backend(4)
         vals = [np.zeros(k + 1) for k in range(4)] + [np.ones(5)]
-        _, stops = snell_envelope(FieldSurface(be, np.concatenate(vals)))
+        _, stops = snell_envelope(np.concatenate(vals), be)
         with pytest.raises(ValueError, match="path"):
             stop_step(stops, be, 0)
         assert stop_step(stops, be, 0, path=np.zeros(5, dtype=int)) == 4
@@ -299,19 +297,19 @@ class TestPathwiseRepresentation:
         rng = np.random.default_rng(88)
         be = bin_backend(16)
         drv, xi, barrier = random_lower_instance(rng, be)
-        sol = reflect(drv, xi, barrier.data, be)
+        sol = reflect(drv, xi, barrier, be)
         dt = be.grid.dt
         sq = np.sqrt(dt)
         times = be.grid.times
         for k in range(16):
-            nxt = sol.y.at(k + 1)
+            nxt = at(sol.y, be, k + 1)
             e = be.moments(nxt, k)[0]
-            z = sol.z.at(k)
+            z = at(sol.z, be, k)
             np.testing.assert_allclose(e + z * sq, nxt[:-1], atol=1e-12)
             np.testing.assert_allclose(e - z * sq, nxt[1:], atol=1e-12)
             psi = driver_rate(drv, times[k], be.state(k), e, z)
             np.testing.assert_allclose(
-                sol.y.at(k), e + psi * dt + sol.dk.at(k), atol=1e-12
+                at(sol.y, be, k), e + psi * dt + at(sol.dk, be, k), atol=1e-12
             )
 
 
@@ -329,6 +327,6 @@ class TestBlockPass:
         for key in COMPONENTS:
             single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):
-                assert getattr(block, field)[row(*key)].tobytes() == getattr(single, field).data.tobytes(), key
+                assert getattr(block, field)[row(*key)].tobytes() == getattr(single, field).tobytes(), key
         # the solution is the pass's own (side, mode, node) buffers
         assert all(field.shape == (2, 2, backend.size) and field.flags.c_contiguous for field in block)

@@ -1,11 +1,15 @@
-"""The README's library quick start runs as written and prints the values its comments give."""
+"""The README's library quick start runs as written and prints the values its
+comments give, and every command line of its CLI section runs and exits 0."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from modeswitch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +33,23 @@ def test_quick_start_prints_its_commented_values():
     assert passed == "True" and round(float(residual), 5) == 0.00202
     assert action == ["terminate", "0.0"]
     assert float(distance) >= np.e**2 - np.e and round(float(distance), 3) == 4.786
+
+
+def cli_block() -> list[list[str]]:
+    """The ``modeswitch ...`` command lines of the ``bash`` block of the README's
+    "CLI" section, continuation lines joined, each split as a shell would."""
+    section = (ROOT / "README.md").read_text().split("## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("modeswitch ")]
+
+
+def test_cli_block_runs_every_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the problem paths are relative to the repository root
+    lines = cli_block()
+    assert [argv[1] for argv in lines] == ["solve", "verify-fixtures", "simulate", "simulate", "check-assumptions"]
+    for argv in lines:
+        args = argv[1:]
+        if "--out" in args:
+            i = args.index("--out") + 1
+            args[i] = str(tmp_path / args[i])
+        assert main(args) == 0, shlex.join(argv)

@@ -6,13 +6,12 @@ import pytest
 
 from modeswitch import strategy
 from modeswitch.io import load_problem
-from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, row
-from modeswitch.scheme import BalanceSheetSolution, solve_system
+from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, evaluate_obstacles, row
+from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
 from modeswitch.strategy import (
     HOLD,
     SWITCH,
     TERMINATE,
-    branch_table,
     classify_action,
     contact_masks,
     extract_stopping_times,
@@ -20,7 +19,7 @@ from modeswitch.strategy import (
 )
 from modeswitch.verify import counterexample_problem
 
-from conftest import bin_backend, build_problem, det_backend, driver_rate, smoke_problem, surface
+from conftest import at, bin_backend, build_problem, det_backend, driver_rate, smoke_problem
 from picard_reference import ConvergenceTrace, picard_system
 
 SWITCHING_LATTICE = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
@@ -117,7 +116,7 @@ class TestContactIsExact:
         # node per profit component at N = 100 whose gap to the barrier was
         # 2.53e-4: paths stopped there and collected S < Y
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
-        obstacles = solution.obstacles()
+        obstacles = system_obstacles(solution.problem, solution.y, solution.backend)[0]
         horizon = solution.backend.offsets[100]
         masks, _ = contact_masks(solution)
         inside = solution.y[..., :horizon] != obstacles[..., :horizon]
@@ -136,11 +135,11 @@ class TestBranchTable:
         # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
         solution, _ = solve_system(problem, backend)
         costs = problem.cost_table(solution.backend.grid.times)
-        at = solution.backend.step_of_node
+        nodes = solution.backend.step_of_node
         y = {key: solution.y[row(*key)] for key in COMPONENTS}
-        _, table = branch_table(solution)
+        _, table = evaluate_obstacles(solution.y, costs.at(nodes))
         for i, (mode, other) in enumerate(((1, 2), (2, 1))):
-            ell, a, b = (c[i][at] for c in costs)
+            ell, a, b = (c[i][nodes] for c in costs)
             profit = y[(PLUS, other)] - ell >= y[(MINUS, mode)] - a
             cost = y[(MINUS, other)] + ell <= y[(PLUS, mode)] + b
             np.testing.assert_array_equal(table[0, i], profit)
@@ -158,7 +157,8 @@ class TestClassifyAction:
     def test_agrees_with_the_branch_table_at_every_contact_node(self):
         # one node's branches against the whole-block evaluation
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
-        barrier, switches = branch_table(solution)
+        costs = solution.problem.cost_table(solution.backend.grid.times).at(solution.backend.step_of_node)
+        barrier, switches = evaluate_obstacles(solution.y, costs)
         contact = solution.y == barrier
         assert contact.any() and not contact.all()
         for (s, m, i), touches in np.ndenumerate(contact):
@@ -335,7 +335,7 @@ class TestDynamicProgrammingConsistency:
         be = det_backend(n)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        y, z = surface(solution, (PLUS, 1)), surface(solution, (PLUS, 1), "z")
+        y, z = solution.y[row(PLUS, 1)], solution.z[row(PLUS, 1)]
         dt = be.grid.dt
         drv = problem.driver(PLUS, 1)
         for start in range(0, n + 1, 16):
@@ -343,8 +343,8 @@ class TestDynamicProgrammingConsistency:
             tau = stops[(PLUS, 1)]
             assert tau == n
             running = sum(
-                float(driver_rate(drv, be.grid.times[k], 0.0, y.at(k)[0], z.at(k)[0])) * dt
+                float(driver_rate(drv, be.grid.times[k], 0.0, at(y, be, k)[0], at(z, be, k)[0])) * dt
                 for k in range(start, tau)
             )
-            realized = running + float(y.at(n)[0])
-            assert abs(realized - float(y.at(start)[0])) <= 10.0 * dt
+            realized = running + float(at(y, be, n)[0])
+            assert abs(realized - float(at(y, be, start)[0])) <= 10.0 * dt

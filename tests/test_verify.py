@@ -150,7 +150,7 @@ class TestAuditSolution:
         # with z in the running rate, doubling Z must show up in the step
         # residual even though the conditional-expectation audit drops the
         # martingale term itself
-        from modeswitch.grid import TimeGrid, make_backend
+        from modeswitch.grid import Lattice, TimeGrid
         from modeswitch.model import Driver, CoefficientFunction, Terminal
         from conftest import build_problem
 
@@ -161,7 +161,7 @@ class TestAuditSolution:
             (MINUS, 2): (0.0, 0.1, 0.2),
         }
         problem = build_problem(drivers=drivers, ell=2.0, a=2.0, b=2.0, terminals=Terminal(0.0, 1.0))
-        be = make_backend("binomial", TimeGrid(32, 1.0))
+        be = Lattice("binomial", TimeGrid(32, 1.0))
         solution, trace = solve_system(problem, be)
         assert trace.converged
         clean = audit_solution(solution, problem, be).max_over("max_step_residual")
@@ -174,9 +174,9 @@ class TestAuditSolution:
 
     def test_binomial_audit_of_constant_problem(self, zero_problem):
         # conditional-expectation form of the audit on the lattice
-        from modeswitch.grid import TimeGrid, make_backend
+        from modeswitch.grid import Lattice, TimeGrid
 
-        be = make_backend("binomial", TimeGrid(16, 1.0))
+        be = Lattice("binomial", TimeGrid(16, 1.0))
         candidate = RbsdeSolution(*np.zeros((3, 2, 2, be.size)))
         report = audit_solution(candidate, zero_problem, be)
         assert report.passed
