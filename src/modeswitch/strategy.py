@@ -15,7 +15,10 @@ left-endpoint sums with the rate evaluated where and as the backward solver
 evaluates it (its driver table, at the continuation value E_k[Y_{k+1}]), to
 measure the realized value against Y_0. Paths are replayed in chunks against
 rows of the solution's blocks, so memory is bounded by the blocks and chunk,
-not paths x steps.
+not paths x steps. The replay works only where paths move: a leg whose root
+is in contact stops every path at step 0 and reads no path, rate sums are
+formed only for the paths of a leg that leaves its root, and nothing is drawn
+when no leg moves.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     """Branch decision at a barrier-contact point, by ``model.evaluate_obstacles`` at that node alone."""
     backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
-    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.grid.times).at(step))
+    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.grid.times[step : step + 1]).at(0))
     y_here, s_here = float(y[here]), float(barrier[here])
     if y_here != s_here:
         raise ValueError(
@@ -135,12 +138,16 @@ class _Leg:
         at contact, the terminal value's at the horizon)."""
         self.side, self.mode, self.n, self.dt = side, mode, grid.n_steps, grid.dt
         self.stop_here, self.prefer_switch, self.rate, self.payoff = tables
-        self.tau = np.empty(rows, dtype=np.int64)
-        self.realized = np.empty(rows)
-        self.actions = set()
+        # A root (flat index 0) in contact stops every path at step 0, where it collects Y_0.
+        self.moves = not self.stop_here[0]
+        self.tau = np.zeros(rows, dtype=np.int64)
+        self.realized = np.full(rows, self.payoff[0])
+        self.actions = set() if self.moves else {SWITCH if self.prefer_switch[0] else TERMINATE}
 
     def replay(self, flat, first: int):
-        """Replay paths given as flat node indices, shape (rows, N+1), as rows ``first``, ... of the leg."""
+        """Replay paths given as flat node indices, shape (rows, N+1), as rows
+        ``first``, ... of a leg that moves: every path leaves its root, so every
+        row is summed, over its full width."""
         n = self.n
         tau = first_stop(self.stop_here, flat)
         stop = flat[np.arange(len(flat)), tau]
@@ -181,6 +188,9 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     Paths are drawn from one generator and replayed in chunks of
     ``REPLAY_CELLS`` path steps, so memory does not grow with paths x steps.
     Every path of the width-1 lattice is the same path, so it replays one.
+    A leg whose root is in contact stops every path at step 0 and reads no
+    path; only the legs that leave their root replay paths, and when no leg
+    does, no generator is created and nothing is drawn.
     """
     if start_mode not in (1, 2):
         raise ValueError("start_mode must be 1 or 2")
@@ -197,11 +207,13 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
     tables = zip(*(t[:, m] for t in contact_masks(solution)), rates, y)
     legs = {side: _Leg(side, start_mode, backend.grid, t, rows) for side, t in zip(SIDES, tables)}
-    rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
-    for first in range(0, rows, chunk):
-        flat = backend.sample_paths(min(chunk, rows - first), rng)
-        flat += backend.offsets[:-1]  # node index -> flat index, in place
-        for leg in legs.values():
-            leg.replay(flat, first)
+    moving = [leg for leg in legs.values() if leg.moves]
+    if moving:
+        rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
+        for first in range(0, rows, chunk):
+            flat = backend.sample_paths(min(chunk, rows - first), rng)
+            flat += backend.offsets[:-1]  # node index -> flat index, in place
+            for leg in moving:
+                leg.replay(flat, first)
     reports = {side: leg.report(solution.y0(side, start_mode)) for side, leg in legs.items()}
     return StrategyReport(start_mode=start_mode, n_paths=n_paths, seed=seed, legs=reports)

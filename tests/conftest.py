@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from modeswitch import strategy
 from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
     PLUS,
+    SIDES,
     CoefficientFunction,
     Driver,
+    DriverTable,
     SwitchingProblem,
     Terminal,
 )
 from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
+from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, contact_masks, simulate_policy
 
 # Property tests draw a fixed, small example set: reproducible failures, no
 # example database, no per-example deadline.
@@ -186,3 +190,59 @@ def assert_certificate_premise(problem, backend):
     y, dk, end = solution.y, solution.dk, backend.offsets[backend.grid.n_steps]
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - _euler(problem, backend, y)).tobytes()
     assert (dk[..., end:] == 0.0).all()
+
+
+def pinned_replay(solution, n_paths, seed, start_mode):
+    """The policy replay written out as it stood before a leg whose root is in
+    contact stopped reading paths: every chunk of ``strategy.REPLAY_CELLS`` path
+    steps is drawn from one generator, and each leg reads every path: the first
+    stop along the full row, the running rate gathered at every step, the steps
+    at and after the stop zeroed (``< tau``), and the full row summed. Returns
+    the report in the form of ``StrategyReport.as_dict``."""
+    backend, m = solution.backend, start_mode - 1
+    n, dt = backend.grid.n_steps, backend.grid.dt
+    rows = n_paths if backend.down else 1
+    chunk = max(1, strategy.REPLAY_CELLS // n)
+    before = slice(0, backend.offsets[n])
+    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
+    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
+    stops, switches = (block[:, m] for block in contact_masks(solution))
+    tau, realized, actions = np.empty((2, rows), dtype=np.int64), np.empty((2, rows)), (set(), set())
+    rng = np.random.default_rng(seed) if backend.down else None
+    for first in range(0, rows, chunk):
+        flat = backend.sample_paths(min(chunk, rows - first), rng) + backend.offsets[:-1]
+        here = slice(first, first + len(flat))
+        for s in range(2):
+            t = np.argmax(stops[s][flat], axis=-1)
+            stop = flat[np.arange(len(flat)), t]
+            running = rates[s][flat[:, :n]]
+            running *= np.arange(n)[None, :] < t[:, None]
+            tau[s, here] = t
+            realized[s, here] = np.sum(running, axis=1) * dt + y[s][stop]
+            stopped = t < n
+            prefer = switches[s][stop[stopped]]
+            seen = ((HOLD, not stopped.all()), (SWITCH, prefer.any()), (TERMINATE, not prefer.all()))
+            actions[s].update(name for name, found in seen if found)
+    legs = {}
+    for s, side in enumerate(SIDES):
+        mean = float(np.mean(realized[s]))
+        legs[side] = {
+            "side": side,
+            "mode": start_mode,
+            "stop_step": float(np.mean(tau[s])),
+            "action": next(iter(actions[s])) if len(actions[s]) == 1 else MIXED,
+            "realized": mean,
+            "value_gap": abs(mean - float(y[s][0])),
+            "std_error": float(np.std(realized[s], ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
+        }
+    return {"start_mode": start_mode, "n_paths": n_paths, "seed": seed, "legs": legs}
+
+
+def assert_replay_matches_pinned(solution, n_paths, seed, start_mode):
+    """``simulate_policy`` reproduces ``pinned_replay`` exactly, signed zeros
+    included; returns the report as a dict."""
+    report = simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=start_mode).as_dict()
+    pinned = pinned_replay(solution, n_paths, seed, start_mode)
+    assert report == pinned
+    assert repr(report) == repr(pinned)
+    return report

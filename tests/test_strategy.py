@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modeswitch import strategy
+from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, evaluate_obstacles, row
 from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
@@ -19,10 +20,21 @@ from modeswitch.strategy import (
 )
 from modeswitch.verify import counterexample_problem
 
-from conftest import at, bin_backend, build_problem, det_backend, driver_rate, smoke_problem
+from conftest import (
+    assert_replay_matches_pinned,
+    at,
+    bin_backend,
+    build_problem,
+    det_backend,
+    driver_rate,
+    smoke_problem,
+)
 from picard_reference import ConvergenceTrace, picard_system
 
-SWITCHING_LATTICE = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
+ROOT = Path(__file__).resolve().parents[1]
+SWITCHING_LATTICE = ROOT / "bench/problems/switching_lattice.json"
+SMOKE_LATTICE = ROOT / "problems/smoke_lattice.json"
+COUNTEREXAMPLE = ROOT / "problems/counterexample.json"
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +44,18 @@ def fixture_solution():
     solution, trace = solve_system(problem, be)
     assert trace.converged
     return solution
+
+
+def given_solution(problem, backend, y):
+    """A converged solution with the Y block ``y``, zero Z and zero dK."""
+    return BalanceSheetSolution(
+        problem=problem,
+        backend=backend,
+        y=y,
+        z=np.zeros_like(y),
+        dk=np.zeros_like(y),
+        trace=ConvergenceTrace(tol=1e-8, deltas=[0.0], converged=True),
+    )
 
 
 def tie_problem():
@@ -170,6 +194,19 @@ class TestClassifyAction:
                 with pytest.raises(ValueError, match=f"does not touch its barrier at step {step}, node {node}"):
                     classify_action(solution, side, mode, node=node, step=step)
 
+    @pytest.mark.parametrize("problem, backend", [
+        (counterexample_problem(1.0), det_backend(2000)),
+        (load_problem(SWITCHING_LATTICE), bin_backend(40)),
+    ])
+    def test_costs_of_one_time_equal_the_whole_grid_table_bit_for_bit(self, problem, backend):
+        # classify_action tabulates the costs at its own step only
+        times = backend.grid.times
+        table = problem.cost_table(times)
+        for step in range(backend.grid.n_steps + 1):
+            one, column = problem.cost_table(times[step : step + 1]).at(0), table.at(step)
+            for mine, theirs in zip(one, column):
+                assert mine.tobytes() == theirs.tobytes(), step
+
     def test_counterexample_terminates(self, fixture_solution):
         # switch branch ~ 2.035 loses to the termination branch ~ e
         assert classify_action(fixture_solution, PLUS, 1, 0, 0) == TERMINATE
@@ -202,14 +239,7 @@ class TestClassifyAction:
             (MINUS, 2): max(alpha, beta) + shift,
         }
         y = np.array([np.full(be.size, values[key]) for key in COMPONENTS]).reshape(2, 2, -1)
-        solution = BalanceSheetSolution(
-            problem=problem,
-            backend=be,
-            y=y,
-            z=np.zeros_like(y),
-            dk=np.zeros_like(y),
-            trace=ConvergenceTrace(tol=1e-8, deltas=[0.0], converged=True),
-        )
+        solution = given_solution(problem, be, y)
         expected = SWITCH if alpha >= beta else TERMINATE
         assert classify_action(solution, PLUS, 1, 0, 0) == expected
 
@@ -323,6 +353,61 @@ class TestStreamingReplay:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+class TestPinnedReplay:
+    """The replay against ``conftest.pinned_replay``, which reads every path on every leg."""
+
+    @pytest.mark.parametrize("n, n_paths", [(25, 30001), (100, 12001), (101, 12001)])
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_switching_lattice(self, n, n_paths, mode):
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
+        assert n_paths % (strategy.REPLAY_CELLS // n)  # a partial last chunk
+        for seed in (1, 7, 2024):
+            assert_replay_matches_pinned(solution, n_paths, seed, mode)
+
+    @pytest.mark.parametrize("path, stop_step", [(SMOKE_LATTICE, 100.0), (COUNTEREXAMPLE, 0.0)])
+    def test_legs_that_hold_or_stop_at_the_root(self, path, stop_step):
+        # smoke_lattice holds both legs to the horizon, the counterexample stops both at the root
+        solution, _ = solve_system(load_problem(path), bin_backend(100))
+        for mode in (1, 2):
+            report = assert_replay_matches_pinned(solution, 12001, 3, mode)
+            assert all(leg["stop_step"] == stop_step for leg in report["legs"].values())
+
+    def test_leg_that_leaves_the_root_and_stops_at_the_next_step(self):
+        # Y+_1 sits above its barrier max(Y+_2 - ell, Y-_1 - a) = 0 at the root only
+        be, problem = det_backend(2), build_problem(ell=2.0, a=0.0, b=0.0)
+        y = np.zeros((2, 2, be.size))
+        y[row(PLUS, 1)][0] = 5.0
+        solution = given_solution(problem, be, y)
+        stops, _ = contact_masks(solution)
+        assert not stops[row(PLUS, 1)][0] and stops[row(PLUS, 1)][1]
+        assert assert_replay_matches_pinned(solution, 1, 0, 1)["legs"][PLUS]["stop_step"] == 1.0
+
+
+class TestRootContact:
+    def test_no_leg_moves_and_nothing_is_drawn(self, monkeypatch):
+        solution, _ = solve_system(load_problem(COUNTEREXAMPLE), bin_backend(400))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay drew paths")
+
+        monkeypatch.setattr(Lattice, "sample_paths", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        peaks = {}
+        for n_paths in (1, 100_000):
+            tracemalloc.start()
+            try:
+                report = simulate_policy(solution, n_paths=n_paths, seed=1, start_mode=1)
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report.n_paths == 100_000
+        for side in SIDES:
+            leg = report.leg(side)
+            assert leg.stop_step == 0.0 and leg.std_error == 0.0 and leg.value_gap == 0.0, side
+        # 1e5 paths cost no more at the peak than one path, far below one chunk of path steps
+        assert peaks[100_000] - peaks[1] < strategy.REPLAY_CELLS
 
 
 class TestDynamicProgrammingConsistency:
