@@ -119,9 +119,10 @@ class Lattice:
         """
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        paths = np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)
-        if self.down:
-            rng = np.random.default_rng(seed)
-            downs = rng.integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
-            np.cumsum(downs, axis=1, out=paths[:, 1:])
+        if not self.down:
+            return np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)
+        paths = np.empty((n_paths, self.grid.n_steps + 1), dtype=np.int64)
+        paths[:, 0] = 0
+        downs = np.random.default_rng(seed).integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
+        np.cumsum(downs, axis=1, out=paths[:, 1:])
         return paths

@@ -15,10 +15,11 @@ left-endpoint sums with the rate evaluated where and as the backward solver
 evaluates it (its driver table, at the continuation value E_k[Y_{k+1}]), to
 measure the realized value against Y_0. Paths are replayed in chunks against
 rows of the solution's blocks, so memory is bounded by the blocks and chunk,
-not paths x steps. The replay works only where paths move: a leg whose root
-is in contact stops every path at step 0 and reads no path, rate sums are
-formed only for the paths of a leg that leaves its root, and nothing is drawn
-when no leg moves.
+not paths x steps; a chunk is small enough to stay in a core's cache, and
+each of its gathers reads whole contiguous path rows. The replay works only
+where paths move: a leg whose root is in contact is decided by the barrier at
+the root alone and reports Y_0 exactly, and the whole-lattice tables are
+built, and paths drawn, only when a leg leaves its root.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ HOLD = "hold-to-horizon"
 MIXED = "mixed"
 
 # Path steps replayed per chunk: the replay holds a few arrays of this size
-# at a time, whatever the path count.
-REPLAY_CELLS = 1 << 19
+# at a time, whatever the path count. 2^16 steps keep a chunk's coins, paths,
+# rates and masks (about 1.7 MB) within a 2 MiB per-core cache.
+REPLAY_CELLS = 1 << 16
 
 
 def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
@@ -129,34 +131,35 @@ class StrategyReport:
 
 
 class _Leg:
-    """Node tables of one leg, and the realized value and stopping step of
-    every path replayed so far."""
+    """Node tables of one leg that leaves its root, and the realized value and
+    stopping step of every path replayed so far."""
 
     def __init__(self, side, mode, grid, tables, rows):
         """``tables``: the leg's stop mask (closed at the horizon), switch table,
-        running rate, and Y, collected where a path stops (the barrier's bits
-        at contact, the terminal value's at the horizon)."""
+        running rate before the horizon, and Y, collected where a path stops
+        (the barrier's bits at contact, the terminal value's at the horizon)."""
         self.side, self.mode, self.n, self.dt = side, mode, grid.n_steps, grid.dt
-        self.stop_here, self.prefer_switch, self.rate, self.payoff = tables
-        # A root (flat index 0) in contact stops every path at step 0, where it collects Y_0.
-        self.moves = not self.stop_here[0]
-        self.tau = np.zeros(rows, dtype=np.int64)
-        self.realized = np.full(rows, self.payoff[0])
-        self.actions = set() if self.moves else {SWITCH if self.prefer_switch[0] else TERMINATE}
+        self.stop_here, self.prefer_switch, rate, self.payoff = tables
+        # The rate padded with zeros at the horizon nodes, so a whole path row gathers it.
+        self.rate = np.zeros_like(self.payoff)
+        self.rate[: rate.size] = rate
+        self.steps = np.arange(self.n + 1)
+        self.tau = np.empty(rows, dtype=np.int64)
+        self.realized = np.empty(rows)
+        self.actions = set()
 
     def replay(self, flat, first: int):
         """Replay paths given as flat node indices, shape (rows, N+1), as rows
-        ``first``, ... of a leg that moves: every path leaves its root, so every
-        row is summed, over its full width."""
-        n = self.n
+        ``first``, ... : every path leaves its root, so every row is summed,
+        over its first N steps."""
         tau = first_stop(self.stop_here, flat)
         stop = flat[np.arange(len(flat)), tau]
-        running = self.rate[flat[:, :n]]
-        running *= np.arange(n)[None, :] < tau[:, None]
+        running = self.rate[flat]
+        running *= self.steps < tau[:, None]
         rows = slice(first, first + len(flat))
         self.tau[rows] = tau
-        self.realized[rows] = np.sum(running, axis=1) * self.dt + self.payoff[stop]
-        stopped = tau < n
+        self.realized[rows] = np.sum(running[:, : self.n], axis=1) * self.dt + self.payoff[stop]
+        stopped = tau < self.n
         prefer_switch = self.prefer_switch[stop[stopped]]
         seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
         self.actions.update(name for name, found in seen if found)
@@ -188,9 +191,11 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     Paths are drawn from one generator and replayed in chunks of
     ``REPLAY_CELLS`` path steps, so memory does not grow with paths x steps.
     Every path of the width-1 lattice is the same path, so it replays one.
-    A leg whose root is in contact stops every path at step 0 and reads no
-    path; only the legs that leave their root replay paths, and when no leg
-    does, no generator is created and nothing is drawn.
+    A leg whose root is in contact is decided at the root alone, by
+    ``model.evaluate_obstacles`` on the root values and the costs of step 0:
+    every path stops there and collects Y_0, so it reports Y_0 exactly and
+    reads no path. The node tables are built, and paths drawn, only when a
+    leg leaves its root.
     """
     if start_mode not in (1, 2):
         raise ValueError("start_mode must be 1 or 2")
@@ -198,22 +203,28 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
         raise ValueError("n_paths must be >= 1")
     if not solution.trace.converged:
         raise ValueError("policy simulation requires a converged solution")
-    backend = solution.backend
-    rows = n_paths if backend.down else 1
-    chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
-    m, before = start_mode - 1, slice(0, backend.offsets[backend.grid.n_steps])
-    # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
-    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
-    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
-    tables = zip(*(t[:, m] for t in contact_masks(solution)), rates, y)
-    legs = {side: _Leg(side, start_mode, backend.grid, t, rows) for side, t in zip(SIDES, tables)}
-    moving = [leg for leg in legs.values() if leg.moves]
-    if moving:
+    backend, problem, m = solution.backend, solution.problem, start_mode - 1
+    root = solution.y[..., 0]
+    barrier, switches = evaluate_obstacles(root, problem.cost_table(backend.grid.times[:1]).at(0))
+    reports = {
+        side: LegReport(side, start_mode, 0.0, SWITCH if switches[s, m] else TERMINATE, float(root[s, m]), 0.0, 0.0)
+        for s, side in enumerate(SIDES)
+        if root[s, m] == barrier[s, m]
+    }
+    if len(reports) < len(SIDES):
+        rows = n_paths if backend.down else 1
+        chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
+        before = slice(0, backend.offsets[backend.grid.n_steps])
+        # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
+        table, y = DriverTable(*(f[:, m] for f in problem.driver_table(backend))), solution.y[:, m]
+        rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
+        tables = zip(*(t[:, m] for t in contact_masks(solution)), rates, y)
+        legs = [_Leg(side, start_mode, backend.grid, t, rows) for side, t in zip(SIDES, tables) if side not in reports]
         rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
         for first in range(0, rows, chunk):
             flat = backend.sample_paths(min(chunk, rows - first), rng)
             flat += backend.offsets[:-1]  # node index -> flat index, in place
-            for leg in moving:
+            for leg in legs:
                 leg.replay(flat, first)
-    reports = {side: leg.report(solution.y0(side, start_mode)) for side, leg in legs.items()}
-    return StrategyReport(start_mode=start_mode, n_paths=n_paths, seed=seed, legs=reports)
+        reports.update((leg.side, leg.report(solution.y0(leg.side, start_mode))) for leg in legs)
+    return StrategyReport(start_mode, n_paths, seed, legs={side: reports[side] for side in SIDES})

@@ -193,12 +193,17 @@ def assert_certificate_premise(problem, backend):
 
 
 def pinned_replay(solution, n_paths, seed, start_mode):
-    """The policy replay written out as it stood before a leg whose root is in
-    contact stopped reading paths: every chunk of ``strategy.REPLAY_CELLS`` path
-    steps is drawn from one generator, and each leg reads every path: the first
-    stop along the full row, the running rate gathered at every step, the steps
-    at and after the stop zeroed (``< tau``), and the full row summed. Returns
-    the report in the form of ``StrategyReport.as_dict``."""
+    """The policy replay written out with strided rate gathers and its own draw.
+
+    A leg whose root is in contact (its stop mask at flat index 0) reports
+    Y_0 with zero gap, error and stopping step, and the action of the switch
+    table at the root. A leg that leaves its root reads every path of every
+    chunk of ``strategy.REPLAY_CELLS`` path steps: the first stop along the
+    full row, the running rate gathered at its first N steps, the steps at and
+    after the stop zeroed (``< tau``), and those N steps summed. Each chunk's
+    coins are drawn here from one generator, ``integers(0, 2)`` as int64, and
+    summed along the path into node indices. Returns the report in the form
+    of ``StrategyReport.as_dict``."""
     backend, m = solution.backend, start_mode - 1
     n, dt = backend.grid.n_steps, backend.grid.dt
     rows = n_paths if backend.down else 1
@@ -207,12 +212,16 @@ def pinned_replay(solution, n_paths, seed, start_mode):
     table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
     rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))
+    moving = [s for s in range(2) if not stops[s][0]]
     tau, realized, actions = np.empty((2, rows), dtype=np.int64), np.empty((2, rows)), (set(), set())
-    rng = np.random.default_rng(seed) if backend.down else None
-    for first in range(0, rows, chunk):
-        flat = backend.sample_paths(min(chunk, rows - first), rng) + backend.offsets[:-1]
+    rng = np.random.default_rng(seed)
+    for first in range(0, rows if moving else 0, chunk):
+        paths = np.zeros((min(chunk, rows - first), n + 1), dtype=np.int64)
+        if backend.down:
+            paths[:, 1:] = np.cumsum(rng.integers(0, 2, size=(len(paths), n), dtype=np.int64), axis=1)
+        flat = paths + backend.offsets[:-1]
         here = slice(first, first + len(flat))
-        for s in range(2):
+        for s in moving:
             t = np.argmax(stops[s][flat], axis=-1)
             stop = flat[np.arange(len(flat)), t]
             running = rates[s][flat[:, :n]]
@@ -225,16 +234,20 @@ def pinned_replay(solution, n_paths, seed, start_mode):
             actions[s].update(name for name, found in seen if found)
     legs = {}
     for s, side in enumerate(SIDES):
-        mean = float(np.mean(realized[s]))
-        legs[side] = {
-            "side": side,
-            "mode": start_mode,
-            "stop_step": float(np.mean(tau[s])),
-            "action": next(iter(actions[s])) if len(actions[s]) == 1 else MIXED,
-            "realized": mean,
-            "value_gap": abs(mean - float(y[s][0])),
-            "std_error": float(np.std(realized[s], ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
-        }
+        y0 = float(y[s][0])
+        if s in moving:
+            mean = float(np.mean(realized[s]))
+            leg = {
+                "stop_step": float(np.mean(tau[s])),
+                "action": next(iter(actions[s])) if len(actions[s]) == 1 else MIXED,
+                "realized": mean,
+                "value_gap": abs(mean - y0),
+                "std_error": float(np.std(realized[s], ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
+            }
+        else:
+            action = SWITCH if switches[s][0] else TERMINATE
+            leg = {"stop_step": 0.0, "action": action, "realized": y0, "value_gap": 0.0, "std_error": 0.0}
+        legs[side] = {"side": side, "mode": start_mode, **leg}
     return {"start_mode": start_mode, "n_paths": n_paths, "seed": seed, "legs": legs}
 
 

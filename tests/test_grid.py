@@ -166,6 +166,21 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             bin_backend(4).sample_paths(0, seed=1)
 
+    @pytest.mark.parametrize("n", [25, 101])
+    def test_chained_draws_equal_one_written_out_draw(self, n):
+        # every call draws an odd number of coins (rows x N), so a call ends
+        # inside the generator's buffered 64-bit word and the next call resumes it
+        be, rows = bin_backend(n), (1, 7, 3001)
+        rng, written = np.random.default_rng(17), np.random.default_rng(17)
+        chained = np.concatenate([be.sample_paths(count, rng) for count in rows])
+        downs = written.integers(0, 2, size=(sum(rows), n), dtype=np.int64)
+        expected = np.zeros((sum(rows), n + 1), dtype=np.int64)
+        expected[:, 1:] = np.cumsum(downs, axis=1)
+        np.testing.assert_array_equal(chained, expected)
+        assert chained.dtype == np.int64
+        # a later draw continues the same stream
+        np.testing.assert_array_equal(rng.integers(0, 2, size=9), written.integers(0, 2, size=9))
+
 
 class TestFieldSurface:
     """A field surface: one process's node values as a flat buffer of ``size`` values."""

@@ -334,15 +334,19 @@ class TestStreamingReplay:
             assert report.leg(side).value_gap == 0.0
 
     def test_chunk_size_does_not_change_the_report(self, monkeypatch):
-        n, n_paths = 25, 30001
+        # 7 rows: many chunks and a partial last one; 1 row: one path per
+        # chunk; 40000 rows: one chunk larger than the path count
+        n = 25
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
         default_rows = strategy.REPLAY_CELLS // n
-        assert n_paths > default_rows and n_paths % default_rows and n_paths % 7
-        for mode in (1, 2):
-            default = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
-            with monkeypatch.context() as patched:
-                patched.setattr(strategy, "REPLAY_CELLS", 7 * n)  # 7 paths per chunk
-                assert simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict() == default
+        for rows_per_chunk, n_paths in ((7, 30001), (1, 2001), (40000, 30001)):
+            assert n_paths % default_rows
+            for mode in (1, 2):
+                default = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
+                with monkeypatch.context() as patched:
+                    patched.setattr(strategy, "REPLAY_CELLS", rows_per_chunk * n)
+                    patched_report = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
+                assert patched_report == default, (rows_per_chunk, mode)
 
     def test_replay_memory_does_not_grow_with_paths(self):
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
@@ -387,27 +391,34 @@ class TestPinnedReplay:
 
 class TestRootContact:
     def test_no_leg_moves_and_nothing_is_drawn(self, monkeypatch):
+        # the legs are decided at the root alone: no path is drawn and no
+        # whole-lattice table is built, and each leg reports Y_0 exactly (the
+        # average of 1e5 copies of Y_0 read 8.88e-16 off it in mode 2)
         solution, _ = solve_system(load_problem(COUNTEREXAMPLE), bin_backend(400))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the replay drew paths")
+            raise AssertionError("the replay drew paths or built a whole-lattice table")
 
         monkeypatch.setattr(Lattice, "sample_paths", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        peaks = {}
-        for n_paths in (1, 100_000):
-            tracemalloc.start()
-            try:
-                report = simulate_policy(solution, n_paths=n_paths, seed=1, start_mode=1)
-                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert report.n_paths == 100_000
-        for side in SIDES:
-            leg = report.leg(side)
-            assert leg.stop_step == 0.0 and leg.std_error == 0.0 and leg.value_gap == 0.0, side
-        # 1e5 paths cost no more at the peak than one path, far below one chunk of path steps
-        assert peaks[100_000] - peaks[1] < strategy.REPLAY_CELLS
+        monkeypatch.setattr(strategy, "contact_masks", refuse)
+        monkeypatch.setattr(type(solution.problem), "driver_table", refuse)
+        for mode in (1, 2):
+            peaks = {}
+            for n_paths in (1, 100_000):
+                tracemalloc.start()
+                try:
+                    report = simulate_policy(solution, n_paths=n_paths, seed=1, start_mode=mode)
+                    peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert report.n_paths == 100_000
+            for side in SIDES:
+                leg = report.leg(side)
+                assert leg.stop_step == 0.0 and leg.std_error == 0.0 and leg.value_gap == 0.0, (side, mode)
+                assert leg.realized == solution.y0(side, mode) and leg.action == TERMINATE, (side, mode)
+            # 1e5 paths cost no more at the peak than one path, far below one chunk of path steps
+            assert peaks[100_000] - peaks[1] < strategy.REPLAY_CELLS, mode
 
 
 class TestDynamicProgrammingConsistency:
