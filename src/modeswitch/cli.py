@@ -6,8 +6,9 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
-type included, and data whose solve overflows float64), 2 a node whose
-projection did not settle in LOCAL_SWEEP_CAP rounds.
+type included, a ``simulate`` path count below 1 or a negative seed, both
+refused before the solve, and data whose solve overflows float64), 2 a node
+whose projection did not settle in LOCAL_SWEEP_CAP rounds.
 
 Each command imports what it runs: ``strategy`` is loaded by ``simulate``
 only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and
@@ -87,6 +88,8 @@ def cmd_simulate(args) -> int:
 
     if args.paths < 1:  # refused before the solve it would otherwise wait for
         raise ValueError("n_paths must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     problem, backend = _prepare(args)
     solution, _ = solve_system(problem, backend)
     out = _ensure_outdir(args)

@@ -63,7 +63,6 @@ class Lattice:
         self.step_of_node = np.repeat(np.arange(n + 1), counts)
         self.node_index = np.arange(self.size) - self.offsets[self.step_of_node]
         self.states = (self.step_of_node - 2 * self.node_index) * self.spread
-        self.node_times = grid.times[self.step_of_node]
         # Flat index of the up child of every node before the horizon.
         self._up = np.arange(self.offsets[n]) + counts[self.step_of_node[: self.offsets[n]]]
 

@@ -185,17 +185,22 @@ def write_surface_csv(path, lattice: Lattice, values: np.ndarray):
 
 
 def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
-    """The flat buffer written by ``write_surface_csv``: every lattice node exactly once."""
+    """The flat buffer written by ``write_surface_csv``: every lattice node exactly once.
+    A wrong header and a row that is short, long, not numeric or off the lattice
+    raise ``ValueError`` naming the file and the line."""
     path = Path(path)
     data, rows = np.zeros(lattice.size), np.zeros(lattice.size, dtype=np.int64)
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            k, j = int(row["step"]), int(row["node"])
+        reader = csv.reader(fh)
+        if next(reader, None) != ["step", "node", "value"]:
+            raise ValueError(f"{path}: line 1: expected the header step,node,value")
+        for line in filter(None, reader):  # blank lines skipped
             try:
-                i = int(lattice.flat_index(k, j))
+                k, j, value = line
+                i, value = int(lattice.flat_index(int(k), int(j))), float(value)
             except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            data[i], rows[i] = float(row["value"]), rows[i] + 1
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            data[i], rows[i] = value, rows[i] + 1
     i = int(np.argmax(rows != 1))
     if rows[i] != 1:
         k, j = lattice.locate(i)

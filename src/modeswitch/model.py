@@ -90,24 +90,13 @@ class CoefficientFunction:
         return cls("polynomial", tuple(float(c) for c in coeffs), has_ito_data)
 
     def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.params[0] * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.params[0]
+            return self.params[0] * np.ones_like(t)
         if self.kind == "exponential":
             c, gamma = self.params
-            return c * np.exp(gamma * np.asarray(t, dtype=float)) if np.ndim(t) else c * np.exp(gamma * t)
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.params)
-
-    def derivative(self, t):
-        """Time derivative (the Ito drift U; the diffusion part is zero)."""
-        if not self.has_ito_data:
-            raise ProblemError(f"coefficient {self.kind!r} declared without Ito data")
-        if self.kind == "constant":
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        if self.kind == "exponential":
-            c, gamma = self.params
-            return c * gamma * np.exp(gamma * np.asarray(t, dtype=float)) if np.ndim(t) else c * gamma * np.exp(gamma * t)
-        dcoeffs = tuple(k * c for k, c in enumerate(self.params))[1:] or (0.0,)
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), dcoeffs)
+            return c * np.exp(gamma * t)
+        return np.polynomial.polynomial.polyval(t, self.params)
 
 
 @dataclass(frozen=True)
@@ -138,22 +127,12 @@ class Driver:
     def lipschitz(self) -> float:
         return abs(self.c1) + abs(self.c2)
 
-    def tabulate(self, times):
-        """The rate as a function of (k, x, y, z), where k indexes ``times``:
-        c0 is evaluated once on all of them."""
-        c0 = np.asarray(self.c0(times))
-
-        def rate(k, x, y, z):
-            base = c0[k] * x if self.state_feature == "x" else c0[k]
-            return base + self.c1 * y + self.c2 * z
-
-        return rate
-
 
 class DriverTable(NamedTuple):
     """The four drivers as one table on a lattice: the base rate c0(t_k) *
-    feature(x) at every node, and c1, c2 columns, with the operation order
-    (so the bits) of ``Driver.tabulate``."""
+    feature(x) at every node, and c1, c2 columns. ``rate`` is the package's
+    one formula of the affine rate: the backward pass, the certificate, the
+    audit and the policy replay all evaluate the driver through it."""
 
     base: np.ndarray  # (2, 2, lattice size)
     c1: np.ndarray  # (2, 2, 1)
@@ -162,12 +141,6 @@ class DriverTable(NamedTuple):
     def rate(self, nodes, y, z):
         """The four rates at the flat nodes ``nodes``, for (2, 2, nodes) blocks y and z."""
         return (self.base[..., nodes] + self.c1 * y) + self.c2 * z
-
-    def per_step(self, lattice) -> Callable:
-        """``rate`` at the nodes of step k as rate(k, y, z), each step's base copied out once as a contiguous block."""
-        off, c1, c2 = lattice.offsets.tolist(), self.c1, self.c2
-        bases = [self.base[..., off[k] : off[k + 1]].copy() for k in range(lattice.grid.n_steps)]
-        return lambda k, y, z: (bases[k] + c1 * y) + c2 * z
 
 
 @dataclass(frozen=True)
@@ -183,12 +156,6 @@ class Terminal:
 
     def __call__(self, x):
         return self.intercept + self.slope * np.asarray(x, dtype=float)
-
-    @classmethod
-    def of(cls, value) -> "Terminal":
-        if isinstance(value, Terminal):
-            return value
-        return cls(float(value))
 
 
 @dataclass(frozen=True)
@@ -446,15 +413,8 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         detail = f"dt (|c1| + |c2|) < {STABILITY_LIMIT:g}; a larger time step is too coarse"
         report.add(f"A6 step size psi_{side}_{mode}", step < STABILITY_LIMIT, detail, value=step)
 
+    detail = "closed-form drift available (deterministic catalog, zero diffusion)"
     for i, mode in enumerate(MODES):
-        report.add(
-            f"A4 Ito data for b_{mode}",
-            problem.b[i].has_ito_data,
-            "closed-form drift available (deterministic catalog, zero diffusion)",
-        )
-        report.add(
-            f"A4 Ito data for ell_{mode}",
-            problem.ell[i].has_ito_data,
-            "closed-form drift available (deterministic catalog, zero diffusion)",
-        )
+        for name, pair in (("b", problem.b), ("ell", problem.ell)):
+            report.add(f"A4 Ito data for {name}_{mode}", pair[i].has_ito_data, detail)
     return report

@@ -41,6 +41,7 @@ from .model import (
     MODES,
     PLUS,
     CostSlice,
+    DriverTable,
     ProblemError,
     SwitchingProblem,
     by_side,
@@ -67,7 +68,7 @@ class PassTrace:
     """Projection round count of the one-pass solver at each step before the horizon."""
 
     local_sweeps: np.ndarray
-    converged: bool = True  # a pass that returns settled at every node and is a Picard fixed point
+    converged = True  # a class constant, not a field: a solve returns only once it settled and certified
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,14 @@ def _require_admissible(problem: SwitchingProblem, backend: Lattice):
         raise err
 
 
-def _euler(problem: SwitchingProblem, backend: Lattice, y: np.ndarray) -> np.ndarray:
+def _euler(table: DriverTable, backend: Lattice, y: np.ndarray) -> np.ndarray:
     """The Euler values E_k[Y_{k+1}] + psi dt of a (side, mode, node) block
-    at every node before the horizon, on the whole block."""
+    at every node before the horizon, on the whole block, with the rate of ``table``."""
     end, e, z = backend.offsets[backend.grid.n_steps], backend.continuation(y), backend.martingale_increment(y)
-    return e + problem.driver_table(backend).rate(slice(0, end), e, z) * backend.grid.dt
+    return e + table.rate(slice(0, end), e, z) * backend.grid.dt
 
 
-def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray):
+def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray, table: DriverTable):
     """Raise SchemeError unless one Picard sweep from the solution would move
     no node (see the module notes).
 
@@ -115,9 +116,9 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray):
     node, so requiring bitwise equality makes this exactly as strict as the
     sweep. It runs on the whole block and names the first component that moves.
     """
-    problem, backend, y = solution.problem, solution.backend, solution.y
+    backend, y = solution.backend, solution.y
     end = backend.offsets[backend.grid.n_steps]
-    settled = by_side("better", _euler(problem, backend, y), obstacles[..., :end])
+    settled = by_side("better", _euler(table, backend, y), obstacles[..., :end])
     miss = np.where(settled == y[..., :end], 0.0, np.abs(settled - y[..., :end]))
     for (side, mode), moved in zip(COMPONENTS, miss.reshape(4, -1)):
         i = int(np.argmax(moved))
@@ -168,11 +169,12 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     n = backend.grid.n_steps
     costs, rounds = problem.cost_table(backend.grid.times).columns(), np.zeros(n, dtype=int)
     project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
-    terminal, rate = problem.terminal_block(backend.state(n)), problem.driver_table(backend).per_step(backend)
+    table, off = problem.driver_table(backend), backend.offsets.tolist()
+    rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = backward_pass(rate, terminal, project, backend)
+        sol = backward_pass(rate, problem.terminal_block(backend.state(n)), project, backend)
         solution = BalanceSheetSolution(problem, backend, *sol, PassTrace(rounds))
         for block, what in ((sol.y, "value"), (sol.dk, "push")):  # a push is not finite where its Euler value is not
             _require_finite(block, what, backend.locate)
-        _certify_fixed_point(solution, system_obstacles(problem, sol.y, backend)[0])
+        _certify_fixed_point(solution, system_obstacles(problem, sol.y, backend)[0], table)
     return solution, solution.trace

@@ -201,8 +201,8 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
         raise ValueError("start_mode must be 1 or 2")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if not solution.trace.converged:
-        raise ValueError("policy simulation requires a converged solution")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     backend, problem, m = solution.backend, solution.problem, start_mode - 1
     root = solution.y[..., 0]
     barrier, switches = evaluate_obstacles(root, problem.cost_table(backend.grid.times[:1]).at(0))

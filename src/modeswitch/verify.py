@@ -109,9 +109,6 @@ class ClosedFormFamily:
             return np.zeros_like(t)
         return self.y(side, mode, t)
 
-    def z(self, side: str, mode: int, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def sample(self, backend: Lattice) -> RbsdeSolution:
         """Grid sampling as one (side, mode, node) solution triple; increments
         use the trapezoid rule on the analytic reflection density."""

@@ -18,6 +18,8 @@ from modeswitch.model import (
 from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
 from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, contact_masks, simulate_policy
 
+from picard_reference import tabulate
+
 # Property tests draw a fixed, small example set: reproducible failures, no
 # example database, no per-example deadline.
 settings.register_profile("modeswitch", derandomize=True, deadline=None, max_examples=50, database=None)
@@ -38,8 +40,13 @@ def at(values, lattice, k):
 
 
 def driver_rate(driver, t, x, y, z):
-    """A driver's rate at times ``t``, through its table on ``t``."""
-    return driver.tabulate(t)(..., x, y, z)
+    """A driver's rate at times ``t``, through the reference's table on ``t``."""
+    return tabulate(driver, t)(..., x, y, z)
+
+
+def terminal_of(value) -> Terminal:
+    """``value`` if it is a Terminal, else the constant Terminal of the number."""
+    return value if isinstance(value, Terminal) else Terminal(float(value))
 
 
 def build_problem(horizon=1.0, drivers=None, ell=1.0, a=0.0, b=0.0, terminals=0.0):
@@ -69,9 +76,9 @@ def build_problem(horizon=1.0, drivers=None, ell=1.0, a=0.0, b=0.0, terminals=0.
             made[(side, mode)] = Driver(mode, side, c0, c1=c1, c2=c2)
 
     if isinstance(terminals, dict):
-        terms = {key: Terminal.of(terminals[key]) for key in COMPONENTS}
+        terms = {key: terminal_of(terminals[key]) for key in COMPONENTS}
     else:
-        terms = {key: Terminal.of(terminals) for key in COMPONENTS}
+        terms = {key: terminal_of(terminals) for key in COMPONENTS}
 
     return SwitchingProblem(
         horizon=horizon,
@@ -188,7 +195,8 @@ def assert_certificate_premise(problem, backend):
     certificate holds, every push then sits on its barrier."""
     solution, _ = solve_system(problem, backend)
     y, dk, end = solution.y, solution.dk, backend.offsets[backend.grid.n_steps]
-    assert dk[..., :end].tobytes() == np.abs(y[..., :end] - _euler(problem, backend, y)).tobytes()
+    euler = _euler(problem.driver_table(backend), backend, y)
+    assert dk[..., :end].tobytes() == np.abs(y[..., :end] - euler).tobytes()
     assert (dk[..., end:] == 0.0).all()
 
 

@@ -9,7 +9,10 @@ stage-n profit with the fresh stage-(n+1) cost). Its caps and floors are
 written out here rather than read from ``model``, so that it stays
 independent of what it checks, and each sweep asserts that no value drops.
 Every single equation is ``reflect``: the production ``rbsde.backward_pass``
-with the driver's own rate, projected by a clip against its barrier. The
+with the driver's rate from ``tabulate``, projected by a clip against its
+barrier. ``tabulate`` writes the affine rate out apart from the package's
+``DriverTable``, and ``derivative`` the drift of a cost coefficient, so the
+reference reads no rate code of the package either. The
 iteration holds its components apart, as flat node buffers (``Component``),
 and stacks them into the (side, mode, node) blocks of a
 ``BalanceSheetSolution`` once, at the end.
@@ -23,7 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from modeswitch.grid import Lattice
-from modeswitch.model import COMPONENTS, MINUS, MODES, PLUS, SwitchingProblem, by_side
+from modeswitch.model import (
+    COMPONENTS,
+    MINUS,
+    MODES,
+    PLUS,
+    CoefficientFunction,
+    Driver,
+    ProblemError,
+    SwitchingProblem,
+    by_side,
+)
 from modeswitch.rbsde import backward_pass
 from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
 from modeswitch.verify import skorokhod_sum
@@ -50,16 +63,48 @@ def other_mode(mode: int) -> int:
     return 3 - mode
 
 
+def tabulate(driver, times):
+    """A driver's rate as a function of (k, x, y, z), where k indexes
+    ``times``: c0(t_k) * feature(x) + c1 * y + c2 * z for a ``model.Driver``,
+    with c0 evaluated once on all of the times. The composite drivers of the
+    tests (``_ShiftedDriver``, ``_MinDriver``) bring their own ``tabulate``."""
+    if not isinstance(driver, Driver):
+        return driver.tabulate(times)
+    c0 = np.asarray(driver.c0(times))
+
+    def rate(k, x, y, z):
+        base = c0[k] * x if driver.state_feature == "x" else c0[k]
+        return base + driver.c1 * y + driver.c2 * z
+
+    return rate
+
+
+def derivative(coeff: CoefficientFunction, t):
+    """Time derivative of a catalog coefficient (the Ito drift U; the
+    diffusion part is zero); refused for a coefficient declared without Ito data."""
+    if not coeff.has_ito_data:
+        raise ProblemError(f"coefficient {coeff.kind!r} declared without Ito data")
+    t = np.asarray(t, dtype=float)
+    if coeff.kind == "constant":
+        return np.zeros_like(t)
+    if coeff.kind == "exponential":
+        c, gamma = coeff.params
+        return c * gamma * np.exp(gamma * t)
+    dcoeffs = tuple(k * c for k, c in enumerate(coeff.params))[1:] or (0.0,)
+    return np.polynomial.polynomial.polyval(t, dcoeffs)
+
+
 def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> Component:
     """One equation, reflected up off a floor (``lower``) or down off a cap.
 
-    ``driver`` has ``tabulate(times)`` (see ``model.Driver``); ``terminal`` is
+    ``driver`` is a ``model.Driver`` or a composite driver of the tests; its
+    rate is ``tabulate``'s, not the package's ``DriverTable``. ``terminal`` is
     a number or the horizon node values; ``barrier`` is a flat buffer of node
     values, or None for the unreflected equation (K = 0).
     """
     if barrier is None:
         barrier = np.full(backend.size, -np.inf if lower else np.inf)
-    tab, clip, off = driver.tabulate(backend.grid.times), np.maximum if lower else np.minimum, backend.offsets
+    tab, clip, off = tabulate(driver, backend.grid.times), np.maximum if lower else np.minimum, backend.offsets
     rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
     project = lambda ytilde, k: clip(ytilde, barrier[off[k] : off[k + 1]])  # noqa: E731
     terminal = np.full(backend.n_nodes(backend.grid.n_steps), terminal, dtype=float)
@@ -73,8 +118,8 @@ class _ShiftedDriver:
         self.base, self.b_coeff = base, b_coeff
 
     def tabulate(self, times):
-        base = self.base.tabulate(times)
-        b, db = np.asarray(self.b_coeff(times)), np.asarray(self.b_coeff.derivative(times))
+        base = tabulate(self.base, times)
+        b, db = np.asarray(self.b_coeff(times)), derivative(self.b_coeff, times)
         return lambda k, x, l, z: base(k, x, l - b[k], z) - db[k]
 
 
@@ -88,7 +133,7 @@ class _MinDriver:
         return self.tabulate(t)(..., x, y, z)
 
     def tabulate(self, times):
-        rates = [d.tabulate(times) for d in self.drivers]
+        rates = [tabulate(d, times) for d in self.drivers]
         return lambda k, x, y, z: np.minimum.reduce([rate(k, x, y, z) for rate in rates])
 
 

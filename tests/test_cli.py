@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -351,6 +352,19 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: n_paths must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend", ["deterministic", "binomial"])
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys, monkeypatch, backend):
+        def no_solve(*_args, **_kwargs):
+            pytest.fail("simulate solved a problem whose seed it refuses")
+
+        monkeypatch.setattr(cli, "solve_system", no_solve)
+        path = write_doc(tmp_path, switching_doc())
+        out = tmp_path / "sim"
+        args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20", "--seed", "-1"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestCheckAssumptionsCommand:
     def test_valid_problem_passes(self, tmp_path, capsys):
@@ -423,6 +437,19 @@ class TestSurfaceRoundTrip:
             read_surface_csv(path, be)
         path.write_text("".join(lines[:2] + lines[3:]))  # drop (1, 0), the second node
         with pytest.raises(ValueError, match="step 1, node 0 is missing"):
+            read_surface_csv(path, be)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: lines[1:], 1),  # no header: the first data row is read as one
+        (lambda lines: ["step,node\r\n", *lines[1:]], 1),  # a missing column
+        (lambda lines: [*lines[:3], "1,1\r\n", *lines[4:]], 4),  # a short row
+        (lambda lines: [*lines[:2], "1,0,abc\r\n", *lines[3:]], 3),  # a field that is not a number
+    ], ids=["no-header", "missing-column", "short-row", "not-a-number"])
+    def test_malformed_file_names_the_path_and_line(self, tmp_path, edit, line):
+        be = Lattice("binomial", TimeGrid(4, 1.0))
+        path, lines = self.written_lines(tmp_path, be)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
             read_surface_csv(path, be)
 
     def test_repeated_or_stray_row_is_named(self, tmp_path):

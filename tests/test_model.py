@@ -21,6 +21,7 @@ from modeswitch.model import (
 from modeswitch.scheme import solve_system
 
 from conftest import bin_backend, build_problem, det_backend, driver_rate, remark_problem
+from picard_reference import derivative, tabulate
 
 
 def block(y):
@@ -38,18 +39,18 @@ class TestCoefficientFunction:
         f = CoefficientFunction.constant(2.5)
         assert f(0.0) == 2.5
         assert f(1.7) == 2.5
-        assert f.derivative(0.3) == 0.0
+        assert derivative(f, 0.3) == 0.0
 
     def test_exponential(self):
         f = CoefficientFunction.exponential(1.0, -4.0)
         assert f(0.0) == pytest.approx(1.0)
         assert f(1.0) == pytest.approx(np.exp(-4.0))
-        assert f.derivative(0.5) == pytest.approx(-4.0 * np.exp(-2.0))
+        assert derivative(f, 0.5) == pytest.approx(-4.0 * np.exp(-2.0))
 
     def test_polynomial(self):
         f = CoefficientFunction.polynomial([1.0, 2.0, 3.0])
         assert f(2.0) == pytest.approx(1 + 4 + 12)
-        assert f.derivative(2.0) == pytest.approx(2 + 12)
+        assert derivative(f, 2.0) == pytest.approx(2 + 12)
 
     def test_vectorized_evaluation(self):
         f = CoefficientFunction.exponential(2.0, 1.0)
@@ -60,7 +61,7 @@ class TestCoefficientFunction:
         f = CoefficientFunction.constant(1.0, has_ito_data=False)
         assert f(0.0) == 1.0
         with pytest.raises(ProblemError):
-            f.derivative(0.0)
+            derivative(f, 0.0)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ProblemError):
@@ -84,15 +85,21 @@ class TestDriver:
         [CoefficientFunction.exponential(0.7, -1.3), CoefficientFunction.polynomial((0.2, -1.1, 0.4))],
     )
     def test_tabulated_rate_equals_the_call_bit_for_bit(self, n, c0):
-        # the backward pass reads c0 from one table on the grid times, with
-        # the bits of c0 called at each time alone
-        d = Driver(1, PLUS, c0, c1=0.3, c2=-0.2, state_feature="x")
-        times = TimeGrid(n, 1.0).times
-        rate = d.tabulate(times)
-        x, y, z = np.array([0.5, -0.5]), np.array([1.2, -0.7]), np.array([0.1, 0.3])
-        for k in range(n + 1):
-            expected = c0(times[k]) * x + d.c1 * y + d.c2 * z
-            np.testing.assert_array_equal(rate(k, x, y, z), expected)
+        # the backward pass reads c0 through DriverTable.rate, from one table
+        # on the grid times, with the bits of c0 called at each time alone, on
+        # one scalar; the state-scaled rows on the binomial lattice at small n
+        lattice = Lattice("binomial" if n <= 400 else "deterministic", TimeGrid(n, 1.0))
+        features, c1, c2 = dict(zip(COMPONENTS, ("x", "one", "x", "one"))), 0.3, -0.2
+        drivers = {(side, mode): Driver(mode, side, c0, c1, c2, features[(side, mode)]) for side, mode in COMPONENTS}
+        table = build_problem(drivers=drivers).driver_table(lattice)
+        y, z = np.random.default_rng(11).normal(size=(2, 2, 2, lattice.size))
+        for k, t in enumerate(lattice.grid.times.tolist()):
+            here, x = slice(lattice.offsets[k], lattice.offsets[k + 1]), lattice.state(k)
+            rate = table.rate(here, y[..., here], z[..., here])
+            for key, index in zip(COMPONENTS, np.ndindex(2, 2)):
+                base = c0(t) * x if features[key] == "x" else c0(t)
+                expected = base + c1 * y[index][here] + c2 * z[index][here]
+                assert rate[index].tobytes() == expected.tobytes(), (k, key)
 
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
     def test_stacked_rate_equals_each_tabulated_rate_bit_for_bit(self, kind):
@@ -116,7 +123,7 @@ class TestDriver:
             here = slice(lattice.offsets[k], lattice.offsets[k + 1])
             stacked = table.rate(here, y[..., here], z[..., here])
             for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
-                rate = drivers[(side, mode)].tabulate(lattice.grid.times)
+                rate = tabulate(drivers[(side, mode)], lattice.grid.times)
                 one = rate(k, lattice.state(k), y[index][here], z[index][here])
                 assert stacked[index].tobytes() == one.tobytes(), (k, side, mode)
 

@@ -129,7 +129,8 @@ def sweep_moves(solution) -> bool:
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0])
+    table = problem.driver_table(backend)
+    _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0], table)
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
@@ -139,7 +140,7 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
     with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0])
+        _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0], table)
 
 
 @given(admissible_problems(), KINDS, STEPS)

@@ -8,7 +8,7 @@ from modeswitch.rbsde import backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
 from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
-from picard_reference import reflect
+from picard_reference import reflect, tabulate
 
 
 def brute_force_optimal_stopping(payoff: np.ndarray, backend, depth: int) -> float:
@@ -133,7 +133,7 @@ class TestSolveRbsdeLower:
         T = 2.0
         be = det_backend(4, T)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        barrier = 1.0 - be.node_times / T
+        barrier = 1.0 - be.grid.times[be.step_of_node] / T
         sol = reflect(drv, 0.0, barrier, be)
         for k in range(4):
             assert float(at(sol.y, be, k)[0]) == pytest.approx(1.0 - be.grid.times[k] / T, abs=1e-15)
@@ -169,7 +169,7 @@ class TestSolveRbsdeUpper:
         T = 1.0
         be = det_backend(512, T)
         drv = Driver(1, MINUS, CoefficientFunction.constant(0.0), c1=2.0)
-        sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
+        sol = reflect(drv, 1.0, np.exp(T - be.grid.times[be.step_of_node]), be, lower=False)
         dt = be.grid.dt
         for k in range(0, 512, 50):
             assert float(at(sol.y, be, k)[0]) == pytest.approx(np.exp(T - be.grid.times[k]), abs=1e-12)
@@ -221,7 +221,7 @@ class _SumDriver:
         self.first, self.second = first, second
 
     def tabulate(self, times):
-        first, second = self.first.tabulate(times), self.second.tabulate(times)
+        first, second = tabulate(self.first, times), tabulate(self.second, times)
         return lambda k, x, y, z: first(k, x, y, z) + second(k, x, y, z)
 
 
@@ -232,7 +232,7 @@ class TestAprioriBound:
         energies = {}
         for n in (256, 512):
             be = det_backend(n, T)
-            sol = reflect(drv, 1.0, np.exp(T - be.node_times), be, lower=False)
+            sol = reflect(drv, 1.0, np.exp(T - be.grid.times[be.step_of_node]), be, lower=False)
             z_energy = sum(float(np.mean(at(sol.z, be, k) ** 2)) * be.grid.dt for k in range(n))
             energies[n] = np.max(np.abs(sol.y)) ** 2 + z_energy + sol.dk.sum() ** 2
         ratio = energies[512] / energies[256]
@@ -242,7 +242,7 @@ class TestAprioriBound:
 class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
-        payoff = 2.0 - be.node_times
+        payoff = 2.0 - be.grid.times[be.step_of_node]
         env, stops = snell_envelope(payoff, be)
         assert np.max(np.abs(env - payoff)) <= 1e-12
         for k in range(11):
@@ -322,8 +322,9 @@ class TestBlockPass:
         problem = build_problem(drivers=drivers, terminals=terminals)
         keep = lambda ytilde, k: ytilde  # noqa: E731
         x_T = backend.state(backend.grid.n_steps)
-        rate, terminal = problem.driver_table(backend).per_step(backend), problem.terminal_block(x_T)
-        block = backward_pass(rate, terminal, keep, backend)
+        table, off = problem.driver_table(backend), backend.offsets.tolist()
+        rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
+        block = backward_pass(rate, problem.terminal_block(x_T), keep, backend)
         for key in COMPONENTS:
             single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):

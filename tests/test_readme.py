@@ -1,7 +1,11 @@
 """The README's library quick start runs as written and prints the values its
-comments give, and every command line of its CLI section runs and exits 0."""
+comments give, every command line of its CLI section runs and exits 0, and
+the code its package section and docs/ name exists."""
 
+import importlib
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import modeswitch
 from modeswitch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +58,35 @@ def test_cli_block_runs_every_command(tmp_path, monkeypatch):
             i = args.index("--out") + 1
             args[i] = str(tmp_path / args[i])
         assert main(args) == 0, shlex.join(argv)
+
+
+def documented_names() -> list[tuple[str, str]]:
+    """Every backticked ``Class.attr`` or ``module.name`` (a call's arguments
+    aside) of the README's "What's here" section and of docs/*.md; file names
+    such as ``strategy.json`` are not names."""
+    readme = (ROOT / "README.md").read_text().split("## What's here\n", 1)[1].split("\n## ", 1)[0]
+    texts = [readme, *(path.read_text() for path in sorted((ROOT / "docs").glob("*.md")))]
+    spans = [span for text in texts for span in re.findall(r"`([^`]+)`", text)]
+    dotted = (re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span) for span in spans)
+    return [m.groups() for m, span in zip(dotted, spans) if m and not re.search(r"\.(json|csv|py|md)$", span)]
+
+
+def resolves(head: str, attr: str, modules: dict) -> bool:
+    """Whether ``head.attr`` is a name of the package: ``head`` a module of
+    ``modeswitch`` (or the package), or a class one of them defines."""
+    if head == "modeswitch":
+        return attr in modules or hasattr(modeswitch, attr)
+    if head in modules:
+        return hasattr(modules[head], attr)
+    classes = [vars(module)[head] for module in modules.values() if isinstance(vars(module).get(head), type)]
+    return any(hasattr(cls, attr) for cls in classes)
+
+
+def test_docs_name_only_code_that_exists():
+    modules = {
+        info.name: importlib.import_module(f"modeswitch.{info.name}") for info in pkgutil.iter_modules(modeswitch.__path__)
+    }
+    names = documented_names()
+    assert ("DriverTable", "rate") in names and ("model", "closure") in names  # the sections are read
+    checked = [(head, attr) for head, attr in names if head == "modeswitch" or head in modules or head[0].isupper()]
+    assert [f"{head}.{attr}" for head, attr in checked if not resolves(head, attr, modules)] == []

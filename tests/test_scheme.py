@@ -493,6 +493,14 @@ class TestStepKernelPinned:
     def test_push_is_the_certificates_euler_gap(self, path, kind, n):
         assert_certificate_premise(*self.case(path, kind, n))
 
+    @pytest.mark.parametrize("path, kind, n", CASES[:2])
+    def test_solve_builds_one_driver_table(self, path, kind, n, monkeypatch):
+        # the backward pass and the certificate read the same table
+        built, build = [], SwitchingProblem.driver_table
+        monkeypatch.setattr(SwitchingProblem, "driver_table", lambda *args: built.append(args) or build(*args))
+        solve_system(*self.case(path, kind, n))
+        assert len(built) == 1
+
 
 def half_sweeps(ytilde, costs, cap=500):
     """The projection as alternating Jacobi half sweeps, written out: both

@@ -29,7 +29,7 @@ from conftest import (
     driver_rate,
     smoke_problem,
 )
-from picard_reference import ConvergenceTrace, picard_system
+from picard_reference import ConvergenceTrace
 
 ROOT = Path(__file__).resolve().parents[1]
 SWITCHING_LATTICE = ROOT / "bench/problems/switching_lattice.json"
@@ -291,13 +291,15 @@ class TestSimulatePolicy:
         assert leg.action == SWITCH
         assert leg.value_gap == 0.0
 
-    def test_requires_converged_solution(self):
-        from test_scheme import multi_sweep_problem
-
-        solution, trace = picard_system(multi_sweep_problem(), det_backend(64), max_iter=1)
-        assert not trace.converged
-        with pytest.raises(ValueError, match="converged"):
-            simulate_policy(solution, n_paths=1, seed=0, start_mode=1)
+    @pytest.mark.parametrize("path, backend", [
+        (SWITCHING_LATTICE, det_backend(20)),
+        (SWITCHING_LATTICE, bin_backend(20)),
+        (COUNTEREXAMPLE, bin_backend(20)),  # both legs in contact at the root: nothing is drawn
+    ], ids=["switching-deterministic", "switching-binomial", "root-contact-binomial"])
+    def test_negative_seed_is_refused_on_every_backend(self, path, backend):
+        solution, _ = solve_system(load_problem(path), backend)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            simulate_policy(solution, n_paths=10, seed=-1, start_mode=1)
 
     def test_replay_rate_at_continuation_value(self):
         # hold to the horizon with profit rate y: the replay evaluates the rate
