@@ -27,7 +27,6 @@ _EXPORTS = {
             "COMPONENTS MINUS PLUS CoefficientFunction Driver ProblemError SwitchingProblem Terminal "
             "evaluate_obstacles validate_assumptions",
         ),
-        ("rbsde", "RbsdeSolution"),
         ("scheme", "BalanceSheetSolution LocalSweepError PassTrace SchemeError solve_system"),
         ("strategy", "StrategyReport classify_action extract_stopping_times simulate_policy"),
         (

@@ -45,12 +45,12 @@ def _ensure_outdir(args) -> Path:
     return out
 
 
-def _summary_payload(solution, args) -> dict:
+def _summary_payload(solution, trace, args) -> dict:
     return {
         "backend": args.backend,
         "steps": args.steps,
-        "max_local_sweeps": int(solution.trace.local_sweeps.max()),
-        "converged": solution.trace.converged,
+        "max_local_sweeps": int(trace.local_sweeps.max()),
+        "converged": trace.converged,
         "y0": {f"{side}_{mode}": solution.y0(side, mode) for side, mode in COMPONENTS},
     }
 
@@ -63,7 +63,7 @@ def cmd_solve(args) -> int:
         for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
             write_surface_csv(out / f"{name}_{side}_{mode}.csv", backend, block[row(side, mode)])
     write_trace_csv(out / "trace.csv", trace)
-    write_json(out / "summary.json", _summary_payload(solution, args))
+    write_json(out / "summary.json", _summary_payload(solution, trace, args))
     return EXIT_OK
 
 

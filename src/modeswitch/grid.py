@@ -30,6 +30,8 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an int, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
         if self.horizon <= 0:

@@ -175,6 +175,8 @@ class SwitchingProblem:
         for key in COMPONENTS:
             if key not in self.drivers:
                 raise ProblemError(f"missing driver for component {key}")
+            if (own := (self.drivers[key].side, self.drivers[key].mode)) != key:
+                raise ProblemError(f"the driver filed under component {key} is the driver of {own}")
             if key not in self.terminals:
                 raise ProblemError(f"missing terminal for component {key}")
         for name, pair in (("ell", self.ell), ("a", self.a), ("b", self.b)):
@@ -408,7 +410,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
             "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt",
             value=margin,
         )
-    for side, mode in COMPONENTS:  # the step guard of the explicit scheme (``rbsde``)
+    for side, mode in COMPONENTS:  # the step guard of the explicit scheme (``scheme.backward_pass``)
         step = grid.dt * problem.driver(side, mode).lipschitz
         detail = f"dt (|c1| + |c2|) < {STABILITY_LIMIT:g}; a larger time step is too coarse"
         report.add(f"A6 step size psi_{side}_{mode}", step < STABILITY_LIMIT, detail, value=step)

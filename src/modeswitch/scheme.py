@@ -21,7 +21,12 @@ sits inside its barrier, and every push dK = |Y - y~| meets it, as the
 pass's y~ is the certificate's Euler value bit for bit; so the constraint
 and complementarity relations need no check of their own.
 
-The solution is the pass's (side, mode, node) blocks of Y, Z and dK, read in place.
+``backward_pass`` is the pass, on any block of equations; a single reflected
+equation is its one-equation case, projected by a clip. The solution is one
+record, ``BalanceSheetSolution``: the problem, its lattice and the pass's
+(side, mode, node) blocks of Y, Z and dK, read in place. A sampled fixture
+family and surfaces read back from files are the same record, and every
+reader takes the record alone.
 
 The solve runs with numpy's overflow and invalid-value warnings off; a value
 or push that is not finite fails it with a ``ProblemError`` naming its step,
@@ -50,7 +55,6 @@ from .model import (
     row,
     validate_assumptions,
 )
-from .rbsde import backward_pass
 
 LOCAL_SWEEP_CAP = 500
 
@@ -73,22 +77,54 @@ class PassTrace:
 
 @dataclass(frozen=True)
 class BalanceSheetSolution:
-    """Converged system solution: the (side, mode, node) blocks of Y, Z and dK, plus metadata."""
+    """One solution of ``problem`` on ``backend``: the (side, mode, node)
+    blocks of Y, Z and dK, each shaped (2, 2, backend.size); dK at the horizon is zero."""
 
     problem: SwitchingProblem
     backend: Lattice
     y: np.ndarray
     z: np.ndarray
     dk: np.ndarray
-    trace: PassTrace
+
+    def __post_init__(self):
+        fits = (2, 2, self.backend.size)
+        for name in ("y", "z", "dk"):
+            if (shape := np.shape(getattr(self, name))) != fits:
+                raise ValueError(f"{name} is shaped {shape}, but its lattice needs {fits}")
 
     def y0(self, side: str, mode: int) -> float:
         return float(self.y[row(side, mode)][0])
 
 
-def system_obstacles(problem: SwitchingProblem, y: np.ndarray, backend: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """The barrier and switch blocks (``model.evaluate_obstacles``) implied by a (side, mode, node) block of Y."""
-    return evaluate_obstacles(y, problem.cost_table(backend.grid.times).at(backend.step_of_node))
+def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
+    backend = solution.backend
+    return evaluate_obstacles(solution.y, solution.problem.cost_table(backend.grid.times).at(backend.step_of_node))
+
+
+def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit backward Euler for a block of equations at once; returns its Y, Z and dK.
+
+    ``terminal`` holds the horizon values, nodes on the last axis; its
+    leading axes are the equations (none for one equation). ``rate(k, y, z)``
+    is the stacked driver: every equation's rate at the nodes of step k. Each
+    step reads E_k[Y_{k+1}] and Z_k from the block Y_{k+1} the step before
+    returned, forms the Euler values Y~_k = E_k[Y_{k+1}] + psi * dt, and
+    ``project(ytilde_k, k)`` returns the block Y_k; dK_k = |Y_k - Y~_k|, so a
+    push is nonzero only where Y_k is its barrier's own float. No step needs
+    a fixed point of its own. The step blocks are joined once at the end into
+    buffers shaped like ``terminal`` with the node axis widened to the lattice
+    size; dK is zero at the horizon.
+    """
+    dt, y = backend.grid.dt, terminal
+    blocks = [(y, np.zeros_like(y), y)]
+    for k in range(backend.grid.n_steps - 1, -1, -1):
+        e, z = backend.moments(y, k)
+        ytilde = e + rate(k, e, z) * dt
+        y = project(ytilde, k)
+        blocks.append((y, z, ytilde))
+    y, z, ytilde = (np.concatenate(field[::-1], axis=-1) for field in zip(*blocks))
+    return y, z, np.abs(np.subtract(y, ytilde, out=ytilde), out=ytilde)
 
 
 def _require_admissible(problem: SwitchingProblem, backend: Lattice):
@@ -172,9 +208,9 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     table, off = problem.driver_table(backend), backend.offsets.tolist()
     rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = backward_pass(rate, problem.terminal_block(backend.state(n)), project, backend)
-        solution = BalanceSheetSolution(problem, backend, *sol, PassTrace(rounds))
-        for block, what in ((sol.y, "value"), (sol.dk, "push")):  # a push is not finite where its Euler value is not
+        y, z, dk = backward_pass(rate, problem.terminal_block(backend.state(n)), project, backend)
+        for block, what in ((y, "value"), (dk, "push")):  # a push is not finite where its Euler value is not
             _require_finite(block, what, backend.locate)
-        _certify_fixed_point(solution, system_obstacles(problem, sol.y, backend)[0], table)
-    return solution, solution.trace
+        solution = BalanceSheetSolution(problem, backend, y, z, dk)
+        _certify_fixed_point(solution, system_obstacles(solution)[0], table)
+    return solution, PassTrace(rounds)

@@ -53,7 +53,7 @@ def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
 def contact_masks(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The ``stop_mask`` block against the barriers the solution implies, and
     the block of where a stop switches (``scheme.system_obstacles``); the replay reads both."""
-    barrier, switches = system_obstacles(solution.problem, solution.y, solution.backend)
+    barrier, switches = system_obstacles(solution)
     return stop_mask(solution.y, barrier, solution.backend), switches
 
 

@@ -3,9 +3,11 @@
 Houses the closed-form non-uniqueness fixture (two exact solutions of the same
 problem, one where the cost side carries the reflection mass and one where the
 profit side does), and an auditor that recomputes every defining relation of
-the system on the (side, mode, node) blocks of Y, Z and dK: per-step equation
-residuals, barrier inequalities, complementarity sums, increment signs, and
-the empirical reflection density. A sampled family is such a triple of blocks.
+the system on the (side, mode, node) blocks of Y, Z and dK of one
+``scheme.BalanceSheetSolution``: per-step equation residuals, barrier
+inequalities, complementarity sums, increment signs, and the empirical
+reflection density. A family sampled on a lattice is such a record of the
+fixture problem, as is a solve.
 
 The auditor reports, it never judges; thresholds are evaluated separately so
 the same numbers can back both CI gating and diagnostics.
@@ -31,8 +33,7 @@ from .model import (
     Terminal,
     by_side,
 )
-from .rbsde import RbsdeSolution
-from .scheme import system_obstacles
+from .scheme import BalanceSheetSolution, system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -109,14 +110,15 @@ class ClosedFormFamily:
             return np.zeros_like(t)
         return self.y(side, mode, t)
 
-    def sample(self, backend: Lattice) -> RbsdeSolution:
-        """Grid sampling as one (side, mode, node) solution triple; increments
-        use the trapezoid rule on the analytic reflection density."""
+    def sample(self, backend: Lattice) -> BalanceSheetSolution:
+        """Grid sampling as a solution record of ``counterexample_problem``;
+        increments use the trapezoid rule on the analytic reflection density."""
         times, at = backend.grid.times, backend.step_of_node
         y, dens = (np.array([[f(s, m, times) for m in MODES] for s in SIDES]) for f in (self.y, self.k_density))
         dk = np.zeros_like(dens)
         dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.grid.dt
-        return RbsdeSolution(y[..., at], np.zeros((2, 2, backend.size)), dk[..., at])
+        problem = counterexample_problem(self.horizon)
+        return BalanceSheetSolution(problem, backend, y[..., at], np.zeros((2, 2, backend.size)), dk[..., at])
 
 
 def closed_form_family(family_id: int, T: float) -> ClosedFormFamily:
@@ -183,20 +185,20 @@ class ResidualReport:
         }
 
 
-def audit_solution(candidate, problem: SwitchingProblem, backend: Lattice) -> ResidualReport:
-    """Recompute the system's defining relations for a candidate solution:
-    anything with (side, mode, node) blocks ``y``, ``z`` and ``dk``, such as
-    a ``BalanceSheetSolution`` or the ``RbsdeSolution`` of a sampled family.
+def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
+    """Recompute the system's defining relations for a candidate solution of
+    its problem: a solve, a sampled family or surfaces read back from files.
 
     The per-step residual is measured per unit time with the running rate
     evaluated at (t_k, midpoint of Y_k and E_k[Y_{k+1}], Z_k); on the lattice
     the equation is audited in conditional expectation, which drops the
     martingale increment term. Every relation is evaluated on the blocks.
     """
+    problem, backend = solution.problem, solution.backend
     dt, n = backend.grid.dt, backend.grid.n_steps
     before = slice(0, backend.offsets[n])
-    y, z, dk = candidate.y, candidate.z[..., before], candidate.dk
-    gaps = by_side("inside", y, system_obstacles(problem, y, backend)[0])
+    y, z, dk = solution.y, solution.z[..., before], solution.dk
+    gaps = by_side("inside", y, system_obstacles(solution)[0])
     sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.continuation(y)
     yk, dk_k = y[..., before], dk[..., before]
     psi = problem.driver_table(backend).rate(before, 0.5 * (yk + cont), z)
@@ -264,19 +266,8 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
         raise ValueError("horizon must be positive")
     if N < 100:
         raise ValueError("need N >= 100 for meaningful residual caps")
-    problem = counterexample_problem(T)
     backend = Lattice("deterministic", TimeGrid(N, T))
-    fam1 = closed_form_family(1, T).sample(backend)
-    fam2 = closed_form_family(2, T).sample(backend)
-    rep1 = audit_solution(fam1, problem, backend)
-    rep2 = audit_solution(fam2, problem, backend)
+    fam1, fam2 = (closed_form_family(fid, T).sample(backend) for fid in (1, 2))
     sup = float(np.max(np.abs(fam2.y - fam1.y)))
     below = float(np.max(fam1.y - fam2.y)) <= 1e-12
-    return NonUniquenessReport(
-        horizon=float(T),
-        n_steps=int(N),
-        report_family_1=rep1,
-        report_family_2=rep2,
-        sup_distance=sup,
-        family_1_below_family_2=below,
-    )
+    return NonUniquenessReport(float(T), int(N), audit_solution(fam1), audit_solution(fam2), sup, below)

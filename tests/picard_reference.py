@@ -8,7 +8,7 @@ cost pair first (stage-n barriers), then profit pair (barriers mixing the
 stage-n profit with the fresh stage-(n+1) cost). Its caps and floors are
 written out here rather than read from ``model``, so that it stays
 independent of what it checks, and each sweep asserts that no value drops.
-Every single equation is ``reflect``: the production ``rbsde.backward_pass``
+Every single equation is ``reflect``: the production ``scheme.backward_pass``
 with the driver's rate from ``tabulate``, projected by a clip against its
 barrier. ``tabulate`` writes the affine rate out apart from the package's
 ``DriverTable``, and ``derivative`` the drift of a cost coefficient, so the
@@ -37,8 +37,7 @@ from modeswitch.model import (
     SwitchingProblem,
     by_side,
 )
-from modeswitch.rbsde import backward_pass
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, backward_pass, system_obstacles
 from modeswitch.verify import skorokhod_sum
 
 # Pointwise slack for the order assertions (float noise only; the discrete
@@ -313,7 +312,7 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
             trace.converged = True
             break
 
-    solution = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")), trace)
+    solution = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
     if trace.converged:
-        _assert_system_constraints(solution, system_obstacles(problem, solution.y, backend)[0])
+        _assert_system_constraints(solution, system_obstacles(solution)[0])
     return solution, trace

@@ -48,14 +48,13 @@ def test_criterion_1_fixture_audit():
     """Both closed-form families pass the audit at N=2000 and the residuals
     halve when the grid doubles; the whole check runs in under 5 seconds."""
     t0 = time.perf_counter()
-    problem = counterexample_problem(1.0)
     residuals = {}
     ok = True
     details = []
     for n in (2000, 4000):
         backend = Lattice("deterministic", TimeGrid(n, 1.0))
         for fid in (1, 2):
-            rep = audit_solution(closed_form_family(fid, 1.0).sample(backend), problem, backend)
+            rep = audit_solution(closed_form_family(fid, 1.0).sample(backend))
             step = rep.max_over("max_step_residual")
             residuals[(n, fid)] = step
             if n == 2000:

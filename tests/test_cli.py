@@ -18,8 +18,7 @@ from modeswitch.cli import main
 from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
 from modeswitch.model import COMPONENTS, ProblemError, row
-from modeswitch.rbsde import RbsdeSolution
-from modeswitch.scheme import solve_system
+from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.verify import audit_solution, counterexample_problem
 
 from conftest import driver_rate
@@ -278,7 +277,7 @@ class TestSolveCommand:
         assert 50 <= summary["max_local_sweeps"] <= 500
         problem = load_problem(tmp_path / "creep-0.001.json")
         solution, _ = solve_system(problem, Lattice("deterministic", TimeGrid(100, 1.0)))
-        report = audit_solution(solution, problem, solution.backend)
+        report = audit_solution(solution)
         assert report.max_over("max_constraint_violation") <= 1e-10
         assert report.max_over("skorokhod_sum") <= 1e-8
         assert report.max_over("k_sign_violation") == 0.0
@@ -385,18 +384,18 @@ class TestSurfaceRoundTrip:
         problem = counterexample_problem(1.0)
         be = Lattice("deterministic", TimeGrid(300, 1.0))
         solution, _ = solve_system(problem, be)
-        original = audit_solution(solution, problem, be)
+        original = audit_solution(solution)
 
         fields = {"Y": "y", "Z": "z", "K": "dk"}
         for side, mode in COMPONENTS:
             for name, field in fields.items():
                 write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be, getattr(solution, field)[row(side, mode)])
 
-        reread = RbsdeSolution(*(
+        reread = BalanceSheetSolution(problem, be, *(
             np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be) for side, mode in COMPONENTS])
             .reshape(2, 2, -1) for name in fields
         ))
-        again = audit_solution(reread, problem, be)
+        again = audit_solution(reread)
         for key in COMPONENTS:
             a, b = original.components[key].as_dict(), again.components[key].as_dict()
             for name in a:
@@ -623,7 +622,7 @@ class TestImportScope:
             "missing = [name for name in modeswitch.__all__ if name not in globals()]\n"
             "print(json.dumps([before, missing, len(modeswitch.__all__)]))"
         )
-        assert json.loads(fresh_interpreter(code)) == [[], [], 28]
+        assert json.loads(fresh_interpreter(code)) == [[], [], 27]
         for name in modeswitch.__all__:
             module = importlib.import_module(f"modeswitch.{modeswitch._EXPORTS[name]}")
             assert getattr(modeswitch, name) is getattr(module, name), name

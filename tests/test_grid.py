@@ -21,6 +21,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(4, -1.0)
 
+    @pytest.mark.parametrize("n_steps", [2.5, float("nan"), True, 100.0])
+    def test_refuses_a_step_count_that_is_not_an_int(self, n_steps):
+        # past this check, numpy's cast of the lattice offsets would fail naming no field
+        with pytest.raises(ValueError, match=rf"^n_steps must be an int, got {n_steps!r}$"):
+            TimeGrid(n_steps, 1.0)
+        assert TimeGrid(np.int64(100), 1.0).dt == 0.01
+
     def test_unknown_backend_kind(self):
         with pytest.raises(ValueError):
             Lattice("trinomial", TimeGrid(4, 1.0))

@@ -314,3 +314,10 @@ class TestValidateAssumptions:
         for horizon in (float("nan"), float("inf"), 0.0):
             with pytest.raises(ProblemError, match="'horizon'"):
                 build_problem(horizon=horizon)
+
+    def test_driver_filed_under_another_component_is_refused(self):
+        # the solver reads a driver by its key alone, so a mismatch would solve silently
+        wrong = Driver(2, MINUS, CoefficientFunction.constant(0.0))
+        message = r"the driver filed under component \('plus', 1\) is the driver of \('minus', 2\)"
+        with pytest.raises(ProblemError, match=message):
+            build_problem(drivers={(PLUS, 1): wrong})

@@ -130,7 +130,7 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
     table = problem.driver_table(backend)
-    _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0], table)
+    _certify_fixed_point(solution, system_obstacles(solution)[0], table)
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
@@ -140,14 +140,14 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
     with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution, system_obstacles(problem, solution.y, backend)[0], table)
+        _certify_fixed_point(solution, system_obstacles(solution)[0], table)
 
 
 @given(admissible_problems(), KINDS, STEPS)
 def test_audit_relations_hold(problem, kind, steps):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    report = audit_solution(solution, problem, backend)
+    report = audit_solution(solution)
     caps = report.caps()
     for name in ("max_constraint_violation", "k_sign_violation", "skorokhod_sum"):
         assert report.max_over(name) <= caps[name], name
@@ -157,7 +157,7 @@ def test_audit_relations_hold(problem, kind, steps):
 def test_paths_stop_exactly_on_contact(problem, kind, steps):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    obstacles = system_obstacles(problem, solution.y, backend)[0]
+    obstacles = system_obstacles(solution)[0]
     horizon = np.arange(backend.size) >= backend.offsets[steps]
     stops, _ = contact_masks(solution)
     rows = (b.reshape(4, -1) for b in (stops, solution.y, obstacles, solution.dk))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal, row
-from modeswitch.rbsde import backward_pass
+from modeswitch.scheme import backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
 from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
@@ -324,10 +324,10 @@ class TestBlockPass:
         x_T = backend.state(backend.grid.n_steps)
         table, off = problem.driver_table(backend), backend.offsets.tolist()
         rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
-        block = backward_pass(rate, problem.terminal_block(x_T), keep, backend)
+        block = dict(zip(("y", "z", "dk"), backward_pass(rate, problem.terminal_block(x_T), keep, backend)))
         for key in COMPONENTS:
             single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):
-                assert getattr(block, field)[row(*key)].tobytes() == getattr(single, field).tobytes(), key
+                assert block[field][row(*key)].tobytes() == getattr(single, field).tobytes(), key
         # the solution is the pass's own (side, mode, node) buffers
-        assert all(field.shape == (2, 2, backend.size) and field.flags.c_contiguous for field in block)
+        assert all(field.shape == (2, 2, backend.size) and field.flags.c_contiguous for field in block.values())

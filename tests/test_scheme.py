@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from modeswitch import rbsde, scheme
+from modeswitch import scheme
 from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.io import load_problem
 from modeswitch.model import (
@@ -21,7 +21,7 @@ from modeswitch.model import (
     row,
     validate_assumptions,
 )
-from modeswitch.scheme import LocalSweepError, SchemeError, solve_system, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system, system_obstacles
 from modeswitch.verify import closed_form_family, counterexample_problem
 
 from conftest import (
@@ -295,7 +295,7 @@ class TestSolveSystem:
         be = bin_backend(64)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        report = audit_solution(solution, problem, be)
+        report = audit_solution(solution)
         assert report.max_over("max_constraint_violation") <= 1e-10
         assert report.max_over("skorokhod_sum") <= 1e-8
         assert report.max_over("k_sign_violation") == 0.0
@@ -360,7 +360,8 @@ class TestRandomizedMonotoneConvergence:
                 break
         assert delta < 1e-6
 
-        obstacles = system_obstacles(problem, current.stacked("y"), backend)[0].reshape(4, -1)
+        converged = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
+        obstacles = system_obstacles(converged)[0].reshape(4, -1)
         slack = 10 * delta + 1e-10
         for (side, mode), barrier in zip(COMPONENTS, obstacles):
             comp = current.sol[(side, mode)]
@@ -425,9 +426,9 @@ class TestOnePassAgainstPicard:
         one_pass = scheme.backward_pass
 
         def nudged(*args):
-            sol = one_pass(*args)
-            sol.y[0, 0, 0] += 1e-12
-            return sol
+            y, z, dk = one_pass(*args)
+            y[0, 0, 0] += 1e-12
+            return y, z, dk
 
         monkeypatch.setattr(scheme, "backward_pass", nudged)
         with pytest.raises(SchemeError, match=r"one Picard sweep would move \(plus,1\) at step 0, node 0 by"):
@@ -442,28 +443,24 @@ class TestOnePassAgainstPicard:
     )
     def test_solve_runs_one_backward_pass_and_no_sweep(self, path, kind, n, monkeypatch):
         assert not hasattr(scheme, "iterate_once")
-        calls = {}
-        for module, name in ((scheme, "backward_pass"), (rbsde, "backward_pass")):
-            label, real = f"{module.__name__}.{name}", getattr(module, name)
-            calls[label] = 0
+        calls, real = {"modeswitch.scheme.backward_pass": 0}, scheme.backward_pass
 
-            def counted(*args, _label=label, _real=real):
-                calls[_label] += 1
-                return _real(*args)
+        def counted(*args):
+            calls["modeswitch.scheme.backward_pass"] += 1
+            return real(*args)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(scheme, "backward_pass", counted)
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
         solve_system(problem, Lattice(kind, TimeGrid(n, problem.horizon)))
         assert calls == {
             "modeswitch.scheme.backward_pass": 1,
-            "modeswitch.rbsde.backward_pass": 0,
         }
 
     def test_complementarity_failure_names_the_largest_term(self):
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(100, problem.horizon)
         solution, _ = solve_system(problem, backend)
-        obstacles = system_obstacles(problem, solution.y, backend)[0]
+        obstacles = system_obstacles(solution)[0]
         k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
         solution.dk[0, 0, backend.offsets[k] + j] += 1.0
         with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
@@ -576,3 +573,15 @@ class TestProjection:
         costs = CostSlice(np.full((2, 3), 0.05), np.zeros((2, 3)), b)
         with pytest.raises(LocalSweepError, match=r"^did not converge at step 7, node 2: \(plus,1\) still moves by 1e-06$"):
             scheme._project(ytilde, costs, 7, np.zeros(8, dtype=int))
+
+
+class TestSolutionRecord:
+    @pytest.mark.parametrize("field", ["y", "z", "dk"])
+    def test_blocks_that_do_not_fit_the_lattice_are_refused(self, field):
+        # an N = 200 block on an N = 100 lattice would otherwise reach its readers and fail in numpy broadcasting
+        problem, backend = counterexample_problem(), det_backend(100)
+        blocks = {name: np.zeros((2, 2, backend.size)) for name in ("y", "z", "dk")}
+        blocks[field] = solve_system(problem, det_backend(200))[0].y
+        message = rf"^{field} is shaped \(2, 2, 201\), but its lattice needs \(2, 2, 101\)$"
+        with pytest.raises(ValueError, match=message):
+            BalanceSheetSolution(problem, backend, **blocks)

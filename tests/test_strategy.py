@@ -29,7 +29,6 @@ from conftest import (
     driver_rate,
     smoke_problem,
 )
-from picard_reference import ConvergenceTrace
 
 ROOT = Path(__file__).resolve().parents[1]
 SWITCHING_LATTICE = ROOT / "bench/problems/switching_lattice.json"
@@ -54,7 +53,6 @@ def given_solution(problem, backend, y):
         y=y,
         z=np.zeros_like(y),
         dk=np.zeros_like(y),
-        trace=ConvergenceTrace(tol=1e-8, deltas=[0.0], converged=True),
     )
 
 
@@ -140,7 +138,7 @@ class TestContactIsExact:
         # node per profit component at N = 100 whose gap to the barrier was
         # 2.53e-4: paths stopped there and collected S < Y
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
-        obstacles = system_obstacles(solution.problem, solution.y, solution.backend)[0]
+        obstacles = system_obstacles(solution)[0]
         horizon = solution.backend.offsets[100]
         masks, _ = contact_masks(solution)
         inside = solution.y[..., :horizon] != obstacles[..., :horizon]

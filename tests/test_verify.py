@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from modeswitch.model import COMPONENTS, MINUS, PLUS, validate_assumptions
-from modeswitch.rbsde import RbsdeSolution
-from modeswitch.scheme import solve_system
+from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.verify import (
     audit_solution,
     check_nonuniqueness,
@@ -88,28 +87,26 @@ class TestClosedFormFamilies:
 class TestAuditSolution:
     @pytest.mark.parametrize("fid", [1, 2])
     def test_families_pass_audit(self, fid):
-        problem = counterexample_problem(1.0)
         be = det_backend(500)
         candidate = closed_form_family(fid, 1.0).sample(be)
-        report = audit_solution(candidate, problem, be)
+        report = audit_solution(candidate)
         assert report.passed, report.failures()
         assert report.max_over("max_constraint_violation") <= 1e-12
         assert report.max_over("skorokhod_sum") <= 1e-10
         assert report.max_over("terminal_mismatch") <= 1e-12
 
     def test_residuals_scale_first_order(self):
-        problem = counterexample_problem(1.0)
         residuals = {}
         for n in (1000, 2000):
             be = det_backend(n)
             candidate = closed_form_family(1, 1.0).sample(be)
-            residuals[n] = audit_solution(candidate, problem, be).max_over("max_step_residual")
+            residuals[n] = audit_solution(candidate).max_over("max_step_residual")
         assert 0.4 <= residuals[2000] / residuals[1000] <= 0.6
 
     def test_zero_solution_audits_exactly_zero(self, zero_problem):
         be = det_backend(64)
-        candidate = RbsdeSolution(*np.zeros((3, 2, 2, be.size)))
-        report = audit_solution(candidate, zero_problem, be)
+        candidate = BalanceSheetSolution(zero_problem, be, *np.zeros((3, 2, 2, be.size)))
+        report = audit_solution(candidate)
         for key in COMPONENTS:
             res = report.components[key]
             assert res.max_step_residual == 0.0
@@ -123,24 +120,22 @@ class TestAuditSolution:
         problem = counterexample_problem(1.0)
         be = det_backend(500)
         solution, _ = solve_system(problem, be)
-        report = audit_solution(solution, problem, be)
+        report = audit_solution(solution)
         assert report.passed, report.failures()
         assert report.max_over("max_constraint_violation") <= 1e-12
         assert report.max_over("skorokhod_sum") <= 1e-10
 
     def test_tampered_family_detected(self):
-        problem = counterexample_problem(1.0)
         be = det_backend(500)
         candidate = closed_form_family(1, 1.0).sample(be)
         candidate.y[0, 0] *= 1.01  # (plus, 1)
-        report = audit_solution(candidate, problem, be)
+        report = audit_solution(candidate)
         assert not report.passed
         assert any("terminal_mismatch" in f for f in report.failures())
 
     def test_report_serialization(self):
-        problem = counterexample_problem(1.0)
         be = det_backend(200)
-        report = audit_solution(closed_form_family(1, 1.0).sample(be), problem, be)
+        report = audit_solution(closed_form_family(1, 1.0).sample(be))
         doc = report.as_dict()
         assert doc["passed"] is True
         assert "10x" in doc["threshold_note"]
@@ -164,12 +159,12 @@ class TestAuditSolution:
         be = Lattice("binomial", TimeGrid(32, 1.0))
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        clean = audit_solution(solution, problem, be).max_over("max_step_residual")
+        clean = audit_solution(solution).max_over("max_step_residual")
 
         z = solution.z.copy()
         z[0, 0] *= 2.0  # (plus, 1)
-        tampered = RbsdeSolution(solution.y, z, solution.dk)
-        dirty = audit_solution(tampered, problem, be).max_over("max_step_residual")
+        tampered = BalanceSheetSolution(problem, be, solution.y, z, solution.dk)
+        dirty = audit_solution(tampered).max_over("max_step_residual")
         assert dirty > 10 * max(clean, 1e-12)
 
     def test_binomial_audit_of_constant_problem(self, zero_problem):
@@ -177,8 +172,8 @@ class TestAuditSolution:
         from modeswitch.grid import Lattice, TimeGrid
 
         be = Lattice("binomial", TimeGrid(16, 1.0))
-        candidate = RbsdeSolution(*np.zeros((3, 2, 2, be.size)))
-        report = audit_solution(candidate, zero_problem, be)
+        candidate = BalanceSheetSolution(zero_problem, be, *np.zeros((3, 2, 2, be.size)))
+        report = audit_solution(candidate)
         assert report.passed
 
 
@@ -190,6 +185,10 @@ class TestNonUniqueness:
         assert report.sup_distance >= np.e**2 - np.e - 1e-9
         assert report.family_1_below_family_2
         assert report.distinct
+
+    def test_step_count_that_is_not_an_int_is_refused(self):
+        with pytest.raises(ValueError, match="n_steps must be an int, got 150.5"):
+            check_nonuniqueness(1.0, 150.5)
 
     def test_short_horizon_still_passes(self):
         report = check_nonuniqueness(0.1, 500)
