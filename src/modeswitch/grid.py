@@ -34,8 +34,8 @@ class TimeGrid:
             raise ValueError(f"n_steps must be an int, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < float("inf"):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
     @property
     def dt(self) -> float:
@@ -111,19 +111,3 @@ class Lattice:
     def martingale_increment(self, data: np.ndarray) -> np.ndarray:
         """The martingale projection of V_{k+1} at every node before the horizon, from flat buffers."""
         return (data[..., self._up] - data[..., self._up + self.down]) / self._twice_sqrt_dt
-
-    def sample_paths(self, n_paths: int, seed) -> np.ndarray:
-        """Node-index paths, shape (n_paths, N+1); entry k is the node at step k.
-
-        ``seed`` is a seed or a ``np.random.Generator``; drawing the rows of one
-        generator in several calls gives the rows of one call.
-        """
-        if n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if not self.down:
-            return np.zeros((n_paths, self.grid.n_steps + 1), dtype=np.int64)
-        paths = np.empty((n_paths, self.grid.n_steps + 1), dtype=np.int64)
-        paths[:, 0] = 0
-        downs = np.random.default_rng(seed).integers(0, 2, size=(n_paths, self.grid.n_steps), dtype=np.int64)
-        np.cumsum(downs, axis=1, out=paths[:, 1:])
-        return paths

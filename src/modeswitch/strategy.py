@@ -9,17 +9,17 @@ exact: the one-pass solver stores the barrier's own bits wherever it pushes,
 and its fixed-point certificate holds bit for bit, so a path stops where
 Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
 there, which is the barrier at contact and the terminal value at N.
-``first_stop`` reads the first stop along paths; ``extract_stopping_times``
-and the replay both use it. The replay accumulates the running yield by
-left-endpoint sums with the rate evaluated where and as the backward solver
-evaluates it (its driver table, at the continuation value E_k[Y_{k+1}]), to
-measure the realized value against Y_0. Paths are replayed in chunks against
-rows of the solution's blocks, so memory is bounded by the blocks and chunk,
-not paths x steps; a chunk is small enough to stay in a core's cache, and
-each of its gathers reads whole contiguous path rows. The replay works only
-where paths move: a leg whose root is in contact is decided by the barrier at
-the root alone and reports Y_0 exactly, and the whole-lattice tables are
-built, and paths drawn, only when a leg leaves its root.
+``first_stop`` reads the first stop along given paths for
+``extract_stopping_times``. The replay accumulates the running yield by
+left-endpoint sums, in step order, with the rate evaluated where and as the
+backward solver evaluates it (its driver table, at the continuation value
+E_k[Y_{k+1}]), to measure the realized value against Y_0. It walks forward
+one step at a time over the paths still live, so a path costs its stopping
+step, not N, and memory is bounded by the blocks and the paths, not paths x
+steps. The replay works only where paths move: a leg whose root is in
+contact is decided by the barrier at the root alone and reports Y_0 exactly,
+and the whole-lattice tables are built, and coins drawn, only when a leg
+leaves its root.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ SWITCH = "switch"
 TERMINATE = "terminate"
 HOLD = "hold-to-horizon"
 MIXED = "mixed"
-
-# Path steps replayed per chunk: the replay holds a few arrays of this size
-# at a time, whatever the path count. 2^16 steps keep a chunk's coins, paths,
-# rates and masks (about 1.7 MB) within a 2 MiB per-core cache.
-REPLAY_CELLS = 1 << 16
-
 
 def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
     """Flat boolean mask (or block of them) of where a path of one component
@@ -130,53 +124,24 @@ class StrategyReport:
         return asdict(self)
 
 
-class _Leg:
-    """Node tables of one leg that leaves its root, and the realized value and
-    stopping step of every path replayed so far."""
-
-    def __init__(self, side, mode, grid, tables, rows):
-        """``tables``: the leg's stop mask (closed at the horizon), switch table,
-        running rate before the horizon, and Y, collected where a path stops
-        (the barrier's bits at contact, the terminal value's at the horizon)."""
-        self.side, self.mode, self.n, self.dt = side, mode, grid.n_steps, grid.dt
-        self.stop_here, self.prefer_switch, rate, self.payoff = tables
-        # The rate padded with zeros at the horizon nodes, so a whole path row gathers it.
-        self.rate = np.zeros_like(self.payoff)
-        self.rate[: rate.size] = rate
-        self.steps = np.arange(self.n + 1)
-        self.tau = np.empty(rows, dtype=np.int64)
-        self.realized = np.empty(rows)
-        self.actions = set()
-
-    def replay(self, flat, first: int):
-        """Replay paths given as flat node indices, shape (rows, N+1), as rows
-        ``first``, ... : every path leaves its root, so every row is summed,
-        over its first N steps."""
-        tau = first_stop(self.stop_here, flat)
-        stop = flat[np.arange(len(flat)), tau]
-        running = self.rate[flat]
-        running *= self.steps < tau[:, None]
-        rows = slice(first, first + len(flat))
-        self.tau[rows] = tau
-        self.realized[rows] = np.sum(running[:, : self.n], axis=1) * self.dt + self.payoff[stop]
-        stopped = tau < self.n
-        prefer_switch = self.prefer_switch[stop[stopped]]
-        seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
-        self.actions.update(name for name, found in seen if found)
-
-    def report(self, y0: float) -> LegReport:
-        rows = self.realized.size
-        mean = float(np.mean(self.realized))
-        std_error = float(np.std(self.realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0
-        return LegReport(
-            side=self.side,
-            mode=self.mode,
-            stop_step=float(np.mean(self.tau)),
-            action=next(iter(self.actions)) if len(self.actions) == 1 else MIXED,
-            realized=mean,
-            value_gap=abs(mean - y0),
-            std_error=std_error,
-        )
+def _leg_report(side, mode, n, tau, realized, switched, y0) -> LegReport:
+    """A moving leg's report from the stopping step, realized value and switch
+    flag of each of its paths."""
+    stopped = tau < n
+    prefer_switch = switched[stopped]
+    seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
+    actions = [name for name, found in seen if found]
+    mean = float(np.mean(realized))
+    rows = realized.size
+    return LegReport(
+        side=side,
+        mode=mode,
+        stop_step=float(np.mean(tau)),
+        action=actions[0] if len(actions) == 1 else MIXED,
+        realized=mean,
+        value_gap=abs(mean - y0),
+        std_error=float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
+    )
 
 
 def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, start_mode: int) -> StrategyReport:
@@ -188,13 +153,17 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     running cost. The report carries the Monte Carlo gap to the solved Y_0
     per leg.
 
-    Paths are drawn from one generator and replayed in chunks of
-    ``REPLAY_CELLS`` path steps, so memory does not grow with paths x steps.
-    Every path of the width-1 lattice is the same path, so it replays one.
-    A leg whose root is in contact is decided at the root alone, by
+    The moving legs walk forward together, one step at a time, over the
+    (leg, path) pairs still live: a pair that meets its stop mask records its
+    step, its sum and its branch and leaves the walk, so the work grows with
+    paths x (mean stopping step) and the memory with paths. At step k one
+    generator draws ``ceil(paths / 8)`` bytes, unpacked into one coin per
+    path (1 moves down), which every leg's pair on that path reads. Every
+    path of the width-1 lattice is the same path, so it replays one and draws
+    nothing. A leg whose root is in contact is decided at the root alone, by
     ``model.evaluate_obstacles`` on the root values and the costs of step 0:
     every path stops there and collects Y_0, so it reports Y_0 exactly and
-    reads no path. The node tables are built, and paths drawn, only when a
+    reads no path. The node tables are built, and coins drawn, only when a
     leg leaves its root.
     """
     if start_mode not in (1, 2):
@@ -211,20 +180,44 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
         for s, side in enumerate(SIDES)
         if root[s, m] == barrier[s, m]
     }
-    if len(reports) < len(SIDES):
-        rows = n_paths if backend.down else 1
-        chunk = max(1, REPLAY_CELLS // backend.grid.n_steps)
-        before = slice(0, backend.offsets[backend.grid.n_steps])
+    moving = [s for s, side in enumerate(SIDES) if side not in reports]
+    if moving:
+        n, dt, down, legs = backend.grid.n_steps, backend.grid.dt, backend.down, len(moving)
+        rows = n_paths if down else 1
+        before = slice(0, backend.offsets[n])
         # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
         table, y = DriverTable(*(f[:, m] for f in problem.driver_table(backend))), solution.y[:, m]
         rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
-        tables = zip(*(t[:, m] for t in contact_masks(solution)), rates, y)
-        legs = [_Leg(side, start_mode, backend.grid, t, rows) for side, t in zip(SIDES, tables) if side not in reports]
-        rng = np.random.default_rng(seed) if backend.down else None  # the width-1 lattice draws nothing
-        for first in range(0, rows, chunk):
-            flat = backend.sample_paths(min(chunk, rows - first), rng)
-            flat += backend.offsets[:-1]  # node index -> flat index, in place
-            for leg in legs:
-                leg.replay(flat, first)
-        reports.update((leg.side, leg.report(solution.y0(leg.side, start_mode))) for leg in legs)
+        # Node-major tables: leg l at flat node i reads entry i * legs + l. The
+        # stop mask is closed at the horizon, so no live pair reads a rate there.
+        stop_here, prefer_switch, rate, payoff = (
+            np.ravel(t[moving], order="F") for t in (*(b[:, m] for b in contact_masks(solution)), rates, y)
+        )
+        # Live pairs: output slot l * rows + path, table index, running sum.
+        slot = np.arange(legs * rows)
+        flat, acc = slot // rows, np.zeros(legs * rows)
+        tau, realized, switched = np.empty(slot.size, dtype=np.int64), np.empty(slot.size), np.empty(slot.size, bool)
+        coins = np.empty((legs, rows), dtype=np.intp)  # every leg's pair on a path reads the path's coin
+        rng = np.random.default_rng(seed) if down else None  # the width-1 lattice draws nothing
+        for k in range(n + 1):
+            stop = stop_here[flat]
+            if stop.any():
+                done, at = slot[stop], flat[stop]
+                tau[done], realized[done], switched[done] = k, acc[stop] * dt + payoff[at], prefer_switch[at]
+                live = ~stop
+                slot, flat, acc = slot[live], flat[live], acc[live]
+                if not slot.size:
+                    break
+            acc += rate[flat]
+            flat += legs * (1 + down * k)
+            if rng is not None:
+                bits = np.unpackbits(np.frombuffer(rng.bytes(-(-rows // 8)), dtype=np.uint8), count=rows)
+                np.multiply(bits, legs, out=coins)
+                flat += coins.take(slot)
+        for l, s in enumerate(moving):
+            path = slice(l * rows, (l + 1) * rows)
+            side = SIDES[s]
+            reports[side] = _leg_report(
+                side, start_mode, n, tau[path], realized[path], switched[path], solution.y0(side, start_mode)
+            )
     return StrategyReport(start_mode, n_paths, seed, legs={side: reports[side] for side in SIDES})

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modeswitch import strategy
 from modeswitch.grid import Lattice, TimeGrid
 from modeswitch.model import (
     COMPONENTS,
@@ -200,61 +199,74 @@ def assert_certificate_premise(problem, backend):
     assert (dk[..., end:] == 0.0).all()
 
 
+def sample_paths(lattice, n_paths, seed):
+    """Node-index paths, shape (n_paths, N+1), of the replay's coin stream;
+    entry k is the node at step k.
+
+    ``seed`` is a seed or a ``np.random.Generator``. Step k draws
+    ``ceil(n_paths / 8)`` bytes and unpacks them, most significant bit first,
+    into one coin per path: 1 moves down (the node index grows by one), 0 up.
+    The width-1 lattice draws nothing.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    n = lattice.grid.n_steps
+    paths = np.zeros((n_paths, n + 1), dtype=np.int64)
+    if lattice.down:
+        rng = np.random.default_rng(seed)
+        for k in range(n):
+            coins = np.unpackbits(np.frombuffer(rng.bytes(-(-n_paths // 8)), dtype=np.uint8), count=n_paths)
+            paths[:, k + 1] = paths[:, k] + coins
+    return paths
+
+
 def pinned_replay(solution, n_paths, seed, start_mode):
-    """The policy replay written out with strided rate gathers and its own draw.
+    """The policy replay written out over whole paths, with its own draw.
 
     A leg whose root is in contact (its stop mask at flat index 0) reports
     Y_0 with zero gap, error and stopping step, and the action of the switch
-    table at the root. A leg that leaves its root reads every path of every
-    chunk of ``strategy.REPLAY_CELLS`` path steps: the first stop along the
-    full row, the running rate gathered at its first N steps, the steps at and
-    after the stop zeroed (``< tau``), and those N steps summed. Each chunk's
-    coins are drawn here from one generator, ``integers(0, 2)`` as int64, and
-    summed along the path into node indices. Returns the report in the form
-    of ``StrategyReport.as_dict``."""
+    table at the root. A leg that leaves its root reads every path whole: the
+    paths of ``sample_paths`` drawn from a generator of its own, the first
+    stop along each full row, the running rate gathered at its first N steps
+    with the steps at and after the stop zeroed (``< tau``), and those N
+    steps summed in step order from +0.0 (adding a zeroed step leaves the
+    sum's bits as they are). Returns the report in the form of
+    ``StrategyReport.as_dict``."""
     backend, m = solution.backend, start_mode - 1
     n, dt = backend.grid.n_steps, backend.grid.dt
     rows = n_paths if backend.down else 1
-    chunk = max(1, strategy.REPLAY_CELLS // n)
     before = slice(0, backend.offsets[n])
     table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
     rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))
-    moving = [s for s in range(2) if not stops[s][0]]
-    tau, realized, actions = np.empty((2, rows), dtype=np.int64), np.empty((2, rows)), (set(), set())
-    rng = np.random.default_rng(seed)
-    for first in range(0, rows if moving else 0, chunk):
-        paths = np.zeros((min(chunk, rows - first), n + 1), dtype=np.int64)
-        if backend.down:
-            paths[:, 1:] = np.cumsum(rng.integers(0, 2, size=(len(paths), n), dtype=np.int64), axis=1)
-        flat = paths + backend.offsets[:-1]
-        here = slice(first, first + len(flat))
-        for s in moving:
-            t = np.argmax(stops[s][flat], axis=-1)
-            stop = flat[np.arange(len(flat)), t]
-            running = rates[s][flat[:, :n]]
-            running *= np.arange(n)[None, :] < t[:, None]
-            tau[s, here] = t
-            realized[s, here] = np.sum(running, axis=1) * dt + y[s][stop]
-            stopped = t < n
-            prefer = switches[s][stop[stopped]]
-            seen = ((HOLD, not stopped.all()), (SWITCH, prefer.any()), (TERMINATE, not prefer.all()))
-            actions[s].update(name for name, found in seen if found)
+    flat = sample_paths(backend, rows, seed) + backend.offsets[:-1]
     legs = {}
     for s, side in enumerate(SIDES):
         y0 = float(y[s][0])
-        if s in moving:
-            mean = float(np.mean(realized[s]))
-            leg = {
-                "stop_step": float(np.mean(tau[s])),
-                "action": next(iter(actions[s])) if len(actions[s]) == 1 else MIXED,
-                "realized": mean,
-                "value_gap": abs(mean - y0),
-                "std_error": float(np.std(realized[s], ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
-            }
-        else:
+        if stops[s][0]:
             action = SWITCH if switches[s][0] else TERMINATE
             leg = {"stop_step": 0.0, "action": action, "realized": y0, "value_gap": 0.0, "std_error": 0.0}
+        else:
+            tau = np.argmax(stops[s][flat], axis=-1)
+            stop = flat[np.arange(rows), tau]
+            running = rates[s][flat[:, :n]]
+            running *= np.arange(n)[None, :] < tau[:, None]
+            total = np.zeros(rows)
+            for k in range(n):
+                total += running[:, k]
+            realized = total * dt + y[s][stop]
+            stopped = tau < n
+            prefer = switches[s][stop[stopped]]
+            seen = ((HOLD, not stopped.all()), (SWITCH, prefer.any()), (TERMINATE, not prefer.all()))
+            actions = [name for name, found in seen if found]
+            mean = float(np.mean(realized))
+            leg = {
+                "stop_step": float(np.mean(tau)),
+                "action": actions[0] if len(actions) == 1 else MIXED,
+                "realized": mean,
+                "value_gap": abs(mean - y0),
+                "std_error": float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
+            }
         legs[side] = {"side": side, "mode": start_mode, **leg}
     return {"start_mode": start_mode, "n_paths": n_paths, "seed": seed, "legs": legs}
 

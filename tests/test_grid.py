@@ -5,7 +5,7 @@ import pytest
 
 from modeswitch.grid import Lattice, TimeGrid
 
-from conftest import at, bin_backend, det_backend
+from conftest import at, bin_backend, det_backend, sample_paths
 
 
 class TestTimeGrid:
@@ -20,6 +20,12 @@ class TestTimeGrid:
             TimeGrid(0, 1.0)
         with pytest.raises(ValueError):
             TimeGrid(4, -1.0)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_refuses_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        # nan passed a bare `horizon <= 0` check and built an all-nan lattice
+        with pytest.raises(ValueError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
+            TimeGrid(10, horizon)
 
     @pytest.mark.parametrize("n_steps", [2.5, float("nan"), True, 100.0])
     def test_refuses_a_step_count_that_is_not_an_int(self, n_steps):
@@ -142,51 +148,55 @@ class TestMartingaleProjection:
 
 
 class TestSamplePaths:
+    """``conftest.sample_paths``: the replay's coin stream, written out as whole paths."""
+
     def test_deterministic_single_trivial_path(self):
         be = det_backend(5)
-        paths = be.sample_paths(3, seed=99)
+        paths = sample_paths(be, 3, seed=99)
         assert paths.shape == (3, 6)
         assert np.all(paths == 0)
 
     def test_reproducible_given_seed(self):
         be = bin_backend(20)
-        a = be.sample_paths(50, seed=123)
-        b = be.sample_paths(50, seed=123)
+        a = sample_paths(be, 50, seed=123)
+        b = sample_paths(be, 50, seed=123)
         np.testing.assert_array_equal(a, b)
-        c = be.sample_paths(50, seed=124)
+        c = sample_paths(be, 50, seed=124)
         assert not np.array_equal(a, c)
 
     def test_paths_follow_lattice_transitions(self):
         be = bin_backend(10)
-        paths = be.sample_paths(200, seed=1)
+        paths = sample_paths(be, 200, seed=1)
         steps = np.diff(paths, axis=1)
         assert set(np.unique(steps)) <= {0, 1}
         assert np.all(paths[:, 0] == 0)
 
     def test_up_fraction_near_half(self):
         be = bin_backend(4)
-        paths = be.sample_paths(100_000, seed=2024)
+        paths = sample_paths(be, 100_000, seed=2024)
         up_fraction = np.mean(paths[:, 1] == 0)
         assert abs(up_fraction - 0.5) < 0.01
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
-            bin_backend(4).sample_paths(0, seed=1)
+            sample_paths(bin_backend(4), 0, seed=1)
 
     @pytest.mark.parametrize("n", [25, 101])
-    def test_chained_draws_equal_one_written_out_draw(self, n):
-        # every call draws an odd number of coins (rows x N), so a call ends
-        # inside the generator's buffered 64-bit word and the next call resumes it
-        be, rows = bin_backend(n), (1, 7, 3001)
+    def test_each_step_reads_one_byte_string_of_the_stream(self, n):
+        # 13 paths: step k reads 2 bytes; path r moves down when bit 7 - r % 8
+        # of byte r // 8 is set, and the last 3 bits of each step go unread
+        be, rows = bin_backend(n), 13
         rng, written = np.random.default_rng(17), np.random.default_rng(17)
-        chained = np.concatenate([be.sample_paths(count, rng) for count in rows])
-        downs = written.integers(0, 2, size=(sum(rows), n), dtype=np.int64)
-        expected = np.zeros((sum(rows), n + 1), dtype=np.int64)
-        expected[:, 1:] = np.cumsum(downs, axis=1)
-        np.testing.assert_array_equal(chained, expected)
-        assert chained.dtype == np.int64
+        paths = sample_paths(be, rows, rng)
+        for k in range(n):
+            step = written.bytes(2)
+            downs = [(step[r // 8] >> (7 - r % 8)) & 1 for r in range(rows)]
+            np.testing.assert_array_equal(paths[:, k + 1] - paths[:, k], downs)
         # a later draw continues the same stream
-        np.testing.assert_array_equal(rng.integers(0, 2, size=9), written.integers(0, 2, size=9))
+        assert rng.bytes(9) == written.bytes(9)
+        # the first steps of the first paths from seed 17, pinned
+        pinned = [[0, 0, 0, 0, 0, 0, 1, 1], [0, 1, 2, 3, 4, 5, 5, 6], [0, 1, 1, 1, 1, 1, 2, 3]]
+        np.testing.assert_array_equal(sample_paths(be, rows, 17)[:3, :8], pinned)
 
 
 class TestFieldSurface:

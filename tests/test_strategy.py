@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from modeswitch import strategy
-from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, evaluate_obstacles, row
 from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
@@ -333,20 +332,15 @@ class TestStreamingReplay:
             assert report.leg(side).std_error == 0.0
             assert report.leg(side).value_gap == 0.0
 
-    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
-        # 7 rows: many chunks and a partial last one; 1 row: one path per
-        # chunk; 40000 rows: one chunk larger than the path count
-        n = 25
-        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
-        default_rows = strategy.REPLAY_CELLS // n
-        for rows_per_chunk, n_paths in ((7, 30001), (1, 2001), (40000, 30001)):
-            assert n_paths % default_rows
-            for mode in (1, 2):
-                default = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
-                with monkeypatch.context() as patched:
-                    patched.setattr(strategy, "REPLAY_CELLS", rows_per_chunk * n)
-                    patched_report = simulate_policy(solution, n_paths=n_paths, seed=2, start_mode=mode).as_dict()
-                assert patched_report == default, (rows_per_chunk, mode)
+    def test_the_seed_alone_fixes_the_report(self):
+        # the profit leg moves in both modes: one seed gives one report, another seed another
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(25))
+        for mode in (1, 2):
+            first, again, other = (
+                simulate_policy(solution, n_paths=3001, seed=seed, start_mode=mode).as_dict() for seed in (2, 2, 3)
+            )
+            assert first == again and repr(first) == repr(again), mode
+            assert first["legs"][PLUS]["realized"] != other["legs"][PLUS]["realized"], mode
 
     def test_replay_memory_does_not_grow_with_paths(self):
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
@@ -359,6 +353,47 @@ class TestStreamingReplay:
         assert peak < 40e6
 
 
+def stopping_step_moments(solution, mode):
+    """E[tau] and E[tau^2] at the root of each side's leg from ``mode``, by the
+    backward recursion on its stop mask: k at a stop node at step k, else the
+    conditional expectation of the next step's values."""
+    backend, n = solution.backend, solution.backend.grid.n_steps
+    stops = contact_masks(solution)[0][:, mode - 1]
+    steps = np.broadcast_to(backend.step_of_node.astype(float), stops.shape)
+    moments = [np.where(stops, steps, 0.0), np.where(stops, steps**2, 0.0)]
+    for k in range(n - 1, -1, -1):
+        here = at(stops, backend, k)
+        for table in moments:
+            carried = backend.moments(at(table, backend, k + 1), k)[0]
+            at(table, backend, k)[:] = np.where(here, at(table, backend, k), carried)
+    return moments[0][:, 0], moments[1][:, 0]
+
+
+class TestReplayAgainstExactMeans:
+    """Checks that hold for any fair coin stream: Y_0 is the exact mean of the
+    realized value (the replay's recursion reproduces Y bit for bit), and the
+    stop mask's backward recursion gives the exact mean stopping step."""
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_moving_legs_realize_y0_and_the_mean_stopping_step(self, mode):
+        n_paths = 100_000
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
+        mean_tau, mean_tau_sq = stopping_step_moments(solution, mode)
+        # the cost leg stops at the root in mode 1 and holds to the horizon in
+        # mode 2, where every path collects the same value up to rounding, so
+        # only the profit leg's realized value has a Monte Carlo error
+        stops = contact_masks(solution)[0][:, mode - 1]
+        moving = [s for s in range(2) if not stops[s][0]]
+        assert moving == ([0] if mode == 1 else [0, 1])
+        for seed in range(10):
+            report = simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=mode)
+            profit = report.leg(PLUS)
+            assert abs(profit.realized - solution.y0(PLUS, mode)) <= 4.5 * profit.std_error, seed
+            for s in moving:
+                tau_error = np.sqrt((mean_tau_sq[s] - mean_tau[s] ** 2) / n_paths)
+                assert abs(report.leg(SIDES[s]).stop_step - mean_tau[s]) <= 5 * tau_error, (SIDES[s], seed)
+
+
 class TestPinnedReplay:
     """The replay against ``conftest.pinned_replay``, which reads every path on every leg."""
 
@@ -366,7 +401,7 @@ class TestPinnedReplay:
     @pytest.mark.parametrize("mode", [1, 2])
     def test_switching_lattice(self, n, n_paths, mode):
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
-        assert n_paths % (strategy.REPLAY_CELLS // n)  # a partial last chunk
+        assert n_paths % 8  # the last coin byte of each step is partly read
         for seed in (1, 7, 2024):
             assert_replay_matches_pinned(solution, n_paths, seed, mode)
 
@@ -399,8 +434,8 @@ class TestRootContact:
         def refuse(*args, **kwargs):
             raise AssertionError("the replay drew paths or built a whole-lattice table")
 
-        monkeypatch.setattr(Lattice, "sample_paths", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np, "unpackbits", refuse)
         monkeypatch.setattr(strategy, "contact_masks", refuse)
         monkeypatch.setattr(type(solution.problem), "driver_table", refuse)
         for mode in (1, 2):
@@ -417,8 +452,8 @@ class TestRootContact:
                 leg = report.leg(side)
                 assert leg.stop_step == 0.0 and leg.std_error == 0.0 and leg.value_gap == 0.0, (side, mode)
                 assert leg.realized == solution.y0(side, mode) and leg.action == TERMINATE, (side, mode)
-            # 1e5 paths cost no more at the peak than one path, far below one chunk of path steps
-            assert peaks[100_000] - peaks[1] < strategy.REPLAY_CELLS, mode
+            # 1e5 paths cost no more at the peak than one path: under 64 KiB
+            assert peaks[100_000] - peaks[1] < 65536, mode
 
 
 class TestDynamicProgrammingConsistency:
