@@ -7,8 +7,9 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
 type included, a ``simulate`` path count below 1 or a negative seed, both
-refused before the solve, and data whose solve overflows float64), 2 a node
-whose projection did not settle in LOCAL_SWEEP_CAP rounds.
+refused before the solve, and data whose solve overflows float64) or an
+output that cannot be written (``error: cannot write <path>: <reason>``), 2 a
+node whose projection did not settle in LOCAL_SWEEP_CAP rounds.
 
 Each command imports what it runs: ``strategy`` is loaded by ``simulate``
 only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and
@@ -38,10 +39,7 @@ def _prepare(args):
 
 def _ensure_outdir(args) -> Path:
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ProblemError(f"cannot create output directory {out}: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -84,12 +82,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .strategy import simulate_policy
+    from .strategy import check_replay, simulate_policy
 
-    if args.paths < 1:  # refused before the solve it would otherwise wait for
-        raise ValueError("n_paths must be >= 1")
-    if args.seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_replay(args.paths, args.seed, args.mode)  # before the solve it would otherwise wait for
     problem, backend = _prepare(args)
     solution, _ = solve_system(problem, backend)
     out = _ensure_outdir(args)
@@ -148,7 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. Input, validation and solver errors (including any
     ``ValueError``) print ``error: ...`` plus the attached validation report,
-    if any, and exit 1; a node that did not settle exits 2."""
+    if any, and exit 1; a node that did not settle exits 2. Any ``OSError``
+    comes from writing the outputs (``load_problem`` reports a problem file
+    it cannot read itself) and prints ``error: cannot write <path>: <reason>``,
+    exit 1; a failed write that names no file names ``--out``."""
     args = build_parser().parse_args(argv)
     dispatch = {
         "solve": cmd_solve,
@@ -166,6 +164,9 @@ def main(argv=None) -> int:
         for line in report.lines() if report is not None else ():
             print(line, file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(exc, LocalSweepError) else EXIT_INPUT
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

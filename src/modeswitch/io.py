@@ -10,7 +10,6 @@ keys so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -21,9 +20,7 @@ from .grid import Lattice
 from .model import (
     COMPONENTS,
     MINUS,
-    MODES,
     PLUS,
-    STATE_FEATURES,
     CoefficientFunction,
     Driver,
     ProblemError,
@@ -96,28 +93,18 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
         for name in ("mode", "side"):
             if name not in entry:
                 raise ProblemError(f"{where}: missing field {name!r}")
-        mode, side = entry["mode"], entry["side"]
+        side = entry["side"]
         if not isinstance(side, str) or side not in _SIDES:
             raise ProblemError(f"{where}.side must be one of {', '.join(map(repr, _SIDES))}")
-        side = _SIDES[side]
-        if isinstance(mode, bool) or not isinstance(mode, int) or mode not in MODES:
-            raise ProblemError(f"{where}.mode must be the integer 1 or 2")
-        if (feature := entry.get("state_feature", "one")) not in STATE_FEATURES:  # true, null and 1 included
-            raise ProblemError(f"{where}.state_feature must be one of {', '.join(map(repr, STATE_FEATURES))}")
-        drv = Driver(
-            mode,
-            side,
-            _coefficient(entry.get("c0", 0.0), f"{where}.c0"),
-            c1=_number(entry.get("c1", 0.0), f"{where}.c1"),
-            c2=_number(entry.get("c2", 0.0), f"{where}.c2"),
-            state_feature=feature,
-        )
-        if (side, mode) in drivers:
-            raise ProblemError(f"{where}: duplicate driver for ({side}, {mode})")
-        drivers[(side, mode)] = drv
-    for key in COMPONENTS:
-        if key not in drivers:
-            raise ProblemError(f"'drivers' missing entry for ({key[0]}, {key[1]})")
+        c0 = _coefficient(entry.get("c0", 0.0), f"{where}.c0")
+        c1, c2 = (_number(entry.get(name, 0.0), f"{where}.{name}") for name in ("c1", "c2"))
+        try:
+            drv = Driver(entry["mode"], _SIDES[side], c0, c1, c2, entry.get("state_feature", "one"))
+        except ProblemError as exc:
+            raise ProblemError(f"{where}.{exc}") from None
+        if (drv.side, drv.mode) in drivers:
+            raise ProblemError(f"{where}: duplicate driver for ({drv.side}, {drv.mode})")
+        drivers[(drv.side, drv.mode)] = drv
 
     raw_costs = doc.get("costs")
     if not isinstance(raw_costs, dict):
@@ -141,19 +128,14 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
             raise ProblemError(f"'terminals' missing entry {name!r}")
         terminals[(side, mode)] = _terminal(raw_terms[name], f"terminals.{name}")
 
-    try:
-        return SwitchingProblem(
-            horizon=horizon,
-            drivers=drivers,
-            ell=(cost["ell_1"], cost["ell_2"]),
-            a=(cost["a_1"], cost["a_2"]),
-            b=(cost["b_1"], cost["b_2"]),
-            terminals=terminals,
-        )
-    except ProblemError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(str(exc)) from None
+    return SwitchingProblem(
+        horizon=horizon,
+        drivers=drivers,
+        ell=(cost["ell_1"], cost["ell_2"]),
+        a=(cost["a_1"], cost["a_2"]),
+        b=(cost["b_1"], cost["b_2"]),
+        terminals=terminals,
+    )
 
 
 def load_problem(path) -> SwitchingProblem:
@@ -188,6 +170,8 @@ def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
     """The flat buffer written by ``write_surface_csv``: every lattice node exactly once.
     A wrong header and a row that is short, long, not numeric or off the lattice
     raise ``ValueError`` naming the file and the line."""
+    import csv  # the one reader of CSV; the commands write their files as strings
+
     path = Path(path)
     data, rows = np.zeros(lattice.size), np.zeros(lattice.size, dtype=np.int64)
     with path.open(newline="") as fh:
@@ -209,11 +193,9 @@ def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
 
 
 def write_trace_csv(path, trace):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "local_sweeps"])
-        writer.writerows(enumerate(trace.local_sweeps.tolist()))
+    """One ``step,local_sweeps`` row per step, as one string like ``write_surface_csv``."""
+    rows = [f"{k},{n}\r\n" for k, n in enumerate(trace.local_sweeps.tolist())]
+    Path(path).write_text("".join(["step,local_sweeps\r\n", *rows]), newline="")
 
 
 def write_json(path, payload: dict):

@@ -116,12 +116,13 @@ class Driver:
     state_feature: str = "one"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ProblemError(f"driver mode must be 1 or 2, got {self.mode}")
-        if self.side not in (PLUS, MINUS):
-            raise ProblemError(f"driver side must be '{PLUS}' or '{MINUS}'")
-        if self.state_feature not in STATE_FEATURES:
-            raise ProblemError("state_feature must be 'one' or 'x'")
+        """Each message starts with the field it names; ``io`` prefixes the driver's place in a file."""
+        if isinstance(self.mode, bool) or not isinstance(self.mode, int) or self.mode not in MODES:
+            raise ProblemError("mode must be the integer 1 or 2")
+        if self.side not in SIDES:
+            raise ProblemError(f"side must be '{PLUS}' or '{MINUS}'")
+        if self.state_feature not in STATE_FEATURES:  # true, null and 1 included
+            raise ProblemError(f"state_feature must be one of {', '.join(map(repr, STATE_FEATURES))}")
 
     @property
     def lipschitz(self) -> float:

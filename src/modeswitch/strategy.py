@@ -36,6 +36,7 @@ TERMINATE = "terminate"
 HOLD = "hold-to-horizon"
 MIXED = "mixed"
 
+
 def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
     """Flat boolean mask (or block of them) of where a path of one component
     stops: every node where ``y`` equals its barrier bit for bit, and every horizon node."""
@@ -106,9 +107,6 @@ class LegReport:
     value_gap: float
     std_error: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StrategyReport:
@@ -144,6 +142,17 @@ def _leg_report(side, mode, n, tau, realized, switched, y0) -> LegReport:
     )
 
 
+def check_replay(n_paths: int, seed: int, start_mode: int) -> None:
+    """Refuse a replay request before anything is solved for it: a starting
+    mode other than 1 or 2, fewer than one path or a negative seed."""
+    if start_mode not in (1, 2):
+        raise ValueError("start_mode must be 1 or 2")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, start_mode: int) -> StrategyReport:
     """Forward-replay the extracted first action from a starting mode.
 
@@ -166,12 +175,7 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     reads no path. The node tables are built, and coins drawn, only when a
     leg leaves its root.
     """
-    if start_mode not in (1, 2):
-        raise ValueError("start_mode must be 1 or 2")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_replay(n_paths, seed, start_mode)
     backend, problem, m = solution.backend, solution.problem, start_mode - 1
     root = solution.y[..., 0]
     barrier, switches = evaluate_obstacles(root, problem.cost_table(backend.grid.times[:1]).at(0))

@@ -48,8 +48,6 @@ TERMINAL_CAP = 1e-9
 def counterexample_problem(T: float = 1.0) -> SwitchingProblem:
     """The non-uniqueness fixture: unit terminals, switching cost exp(-4t),
     zero exit costs/benefits, and running rates y, y+ell, 2y, 2y+ell."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
     ell = CoefficientFunction.exponential(1.0, -4.0)
     zero = CoefficientFunction.constant(0.0)
     drivers = {
@@ -262,8 +260,6 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
     relation demonstrates that the system does not pin down its solution;
     the gap at t=0 grows like e^{2T} - e^{T}.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
     if N < 100:
         raise ValueError("need N >= 100 for meaningful residual caps")
     backend = Lattice("deterministic", TimeGrid(N, T))

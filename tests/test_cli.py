@@ -1,4 +1,5 @@
 import csv
+import errno
 import importlib
 import io
 import json
@@ -132,6 +133,26 @@ class TestProblemLoading:
                 lambda doc: doc["terminals"].update(plus_1={"intercept": 1.0, "slop": 2.0}),
                 "terminals.plus_1: unknown field 'slop'",
             ),
+            (lambda doc: doc.pop("horizon"), "missing field 'horizon'"),
+            (lambda doc: doc["drivers"].__setitem__(2, 1.0), "drivers[2]: expected an object"),
+            (lambda doc: doc["drivers"][0].pop("mode"), "drivers[0]: missing field 'mode'"),
+            (lambda doc: doc["drivers"][1].update(mode=1), "drivers[1]: duplicate driver for (plus, 1)"),
+            (lambda doc: doc.update(costs=[]), "'costs' must be an object with keys ell_1..b_2"),
+            (lambda doc: doc.update(terminals=1.0), "'terminals' must be an object with keys plus_1..minus_2"),
+            (lambda doc: doc["terminals"].pop("minus_2"), "'terminals' missing entry 'minus_2'"),
+            (
+                lambda doc: doc["costs"].update(a_1={"kind": "constant"}),
+                "costs.a_1: expected an object with 'kind' and a 'params' list",
+            ),
+            (
+                lambda doc: doc["costs"].update(b_1={"kind": "constant", "params": [1.0, 2.0]}),
+                "costs.b_1: constant coefficient takes one parameter",
+            ),
+            (
+                lambda doc: doc["drivers"][1].update(c0={"kind": "polynomial", "params": []}),
+                "drivers[1].c0: polynomial coefficient needs coefficients",
+            ),
+            (lambda doc: doc["terminals"].update(plus_1={"slope": 1.0}), "terminals.plus_1: missing field 'intercept'"),
         ],
         ids=[
             "horizon-true",
@@ -156,6 +177,17 @@ class TestProblemLoading:
             "unknown-coefficient-field",
             "unknown-driver-coefficient-field",
             "unknown-terminal-field",
+            "no-horizon",
+            "driver-not-object",
+            "driver-without-mode",
+            "duplicate-driver",
+            "costs-not-object",
+            "terminals-not-object",
+            "terminal-missing",
+            "coefficient-without-params",
+            "constant-two-params",
+            "polynomial-no-params",
+            "terminal-without-intercept",
         ],
     )
     def test_ill_typed_field_exits_one_naming_it(self, tmp_path, capsys, edit, named):
@@ -163,7 +195,17 @@ class TestProblemLoading:
         doc = counterexample_doc()
         edit(doc)
         assert main(["check-assumptions", "--problem", str(write_doc(tmp_path, doc))]) == 1
-        assert f"error: {named}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_document_not_an_object_or_not_there(self, tmp_path, capsys):
+        listed, missing = tmp_path / "list.json", tmp_path / "missing.json"
+        listed.write_text("[]")
+        for path, named in (
+            (listed, "problem document must be a JSON object"),
+            (missing, f"cannot read problem file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        ):
+            assert main(["check-assumptions", "--problem", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_missing_driver_entry(self, tmp_path):
         doc = counterexample_doc()
@@ -575,6 +617,42 @@ class TestValidatorGaps:
         assert main(["check-assumptions", "--problem", path, "--backend", "binomial", "--steps", "40"]) == 0
 
 
+class TestFailedWrites:
+    """An output that cannot be written exits 1 with one ``error:`` line naming
+    its path, in a new interpreter, so a traceback would show on stderr."""
+
+    SOLVE = ["solve", "--problem", "problems/counterexample.json"]
+    SIMULATE = ["simulate", "--problem", "problems/counterexample.json", "--paths", "10"]
+
+    @staticmethod
+    def refused(command, out):
+        done = run_python("-m", "modeswitch.cli", *command, "--steps", "100", "--out", str(out))
+        assert done.returncode == 1 and done.stdout == "" and "Traceback" not in done.stderr
+        return done.stderr.splitlines()
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (SOLVE, "Y_plus_1.csv"),
+            (SOLVE, "summary.json"),
+            (SIMULATE, "strategy.json"),
+            (["verify-fixtures"], "fixtures.json"),
+        ],
+        ids=["solve-surface", "solve-summary", "simulate", "verify"],
+    )
+    def test_a_directory_in_place_of_an_output_file(self, tmp_path, command, blocked):
+        (tmp_path / blocked).mkdir()
+        assert self.refused(command, tmp_path) == [
+            f"error: cannot write {tmp_path / blocked}: {os.strerror(errno.EISDIR)}"
+        ]
+
+    @pytest.mark.parametrize("command", [SOLVE, SIMULATE, ["verify-fixtures"]], ids=["solve", "simulate", "verify"])
+    def test_an_output_directory_below_a_regular_file(self, tmp_path, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert self.refused(command, out) == [f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}"]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -592,13 +670,14 @@ def fresh_interpreter(code: str, *args) -> str:
 
 
 class TestImportScope:
-    """A command loads only the modules it runs, in a fresh interpreter."""
+    """A command loads only the modules it runs, in a fresh interpreter; ``csv``
+    is read by ``read_surface_csv`` alone, which no command calls."""
 
     REPORT = (
         "import json, sys\n"
         "from modeswitch.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random')\n"
+        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random', 'csv')\n"
         "print(json.dumps([code, [name for name in watched if name in sys.modules]]))"
     )
 

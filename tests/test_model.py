@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -321,3 +324,52 @@ class TestValidateAssumptions:
         message = r"the driver filed under component \('plus', 1\) is the driver of \('minus', 2\)"
         with pytest.raises(ProblemError, match=message):
             build_problem(drivers={(PLUS, 1): wrong})
+
+
+def dropped(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+ZERO = CoefficientFunction.constant(0.0)
+
+
+class TestConstructorRefusals:
+    """Each rule on problem data has one home, the constructor; its message
+    names the field, and ``io`` adds the field's place in a file."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CoefficientFunction("constant", (1.0, 2.0)), "constant coefficient takes one parameter"),
+            (lambda: CoefficientFunction("polynomial", ()), "polynomial coefficient needs coefficients"),
+            (lambda: Driver(True, PLUS, ZERO), "mode must be the integer 1 or 2"),
+            (lambda: Driver(1.0, PLUS, ZERO), "mode must be the integer 1 or 2"),
+            (lambda: Driver(1, "+", ZERO), "side must be 'plus' or 'minus'"),
+            (lambda: Driver(1, PLUS, ZERO, state_feature=True), "state_feature must be one of 'one', 'x'"),
+            (lambda: Driver(1, PLUS, ZERO, state_feature="y"), "state_feature must be one of 'one', 'x'"),
+            (
+                lambda: replace(build_problem(), drivers=dropped(build_problem().drivers, (MINUS, 2))),
+                "missing driver for component ('minus', 2)",
+            ),
+            (
+                lambda: replace(build_problem(), terminals=dropped(build_problem().terminals, (PLUS, 1))),
+                "missing terminal for component ('plus', 1)",
+            ),
+            (lambda: replace(build_problem(), a=(ZERO,)), "cost family 'a' needs one entry per mode"),
+        ],
+        ids=[
+            "constant-two-params",
+            "polynomial-no-params",
+            "mode-true",
+            "mode-float",
+            "side-spelling",
+            "feature-true",
+            "feature-unknown",
+            "missing-driver",
+            "missing-terminal",
+            "short-cost-family",
+        ],
+    )
+    def test_refusal_names_the_field(self, make, message):
+        with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+            make()
