@@ -57,6 +57,7 @@ def cmd_solve(args) -> int:
     problem, backend = _prepare(args)
     solution, trace = solve_system(problem, backend)
     out = _ensure_outdir(args)
+    (out / "summary.json").unlink(missing_ok=True)  # written last, so it sits only beside a whole run's files
     for side, mode in COMPONENTS:
         for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
             write_surface_csv(out / f"{name}_{side}_{mode}.csv", backend, block[row(side, mode)])

@@ -39,8 +39,18 @@ BOUNDARY_SLACK = 1e-12
 STABILITY_LIMIT = 0.5
 
 
+def _is_mode(mode) -> bool:
+    """Whether ``mode`` is one of ``MODES``, as an int: a bool or float is not."""
+    return not isinstance(mode, bool) and isinstance(mode, int) and mode in MODES
+
+
 def row(side: str, mode: int) -> tuple[int, int]:
-    """The index of a component's row in a (side, mode, ...) block."""
+    """The index of a component's row in a (side, mode, ...) block; a pair
+    that is not one of the four ``COMPONENTS`` is refused, so no mode indexes from the end."""
+    if side not in SIDES or not _is_mode(mode):
+        raise ValueError(
+            f"no component ({side!r}, {mode!r}): side must be '{PLUS}' or '{MINUS}' and mode the integer 1 or 2"
+        )
     return SIDES.index(side), mode - 1
 
 
@@ -117,7 +127,7 @@ class Driver:
 
     def __post_init__(self):
         """Each message starts with the field it names; ``io`` prefixes the driver's place in a file."""
-        if isinstance(self.mode, bool) or not isinstance(self.mode, int) or self.mode not in MODES:
+        if not _is_mode(self.mode):
             raise ProblemError("mode must be the integer 1 or 2")
         if self.side not in SIDES:
             raise ProblemError(f"side must be '{PLUS}' or '{MINUS}'")

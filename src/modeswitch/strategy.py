@@ -13,13 +13,15 @@ there, which is the barrier at contact and the terminal value at N.
 ``extract_stopping_times``. The replay accumulates the running yield by
 left-endpoint sums, in step order, with the rate evaluated where and as the
 backward solver evaluates it (its driver table, at the continuation value
-E_k[Y_{k+1}]), to measure the realized value against Y_0. It walks forward
-one step at a time over the paths still live, so a path costs its stopping
-step, not N, and memory is bounded by the blocks and the paths, not paths x
-steps. The replay works only where paths move: a leg whose root is in
-contact is decided by the barrier at the root alone and reports Y_0 exactly,
-and the whole-lattice tables are built, and coins drawn, only when a leg
-leaves its root.
+E_k[Y_{k+1}]), to measure the realized value against Y_0. Each leg walks on
+its own, over its own component's tables, forward one step at a time over
+its paths still live, so a path costs its stopping step, not N, and memory
+is bounded by the blocks and the paths, not paths x steps. The two legs
+share their paths through the seed: each walk draws the same coin stream.
+The replay works only where paths move: a leg whose root is in contact is
+decided by the barrier at the root alone and reports Y_0 exactly, and the
+whole-lattice tables are built, and coins drawn, only when a leg leaves its
+root.
 """
 
 from __future__ import annotations
@@ -122,35 +124,48 @@ class StrategyReport:
         return asdict(self)
 
 
-def _leg_report(side, mode, n, tau, realized, switched, y0) -> LegReport:
-    """A moving leg's report from the stopping step, realized value and switch
-    flag of each of its paths."""
+def check_replay(n_paths: int, seed: int, start_mode: int) -> None:
+    """Refuse a replay request before anything is solved for it: a starting
+    mode other than 1 or 2, a path count or seed that is not an int (numpy
+    integers are; a bool or float is not), fewer than one path or a negative seed."""
+    if start_mode not in (1, 2):
+        raise ValueError("start_mode must be 1 or 2")
+    for name, value, least in (("n_paths", n_paths, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+
+def _walk(side, mode, backend, n_paths, seed, stop, prefer, rate, payoff) -> LegReport:
+    """The report of a leg that leaves its root, from one forward walk over its
+    own 1-D node tables (stop mask, switch flag, running rate, Y)."""
+    n, dt, down = backend.grid.n_steps, backend.grid.dt, backend.down
+    rows = n_paths if down else 1
+    path, flat, acc = np.arange(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows)
+    tau, realized, switched = np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows, bool)
+    rng = np.random.default_rng(seed) if down else None  # the width-1 lattice draws nothing
+    for k in range(n + 1):
+        here = stop[flat]
+        if here.any():
+            done, at = path[here], flat[here]
+            tau[done], realized[done], switched[done] = k, acc[here] * dt + payoff[at], prefer[at]
+            live = ~here
+            path, flat, acc = path[live], flat[live], acc[live]
+            if not path.size:
+                break
+        acc += rate[flat]  # the stop mask is closed at the horizon, so no live path reads a rate there
+        flat += 1 + down * k
+        if rng is not None:  # a draw for every path at every step, so each leg reads the same coins
+            flat += np.unpackbits(np.frombuffer(rng.bytes(-(-rows // 8)), dtype=np.uint8), count=rows)[path]
     stopped = tau < n
     prefer_switch = switched[stopped]
     seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
     actions = [name for name, found in seen if found]
     mean = float(np.mean(realized))
-    rows = realized.size
-    return LegReport(
-        side=side,
-        mode=mode,
-        stop_step=float(np.mean(tau)),
-        action=actions[0] if len(actions) == 1 else MIXED,
-        realized=mean,
-        value_gap=abs(mean - y0),
-        std_error=float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
-    )
-
-
-def check_replay(n_paths: int, seed: int, start_mode: int) -> None:
-    """Refuse a replay request before anything is solved for it: a starting
-    mode other than 1 or 2, fewer than one path or a negative seed."""
-    if start_mode not in (1, 2):
-        raise ValueError("start_mode must be 1 or 2")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    error = float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0
+    action = actions[0] if len(actions) == 1 else MIXED
+    return LegReport(side, mode, float(np.mean(tau)), action, mean, abs(mean - float(payoff[0])), error)
 
 
 def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, start_mode: int) -> StrategyReport:
@@ -162,66 +177,35 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
     running cost. The report carries the Monte Carlo gap to the solved Y_0
     per leg.
 
-    The moving legs walk forward together, one step at a time, over the
-    (leg, path) pairs still live: a pair that meets its stop mask records its
-    step, its sum and its branch and leaves the walk, so the work grows with
-    paths x (mean stopping step) and the memory with paths. At step k one
-    generator draws ``ceil(paths / 8)`` bytes, unpacked into one coin per
-    path (1 moves down), which every leg's pair on that path reads. Every
-    path of the width-1 lattice is the same path, so it replays one and draws
-    nothing. A leg whose root is in contact is decided at the root alone, by
-    ``model.evaluate_obstacles`` on the root values and the costs of step 0:
-    every path stops there and collects Y_0, so it reports Y_0 exactly and
-    reads no path. The node tables are built, and coins drawn, only when a
-    leg leaves its root.
+    Each leg that leaves its root walks on its own (``_walk``), one step at a
+    time over its paths still live: a path that meets the leg's stop mask
+    records its step, its sum and its branch and leaves the walk, so the work
+    grows with paths x (mean stopping step) and the memory with paths. Each
+    walk seeds its own generator with ``seed`` and at every step draws
+    ``ceil(paths / 8)`` bytes, unpacked into one coin per path (1 moves down),
+    however many paths are still live, so both legs read the same coin on a
+    path at a step and walk the same paths. Every path of the width-1 lattice
+    is the same path, so it replays one and draws nothing. A leg whose root
+    is in contact is decided at the root alone, by ``model.evaluate_obstacles``
+    on the root values and the costs of step 0: every path stops there and
+    collects Y_0, so it reports Y_0 exactly and reads no path. The node tables
+    are built, and coins drawn, only when a leg leaves its root.
     """
     check_replay(n_paths, seed, start_mode)
     backend, problem, m = solution.backend, solution.problem, start_mode - 1
-    root = solution.y[..., 0]
-    barrier, switches = evaluate_obstacles(root, problem.cost_table(backend.grid.times[:1]).at(0))
-    reports = {
-        side: LegReport(side, start_mode, 0.0, SWITCH if switches[s, m] else TERMINATE, float(root[s, m]), 0.0, 0.0)
-        for s, side in enumerate(SIDES)
-        if root[s, m] == barrier[s, m]
-    }
-    moving = [s for s, side in enumerate(SIDES) if side not in reports]
-    if moving:
-        n, dt, down, legs = backend.grid.n_steps, backend.grid.dt, backend.down, len(moving)
-        rows = n_paths if down else 1
+    n, y = backend.grid.n_steps, solution.y[:, m]
+    barrier, switches = evaluate_obstacles(solution.y[..., 0], problem.cost_table(backend.grid.times[:1]).at(0))
+    moves = y[:, 0] != barrier[:, m]
+    if moves.any():
         before = slice(0, backend.offsets[n])
         # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
-        table, y = DriverTable(*(f[:, m] for f in problem.driver_table(backend))), solution.y[:, m]
+        table = DriverTable(*(f[:, m] for f in problem.driver_table(backend)))
         rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
-        # Node-major tables: leg l at flat node i reads entry i * legs + l. The
-        # stop mask is closed at the horizon, so no live pair reads a rate there.
-        stop_here, prefer_switch, rate, payoff = (
-            np.ravel(t[moving], order="F") for t in (*(b[:, m] for b in contact_masks(solution)), rates, y)
-        )
-        # Live pairs: output slot l * rows + path, table index, running sum.
-        slot = np.arange(legs * rows)
-        flat, acc = slot // rows, np.zeros(legs * rows)
-        tau, realized, switched = np.empty(slot.size, dtype=np.int64), np.empty(slot.size), np.empty(slot.size, bool)
-        coins = np.empty((legs, rows), dtype=np.intp)  # every leg's pair on a path reads the path's coin
-        rng = np.random.default_rng(seed) if down else None  # the width-1 lattice draws nothing
-        for k in range(n + 1):
-            stop = stop_here[flat]
-            if stop.any():
-                done, at = slot[stop], flat[stop]
-                tau[done], realized[done], switched[done] = k, acc[stop] * dt + payoff[at], prefer_switch[at]
-                live = ~stop
-                slot, flat, acc = slot[live], flat[live], acc[live]
-                if not slot.size:
-                    break
-            acc += rate[flat]
-            flat += legs * (1 + down * k)
-            if rng is not None:
-                bits = np.unpackbits(np.frombuffer(rng.bytes(-(-rows // 8)), dtype=np.uint8), count=rows)
-                np.multiply(bits, legs, out=coins)
-                flat += coins.take(slot)
-        for l, s in enumerate(moving):
-            path = slice(l * rows, (l + 1) * rows)
-            side = SIDES[s]
-            reports[side] = _leg_report(
-                side, start_mode, n, tau[path], realized[path], switched[path], solution.y0(side, start_mode)
-            )
-    return StrategyReport(start_mode, n_paths, seed, legs={side: reports[side] for side in SIDES})
+        stops, prefers = (block[:, m] for block in contact_masks(solution))
+    legs = {
+        side: _walk(side, start_mode, backend, n_paths, seed, stops[s], prefers[s], rates[s], y[s])
+        if moves[s]
+        else LegReport(side, start_mode, 0.0, SWITCH if switches[s, m] else TERMINATE, float(y[s, 0]), 0.0, 0.0)
+        for s, side in enumerate(SIDES)
+    }
+    return StrategyReport(start_mode, n_paths, seed, legs)

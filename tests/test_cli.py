@@ -646,6 +646,20 @@ class TestFailedWrites:
             f"error: cannot write {tmp_path / blocked}: {os.strerror(errno.EISDIR)}"
         ]
 
+    def test_a_blocked_summary_leaves_no_surface(self, tmp_path):
+        (tmp_path / "summary.json").mkdir()
+        self.refused(self.SOLVE, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json"]
+
+    def test_a_failed_solve_removes_a_stale_summary(self, tmp_path):
+        # a summary.json sits only beside the whole of the run that wrote it
+        (tmp_path / "summary.json").write_text("{}")
+        (tmp_path / "Y_plus_1.csv").mkdir()
+        assert self.refused(self.SOLVE, tmp_path) == [
+            f"error: cannot write {tmp_path / 'Y_plus_1.csv'}: {os.strerror(errno.EISDIR)}"
+        ]
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("command", [SOLVE, SIMULATE, ["verify-fixtures"]], ids=["solve", "simulate", "verify"])
     def test_an_output_directory_below_a_regular_file(self, tmp_path, command):
         (tmp_path / "file").write_text("")

@@ -218,6 +218,18 @@ class TestClassifyAction:
         assert classify_action(solution, PLUS, 1, 0, 0) == TERMINATE
         assert classify_action(solution, MINUS, 1, 0, 0) == TERMINATE
 
+    @pytest.mark.parametrize(
+        "side, mode",
+        [(PLUS, 0), (PLUS, -1), (PLUS, 3), (PLUS, 1.0), (PLUS, True), (MINUS, 2.0), ("up", 1), (None, 2)],
+    )
+    def test_a_pair_that_is_no_component_is_refused(self, fixture_solution, side, mode):
+        # mode 0 and -1 would otherwise index the other mode from the end
+        message = f"no component ({side!r}, {mode!r}): side must be 'plus' or 'minus' and mode the integer 1 or 2"
+        for read in (row, fixture_solution.y0, lambda side, mode: classify_action(fixture_solution, side, mode, 0, 0)):
+            with pytest.raises(ValueError) as refused:
+                read(side, mode)
+            assert str(refused.value) == message
+
     def test_rejects_non_contact_point(self, far_obstacle_problem):
         solution, _ = solve_system(far_obstacle_problem, det_backend(32))
         with pytest.raises(ValueError, match="does not touch"):
@@ -294,9 +306,19 @@ class TestSimulatePolicy:
         (COUNTEREXAMPLE, bin_backend(20)),  # both legs in contact at the root: nothing is drawn
     ], ids=["switching-deterministic", "switching-binomial", "root-contact-binomial"])
     def test_negative_seed_is_refused_on_every_backend(self, path, backend):
+        # so is a path count or seed that is not an int; a numpy integer is one
         solution, _ = solve_system(load_problem(path), backend)
-        with pytest.raises(ValueError, match="^seed must be >= 0$"):
-            simulate_policy(solution, n_paths=10, seed=-1, start_mode=1)
+        for n_paths, seed, message in [
+            (10, -1, "seed must be >= 0"),
+            (10.0, 1, "n_paths must be an int, got 10.0"),
+            (True, 1, "n_paths must be an int, got True"),
+            (10, 1.5, "seed must be an int, got 1.5"),
+            (10, True, "seed must be an int, got True"),
+        ]:
+            with pytest.raises(ValueError) as refused:
+                simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=1)
+            assert str(refused.value) == message
+        assert simulate_policy(solution, n_paths=np.int64(3), seed=np.int64(1), start_mode=1).n_paths == 3
 
     def test_replay_rate_at_continuation_value(self):
         # hold to the horizon with profit rate y: the replay evaluates the rate
