@@ -6,10 +6,9 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
-type included, a ``simulate`` path count below 1 or a negative seed, both
-refused before the solve, and data whose solve overflows float64) or an
-output that cannot be written (``error: cannot write <path>: <reason>``), 2 a
-node whose projection did not settle in LOCAL_SWEEP_CAP rounds.
+type included, and data whose solve overflows float64) or an output that
+cannot be written (``error: cannot write <path>: <reason>``), 2 a node whose
+projection did not settle in LOCAL_SWEEP_CAP rounds.
 
 Each command imports what it runs: ``strategy`` is loaded by ``simulate``
 only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and
@@ -83,13 +82,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .strategy import check_replay, simulate_policy
+    from .strategy import simulate_policy
 
-    check_replay(args.paths, args.seed, args.mode)  # before the solve it would otherwise wait for
     problem, backend = _prepare(args)
     solution, _ = solve_system(problem, backend)
     out = _ensure_outdir(args)
-    report = simulate_policy(solution, n_paths=args.paths, seed=args.seed, start_mode=args.mode)
+    report = simulate_policy(solution, args.mode)
     write_json(out / "strategy.json", report.as_dict())
     for side, leg in report.legs.items():
         print(
@@ -112,7 +110,7 @@ def _add_common(parser, needs_problem: bool):
         parser.add_argument("--problem", required=True, help="problem definition file (JSON)")
         parser.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
     parser.add_argument("--steps", type=int, default=2000, help="number of time steps N")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="accepted and not read: every command is deterministic")
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -132,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="solve, then replay the extracted policy")
     _add_common(p_sim, needs_problem=True)
     p_sim.add_argument("--mode", type=int, choices=(1, 2), default=1, help="starting mode")
-    p_sim.add_argument(
-        "--paths", type=int, default=10000, help="Monte Carlo path count (>= 1; the deterministic backend replays one)"
-    )
+    p_sim.add_argument("--paths", type=int, default=10000, help="accepted and not read: the replay is exact")
 
     p_check = sub.add_parser("check-assumptions", help="run the problem validator")
     _add_common(p_check, needs_problem=True)

@@ -1,4 +1,4 @@
-"""Stopping-rule extraction and forward policy evaluation.
+"""Stopping-rule extraction and the exact law of the extracted policy.
 
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
@@ -10,18 +10,11 @@ and its fixed-point certificate holds bit for bit, so a path stops where
 Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
 there, which is the barrier at contact and the terminal value at N.
 ``first_stop`` reads the first stop along given paths for
-``extract_stopping_times``. The replay accumulates the running yield by
-left-endpoint sums, in step order, with the rate evaluated where and as the
-backward solver evaluates it (its driver table, at the continuation value
-E_k[Y_{k+1}]), to measure the realized value against Y_0. Each leg walks on
-its own, over its own component's tables, forward one step at a time over
-its paths still live, so a path costs its stopping step, not N, and memory
-is bounded by the blocks and the paths, not paths x steps. The two legs
-share their paths through the seed: each walk draws the same coin stream.
-The replay works only where paths move: a leg whose root is in contact is
-decided by the barrier at the root alone and reports Y_0 exactly, and the
-whole-lattice tables are built, and coins drawn, only when a leg leaves its
-root.
+``extract_stopping_times``. The running yield is a left-endpoint sum, in
+step order, of the rate the backward solver evaluates (its driver table, at
+the continuation value E_k[Y_{k+1}]). On the fair-coin lattice the law of
+the rule is computed, not sampled: one forward pass per leg carries the
+mass of its paths and their yield from node to node (``simulate_policy``).
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import COMPONENTS, SIDES, DriverTable, evaluate_obstacles, row
+from .model import COMPONENTS, SIDES, DriverTable, _is_mode, evaluate_obstacles, row
 from .scheme import BalanceSheetSolution, system_obstacles
 
 SWITCH = "switch"
@@ -107,14 +100,15 @@ class LegReport:
     action: str
     realized: float
     value_gap: float
-    std_error: float
+    std_error: float  # 0.0: the law has no sampling error
+    p_switch: float
+    p_terminate: float
+    p_hold: float
 
 
 @dataclass(frozen=True)
 class StrategyReport:
     start_mode: int
-    n_paths: int
-    seed: int
     legs: dict
 
     def leg(self, side: str) -> LegReport:
@@ -124,74 +118,81 @@ class StrategyReport:
         return asdict(self)
 
 
-def check_replay(n_paths: int, seed: int, start_mode: int) -> None:
-    """Refuse a replay request before anything is solved for it: a starting
-    mode other than 1 or 2, a path count or seed that is not an int (numpy
-    integers are; a bool or float is not), fewer than one path or a negative seed."""
-    if start_mode not in (1, 2):
-        raise ValueError("start_mode must be 1 or 2")
-    for name, value, least in (("n_paths", n_paths, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
+def _children(share: np.ndarray, down: int) -> np.ndarray:
+    """The nodes of the next step, each the sum (for bools, the or) of the ``share`` of both its parents."""
+    out = np.zeros(share.size + down, dtype=share.dtype)
+    out[: share.size] = share
+    out[down:] += share
+    return out
 
 
-def _walk(side, mode, backend, n_paths, seed, stop, prefer, rate, payoff) -> LegReport:
-    """The report of a leg that leaves its root, from one forward walk over its
-    own 1-D node tables (stop mask, switch flag, running rate, Y)."""
-    n, dt, down = backend.grid.n_steps, backend.grid.dt, backend.down
-    rows = n_paths if down else 1
-    path, flat, acc = np.arange(rows), np.zeros(rows, dtype=np.intp), np.zeros(rows)
-    tau, realized, switched = np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows, bool)
-    rng = np.random.default_rng(seed) if down else None  # the width-1 lattice draws nothing
-    for k in range(n + 1):
-        here = stop[flat]
-        if here.any():
-            done, at = path[here], flat[here]
-            tau[done], realized[done], switched[done] = k, acc[here] * dt + payoff[at], prefer[at]
-            live = ~here
-            path, flat, acc = path[live], flat[live], acc[live]
-            if not path.size:
-                break
-        acc += rate[flat]  # the stop mask is closed at the horizon, so no live path reads a rate there
-        flat += 1 + down * k
-        if rng is not None:  # a draw for every path at every step, so each leg reads the same coins
-            flat += np.unpackbits(np.frombuffer(rng.bytes(-(-rows // 8)), dtype=np.uint8), count=rows)[path]
-    stopped = tau < n
-    prefer_switch = switched[stopped]
-    seen = ((HOLD, not stopped.all()), (SWITCH, prefer_switch.any()), (TERMINATE, not prefer_switch.all()))
-    actions = [name for name, found in seen if found]
-    mean = float(np.mean(realized))
-    error = float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0
-    action = actions[0] if len(actions) == 1 else MIXED
-    return LegReport(side, mode, float(np.mean(tau)), action, mean, abs(mean - float(payoff[0])), error)
+def _mass_pass(backend, stop: np.ndarray, rate: np.ndarray):
+    """Flat index, mass and accumulated yield of each reached stop node of a leg.
 
-
-def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, start_mode: int) -> StrategyReport:
-    """Forward-replay the extracted first action from a starting mode.
-
-    Evaluates both balance-sheet sides: the profit leg accumulates the running
-    profit rate until its stopping step and collects its value there (the
-    barrier at contact, or the horizon value), the cost leg likewise with the
-    running cost. The report carries the Monte Carlo gap to the solved Y_0
-    per leg.
-
-    Each leg that leaves its root walks on its own (``_walk``), one step at a
-    time over its paths still live: a path that meets the leg's stop mask
-    records its step, its sum and its branch and leaves the walk, so the work
-    grows with paths x (mean stopping step) and the memory with paths. Each
-    walk seeds its own generator with ``seed`` and at every step draws
-    ``ceil(paths / 8)`` bytes, unpacked into one coin per path (1 moves down),
-    however many paths are still live, so both legs read the same coin on a
-    path at a step and walk the same paths. Every path of the width-1 lattice
-    is the same path, so it replays one and draws nothing. A leg whose root
-    is in contact is decided at the root alone, by ``model.evaluate_obstacles``
-    on the root values and the costs of step 0: every path stops there and
-    collects Y_0, so it reports Y_0 exactly and reads no path. The node tables
-    are built, and coins drawn, only when a leg leaves its root.
+    Mass 1 and yield 0 start at the root. At step k the reached stop nodes are
+    recorded; every other node sends half of its mass m, and half of its yield
+    a + m * rate, to each child. Masses are binomial(k, j) / 2^k and underflow
+    to 0 past about step 1074, so a boolean mask carried beside them says
+    which nodes some path reaches.
     """
-    check_replay(n_paths, seed, start_mode)
+    n, down, off = backend.grid.n_steps, backend.down, backend.offsets
+    mass, acc, reached, found = np.ones(1), np.zeros(1), np.ones(1, dtype=bool), []
+    for k in range(n + 1):  # the stop mask is closed at the horizon, so no rate is read there
+        here = stop[off[k] : off[k + 1]]
+        hit = here & reached
+        if hit.any():
+            found.append((np.flatnonzero(hit) + off[k], mass[hit], acc[hit]))
+            reached = reached & ~here
+            if not reached.any():
+                break
+        live = np.where(reached, mass, 0.0)
+        carry = np.where(reached, acc + live * rate[off[k] : off[k + 1]], 0.0)
+        mass, acc, reached = (_children(share, down) for share in (0.5 * live, 0.5 * carry, reached))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _single_path(stop: np.ndarray, rate: np.ndarray):
+    """``_mass_pass`` on the width-1 lattice with no per-step loop: its one path
+    stops at the first node of its stop row, and its yield is a sequential
+    ``cumsum`` from +0.0, so the bits are the pass's."""
+    tau = int(np.argmax(stop))
+    return np.array([tau]), np.ones(1), np.cumsum(np.r_[0.0, rate[:tau]])[-1:]
+
+
+def _leg(side, mode, backend, stops, mass, acc, prefer, payoff) -> LegReport:
+    """A leg's report from the flat index, mass and yield of its reached stop
+    nodes: each pays its yield times dt plus its mass times Y there. The action
+    is the one branch that a reached stop takes (switch or terminate before
+    the horizon, hold at it), or ``mixed``."""
+    n, steps = backend.grid.n_steps, backend.step_of_node[stops]
+    held = steps == n
+    switch, terminate = ~held & prefer[stops], ~held & ~prefer[stops]
+    realized = float(np.sum(acc * backend.grid.dt + mass * payoff[stops]))
+    actions = [name for name, found in ((HOLD, held), (SWITCH, switch), (TERMINATE, terminate)) if found.any()]
+    action = actions[0] if len(actions) == 1 else MIXED
+    p_switch, p_terminate, p_hold = (float(mass[branch].sum()) for branch in (switch, terminate, held))
+    # N less the mass-weighted steps to go of the stops before the horizon: a leg that holds reads N exactly
+    stop_step = n - float(mass[~held] @ (n - steps[~held]))
+    gap = abs(realized - float(payoff[0]))
+    return LegReport(side, mode, stop_step, action, realized, gap, 0.0, p_switch, p_terminate, p_hold)
+
+
+def simulate_policy(solution: BalanceSheetSolution, start_mode: int) -> StrategyReport:
+    """The exact law of the extracted first action from a starting mode.
+
+    The profit leg accumulates the running profit rate until its stopping
+    step and collects its value there (the barrier at contact, or the horizon
+    value), the cost leg likewise with the running cost. Each leg reports its
+    mean stopping step, the rule's value (``realized``) and its gap to Y_0,
+    and the probability of each branch. A leg that leaves its root runs one
+    ``_mass_pass`` over its own 1-D tables, or ``_single_path`` on the
+    width-1 lattice. A leg whose root is in contact, by
+    ``model.evaluate_obstacles`` on the root values and the costs of step 0,
+    stops there with mass 1 and reports Y_0 exactly; the node tables are
+    built only when a leg leaves its root.
+    """
+    if not _is_mode(start_mode):  # a bool or float is not a mode
+        raise ValueError(f"start_mode must be the integer 1 or 2, got {start_mode!r}")
     backend, problem, m = solution.backend, solution.problem, start_mode - 1
     n, y = backend.grid.n_steps, solution.y[:, m]
     barrier, switches = evaluate_obstacles(solution.y[..., 0], problem.cost_table(backend.grid.times[:1]).at(0))
@@ -202,10 +203,12 @@ def simulate_policy(solution: BalanceSheetSolution, n_paths: int, seed: int, sta
         table = DriverTable(*(f[:, m] for f in problem.driver_table(backend)))
         rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
         stops, prefers = (block[:, m] for block in contact_masks(solution))
-    legs = {
-        side: _walk(side, start_mode, backend, n_paths, seed, stops[s], prefers[s], rates[s], y[s])
-        if moves[s]
-        else LegReport(side, start_mode, 0.0, SWITCH if switches[s, m] else TERMINATE, float(y[s, 0]), 0.0, 0.0)
-        for s, side in enumerate(SIDES)
-    }
-    return StrategyReport(start_mode, n_paths, seed, legs)
+    legs = {}
+    for s, side in enumerate(SIDES):
+        if not moves[s]:
+            law, prefer = (np.zeros(1, dtype=np.intp), np.ones(1), np.zeros(1)), switches[s, m : m + 1]
+        else:
+            law = _mass_pass(backend, stops[s], rates[s]) if backend.down else _single_path(stops[s], rates[s])
+            prefer = prefers[s]
+        legs[side] = _leg(side, start_mode, backend, *law, prefer, y[s])
+    return StrategyReport(start_mode, legs)

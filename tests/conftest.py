@@ -199,9 +199,21 @@ def assert_certificate_premise(problem, backend):
     assert (dk[..., end:] == 0.0).all()
 
 
+def replay_tables(solution, start_mode):
+    """The replay's node tables of each leg from ``start_mode``, built as
+    ``simulate_policy`` builds them: the stop mask, the switch flag, the
+    running rate before the horizon and Y, each a (side, node) block."""
+    backend, m = solution.backend, start_mode - 1
+    before = slice(0, backend.offsets[backend.grid.n_steps])
+    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
+    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
+    stops, switches = (block[:, m] for block in contact_masks(solution))
+    return stops, switches, rates, y
+
+
 def sample_paths(lattice, n_paths, seed):
-    """Node-index paths, shape (n_paths, N+1), of the replay's coin stream;
-    entry k is the node at step k.
+    """Node-index paths, shape (n_paths, N+1), of the Monte Carlo walk's coin
+    stream; entry k is the node at step k.
 
     ``seed`` is a seed or a ``np.random.Generator``. Step k draws
     ``ceil(n_paths / 8)`` bytes and unpacks them, most significant bit first,
@@ -220,32 +232,46 @@ def sample_paths(lattice, n_paths, seed):
     return paths
 
 
-def pinned_replay(solution, n_paths, seed, start_mode):
-    """The policy replay written out over whole paths, with its own draw.
+def all_paths(lattice):
+    """Every node-index path of the lattice: 2^N rows on the binomial kind (row
+    r moves down at step k when bit k of r is set), each of probability 2^-N,
+    so a plain mean over the rows is the law's expectation; one row on the
+    width-1 kind, whose paths are all the same path."""
+    n = lattice.grid.n_steps
+    if not lattice.down:
+        return np.zeros((1, n + 1), dtype=np.int64)
+    if n > 16:
+        raise ValueError(f"2^{n} paths are too many to enumerate")
+    coins = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return np.concatenate((np.zeros((2**n, 1), dtype=np.int64), np.cumsum(coins, axis=1)), axis=1)
+
+
+# The report's probability fields (``p_<key>``) and the branch each one counts.
+BRANCH_KEYS = {"switch": SWITCH, "terminate": TERMINATE, "hold": HOLD}
+
+
+def replay_over_paths(solution, start_mode, paths):
+    """The policy replay written out over whole paths of equal weight.
 
     A leg whose root is in contact (its stop mask at flat index 0) reports
-    Y_0 with zero gap, error and stopping step, and the action of the switch
-    table at the root. A leg that leaves its root reads every path whole: the
-    paths of ``sample_paths`` drawn from a generator of its own, the first
-    stop along each full row, the running rate gathered at its first N steps
-    with the steps at and after the stop zeroed (``< tau``), and those N
-    steps summed in step order from +0.0 (adding a zeroed step leaves the
-    sum's bits as they are). Returns the report in the form of
-    ``StrategyReport.as_dict``."""
-    backend, m = solution.backend, start_mode - 1
-    n, dt = backend.grid.n_steps, backend.grid.dt
-    rows = n_paths if backend.down else 1
-    before = slice(0, backend.offsets[n])
-    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
-    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
-    stops, switches = (block[:, m] for block in contact_masks(solution))
-    flat = sample_paths(backend, rows, seed) + backend.offsets[:-1]
+    Y_0 with zero gap, error and stopping step, and the branch of the switch
+    table at the root with probability 1. A leg that leaves its root reads
+    every path whole: the first stop along each full row, the running rate
+    gathered at its first N steps with the steps at and after the stop zeroed
+    (``< tau``), and those N steps summed in step order from +0.0 (adding a
+    zeroed step leaves the sum's bits as they are). Its means over the rows,
+    its branch frequencies and its standard error (0 on one row) take the
+    places of the law's. Returns the report in the form of ``StrategyReport.as_dict``."""
+    backend, (stops, switches, rates, y) = solution.backend, replay_tables(solution, start_mode)
+    n, dt, rows = backend.grid.n_steps, backend.grid.dt, len(paths)
+    flat = paths + backend.offsets[:-1]
     legs = {}
     for s, side in enumerate(SIDES):
         y0 = float(y[s][0])
         if stops[s][0]:
-            action = SWITCH if switches[s][0] else TERMINATE
-            leg = {"stop_step": 0.0, "action": action, "realized": y0, "value_gap": 0.0, "std_error": 0.0}
+            switch = bool(switches[s][0])
+            leg = {"stop_step": 0.0, "action": SWITCH if switch else TERMINATE, "realized": y0, "value_gap": 0.0,
+                   "std_error": 0.0, "p_switch": float(switch), "p_terminate": float(not switch), "p_hold": 0.0}
         else:
             tau = np.argmax(stops[s][flat], axis=-1)
             stop = flat[np.arange(rows), tau]
@@ -255,10 +281,9 @@ def pinned_replay(solution, n_paths, seed, start_mode):
             for k in range(n):
                 total += running[:, k]
             realized = total * dt + y[s][stop]
-            stopped = tau < n
-            prefer = switches[s][stop[stopped]]
-            seen = ((HOLD, not stopped.all()), (SWITCH, prefer.any()), (TERMINATE, not prefer.all()))
-            actions = [name for name, found in seen if found]
+            held, prefer = tau == n, switches[s][stop]
+            branches = {SWITCH: ~held & prefer, TERMINATE: ~held & ~prefer, HOLD: held}
+            actions = [name for name in (HOLD, SWITCH, TERMINATE) if branches[name].any()]
             mean = float(np.mean(realized))
             leg = {
                 "stop_step": float(np.mean(tau)),
@@ -266,16 +291,89 @@ def pinned_replay(solution, n_paths, seed, start_mode):
                 "realized": mean,
                 "value_gap": abs(mean - y0),
                 "std_error": float(np.std(realized, ddof=1) / np.sqrt(rows)) if rows > 1 else 0.0,
+                **{f"p_{key}": float(np.mean(branches[name])) for key, name in BRANCH_KEYS.items()},
             }
         legs[side] = {"side": side, "mode": start_mode, **leg}
-    return {"start_mode": start_mode, "n_paths": n_paths, "seed": seed, "legs": legs}
+    return {"start_mode": start_mode, "legs": legs}
 
 
-def assert_replay_matches_pinned(solution, n_paths, seed, start_mode):
-    """``simulate_policy`` reproduces ``pinned_replay`` exactly, signed zeros
-    included; returns the report as a dict."""
-    report = simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=start_mode).as_dict()
-    pinned = pinned_replay(solution, n_paths, seed, start_mode)
-    assert report == pinned
-    assert repr(report) == repr(pinned)
-    return report
+def pinned_replay(solution, n_paths, seed, start_mode):
+    """The Monte Carlo walk the replay once ran, kept as a reference:
+    ``replay_over_paths`` on ``n_paths`` paths of ``sample_paths`` from
+    ``seed`` (one path on the width-1 lattice)."""
+    rows = n_paths if solution.backend.down else 1
+    return replay_over_paths(solution, start_mode, sample_paths(solution.backend, rows, seed))
+
+
+def enumerated_replay(solution, start_mode):
+    """``replay_over_paths`` on every path (``all_paths``): the law of the replay, by brute force."""
+    return replay_over_paths(solution, start_mode, all_paths(solution.backend))
+
+
+# Float allowance of the law against a mean over paths, relative to the larger of 1 and the value.
+ROUNDING = 1e-12
+
+
+def assert_law_matches_enumeration(solution, start_mode):
+    """``simulate_policy`` against ``enumerated_replay``: each leg's action
+    exactly, its means and probabilities to float rounding (``ROUNDING``), and
+    no sampling error. Returns the law's report as a dict."""
+    law = simulate_policy(solution, start_mode).as_dict()
+    every = enumerated_replay(solution, start_mode)
+    for side in SIDES:
+        mine, theirs = law["legs"][side], every["legs"][side]
+        assert mine["action"] == theirs["action"] and mine["std_error"] == 0.0, side
+        for key in ("stop_step", "realized", "value_gap", *(f"p_{key}" for key in BRANCH_KEYS)):
+            assert abs(mine[key] - theirs[key]) <= ROUNDING * max(1.0, abs(theirs[key])), (side, key)
+    return law
+
+
+def leg_moments(solution, start_mode):
+    """The exact mean and variance of each leg's stopping step and realized
+    value, by backward recursion on its tables: at a stop node of step k the
+    step is k and the value Y; elsewhere both carry the conditional
+    expectation of the next step, the value plus its rate times dt (and the
+    second moments accordingly). Maps side -> {"stop_step": (mean, var),
+    "realized": (mean, var)}."""
+    backend, (stops, _, rates, y) = solution.backend, replay_tables(solution, start_mode)
+    steps = np.broadcast_to(backend.step_of_node.astype(float), stops.shape)
+    tau, tau_sq, value, value_sq = (np.where(stops, x, 0.0) for x in (steps, steps**2, y, y**2))
+    for k in range(backend.grid.n_steps - 1, -1, -1):
+        here, gain = at(stops, backend, k), at(rates, backend, k) * backend.grid.dt
+        t, t_sq, v, v_sq = (backend.moments(at(x, backend, k + 1), k)[0] for x in (tau, tau_sq, value, value_sq))
+        for table, carried in ((tau, t), (tau_sq, t_sq), (value, gain + v), (value_sq, gain**2 + 2 * gain * v + v_sq)):
+            at(table, backend, k)[:] = np.where(here, at(table, backend, k), carried)
+    return {
+        side: {name: (mean[s, 0], max(0.0, sq[s, 0] - mean[s, 0] ** 2)) for name, mean, sq in (
+            ("stop_step", tau, tau_sq), ("realized", value, value_sq))}
+        for s, side in enumerate(SIDES)
+    }
+
+
+# Chebyshev: a mean of n i.i.d. paths lies farther than sqrt(Var / (n * delta))
+# from its expectation with probability at most delta. Each comparison of
+# ``assert_walk_near_law`` fails with at most this probability on a correct law.
+FAILURE_PROBABILITY = 1e-3
+
+
+def assert_walk_near_law(solution, n_paths, seed, start_mode):
+    """A seeded walk (``pinned_replay``) against the law (``simulate_policy``):
+    each mean of the walk within its Chebyshev bound at ``FAILURE_PROBABILITY``
+    of the law's value, plus ``ROUNDING``. The variances are exact: the
+    stopping step's and the realized value's from ``leg_moments``, a branch
+    frequency's p (1 - p) from the law's p. The walk meets no branch that the
+    law gives probability 0. Returns both reports as dicts."""
+    law = simulate_policy(solution, start_mode).as_dict()
+    walk = pinned_replay(solution, n_paths, seed, start_mode)
+    rows = n_paths if solution.backend.down else 1
+    moments = leg_moments(solution, start_mode)
+    for side in SIDES:
+        mine, theirs = law["legs"][side], walk["legs"][side]
+        variances = {name: moments[side][name][1] for name in ("stop_step", "realized")}
+        variances.update({f"p_{key}": mine[f"p_{key}"] * (1.0 - mine[f"p_{key}"]) for key in BRANCH_KEYS})
+        for name, variance in variances.items():
+            bound = np.sqrt(variance / (rows * FAILURE_PROBABILITY)) + ROUNDING * max(1.0, abs(mine[name]))
+            assert abs(theirs[name] - mine[name]) <= bound, (side, name, seed)
+            if name.startswith("p_"):
+                assert theirs[name] == 0.0 or mine[name] > 0.0, (side, name, seed)
+    return law, walk

@@ -380,31 +380,16 @@ class TestSimulateCommand:
         assert (out1 / "strategy.json").read_bytes() == (out2 / "strategy.json").read_bytes()
 
     @pytest.mark.parametrize("backend", ["deterministic", "binomial"])
-    def test_zero_paths_is_an_input_error(self, tmp_path, capsys, monkeypatch, backend):
-        def no_solve(*_args, **_kwargs):
-            pytest.fail("simulate solved a problem whose path count it refuses")
-
-        # refused before the solve, which is the costly part
-        monkeypatch.setattr(cli, "solve_system", no_solve)
-        path = write_doc(tmp_path, smoke_doc())
-        out = tmp_path / "sim"
-        args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20", "--paths", "0"]
-        assert main(args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: n_paths must be >= 1\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("backend", ["deterministic", "binomial"])
-    def test_negative_seed_is_an_input_error(self, tmp_path, capsys, monkeypatch, backend):
-        def no_solve(*_args, **_kwargs):
-            pytest.fail("simulate solved a problem whose seed it refuses")
-
-        monkeypatch.setattr(cli, "solve_system", no_solve)
+    def test_path_count_and_seed_are_not_read(self, tmp_path, backend):
+        # the replay computes the law: --paths and --seed are accepted and change no byte
         path = write_doc(tmp_path, switching_doc())
-        out = tmp_path / "sim"
-        args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20", "--seed", "-1"]
-        assert main(args + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
-        assert not out.exists()
+        args = ["simulate", "--problem", path, "--backend", backend, "--steps", "20"]
+        outs = [tmp_path / name for name in ("default", "zero", "many")]
+        for out, extra in zip(outs, ([], ["--paths", "0", "--seed", "-1"], ["--paths", "100000", "--seed", "7"])):
+            assert main(args + extra + ["--out", str(out)]) == 0
+        first, *others = ((out / "strategy.json").read_bytes() for out in outs)
+        assert others == [first, first]
+        assert json.loads(first)["legs"]["plus"]["action"] != "terminate"  # a leg that moves
 
 
 class TestCheckAssumptionsCommand:
@@ -706,6 +691,12 @@ class TestImportScope:
     def test_fixture_command_loads_only_what_it_runs(self, tmp_path, command, loaded):
         args = [*command, "--problem", "problems/counterexample.json", "--steps", "200", "--out", str(tmp_path)]
         assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, loaded]
+
+    def test_a_replay_that_moves_draws_nothing(self, tmp_path):
+        # the profit leg of the switching problem leaves its root: the law needs no generator
+        args = ["simulate", "--problem", "bench/problems/switching_lattice.json", "--backend", "binomial",
+                "--steps", "50", "--paths", "100000", "--out", str(tmp_path)]
+        assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, ["modeswitch.strategy"]]
 
     def test_every_public_name_resolves_lazily(self):
         code = (

@@ -148,7 +148,7 @@ class TestMartingaleProjection:
 
 
 class TestSamplePaths:
-    """``conftest.sample_paths``: the replay's coin stream, written out as whole paths."""
+    """``conftest.sample_paths``: the Monte Carlo walk's coin stream, written out as whole paths."""
 
     def test_deterministic_single_trivial_path(self):
         be = det_backend(5)

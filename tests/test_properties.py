@@ -37,7 +37,7 @@ from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system, s
 from modeswitch.strategy import contact_masks, simulate_policy
 from modeswitch.verify import audit_solution
 
-from conftest import assert_certificate_premise, assert_matches_pinned, assert_replay_matches_pinned
+from conftest import assert_certificate_premise, assert_law_matches_enumeration, assert_matches_pinned
 from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -172,15 +172,16 @@ def test_width_one_replay_realizes_the_value(problem, steps):
     backend = admissible_case(problem, "deterministic", steps)
     solution, _ = solve_system(problem, backend)
     for mode in (1, 2):
-        report = simulate_policy(solution, n_paths=1, seed=0, start_mode=mode)
+        report = simulate_policy(solution, mode)
         for side in (PLUS, MINUS):
             assert report.leg(side).value_gap <= 1e-12 * max(1.0, abs(solution.y0(side, mode))), (side, mode)
 
 
-@given(admissible_problems(), KINDS, STEPS, st.integers(1, 300), st.integers(0, 2**32 - 1), st.sampled_from((1, 2)))
-def test_replay_equals_pinned_replay(problem, kind, steps, n_paths, seed, mode):
+@given(admissible_problems(), KINDS, st.integers(min_value=4, max_value=12), st.sampled_from((1, 2)))
+def test_replay_equals_pinned_replay(problem, kind, steps, mode):
+    # the law against the replay written out over every one of the 2^N paths
     solution, _ = solve_system(problem, admissible_case(problem, kind, steps))
-    assert_replay_matches_pinned(solution, n_paths, seed, mode)
+    assert_law_matches_enumeration(solution, mode)
 
 
 @st.composite

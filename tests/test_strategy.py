@@ -20,12 +20,16 @@ from modeswitch.strategy import (
 from modeswitch.verify import counterexample_problem
 
 from conftest import (
-    assert_replay_matches_pinned,
+    assert_law_matches_enumeration,
+    assert_walk_near_law,
     at,
     bin_backend,
     build_problem,
     det_backend,
     driver_rate,
+    leg_moments,
+    pinned_replay,
+    replay_tables,
     smoke_problem,
 )
 
@@ -255,70 +259,65 @@ class TestClassifyAction:
 
 class TestSimulatePolicy:
     def test_counterexample_terminates_at_start(self, fixture_solution):
-        report = simulate_policy(fixture_solution, n_paths=1, seed=0, start_mode=1)
+        report = simulate_policy(fixture_solution, 1)
         leg = report.leg(PLUS)
-        assert leg.action == TERMINATE
+        assert leg.action == TERMINATE and leg.p_terminate == 1.0
         assert leg.stop_step == 0
         assert leg.realized == pytest.approx(np.e, abs=2e-3)
         assert leg.value_gap <= 1e-6
 
     def test_zero_problem_realizes_zero(self, zero_problem):
         solution, _ = solve_system(zero_problem, det_backend(64))
-        report = simulate_policy(solution, n_paths=1, seed=0, start_mode=2)
+        report = simulate_policy(solution, 2)
         for side in (PLUS, MINUS):
             assert report.leg(side).realized == 0.0
             assert report.leg(side).value_gap == 0.0
 
     def test_smoke_profit_leg_hits_mc_band(self):
+        # the law holds every path, and a seeded walk of 20 000 paths lands in its Chebyshev band
         problem = smoke_problem()
         be = bin_backend(50)
         solution, trace = solve_system(problem, be)
         assert trace.converged
-        report = simulate_policy(solution, n_paths=20000, seed=11, start_mode=1)
-        leg = report.leg(PLUS)
-        assert leg.action == HOLD
-        assert leg.stop_step == 50
-        assert leg.value_gap <= 3 * leg.std_error
+        law, _ = assert_walk_near_law(solution, 20000, 11, 1)
+        leg = law["legs"][PLUS]
+        assert leg["action"] == HOLD and leg["stop_step"] == 50 and leg["p_hold"] == pytest.approx(1.0, abs=1e-12)
+        assert leg["value_gap"] <= 1e-12
 
     def test_deterministic_reports_zero_std_error(self, fixture_solution):
-        report = simulate_policy(fixture_solution, n_paths=4, seed=3, start_mode=1)
-        assert report.leg(PLUS).std_error == 0.0
+        report = simulate_policy(fixture_solution, 1)
+        assert report.leg(PLUS).std_error == 0.0 and report.leg(MINUS).std_error == 0.0
 
     def test_same_seed_reproduces_report(self):
+        # the seeded walk repeats itself; the law takes no seed and repeats bit for bit
         problem = smoke_problem()
         solution, _ = solve_system(problem, bin_backend(30))
-        a = simulate_policy(solution, n_paths=500, seed=21, start_mode=1)
-        b = simulate_policy(solution, n_paths=500, seed=21, start_mode=1)
-        assert a.as_dict() == b.as_dict()
+        assert pinned_replay(solution, 500, 21, 1) == pinned_replay(solution, 500, 21, 1)
+        assert repr(simulate_policy(solution, 1).as_dict()) == repr(simulate_policy(solution, 1).as_dict())
 
     def test_lattice_early_stopping_classifies_per_path(self):
         solution, trace = solve_system(tie_problem(), bin_backend(24))
         assert trace.converged
-        report = simulate_policy(solution, n_paths=300, seed=5, start_mode=1)
+        report = simulate_policy(solution, 1)
         leg = report.leg(PLUS)
         assert leg.stop_step == 0.0
-        assert leg.action == SWITCH
+        assert leg.action == SWITCH and leg.p_switch == 1.0
         assert leg.value_gap == 0.0
 
     @pytest.mark.parametrize("path, backend", [
         (SWITCHING_LATTICE, det_backend(20)),
         (SWITCHING_LATTICE, bin_backend(20)),
-        (COUNTEREXAMPLE, bin_backend(20)),  # both legs in contact at the root: nothing is drawn
+        (COUNTEREXAMPLE, bin_backend(20)),  # both legs in contact at the root
     ], ids=["switching-deterministic", "switching-binomial", "root-contact-binomial"])
-    def test_negative_seed_is_refused_on_every_backend(self, path, backend):
-        # so is a path count or seed that is not an int; a numpy integer is one
+    def test_start_mode_must_be_the_integer_1_or_2(self, path, backend):
+        # a bool or float is refused like a mode that does not exist: True
+        # used to be written as "start_mode": true, and 1.0 failed inside numpy
         solution, _ = solve_system(load_problem(path), backend)
-        for n_paths, seed, message in [
-            (10, -1, "seed must be >= 0"),
-            (10.0, 1, "n_paths must be an int, got 10.0"),
-            (True, 1, "n_paths must be an int, got True"),
-            (10, 1.5, "seed must be an int, got 1.5"),
-            (10, True, "seed must be an int, got True"),
-        ]:
+        for start_mode in (True, 1.0, 2.0, 0, 3, np.int64(1), "1", None):
             with pytest.raises(ValueError) as refused:
-                simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=1)
-            assert str(refused.value) == message
-        assert simulate_policy(solution, n_paths=np.int64(3), seed=np.int64(1), start_mode=1).n_paths == 3
+                simulate_policy(solution, start_mode)
+            assert str(refused.value) == f"start_mode must be the integer 1 or 2, got {start_mode!r}"
+        assert [simulate_policy(solution, mode).start_mode for mode in (1, 2)] == [1, 2]
 
     def test_replay_rate_at_continuation_value(self):
         # hold to the horizon with profit rate y: the replay evaluates the rate
@@ -327,155 +326,186 @@ class TestSimulatePolicy:
         problem = build_problem(drivers=drivers, ell=1e3, a=1e3, b=1e3, terminals=1.0)
         solution, trace = solve_system(problem, det_backend(256))
         assert trace.converged
-        leg = simulate_policy(solution, n_paths=1, seed=0, start_mode=1).leg(PLUS)
+        leg = simulate_policy(solution, 1).leg(PLUS)
         assert leg.action == HOLD
         assert leg.value_gap <= 1e-12
 
     def test_bad_start_mode(self, fixture_solution):
         with pytest.raises(ValueError):
-            simulate_policy(fixture_solution, n_paths=1, seed=0, start_mode=3)
+            simulate_policy(fixture_solution, 3)
 
-    @pytest.mark.parametrize("backend", [det_backend(20), bin_backend(20)])
-    def test_zero_paths_is_refused(self, backend):
-        # the width-1 lattice replays one path, so the check cannot come from drawing them
-        solution, _ = solve_system(smoke_problem(), backend)
-        with pytest.raises(ValueError, match="n_paths must be >= 1"):
-            simulate_policy(solution, n_paths=0, seed=0, start_mode=1)
+    @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE, COUNTEREXAMPLE])
+    @pytest.mark.parametrize("backend", [det_backend(100), bin_backend(100)])
+    def test_every_moving_leg_of_the_bundled_problems_realizes_y0(self, path, backend):
+        solution, _ = solve_system(load_problem(path), backend)
+        for mode in (1, 2):
+            for leg in simulate_policy(solution, mode).legs.values():
+                assert leg.value_gap <= 1e-12, (leg.side, mode)
+                assert abs(leg.p_switch + leg.p_terminate + leg.p_hold - 1.0) <= 1e-12, (leg.side, mode)
+                assert 0.0 <= leg.stop_step <= 100.0
 
 
 class TestStreamingReplay:
-    def test_width_one_replays_one_path(self):
-        # averaging 10 000 copies of the one path gave rounding noise
-        # (std_error 4.4e-18, value_gap 4.4e-16)
-        solution, _ = solve_system(counterexample_problem(1.0), det_backend(2000))
-        report = simulate_policy(solution, n_paths=10000, seed=1, start_mode=1)
-        assert report.n_paths == 10000
+    def test_width_one_replays_one_path(self, monkeypatch):
+        # the one path is read with no per-step loop, and reports its value exactly
+        monkeypatch.setattr(strategy, "_mass_pass", lambda *args: pytest.fail("the width-1 replay ran the mass pass"))
+        solution, _ = solve_system(load_problem(SMOKE_LATTICE), det_backend(2000))
+        report = simulate_policy(solution, 1)
         for side in (PLUS, MINUS):
-            assert report.leg(side).std_error == 0.0
-            assert report.leg(side).value_gap == 0.0
+            leg = report.leg(side)
+            assert leg.std_error == 0.0 and leg.stop_step == 2000.0 and leg.p_hold == 1.0
+            assert leg.value_gap <= 1e-13
+
+    @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE, COUNTEREXAMPLE])
+    @pytest.mark.parametrize("n", [10, 100, 2000])
+    def test_width_one_pass_equals_the_mass_pass_bit_for_bit(self, path, n):
+        # every leg of both modes on the width-1 lattice, moving or not
+        solution, _ = solve_system(load_problem(path), det_backend(n))
+        for mode in (1, 2):
+            stops, _, rates, _ = replay_tables(solution, mode)
+            for s in range(2):
+                one = strategy._single_path(stops[s], rates[s])
+                every = strategy._mass_pass(solution.backend, stops[s], rates[s])
+                assert [a.tobytes() for a in one] == [a.tobytes() for a in every], (s, mode)
 
     def test_the_seed_alone_fixes_the_report(self):
-        # the profit leg moves in both modes: one seed gives one report, another seed another
+        # the seed alone fixes a walk (one seed gives one report, another
+        # another), and the law is fixed by the solution alone
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(25))
         for mode in (1, 2):
-            first, again, other = (
-                simulate_policy(solution, n_paths=3001, seed=seed, start_mode=mode).as_dict() for seed in (2, 2, 3)
-            )
+            first, again, other = (pinned_replay(solution, 3001, seed, mode) for seed in (2, 2, 3))
             assert first == again and repr(first) == repr(again), mode
             assert first["legs"][PLUS]["realized"] != other["legs"][PLUS]["realized"], mode
+            assert simulate_policy(solution, mode) == simulate_policy(solution, mode)
 
     def test_replay_memory_does_not_grow_with_paths(self):
+        # no path is held: the pass keeps one step of masses beside the node tables
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
         tracemalloc.start()
         try:
-            simulate_policy(solution, n_paths=100_000, seed=1, start_mode=1)
+            simulate_policy(solution, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 2e6
 
 
-def stopping_step_moments(solution, mode):
-    """E[tau] and E[tau^2] at the root of each side's leg from ``mode``, by the
-    backward recursion on its stop mask: k at a stop node at step k, else the
-    conditional expectation of the next step's values."""
-    backend, n = solution.backend, solution.backend.grid.n_steps
-    stops = contact_masks(solution)[0][:, mode - 1]
-    steps = np.broadcast_to(backend.step_of_node.astype(float), stops.shape)
-    moments = [np.where(stops, steps, 0.0), np.where(stops, steps**2, 0.0)]
-    for k in range(n - 1, -1, -1):
-        here = at(stops, backend, k)
-        for table in moments:
-            carried = backend.moments(at(table, backend, k + 1), k)[0]
-            at(table, backend, k)[:] = np.where(here, at(table, backend, k), carried)
-    return moments[0][:, 0], moments[1][:, 0]
+class TestMassPass:
+    def test_branches_come_from_reachability_not_mass(self):
+        # the only terminate node is the bottom node of step 1100, which one
+        # path reaches with probability 2^-1100: its mass underflows to 0, and
+        # the leg still reports the branch
+        n = 1101
+        backend = bin_backend(n)
+        stop, prefer = np.zeros(backend.size, dtype=bool), np.ones(backend.size, dtype=bool)
+        bottom = int(backend.flat_index(1100, 1100))
+        stop[backend.offsets[n] :] = stop[bottom] = True
+        prefer[bottom] = False
+        rate, payoff = np.zeros(backend.offsets[n]), np.zeros(backend.size)
+        stops, mass, acc = strategy._mass_pass(backend, stop, rate)
+        assert bottom in stops and mass[stops == bottom] == 0.0
+        leg = strategy._leg(PLUS, 1, backend, stops, mass, acc, prefer, payoff)
+        assert leg.action == strategy.MIXED and leg.p_terminate == 0.0 and leg.p_switch == 0.0
+        assert leg.p_hold == pytest.approx(1.0, abs=1e-12) and leg.stop_step == pytest.approx(n, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 8, 11, 12])
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_switching_lattice_equals_the_enumeration(self, n, mode):
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
+        assert_law_matches_enumeration(solution, mode)
+
+    @pytest.mark.parametrize("path", [SMOKE_LATTICE, COUNTEREXAMPLE])
+    @pytest.mark.parametrize("backend", [det_backend(12), bin_backend(12)])
+    def test_bundled_problems_equal_the_enumeration(self, path, backend):
+        solution, _ = solve_system(load_problem(path), backend)
+        for mode in (1, 2):
+            assert_law_matches_enumeration(solution, mode)
 
 
 class TestReplayAgainstExactMeans:
-    """Checks that hold for any fair coin stream: Y_0 is the exact mean of the
-    realized value (the replay's recursion reproduces Y bit for bit), and the
-    stop mask's backward recursion gives the exact mean stopping step."""
+    """The law against the backward recursions on the stop mask (``leg_moments``),
+    which owe nothing to the forward pass: Y_0 is the exact value of the rule,
+    and the mean stopping step is the recursion's."""
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_moving_legs_realize_y0_and_the_mean_stopping_step(self, mode):
-        n_paths = 100_000
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
-        mean_tau, mean_tau_sq = stopping_step_moments(solution, mode)
-        # the cost leg stops at the root in mode 1 and holds to the horizon in
-        # mode 2, where every path collects the same value up to rounding, so
-        # only the profit leg's realized value has a Monte Carlo error
+        moments = leg_moments(solution, mode)
+        # the cost leg stops at the root in mode 1 and holds to the horizon in mode 2
         stops = contact_masks(solution)[0][:, mode - 1]
         moving = [s for s in range(2) if not stops[s][0]]
         assert moving == ([0] if mode == 1 else [0, 1])
-        for seed in range(10):
-            report = simulate_policy(solution, n_paths=n_paths, seed=seed, start_mode=mode)
-            profit = report.leg(PLUS)
-            assert abs(profit.realized - solution.y0(PLUS, mode)) <= 4.5 * profit.std_error, seed
-            for s in moving:
-                tau_error = np.sqrt((mean_tau_sq[s] - mean_tau[s] ** 2) / n_paths)
-                assert abs(report.leg(SIDES[s]).stop_step - mean_tau[s]) <= 5 * tau_error, (SIDES[s], seed)
+        report = simulate_policy(solution, mode)
+        for s in moving:
+            leg = report.leg(SIDES[s])
+            assert leg.value_gap <= 1e-12 and leg.std_error == 0.0, SIDES[s]
+            assert abs(leg.realized - moments[SIDES[s]]["realized"][0]) <= 1e-12, SIDES[s]
+            assert abs(leg.stop_step - moments[SIDES[s]]["stop_step"][0]) <= 1e-10, SIDES[s]
+        profit = report.leg(PLUS)
+        assert profit.action == strategy.MIXED and profit.p_terminate == 0.0
+        assert profit.p_switch == pytest.approx(0.7532, abs=1e-4)
+        assert profit.stop_step == pytest.approx(39.6876, abs=1e-4)
 
 
 class TestPinnedReplay:
-    """The replay against ``conftest.pinned_replay``, which reads every path on every leg."""
+    """A seeded Monte Carlo walk (``conftest.pinned_replay``) against the law,
+    within the Chebyshev bound of its path count (``assert_walk_near_law``)."""
 
     @pytest.mark.parametrize("n, n_paths", [(25, 30001), (100, 12001), (101, 12001)])
     @pytest.mark.parametrize("mode", [1, 2])
     def test_switching_lattice(self, n, n_paths, mode):
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(n))
-        assert n_paths % 8  # the last coin byte of each step is partly read
         for seed in (1, 7, 2024):
-            assert_replay_matches_pinned(solution, n_paths, seed, mode)
+            assert_walk_near_law(solution, n_paths, seed, mode)
 
     @pytest.mark.parametrize("path, stop_step", [(SMOKE_LATTICE, 100.0), (COUNTEREXAMPLE, 0.0)])
     def test_legs_that_hold_or_stop_at_the_root(self, path, stop_step):
         # smoke_lattice holds both legs to the horizon, the counterexample stops both at the root
         solution, _ = solve_system(load_problem(path), bin_backend(100))
         for mode in (1, 2):
-            report = assert_replay_matches_pinned(solution, 12001, 3, mode)
-            assert all(leg["stop_step"] == stop_step for leg in report["legs"].values())
+            law, walk = assert_walk_near_law(solution, 12001, 3, mode)
+            for report in (law, walk):
+                assert all(leg["stop_step"] == stop_step for leg in report["legs"].values())
 
     def test_leg_that_leaves_the_root_and_stops_at_the_next_step(self):
-        # Y+_1 sits above its barrier max(Y+_2 - ell, Y-_1 - a) = 0 at the root only
+        # Y+_1 sits above its barrier max(Y+_2 - ell, Y-_1 - a) = 0 at the root
+        # only; on the width-1 lattice the walk's one path is the law, bit for bit
         be, problem = det_backend(2), build_problem(ell=2.0, a=0.0, b=0.0)
         y = np.zeros((2, 2, be.size))
         y[row(PLUS, 1)][0] = 5.0
         solution = given_solution(problem, be, y)
         stops, _ = contact_masks(solution)
         assert not stops[row(PLUS, 1)][0] and stops[row(PLUS, 1)][1]
-        assert assert_replay_matches_pinned(solution, 1, 0, 1)["legs"][PLUS]["stop_step"] == 1.0
+        law = simulate_policy(solution, 1).as_dict()
+        assert law == pinned_replay(solution, 1, 0, 1) and repr(law) == repr(pinned_replay(solution, 1, 0, 1))
+        assert law["legs"][PLUS]["stop_step"] == 1.0
 
 
 class TestRootContact:
     def test_no_leg_moves_and_nothing_is_drawn(self, monkeypatch):
-        # the legs are decided at the root alone: no path is drawn and no
-        # whole-lattice table is built, and each leg reports Y_0 exactly (the
-        # average of 1e5 copies of Y_0 read 8.88e-16 off it in mode 2)
+        # the legs are decided at the root alone: no whole-lattice table is
+        # built and no pass runs, and each leg reports Y_0 exactly
         solution, _ = solve_system(load_problem(COUNTEREXAMPLE), bin_backend(400))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the replay drew paths or built a whole-lattice table")
+            raise AssertionError("the replay ran a pass or built a whole-lattice table")
 
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(np, "unpackbits", refuse)
+        monkeypatch.setattr(strategy, "_mass_pass", refuse)
         monkeypatch.setattr(strategy, "contact_masks", refuse)
         monkeypatch.setattr(type(solution.problem), "driver_table", refuse)
         for mode in (1, 2):
-            peaks = {}
-            for n_paths in (1, 100_000):
-                tracemalloc.start()
-                try:
-                    report = simulate_policy(solution, n_paths=n_paths, seed=1, start_mode=mode)
-                    peaks[n_paths] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert report.n_paths == 100_000
+            tracemalloc.start()
+            try:
+                report = simulate_policy(solution, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             for side in SIDES:
                 leg = report.leg(side)
                 assert leg.stop_step == 0.0 and leg.std_error == 0.0 and leg.value_gap == 0.0, (side, mode)
                 assert leg.realized == solution.y0(side, mode) and leg.action == TERMINATE, (side, mode)
-            # 1e5 paths cost no more at the peak than one path: under 64 KiB
-            assert peaks[100_000] - peaks[1] < 65536, mode
+                assert (leg.p_switch, leg.p_terminate, leg.p_hold) == (0.0, 1.0, 0.0), (side, mode)
+            assert peak < 65536, mode
 
 
 class TestDynamicProgrammingConsistency:
