@@ -16,16 +16,15 @@ last axis); step k occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .model import Record
 
 # Down-move index offset of each lattice kind.
 DOWN = {"deterministic": 0, "binomial": 1}
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     n_steps: int
     horizon: float
 

@@ -14,11 +14,12 @@ module reads the direction of a side from here.
 The four components form one (side, mode, node) block, ``COMPONENTS`` its
 rows in C order; costs are stacked by mode, and the other mode of a side is
 its reversed mode axis, a view. ``DriverTable`` holds the four drivers.
+Every record of the package is a ``Record``: a frozen value class that
+inherits its methods, so that defining one compiles no code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -58,8 +59,58 @@ class ProblemError(ValueError):
     """Raised for malformed or inadmissible problem data."""
 
 
-@dataclass(frozen=True)
-class CoefficientFunction:
+class Record:
+    """The base of every record of the package: a frozen value class, built
+    from these shared methods rather than from generated code. A record's
+    fields are its class body's annotated names, in order, and a class
+    attribute of the same name is a field's default; its instance dict holds
+    its fields. The constructor binds by position or keyword, then runs the
+    class's ``__post_init__`` if it has one. Records are equal when of one
+    type with equal fields."""
+
+    def __init_subclass__(cls):  # a subclass of a record adds its own fields after its parent's
+        cls._fields = tuple(dict.fromkeys((*getattr(cls, "_fields", ()), *vars(cls).get("__annotations__", ()))))
+        cls._defaults = {key: getattr(cls, key) for key in cls._fields if hasattr(cls, key)}
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, {**self._defaults, **dict(zip(self._fields, args)), **kwargs}
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args) :]) or len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, each once unless it has a default")
+        vars(self).update((key, values[key]) for key in fields)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, key, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot {'set' if value else 'delete'} {key!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"
+
+    def as_dict(self) -> dict:
+        """The fields by name; a record among them, or in a dict among them, as its own ``as_dict``."""
+        return _plain(vars(self))
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.as_dict() if isinstance(value, Record) else value
+
+
+def replace(rec: Record, **changes) -> Record:
+    """A copy of ``rec`` with ``changes``, built by its constructor, so every field check runs again."""
+    return type(rec)(**{**vars(rec), **changes})
+
+
+class CoefficientFunction(Record):
     """Deterministic C^1 time coefficient from a small catalog.
 
     kinds:
@@ -109,8 +160,7 @@ class CoefficientFunction:
         return np.polynomial.polynomial.polyval(t, self.params)
 
 
-@dataclass(frozen=True)
-class Driver:
+class Driver(Record):
     """Affine running yield rate psi(t, x, y, z) = c0(t)*feat(x) + c1*y + c2*z.
 
     ``state_feature`` is "one" (c0 purely time-dependent) or "x" (c0 scaled by
@@ -154,8 +204,7 @@ class DriverTable(NamedTuple):
         return (self.base[..., nodes] + self.c1 * y) + self.c2 * z
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     """Horizon value xi(x) = intercept + slope * x.
 
     Constant terminals (slope 0) are the deterministic-backend case; the
@@ -169,8 +218,7 @@ class Terminal:
         return self.intercept + self.slope * np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
-class SwitchingProblem:
+class SwitchingProblem(Record):
     """Full data of one two-modes balance-sheet switching problem."""
 
     horizon: float
@@ -300,8 +348,7 @@ def by_side(name: str, *blocks) -> np.ndarray:
     return np.stack([getattr(_PUSH[side], name)(*(b[s] for b in blocks)) for s, side in enumerate(SIDES)])
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
@@ -309,9 +356,11 @@ class CheckResult:
     value: float | None = None
 
 
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class ValidationReport(Record):
+    checks: list[CheckResult] = ()
+
+    def __post_init__(self):
+        vars(self)["checks"] = list(self.checks)  # each report appends to a list of its own
 
     @property
     def all_passed(self) -> bool:

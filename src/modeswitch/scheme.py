@@ -35,8 +35,6 @@ node and component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Lattice
@@ -48,6 +46,7 @@ from .model import (
     CostSlice,
     DriverTable,
     ProblemError,
+    Record,
     SwitchingProblem,
     by_side,
     closure,
@@ -67,16 +66,14 @@ class LocalSweepError(SchemeError):
     """The one-step projection at a node did not settle within LOCAL_SWEEP_CAP rounds."""
 
 
-@dataclass(frozen=True)
-class PassTrace:
+class PassTrace(Record):
     """Projection round count of the one-pass solver at each step before the horizon."""
 
     local_sweeps: np.ndarray
     converged = True  # a class constant, not a field: a solve returns only once it settled and certified
 
 
-@dataclass(frozen=True)
-class BalanceSheetSolution:
+class BalanceSheetSolution(Record):
     """One solution of ``problem`` on ``backend``: the (side, mode, node)
     blocks of Y, Z and dK, each shaped (2, 2, backend.size); dK at the horizon is zero."""
 

@@ -19,11 +19,9 @@ mass of its paths and their yield from node to node (``simulate_policy``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
-from .model import COMPONENTS, SIDES, DriverTable, _is_mode, evaluate_obstacles, row
+from .model import COMPONENTS, SIDES, DriverTable, Record, _is_mode, evaluate_obstacles, row
 from .scheme import BalanceSheetSolution, system_obstacles
 
 SWITCH = "switch"
@@ -92,8 +90,7 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     return SWITCH if switches[here] else TERMINATE
 
 
-@dataclass(frozen=True)
-class LegReport:
+class LegReport(Record):
     side: str
     mode: int
     stop_step: float
@@ -106,16 +103,12 @@ class LegReport:
     p_hold: float
 
 
-@dataclass(frozen=True)
-class StrategyReport:
+class StrategyReport(Record):
     start_mode: int
     legs: dict
 
     def leg(self, side: str) -> LegReport:
         return self.legs[side]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _children(share: np.ndarray, down: int) -> np.ndarray:

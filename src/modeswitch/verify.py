@@ -15,8 +15,6 @@ the same numbers can back both CI gating and diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .grid import Lattice, TimeGrid
@@ -30,6 +28,7 @@ from .model import (
     CoefficientFunction,
     Driver,
     SwitchingProblem,
+    Record,
     Terminal,
     by_side,
 )
@@ -75,8 +74,7 @@ def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: in
     return np.cumsum(per_step, axis=-1)[..., -1]
 
 
-@dataclass(frozen=True)
-class ClosedFormFamily:
+class ClosedFormFamily(Record):
     """One of the two exact solutions of the fixture problem on [0, T].
 
     family 1: mode-1 value e^{T-t}, reflection mass on the cost side;
@@ -125,8 +123,7 @@ def closed_form_family(family_id: int, T: float) -> ClosedFormFamily:
     return ClosedFormFamily(family_id=family_id, horizon=float(T))
 
 
-@dataclass(frozen=True)
-class ComponentResiduals:
+class ComponentResiduals(Record):
     max_step_residual: float
     max_constraint_violation: float
     skorokhod_sum: float
@@ -134,12 +131,8 @@ class ComponentResiduals:
     max_k_density: float
     terminal_mismatch: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class ResidualReport:
+class ResidualReport(Record):
     dt: float
     components: dict
     step_residual_cap: float
@@ -217,8 +210,7 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     return ResidualReport(dt=dt, components=components, step_residual_cap=RESIDUAL_RATE_SCALE * dt)
 
 
-@dataclass
-class NonUniquenessReport:
+class NonUniquenessReport(Record):
     horizon: float
     n_steps: int
     report_family_1: ResidualReport

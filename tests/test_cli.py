@@ -670,26 +670,29 @@ def fresh_interpreter(code: str, *args) -> str:
 
 class TestImportScope:
     """A command loads only the modules it runs, in a fresh interpreter; ``csv``
-    is read by ``read_surface_csv`` alone, which no command calls."""
+    is read by ``read_surface_csv`` alone, which no command calls, and no
+    command loads ``dataclasses``: a record generates no code (``model.Record``)."""
 
     REPORT = (
         "import json, sys\n"
         "from modeswitch.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random', 'csv')\n"
+        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random', 'csv', 'dataclasses')\n"
         "print(json.dumps([code, [name for name in watched if name in sys.modules]]))"
     )
+    FIXTURE = ["--problem", "problems/counterexample.json"]
 
     @pytest.mark.parametrize(
         "command, loaded",
         [
-            (["check-assumptions"], []),
-            (["solve"], []),
-            (["simulate", "--paths", "100"], ["modeswitch.strategy"]),
+            (["check-assumptions", *FIXTURE], []),
+            (["solve", *FIXTURE], []),
+            (["simulate", *FIXTURE, "--paths", "100"], ["modeswitch.strategy"]),
+            (["verify-fixtures"], ["modeswitch.verify"]),
         ],
     )
     def test_fixture_command_loads_only_what_it_runs(self, tmp_path, command, loaded):
-        args = [*command, "--problem", "problems/counterexample.json", "--steps", "200", "--out", str(tmp_path)]
+        args = [*command, "--steps", "200", "--out", str(tmp_path)]
         assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, loaded]
 
     def test_a_replay_that_moves_draws_nothing(self, tmp_path):

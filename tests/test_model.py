@@ -1,10 +1,12 @@
 import re
-from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.io import load_problem
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -16,15 +18,21 @@ from modeswitch.model import (
     CostSlice,
     Driver,
     ProblemError,
+    Record,
     Terminal,
     branches,
     evaluate_obstacles,
+    replace,
     validate_assumptions,
 )
 from modeswitch.scheme import solve_system
+from modeswitch.strategy import simulate_policy
+from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family
 
 from conftest import bin_backend, build_problem, det_backend, driver_rate, remark_problem
 from picard_reference import derivative, tabulate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def block(y):
@@ -373,3 +381,168 @@ class TestConstructorRefusals:
     def test_refusal_names_the_field(self, make, message):
         with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
             make()
+
+
+@lru_cache(maxsize=None)
+def one_of_each() -> dict:
+    """One instance of every record type of the package, by type name."""
+    problem, backend = build_problem(), det_backend(100)
+    report = validate_assumptions(problem, backend)
+    solution, trace = solve_system(problem, backend)
+    strategy = simulate_policy(solution, 1)
+    fixtures = check_nonuniqueness(1.0, 100)
+    family = fixtures.report_family_1
+    records = [backend.grid, ZERO, problem.driver(PLUS, 1), problem.terminal(PLUS, 1), problem, report.checks[0]]
+    records += [report, trace, solution, strategy.leg(PLUS), strategy, closed_form_family(1, 1.0)]
+    records += [family.components[(PLUS, 1)], family, fixtures]
+    return {type(rec).__name__: rec for rec in records}
+
+
+RECORDS = [
+    "TimeGrid", "CoefficientFunction", "Driver", "Terminal", "SwitchingProblem", "CheckResult", "ValidationReport",
+    "PassTrace", "BalanceSheetSolution", "LegReport", "StrategyReport",
+    "ClosedFormFamily", "ComponentResiduals", "ResidualReport", "NonUniquenessReport",
+]  # fmt: skip
+
+
+def same_tree(got, want) -> bool:
+    """``got`` has the keys of ``want`` in its order, its types, its strings
+    and ints, and its floats to 12 digits (a platform's libm may move the last bits)."""
+    if isinstance(want, dict):
+        return type(got) is dict and list(got) == list(want) and all(same_tree(got[k], want[k]) for k in want)
+    if isinstance(want, float):
+        return type(got) is float and got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    return type(got) is type(want) and got == want
+
+
+class TestRecords:
+    """Every record is a ``Record``: bound by position or keyword, frozen, and
+    equal by value within its type; ``replace`` runs a record's checks again."""
+
+    def test_the_list_is_every_record_of_the_package(self):
+        assert set(one_of_each()) == set(RECORDS)
+        assert {cls.__name__ for cls in Record.__subclasses__() if cls.__module__.startswith("modeswitch.")} == set(RECORDS)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_a_field_can_be_neither_set_nor_deleted(self, name):
+        rec = one_of_each()[name]
+        assert type(rec)._fields
+        for key in (*type(rec)._fields, "unknown"):
+            before = vars(rec).get(key)
+            with pytest.raises(AttributeError, match=f"^{name} is frozen: cannot set '{key}'$"):
+                setattr(rec, key, None)
+            with pytest.raises(AttributeError, match=f"^{name} is frozen: cannot delete '{key}'$"):
+                delattr(rec, key)
+            assert vars(rec).get(key) is before
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: replace(TimeGrid(10, 1.0), n_steps=0), ValueError, "need at least one time step"),
+            (lambda: replace(Driver(1, PLUS, ZERO), side="up"), ProblemError, "side must be 'plus' or 'minus'"),
+            (
+                lambda: replace(build_problem(), drivers=dropped(build_problem().drivers, (PLUS, 1))),
+                ProblemError,
+                "missing driver for component ('plus', 1)",
+            ),
+            (
+                lambda: replace(one_of_each()["BalanceSheetSolution"], y=np.zeros((2, 2, 100))),
+                ValueError,
+                "y is shaped (2, 2, 100), but its lattice needs (2, 2, 101)",
+            ),
+        ],
+        ids=["grid-no-steps", "driver-side", "problem-dropped-driver", "solution-misshaped-y"],
+    )
+    def test_replace_runs_the_checks_again(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_replace_changes_only_what_it_names(self):
+        driver = Driver(1, PLUS, ZERO, c1=0.5)
+        assert replace(driver) == driver and replace(driver) is not driver
+        assert vars(replace(driver, c2=0.25)) == {**vars(driver), "c2": 0.25}
+
+    def test_the_constructor_binds_by_position_or_keyword(self):
+        assert TimeGrid(horizon=2.0, n_steps=4) == TimeGrid(4, 2.0) == TimeGrid(4, horizon=2.0)
+        assert Driver(2, MINUS, ZERO, c2=0.5) == Driver(2, MINUS, ZERO, 0.0, 0.5, "one")
+        assert vars(Terminal(1.5)) == {"intercept": 1.5, "slope": 0.0}
+        first, second = (validate_assumptions(build_problem(), det_backend(10)) for _ in range(2))
+        assert first.checks is not second.checks and first.checks == second.checks
+        first.add("extra", True)
+        assert len(first.checks) == len(second.checks) + 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TimeGrid(10),
+            lambda: TimeGrid(horizon=1.0),
+            lambda: TimeGrid(10, 1.0, 2),
+            lambda: TimeGrid(10, 1.0, dt=0.1),
+            lambda: TimeGrid(10, horizn=1.0),
+            lambda: TimeGrid(10, 1.0, n_steps=10),
+            lambda: Terminal(1.0, intercept=2.0),
+        ],
+        ids=["missing", "missing-first", "too-many", "unknown", "misspelt", "repeated", "repeated-with-default"],
+    )
+    def test_a_missing_unknown_or_repeated_argument_is_refused(self, make):
+        with pytest.raises(TypeError, match=r"\(\) takes .+, each once unless it has a default$"):
+            make()
+
+    def test_equality_is_by_value_within_one_type(self):
+        class Shifted(Terminal):
+            pass
+
+        assert Terminal(1.0) == Terminal(1.0, 0.0) and hash(Terminal(1.0)) == hash(Terminal(1.0, 0.0))
+        assert Terminal(1.0) != Terminal(1.0, 0.5)
+        assert Shifted(1.0) != Terminal(1.0) and Terminal(1.0) != Shifted(1.0) and Shifted(1.0) == Shifted(1.0)
+        assert Terminal(1.0) != (1.0, 0.0) and Terminal(1.0) != {"intercept": 1.0, "slope": 0.0}
+        assert repr(Terminal(1.0)) == "Terminal(intercept=1.0, slope=0.0)"
+
+    def test_as_dict_of_a_strategy_report(self):
+        problem = load_problem(ROOT / "bench/problems/switching_lattice.json")
+        solution, _ = solve_system(problem, bin_backend(100, problem.horizon))
+        want = {
+            "start_mode": 1,
+            "legs": {
+                "plus": {
+                    "side": "plus",
+                    "mode": 1,
+                    "stop_step": 39.6876444972448,
+                    "action": "mixed",
+                    "realized": 0.6151887803865669,
+                    "value_gap": 3.3306690738754696e-16,
+                    "std_error": 0.0,
+                    "p_switch": 0.7532108977895347,
+                    "p_terminate": 0.0,
+                    "p_hold": 0.24678910221046543,
+                },
+                "minus": {
+                    "side": "minus",
+                    "mode": 1,
+                    "stop_step": 0.0,
+                    "action": "switch",
+                    "realized": 0.3817382407843879,
+                    "value_gap": 0.0,
+                    "std_error": 0.0,
+                    "p_switch": 1.0,
+                    "p_terminate": 0.0,
+                    "p_hold": 0.0,
+                },
+            },
+        }
+        assert same_tree(simulate_policy(solution, 1).as_dict(), want)
+
+    def test_as_dict_of_residuals(self):
+        report = audit_solution(closed_form_family(1, 1.0).sample(det_backend(100)))
+        steps = [2.253942584969082e-05, 0.019801946754011146, 2.253942584969082e-05, 0.019801946754012187]
+        densities = [0.0, 0.0, 2.7047581504041536, 3.0150432657414865]
+        for key, step, density in zip(COMPONENTS, steps, densities):
+            want = {
+                "max_step_residual": step,
+                "max_constraint_violation": 0.0,
+                "skorokhod_sum": 0.0,
+                "k_sign_violation": 0.0,
+                "max_k_density": density,
+                "terminal_mismatch": 0.0,
+            }
+            assert same_tree(report.components[key].as_dict(), want), key

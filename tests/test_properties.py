@@ -10,7 +10,6 @@ the validator rejects. Examples are drawn deterministically (settings profile in
 conftest.py), so failures reproduce.
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -30,6 +29,7 @@ from modeswitch.model import (
     Driver,
     SwitchingProblem,
     Terminal,
+    replace,
     row,
     validate_assumptions,
 )
@@ -199,10 +199,10 @@ def raised_pairs(draw):
         key = draw(st.sampled_from(raisable))
         drv = problem.drivers[key]
         c0 = CoefficientFunction(drv.c0.kind, (drv.c0.params[0] + d, *drv.c0.params[1:]))
-        changes = {"drivers": {**problem.drivers, key: dataclasses.replace(drv, c0=c0)}}
+        changes = {"drivers": {**problem.drivers, key: replace(drv, c0=c0)}}
     else:
         changes = {"terminals": {key: Terminal(t.intercept + d, t.slope) for key, t in problem.terminals.items()}}
-    return problem, dataclasses.replace(problem, **changes)
+    return problem, replace(problem, **changes)
 
 
 @given(raised_pairs(), KINDS, STEPS)
