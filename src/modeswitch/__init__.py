@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("grid", "Lattice TimeGrid"),
+        ("grid", "Lattice"),
         (
             "model",
             "COMPONENTS MINUS PLUS CoefficientFunction Driver ProblemError SwitchingProblem Terminal "
@@ -29,11 +29,7 @@ _EXPORTS = {
         ),
         ("scheme", "BalanceSheetSolution LocalSweepError PassTrace SchemeError solve_system"),
         ("strategy", "StrategyReport classify_action extract_stopping_times simulate_policy"),
-        (
-            "verify",
-            "ClosedFormFamily ResidualReport audit_solution check_nonuniqueness closed_form_family "
-            "counterexample_problem",
-        ),
+        ("verify", "ClosedFormFamily ResidualReport audit_solution check_nonuniqueness counterexample_problem"),
     )
     for name in names.split()
 }

@@ -229,7 +229,7 @@ class SwitchingProblem(Record):
     terminals: Mapping[tuple[str, int], Terminal]
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < np.inf:
+        if isinstance(self.horizon, bool) or not 0.0 < self.horizon < np.inf:
             raise ProblemError(f"'horizon' must be positive and finite, got {self.horizon!r}")
         for key in COMPONENTS:
             if key not in self.drivers:
@@ -257,9 +257,9 @@ class SwitchingProblem(Record):
         return CostSlice(*(np.array([pair[0](times), pair[1](times)]) for pair in (self.ell, self.a, self.b)))
 
     def driver_table(self, lattice) -> DriverTable:
-        """The four drivers as one table on ``lattice``; c0 is evaluated once on the grid times."""
+        """The four drivers as one table on ``lattice``; c0 is evaluated once on the lattice's times."""
         rows = [self.driver(side, mode) for side, mode in COMPONENTS]
-        c0 = [np.asarray(d.c0(lattice.grid.times))[lattice.step_of_node] for d in rows]
+        c0 = [np.asarray(d.c0(lattice.times))[lattice.step_of_node] for d in rows]
         base = [c * lattice.states if d.state_feature == "x" else c for c, d in zip(c0, rows)]
         column = lambda values: np.reshape(values, (2, 2, -1))  # noqa: E731
         return DriverTable(column(base), column([d.c1 for d in rows]), column([d.c2 for d in rows]))
@@ -357,10 +357,7 @@ class CheckResult(Record):
 
 
 class ValidationReport(Record):
-    checks: list[CheckResult] = ()
-
-    def __post_init__(self):
-        vars(self)["checks"] = list(self.checks)  # each report appends to a list of its own
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -368,9 +365,6 @@ class ValidationReport(Record):
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def add(self, name, passed, detail="", at_time=None, value=None):
-        self.checks.append(CheckResult(name, bool(passed), detail, at_time, value))
 
     def lines(self) -> list[str]:
         out = []
@@ -401,9 +395,12 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     of Ito data (closed-form drift) for the ``b`` and ``ell`` cost processes.
     Reports every check; never raises.
     """
-    report = ValidationReport()
-    grid = lattice.grid
-    times = grid.times
+    checks = []
+
+    def add(name, passed, detail="", at_time=None, value=None):
+        checks.append(CheckResult(name, bool(passed), detail, at_time, value))
+
+    times = lattice.times
     T = float(times[-1])
 
     for side, mode in COMPONENTS:
@@ -411,7 +408,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         c0_vals = drv.c0(times)
         finite = np.isfinite(c0_vals) & np.isfinite(drv.lipschitz)
         t_bad, v_bad = _first_violation(times, c0_vals, finite)
-        report.add(
+        add(
             f"A1 driver psi_{side}_{mode}",
             t_bad is None,
             f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid",
@@ -424,7 +421,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         ell_vals = costs.ell[i]
         ok = np.isfinite(ell_vals) & (ell_vals > 0.0)
         t_bad, v_bad = _first_violation(times, ell_vals, ok)
-        report.add(
+        add(
             f"A2 switching cost ell_{mode} > 0",
             t_bad is None,
             "strictly positive at every grid time",
@@ -433,16 +430,16 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         )
         for fam_name, fam in (("a", costs.a), ("b", costs.b)):
             t_bad, v_bad = _first_violation(times, fam[i], np.isfinite(fam[i]))
-            report.add(f"A2 cost {fam_name}_{mode} finite", t_bad is None, at_time=t_bad, value=v_bad)
+            add(f"A2 cost {fam_name}_{mode} finite", t_bad is None, at_time=t_bad, value=v_bad)
 
     # Terminal data at every terminal node of the lattice; a failure names
     # the first failing node.
-    x_T = lattice.state(grid.n_steps)
+    x_T = lattice.state(lattice.n_steps)
     nodes = np.arange(x_T.size)
     xi = problem.terminal_block(x_T)
     for (side, mode), values in zip(COMPONENTS, xi.reshape(4, -1)):
         j_bad, v_bad = _first_violation(nodes, values, np.isfinite(values))
-        report.add(
+        add(
             f"A3 terminal xi_{side}_{mode} square integrable",
             j_bad is None,
             "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
@@ -454,7 +451,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         j = int(np.argmin(margin)) if j is None else j
         m = float(margin[j])
         name = f"BC terminal xi_{side}_{mode}"
-        report.add(name, m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", at_time=T, value=m)
+        add(name, m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", at_time=T, value=m)
 
     # Discrete comparison: the one-step map y = E + psi * dt, with
     # E = (u + v) / 2 and z = (u - v) / (2 sqrt(dt)) over the two children
@@ -463,20 +460,20 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     # the scheme's order assertions rely on it.
     for side, mode in COMPONENTS:
         drv = problem.driver(side, mode)
-        margin = 1.0 + drv.c1 * grid.dt - abs(drv.c2) * lattice.spread
-        report.add(
+        margin = 1.0 + drv.c1 * lattice.dt - abs(drv.c2) * lattice.spread
+        add(
             f"A5 comparison psi_{side}_{mode}",
             margin >= 0.0,
             "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt",
             value=margin,
         )
     for side, mode in COMPONENTS:  # the step guard of the explicit scheme (``scheme.backward_pass``)
-        step = grid.dt * problem.driver(side, mode).lipschitz
+        step = lattice.dt * problem.driver(side, mode).lipschitz
         detail = f"dt (|c1| + |c2|) < {STABILITY_LIMIT:g}; a larger time step is too coarse"
-        report.add(f"A6 step size psi_{side}_{mode}", step < STABILITY_LIMIT, detail, value=step)
+        add(f"A6 step size psi_{side}_{mode}", step < STABILITY_LIMIT, detail, value=step)
 
     detail = "closed-form drift available (deterministic catalog, zero diffusion)"
     for i, mode in enumerate(MODES):
         for name, pair in (("b", problem.b), ("ell", problem.ell)):
-            report.add(f"A4 Ito data for {name}_{mode}", pair[i].has_ito_data, detail)
-    return report
+            add(f"A4 Ito data for {name}_{mode}", pair[i].has_ito_data, detail)
+    return ValidationReport(tuple(checks))

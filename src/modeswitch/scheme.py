@@ -73,9 +73,16 @@ class PassTrace(Record):
     converged = True  # a class constant, not a field: a solve returns only once it settled and certified
 
 
+def _require_one_horizon(problem: SwitchingProblem, backend: Lattice):
+    """Refuse a lattice that does not span the problem's horizon: a solution lives on its problem's [0, T]."""
+    if backend.horizon != problem.horizon:
+        raise ValueError(f"the lattice's horizon {backend.horizon!r} is not the problem's horizon {problem.horizon!r}")
+
+
 class BalanceSheetSolution(Record):
     """One solution of ``problem`` on ``backend``: the (side, mode, node)
-    blocks of Y, Z and dK, each shaped (2, 2, backend.size); dK at the horizon is zero."""
+    blocks of Y, Z and dK, each shaped (2, 2, backend.size); dK at the horizon
+    is zero. The lattice spans the problem's horizon."""
 
     problem: SwitchingProblem
     backend: Lattice
@@ -84,6 +91,7 @@ class BalanceSheetSolution(Record):
     dk: np.ndarray
 
     def __post_init__(self):
+        _require_one_horizon(self.problem, self.backend)
         fits = (2, 2, self.backend.size)
         for name in ("y", "z", "dk"):
             if (shape := np.shape(getattr(self, name))) != fits:
@@ -96,7 +104,7 @@ class BalanceSheetSolution(Record):
 def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
     backend = solution.backend
-    return evaluate_obstacles(solution.y, solution.problem.cost_table(backend.grid.times).at(backend.step_of_node))
+    return evaluate_obstacles(solution.y, solution.problem.cost_table(backend.times).at(backend.step_of_node))
 
 
 def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,9 +121,9 @@ def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> tupl
     buffers shaped like ``terminal`` with the node axis widened to the lattice
     size; dK is zero at the horizon.
     """
-    dt, y = backend.grid.dt, terminal
+    dt, y = backend.dt, terminal
     blocks = [(y, np.zeros_like(y), y)]
-    for k in range(backend.grid.n_steps - 1, -1, -1):
+    for k in range(backend.n_steps - 1, -1, -1):
         e, z = backend.moments(y, k)
         ytilde = e + rate(k, e, z) * dt
         y = project(ytilde, k)
@@ -137,8 +145,8 @@ def _require_admissible(problem: SwitchingProblem, backend: Lattice):
 def _euler(table: DriverTable, backend: Lattice, y: np.ndarray) -> np.ndarray:
     """The Euler values E_k[Y_{k+1}] + psi dt of a (side, mode, node) block
     at every node before the horizon, on the whole block, with the rate of ``table``."""
-    end, e, z = backend.offsets[backend.grid.n_steps], backend.continuation(y), backend.martingale_increment(y)
-    return e + table.rate(slice(0, end), e, z) * backend.grid.dt
+    end, e, z = backend.offsets[backend.n_steps], backend.continuation(y), backend.martingale_increment(y)
+    return e + table.rate(slice(0, end), e, z) * backend.dt
 
 
 def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray, table: DriverTable):
@@ -150,7 +158,7 @@ def _certify_fixed_point(solution: BalanceSheetSolution, obstacles: np.ndarray, 
     sweep. It runs on the whole block and names the first component that moves.
     """
     backend, y = solution.backend, solution.y
-    end = backend.offsets[backend.grid.n_steps]
+    end = backend.offsets[backend.n_steps]
     settled = by_side("better", _euler(table, backend, y), obstacles[..., :end])
     miss = np.where(settled == y[..., :end], 0.0, np.abs(settled - y[..., :end]))
     for (side, mode), moved in zip(COMPONENTS, miss.reshape(4, -1)):
@@ -198,9 +206,10 @@ def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
+    _require_one_horizon(problem, backend)
     _require_admissible(problem, backend)
-    n = backend.grid.n_steps
-    costs, rounds = problem.cost_table(backend.grid.times).columns(), np.zeros(n, dtype=int)
+    n = backend.n_steps
+    costs, rounds = problem.cost_table(backend.times).columns(), np.zeros(n, dtype=int)
     project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
     table, off = problem.driver_table(backend), backend.offsets.tolist()
     rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731

@@ -34,7 +34,7 @@ def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
     """Flat boolean mask (or block of them) of where a path of one component
     stops: every node where ``y`` equals its barrier bit for bit, and every horizon node."""
     mask = y == barrier
-    mask[..., backend.offsets[backend.grid.n_steps] :] = True
+    mask[..., backend.offsets[backend.n_steps] :] = True
     return mask
 
 
@@ -57,7 +57,7 @@ def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
     ``path[k]`` is the node at step k. The width-1 lattice has a single path,
     so ``path`` may be omitted there; on the binomial lattice it is required.
     """
-    n = backend.grid.n_steps
+    n = backend.n_steps
     if not 0 <= from_step <= n:
         raise ValueError(f"from_step must lie in [0, {n}]")
     if path is None:
@@ -81,7 +81,7 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     """Branch decision at a barrier-contact point, by ``model.evaluate_obstacles`` at that node alone."""
     backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
-    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.grid.times[step : step + 1]).at(0))
+    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.times[step : step + 1]).at(0))
     y_here, s_here = float(y[here]), float(barrier[here])
     if y_here != s_here:
         raise ValueError(
@@ -128,7 +128,7 @@ def _mass_pass(backend, stop: np.ndarray, rate: np.ndarray):
     to 0 past about step 1074, so a boolean mask carried beside them says
     which nodes some path reaches.
     """
-    n, down, off = backend.grid.n_steps, backend.down, backend.offsets
+    n, down, off = backend.n_steps, backend.down, backend.offsets
     mass, acc, reached, found = np.ones(1), np.zeros(1), np.ones(1, dtype=bool), []
     for k in range(n + 1):  # the stop mask is closed at the horizon, so no rate is read there
         here = stop[off[k] : off[k + 1]]
@@ -157,10 +157,10 @@ def _leg(side, mode, backend, stops, mass, acc, prefer, payoff) -> LegReport:
     nodes: each pays its yield times dt plus its mass times Y there. The action
     is the one branch that a reached stop takes (switch or terminate before
     the horizon, hold at it), or ``mixed``."""
-    n, steps = backend.grid.n_steps, backend.step_of_node[stops]
+    n, steps = backend.n_steps, backend.step_of_node[stops]
     held = steps == n
     switch, terminate = ~held & prefer[stops], ~held & ~prefer[stops]
-    realized = float(np.sum(acc * backend.grid.dt + mass * payoff[stops]))
+    realized = float(np.sum(acc * backend.dt + mass * payoff[stops]))
     actions = [name for name, found in ((HOLD, held), (SWITCH, switch), (TERMINATE, terminate)) if found.any()]
     action = actions[0] if len(actions) == 1 else MIXED
     p_switch, p_terminate, p_hold = (float(mass[branch].sum()) for branch in (switch, terminate, held))
@@ -187,8 +187,8 @@ def simulate_policy(solution: BalanceSheetSolution, start_mode: int) -> Strategy
     if not _is_mode(start_mode):  # a bool or float is not a mode
         raise ValueError(f"start_mode must be the integer 1 or 2, got {start_mode!r}")
     backend, problem, m = solution.backend, solution.problem, start_mode - 1
-    n, y = backend.grid.n_steps, solution.y[:, m]
-    barrier, switches = evaluate_obstacles(solution.y[..., 0], problem.cost_table(backend.grid.times[:1]).at(0))
+    n, y = backend.n_steps, solution.y[:, m]
+    barrier, switches = evaluate_obstacles(solution.y[..., 0], problem.cost_table(backend.times[:1]).at(0))
     moves = y[:, 0] != barrier[:, m]
     if moves.any():
         before = slice(0, backend.offsets[n])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Lattice, TimeGrid
+from .grid import Lattice
 from .model import (
     COMPONENTS,
     MINUS,
@@ -36,7 +36,7 @@ from .scheme import BalanceSheetSolution, system_obstacles
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
-# steeper family's mode-2 component, |y''| ~ 37.5). Grid-independent pass/fail.
+# steeper family's mode-2 component, |y''| ~ 37.5). Lattice-independent pass/fail.
 RESIDUAL_RATE_SCALE = 375.0
 CONSTRAINT_CAP = 1e-12
 SKOROKHOD_CAP = 1e-10
@@ -86,6 +86,12 @@ class ClosedFormFamily(Record):
     family_id: int
     horizon: float
 
+    def __post_init__(self):
+        if isinstance(self.family_id, bool) or not isinstance(self.family_id, int) or self.family_id not in (1, 2):
+            raise ValueError(f"family_id must be the integer 1 or 2, got {self.family_id!r}")
+        if isinstance(self.horizon, bool) or not 0 < self.horizon < float("inf"):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+
     def y(self, side: str, mode: int, t):
         t = np.asarray(t, dtype=float)
         T = self.horizon
@@ -107,20 +113,15 @@ class ClosedFormFamily(Record):
         return self.y(side, mode, t)
 
     def sample(self, backend: Lattice) -> BalanceSheetSolution:
-        """Grid sampling as a solution record of ``counterexample_problem``;
+        """Sampling at the lattice's times as a solution record of
+        ``counterexample_problem``, which refuses a lattice on another horizon;
         increments use the trapezoid rule on the analytic reflection density."""
-        times, at = backend.grid.times, backend.step_of_node
+        times, at = backend.times, backend.step_of_node
         y, dens = (np.array([[f(s, m, times) for m in MODES] for s in SIDES]) for f in (self.y, self.k_density))
         dk = np.zeros_like(dens)
-        dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.grid.dt
+        dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.dt
         problem = counterexample_problem(self.horizon)
         return BalanceSheetSolution(problem, backend, y[..., at], np.zeros((2, 2, backend.size)), dk[..., at])
-
-
-def closed_form_family(family_id: int, T: float) -> ClosedFormFamily:
-    if family_id not in (1, 2):
-        raise ValueError("family_id must be 1 or 2")
-    return ClosedFormFamily(family_id=family_id, horizon=float(T))
 
 
 class ComponentResiduals(Record):
@@ -186,7 +187,7 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     martingale increment term. Every relation is evaluated on the blocks.
     """
     problem, backend = solution.problem, solution.backend
-    dt, n = backend.grid.dt, backend.grid.n_steps
+    dt, n = backend.dt, backend.n_steps
     before = slice(0, backend.offsets[n])
     y, z, dk = solution.y, solution.z[..., before], solution.dk
     gaps = by_side("inside", y, system_obstacles(solution)[0])
@@ -221,7 +222,7 @@ class NonUniquenessReport(Record):
     @property
     def distinct(self) -> bool:
         """Both candidates pass while differing by far more than the observed
-        numerical-error scale on this grid."""
+        numerical-error scale on this lattice."""
         noise = max(
             self.report_family_1.max_over("max_step_residual") * self.horizon,
             self.report_family_2.max_over("max_step_residual") * self.horizon,
@@ -246,7 +247,7 @@ class NonUniquenessReport(Record):
 
 
 def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
-    """Audit both closed-form solutions of the same problem on one grid.
+    """Audit both closed-form solutions of the same problem on one lattice.
 
     Two genuinely different exact solutions both passing every audited
     relation demonstrates that the system does not pin down its solution;
@@ -254,8 +255,8 @@ def check_nonuniqueness(T: float = 1.0, N: int = 2000) -> NonUniquenessReport:
     """
     if N < 100:
         raise ValueError("need N >= 100 for meaningful residual caps")
-    backend = Lattice("deterministic", TimeGrid(N, T))
-    fam1, fam2 = (closed_form_family(fid, T).sample(backend) for fid in (1, 2))
+    backend = Lattice("deterministic", N, T)
+    fam1, fam2 = (ClosedFormFamily(fid, float(T)).sample(backend) for fid in (1, 2))
     sup = float(np.max(np.abs(fam2.y - fam1.y)))
     below = float(np.max(fam1.y - fam2.y)) <= 1e-12
     return NonUniquenessReport(float(T), int(N), audit_solution(fam1), audit_solution(fam2), sup, below)

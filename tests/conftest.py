@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -26,11 +26,11 @@ settings.load_profile("modeswitch")
 
 
 def det_backend(n_steps, horizon=1.0):
-    return Lattice("deterministic", TimeGrid(n_steps, horizon))
+    return Lattice("deterministic", n_steps, horizon)
 
 
 def bin_backend(n_steps, horizon=1.0):
-    return Lattice("binomial", TimeGrid(n_steps, horizon))
+    return Lattice("binomial", n_steps, horizon)
 
 
 def at(values, lattice, k):
@@ -153,8 +153,8 @@ def pinned_pass(problem, backend):
     of a cost closure, then a profit closure, from Y+ = y~+, until a profit
     closure changes no node. Returns the Y, Z and dK buffers and the round
     count of each step."""
-    n, dt, off, lag = backend.grid.n_steps, backend.grid.dt, backend.offsets.tolist(), backend.down
-    costs, table = problem.cost_table(backend.grid.times), problem.driver_table(backend)
+    n, dt, off, lag = backend.n_steps, backend.dt, backend.offsets.tolist(), backend.down
+    costs, table = problem.cost_table(backend.times), problem.driver_table(backend)
     y, z, ytilde = (np.zeros((2, 2, backend.size)) for _ in range(3))
     y[..., off[n] :] = ytilde[..., off[n] :] = problem.terminal_block(backend.state(n))
     rounds = np.zeros(n, dtype=int)
@@ -193,7 +193,7 @@ def assert_certificate_premise(problem, backend):
     certificate builds from Y, bit for bit, and 0 at the horizon: where the
     certificate holds, every push then sits on its barrier."""
     solution, _ = solve_system(problem, backend)
-    y, dk, end = solution.y, solution.dk, backend.offsets[backend.grid.n_steps]
+    y, dk, end = solution.y, solution.dk, backend.offsets[backend.n_steps]
     euler = _euler(problem.driver_table(backend), backend, y)
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - euler).tobytes()
     assert (dk[..., end:] == 0.0).all()
@@ -204,7 +204,7 @@ def replay_tables(solution, start_mode):
     ``simulate_policy`` builds them: the stop mask, the switch flag, the
     running rate before the horizon and Y, each a (side, node) block."""
     backend, m = solution.backend, start_mode - 1
-    before = slice(0, backend.offsets[backend.grid.n_steps])
+    before = slice(0, backend.offsets[backend.n_steps])
     table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
     rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))
@@ -222,7 +222,7 @@ def sample_paths(lattice, n_paths, seed):
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n = lattice.grid.n_steps
+    n = lattice.n_steps
     paths = np.zeros((n_paths, n + 1), dtype=np.int64)
     if lattice.down:
         rng = np.random.default_rng(seed)
@@ -237,7 +237,7 @@ def all_paths(lattice):
     r moves down at step k when bit k of r is set), each of probability 2^-N,
     so a plain mean over the rows is the law's expectation; one row on the
     width-1 kind, whose paths are all the same path."""
-    n = lattice.grid.n_steps
+    n = lattice.n_steps
     if not lattice.down:
         return np.zeros((1, n + 1), dtype=np.int64)
     if n > 16:
@@ -263,7 +263,7 @@ def replay_over_paths(solution, start_mode, paths):
     its branch frequencies and its standard error (0 on one row) take the
     places of the law's. Returns the report in the form of ``StrategyReport.as_dict``."""
     backend, (stops, switches, rates, y) = solution.backend, replay_tables(solution, start_mode)
-    n, dt, rows = backend.grid.n_steps, backend.grid.dt, len(paths)
+    n, dt, rows = backend.n_steps, backend.dt, len(paths)
     flat = paths + backend.offsets[:-1]
     legs = {}
     for s, side in enumerate(SIDES):
@@ -338,8 +338,8 @@ def leg_moments(solution, start_mode):
     backend, (stops, _, rates, y) = solution.backend, replay_tables(solution, start_mode)
     steps = np.broadcast_to(backend.step_of_node.astype(float), stops.shape)
     tau, tau_sq, value, value_sq = (np.where(stops, x, 0.0) for x in (steps, steps**2, y, y**2))
-    for k in range(backend.grid.n_steps - 1, -1, -1):
-        here, gain = at(stops, backend, k), at(rates, backend, k) * backend.grid.dt
+    for k in range(backend.n_steps - 1, -1, -1):
+        here, gain = at(stops, backend, k), at(rates, backend, k) * backend.dt
         t, t_sq, v, v_sq = (backend.moments(at(x, backend, k + 1), k)[0] for x in (tau, tau_sq, value, value_sq))
         for table, carried in ((tau, t), (tau_sq, t_sq), (value, gain + v), (value_sq, gain**2 + 2 * gain * v + v_sq)):
             at(table, backend, k)[:] = np.where(here, at(table, backend, k), carried)

@@ -103,10 +103,10 @@ def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> 
     """
     if barrier is None:
         barrier = np.full(backend.size, -np.inf if lower else np.inf)
-    tab, clip, off = tabulate(driver, backend.grid.times), np.maximum if lower else np.minimum, backend.offsets
+    tab, clip, off = tabulate(driver, backend.times), np.maximum if lower else np.minimum, backend.offsets
     rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
     project = lambda ytilde, k: clip(ytilde, barrier[off[k] : off[k + 1]])  # noqa: E731
-    terminal = np.full(backend.n_nodes(backend.grid.n_steps), terminal, dtype=float)
+    terminal = np.full(backend.n_nodes(backend.n_steps), terminal, dtype=float)
     return Component(*backward_pass(rate, terminal, project, backend))
 
 
@@ -189,21 +189,21 @@ def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str,
 
 def node_costs(problem: SwitchingProblem, backend: Lattice):
     """The six costs at every lattice node, from one table on the grid times."""
-    return problem.cost_table(backend.grid.times).at(backend.step_of_node)
+    return problem.cost_table(backend.times).at(backend.step_of_node)
 
 
 def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
     """One component reflected off a flat barrier buffer: up off a floor on
     the profit side, down off a cap on the cost side."""
     if terminal is None:
-        terminal = problem.terminal(side, mode)(backend.state(backend.grid.n_steps))
+        terminal = problem.terminal(side, mode)(backend.state(backend.n_steps))
     return reflect(problem.driver(side, mode), terminal, barrier, backend, lower=side == PLUS)
 
 
 def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation."""
     _require_admissible(problem, backend)
-    costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.grid.n_steps))
+    costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.n_steps))
     y_plus0 = {mode: reflect(problem.driver(PLUS, mode), xi[0, mode - 1], None, backend) for mode in MODES}
     big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
 
@@ -235,7 +235,7 @@ def first_iterate(start: SchemeStart, problem: SwitchingProblem, backend: Lattic
     components are then floored by the usual switch/terminate barrier built
     from the stage-0 profits and the fresh cost components.
     """
-    n = backend.grid.n_steps
+    n = backend.n_steps
     costs = node_costs(problem, backend)
     sol = {}
     for mode in MODES:
@@ -274,7 +274,7 @@ def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: np.nda
     names the first failing component in ``COMPONENTS`` order."""
     backend = solution.backend
     gap, dk = by_side("inside", solution.y, obstacles), solution.dk
-    sko, terms = skorokhod_sum(gap, dk, backend, backend.grid.n_steps + 1), np.abs(gap) * dk
+    sko, terms = skorokhod_sum(gap, dk, backend, backend.n_steps + 1), np.abs(gap) * dk
     for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
         _check_order(-gap[index], 0.0, backend, f"barrier constraint violated for ({side},{mode})")
         _check_order(-dk[index], 0.0, backend, f"reflection increment negative for ({side},{mode})")

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -22,7 +22,7 @@ from modeswitch.model import (
 )
 from modeswitch.scheme import solve_system
 from modeswitch.strategy import TERMINATE, simulate_policy
-from modeswitch.verify import audit_solution, check_nonuniqueness, closed_form_family, counterexample_problem
+from modeswitch.verify import ClosedFormFamily, audit_solution, check_nonuniqueness, counterexample_problem
 
 from conftest import at, build_problem, remark_problem, smoke_problem
 from picard_reference import first_iterate, initialize_scheme, iterate_once, reflect
@@ -52,9 +52,9 @@ def test_criterion_1_fixture_audit():
     ok = True
     details = []
     for n in (2000, 4000):
-        backend = Lattice("deterministic", TimeGrid(n, 1.0))
+        backend = Lattice("deterministic", n, 1.0)
         for fid in (1, 2):
-            rep = audit_solution(closed_form_family(fid, 1.0).sample(backend))
+            rep = audit_solution(ClosedFormFamily(fid, 1.0).sample(backend))
             step = rep.max_over("max_step_residual")
             residuals[(n, fid)] = step
             if n == 2000:
@@ -86,7 +86,7 @@ def test_criterion_2_nonuniqueness():
 def test_criterion_3_minimality():
     """The iteration converges to the smaller family and never steps down."""
     problem = counterexample_problem(1.0)
-    backend = Lattice("deterministic", TimeGrid(2000, 1.0))
+    backend = Lattice("deterministic", 2000, 1.0)
 
     start = initialize_scheme(problem, backend)
     current = first_iterate(start, problem, backend)
@@ -112,8 +112,8 @@ def test_criterion_3_minimality():
 
     y0 = float(at(current.sol[(PLUS, 1)].y, backend, 0)[0])
     below_e = y0 <= np.e + 1e-3
-    fam1 = closed_form_family(1, 1.0)
-    times = backend.grid.times
+    fam1 = ClosedFormFamily(1, 1.0)
+    times = backend.times
     below_family = all(
         float(np.max(at(current.sol[key].y, backend, k) - fam1.y(key[0], key[1], times[k]))) <= 1e-3
         for key in COMPONENTS
@@ -154,7 +154,7 @@ def test_criterion_5_comparison_suite():
         drv, xi, barrier = random_lower_instance(rng, backend)
         base = reflect(drv, xi, barrier, backend)
         bump = float(rng.uniform(0.01, 0.5))
-        n = backend.grid.n_steps
+        n = backend.n_steps
 
         lifted_vals = [at(barrier, backend, k) + bump for k in range(n + 1)]
         lifted_vals[n] = np.minimum(at(barrier, backend, n) + bump, xi)
@@ -180,7 +180,7 @@ def test_criterion_6_strategy_optimality():
     profit to float rounding."""
     t0 = time.perf_counter()
     problem = counterexample_problem(1.0)
-    backend = Lattice("deterministic", TimeGrid(2000, 1.0))
+    backend = Lattice("deterministic", 2000, 1.0)
     solution, trace = solve_system(problem, backend)
     rep = simulate_policy(solution, 1)
     leg = rep.leg(PLUS)
@@ -217,9 +217,9 @@ def test_criterion_7_reflection_density():
     ok = True
     details = []
     for n in (500, 1000, 2000):
-        backend = Lattice("deterministic", TimeGrid(n, 1.0))
+        backend = Lattice("deterministic", n, 1.0)
         solution, trace = solve_system(problem, backend)
-        dt = backend.grid.dt
+        dt = backend.dt
         density = max(float(at(solution.dk[row(MINUS, 1)], backend, k)[0]) / dt for k in range(n))
         ok &= trace.converged and target / 2 <= density <= 2 * target
         details.append(f"N={n}: {density:.3f}")
@@ -230,7 +230,7 @@ def test_criterion_7_reflection_density():
 def test_criterion_8_assumption_validator():
     """The feasibility example passes; three injected defects are each caught
     by name with everything else still passing."""
-    lattice = Lattice("deterministic", TimeGrid(64, 1.0))
+    lattice = Lattice("deterministic", 64, 1.0)
     base_ok = validate_assumptions(remark_problem(1.0), lattice).all_passed
 
     zero_ell = validate_assumptions(build_problem(ell=0.0), lattice)

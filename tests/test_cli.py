@@ -16,7 +16,7 @@ import pytest
 import modeswitch
 from modeswitch import cli
 from modeswitch.cli import main
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
 from modeswitch.model import COMPONENTS, ProblemError, row
 from modeswitch.scheme import BalanceSheetSolution, solve_system
@@ -318,7 +318,7 @@ class TestSolveCommand:
         assert summary["converged"] is True
         assert 50 <= summary["max_local_sweeps"] <= 500
         problem = load_problem(tmp_path / "creep-0.001.json")
-        solution, _ = solve_system(problem, Lattice("deterministic", TimeGrid(100, 1.0)))
+        solution, _ = solve_system(problem, Lattice("deterministic", 100, 1.0))
         report = audit_solution(solution)
         assert report.max_over("max_constraint_violation") <= 1e-10
         assert report.max_over("skorokhod_sum") <= 1e-8
@@ -409,7 +409,7 @@ class TestCheckAssumptionsCommand:
 class TestSurfaceRoundTrip:
     def test_reaudit_from_csv_matches(self, tmp_path):
         problem = counterexample_problem(1.0)
-        be = Lattice("deterministic", TimeGrid(300, 1.0))
+        be = Lattice("deterministic", 300, 1.0)
         solution, _ = solve_system(problem, be)
         original = audit_solution(solution)
 
@@ -428,9 +428,21 @@ class TestSurfaceRoundTrip:
             for name in a:
                 assert abs(a[name] - b[name]) <= 1e-12
 
+    def test_surfaces_read_onto_another_horizon_are_refused(self, tmp_path):
+        # a surface file names steps and nodes only, so it reads onto any lattice of its size
+        problem, be, longer = counterexample_problem(1.0), Lattice("binomial", 20, 1.0), Lattice("binomial", 20, 2.0)
+        solution, _ = solve_system(problem, be)
+        reread = []
+        for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
+            for side, mode in COMPONENTS:
+                write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be, block[row(side, mode)])
+                reread.append(read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", longer))
+        with pytest.raises(ValueError, match=r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$"):
+            BalanceSheetSolution(problem, longer, *np.reshape(reread, (3, 2, 2, -1)))
+
     @pytest.mark.parametrize("kind, n", [("binomial", 3), ("deterministic", 9)])
     def test_bytes_are_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path, kind, n):
-        be = Lattice(kind, TimeGrid(n, 1.0))  # 10 nodes either way
+        be = Lattice(kind, n, 1.0)  # 10 nodes either way
         data = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 7.0])
         path = tmp_path / "Y.csv"
         write_surface_csv(path, be, data)
@@ -442,7 +454,7 @@ class TestSurfaceRoundTrip:
         assert read_surface_csv(path, be).tobytes() == data.tobytes()
 
     def test_refuses_a_buffer_of_the_wrong_shape(self, tmp_path):
-        be = Lattice("binomial", TimeGrid(3, 1.0))
+        be = Lattice("binomial", 3, 1.0)
         path = tmp_path / "Y.csv"
         for shape in ((8,), (9,), (1, be.size)):
             with pytest.raises(ValueError, match=rf"needs 10 node values, got shape \({shape[0]},"):
@@ -456,7 +468,7 @@ class TestSurfaceRoundTrip:
         return path, path.read_text().splitlines(keepends=True)
 
     def test_missing_row_is_named(self, tmp_path):
-        be = Lattice("binomial", TimeGrid(4, 1.0))
+        be = Lattice("binomial", 4, 1.0)
         path, lines = self.written_lines(tmp_path, be)
         path.write_text("".join(lines[:-1]))  # drop the last horizon node
         with pytest.raises(ValueError, match="step 4, node 4 is missing"):
@@ -472,14 +484,14 @@ class TestSurfaceRoundTrip:
         (lambda lines: [*lines[:2], "1,0,abc\r\n", *lines[3:]], 3),  # a field that is not a number
     ], ids=["no-header", "missing-column", "short-row", "not-a-number"])
     def test_malformed_file_names_the_path_and_line(self, tmp_path, edit, line):
-        be = Lattice("binomial", TimeGrid(4, 1.0))
+        be = Lattice("binomial", 4, 1.0)
         path, lines = self.written_lines(tmp_path, be)
         path.write_text("".join(edit(lines)))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
             read_surface_csv(path, be)
 
     def test_repeated_or_stray_row_is_named(self, tmp_path):
-        be = Lattice("binomial", TimeGrid(4, 1.0))
+        be = Lattice("binomial", 4, 1.0)
         path, lines = self.written_lines(tmp_path, be)
         path.write_text("".join(lines[:6] + [lines[5].replace(",4.0", ",-1.0")] + lines[6:]))  # (2, 1) again
         with pytest.raises(ValueError, match="step 2, node 1 is repeated"):
@@ -709,7 +721,7 @@ class TestImportScope:
             "missing = [name for name in modeswitch.__all__ if name not in globals()]\n"
             "print(json.dumps([before, missing, len(modeswitch.__all__)]))"
         )
-        assert json.loads(fresh_interpreter(code)) == [[], [], 27]
+        assert json.loads(fresh_interpreter(code)) == [[], [], 25]
         for name in modeswitch.__all__:
             module = importlib.import_module(f"modeswitch.{modeswitch._EXPORTS[name]}")
             assert getattr(modeswitch, name) is getattr(module, name), name

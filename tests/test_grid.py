@@ -3,40 +3,50 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 
 from conftest import at, bin_backend, det_backend, sample_paths
 
 
-class TestTimeGrid:
-    def test_basic_layout(self):
-        grid = TimeGrid(4, 2.0)
-        assert grid.dt == 0.5
-        np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert grid.times[0] == 0.0 and grid.times[-1] == 2.0
+class TestLatticeParameters:
+    """The step count, the horizon and the times a lattice is built on, and what it refuses."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_basic_layout(self, kind):
+        lattice = Lattice(kind, 4, 2.0)
+        assert (lattice.n_steps, lattice.horizon, lattice.dt) == (4, 2.0, 0.5)
+        np.testing.assert_allclose(lattice.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert lattice.times[0] == 0.0 and lattice.times[-1] == 2.0
+        assert not hasattr(lattice, "grid")
+
+    def test_times_are_built_once_and_read_only(self):
+        lattice = Lattice("binomial", 4, 1.0)
+        assert lattice.times is lattice.times
+        with pytest.raises(ValueError, match="read-only"):
+            lattice.times[0] = 1.0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0, 1.0)
-        with pytest.raises(ValueError):
-            TimeGrid(4, -1.0)
+        with pytest.raises(ValueError, match="^need at least one time step$"):
+            Lattice("deterministic", 0, 1.0)
+        with pytest.raises(ValueError, match=r"^horizon must be positive and finite, got -1\.0$"):
+            Lattice("deterministic", 4, -1.0)
 
-    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0])
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0, True])
     def test_refuses_a_horizon_that_is_not_finite_and_positive(self, horizon):
-        # nan passed a bare `horizon <= 0` check and built an all-nan lattice
+        # nan passed a bare `horizon <= 0` check and built an all-nan lattice; True passed as 1
         with pytest.raises(ValueError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
-            TimeGrid(10, horizon)
+            Lattice("binomial", 10, horizon)
 
     @pytest.mark.parametrize("n_steps", [2.5, float("nan"), True, 100.0])
     def test_refuses_a_step_count_that_is_not_an_int(self, n_steps):
         # past this check, numpy's cast of the lattice offsets would fail naming no field
         with pytest.raises(ValueError, match=rf"^n_steps must be an int, got {n_steps!r}$"):
-            TimeGrid(n_steps, 1.0)
-        assert TimeGrid(np.int64(100), 1.0).dt == 0.01
+            Lattice("deterministic", n_steps, 1.0)
+        assert Lattice("deterministic", np.int64(100), 1.0).dt == 0.01
 
     def test_unknown_backend_kind(self):
-        with pytest.raises(ValueError):
-            Lattice("trinomial", TimeGrid(4, 1.0))
+        with pytest.raises(ValueError, match="^unknown backend kind 'trinomial'$"):
+            Lattice("trinomial", 4, 1.0)
 
 
 class TestLatticeLayout:
@@ -48,7 +58,7 @@ class TestLatticeLayout:
 
     def test_state_increments(self):
         be = bin_backend(4)
-        s = np.sqrt(be.grid.dt)
+        s = np.sqrt(be.dt)
         np.testing.assert_allclose(be.state(1), [s, -s])
         np.testing.assert_allclose(be.state(2), [2 * s, 0.0, -2 * s])
 

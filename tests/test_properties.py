@@ -20,7 +20,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch.cli import main
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
@@ -94,7 +94,7 @@ def admissible_problems(draw):
 
 
 def admissible_case(problem, kind, steps):
-    backend = Lattice(kind, TimeGrid(steps, problem.horizon))
+    backend = Lattice(kind, steps, problem.horizon)
     assume(validate_assumptions(problem, backend).all_passed)
     return backend
 

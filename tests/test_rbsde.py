@@ -42,7 +42,7 @@ def snell_envelope(payoff: np.ndarray, be):
     solver (lower reflection, zero driver, the payoff as barrier and horizon
     value), and its stop mask: where the envelope equals the payoff, and N."""
     zero = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-    env = reflect(zero, at(payoff, be, be.grid.n_steps), payoff, be).y
+    env = reflect(zero, at(payoff, be, be.n_steps), payoff, be).y
     return env, stop_mask(env, payoff, be)
 
 
@@ -72,7 +72,7 @@ def negated_driver(drv: Driver) -> Driver:
 def random_lower_instance(rng, backend):
     drv = random_affine_driver(rng)
     xi = float(rng.uniform(-1, 1))
-    n = backend.grid.n_steps
+    n = backend.n_steps
     vals = [rng.uniform(-1.5, 0.5, backend.n_nodes(k)) for k in range(n + 1)]
     vals[n] = np.full(backend.n_nodes(n), xi - float(rng.uniform(0.1, 1.0)))
     return drv, xi, np.concatenate(vals)
@@ -85,7 +85,7 @@ class TestSolveBsde:
         drv = Driver(1, PLUS, CoefficientFunction.constant(1.0))
         sol = reflect(drv, 3.0, None, be)
         for k in range(17):
-            np.testing.assert_allclose(at(sol.y, be, k), 3.0 + (2.0 - be.grid.times[k]), atol=1e-12)
+            np.testing.assert_allclose(at(sol.y, be, k), 3.0 + (2.0 - be.times[k]), atol=1e-12)
         assert np.max(np.abs(sol.z)) <= 1e-12
 
     def test_linear_rate_matches_exponential_with_first_order_error(self):
@@ -94,9 +94,9 @@ class TestSolveBsde:
         for n in (128, 256, 512):
             be = det_backend(n)
             y = reflect(drv, 1.0, None, be).y
-            exact = np.exp(1.0 - be.grid.times)
+            exact = np.exp(1.0 - be.times)
             errors[n] = max(abs(float(at(y, be, k)[0]) - exact[k]) for k in range(n + 1))
-            assert errors[n] <= 2.0 * be.grid.dt
+            assert errors[n] <= 2.0 * be.dt
         assert errors[256] / errors[128] == pytest.approx(0.5, abs=0.1)
         assert errors[512] / errors[256] == pytest.approx(0.5, abs=0.1)
 
@@ -133,11 +133,11 @@ class TestSolveRbsdeLower:
         T = 2.0
         be = det_backend(4, T)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        barrier = 1.0 - be.grid.times[be.step_of_node] / T
+        barrier = 1.0 - be.times[be.step_of_node] / T
         sol = reflect(drv, 0.0, barrier, be)
         for k in range(4):
-            assert float(at(sol.y, be, k)[0]) == pytest.approx(1.0 - be.grid.times[k] / T, abs=1e-15)
-            assert float(at(sol.dk, be, k)[0]) == pytest.approx(be.grid.dt / T, abs=1e-15)
+            assert float(at(sol.y, be, k)[0]) == pytest.approx(1.0 - be.times[k] / T, abs=1e-15)
+            assert float(at(sol.dk, be, k)[0]) == pytest.approx(be.dt / T, abs=1e-15)
         assert float(at(sol.y, be, 4)[0]) == 0.0
 
     def test_complementarity_exact(self):
@@ -146,7 +146,7 @@ class TestSolveRbsdeLower:
             drv, xi, barrier = random_lower_instance(rng, backend)
             sol = reflect(drv, xi, barrier, backend)
             total = 0.0
-            for k in range(backend.grid.n_steps + 1):
+            for k in range(backend.n_steps + 1):
                 gap = at(sol.y, backend, k) - at(barrier, backend, k)
                 assert np.all(gap >= -1e-12)
                 assert np.all(at(sol.dk, backend, k) >= 0.0)
@@ -169,12 +169,12 @@ class TestSolveRbsdeUpper:
         T = 1.0
         be = det_backend(512, T)
         drv = Driver(1, MINUS, CoefficientFunction.constant(0.0), c1=2.0)
-        sol = reflect(drv, 1.0, np.exp(T - be.grid.times[be.step_of_node]), be, lower=False)
-        dt = be.grid.dt
+        sol = reflect(drv, 1.0, np.exp(T - be.times[be.step_of_node]), be, lower=False)
+        dt = be.dt
         for k in range(0, 512, 50):
-            assert float(at(sol.y, be, k)[0]) == pytest.approx(np.exp(T - be.grid.times[k]), abs=1e-12)
+            assert float(at(sol.y, be, k)[0]) == pytest.approx(np.exp(T - be.times[k]), abs=1e-12)
             density = float(at(sol.dk, be, k)[0]) / dt
-            assert density == pytest.approx(np.exp(T - be.grid.times[k]), abs=3 * np.e * dt)
+            assert density == pytest.approx(np.exp(T - be.times[k]), abs=3 * np.e * dt)
 
     def test_duality_with_lower_solver(self):
         rng = np.random.default_rng(17)
@@ -182,7 +182,7 @@ class TestSolveRbsdeUpper:
             backend = bin_backend(12) if rng.integers(0, 2) else det_backend(24)
             drv = random_affine_driver(rng)
             xi = float(rng.uniform(-1, 1))
-            n = backend.grid.n_steps
+            n = backend.n_steps
             vals = [rng.uniform(-0.5, 1.5, backend.n_nodes(k)) for k in range(n + 1)]
             vals[n] = np.full(backend.n_nodes(n), xi + float(rng.uniform(0.1, 1.0)))
             barrier = np.concatenate(vals)
@@ -205,7 +205,7 @@ class TestComparison:
             up_xi = reflect(drv, xi + bump, barrier, backend)
             bumped = Driver(drv.mode, drv.side, CoefficientFunction.constant(bump))
             up_psi = reflect(_SumDriver(drv, bumped), xi, barrier, backend)
-            n = backend.grid.n_steps
+            n = backend.n_steps
             lifted_vals = [at(barrier, backend, k) + bump for k in range(n + 1)]
             lifted_vals[n] = np.minimum(at(barrier, backend, n) + bump, xi)
             up_s = reflect(drv, xi, np.concatenate(lifted_vals), backend)
@@ -232,8 +232,8 @@ class TestAprioriBound:
         energies = {}
         for n in (256, 512):
             be = det_backend(n, T)
-            sol = reflect(drv, 1.0, np.exp(T - be.grid.times[be.step_of_node]), be, lower=False)
-            z_energy = sum(float(np.mean(at(sol.z, be, k) ** 2)) * be.grid.dt for k in range(n))
+            sol = reflect(drv, 1.0, np.exp(T - be.times[be.step_of_node]), be, lower=False)
+            z_energy = sum(float(np.mean(at(sol.z, be, k) ** 2)) * be.dt for k in range(n))
             energies[n] = np.max(np.abs(sol.y)) ** 2 + z_energy + sol.dk.sum() ** 2
         ratio = energies[512] / energies[256]
         assert 1 / 1.5 <= ratio <= 1.5
@@ -242,7 +242,7 @@ class TestAprioriBound:
 class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
-        payoff = 2.0 - be.grid.times[be.step_of_node]
+        payoff = 2.0 - be.times[be.step_of_node]
         env, stops = snell_envelope(payoff, be)
         assert np.max(np.abs(env - payoff)) <= 1e-12
         for k in range(11):
@@ -298,9 +298,9 @@ class TestPathwiseRepresentation:
         be = bin_backend(16)
         drv, xi, barrier = random_lower_instance(rng, be)
         sol = reflect(drv, xi, barrier, be)
-        dt = be.grid.dt
+        dt = be.dt
         sq = np.sqrt(dt)
-        times = be.grid.times
+        times = be.times
         for k in range(16):
             nxt = at(sol.y, be, k + 1)
             e = be.moments(nxt, k)[0]
@@ -321,7 +321,7 @@ class TestBlockPass:
         terminals = {key: Terminal(*rng.uniform(-1, 1, size=2)) for key in COMPONENTS}
         problem = build_problem(drivers=drivers, terminals=terminals)
         keep = lambda ytilde, k: ytilde  # noqa: E731
-        x_T = backend.state(backend.grid.n_steps)
+        x_T = backend.state(backend.n_steps)
         table, off = problem.driver_table(backend), backend.offsets.tolist()
         rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
         block = dict(zip(("y", "z", "dk"), backward_pass(rate, problem.terminal_block(x_T), keep, backend)))

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch import scheme
-from modeswitch.grid import Lattice, TimeGrid
+from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import (
     COMPONENTS,
@@ -18,11 +18,12 @@ from modeswitch.model import (
     ProblemError,
     SwitchingProblem,
     Terminal,
+    replace,
     row,
     validate_assumptions,
 )
 from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system, system_obstacles
-from modeswitch.verify import closed_form_family, counterexample_problem
+from modeswitch.verify import ClosedFormFamily, counterexample_problem
 
 from conftest import (
     assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, random_affine_driver
@@ -47,11 +48,11 @@ class TestInitializeScheme:
         problem = counterexample_problem(1.0)
         be = det_backend(512)
         start = initialize_scheme(problem, be)
-        exact = np.exp(1.0 - be.grid.times)
+        exact = np.exp(1.0 - be.times)
         err = max(
             abs(float(at(start.y_plus0[1].y, be, k)[0]) - exact[k]) for k in range(513)
         )
-        assert err <= 2.0 * be.grid.dt
+        assert err <= 2.0 * be.dt
 
     def test_zero_problem_all_zero(self, zero_problem):
         start = initialize_scheme(zero_problem, det_backend(64))
@@ -165,8 +166,8 @@ class TestSolveSystem:
         solution, trace = solve_system(problem, be)
         assert trace.converged
         assert solution.y0(PLUS, 1) <= np.e + 1e-3
-        fam1 = closed_form_family(1, 1.0)
-        times = be.grid.times
+        fam1 = ClosedFormFamily(1, 1.0)
+        times = be.times
         for side, mode in COMPONENTS:
             exact = fam1.y(side, mode, times)
             for k in range(0, 2001, 100):
@@ -340,7 +341,7 @@ class TestRandomizedMonotoneConvergence:
         problem = random_admissible_problem(rng)
         backend = bin_backend(24) if case % 2 else det_backend(48)
         assert validate_assumptions(problem, backend).all_passed
-        n = backend.grid.n_steps
+        n = backend.n_steps
 
         start = initialize_scheme(problem, backend)
         current = first_iterate(start, problem, backend)
@@ -415,7 +416,7 @@ class TestOnePassAgainstPicard:
     )
     def test_one_picard_sweep_changes_nothing(self, path, kind, n):
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
-        backend = Lattice(kind, TimeGrid(n, problem.horizon))
+        backend = Lattice(kind, n, problem.horizon)
         solution, trace = solve_system(problem, backend)
         assert trace.converged and trace.local_sweeps.max() <= 2
         again = iterate_once(Iterate.of(solution, n=1), problem, backend)
@@ -451,7 +452,7 @@ class TestOnePassAgainstPicard:
 
         monkeypatch.setattr(scheme, "backward_pass", counted)
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
-        solve_system(problem, Lattice(kind, TimeGrid(n, problem.horizon)))
+        solve_system(problem, Lattice(kind, n, problem.horizon))
         assert calls == {
             "modeswitch.scheme.backward_pass": 1,
         }
@@ -480,7 +481,7 @@ class TestStepKernelPinned:
     @staticmethod
     def case(path, kind, n):
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
-        return problem, Lattice(kind, TimeGrid(n, problem.horizon))
+        return problem, Lattice(kind, n, problem.horizon)
 
     @pytest.mark.parametrize("path, kind, n", CASES)
     def test_solve_equals_pinned_pass_bit_for_bit(self, path, kind, n):
@@ -575,7 +576,33 @@ class TestProjection:
             scheme._project(ytilde, costs, 7, np.zeros(8, dtype=int))
 
 
+# The refusal of a T = 1 problem on a T = 2 lattice.
+OTHER_HORIZON = r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$"
+
+
 class TestSolutionRecord:
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_a_solve_on_another_horizon_is_refused_before_validation(self, kind, monkeypatch):
+        # the T = 1 fixture on a T = 2 lattice passes validation and solved to
+        # root (plus, 1) = 7.352, where its own lattice gives 2.715
+        problem, backend = counterexample_problem(1.0), Lattice(kind, 400, 2.0)
+        assert validate_assumptions(problem, backend).all_passed
+
+        def validate(*args):
+            raise AssertionError("validated before the horizons were compared")
+
+        monkeypatch.setattr(scheme, "validate_assumptions", validate)
+        with pytest.raises(ValueError, match=OTHER_HORIZON):
+            solve_system(problem, backend)
+
+    def test_a_record_on_another_horizon_is_refused(self):
+        problem, backend = counterexample_problem(1.0), det_backend(100, 2.0)
+        with pytest.raises(ValueError, match=OTHER_HORIZON):
+            BalanceSheetSolution(problem, backend, *np.zeros((3, 2, 2, backend.size)))
+        solution, _ = solve_system(problem, det_backend(100))
+        with pytest.raises(ValueError, match=OTHER_HORIZON):
+            replace(solution, backend=backend)
+
     @pytest.mark.parametrize("field", ["y", "z", "dk"])
     def test_blocks_that_do_not_fit_the_lattice_are_refused(self, field):
         # an N = 200 block on an N = 100 lattice would otherwise reach its readers and fail in numpy broadcasting

@@ -159,7 +159,7 @@ class TestBranchTable:
         # profit in mode i switches where Y+_j - ell_i >= Y-_i - a_i, cost in
         # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
         solution, _ = solve_system(problem, backend)
-        costs = problem.cost_table(solution.backend.grid.times)
+        costs = problem.cost_table(solution.backend.times)
         nodes = solution.backend.step_of_node
         y = {key: solution.y[row(*key)] for key in COMPONENTS}
         _, table = evaluate_obstacles(solution.y, costs.at(nodes))
@@ -182,7 +182,7 @@ class TestClassifyAction:
     def test_agrees_with_the_branch_table_at_every_contact_node(self):
         # one node's branches against the whole-block evaluation
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
-        costs = solution.problem.cost_table(solution.backend.grid.times).at(solution.backend.step_of_node)
+        costs = solution.problem.cost_table(solution.backend.times).at(solution.backend.step_of_node)
         barrier, switches = evaluate_obstacles(solution.y, costs)
         contact = solution.y == barrier
         assert contact.any() and not contact.all()
@@ -201,9 +201,9 @@ class TestClassifyAction:
     ])
     def test_costs_of_one_time_equal_the_whole_grid_table_bit_for_bit(self, problem, backend):
         # classify_action tabulates the costs at its own step only
-        times = backend.grid.times
+        times = backend.times
         table = problem.cost_table(times)
-        for step in range(backend.grid.n_steps + 1):
+        for step in range(backend.n_steps + 1):
             one, column = problem.cost_table(times[step : step + 1]).at(0), table.at(step)
             for mine, theirs in zip(one, column):
                 assert mine.tobytes() == theirs.tobytes(), step
@@ -519,14 +519,14 @@ class TestDynamicProgrammingConsistency:
         solution, trace = solve_system(problem, be)
         assert trace.converged
         y, z = solution.y[row(PLUS, 1)], solution.z[row(PLUS, 1)]
-        dt = be.grid.dt
+        dt = be.dt
         drv = problem.driver(PLUS, 1)
         for start in range(0, n + 1, 16):
             stops = extract_stopping_times(solution, start)
             tau = stops[(PLUS, 1)]
             assert tau == n
             running = sum(
-                float(driver_rate(drv, be.grid.times[k], 0.0, at(y, be, k)[0], at(z, be, k)[0])) * dt
+                float(driver_rate(drv, be.times[k], 0.0, at(y, be, k)[0], at(z, be, k)[0])) * dt
                 for k in range(start, tau)
             )
             realized = running + float(at(y, be, n)[0])

@@ -4,9 +4,9 @@ import pytest
 from modeswitch.model import COMPONENTS, MINUS, PLUS, validate_assumptions
 from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.verify import (
+    ClosedFormFamily,
     audit_solution,
     check_nonuniqueness,
-    closed_form_family,
     counterexample_problem,
 )
 
@@ -37,13 +37,13 @@ class TestCounterexampleProblem:
 class TestClosedFormFamilies:
     @pytest.mark.parametrize("fid", [1, 2])
     def test_terminal_values_are_one(self, fid):
-        fam = closed_form_family(fid, 1.0)
+        fam = ClosedFormFamily(fid, 1.0)
         for side, mode in COMPONENTS:
             assert float(fam.y(side, mode, 1.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_family_one_expressions(self):
         T = 1.0
-        fam = closed_form_family(1, T)
+        fam = ClosedFormFamily(1, T)
         t = np.linspace(0, T, 7)
         np.testing.assert_allclose(fam.y(PLUS, 1, t), np.exp(T - t))
         np.testing.assert_allclose(fam.y(MINUS, 1, t), np.exp(T - t))
@@ -56,7 +56,7 @@ class TestClosedFormFamilies:
 
     def test_family_two_expressions(self):
         T = 1.0
-        fam = closed_form_family(2, T)
+        fam = ClosedFormFamily(2, T)
         t = np.linspace(0, T, 7)
         np.testing.assert_allclose(fam.y(PLUS, 1, t), np.exp(2 * (T - t)))
         np.testing.assert_allclose(
@@ -66,15 +66,27 @@ class TestClosedFormFamilies:
         np.testing.assert_allclose(fam.k_density(MINUS, 1, t), 0.0)
         np.testing.assert_allclose(fam.k_density(PLUS, 1, t), np.exp(2 * (T - t)))
 
-    def test_bad_family_id(self):
-        with pytest.raises(ValueError):
-            closed_form_family(3, 1.0)
+    @pytest.mark.parametrize("family_id", [3, True, 1.0])
+    def test_bad_family_id(self, family_id):
+        # the factory alone held the rule: the record evaluated family 2 for id 3 and family 1 for True or 1.0
+        with pytest.raises(ValueError, match=rf"^family_id must be the integer 1 or 2, got {family_id!r}$"):
+            ClosedFormFamily(family_id, 1.0)
+
+    @pytest.mark.parametrize("horizon", [-1.0, float("inf"), True])
+    def test_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
+            ClosedFormFamily(1, horizon)
+
+    def test_a_family_sampled_on_another_horizon_is_refused(self):
+        # it sampled e^{T - t} on [0, 2] as a solution of the T = 1 problem
+        with pytest.raises(ValueError, match=r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$"):
+            ClosedFormFamily(1, 1.0).sample(det_backend(100, 2.0))
 
     def test_family_one_profit_binds_through_termination(self):
         # strictly inside the horizon the switch branch sits below the
         # termination branch, which coincides with the profit value itself
         T = 1.0
-        fam = closed_form_family(1, T)
+        fam = ClosedFormFamily(1, T)
         problem = counterexample_problem(T)
         t = np.linspace(0.0, T, 257)[:-1]
         for mode, other in ((1, 2), (2, 1)):
@@ -88,7 +100,7 @@ class TestAuditSolution:
     @pytest.mark.parametrize("fid", [1, 2])
     def test_families_pass_audit(self, fid):
         be = det_backend(500)
-        candidate = closed_form_family(fid, 1.0).sample(be)
+        candidate = ClosedFormFamily(fid, 1.0).sample(be)
         report = audit_solution(candidate)
         assert report.passed, report.failures()
         assert report.max_over("max_constraint_violation") <= 1e-12
@@ -99,7 +111,7 @@ class TestAuditSolution:
         residuals = {}
         for n in (1000, 2000):
             be = det_backend(n)
-            candidate = closed_form_family(1, 1.0).sample(be)
+            candidate = ClosedFormFamily(1, 1.0).sample(be)
             residuals[n] = audit_solution(candidate).max_over("max_step_residual")
         assert 0.4 <= residuals[2000] / residuals[1000] <= 0.6
 
@@ -127,7 +139,7 @@ class TestAuditSolution:
 
     def test_tampered_family_detected(self):
         be = det_backend(500)
-        candidate = closed_form_family(1, 1.0).sample(be)
+        candidate = ClosedFormFamily(1, 1.0).sample(be)
         candidate.y[0, 0] *= 1.01  # (plus, 1)
         report = audit_solution(candidate)
         assert not report.passed
@@ -135,7 +147,7 @@ class TestAuditSolution:
 
     def test_report_serialization(self):
         be = det_backend(200)
-        report = audit_solution(closed_form_family(1, 1.0).sample(be))
+        report = audit_solution(ClosedFormFamily(1, 1.0).sample(be))
         doc = report.as_dict()
         assert doc["passed"] is True
         assert "10x" in doc["threshold_note"]
@@ -145,7 +157,7 @@ class TestAuditSolution:
         # with z in the running rate, doubling Z must show up in the step
         # residual even though the conditional-expectation audit drops the
         # martingale term itself
-        from modeswitch.grid import Lattice, TimeGrid
+        from modeswitch.grid import Lattice
         from modeswitch.model import Driver, CoefficientFunction, Terminal
         from conftest import build_problem
 
@@ -156,7 +168,7 @@ class TestAuditSolution:
             (MINUS, 2): (0.0, 0.1, 0.2),
         }
         problem = build_problem(drivers=drivers, ell=2.0, a=2.0, b=2.0, terminals=Terminal(0.0, 1.0))
-        be = Lattice("binomial", TimeGrid(32, 1.0))
+        be = Lattice("binomial", 32, 1.0)
         solution, trace = solve_system(problem, be)
         assert trace.converged
         clean = audit_solution(solution).max_over("max_step_residual")
@@ -169,9 +181,9 @@ class TestAuditSolution:
 
     def test_binomial_audit_of_constant_problem(self, zero_problem):
         # conditional-expectation form of the audit on the lattice
-        from modeswitch.grid import Lattice, TimeGrid
+        from modeswitch.grid import Lattice
 
-        be = Lattice("binomial", TimeGrid(16, 1.0))
+        be = Lattice("binomial", 16, 1.0)
         candidate = BalanceSheetSolution(zero_problem, be, *np.zeros((3, 2, 2, be.size)))
         report = audit_solution(candidate)
         assert report.passed
