@@ -388,8 +388,9 @@ def _first_violation(where, values, ok_mask):
 def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport:
     """Check the admissibility of a problem on a given lattice.
 
-    Covers: Lipschitz/integrability of the four drivers, positivity of the
-    switching costs, square-integrable terminals with the four boundary
+    Covers: a lattice that spans the problem's horizon, Lipschitz/
+    integrability of the four drivers, positivity of the switching costs,
+    square-integrable terminals with the four boundary
     inequalities at every terminal node of the lattice, the discrete
     comparison condition of the one-step map, the step size, and availability
     of Ito data (closed-form drift) for the ``b`` and ``ell`` cost processes.
@@ -399,6 +400,9 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
 
     def add(name, passed, detail="", at_time=None, value=None):
         checks.append(CheckResult(name, bool(passed), detail, at_time, value))
+
+    spans = lattice.horizon == problem.horizon
+    add("T lattice horizon", spans, f"lattice horizon {lattice.horizon!r}, problem horizon {problem.horizon!r}")
 
     times = lattice.times
     T = float(times[-1])

@@ -22,7 +22,13 @@ pass's y~ is the certificate's Euler value bit for bit; so the constraint
 and complementarity relations need no check of their own.
 
 ``backward_pass`` is the pass, on any block of equations; a single reflected
-equation is its one-equation case, projected by a clip. The solution is one
+equation is its one-equation case, projected by a clip. The binomial lattice
+runs it with ``_project``. On the width-1 (deterministic) lattice a step
+moves four scalars, so ``_width_one_pass`` runs the same pass in Python
+floats, each operation spelled out in the same order: the same Y, Z, dK and
+round counts, bit for bit. Its max and min are numpy's: a NaN operand wins
+and a tie such as (0.0, -0.0) gives the second operand, so ``>`` and ``<``,
+never ``>=``. Everything after the pass is shared. The solution is one
 record, ``BalanceSheetSolution``: the problem, its lattice and the pass's
 (side, mode, node) blocks of Y, Z and dK, read in place. A sampled fixture
 family and surfaces read back from files are the same record, and every
@@ -204,17 +210,65 @@ def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray
     raise LocalSweepError(f"did not converge at step {step}, node {node}: {move}")
 
 
+def _max(a: float, b: float) -> float:
+    """``np.maximum`` of two floats: a NaN wins, and a tie such as (0.0, -0.0) gives ``b``."""
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:
+    """``np.minimum`` of two floats: a NaN wins, and a tie such as (0.0, -0.0) gives ``b``."""
+    return a if a < b or a != a else b
+
+
+def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, backend: Lattice, rounds: np.ndarray):
+    """``backward_pass`` with ``_project`` on the width-1 lattice, in Python
+    floats: each step spells out the same operations in the same order, so
+    it returns the same Y, Z and dK bits and round counts. A step that
+    reaches the round cap is handed to ``_project``, which raises its error."""
+    n, dt, s = backend.n_steps, backend.dt, float(backend._twice_sqrt_dt)
+    bases, cols = list(zip(*table.base.reshape(4, -1).tolist())), list(zip(*(r for c in costs for r in c.tolist())))
+    (c1, c2, c3, c4), (d1, d2, d3, d4) = table.c1.ravel().tolist(), table.c2.ravel().tolist()
+    y1, y2, y3, y4 = y = terminal.ravel().tolist()
+    steps = [(*y, 0.0, 0.0, 0.0, 0.0, *y)]
+    for k in range(n - 1, -1, -1):
+        (g1, g2, g3, g4), (l1, l2, a1, a2, b1, b2) = bases[k], cols[k]
+        e1, e2, e3, e4 = (y1 + y1) * 0.5, (y2 + y2) * 0.5, (y3 + y3) * 0.5, (y4 + y4) * 0.5
+        z1, z2, z3, z4 = (y1 - y1) / s, (y2 - y2) / s, (y3 - y3) / s, (y4 - y4) / s
+        tp1, tp2 = e1 + ((g1 + c1 * e1) + d1 * z1) * dt, e2 + ((g2 + c2 * e2) + d2 * z2) * dt
+        tm1, tm2 = e3 + ((g3 + c3 * e3) + d3 * z3) * dt, e4 + ((g4 + c4 * e4) + d4 * z4) * dt
+        q1, q2 = tp1, tp2
+        for r in range(1, LOCAL_SWEEP_CAP + 1):  # a cost closure, then a profit closure (``model.closure``)
+            r1, r2 = _min(tm1, q1 + b1), _min(tm2, q2 + b2)
+            m1, m2 = _min(r1, r2 + l1), _min(r2, r1 + l2)
+            u1, u2 = _max(tp1, m1 - a1), _max(tp2, m2 - a2)
+            p1, p2 = _max(u1, u2 - l1), _max(u2, u1 - l2)
+            if p1 == q1 and p2 == q2:
+                rounds[k], y1, y2, y3, y4 = r, p1, p2, m1, m2
+                break
+            q1, q2 = p1, p2
+        else:
+            ytilde = np.reshape((tp1, tp2, tm1, tm2), (2, 2, 1))
+            y1, y2, y3, y4 = _project(ytilde, costs.at(slice(k, k + 1)), k, rounds).ravel().tolist()
+        steps.append((y1, y2, y3, y4, z1, z2, z3, z4, tp1, tp2, tm1, tm2))
+    y, z, ytilde = np.array(steps[::-1]).T.reshape(3, 2, 2, n + 1).copy()
+    return y, z, np.abs(np.subtract(y, ytilde, out=ytilde), out=ytilde)
+
+
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
     _require_one_horizon(problem, backend)
     _require_admissible(problem, backend)
     n = backend.n_steps
-    costs, rounds = problem.cost_table(backend.times).columns(), np.zeros(n, dtype=int)
-    project = lambda ytilde, k: _project(ytilde, costs[k], k, rounds)  # noqa: E731
-    table, off = problem.driver_table(backend), backend.offsets.tolist()
-    rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
+    costs, table, rounds = problem.cost_table(backend.times), problem.driver_table(backend), np.zeros(n, dtype=int)
+    terminal = problem.terminal_block(backend.state(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        y, z, dk = backward_pass(rate, problem.terminal_block(backend.state(n)), project, backend)
+        if backend.down:
+            columns, off = costs.columns(), backend.offsets.tolist()
+            project = lambda ytilde, k: _project(ytilde, columns[k], k, rounds)  # noqa: E731
+            rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
+            y, z, dk = backward_pass(rate, terminal, project, backend)
+        else:
+            y, z, dk = _width_one_pass(table, costs, terminal, backend, rounds)
         for block, what in ((y, "value"), (dk, "push")):  # a push is not finite where its Euler value is not
             _require_finite(block, what, backend.locate)
         solution = BalanceSheetSolution(problem, backend, y, z, dk)

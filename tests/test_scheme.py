@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,14 @@ class TestWidthOneCase:
         self.assert_width_one(det, lat)
 
 
+# The pass each lattice kind runs, and a problem on each kind.
+PASS_OF = {"deterministic": "_width_one_pass", "binomial": "backward_pass"}
+BOTH_KINDS = [
+    ("problems/counterexample.json", "deterministic", 200),
+    ("bench/problems/switching_lattice.json", "binomial", 100),
+]
+
+
 class TestOnePassAgainstPicard:
     """The one-pass solution is a fixed point of the reference Picard sweep:
     one more sweep from it changes no node."""
@@ -423,38 +432,40 @@ class TestOnePassAgainstPicard:
         for key in COMPONENTS:
             assert np.max(np.abs(again.sol[key].y - solution.y[row(*key)])) == 0.0
 
-    def test_solver_refuses_a_solution_that_a_sweep_moves(self, monkeypatch):
-        one_pass = scheme.backward_pass
+    @pytest.mark.parametrize("path, kind, n", BOTH_KINDS)
+    def test_solver_refuses_a_solution_that_a_sweep_moves(self, path, kind, n, monkeypatch):
+        one_pass = getattr(scheme, PASS_OF[kind])
 
         def nudged(*args):
             y, z, dk = one_pass(*args)
             y[0, 0, 0] += 1e-12
             return y, z, dk
 
-        monkeypatch.setattr(scheme, "backward_pass", nudged)
+        monkeypatch.setattr(scheme, PASS_OF[kind], nudged)
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
         with pytest.raises(SchemeError, match=r"one Picard sweep would move \(plus,1\) at step 0, node 0 by"):
-            solve_system(counterexample_problem(), det_backend(200))
+            solve_system(problem, Lattice(kind, n, problem.horizon))
 
-    @pytest.mark.parametrize(
-        "path, kind, n",
-        [
-            ("problems/counterexample.json", "deterministic", 200),
-            ("bench/problems/switching_lattice.json", "binomial", 100),
-        ],
-    )
+    @pytest.mark.parametrize("path, kind, n", BOTH_KINDS)
     def test_solve_runs_one_backward_pass_and_no_sweep(self, path, kind, n, monkeypatch):
         assert not hasattr(scheme, "iterate_once")
-        calls, real = {"modeswitch.scheme.backward_pass": 0}, scheme.backward_pass
+        calls = {f"modeswitch.scheme.{name}": 0 for name in PASS_OF.values()}
 
-        def counted(*args):
-            calls["modeswitch.scheme.backward_pass"] += 1
-            return real(*args)
+        def counted(name):
+            real = getattr(scheme, name)
 
-        monkeypatch.setattr(scheme, "backward_pass", counted)
+            def count(*args):
+                calls[f"modeswitch.scheme.{name}"] += 1
+                return real(*args)
+
+            return count
+
+        for name in PASS_OF.values():
+            monkeypatch.setattr(scheme, name, counted(name))
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
         solve_system(problem, Lattice(kind, n, problem.horizon))
         assert calls == {
-            "modeswitch.scheme.backward_pass": 1,
+            f"modeswitch.scheme.{name}": int(other == kind) for other, name in PASS_OF.items()
         }
 
     def test_complementarity_failure_names_the_largest_term(self):
@@ -498,6 +509,78 @@ class TestStepKernelPinned:
         monkeypatch.setattr(SwitchingProblem, "driver_table", lambda *args: built.append(args) or build(*args))
         solve_system(*self.case(path, kind, n))
         assert len(built) == 1
+
+
+def creep_problem(b):
+    """The creep problem of ``test_cli.py::test_nonconvergence_exits_two``:
+    zero profit, cost rate 10, free termination; each projection round lifts
+    the cost by about b, so a step takes about 0.1 / b rounds."""
+    drivers = {(side, mode): (10.0 if side == MINUS else 0.0, 0.0, 0.0) for side, mode in COMPONENTS}
+    return build_problem(drivers=drivers, ell=0.05, a=0.0, b=b)
+
+
+def numpy_pass(problem, backend):
+    """``backward_pass`` with ``_project``, the binomial lattice's pass, on
+    any lattice: its Y, Z and dK blocks and the round count of each step."""
+    columns, rounds = problem.cost_table(backend.times).columns(), np.zeros(backend.n_steps, dtype=int)
+    table, off = problem.driver_table(backend), backend.offsets.tolist()
+    rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
+    project = lambda ytilde, k: scheme._project(ytilde, columns[k], k, rounds)  # noqa: E731
+    terminal = problem.terminal_block(backend.state(backend.n_steps))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
+        return scheme.backward_pass(rate, terminal, project, backend), rounds
+
+
+# Special floats at which a max or min rule can differ from numpy's.
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+class TestWidthOnePass:
+    """The width-1 pass in Python floats against the numpy pass."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 17])
+    @pytest.mark.parametrize("name, ufunc, weak", [
+        ("_max", np.maximum, lambda a, b: a if a >= b or a != a else b),
+        ("_min", np.minimum, lambda a, b: a if a <= b or a != a else b),
+    ])  # fmt: skip
+    def test_float_max_and_min_are_numpys_bit_for_bit(self, name, ufunc, weak, size):
+        pairs = list(itertools.product(SPECIAL, repeat=2))
+        pairs += pairs[: -len(pairs) % size]  # whole arrays of ``size`` pairs
+        wanted = b"".join(ufunc(*np.array(pairs[i : i + size]).T).tobytes() for i in range(0, len(pairs), size))
+        assert np.array([getattr(scheme, name)(a, b) for a, b in pairs]).tobytes() == wanted
+        # the grid tells the rule from its weak form, which keeps ``a`` on a tie
+        assert np.array([weak(a, b) for a, b in pairs]).tobytes() != wanted
+
+    def test_rounds_loop_equals_pinned_pass_on_a_multi_round_problem(self):
+        problem, backend = creep_problem(1e-3), det_backend(100)
+        assert_matches_pinned(problem, backend)
+        assert 50 <= solve_system(problem, backend)[1].local_sweeps.max() <= scheme.LOCAL_SWEEP_CAP
+
+    @pytest.mark.parametrize("terminal, n", [(1e308, 1), (-1e308, 1), (-0.0, 4), (5e-324, 4)])
+    def test_pass_equals_the_numpy_pass_at_the_edges_of_float64(self, terminal, n):
+        # at 1e308, y + y overflows: E_k[Y_{k+1}] is inf, where Y_{k+1} + c1 Y_{k+1} dt
+        # would be 1.25e308 (c1 = 1, as 0 * inf is nan; dt = 0.25)
+        drivers = {key: (0.0, 1.0, 0.0) for key in COMPONENTS}
+        problem = build_problem(horizon=0.25, drivers=drivers, terminals=terminal)
+        backend, rounds = det_backend(n, 0.25), np.zeros(n, dtype=int)
+        tables = problem.driver_table(backend), problem.cost_table(backend.times)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
+            blocks = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
+        numpy_blocks, numpy_rounds = numpy_pass(problem, backend)
+        for field, block, pinned in zip(("y", "z", "dk"), blocks, numpy_blocks):
+            assert block.tobytes() == pinned.tobytes(), field
+        np.testing.assert_array_equal(rounds, numpy_rounds)
+
+    @pytest.mark.parametrize("problem, n, error", [
+        (creep_problem(1e-4), 100, LocalSweepError),
+        (build_problem(drivers={key: (0.0, 999.0, 0.0) for key in COMPONENTS}, terminals=1.0), 2000, ProblemError),
+    ], ids=["creep", "overflow"])  # fmt: skip
+    def test_a_step_that_does_not_settle_raises_the_projections_error(self, problem, n, error):
+        with pytest.raises(error) as projected:
+            numpy_pass(problem, det_backend(n))
+        with pytest.raises(error) as solved:
+            solve_system(problem, det_backend(n))
+        assert str(solved.value) == str(projected.value)
 
 
 def half_sweeps(ytilde, costs, cap=500):
@@ -583,10 +666,13 @@ OTHER_HORIZON = r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$
 class TestSolutionRecord:
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
     def test_a_solve_on_another_horizon_is_refused_before_validation(self, kind, monkeypatch):
-        # the T = 1 fixture on a T = 2 lattice passes validation and solved to
-        # root (plus, 1) = 7.352, where its own lattice gives 2.715
+        # the T = 1 fixture on a T = 2 lattice passes every other check and
+        # would solve to root (plus, 1) = 7.352, where its own lattice gives 2.715
         problem, backend = counterexample_problem(1.0), Lattice(kind, 400, 2.0)
-        assert validate_assumptions(problem, backend).all_passed
+        report = validate_assumptions(problem, backend)
+        assert not report.all_passed
+        assert [c.name for c in report.failures()] == ["T lattice horizon"]
+        assert report.failures()[0].detail == "lattice horizon 2.0, problem horizon 1.0"
 
         def validate(*args):
             raise AssertionError("validated before the horizons were compared")
