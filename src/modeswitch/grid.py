@@ -24,6 +24,11 @@ import numpy as np
 DOWN = {"deterministic": 0, "binomial": 1}
 
 
+def _is_horizon(horizon) -> bool:
+    """Whether ``horizon`` can span a lattice: positive and finite; a bool, Python's or numpy's, is not."""
+    return not isinstance(horizon, (bool, np.bool_)) and 0 < horizon < float("inf")
+
+
 class Lattice:
     """Recombining fair-coin lattice with 1 + down * k nodes at step k."""
 
@@ -32,7 +37,7 @@ class Lattice:
             raise ValueError(f"n_steps must be an int, got {n_steps!r}")
         if n_steps < 1:
             raise ValueError("need at least one time step")
-        if isinstance(horizon, bool) or not 0 < horizon < float("inf"):
+        if not _is_horizon(horizon):
             raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
         if kind not in DOWN:
             raise ValueError(f"unknown backend kind {kind!r}")

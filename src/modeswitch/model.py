@@ -24,6 +24,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .grid import _is_horizon
+
 PLUS = "plus"
 MINUS = "minus"
 SIDES = (PLUS, MINUS)  # the side axis of a (side, mode, node) block
@@ -229,7 +231,7 @@ class SwitchingProblem(Record):
     terminals: Mapping[tuple[str, int], Terminal]
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not 0.0 < self.horizon < np.inf:
+        if not _is_horizon(self.horizon):
             raise ProblemError(f"'horizon' must be positive and finite, got {self.horizon!r}")
         for key in COMPONENTS:
             if key not in self.drivers:
@@ -275,10 +277,6 @@ class CostSlice(NamedTuple):
     def at(self, index) -> "CostSlice":
         """The same six costs indexed by ``index`` (a time or node selection) on their last axis."""
         return CostSlice(*(c[..., index] for c in self))
-
-    def columns(self) -> list:
-        """One CostSlice per time of a table over times, each cost a contiguous (2, 1) column."""
-        return list(map(CostSlice, *(np.ascontiguousarray(c.T[..., None]) for c in self)))
 
 
 class _Push(NamedTuple):
@@ -449,7 +447,7 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
             "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
             value=v_bad,
         )
-    margins = by_side("inside", xi, evaluate_obstacles(xi, problem.cost_table(times[-1:]))[0])
+    margins = by_side("inside", xi, evaluate_obstacles(xi, costs.at(slice(-1, None)))[0])
     for (side, mode), margin in zip(COMPONENTS, margins.reshape(4, -1)):
         j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
         j = int(np.argmin(margin)) if j is None else j

@@ -23,20 +23,23 @@ and complementarity relations need no check of their own.
 
 ``backward_pass`` is the pass, on any block of equations; a single reflected
 equation is its one-equation case, projected by a clip. The binomial lattice
-runs it with ``_project``. On the width-1 (deterministic) lattice a step
-moves four scalars, so ``_width_one_pass`` runs the same pass in Python
-floats, each operation spelled out in the same order: the same Y, Z, dK and
-round counts, bit for bit. Its max and min are numpy's: a NaN operand wins
-and a tie such as (0.0, -0.0) gives the second operand, so ``>`` and ``<``,
-never ``>=``. Everything after the pass is shared. The solution is one
-record, ``BalanceSheetSolution``: the problem, its lattice and the pass's
-(side, mode, node) blocks of Y, Z and dK, read in place. A sampled fixture
-family and surfaces read back from files are the same record, and every
-reader takes the record alone.
+runs it with ``_project`` on the costs of step k, ``costs.at(slice(k, k + 1))``.
+On the width-1 (deterministic) lattice a step moves four scalars, so
+``_width_one_pass`` runs the same pass in Python floats, each operation
+spelled out in the same order: the same Y, Z, dK and round counts, bit for
+bit. Its max and min are numpy's: a NaN operand wins and a tie such as
+(0.0, -0.0) gives the second operand, so ``>`` and ``<``, never ``>=``.
+Everything after the pass is shared. The solution is one record,
+``BalanceSheetSolution``: the problem, its lattice and the pass's (side,
+mode, node) blocks of Y, Z and dK, read in place. A sampled fixture family
+and surfaces read back from files are the same record, and every reader
+takes the record alone.
 
-The solve runs with numpy's overflow and invalid-value warnings off; a value
-or push that is not finite fails it with a ``ProblemError`` naming its step,
-node and component.
+A solve first validates its problem on its lattice; a failed check (a
+lattice on another horizon among them) raises ``SchemeError`` with the
+report attached. It runs with numpy's overflow and invalid-value warnings
+off; a value or push that is not finite fails it with a ``ProblemError``
+naming its step, node and component.
 """
 
 from __future__ import annotations
@@ -79,12 +82,6 @@ class PassTrace(Record):
     converged = True  # a class constant, not a field: a solve returns only once it settled and certified
 
 
-def _require_one_horizon(problem: SwitchingProblem, backend: Lattice):
-    """Refuse a lattice that does not span the problem's horizon: a solution lives on its problem's [0, T]."""
-    if backend.horizon != problem.horizon:
-        raise ValueError(f"the lattice's horizon {backend.horizon!r} is not the problem's horizon {problem.horizon!r}")
-
-
 class BalanceSheetSolution(Record):
     """One solution of ``problem`` on ``backend``: the (side, mode, node)
     blocks of Y, Z and dK, each shaped (2, 2, backend.size); dK at the horizon
@@ -97,7 +94,8 @@ class BalanceSheetSolution(Record):
     dk: np.ndarray
 
     def __post_init__(self):
-        _require_one_horizon(self.problem, self.backend)
+        if (horizon := self.backend.horizon) != self.problem.horizon:  # a solution lives on its problem's [0, T]
+            raise ValueError(f"the lattice's horizon {horizon!r} is not the problem's horizon {self.problem.horizon!r}")
         fits = (2, 2, self.backend.size)
         for name in ("y", "z", "dk"):
             if (shape := np.shape(getattr(self, name))) != fits:
@@ -256,15 +254,14 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
-    _require_one_horizon(problem, backend)
     _require_admissible(problem, backend)
     n = backend.n_steps
     costs, table, rounds = problem.cost_table(backend.times), problem.driver_table(backend), np.zeros(n, dtype=int)
     terminal = problem.terminal_block(backend.state(n))
     with np.errstate(over="ignore", invalid="ignore"):
         if backend.down:
-            columns, off = costs.columns(), backend.offsets.tolist()
-            project = lambda ytilde, k: _project(ytilde, columns[k], k, rounds)  # noqa: E731
+            off = backend.offsets.tolist()
+            project = lambda ytilde, k: _project(ytilde, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
             rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
             y, z, dk = backward_pass(rate, terminal, project, backend)
         else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Lattice
+from .grid import Lattice, _is_horizon
 from .model import (
     COMPONENTS,
     MINUS,
@@ -89,7 +89,7 @@ class ClosedFormFamily(Record):
     def __post_init__(self):
         if isinstance(self.family_id, bool) or not isinstance(self.family_id, int) or self.family_id not in (1, 2):
             raise ValueError(f"family_id must be the integer 1 or 2, got {self.family_id!r}")
-        if isinstance(self.horizon, bool) or not 0 < self.horizon < float("inf"):
+        if not _is_horizon(self.horizon):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
     def y(self, side: str, mode: int, t):
@@ -136,11 +136,10 @@ class ComponentResiduals(Record):
 class ResidualReport(Record):
     dt: float
     components: dict
-    step_residual_cap: float
 
     def caps(self) -> dict:
         return {
-            "max_step_residual": self.step_residual_cap,
+            "max_step_residual": RESIDUAL_RATE_SCALE * self.dt,
             "max_constraint_violation": CONSTRAINT_CAP,
             "skorokhod_sum": SKOROKHOD_CAP,
             "k_sign_violation": K_SIGN_CAP,
@@ -208,7 +207,7 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
             max_k_density=max(0.0, float(np.max(dk_k[index])) / dt),
             terminal_mismatch=float(np.max(mismatch[index])),
         )
-    return ResidualReport(dt=dt, components=components, step_residual_cap=RESIDUAL_RATE_SCALE * dt)
+    return ResidualReport(dt=dt, components=components)
 
 
 class NonUniquenessReport(Record):

@@ -31,9 +31,9 @@ class TestLatticeParameters:
         with pytest.raises(ValueError, match=r"^horizon must be positive and finite, got -1\.0$"):
             Lattice("deterministic", 4, -1.0)
 
-    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0, True])
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0, True, np.True_])
     def test_refuses_a_horizon_that_is_not_finite_and_positive(self, horizon):
-        # nan passed a bare `horizon <= 0` check and built an all-nan lattice; True passed as 1
+        # nan passed a bare `horizon <= 0` check and built an all-nan lattice; True passed as 1, and numpy's True too
         with pytest.raises(ValueError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
             Lattice("binomial", 10, horizon)
 

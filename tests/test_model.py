@@ -326,10 +326,11 @@ class TestValidateAssumptions:
             with pytest.raises(ProblemError, match="'horizon'"):
                 build_problem(horizon=horizon)
 
-    def test_a_bool_horizon_is_refused(self):
-        # a problem file's JSON true is refused by the reader; a record built in code refuses it too
-        with pytest.raises(ProblemError, match=r"^'horizon' must be positive and finite, got True$"):
-            replace(build_problem(), horizon=True)
+    @pytest.mark.parametrize("horizon", [True, np.True_])
+    def test_a_bool_horizon_is_refused(self, horizon):
+        # a problem file's JSON true is refused by the reader; a record built in code refuses it too, numpy's included
+        with pytest.raises(ProblemError, match=rf"^'horizon' must be positive and finite, got {horizon!r}$"):
+            replace(build_problem(), horizon=horizon)
 
     def test_driver_filed_under_another_component_is_refused(self):
         # the solver reads a driver by its key alone, so a mismatch would solve silently

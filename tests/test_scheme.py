@@ -522,10 +522,10 @@ def creep_problem(b):
 def numpy_pass(problem, backend):
     """``backward_pass`` with ``_project``, the binomial lattice's pass, on
     any lattice: its Y, Z and dK blocks and the round count of each step."""
-    columns, rounds = problem.cost_table(backend.times).columns(), np.zeros(backend.n_steps, dtype=int)
+    costs, rounds = problem.cost_table(backend.times), np.zeros(backend.n_steps, dtype=int)
     table, off = problem.driver_table(backend), backend.offsets.tolist()
     rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
-    project = lambda ytilde, k: scheme._project(ytilde, columns[k], k, rounds)  # noqa: E731
+    project = lambda ytilde, k: scheme._project(ytilde, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
     terminal = problem.terminal_block(backend.state(backend.n_steps))
     with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
         return scheme.backward_pass(rate, terminal, project, backend), rounds
@@ -665,21 +665,15 @@ OTHER_HORIZON = r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$
 
 class TestSolutionRecord:
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
-    def test_a_solve_on_another_horizon_is_refused_before_validation(self, kind, monkeypatch):
+    def test_a_solve_on_another_horizon_fails_validation(self, kind):
         # the T = 1 fixture on a T = 2 lattice passes every other check and
         # would solve to root (plus, 1) = 7.352, where its own lattice gives 2.715
         problem, backend = counterexample_problem(1.0), Lattice(kind, 400, 2.0)
-        report = validate_assumptions(problem, backend)
-        assert not report.all_passed
-        assert [c.name for c in report.failures()] == ["T lattice horizon"]
-        assert report.failures()[0].detail == "lattice horizon 2.0, problem horizon 1.0"
-
-        def validate(*args):
-            raise AssertionError("validated before the horizons were compared")
-
-        monkeypatch.setattr(scheme, "validate_assumptions", validate)
-        with pytest.raises(ValueError, match=OTHER_HORIZON):
+        with pytest.raises(SchemeError, match=r"^assumption validation failed: T lattice horizon$") as refused:
             solve_system(problem, backend)
+        failures = refused.value.report.failures()
+        assert [c.name for c in failures] == ["T lattice horizon"]
+        assert failures[0].detail == "lattice horizon 2.0, problem horizon 1.0"
 
     def test_a_record_on_another_horizon_is_refused(self):
         problem, backend = counterexample_problem(1.0), det_backend(100, 2.0)

@@ -346,15 +346,20 @@ class TestSimulatePolicy:
 
 
 class TestStreamingReplay:
-    def test_width_one_replays_one_path(self, monkeypatch):
-        # the one path is read with no per-step loop, and reports its value exactly
+    @pytest.mark.parametrize("path", [SMOKE_LATTICE, SWITCHING_LATTICE])
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_width_one_replays_one_path(self, path, mode, monkeypatch):
+        # the one path is read with no per-step loop, and the report is the one the unpatched replay gives
+        solution, _ = solve_system(load_problem(path), det_backend(2000))
+        wanted = simulate_policy(solution, mode)
+        assert any(leg.stop_step > 0.0 for leg in wanted.legs.values())  # a leg leaves its root
         monkeypatch.setattr(strategy, "_mass_pass", lambda *args: pytest.fail("the width-1 replay ran the mass pass"))
-        solution, _ = solve_system(load_problem(SMOKE_LATTICE), det_backend(2000))
-        report = simulate_policy(solution, 1)
-        for side in (PLUS, MINUS):
-            leg = report.leg(side)
-            assert leg.std_error == 0.0 and leg.stop_step == 2000.0 and leg.p_hold == 1.0
-            assert leg.value_gap <= 1e-13
+        report = simulate_policy(solution, mode)
+        assert report == wanted and repr(report) == repr(wanted)
+        for leg in report.legs.values():
+            assert leg.std_error == 0.0 and leg.value_gap <= 1e-13
+            if path == SMOKE_LATTICE:
+                assert leg.stop_step == 2000.0 and leg.p_hold == 1.0
 
     @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE, COUNTEREXAMPLE])
     @pytest.mark.parametrize("n", [10, 100, 2000])

@@ -72,7 +72,7 @@ class TestClosedFormFamilies:
         with pytest.raises(ValueError, match=rf"^family_id must be the integer 1 or 2, got {family_id!r}$"):
             ClosedFormFamily(family_id, 1.0)
 
-    @pytest.mark.parametrize("horizon", [-1.0, float("inf"), True])
+    @pytest.mark.parametrize("horizon", [-1.0, float("inf"), True, np.True_])
     def test_bad_horizon(self, horizon):
         with pytest.raises(ValueError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
             ClosedFormFamily(1, horizon)
