@@ -24,10 +24,10 @@ _EXPORTS = {
         ("grid", "Lattice"),
         (
             "model",
-            "COMPONENTS MINUS PLUS CoefficientFunction Driver ProblemError SwitchingProblem Terminal "
-            "evaluate_obstacles validate_assumptions",
+            "COMPONENTS MINUS PLUS CoefficientFunction Driver LocalSweepError ProblemError SchemeError "
+            "SwitchingProblem Terminal evaluate_obstacles validate_assumptions",
         ),
-        ("scheme", "BalanceSheetSolution LocalSweepError PassTrace SchemeError solve_system"),
+        ("scheme", "BalanceSheetSolution PassTrace solve_system"),
         ("strategy", "StrategyReport classify_action extract_stopping_times simulate_policy"),
         ("verify", "ClosedFormFamily ResidualReport audit_solution check_nonuniqueness counterexample_problem"),
     )

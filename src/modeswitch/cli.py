@@ -6,13 +6,16 @@ check), ``simulate`` (solve, then replay the extracted policy), and
 ``check-assumptions`` (run the validator and print its report).
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
-type included, and data whose solve overflows float64) or an output that
-cannot be written (``error: cannot write <path>: <reason>``), 2 a node whose
-projection did not settle in LOCAL_SWEEP_CAP rounds.
+type included, and data whose solve overflows float64), an output that
+cannot be written (``error: cannot write <path>: <reason>``) or a lattice too
+large for the memory (``error: out of memory on the <kind> lattice of N =
+<steps> steps (<nodes> nodes): <reason>``), 2 a node whose projection did
+not settle in ``scheme.LOCAL_SWEEP_CAP`` rounds.
 
-Each command imports what it runs: ``strategy`` is loaded by ``simulate``
-only and ``verify`` by ``verify-fixtures`` only, so ``solve`` and
-``check-assumptions`` load neither.
+Each command imports what it runs: ``scheme`` loads with ``solve``,
+``simulate`` and ``verify-fixtures``, ``strategy`` with ``simulate`` and
+``verify`` with ``verify-fixtures``, so ``check-assumptions`` loads none of
+them. ``solve`` writes Z and K from Y, step chunk by step chunk.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .grid import Lattice
-from .io import load_problem, write_json, write_surface_csv, write_trace_csv
-from .model import COMPONENTS, ProblemError, row, validate_assumptions
-from .scheme import LocalSweepError, SchemeError, solve_system
+from .grid import Lattice, node_count
+from .io import load_problem, write_json, write_surfaces, write_trace_csv
+from .model import COMPONENTS, LocalSweepError, ProblemError, SchemeError, row, validate_assumptions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,13 +55,18 @@ def _summary_payload(solution, trace, args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .scheme import solve_system
+
     problem, backend = _prepare(args)
     solution, trace = solve_system(problem, backend)
     out = _ensure_outdir(args)
     (out / "summary.json").unlink(missing_ok=True)  # written last, so it sits only beside a whole run's files
-    for side, mode in COMPONENTS:
-        for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
-            write_surface_csv(out / f"{name}_{side}_{mode}.csv", backend, block[row(side, mode)])
+
+    def rows(start, stop):  # Y, Z and K of each component in turn, Z and K derived from Y
+        blocks = (solution.y[..., backend.offsets[start] : backend.offsets[stop]], *solution.increments(start, stop))
+        return [block[row(*key)] for key in COMPONENTS for block in blocks]
+
+    write_surfaces([out / f"{name}_{side}_{mode}.csv" for side, mode in COMPONENTS for name in "YZK"], backend, rows)
     write_trace_csv(out / "trace.csv", trace)
     write_json(out / "summary.json", _summary_payload(solution, trace, args))
     return EXIT_OK
@@ -81,6 +88,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .scheme import solve_system
     from .strategy import simulate_policy
 
     problem, backend = _prepare(args)
@@ -114,25 +122,20 @@ def _add_common(parser, needs_problem: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modeswitch",
-        description="Two-modes switch/terminate valuation on the full balance sheet",
-    )
+    description = "Two-modes switch/terminate valuation on the full balance sheet"
+    parser = argparse.ArgumentParser(prog="modeswitch", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve the coupled system and write surfaces")
-    _add_common(p_solve, needs_problem=True)
-
-    p_verify = sub.add_parser("verify-fixtures", help="audit the closed-form fixtures")
-    _add_common(p_verify, needs_problem=False)
-
-    p_sim = sub.add_parser("simulate", help="solve, then replay the extracted policy")
-    _add_common(p_sim, needs_problem=True)
-    p_sim.add_argument("--mode", type=int, choices=(1, 2), default=1, help="starting mode")
-    p_sim.add_argument("--paths", type=int, default=10000, help="accepted and not read: the replay is exact")
-
-    p_check = sub.add_parser("check-assumptions", help="run the problem validator")
-    _add_common(p_check, needs_problem=True)
+    for name, text in (
+        ("solve", "solve the coupled system and write surfaces"),
+        ("verify-fixtures", "audit the closed-form fixtures"),
+        ("simulate", "solve, then replay the extracted policy"),
+        ("check-assumptions", "run the problem validator"),
+    ):
+        command = sub.add_parser(name, help=text)
+        _add_common(command, needs_problem=name != "verify-fixtures")
+        if name == "simulate":
+            command.add_argument("--mode", type=int, choices=(1, 2), default=1, help="starting mode")
+            command.add_argument("--paths", type=int, default=10000, help="accepted and not read: the replay is exact")
     return parser
 
 
@@ -142,7 +145,9 @@ def main(argv=None) -> int:
     if any, and exit 1; a node that did not settle exits 2. Any ``OSError``
     comes from writing the outputs (``load_problem`` reports a problem file
     it cannot read itself) and prints ``error: cannot write <path>: <reason>``,
-    exit 1; a failed write that names no file names ``--out``."""
+    exit 1; a failed write that names no file names ``--out``. A
+    ``MemoryError`` names the lattice it ran out on, its kind, step count
+    and node count, and exits 1."""
     args = build_parser().parse_args(argv)
     dispatch = {
         "solve": cmd_solve,
@@ -162,6 +167,11 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE if isinstance(exc, LocalSweepError) else EXIT_INPUT
     except OSError as exc:
         print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        kind = getattr(args, "backend", "deterministic")  # verify-fixtures runs on the width-1 lattice
+        where = f"the {kind} lattice of N = {args.steps} steps ({node_count(kind, args.steps)} nodes)"
+        print(f"error: out of memory on {where}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

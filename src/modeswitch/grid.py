@@ -13,7 +13,8 @@ conditional expectation is the identity.
 Node data is a flat buffer of ``size`` values (or a block of them along its
 last axis); step k occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node``
 / ``node_index`` map a flat index back to its step and its node within it.
-This module imports no other module of the package.
+Whole buffers are read in ``step_chunks`` of at most ``CHUNK_NODES`` nodes,
+so a reader's temporaries stay small. This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ import numpy as np
 
 # Down-move index offset of each lattice kind.
 DOWN = {"deterministic": 0, "binomial": 1}
+
+# Node count of one step chunk (``Lattice.step_chunks``), unless one step alone is wider.
+CHUNK_NODES = 1 << 15
+
+
+def node_count(kind: str, n_steps: int) -> int:
+    """The number of nodes of a lattice of ``kind`` with ``n_steps`` steps, without building it."""
+    return (n_steps + 1) * (DOWN[kind] * n_steps + 2) // 2
 
 
 def _is_horizon(horizon) -> bool:
@@ -94,10 +103,18 @@ class Lattice:
         up, down = v[..., :m], v[..., self.down : self.down + m]
         return (up + down) * 0.5, (up - down) / self._twice_sqrt_dt
 
-    def continuation(self, data: np.ndarray) -> np.ndarray:
-        """E_k[V_{k+1}] at every node before the horizon, from flat buffers along the last axis."""
-        return (data[..., self._up] + data[..., self._up + self.down]) * 0.5
+    def flat_moments(self, data: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """``moments`` at every node of steps start..stop-1 (stop <= N) of flat buffers: the same bits."""
+        up = self._up[self.offsets[start] : self.offsets[stop]]
+        u, d = data[..., up], data[..., up + self.down]
+        return (u + d) * 0.5, (u - d) / self._twice_sqrt_dt
 
-    def martingale_increment(self, data: np.ndarray) -> np.ndarray:
-        """The martingale projection of V_{k+1} at every node before the horizon, from flat buffers."""
-        return (data[..., self._up] - data[..., self._up + self.down]) / self._twice_sqrt_dt
+    def step_chunks(self, stop: int) -> list[tuple[int, int]]:
+        """Consecutive step ranges (a, b) covering steps 0..stop-1, each of at
+        most ``CHUNK_NODES`` nodes unless it is one step."""
+        chunks, a, off = [], 0, self.offsets
+        while a < stop:
+            b = min(max(int(np.searchsorted(off, off[a] + CHUNK_NODES, side="right")) - 1, a + 1), stop)
+            chunks.append((a, b))
+            a = b
+        return chunks

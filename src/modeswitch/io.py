@@ -3,7 +3,8 @@
 The problem file is a declarative JSON document (schema in
 docs/problem_schema.md): a horizon, four drivers, six cost coefficients, and
 four terminal values. Surfaces are persisted as step/node/value CSV with
-full-precision floats so that re-reading them reproduces audits exactly;
+full-precision floats so that re-reading them reproduces audits exactly,
+written by step chunks, with no string per node of the whole lattice;
 structured results (summary, strategy, fixture reports) are JSON with sorted
 keys so repeated runs are byte-identical.
 """
@@ -11,22 +12,13 @@ keys so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from .grid import Lattice
-from .model import (
-    COMPONENTS,
-    MINUS,
-    PLUS,
-    CoefficientFunction,
-    Driver,
-    ProblemError,
-    SwitchingProblem,
-    Terminal,
-)
+from .model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, ProblemError, SwitchingProblem, Terminal
 
 _SIDES = {PLUS: PLUS, MINUS: MINUS, "+": PLUS, "-": MINUS}
 
@@ -128,14 +120,8 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
             raise ProblemError(f"'terminals' missing entry {name!r}")
         terminals[(side, mode)] = _terminal(raw_terms[name], f"terminals.{name}")
 
-    return SwitchingProblem(
-        horizon=horizon,
-        drivers=drivers,
-        ell=(cost["ell_1"], cost["ell_2"]),
-        a=(cost["a_1"], cost["a_2"]),
-        b=(cost["b_1"], cost["b_2"]),
-        terminals=terminals,
-    )
+    ell, a, b = ((cost[f"{name}_1"], cost[f"{name}_2"]) for name in ("ell", "a", "b"))
+    return SwitchingProblem(horizon, drivers, ell, a, b, terminals)
 
 
 def load_problem(path) -> SwitchingProblem:
@@ -151,19 +137,28 @@ def load_problem(path) -> SwitchingProblem:
     return problem_from_dict(doc)
 
 
-@lru_cache(maxsize=1)
-def _row_prefixes(backend: Lattice) -> tuple:
-    """The ``step,node,`` start of every row of a surface file on ``backend``, in flat node order."""
-    return tuple(f"{k},{j}," for k, j in zip(backend.step_of_node.tolist(), backend.node_index.tolist()))
-
-
 def write_surface_csv(path, lattice: Lattice, values: np.ndarray):
-    """One ``step,node,value`` row per node of a flat buffer of node values, as one string:
-    CRLF line ends and ``repr`` values, the bytes ``csv.writer`` writes for these rows."""
+    """One ``step,node,value`` row per node of a flat buffer of node values (``write_surfaces``, one file)."""
     if values.shape != (lattice.size,):
         raise ValueError(f"flat surface needs {lattice.size} node values, got shape {values.shape}")
-    rows = [p + repr(v) + "\r\n" for p, v in zip(_row_prefixes(lattice), values.tolist())]
-    Path(path).write_text("".join(["step,node,value\r\n", *rows]), newline="")
+    write_surfaces([path], lattice, lambda start, stop: [values[lattice.offsets[start] : lattice.offsets[stop]]])
+
+
+def write_surfaces(paths, lattice: Lattice, rows):
+    """Surface files side by side, by step chunks (``Lattice.step_chunks``): ``rows(start, stop)``
+    gives each file's values at the nodes of steps start..stop-1, in the order of ``paths``. A file
+    holds one ``step,node,value`` row per node, the bytes ``csv.writer`` writes (CRLF line ends,
+    ``repr`` values); the ``step,node,`` heads of a chunk's rows are built once for all files."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(Path(path).open("w", newline="")) for path in paths]
+        for fh in files:
+            fh.write("step,node,value\r\n")
+        for start, stop in lattice.step_chunks(lattice.n_steps + 1):
+            nodes = slice(lattice.offsets[start], lattice.offsets[stop])
+            places = zip(lattice.step_of_node[nodes].tolist(), lattice.node_index[nodes].tolist())
+            heads = [f"{k},{j}," for k, j in places]
+            for fh, values in zip(files, rows(start, stop)):
+                fh.write("".join([head + repr(v) + "\r\n" for head, v in zip(heads, values.tolist())]))
 
 
 def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
@@ -193,7 +188,7 @@ def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
 
 
 def write_trace_csv(path, trace):
-    """One ``step,local_sweeps`` row per step, as one string like ``write_surface_csv``."""
+    """One ``step,local_sweeps`` row per step, as one string, with the line ends of ``write_surface_csv``."""
     rows = [f"{k},{n}\r\n" for k, n in enumerate(trace.local_sweeps.tolist())]
     Path(path).write_text("".join(["step,local_sweeps\r\n", *rows]), newline="")
 

@@ -61,6 +61,14 @@ class ProblemError(ValueError):
     """Raised for malformed or inadmissible problem data."""
 
 
+class SchemeError(RuntimeError):
+    """A solve failed a check; signals a discretization or configuration bug."""
+
+
+class LocalSweepError(SchemeError):
+    """The one-step projection at a node did not settle within ``scheme.LOCAL_SWEEP_CAP`` rounds."""
+
+
 class Record:
     """The base of every record of the package: a frozen value class, built
     from these shared methods rather than from generated code. A record's
@@ -192,18 +200,24 @@ class Driver(Record):
 
 
 class DriverTable(NamedTuple):
-    """The four drivers as one table on a lattice: the base rate c0(t_k) *
-    feature(x) at every node, and c1, c2 columns. ``rate`` is the package's
-    one formula of the affine rate: the backward pass, the certificate, the
-    audit and the policy replay all evaluate the driver through it."""
+    """The four drivers as one table on a lattice's times: c0(t_k), whether
+    each scales it by the state x, and c1, c2 columns. ``rate`` is the
+    package's one formula of the affine rate: the backward pass, the
+    certificate, the derived dK, the audit and the policy replay all evaluate
+    the driver through it, at nodes given by their steps and states."""
 
-    base: np.ndarray  # (2, 2, lattice size)
+    c0: np.ndarray  # (2, 2, N + 1)
+    on_state: np.ndarray  # (2, 2, 1), bool
     c1: np.ndarray  # (2, 2, 1)
     c2: np.ndarray  # (2, 2, 1)
 
-    def rate(self, nodes, y, z):
-        """The four rates at the flat nodes ``nodes``, for (2, 2, nodes) blocks y and z."""
-        return (self.base[..., nodes] + self.c1 * y) + self.c2 * z
+    def base(self, steps, x):
+        """c0(t_k) * feature(x) at nodes of ``steps`` (an index of the times) and states ``x``; feature 1.0 or x."""
+        return self.c0[..., steps] * np.where(self.on_state, x, 1.0)
+
+    def rate(self, steps, x, y, z):
+        """The four rates at nodes of ``steps`` and states ``x``, for (2, 2, nodes) blocks y and z."""
+        return (self.base(steps, x) + self.c1 * y) + self.c2 * z
 
 
 class Terminal(Record):
@@ -261,10 +275,10 @@ class SwitchingProblem(Record):
     def driver_table(self, lattice) -> DriverTable:
         """The four drivers as one table on ``lattice``; c0 is evaluated once on the lattice's times."""
         rows = [self.driver(side, mode) for side, mode in COMPONENTS]
-        c0 = [np.asarray(d.c0(lattice.times))[lattice.step_of_node] for d in rows]
-        base = [c * lattice.states if d.state_feature == "x" else c for c, d in zip(c0, rows)]
         column = lambda values: np.reshape(values, (2, 2, -1))  # noqa: E731
-        return DriverTable(column(base), column([d.c1 for d in rows]), column([d.c2 for d in rows]))
+        c0 = column([np.asarray(d.c0(lattice.times), dtype=float) for d in rows])
+        on_state = column([d.state_feature == "x" for d in rows])
+        return DriverTable(c0, on_state, column([d.c1 for d in rows]), column([d.c2 for d in rows]))
 
 
 class CostSlice(NamedTuple):
@@ -298,22 +312,23 @@ class _Push(NamedTuple):
 _PUSH = {PLUS: _Push(np.maximum, 1.0), MINUS: _Push(np.minimum, -1.0)}
 
 
-def branches(y: np.ndarray, costs: CostSlice, side: str) -> tuple:
-    """The (switch, terminate) branch values of one side, each stacked by
-    mode, from a (side, mode, ...) block ``y`` of the four yields and the
-    costs (stacked by mode, broadcast over the trailing axes).
+def branches(own: np.ndarray, switched: np.ndarray, costs: CostSlice, side: str) -> tuple:
+    """The (switch, terminate) branch values of one side, from a (side, ...)
+    block ``own`` of the yields, the block ``switched`` of the same yields in
+    the other mode, and their costs (broadcast over the trailing axes).
 
     Profit in mode i may switch (the other mode's profit minus ell_i) or
     terminate (its own cost minus a_i); cost in mode i may switch (the other
-    mode's cost plus ell_i) or terminate (its own profit plus b_i). The other
-    mode is the reversed mode axis. Pure function.
+    mode's cost plus ell_i) or terminate (its own profit plus b_i). On a
+    (side, mode, ...) block the other mode is the reversed mode axis, a view.
     """
     s = SIDES.index(side)
-    return _switch(y[s], costs, side), _terminate(y[1 - s], costs, side)
+    return _switch(switched[s], costs.ell, side), _terminate(own[1 - s], costs, side)
 
 
-def _switch(own, costs: CostSlice, side: str):
-    return own[::-1] - costs.ell if side == PLUS else own[::-1] + costs.ell
+def _switch(switched, ell, side: str):
+    """The switch branch from the other mode's values ``switched``."""
+    return switched - ell if side == PLUS else switched + ell
 
 
 def _terminate(other, costs: CostSlice, side: str):
@@ -328,7 +343,7 @@ def closure(ytilde: np.ndarray, other: np.ndarray, costs: CostSlice, side: str) 
     larger term), so one switch step closes the mode cycle exactly."""
     better = _PUSH[side].better
     r = better(ytilde, _terminate(other, costs, side))
-    return better(r, _switch(r, costs, side))
+    return better(r, _switch(r[::-1], costs.ell, side))
 
 
 def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +351,18 @@ def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> tuple[np.ndarray, np.
     branch, the larger under a profit floor and the smaller over a cost cap;
     and the boolean block of where a stop switches rather than terminates:
     where the barrier is the switch branch, so a tie switches."""
-    pairs = [branches(y, costs, side) for side in SIDES]
+    return _obstacles(y, y[:, ::-1], costs)
+
+
+def mode_obstacles(y: np.ndarray, costs: CostSlice, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of one mode of ``evaluate_obstacles``, each a (side, ...) block, built for that mode alone."""
+    i = mode - 1
+    return _obstacles(y[:, i], y[:, 1 - i], CostSlice(*(c[i] for c in costs)))
+
+
+def _obstacles(own, switched, costs: CostSlice):
+    """Barrier and switch blocks from the ``branches`` of both sides."""
+    pairs = [branches(own, switched, costs, side) for side in SIDES]
     barrier = np.stack([_PUSH[side].better(*pair) for side, pair in zip(SIDES, pairs)])
     return barrier, np.stack([s == switch for s, (switch, _) in zip(barrier, pairs)])
 
@@ -377,14 +403,17 @@ class ValidationReport(Record):
 def _first_violation(where, values, ok_mask):
     """(location, value) of the first entry failing ``ok_mask``, else (None, None)."""
     bad = np.flatnonzero(~ok_mask)
-    if bad.size == 0:
-        return None, None
-    i = int(bad[0])
-    return where[i].item(), values[i].item()
+    return (where[bad[0]].item(), values[bad[0]].item()) if bad.size else (None, None)
 
 
 def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport:
-    """Check the admissibility of a problem on a given lattice.
+    """Check the admissibility of a problem on a given lattice: ``validate`` with the costs on its times."""
+    return validate(problem, lattice, problem.cost_table(lattice.times))
+
+
+def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> ValidationReport:
+    """Check the admissibility of a problem on a given lattice, whose six
+    costs on the lattice's times are ``costs``; a solve passes its own table.
 
     Covers: a lattice that spans the problem's horizon, Lipschitz/
     integrability of the four drivers, positivity of the switching costs,
@@ -410,26 +439,14 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
         c0_vals = drv.c0(times)
         finite = np.isfinite(c0_vals) & np.isfinite(drv.lipschitz)
         t_bad, v_bad = _first_violation(times, c0_vals, finite)
-        add(
-            f"A1 driver psi_{side}_{mode}",
-            t_bad is None,
-            f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid",
-            at_time=t_bad,
-            value=v_bad,
-        )
+        detail = f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid"
+        add(f"A1 driver psi_{side}_{mode}", t_bad is None, detail, t_bad, v_bad)
 
-    costs = problem.cost_table(times)
     for i, mode in enumerate(MODES):
         ell_vals = costs.ell[i]
         ok = np.isfinite(ell_vals) & (ell_vals > 0.0)
         t_bad, v_bad = _first_violation(times, ell_vals, ok)
-        add(
-            f"A2 switching cost ell_{mode} > 0",
-            t_bad is None,
-            "strictly positive at every grid time",
-            at_time=t_bad,
-            value=v_bad,
-        )
+        add(f"A2 switching cost ell_{mode} > 0", t_bad is None, "strictly positive at every grid time", t_bad, v_bad)
         for fam_name, fam in (("a", costs.a), ("b", costs.b)):
             t_bad, v_bad = _first_violation(times, fam[i], np.isfinite(fam[i]))
             add(f"A2 cost {fam_name}_{mode} finite", t_bad is None, at_time=t_bad, value=v_bad)
@@ -441,19 +458,14 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     xi = problem.terminal_block(x_T)
     for (side, mode), values in zip(COMPONENTS, xi.reshape(4, -1)):
         j_bad, v_bad = _first_violation(nodes, values, np.isfinite(values))
-        add(
-            f"A3 terminal xi_{side}_{mode} square integrable",
-            j_bad is None,
-            "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}",
-            value=v_bad,
-        )
+        detail = "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}"
+        add(f"A3 terminal xi_{side}_{mode} square integrable", j_bad is None, detail, value=v_bad)
     margins = by_side("inside", xi, evaluate_obstacles(xi, costs.at(slice(-1, None)))[0])
     for (side, mode), margin in zip(COMPONENTS, margins.reshape(4, -1)):
         j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
         j = int(np.argmin(margin)) if j is None else j
         m = float(margin[j])
-        name = f"BC terminal xi_{side}_{mode}"
-        add(name, m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", at_time=T, value=m)
+        add(f"BC terminal xi_{side}_{mode}", m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", T, m)
 
     # Discrete comparison: the one-step map y = E + psi * dt, with
     # E = (u + v) / 2 and z = (u - v) / (2 sqrt(dt)) over the two children
@@ -463,12 +475,8 @@ def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport
     for side, mode in COMPONENTS:
         drv = problem.driver(side, mode)
         margin = 1.0 + drv.c1 * lattice.dt - abs(drv.c2) * lattice.spread
-        add(
-            f"A5 comparison psi_{side}_{mode}",
-            margin >= 0.0,
-            "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt",
-            value=margin,
-        )
+        detail = "one-step map monotone: |c2| sqrt(dt) <= 1 + c1 dt"
+        add(f"A5 comparison psi_{side}_{mode}", margin >= 0.0, detail, value=margin)
     for side, mode in COMPONENTS:  # the step guard of the explicit scheme (``scheme.backward_pass``)
         step = lattice.dt * problem.driver(side, mode).lipschitz
         detail = f"dt (|c1| + |c2|) < {STABILITY_LIMIT:g}; a larger time step is too coarse"

@@ -4,24 +4,22 @@ A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
 of the barrier is binding (switch to the other mode, or terminate; a tie
 switches), as ``model.evaluate_obstacles`` reads it on the Y block
-(``contact_masks``) or at one node (``classify_action``). Contact is
-exact: the one-pass solver stores the barrier's own bits wherever it pushes,
-and its fixed-point certificate holds bit for bit, so a path stops where
-Y == S and nowhere else before the horizon (``stop_mask``), and collects Y
-there, which is the barrier at contact and the terminal value at N.
-``first_stop`` reads the first stop along given paths for
-``extract_stopping_times``. The running yield is a left-endpoint sum, in
-step order, of the rate the backward solver evaluates (its driver table, at
-the continuation value E_k[Y_{k+1}]). On the fair-coin lattice the law of
-the rule is computed, not sampled: one forward pass per leg carries the
-mass of its paths and their yield from node to node (``simulate_policy``).
+(``contact_masks``) or at one node (``classify_action``), and
+``model.mode_obstacles`` for the start mode of a replay, by step chunks
+(``_mode_tables``). Contact is exact: the solver stores the barrier's own
+bits wherever it pushes, so a path stops where Y == S and nowhere else before
+the horizon (``stop_mask``), and collects Y there. The running yield is a
+left-endpoint sum, in step order, of the rate the backward solver evaluates
+(its driver table at E_k[Y_{k+1}] and Z_k, both derived from Y). On the
+fair-coin lattice the law of the rule is computed, not sampled: one forward
+pass per leg carries the mass of its paths and their yield (``simulate_policy``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import COMPONENTS, SIDES, DriverTable, Record, _is_mode, evaluate_obstacles, row
+from .model import COMPONENTS, SIDES, DriverTable, Record, _is_mode, evaluate_obstacles, mode_obstacles, row
 from .scheme import BalanceSheetSolution, system_obstacles
 
 SWITCH = "switch"
@@ -39,8 +37,7 @@ def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
 
 
 def contact_masks(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The ``stop_mask`` block against the barriers the solution implies, and
-    the block of where a stop switches (``scheme.system_obstacles``); the replay reads both."""
+    """The ``stop_mask`` and switch blocks of all four components, by ``scheme.system_obstacles``."""
     barrier, switches = system_obstacles(solution)
     return stop_mask(solution.y, barrier, solution.backend), switches
 
@@ -82,11 +79,9 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
     barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.times[step : step + 1]).at(0))
-    y_here, s_here = float(y[here]), float(barrier[here])
-    if y_here != s_here:
-        raise ValueError(
-            f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {y_here - s_here:g}"
-        )
+    gap = float(y[here]) - float(barrier[here])
+    if y[here] != barrier[here]:
+        raise ValueError(f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {gap:g}")
     return SWITCH if switches[here] else TERMINATE
 
 
@@ -109,6 +104,22 @@ class StrategyReport(Record):
 
     def leg(self, side: str) -> LegReport:
         return self.legs[side]
+
+
+def _mode_tables(solution: BalanceSheetSolution, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The replay's (side, node) rows of one mode, built for it alone by step chunks: where a path
+    stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
+    horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver."""
+    backend, problem, y, m = solution.backend, solution.problem, solution.y, mode - 1
+    n, off, steps, states = backend.n_steps, backend.offsets, backend.step_of_node, backend.states
+    costs, table = problem.cost_table(backend.times), DriverTable(*(f[:, m] for f in problem.driver_table(backend)))
+    stops, switches, rates = np.ones((2, backend.size), bool), np.zeros((2, backend.size), bool), np.empty((2, off[n]))
+    for start, stop in backend.step_chunks(n):
+        nodes = slice(off[start], off[stop])
+        barrier, switches[:, nodes] = mode_obstacles(y[..., nodes], costs.at(steps[nodes]), mode)
+        stops[:, nodes], (e, z) = y[:, m, nodes] == barrier, backend.flat_moments(y[:, m], start, stop)
+        rates[:, nodes] = table.rate(steps[nodes], states[nodes], e, z)
+    return stops, switches, rates
 
 
 def _children(share: np.ndarray, down: int) -> np.ndarray:
@@ -180,26 +191,21 @@ def simulate_policy(solution: BalanceSheetSolution, start_mode: int) -> Strategy
     and the probability of each branch. A leg that leaves its root runs one
     ``_mass_pass`` over its own 1-D tables, or ``_single_path`` on the
     width-1 lattice. A leg whose root is in contact, by
-    ``model.evaluate_obstacles`` on the root values and the costs of step 0,
-    stops there with mass 1 and reports Y_0 exactly; the node tables are
-    built only when a leg leaves its root.
+    ``model.mode_obstacles`` on the root values and the costs of step 0,
+    stops there with mass 1 and reports Y_0 exactly; the node tables of the
+    start mode (``_mode_tables``) are built only when a leg leaves its root.
     """
     if not _is_mode(start_mode):  # a bool or float is not a mode
         raise ValueError(f"start_mode must be the integer 1 or 2, got {start_mode!r}")
-    backend, problem, m = solution.backend, solution.problem, start_mode - 1
-    n, y = backend.n_steps, solution.y[:, m]
-    barrier, switches = evaluate_obstacles(solution.y[..., 0], problem.cost_table(backend.times[:1]).at(0))
-    moves = y[:, 0] != barrier[:, m]
+    backend, y = solution.backend, solution.y[:, start_mode - 1]
+    barrier, switches = mode_obstacles(solution.y[..., :1], solution.problem.cost_table(backend.times[:1]), start_mode)
+    moves = y[:, 0] != barrier[:, 0]
     if moves.any():
-        before = slice(0, backend.offsets[n])
-        # Running rates at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver.
-        table = DriverTable(*(f[:, m] for f in problem.driver_table(backend)))
-        rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
-        stops, prefers = (block[:, m] for block in contact_masks(solution))
+        stops, prefers, rates = _mode_tables(solution, start_mode)
     legs = {}
     for s, side in enumerate(SIDES):
         if not moves[s]:
-            law, prefer = (np.zeros(1, dtype=np.intp), np.ones(1), np.zeros(1)), switches[s, m : m + 1]
+            law, prefer = (np.zeros(1, dtype=np.intp), np.ones(1), np.zeros(1)), switches[s]
         else:
             law = _mass_pass(backend, stops[s], rates[s]) if backend.down else _single_path(stops[s], rates[s])
             prefer = prefers[s]

@@ -4,10 +4,12 @@ Houses the closed-form non-uniqueness fixture (two exact solutions of the same
 problem, one where the cost side carries the reflection mass and one where the
 profit side does), and an auditor that recomputes every defining relation of
 the system on the (side, mode, node) blocks of Y, Z and dK of one
-``scheme.BalanceSheetSolution``: per-step equation residuals, barrier
-inequalities, complementarity sums, increment signs, and the empirical
-reflection density. A family sampled on a lattice is such a record of the
-fixture problem, as is a solve.
+``scheme.BalanceSheetSolution`` (Z and dK as its ``increments`` gives them):
+per-step equation residuals, barrier inequalities, complementarity sums,
+increment signs, and the empirical reflection density. A family sampled on a
+lattice is such a record of the fixture problem (``SampledFamily``, whose
+dK is the trapezoid of the analytic density, stored, not derived from Y), as
+is a solve.
 
 The auditor reports, it never judges; thresholds are evaluated separately so
 the same numbers can back both CI gating and diagnostics.
@@ -18,21 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Lattice, _is_horizon
-from .model import (
-    COMPONENTS,
-    MINUS,
-    MODES,
-    PLUS,
-    SIDES,
-    _PUSH,
-    CoefficientFunction,
-    Driver,
-    SwitchingProblem,
-    Record,
-    Terminal,
-    by_side,
-)
-from .scheme import BalanceSheetSolution, system_obstacles
+from .model import COMPONENTS, MINUS, MODES, PLUS, SIDES, _PUSH, CoefficientFunction, Driver, Record, SwitchingProblem
+from .model import Terminal, by_side, evaluate_obstacles
+from .scheme import BalanceSheetSolution
 
 # Default step-residual threshold is RESIDUAL_RATE_SCALE * dt: ten times the
 # largest curvature max|y''| among the closed-form fixtures at T=1 (the
@@ -55,23 +45,8 @@ def counterexample_problem(T: float = 1.0) -> SwitchingProblem:
         (MINUS, 1): Driver(1, MINUS, zero, c1=2.0),
         (MINUS, 2): Driver(2, MINUS, ell, c1=2.0),
     }
-    terminals = {key: Terminal(1.0) for key in COMPONENTS}
-    return SwitchingProblem(
-        horizon=float(T),
-        drivers=drivers,
-        ell=(ell, ell),
-        a=(zero, zero),
-        b=(zero, zero),
-        terminals=terminals,
-    )
-
-
-def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int):
-    """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
-    left to right like a step-by-step loop would; one per row of a block."""
-    end = backend.offsets[n_steps]
-    per_step = np.maximum.reduceat((np.abs(gap) * dk)[..., :end], backend.offsets[:n_steps], axis=-1)
-    return np.cumsum(per_step, axis=-1)[..., -1]
+    terminals = dict.fromkeys(COMPONENTS, Terminal(1.0))
+    return SwitchingProblem(float(T), drivers, (ell, ell), (zero, zero), (zero, zero), terminals)
 
 
 class ClosedFormFamily(Record):
@@ -112,7 +87,7 @@ class ClosedFormFamily(Record):
             return np.zeros_like(t)
         return self.y(side, mode, t)
 
-    def sample(self, backend: Lattice) -> BalanceSheetSolution:
+    def sample(self, backend: Lattice) -> "SampledFamily":
         """Sampling at the lattice's times as a solution record of
         ``counterexample_problem``, which refuses a lattice on another horizon;
         increments use the trapezoid rule on the analytic reflection density."""
@@ -120,8 +95,18 @@ class ClosedFormFamily(Record):
         y, dens = (np.array([[f(s, m, times) for m in MODES] for s in SIDES]) for f in (self.y, self.k_density))
         dk = np.zeros_like(dens)
         dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.dt
-        problem = counterexample_problem(self.horizon)
-        return BalanceSheetSolution(problem, backend, y[..., at], np.zeros((2, 2, backend.size)), dk[..., at])
+        return SampledFamily(counterexample_problem(self.horizon), backend, y[..., at], dk[..., at])
+
+
+class SampledFamily(BalanceSheetSolution):
+    """A closed-form family sampled on a lattice: its Z is derived from Y (0:
+    Y depends on time alone), its dK, the ``trapezoid``, is not, so it is stored."""
+
+    trapezoid: np.ndarray
+
+    def increments(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        off = self.backend.offsets
+        return super().increments(start, stop)[0], self.trapezoid[..., off[start] : off[stop]]
 
 
 class ComponentResiduals(Record):
@@ -165,10 +150,8 @@ class ResidualReport(Record):
     def as_dict(self) -> dict:
         return {
             "dt": self.dt,
-            "threshold_note": (
-                f"step residual cap = {RESIDUAL_RATE_SCALE:g} * dt "
-                "(10x the largest closed-form curvature at T=1)"
-            ),
+            "threshold_note": f"step residual cap = {RESIDUAL_RATE_SCALE:g} * dt "
+            "(10x the largest closed-form curvature at T=1)",
             "caps": self.caps(),
             "components": {f"{s}_{m}": self.components[(s, m)].as_dict() for s, m in COMPONENTS},
             "passed": self.passed,
@@ -183,28 +166,34 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     The per-step residual is measured per unit time with the running rate
     evaluated at (t_k, midpoint of Y_k and E_k[Y_{k+1}], Z_k); on the lattice
     the equation is audited in conditional expectation, which drops the
-    martingale increment term. Every relation is evaluated on the blocks.
-    """
-    problem, backend = solution.problem, solution.backend
-    dt, n = backend.dt, backend.n_steps
-    before = slice(0, backend.offsets[n])
-    y, z, dk = solution.y, solution.z[..., before], solution.dk
-    gaps = by_side("inside", y, system_obstacles(solution)[0])
-    sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.continuation(y)
-    yk, dk_k = y[..., before], dk[..., before]
-    psi = problem.driver_table(backend).rate(before, 0.5 * (yk + cont), z)
+    martingale increment term. It runs by step chunks, then the horizon; the
+    complementarity sum adds each step's largest |gap| * dK in step order."""
+    problem, backend, dt, n = solution.problem, solution.backend, solution.backend.dt, solution.backend.n_steps
+    off, table, costs = backend.offsets, problem.driver_table(backend), problem.cost_table(backend.times)
     signs = np.reshape([_PUSH[side].sign for side in SIDES], (2, 1, 1))
-    resid = (yk - cont - psi * dt - signs * dk_k) / dt
-    mismatch = np.abs(y[..., backend.offsets[n] :] - problem.terminal_block(backend.state(n)))
+    maxima, terms = [], []  # per chunk: the largest |residual|, -gap, -dK and dK; each step's largest |gap| * dK
+    for start, stop in backend.step_chunks(n):
+        nodes, steps = slice(off[start], off[stop]), backend.step_of_node[off[start] : off[stop]]
+        y, (z, dk) = solution.y[..., nodes], solution.increments(start, stop)
+        cont = backend.flat_moments(solution.y, start, stop)[0]
+        gaps = by_side("inside", y, evaluate_obstacles(y, costs.at(steps))[0])
+        resid = (y - cont - table.rate(steps, backend.states[nodes], 0.5 * (y + cont), z) * dt - signs * dk) / dt
+        maxima.append([np.max(block, axis=-1) for block in (np.abs(resid), -gaps, -dk, dk)])
+        terms.append(np.maximum.reduceat(np.abs(gaps) * dk, off[start:stop] - off[start], axis=-1))
+    y_T = solution.y[..., off[n] :]
+    gaps_T = by_side("inside", y_T, evaluate_obstacles(y_T, costs.at(slice(n, n + 1)))[0])
+    resid, gap, k_sign, k_max = np.max(maxima, axis=0)
+    gap, sums = np.maximum(gap, np.max(-gaps_T, axis=-1)), np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1]
+    mismatch = np.abs(y_T - problem.terminal_block(backend.state(n)))
 
     components = {}
     for key, index in zip(COMPONENTS, np.ndindex(2, 2)):
         components[key] = ComponentResiduals(
-            max_step_residual=max(0.0, float(np.max(np.abs(resid[index])))),
-            max_constraint_violation=max(0.0, float(np.max(-gaps[index]))),
+            max_step_residual=max(0.0, float(resid[index])),
+            max_constraint_violation=max(0.0, float(gap[index])),
             skorokhod_sum=float(sums[index]),
-            k_sign_violation=max(0.0, float(np.max(-dk_k[index]))),
-            max_k_density=max(0.0, float(np.max(dk_k[index])) / dt),
+            k_sign_violation=max(0.0, float(k_sign[index])),
+            max_k_density=max(0.0, float(k_max[index])) / dt,
             terminal_mismatch=float(np.max(mismatch[index])),
         )
     return ResidualReport(dt=dt, components=components)
@@ -222,16 +211,9 @@ class NonUniquenessReport(Record):
     def distinct(self) -> bool:
         """Both candidates pass while differing by far more than the observed
         numerical-error scale on this lattice."""
-        noise = max(
-            self.report_family_1.max_over("max_step_residual") * self.horizon,
-            self.report_family_2.max_over("max_step_residual") * self.horizon,
-            SKOROKHOD_CAP,
-        )
-        return (
-            self.report_family_1.passed
-            and self.report_family_2.passed
-            and self.sup_distance > 10.0 * noise
-        )
+        reports = (self.report_family_1, self.report_family_2)
+        noise = max(*(report.max_over("max_step_residual") * self.horizon for report in reports), SKOROKHOD_CAP)
+        return all(report.passed for report in reports) and self.sup_distance > 10.0 * noise
 
     def as_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from modeswitch.model import (
     SwitchingProblem,
     Terminal,
 )
+from modeswitch import scheme
 from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
 from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, contact_masks, simulate_policy
 
@@ -164,7 +165,7 @@ def pinned_pass(problem, backend):
         up, down = v[..., :m], v[..., lag : lag + m]
         e, zk = 0.5 * (up + down), (up - down) / (2.0 * np.sqrt(dt))
         z[..., here] = zk
-        ytilde[..., here] = e + ((table.base[..., here] + table.c1 * e) + table.c2 * zk) * dt
+        ytilde[..., here] = e + ((table.base(slice(k, k + 1), backend.state(k)) + table.c1 * e) + table.c2 * zk) * dt
         ell, a, b = (c[..., k : k + 1] for c in costs)
         profit = ytilde[0, :, here]
         while rounds[k] < LOCAL_SWEEP_CAP:
@@ -179,34 +180,64 @@ def pinned_pass(problem, backend):
     return y, z, np.abs(y - ytilde), rounds
 
 
+def numpy_pass(problem, backend):
+    """``backward_pass`` with ``_project``, the binomial lattice's pass, on
+    any lattice: its Y block; the Z and dK blocks of the Z_k and Euler values
+    y~_k it formed at each step, joined, as the pass kept them before Z and
+    dK were derived from Y (Z 0 and y~ = Y at the horizon); and the round
+    count of each step."""
+    n, costs, rounds = backend.n_steps, problem.cost_table(backend.times), np.zeros(backend.n_steps, dtype=int)
+    table, zs, ytildes = problem.driver_table(backend), {}, {}
+
+    def rate(k, y, z):
+        zs[k] = z
+        return table.rate(slice(k, k + 1), backend.state(k), y, z)
+
+    def project(ytilde, k):
+        ytildes[k] = ytilde
+        return scheme._project(ytilde, costs.at(slice(k, k + 1)), k, rounds)
+
+    terminal = problem.terminal_block(backend.state(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
+        y = scheme.backward_pass(rate, terminal, project, backend)
+        z = np.concatenate([zs[k] for k in range(n)] + [np.zeros_like(terminal)], axis=-1)
+        ytilde = np.concatenate([ytildes[k] for k in range(n)] + [terminal], axis=-1)
+        return (y, z, np.abs(y - ytilde)), rounds
+
+
 def assert_matches_pinned(problem, backend):
-    """``solve_system`` reproduces ``pinned_pass`` bit for bit: Y, Z, dK and the round counts."""
+    """``solve_system`` reproduces ``pinned_pass`` and ``numpy_pass`` bit for
+    bit: Y, the Z and dK derived from it, and the round counts."""
     solution, trace = solve_system(problem, backend)
-    y, z, dk, rounds = pinned_pass(problem, backend)
-    for field, pinned in (("y", y), ("z", z), ("dk", dk)):
-        assert getattr(solution, field).tobytes() == pinned.tobytes(), field
+    *pinned, rounds = pinned_pass(problem, backend)
+    passed, passed_rounds = numpy_pass(problem, backend)
+    for field, block, other in zip(("y", "z", "dk"), pinned, passed):
+        assert getattr(solution, field).tobytes() == block.tobytes() == other.tobytes(), field
     np.testing.assert_array_equal(trace.local_sweeps, rounds)
+    np.testing.assert_array_equal(passed_rounds, rounds)
 
 
 def assert_certificate_premise(problem, backend):
-    """The pass's dK is |Y - y~| with y~ the Euler value the fixed-point
+    """The derived dK is |Y - y~| with y~ the Euler value the fixed-point
     certificate builds from Y, bit for bit, and 0 at the horizon: where the
     certificate holds, every push then sits on its barrier."""
     solution, _ = solve_system(problem, backend)
     y, dk, end = solution.y, solution.dk, backend.offsets[backend.n_steps]
-    euler = _euler(problem.driver_table(backend), backend, y)
+    euler, _ = _euler(problem.driver_table(backend), backend, y, 0, backend.n_steps)
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - euler).tobytes()
     assert (dk[..., end:] == 0.0).all()
 
 
 def replay_tables(solution, start_mode):
-    """The replay's node tables of each leg from ``start_mode``, built as
-    ``simulate_policy`` builds them: the stop mask, the switch flag, the
-    running rate before the horizon and Y, each a (side, node) block."""
+    """The replay's node tables of each leg from ``start_mode``, built on the
+    whole lattice from the whole blocks: the stop mask and the switch flag of
+    ``contact_masks``, the running rate before the horizon at E_k[Y_{k+1}]
+    and the record's Z, and Y, each a (side, node) block."""
     backend, m = solution.backend, start_mode - 1
-    before = slice(0, backend.offsets[backend.n_steps])
+    n, before = backend.n_steps, slice(0, backend.offsets[backend.n_steps])
     table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
-    rates = table.rate(before, backend.continuation(y), solution.z[:, m, before])
+    at = backend.step_of_node[before], backend.states[before]
+    rates = table.rate(*at, backend.flat_moments(y, 0, n)[0], solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))
     return stops, switches, rates, y
 

@@ -8,14 +8,15 @@ cost pair first (stage-n barriers), then profit pair (barriers mixing the
 stage-n profit with the fresh stage-(n+1) cost). Its caps and floors are
 written out here rather than read from ``model``, so that it stays
 independent of what it checks, and each sweep asserts that no value drops.
-Every single equation is ``reflect``: the production ``scheme.backward_pass``
-with the driver's rate from ``tabulate``, projected by a clip against its
-barrier. ``tabulate`` writes the affine rate out apart from the package's
-``DriverTable``, and ``derivative`` the drift of a cost coefficient, so the
-reference reads no rate code of the package either. The
-iteration holds its components apart, as flat node buffers (``Component``),
-and stacks them into the (side, mode, node) blocks of a
-``BalanceSheetSolution`` once, at the end.
+Every single equation is ``reflect``: a backward Euler loop of its own that
+keeps each step's Z and Euler value, with the driver's rate from
+``tabulate``, projected by a clip against its barrier. ``tabulate`` writes
+the affine rate out apart from the package's ``DriverTable``, and
+``derivative`` the drift of a cost coefficient, so the reference reads no
+rate code of the package either. The iteration holds its components apart,
+as flat node buffers (``Component``), and stacks them once, at the end, into
+a ``ReferenceSolution``: a ``BalanceSheetSolution`` that keeps the
+reference's own Z and dK blocks, where a solve derives them from Y.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from modeswitch.model import (
     SwitchingProblem,
     by_side,
 )
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, backward_pass, system_obstacles
-from modeswitch.verify import skorokhod_sum
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
 
 # Pointwise slack for the order assertions (float noise only; the discrete
 # comparison argument is exact in exact arithmetic).
@@ -103,11 +103,28 @@ def reflect(driver, terminal, barrier, backend: Lattice, lower: bool = True) -> 
     """
     if barrier is None:
         barrier = np.full(backend.size, -np.inf if lower else np.inf)
-    tab, clip, off = tabulate(driver, backend.times), np.maximum if lower else np.minimum, backend.offsets
-    rate = lambda k, y, z: tab(k, backend.state(k), y, z)  # noqa: E731
-    project = lambda ytilde, k: clip(ytilde, barrier[off[k] : off[k + 1]])  # noqa: E731
-    terminal = np.full(backend.n_nodes(backend.n_steps), terminal, dtype=float)
-    return Component(*backward_pass(rate, terminal, project, backend))
+    tab, clip = tabulate(driver, backend.times), np.maximum if lower else np.minimum
+    off, n = backend.offsets, backend.n_steps
+    y, z, ytilde = np.empty(backend.size), np.zeros(backend.size), np.empty(backend.size)
+    y[off[n] :] = ytilde[off[n] :] = terminal
+    for k in range(n - 1, -1, -1):
+        here = slice(off[k], off[k + 1])
+        e, z[here] = backend.moments(y[off[k + 1] : off[k + 2]], k)
+        ytilde[here] = e + tab(k, backend.state(k), e, z[here]) * backend.dt
+        y[here] = clip(ytilde[here], barrier[here])
+    return Component(y, z, np.abs(y - ytilde))
+
+
+class ReferenceSolution(BalanceSheetSolution):
+    """The reference's solution record: Y, and the Z and dK blocks its own
+    passes kept, which ``increments`` reads where a solve derives them."""
+
+    own_z: np.ndarray
+    own_dk: np.ndarray
+
+    def increments(self, start, stop):
+        nodes = slice(self.backend.offsets[start], self.backend.offsets[stop])
+        return self.own_z[..., nodes], self.own_dk[..., nodes]
 
 
 class _ShiftedDriver:
@@ -202,7 +219,7 @@ def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, 
 
 def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation."""
-    _require_admissible(problem, backend)
+    _require_admissible(problem, backend, problem.cost_table(backend.times))
     costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.n_steps))
     y_plus0 = {mode: reflect(problem.driver(PLUS, mode), xi[0, mode - 1], None, backend) for mode in MODES}
     big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
@@ -268,6 +285,14 @@ def iterate_once(prev: Iterate, problem: SwitchingProblem, backend: Lattice) -> 
     return Iterate(n=prev.n + 1, sol=sol)
 
 
+def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: int):
+    """Sum over steps 0..n_steps-1 of max over nodes of |gap| * dK, added
+    left to right like a step-by-step loop would; one per row of a block."""
+    end = backend.offsets[n_steps]
+    per_step = np.maximum.reduceat((np.abs(gap) * dk)[..., :end], backend.offsets[:n_steps], axis=-1)
+    return np.cumsum(per_step, axis=-1)[..., -1]
+
+
 def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: np.ndarray):
     """Barrier inequalities, increment signs, and complementarity sums on the
     converged block, against the barriers ``scheme.system_obstacles``; a failure
@@ -312,7 +337,7 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
             trace.converged = True
             break
 
-    solution = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
+    solution = ReferenceSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
     if trace.converged:
         _assert_system_constraints(solution, system_obstacles(solution)[0])
     return solution, trace

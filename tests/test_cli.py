@@ -418,10 +418,13 @@ class TestSurfaceRoundTrip:
             for name, field in fields.items():
                 write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be, getattr(solution, field)[row(side, mode)])
 
-        reread = BalanceSheetSolution(problem, be, *(
-            np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be) for side, mode in COMPONENTS])
+        blocks = {
+            name: np.array([read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be) for side, mode in COMPONENTS])
             .reshape(2, 2, -1) for name in fields
-        ))
+        }
+        reread = BalanceSheetSolution(problem, be, blocks["Y"])  # Z and dK follow from Y, as written
+        for name, field in fields.items():
+            assert blocks[name].tobytes() == getattr(reread, field).tobytes(), name
         again = audit_solution(reread)
         for key in COMPONENTS:
             a, b = original.components[key].as_dict(), again.components[key].as_dict()
@@ -438,7 +441,7 @@ class TestSurfaceRoundTrip:
                 write_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", be, block[row(side, mode)])
                 reread.append(read_surface_csv(tmp_path / f"{name}_{side}_{mode}.csv", longer))
         with pytest.raises(ValueError, match=r"^the lattice's horizon 2\.0 is not the problem's horizon 1\.0$"):
-            BalanceSheetSolution(problem, longer, *np.reshape(reread, (3, 2, 2, -1)))
+            BalanceSheetSolution(problem, longer, np.reshape(reread, (3, 2, 2, -1))[0])
 
     @pytest.mark.parametrize("kind, n", [("binomial", 3), ("deterministic", 9)])
     def test_bytes_are_csv_writer_bytes_and_read_back_bit_for_bit(self, tmp_path, kind, n):
@@ -585,6 +588,38 @@ class TestErrorBoundary:
             "error: Euler value not finite at step 263, node 0: (plus,1) is nan; the data overflows float64"
         ]
 
+    # numpy's message for the int64 index array of the binomial lattice of N = 200 000 (20 000 300 001 nodes)
+    NO_MEMORY = "Unable to allocate 149. GiB for an array with shape (20000300001,) and data type int64"
+
+    @pytest.mark.parametrize("command", ["check-assumptions", "solve", "simulate"])
+    def test_a_lattice_too_large_to_allocate_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        # the allocation is refused by a stand-in, so no test asks for the memory
+        def refuse(*args):
+            raise MemoryError(self.NO_MEMORY)
+
+        monkeypatch.setattr(cli, "Lattice", refuse)
+        args = [command, "--problem", write_doc(tmp_path, counterexample_doc()), "--backend", "binomial"]
+        assert main([*args, "--steps", "200000", "--out", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"error: out of memory on the binomial lattice of N = 200000 steps (20000300001 nodes): {self.NO_MEMORY}"
+        ]
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("solve", "modeswitch.scheme", "solve_system"), ("verify-fixtures", "modeswitch.verify", "check_nonuniqueness")
+    ])  # fmt: skip
+    def test_out_of_memory_after_the_lattice_exits_one(self, tmp_path, capsys, monkeypatch, command, module, name):
+        reason = "Unable to allocate 61.1 MiB for an array with shape (2, 2, 2001000) and data type float64"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(importlib.import_module(module), name, refuse)
+        args = [command, "--problem", write_doc(tmp_path, counterexample_doc())] if command == "solve" else [command]
+        assert main([*args, "--steps", "2000", "--out", str(tmp_path / "x")]) == 1
+        where = "the deterministic lattice of N = 2000 steps (2001 nodes)"
+        assert capsys.readouterr().err == f"error: out of memory on {where}: {reason}\n"
+
     def test_simulate_prints_validation_report(self, tmp_path, capsys):
         doc = counterexample_doc()
         doc["costs"]["ell_1"] = 0.0
@@ -706,6 +741,25 @@ class TestImportScope:
     def test_fixture_command_loads_only_what_it_runs(self, tmp_path, command, loaded):
         args = [*command, "--steps", "200", "--out", str(tmp_path)]
         assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, loaded]
+
+    PACKAGE = (
+        "import json, sys\n"
+        "from modeswitch.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(name for name in sys.modules if name.startswith('modeswitch.'))]))"
+    )
+
+    @pytest.mark.parametrize("command, runs", [
+        (["check-assumptions", *FIXTURE], []),
+        (["solve", *FIXTURE], ["scheme"]),
+        (["simulate", *FIXTURE], ["scheme", "strategy"]),
+        (["verify-fixtures"], ["scheme", "verify"]),
+    ])  # fmt: skip
+    def test_each_command_loads_the_package_modules_it_runs(self, tmp_path, command, runs):
+        # check-assumptions validates a problem on a lattice and loads no solver
+        args = [*command, "--steps", "100", "--out", str(tmp_path)]
+        loaded = sorted(f"modeswitch.{name}" for name in ("cli", "grid", "io", "model", *runs))
+        assert json.loads(fresh_interpreter(self.PACKAGE, *args)) == [0, loaded]
 
     def test_a_replay_that_moves_draws_nothing(self, tmp_path):
         # the profit leg of the switching problem leaves its root: the law needs no generator

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.grid import Lattice
+from modeswitch.grid import CHUNK_NODES, Lattice, node_count
 
 from conftest import at, bin_backend, det_backend, sample_paths
 
@@ -237,9 +237,23 @@ class TestWidthOneLattice:
         np.testing.assert_array_equal(be.states, np.zeros(5))
 
     def test_continuation_matches_stepwise_condexp(self):
+        # ``flat_moments`` over any range of steps gives the bits of ``moments`` step by step
         rng = np.random.default_rng(8)
         for be in (det_backend(7), bin_backend(7)):
             surf = np.concatenate([rng.uniform(-1, 1, be.n_nodes(k)) for k in range(8)])
-            flat = be.continuation(surf)
-            stepwise = np.concatenate([be.moments(at(surf, be, k + 1), k)[0] for k in range(7)])
-            np.testing.assert_array_equal(flat, stepwise)
+            for start, stop in ((0, 7), (2, 5), (6, 7), (3, 3)):
+                flat = be.flat_moments(surf, start, stop)
+                for i in range(2):
+                    steps = [be.moments(at(surf, be, k + 1), k)[i] for k in range(start, stop)]
+                    assert flat[i].tobytes() == np.concatenate(steps or [[]]).tobytes(), (start, stop, i)
+
+    @pytest.mark.parametrize("kind, n", [("deterministic", 70000), ("binomial", 400), ("binomial", 3)])
+    def test_step_chunks_cover_the_steps_in_bounded_runs(self, kind, n):
+        be = Lattice(kind, n, 1.0)
+        for stop in (n, n + 1):
+            chunks = be.step_chunks(stop)
+            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]] and chunks[-1][1] == stop
+            for a, b in chunks:
+                assert b == a + 1 or be.offsets[b] - be.offsets[a] <= CHUNK_NODES
+                assert b == stop or be.offsets[b + 1] - be.offsets[a] > CHUNK_NODES  # each run is as long as it may be
+        assert node_count(kind, n) == be.size

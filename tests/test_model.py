@@ -22,6 +22,7 @@ from modeswitch.model import (
     Terminal,
     branches,
     evaluate_obstacles,
+    mode_obstacles,
     replace,
     validate_assumptions,
 )
@@ -106,7 +107,7 @@ class TestDriver:
         y, z = np.random.default_rng(11).normal(size=(2, 2, 2, lattice.size))
         for k, t in enumerate(lattice.times.tolist()):
             here, x = slice(lattice.offsets[k], lattice.offsets[k + 1]), lattice.state(k)
-            rate = table.rate(here, y[..., here], z[..., here])
+            rate = table.rate(slice(k, k + 1), x, y[..., here], z[..., here])
             for key, index in zip(COMPONENTS, np.ndindex(2, 2)):
                 base = c0(t) * x if features[key] == "x" else c0(t)
                 expected = base + c1 * y[index][here] + c2 * z[index][here]
@@ -132,7 +133,7 @@ class TestDriver:
         y, z = np.random.default_rng(3).normal(size=(2, 2, 2, lattice.size))
         for k in range(51):
             here = slice(lattice.offsets[k], lattice.offsets[k + 1])
-            stacked = table.rate(here, y[..., here], z[..., here])
+            stacked = table.rate(slice(k, k + 1), lattice.state(k), y[..., here], z[..., here])
             for (side, mode), index in zip(COMPONENTS, np.ndindex(2, 2)):
                 rate = tabulate(drivers[(side, mode)], lattice.times)
                 one = rate(k, lattice.state(k), y[index][here], z[index][here])
@@ -196,7 +197,8 @@ class TestBarrierAlgebra:
     def test_branches(self):
         # switch: the other mode's value -/+ ell_i; terminate: own other side -a_i / +b_i;
         # read as (switch, terminate) of each mode, in mode order
-        by_mode = lambda side: tuple(zip(*branches(block(self.Y), self.COSTS, side)))  # noqa: E731
+        y = block(self.Y)
+        by_mode = lambda side: tuple(zip(*branches(y, y[:, ::-1], self.COSTS, side)))  # noqa: E731
         assert by_mode(PLUS) == ((3.0 - 1.0, 2.5 - 0.5), (1.0 - 0.25, 0.5 - 0.0))
         assert by_mode(MINUS) == ((0.5 + 1.0, 1.0 + 0.125), (2.5 + 0.25, 3.0 + 2.0))
 
@@ -208,9 +210,21 @@ class TestBarrierAlgebra:
         assert list(COMPONENTS) == [(side, mode) for side in SIDES for mode in MODES]
         assert evaluate_obstacles(block(self.Y), self.COSTS)[0].reshape(4).tolist() == [2.0, 0.75, 1.125, 2.75]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_modes_rows_are_the_blocks_rows_bit_for_bit(self, mode):
+        # on random node blocks with ties, signed zeros and per-node costs: the
+        # replay's rows of one mode against the whole block's
+        rng = np.random.default_rng(mode)
+        y = rng.choice([0.0, -0.0, 0.5, 1.0, rng.normal()], size=(2, 2, 64))
+        costs = CostSlice(*rng.choice([0.0, 0.5, 0.25], size=(3, 2, 64)))
+        barrier, switches = evaluate_obstacles(y, costs)
+        rows = mode_obstacles(y, costs, mode)
+        assert rows[0].tobytes() == barrier[:, mode - 1].tobytes()
+        assert rows[1].tobytes() == switches[:, mode - 1].tobytes()
+
     def test_other_mode_is_a_reversed_view(self):
         y = block(self.Y)
-        switch, _ = branches(y, CostSlice(ell=np.zeros(2), a=np.zeros(2), b=np.zeros(2)), PLUS)
+        switch, _ = branches(y, y[:, ::-1], CostSlice(ell=np.zeros(2), a=np.zeros(2), b=np.zeros(2)), PLUS)
         assert switch.tolist() == [3.0, 1.0] and np.shares_memory(y[0, ::-1], y)
 
     @pytest.mark.parametrize("y,barrier", [(1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (0.1, 0.3), (1e300, -1e300)])

@@ -1,6 +1,8 @@
 """Randomized properties over small problems on both lattice kinds.
 
-The one-pass solver equals the Picard reference bit for bit, its fixed-point
+The one-pass solver equals the Picard reference bit for bit, its Y and the Z
+and dK derived from it equal the reference passes' blocks (``pinned_pass``,
+``numpy_pass``) bit for bit, a sampled family keeps its analytic dK, its fixed-point
 certificate passes exactly when one Picard sweep moves no node, its solution
 satisfies the audit's constraint, K-sign and complementarity relations, paths
 stop exactly where Y equals its barrier (and every push is such a stop), the
@@ -24,7 +26,9 @@ from modeswitch.grid import Lattice
 from modeswitch.model import (
     COMPONENTS,
     MINUS,
+    MODES,
     PLUS,
+    SIDES,
     CoefficientFunction,
     Driver,
     SwitchingProblem,
@@ -33,9 +37,9 @@ from modeswitch.model import (
     row,
     validate_assumptions,
 )
-from modeswitch.scheme import SchemeError, _certify_fixed_point, solve_system, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _certify_fixed_point, solve_system, system_obstacles
 from modeswitch.strategy import contact_masks, simulate_policy
-from modeswitch.verify import audit_solution
+from modeswitch.verify import ClosedFormFamily, audit_solution
 
 from conftest import assert_certificate_premise, assert_law_matches_enumeration, assert_matches_pinned
 from picard_reference import Iterate, iterate_once, picard_system
@@ -114,6 +118,19 @@ def test_step_kernel_equals_pinned_pass(problem, kind, steps):
     assert_matches_pinned(problem, admissible_case(problem, kind, steps))
 
 
+@given(st.sampled_from((1, 2)), KINDS, STEPS, unit(0.25, 2.0))
+def test_sampled_family_keeps_its_analytic_trapezoid(family_id, kind, steps, horizon):
+    # a family's dK is the trapezoid of its reflection density, not |Y - y~|; its Z is 0
+    backend, family = Lattice(kind, steps, horizon), ClosedFormFamily(family_id, horizon)
+    sample = family.sample(backend)
+    density = np.array([[family.k_density(side, mode, backend.times) for mode in MODES] for side in SIDES])
+    trapezoid = np.zeros_like(density)
+    trapezoid[..., :-1] = 0.5 * (density[..., :-1] + density[..., 1:]) * backend.dt
+    assert sample.dk.tobytes() == trapezoid[..., backend.step_of_node].tobytes()
+    assert sample.z.tobytes() == np.zeros((2, 2, backend.size)).tobytes()
+    assert not np.array_equal(BalanceSheetSolution(sample.problem, backend, sample.y).dk, sample.dk)
+
+
 @given(admissible_problems(), KINDS, STEPS)
 def test_push_is_the_certificates_euler_gap(problem, kind, steps):
     assert_certificate_premise(problem, admissible_case(problem, kind, steps))
@@ -129,8 +146,8 @@ def sweep_moves(solution) -> bool:
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    table = problem.driver_table(backend)
-    _certify_fixed_point(solution, system_obstacles(solution)[0], table)
+    table, costs = problem.driver_table(backend), problem.cost_table(backend.times)
+    _certify_fixed_point(solution, table, costs)
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
@@ -140,7 +157,7 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
     with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution, system_obstacles(solution)[0], table)
+        _certify_fixed_point(solution, table, costs)
 
 
 @given(admissible_problems(), KINDS, STEPS)

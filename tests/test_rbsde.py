@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal, row
-from modeswitch.scheme import backward_pass
+from modeswitch.scheme import BalanceSheetSolution, backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
 from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
@@ -322,12 +322,14 @@ class TestBlockPass:
         problem = build_problem(drivers=drivers, terminals=terminals)
         keep = lambda ytilde, k: ytilde  # noqa: E731
         x_T = backend.state(backend.n_steps)
-        table, off = problem.driver_table(backend), backend.offsets.tolist()
-        rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
-        block = dict(zip(("y", "z", "dk"), backward_pass(rate, problem.terminal_block(x_T), keep, backend)))
+        table = problem.driver_table(backend)
+        rate = lambda k, y, z: table.rate(slice(k, k + 1), backend.state(k), y, z)  # noqa: E731
+        y = backward_pass(rate, problem.terminal_block(x_T), keep, backend)
+        derived = BalanceSheetSolution(problem, backend, y)  # Z and dK follow from Y
+        block = {"y": y, "z": derived.z, "dk": derived.dk}
         for key in COMPONENTS:
             single = reflect(drivers[key], terminals[key](x_T), None, backend)
             for field in ("y", "z", "dk"):
                 assert block[field][row(*key)].tobytes() == getattr(single, field).tobytes(), key
-        # the solution is the pass's own (side, mode, node) buffers
-        assert all(field.shape == (2, 2, backend.size) and field.flags.c_contiguous for field in block.values())
+        # the solution is the pass's own (side, mode, node) buffer
+        assert y.shape == (2, 2, backend.size) and y.flags.c_contiguous

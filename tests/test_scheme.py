@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,15 @@ from modeswitch.model import (
     validate_assumptions,
 )
 from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system, system_obstacles
-from modeswitch.verify import ClosedFormFamily, counterexample_problem
+from modeswitch.verify import ClosedFormFamily, SampledFamily, counterexample_problem
 
 from conftest import (
-    assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, random_affine_driver
+    assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, numpy_pass,
+    random_affine_driver,
 )
 from picard_reference import (
-    Component, Iterate, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once, picard_system
+    Component, Iterate, ReferenceSolution, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once,
+    picard_system,
 )
 
 
@@ -362,7 +365,7 @@ class TestRandomizedMonotoneConvergence:
                 break
         assert delta < 1e-6
 
-        converged = BalanceSheetSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
+        converged = BalanceSheetSolution(problem, backend, current.stacked("y"))
         obstacles = system_obstacles(converged)[0].reshape(4, -1)
         slack = 10 * delta + 1e-10
         for (side, mode), barrier in zip(COMPONENTS, obstacles):
@@ -437,9 +440,9 @@ class TestOnePassAgainstPicard:
         one_pass = getattr(scheme, PASS_OF[kind])
 
         def nudged(*args):
-            y, z, dk = one_pass(*args)
+            y = one_pass(*args)
             y[0, 0, 0] += 1e-12
-            return y, z, dk
+            return y
 
         monkeypatch.setattr(scheme, PASS_OF[kind], nudged)
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
@@ -468,15 +471,42 @@ class TestOnePassAgainstPicard:
             f"modeswitch.scheme.{name}": int(other == kind) for other, name in PASS_OF.items()
         }
 
+    @staticmethod
+    def chunked_case():
+        # 80 601 nodes: the certificate runs in three step chunks, the last one first
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
+        backend = bin_backend(400, problem.horizon)
+        assert len(backend.step_chunks(400)) == 3
+        solution, _ = solve_system(problem, backend)
+        return solution, problem.driver_table(backend), problem.cost_table(backend.times)
+
+    def test_certificate_names_the_first_component_at_its_first_node_across_chunks(self):
+        solution, table, costs = self.chunked_case()
+        for key, k in (((PLUS, 1), 390), ((PLUS, 1), 100), ((MINUS, 2), 5)):
+            y = solution.y[row(*key)]
+            i = solution.backend.flat_index(k, 3)
+            y[i] = np.nextafter(y[i], np.inf)
+        with pytest.raises(SchemeError, match=r"^one Picard sweep would move \(plus,1\) at step (100|99), node "):
+            scheme._certify_fixed_point(solution, table, costs)
+
+    def test_a_push_that_is_not_finite_fails_first_at_its_last_node(self):
+        solution, table, costs = self.chunked_case()
+        solution.y[row(PLUS, 1)][0] += 1.0  # a move in the first chunk, which the certificate reads last
+        c0 = table.c0.copy()
+        c0[row(MINUS, 1)][[100, 390]] = np.inf
+        with pytest.raises(ProblemError, match=r"^push not finite at step 390, node 390: \(minus,1\) is inf;"):
+            scheme._certify_fixed_point(solution, table._replace(c0=c0), costs)
+
     def test_complementarity_failure_names_the_largest_term(self):
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(100, problem.horizon)
         solution, _ = solve_system(problem, backend)
         obstacles = system_obstacles(solution)[0]
         k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
-        solution.dk[0, 0, backend.offsets[k] + j] += 1.0
+        z, dk = solution.z, solution.dk
+        dk[0, 0, backend.offsets[k] + j] += 1.0
         with pytest.raises(SchemeError, match=rf"for \(plus,1\); largest term 0.1 at step {k}, node {j}$"):
-            _assert_system_constraints(solution, obstacles)
+            _assert_system_constraints(ReferenceSolution(problem, backend, solution.y, z, dk), obstacles)
 
 
 class TestStepKernelPinned:
@@ -519,18 +549,6 @@ def creep_problem(b):
     return build_problem(drivers=drivers, ell=0.05, a=0.0, b=b)
 
 
-def numpy_pass(problem, backend):
-    """``backward_pass`` with ``_project``, the binomial lattice's pass, on
-    any lattice: its Y, Z and dK blocks and the round count of each step."""
-    costs, rounds = problem.cost_table(backend.times), np.zeros(backend.n_steps, dtype=int)
-    table, off = problem.driver_table(backend), backend.offsets.tolist()
-    rate = lambda k, y, z: table.rate(slice(off[k], off[k + 1]), y, z)  # noqa: E731
-    project = lambda ytilde, k: scheme._project(ytilde, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
-    terminal = problem.terminal_block(backend.state(backend.n_steps))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
-        return scheme.backward_pass(rate, terminal, project, backend), rounds
-
-
 # Special floats at which a max or min rule can differ from numpy's.
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
 
@@ -565,7 +583,9 @@ class TestWidthOnePass:
         backend, rounds = det_backend(n, 0.25), np.zeros(n, dtype=int)
         tables = problem.driver_table(backend), problem.cost_table(backend.times)
         with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
-            blocks = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
+            y = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
+            derived = BalanceSheetSolution(problem, backend, y)
+            blocks = (y, derived.z, derived.dk)
         numpy_blocks, numpy_rounds = numpy_pass(problem, backend)
         for field, block, pinned in zip(("y", "z", "dk"), blocks, numpy_blocks):
             assert block.tobytes() == pinned.tobytes(), field
@@ -678,17 +698,48 @@ class TestSolutionRecord:
     def test_a_record_on_another_horizon_is_refused(self):
         problem, backend = counterexample_problem(1.0), det_backend(100, 2.0)
         with pytest.raises(ValueError, match=OTHER_HORIZON):
-            BalanceSheetSolution(problem, backend, *np.zeros((3, 2, 2, backend.size)))
+            BalanceSheetSolution(problem, backend, np.zeros((2, 2, backend.size)))
         solution, _ = solve_system(problem, det_backend(100))
         with pytest.raises(ValueError, match=OTHER_HORIZON):
             replace(solution, backend=backend)
 
-    @pytest.mark.parametrize("field", ["y", "z", "dk"])
-    def test_blocks_that_do_not_fit_the_lattice_are_refused(self, field):
+    @pytest.mark.parametrize("record, fields", [
+        (BalanceSheetSolution, ("y",)),
+        (SampledFamily, ("y", "trapezoid")),
+        (ReferenceSolution, ("y", "own_z", "own_dk")),
+    ], ids=["solution", "sampled-family", "picard-reference"])  # fmt: skip
+    def test_blocks_that_do_not_fit_the_lattice_are_refused(self, record, fields):
         # an N = 200 block on an N = 100 lattice would otherwise reach its readers and fail in numpy broadcasting
         problem, backend = counterexample_problem(), det_backend(100)
-        blocks = {name: np.zeros((2, 2, backend.size)) for name in ("y", "z", "dk")}
-        blocks[field] = solve_system(problem, det_backend(200))[0].y
-        message = rf"^{field} is shaped \(2, 2, 201\), but its lattice needs \(2, 2, 101\)$"
-        with pytest.raises(ValueError, match=message):
-            BalanceSheetSolution(problem, backend, **blocks)
+        for field in fields:
+            blocks = {name: np.zeros((2, 2, backend.size)) for name in fields}
+            blocks[field] = solve_system(problem, det_backend(200))[0].y
+            message = rf"^{field} is shaped \(2, 2, 201\), but its lattice needs \(2, 2, 101\)$"
+            with pytest.raises(ValueError, match=message):
+                record(problem, backend, **blocks)
+
+    def test_a_solve_peaks_near_its_y_block(self):
+        # the pass writes Y into one buffer and keeps no Z or Y~ block, the certificate runs in step
+        # chunks and the driver rates are built per step: 1.7x Y, where keeping Z, dK and a node-sized
+        # driver table peaked at 9.5x
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
+        backend = bin_backend(1000, problem.horizon)
+        tracemalloc.start()
+        try:
+            solution, _ = solve_system(problem, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * solution.y.nbytes
+        assert [name for name, value in vars(solution).items() if isinstance(value, np.ndarray)] == ["y"]
+
+    @pytest.mark.parametrize("path, kind, n", [
+        ("problems/counterexample.json", "deterministic", 400),
+        ("bench/problems/switching_lattice.json", "binomial", 400),
+    ])  # fmt: skip
+    def test_a_solve_keeps_y_alone(self, path, kind, n):
+        # Z and dK are derived on read; the record holds no other lattice-sized array
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
+        solution, _ = solve_system(problem, Lattice(kind, n, problem.horizon))
+        assert type(solution)._fields == ("problem", "backend", "y")
+        assert [name for name, value in vars(solution).items() if isinstance(value, np.ndarray)] == ["y"]

@@ -49,14 +49,8 @@ def fixture_solution():
 
 
 def given_solution(problem, backend, y):
-    """A converged solution with the Y block ``y``, zero Z and zero dK."""
-    return BalanceSheetSolution(
-        problem=problem,
-        backend=backend,
-        y=y,
-        z=np.zeros_like(y),
-        dk=np.zeros_like(y),
-    )
+    """A solution record with the Y block ``y``; its Z and dK are derived from it."""
+    return BalanceSheetSolution(problem=problem, backend=backend, y=y)
 
 
 def tie_problem():
@@ -372,6 +366,19 @@ class TestStreamingReplay:
                 one = strategy._single_path(stops[s], rates[s])
                 every = strategy._mass_pass(solution.backend, stops[s], rates[s])
                 assert [a.tobytes() for a in one] == [a.tobytes() for a in every], (s, mode)
+
+    @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE])
+    @pytest.mark.parametrize("backend", [det_backend(300), bin_backend(300)])
+    def test_start_mode_tables_are_the_whole_block_rows(self, path, backend):
+        # one mode's rows, built step chunk by step chunk, against contact_masks and
+        # the whole-lattice rate; where a stop at the horizon switches is not read
+        solution, _ = solve_system(load_problem(path), backend)
+        end = backend.offsets[backend.n_steps]
+        for mode in (1, 2):
+            stops, switches, rates, _ = replay_tables(solution, mode)
+            mine = strategy._mode_tables(solution, mode)
+            assert mine[0].tobytes() == stops.tobytes() and mine[2].tobytes() == rates.tobytes(), mode
+            assert mine[1][:, :end].tobytes() == switches[:, :end].tobytes(), mode
 
     def test_the_seed_alone_fixes_the_report(self):
         # the seed alone fixes a walk (one seed gives one report, another

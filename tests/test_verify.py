@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from modeswitch.model import COMPONENTS, MINUS, PLUS, validate_assumptions
-from modeswitch.scheme import BalanceSheetSolution, solve_system
+from modeswitch.grid import Lattice
+from modeswitch.io import load_problem
+from modeswitch.model import COMPONENTS, MINUS, PLUS, by_side, validate_assumptions
+from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
 from modeswitch.verify import (
     ClosedFormFamily,
     audit_solution,
@@ -11,6 +15,7 @@ from modeswitch.verify import (
 )
 
 from conftest import det_backend, driver_rate
+from picard_reference import skorokhod_sum
 
 
 class TestCounterexampleProblem:
@@ -117,7 +122,7 @@ class TestAuditSolution:
 
     def test_zero_solution_audits_exactly_zero(self, zero_problem):
         be = det_backend(64)
-        candidate = BalanceSheetSolution(zero_problem, be, *np.zeros((3, 2, 2, be.size)))
+        candidate = BalanceSheetSolution(zero_problem, be, np.zeros((2, 2, be.size)))
         report = audit_solution(candidate)
         for key in COMPONENTS:
             res = report.components[key]
@@ -173,9 +178,14 @@ class TestAuditSolution:
         assert trace.converged
         clean = audit_solution(solution).max_over("max_step_residual")
 
-        z = solution.z.copy()
-        z[0, 0] *= 2.0  # (plus, 1)
-        tampered = BalanceSheetSolution(problem, be, solution.y, z, solution.dk)
+        class DoubledZ(BalanceSheetSolution):
+            def increments(self, start, stop):
+                z, dk = super().increments(start, stop)
+                z[0, 0] *= 2.0  # (plus, 1)
+                return z, dk
+
+        tampered = DoubledZ(problem, be, solution.y)
+        assert (tampered.z[0, 0] == 2.0 * solution.z[0, 0]).all() and tampered.z[0, 0].any()
         dirty = audit_solution(tampered).max_over("max_step_residual")
         assert dirty > 10 * max(clean, 1e-12)
 
@@ -184,9 +194,49 @@ class TestAuditSolution:
         from modeswitch.grid import Lattice
 
         be = Lattice("binomial", 16, 1.0)
-        candidate = BalanceSheetSolution(zero_problem, be, *np.zeros((3, 2, 2, be.size)))
+        candidate = BalanceSheetSolution(zero_problem, be, np.zeros((2, 2, be.size)))
         report = audit_solution(candidate)
         assert report.passed
+
+
+def whole_block_audit(solution):
+    """``audit_solution`` written out on the whole blocks at once, as it ran
+    before it went by step chunks: the same relations and expressions."""
+    problem, backend = solution.problem, solution.backend
+    dt, n, before = backend.dt, backend.n_steps, slice(0, backend.offsets[backend.n_steps])
+    y, z, dk = solution.y, solution.z[..., before], solution.dk
+    gaps = by_side("inside", y, system_obstacles(solution)[0])
+    sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.flat_moments(y, 0, n)[0]
+    yk, dk_k = y[..., before], dk[..., before]
+    psi = problem.driver_table(backend).rate(backend.step_of_node[before], backend.states[before], 0.5 * (yk + cont), z)
+    resid = (yk - cont - psi * dt - np.reshape([1.0, -1.0], (2, 1, 1)) * dk_k) / dt
+    mismatch = np.abs(y[..., backend.offsets[n] :] - problem.terminal_block(backend.state(n)))
+    return {
+        key: {
+            "max_step_residual": max(0.0, float(np.max(np.abs(resid[index])))),
+            "max_constraint_violation": max(0.0, float(np.max(-gaps[index]))),
+            "skorokhod_sum": float(sums[index]),
+            "k_sign_violation": max(0.0, float(np.max(-dk_k[index]))),
+            "max_k_density": max(0.0, float(np.max(dk_k[index])) / dt),
+            "terminal_mismatch": float(np.max(mismatch[index])),
+        }
+        for key, index in zip(COMPONENTS, np.ndindex(2, 2))
+    }
+
+
+@pytest.mark.parametrize("path, kind, n", [
+    ("bench/problems/switching_lattice.json", "binomial", 400),
+    ("problems/smoke_lattice.json", "binomial", 300),
+    ("problems/counterexample.json", "deterministic", 2000),
+])  # fmt: skip
+def test_the_audit_by_step_chunks_equals_the_whole_block_audit(path, kind, n):
+    # several chunks on the binomial lattices, one on the width-1 fixture; a sampled family too
+    problem = load_problem(Path(__file__).resolve().parents[1] / path)
+    backend = Lattice(kind, n, problem.horizon)
+    solution, _ = solve_system(problem, backend)
+    for candidate in (solution, ClosedFormFamily(1, 1.0).sample(Lattice(kind, n, 1.0))):
+        report = audit_solution(candidate)
+        assert {key: report.components[key].as_dict() for key in COMPONENTS} == whole_block_audit(candidate)
 
 
 class TestNonUniqueness:
