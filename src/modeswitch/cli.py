@@ -15,7 +15,7 @@ not settle in ``scheme.LOCAL_SWEEP_CAP`` rounds.
 Each command imports what it runs: ``scheme`` loads with ``solve``,
 ``simulate`` and ``verify-fixtures``, ``strategy`` with ``simulate`` and
 ``verify`` with ``verify-fixtures``, so ``check-assumptions`` loads none of
-them. ``solve`` writes Z and K from Y, step chunk by step chunk.
+them, nor numpy. ``solve`` writes Z and K from Y, step chunk by step chunk.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def cmd_solve(args) -> int:
     solution, trace = solve_system(problem, backend)
     out = _ensure_outdir(args)
     (out / "summary.json").unlink(missing_ok=True)  # written last, so it sits only beside a whole run's files
+    table, off = problem.driver_table(backend), backend.offsets
 
     def rows(start, stop):  # Y, Z and K of each component in turn, Z and K derived from Y
-        blocks = (solution.y[..., backend.offsets[start] : backend.offsets[stop]], *solution.increments(start, stop))
+        blocks = (solution.y[..., off[start] : off[stop]], *solution.increments(start, stop, table))
         return [block[row(*key)] for key in COMPONENTS for block in blocks]
 
     write_surfaces([out / f"{name}_{side}_{mode}.csv" for side, mode in COMPONENTS for name in "YZK"], backend, rows)

@@ -14,12 +14,15 @@ Node data is a flat buffer of ``size`` values (or a block of them along its
 last axis); step k occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node``
 / ``node_index`` map a flat index back to its step and its node within it.
 Whole buffers are read in ``step_chunks`` of at most ``CHUNK_NODES`` nodes,
-so a reader's temporaries stay small. This module imports no other module of the package.
+so a reader's temporaries stay small. The numpy arrays are built at their first read, and
+``np`` imports numpy at its first use. This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from bisect import bisect_right
+from numbers import Integral, Real
 
 # Down-move index offset of each lattice kind.
 DOWN = {"deterministic": 0, "binomial": 1}
@@ -33,16 +36,28 @@ def node_count(kind: str, n_steps: int) -> int:
     return (n_steps + 1) * (DOWN[kind] * n_steps + 2) // 2
 
 
+class _Numpy:
+    """numpy, imported at the first read of one of its names; its namespace is then copied in."""
+
+    def __getattr__(self, name):
+        import numpy
+        vars(self).update(vars(numpy))
+        return getattr(numpy, name)
+
+
+np = _Numpy()
+
+
 def _is_horizon(horizon) -> bool:
-    """Whether ``horizon`` can span a lattice: positive and finite; a bool, Python's or numpy's, is not."""
-    return not isinstance(horizon, (bool, np.bool_)) and 0 < horizon < float("inf")
+    """Whether ``horizon`` can span a lattice: a positive and finite real; a bool, Python's or numpy's, is not."""
+    return isinstance(horizon, Real) and not isinstance(horizon, bool) and 0 < horizon < float("inf")
 
 
 class Lattice:
     """Recombining fair-coin lattice with 1 + down * k nodes at step k."""
 
     def __init__(self, kind: str, n_steps: int, horizon: float):
-        if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        if isinstance(n_steps, bool) or not isinstance(n_steps, Integral):  # numpy's integers are Integral
             raise ValueError(f"n_steps must be an int, got {n_steps!r}")
         if n_steps < 1:
             raise ValueError("need at least one time step")
@@ -51,21 +66,30 @@ class Lattice:
         if kind not in DOWN:
             raise ValueError(f"unknown backend kind {kind!r}")
         self.kind, self.n_steps, self.horizon, self.dt = kind, n_steps, horizon, horizon / n_steps
-        self.times = np.linspace(0.0, horizon, n_steps + 1)
+        self.down, sqrt_dt = DOWN[kind], math.sqrt(self.dt)
+        self.spread, self._twice_sqrt_dt = self.down * sqrt_dt, 2.0 * sqrt_dt
+        self.offsets = tuple(k + self.down * (k * (k - 1) // 2) for k in range(n_steps + 2))
+        self.size = self.offsets[-1]
+        # The step times as floats, k * dt and T at the horizon: the bits of ``np.linspace(0, T, N + 1)``.
+        self.float_times = (*map(self.dt.__mul__, range(n_steps)), horizon)
+
+    def __getattr__(self, name):
+        """The numpy arrays, all built at the first read of one of them."""
+        if name not in ("times", "step_of_node", "node_index", "states", "_up"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.times = np.array(self.float_times, dtype=float)
         self.times.flags.writeable = False  # built once and shared by every reader
-        self.down = DOWN[kind]
-        sqrt_dt = np.sqrt(self.dt)
-        self.spread = self.down * sqrt_dt
-        self._twice_sqrt_dt = 2.0 * sqrt_dt
-        counts = 1 + self.down * np.arange(n_steps + 1)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.size = int(self.offsets[-1])
-        self.step_of_node = np.repeat(np.arange(n_steps + 1), counts)
-        self.node_index = np.arange(self.size) - self.offsets[self.step_of_node]
+        offsets = np.array(self.offsets)
+        self.step_of_node = np.repeat(np.arange(self.n_steps + 1), np.diff(offsets))
+        self.node_index = np.arange(self.size) - offsets[self.step_of_node]
         self.states = (self.step_of_node - 2 * self.node_index) * self.spread
-        # Flat index of the up child of every node before the horizon.
-        end = self.offsets[n_steps]
-        self._up = np.arange(end) + counts[self.step_of_node[:end]]
+        # Flat index of the up child of every node before the horizon: its step's node count further on.
+        self._up = np.arange(self.offsets[-2]) + 1 + self.down * self.step_of_node[: self.offsets[-2]]
+        return vars(self)[name]
+
+    def float_states(self, k: int) -> list[float]:
+        """The states (k - 2j) * spread of step k as floats: the bits of ``state(k)``."""
+        return [(k - 2 * j) * self.spread for j in range(self.n_nodes(k))]
 
     def n_nodes(self, k: int) -> int:
         return 1 + self.down * k
@@ -85,7 +109,7 @@ class Lattice:
         if outside.any():
             i = np.unravel_index(np.argmax(outside), outside.shape)
             raise ValueError(f"step {steps[i]}, node {nodes[i]} is not on the lattice")
-        return self.offsets[steps] + nodes
+        return steps + self.down * (steps * (steps - 1) // 2) + nodes
 
     def _check(self, next_values, k):
         """Node values of step k+1 along the last axis; leading axes are separate equations."""
@@ -114,7 +138,7 @@ class Lattice:
         most ``CHUNK_NODES`` nodes unless it is one step."""
         chunks, a, off = [], 0, self.offsets
         while a < stop:
-            b = min(max(int(np.searchsorted(off, off[a] + CHUNK_NODES, side="right")) - 1, a + 1), stop)
+            b = min(max(bisect_right(off, off[a] + CHUNK_NODES) - 1, a + 1), stop)
             chunks.append((a, b))
             a = b
         return chunks

@@ -15,9 +15,7 @@ import json
 from contextlib import ExitStack
 from pathlib import Path
 
-import numpy as np
-
-from .grid import Lattice
+from .grid import Lattice, np
 from .model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, ProblemError, SwitchingProblem, Terminal
 
 _SIDES = {PLUS: PLUS, MINUS: MINUS, "+": PLUS, "-": MINUS}

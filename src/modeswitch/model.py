@@ -14,17 +14,19 @@ module reads the direction of a side from here.
 The four components form one (side, mode, node) block, ``COMPONENTS`` its
 rows in C order; costs are stacked by mode, and the other mode of a side is
 its reversed mode axis, a view. ``DriverTable`` holds the four drivers.
+The catalog, the terminals and the validator compute in Python floats, so
+that validating loads no numpy; the array algebra reaches it by ``grid.np``.
 Every record of the package is a ``Record``: a frozen value class that
 inherits its methods, so that defining one compiles no code at import.
 """
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from typing import Callable, Mapping, NamedTuple
 
-import numpy as np
-
-from .grid import _is_horizon
+from .grid import _is_horizon, np
 
 PLUS = "plus"
 MINUS = "minus"
@@ -160,14 +162,26 @@ class CoefficientFunction(Record):
     def polynomial(cls, coeffs, has_ito_data: bool = True) -> "CoefficientFunction":
         return cls("polynomial", tuple(float(c) for c in coeffs), has_ito_data)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+    def __call__(self, times) -> list[float]:
+        """The values at a list of times, in floats: ``polyval``'s Horner steps, the C library's ``exp``."""
         if self.kind == "constant":
-            return self.params[0] * np.ones_like(t)
+            return [self.params[0] * 1.0] * len(times)
         if self.kind == "exponential":
             c, gamma = self.params
-            return c * np.exp(gamma * t)
-        return np.polynomial.polynomial.polyval(t, self.params)
+            try:
+                return [c * math.exp(gamma * t) for t in times]
+            except OverflowError:  # an exponent past the float range
+                return [c * _exp(gamma * t) for t in times]
+        *rest, last = self.params
+        return [reduce(lambda value, c: c + value * t, reversed(rest), last + t * 0.0) for t in times]
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, where an overflow reads inf, as in numpy."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class Driver(Record):
@@ -230,8 +244,8 @@ class Terminal(Record):
     intercept: float
     slope: float = 0.0
 
-    def __call__(self, x):
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
+    def __call__(self, states) -> list[float]:
+        return [self.intercept + self.slope * x for x in states]
 
 
 class SwitchingProblem(Record):
@@ -265,24 +279,24 @@ class SwitchingProblem(Record):
         return self.terminals[(side, mode)]
 
     def terminal_block(self, x) -> np.ndarray:
-        """The four horizon values at states ``x``, as a (side, mode, node) block."""
+        """The four horizon values at states ``x`` (floats), as a (side, mode, node) block."""
         return np.array([[self.terminal(side, mode)(x) for mode in MODES] for side in SIDES], dtype=float)
 
     def cost_table(self, times) -> "CostSlice":
-        """The six costs tabulated on an array of times, one call per coefficient, stacked by mode."""
-        return CostSlice(*(np.array([pair[0](times), pair[1](times)]) for pair in (self.ell, self.a, self.b)))
+        """The six costs at ``times`` (floats), one call per coefficient, stacked by mode, in float rows."""
+        return CostSlice(*((first(times), second(times)) for first, second in (self.ell, self.a, self.b)))
 
     def driver_table(self, lattice) -> DriverTable:
         """The four drivers as one table on ``lattice``; c0 is evaluated once on the lattice's times."""
-        rows = [self.driver(side, mode) for side, mode in COMPONENTS]
+        rows, times = [self.driver(side, mode) for side, mode in COMPONENTS], lattice.float_times
         column = lambda values: np.reshape(values, (2, 2, -1))  # noqa: E731
-        c0 = column([np.asarray(d.c0(lattice.times), dtype=float) for d in rows])
+        c0 = column(np.array([d.c0(times) for d in rows], dtype=float))
         on_state = column([d.state_feature == "x" for d in rows])
         return DriverTable(c0, on_state, column([d.c1 for d in rows]), column([d.c2 for d in rows]))
 
 
 class CostSlice(NamedTuple):
-    """The six costs, each stacked by mode: (2,) at one time, or (2, ...) over times or nodes."""
+    """The six costs, each stacked by mode: float rows, or arrays (2,) at one time or (2, ...) over times or nodes."""
 
     ell: np.ndarray
     a: np.ndarray
@@ -292,12 +306,26 @@ class CostSlice(NamedTuple):
         """The same six costs indexed by ``index`` (a time or node selection) on their last axis."""
         return CostSlice(*(c[..., index] for c in self))
 
+    def array(self) -> "CostSlice":
+        """The same costs as numpy arrays: the copy of ``SwitchingProblem.cost_table``'s rows that array code reads."""
+        return CostSlice(*(np.array(c, dtype=float) for c in self))
+
+
+def _max(a: float, b: float) -> float:
+    """``np.maximum`` of two floats (``_min``: ``np.minimum``): a NaN wins, a tie such as (0.0, -0.0) gives ``b``."""
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:
+    return a if a < b or a != a else b
+
 
 class _Push(NamedTuple):
     """The way one side's value is held by its barrier."""
 
     better: Callable  # the better of two values: np.maximum on a floor, np.minimum under a cap
     sign: float  # +1 where the value is pushed up, -1 where it is pushed down
+    better_float: Callable  # ``better`` of two Python floats, in Python: _max on a floor, _min under a cap
 
     def inside(self, y, barrier):
         """How far ``y`` sits inside its barrier: above a floor, below a cap;
@@ -308,8 +336,8 @@ class _Push(NamedTuple):
 
 # The one place that says which way each side is pushed: profit up off a
 # floor, cost down off a cap. Package-internal: the solver, the replay and the
-# audit read a side's direction and gap from here.
-_PUSH = {PLUS: _Push(np.maximum, 1.0), MINUS: _Push(np.minimum, -1.0)}
+# audit read a side's direction and gap from here. numpy's rules are looked up at the call, not at import.
+_PUSH = {PLUS: _Push(lambda a, b: np.maximum(a, b), 1.0, _max), MINUS: _Push(lambda a, b: np.minimum(a, b), -1.0, _min)}
 
 
 def branches(own: np.ndarray, switched: np.ndarray, costs: CostSlice, side: str) -> tuple:
@@ -400,20 +428,19 @@ class ValidationReport(Record):
         return out
 
 
-def _first_violation(where, values, ok_mask):
-    """(location, value) of the first entry failing ``ok_mask``, else (None, None)."""
-    bad = np.flatnonzero(~ok_mask)
-    return (where[bad[0]].item(), values[bad[0]].item()) if bad.size else (None, None)
+def _first_violation(where, values, ok) -> tuple:
+    """(location, value) of the first of ``values`` that fails the test ``ok``, else (None, None)."""
+    return (None, None) if all(map(ok, values)) else next((t, v) for t, v in zip(where, values) if not ok(v))
 
 
 def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport:
     """Check the admissibility of a problem on a given lattice: ``validate`` with the costs on its times."""
-    return validate(problem, lattice, problem.cost_table(lattice.times))
+    return validate(problem, lattice, problem.cost_table(lattice.float_times))
 
 
 def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> ValidationReport:
-    """Check the admissibility of a problem on a given lattice, whose six
-    costs on the lattice's times are ``costs``; a solve passes its own table.
+    """Check the admissibility of a problem on a given lattice, in Python floats: its six
+    costs on the lattice's times are the float rows ``costs``; a solve passes its own table.
 
     Covers: a lattice that spans the problem's horizon, Lipschitz/
     integrability of the four drivers, positivity of the switching costs,
@@ -421,7 +448,7 @@ def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> Validation
     inequalities at every terminal node of the lattice, the discrete
     comparison condition of the one-step map, the step size, and availability
     of Ito data (closed-form drift) for the ``b`` and ``ell`` cost processes.
-    Reports every check; never raises.
+    Reports every check, each at its first failure; never raises.
     """
     checks = []
 
@@ -431,40 +458,38 @@ def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> Validation
     spans = lattice.horizon == problem.horizon
     add("T lattice horizon", spans, f"lattice horizon {lattice.horizon!r}, problem horizon {problem.horizon!r}")
 
-    times = lattice.times
-    T = float(times[-1])
+    times, T = lattice.float_times, lattice.horizon
 
     for side, mode in COMPONENTS:
         drv = problem.driver(side, mode)
-        c0_vals = drv.c0(times)
-        finite = np.isfinite(c0_vals) & np.isfinite(drv.lipschitz)
-        t_bad, v_bad = _first_violation(times, c0_vals, finite)
+        finite = math.isfinite if math.isfinite(drv.lipschitz) else lambda v: False  # else the check fails at t = 0
+        t_bad, v_bad = _first_violation(times, drv.c0(times), finite)
         detail = f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid"
         add(f"A1 driver psi_{side}_{mode}", t_bad is None, detail, t_bad, v_bad)
 
     for i, mode in enumerate(MODES):
-        ell_vals = costs.ell[i]
-        ok = np.isfinite(ell_vals) & (ell_vals > 0.0)
-        t_bad, v_bad = _first_violation(times, ell_vals, ok)
+        t_bad, v_bad = _first_violation(times, costs.ell[i], lambda v: 0.0 < v < math.inf)
         add(f"A2 switching cost ell_{mode} > 0", t_bad is None, "strictly positive at every grid time", t_bad, v_bad)
         for fam_name, fam in (("a", costs.a), ("b", costs.b)):
-            t_bad, v_bad = _first_violation(times, fam[i], np.isfinite(fam[i]))
+            t_bad, v_bad = _first_violation(times, fam[i], math.isfinite)
             add(f"A2 cost {fam_name}_{mode} finite", t_bad is None, at_time=t_bad, value=v_bad)
 
-    # Terminal data at every terminal node of the lattice; a failure names
-    # the first failing node.
-    x_T = lattice.state(lattice.n_steps)
-    nodes = np.arange(x_T.size)
-    xi = problem.terminal_block(x_T)
-    for (side, mode), values in zip(COMPONENTS, xi.reshape(4, -1)):
-        j_bad, v_bad = _first_violation(nodes, values, np.isfinite(values))
+    # Terminal data at every terminal node of the lattice; a failure names the first failing node.
+    # The margins are ``evaluate_obstacles``'s barriers, node by node, in floats.
+    x_T = lattice.float_states(lattice.n_steps)
+    xi = [[problem.terminal(side, mode)(x_T) for mode in MODES] for side in SIDES]
+    for (side, mode), values in zip(COMPONENTS, xi[0] + xi[1]):
+        j_bad, v_bad = _first_violation(range(len(values)), values, math.isfinite)
         detail = "finite at every terminal node" if j_bad is None else f"not finite at node {j_bad}"
         add(f"A3 terminal xi_{side}_{mode} square integrable", j_bad is None, detail, value=v_bad)
-    margins = by_side("inside", xi, evaluate_obstacles(xi, costs.at(slice(-1, None)))[0])
-    for (side, mode), margin in zip(COMPONENTS, margins.reshape(4, -1)):
-        j, _ = _first_violation(nodes, margin, margin >= -BOUNDARY_SLACK)
-        j = int(np.argmin(margin)) if j is None else j
-        m = float(margin[j])
+    for (side, mode), (s, i) in zip(COMPONENTS, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        push, last = _PUSH[side], CostSlice(*(pair[i][-1] for pair in costs))  # mode i's costs at T
+        margin = [
+            push.inside(y, push.better_float(_switch(w, last.ell, side), _terminate(o, last, side)))
+            for y, w, o in zip(xi[s][i], xi[s][1 - i], xi[1 - s][i])
+        ]
+        # the first node below the slack, else the one of the smallest margin
+        j, m = min(enumerate(margin), key=lambda node: (True, node[1]) if node[1] >= -BOUNDARY_SLACK else (False,))
         add(f"BC terminal xi_{side}_{mode}", m >= -BOUNDARY_SLACK, f"margin {m:.3g} at node {j}", T, m)
 
     # Discrete comparison: the one-step map y = E + psi * dt, with

@@ -16,19 +16,19 @@ solutions of backward SDE's", 1997). Where it holds, every value sits inside
 its barrier and every push dK = |Y - y~| meets it, so the constraint and
 complementarity relations need no check of their own. The certificate runs
 step chunk by step chunk (``Lattice.step_chunks``); one cost table serves
-the validator, the pass and the certificate.
+the validator, in floats, and the pass and the certificate, as numpy arrays.
 
 ``backward_pass`` is the pass, on any block of equations, and returns Y; the
 binomial lattice runs it with ``_project`` on the costs of step k. On the
 width-1 (deterministic) lattice ``_width_one_pass`` runs the same pass in
 Python floats, each operation spelled out in the same order, so the same Y
-and round counts, bit for bit; its max and min are numpy's (a NaN operand
-wins, a tie such as (0.0, -0.0) gives the second operand). The solution is
-one record, ``BalanceSheetSolution``: the problem, its lattice and Y, the one
-lattice-sized block a solve keeps. Z and dK follow from Y by the scheme's
-relations, so ``BalanceSheetSolution.increments`` derives them for a range
-of steps, in the pass's bits; a sampled fixture family (``verify``) is a
-subclass that stores its analytic dK. Every reader takes the record alone.
+and round counts, bit for bit; its max and min are numpy's (``model._max``).
+The solution is one record, ``BalanceSheetSolution``: the problem, its
+lattice and Y, the one lattice-sized block a solve keeps. Z and dK follow
+from Y by the scheme's relations, so ``BalanceSheetSolution.increments``
+derives them for a range of steps, in the pass's bits, with the driver table
+its reader builds once; a sampled fixture family (``verify``) is a subclass
+that stores its analytic dK. Every reader takes the record alone.
 
 A solve first validates its problem on its lattice; a failed check raises
 ``SchemeError`` (of ``model``, as is ``LocalSweepError``) with the report
@@ -43,7 +43,7 @@ import numpy as np
 
 from .grid import Lattice
 from .model import COMPONENTS, MINUS, MODES, PLUS, CostSlice, DriverTable, LocalSweepError, ProblemError, Record
-from .model import SchemeError, SwitchingProblem, by_side, closure, evaluate_obstacles, row, validate
+from .model import SchemeError, SwitchingProblem, _max, _min, by_side, closure, evaluate_obstacles, row, validate
 
 LOCAL_SWEEP_CAP = 500
 
@@ -76,26 +76,26 @@ class BalanceSheetSolution(Record):
     def y0(self, side: str, mode: int) -> float:
         return float(self.y[row(side, mode)][0])
 
-    def increments(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def increments(self, start: int, stop: int, table: DriverTable) -> tuple[np.ndarray, np.ndarray]:
         """Z and dK at the nodes of steps start..stop-1 (stop <= N + 1), each a
         (side, mode, node) block: Z the martingale projection of Y_{k+1} and
-        dK = |Y - y~|, y~ the certificate's Euler value (``_euler``), both +0.0
-        at the horizon; the bits the pass formed at each step."""
+        dK = |Y - y~|, y~ the certificate's Euler value (``_euler``) with the problem's
+        ``driver_table``, both +0.0 at the horizon; the bits the pass formed at each step."""
         backend, off = self.backend, self.backend.offsets
         first, last = min(start, backend.n_steps), min(stop, backend.n_steps)
-        euler, z = _euler(self.problem.driver_table(backend), backend, self.y, first, last)
+        euler, z = _euler(table, backend, self.y, first, last)
         dk = np.abs(self.y[..., off[first] : off[last]] - euler)
         horizon = np.zeros((2, 2, off[stop] - off[max(start, last)]))
         return np.concatenate((z, horizon), axis=-1), np.concatenate((dk, horizon), axis=-1)
 
-    z = property(lambda self: self.increments(0, self.backend.n_steps + 1)[0], doc="The whole block of Z.")
-    dk = property(lambda self: self.increments(0, self.backend.n_steps + 1)[1], doc="The whole block of dK.")
+    z = property(lambda self: self.increments(0, self.backend.n_steps + 1, self.problem.driver_table(self.backend))[0])
+    dk = property(lambda self: self.increments(0, self.backend.n_steps + 1, self.problem.driver_table(self.backend))[1])
 
 
 def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
-    backend = solution.backend
-    return evaluate_obstacles(solution.y, solution.problem.cost_table(backend.times).at(backend.step_of_node))
+    costs = solution.problem.cost_table(solution.backend.float_times).array()
+    return evaluate_obstacles(solution.y, costs.at(solution.backend.step_of_node))
 
 
 def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> np.ndarray:
@@ -108,7 +108,7 @@ def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> np.n
     Y~_k = E_k[Y_{k+1}] + psi dt, and ``project(ytilde_k, k)`` returns Y_k,
     written into one buffer shaped like ``terminal`` with the node axis
     widened to the lattice size. No step keeps its Z or Y~."""
-    off, dt = backend.offsets.tolist(), backend.dt
+    off, dt = backend.offsets, backend.dt
     y = np.empty((*np.shape(terminal)[:-1], backend.size))
     y[..., off[-2] :] = nxt = terminal
     for k in range(backend.n_steps - 1, -1, -1):
@@ -191,22 +191,12 @@ def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray
     raise LocalSweepError(f"did not converge at step {step}, node {node}: {move}")
 
 
-def _max(a: float, b: float) -> float:
-    """``np.maximum`` of two floats: a NaN wins, and a tie such as (0.0, -0.0) gives ``b``."""
-    return a if a > b or a != a else b
-
-
-def _min(a: float, b: float) -> float:
-    """``np.minimum`` of two floats: a NaN wins, and a tie such as (0.0, -0.0) gives ``b``."""
-    return a if a < b or a != a else b
-
-
 def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, backend: Lattice, rounds: np.ndarray):
     """``backward_pass`` with ``_project`` on the width-1 lattice, in Python
     floats: each step spells out the same operations in the same order, so
     it returns the same Y bits and round counts. A step that reaches the
     round cap is handed to ``_project``, which raises its error."""
-    n, dt, s = backend.n_steps, backend.dt, float(backend._twice_sqrt_dt)
+    n, dt, s = backend.n_steps, backend.dt, backend._twice_sqrt_dt
     bases = list(zip(*table.base(slice(None), backend.states).reshape(4, -1).tolist()))
     cols = list(zip(*(r for c in costs for r in c.tolist())))
     (c1, c2, c3, c4), (d1, d2, d3, d4) = table.c1.ravel().tolist(), table.c2.ravel().tolist()
@@ -237,10 +227,10 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
-    n, costs = backend.n_steps, problem.cost_table(backend.times)  # one cost table per solve
-    _require_admissible(problem, backend, costs)
-    table, rounds = problem.driver_table(backend), np.zeros(n, dtype=int)
-    terminal = problem.terminal_block(backend.state(n))
+    n, rows = backend.n_steps, problem.cost_table(backend.float_times)  # one cost table per solve
+    _require_admissible(problem, backend, rows)
+    costs, table, rounds = rows.array(), problem.driver_table(backend), np.zeros(n, dtype=int)
+    terminal = problem.terminal_block(backend.float_states(n))
     with np.errstate(over="ignore", invalid="ignore"):
         if backend.down:
             project = lambda ytilde, k: _project(ytilde, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731

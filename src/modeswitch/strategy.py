@@ -78,7 +78,8 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     """Branch decision at a barrier-contact point, by ``model.evaluate_obstacles`` at that node alone."""
     backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
-    barrier, switches = evaluate_obstacles(y, solution.problem.cost_table(backend.times[step : step + 1]).at(0))
+    costs = solution.problem.cost_table(backend.float_times[step : step + 1]).array()
+    barrier, switches = evaluate_obstacles(y, costs.at(0))
     gap = float(y[here]) - float(barrier[here])
     if y[here] != barrier[here]:
         raise ValueError(f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {gap:g}")
@@ -106,13 +107,13 @@ class StrategyReport(Record):
         return self.legs[side]
 
 
-def _mode_tables(solution: BalanceSheetSolution, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The replay's (side, node) rows of one mode, built for it alone by step chunks: where a path
-    stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
+def _mode_tables(solution: BalanceSheetSolution, mode: int, costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The replay's (side, node) rows of one mode, built for it alone by step chunks with the numpy ``costs``:
+    where a path stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
     horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver."""
-    backend, problem, y, m = solution.backend, solution.problem, solution.y, mode - 1
+    backend, y, m = solution.backend, solution.y, mode - 1
     n, off, steps, states = backend.n_steps, backend.offsets, backend.step_of_node, backend.states
-    costs, table = problem.cost_table(backend.times), DriverTable(*(f[:, m] for f in problem.driver_table(backend)))
+    table = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend)))
     stops, switches, rates = np.ones((2, backend.size), bool), np.zeros((2, backend.size), bool), np.empty((2, off[n]))
     for start, stop in backend.step_chunks(n):
         nodes = slice(off[start], off[stop])
@@ -198,10 +199,11 @@ def simulate_policy(solution: BalanceSheetSolution, start_mode: int) -> Strategy
     if not _is_mode(start_mode):  # a bool or float is not a mode
         raise ValueError(f"start_mode must be the integer 1 or 2, got {start_mode!r}")
     backend, y = solution.backend, solution.y[:, start_mode - 1]
-    barrier, switches = mode_obstacles(solution.y[..., :1], solution.problem.cost_table(backend.times[:1]), start_mode)
+    costs = solution.problem.cost_table(backend.float_times).array()
+    barrier, switches = mode_obstacles(solution.y[..., :1], costs.at(slice(0, 1)), start_mode)
     moves = y[:, 0] != barrier[:, 0]
     if moves.any():
-        stops, prefers, rates = _mode_tables(solution, start_mode)
+        stops, prefers, rates = _mode_tables(solution, start_mode, costs)
     legs = {}
     for s, side in enumerate(SIDES):
         if not moves[s]:

@@ -104,9 +104,9 @@ class SampledFamily(BalanceSheetSolution):
 
     trapezoid: np.ndarray
 
-    def increments(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def increments(self, start: int, stop: int, table) -> tuple[np.ndarray, np.ndarray]:
         off = self.backend.offsets
-        return super().increments(start, stop)[0], self.trapezoid[..., off[start] : off[stop]]
+        return super().increments(start, stop, table)[0], self.trapezoid[..., off[start] : off[stop]]
 
 
 class ComponentResiduals(Record):
@@ -169,22 +169,22 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     martingale increment term. It runs by step chunks, then the horizon; the
     complementarity sum adds each step's largest |gap| * dK in step order."""
     problem, backend, dt, n = solution.problem, solution.backend, solution.backend.dt, solution.backend.n_steps
-    off, table, costs = backend.offsets, problem.driver_table(backend), problem.cost_table(backend.times)
+    off, table, costs = backend.offsets, problem.driver_table(backend), problem.cost_table(backend.float_times).array()
     signs = np.reshape([_PUSH[side].sign for side in SIDES], (2, 1, 1))
     maxima, terms = [], []  # per chunk: the largest |residual|, -gap, -dK and dK; each step's largest |gap| * dK
     for start, stop in backend.step_chunks(n):
         nodes, steps = slice(off[start], off[stop]), backend.step_of_node[off[start] : off[stop]]
-        y, (z, dk) = solution.y[..., nodes], solution.increments(start, stop)
+        y, (z, dk) = solution.y[..., nodes], solution.increments(start, stop, table)
         cont = backend.flat_moments(solution.y, start, stop)[0]
         gaps = by_side("inside", y, evaluate_obstacles(y, costs.at(steps))[0])
         resid = (y - cont - table.rate(steps, backend.states[nodes], 0.5 * (y + cont), z) * dt - signs * dk) / dt
         maxima.append([np.max(block, axis=-1) for block in (np.abs(resid), -gaps, -dk, dk)])
-        terms.append(np.maximum.reduceat(np.abs(gaps) * dk, off[start:stop] - off[start], axis=-1))
+        terms.append(np.maximum.reduceat(np.abs(gaps) * dk, np.subtract(off[start:stop], off[start]), axis=-1))
     y_T = solution.y[..., off[n] :]
     gaps_T = by_side("inside", y_T, evaluate_obstacles(y_T, costs.at(slice(n, n + 1)))[0])
     resid, gap, k_sign, k_max = np.max(maxima, axis=0)
     gap, sums = np.maximum(gap, np.max(-gaps_T, axis=-1)), np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1]
-    mismatch = np.abs(y_T - problem.terminal_block(backend.state(n)))
+    mismatch = np.abs(y_T - problem.terminal_block(backend.float_states(n)))
 
     components = {}
     for key, index in zip(COMPONENTS, np.ndindex(2, 2)):

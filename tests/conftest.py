@@ -154,8 +154,8 @@ def pinned_pass(problem, backend):
     of a cost closure, then a profit closure, from Y+ = y~+, until a profit
     closure changes no node. Returns the Y, Z and dK buffers and the round
     count of each step."""
-    n, dt, off, lag = backend.n_steps, backend.dt, backend.offsets.tolist(), backend.down
-    costs, table = problem.cost_table(backend.times), problem.driver_table(backend)
+    n, dt, off, lag = backend.n_steps, backend.dt, backend.offsets, backend.down
+    costs, table = problem.cost_table(backend.float_times).array(), problem.driver_table(backend)
     y, z, ytilde = (np.zeros((2, 2, backend.size)) for _ in range(3))
     y[..., off[n] :] = ytilde[..., off[n] :] = problem.terminal_block(backend.state(n))
     rounds = np.zeros(n, dtype=int)
@@ -186,7 +186,7 @@ def numpy_pass(problem, backend):
     y~_k it formed at each step, joined, as the pass kept them before Z and
     dK were derived from Y (Z 0 and y~ = Y at the horizon); and the round
     count of each step."""
-    n, costs, rounds = backend.n_steps, problem.cost_table(backend.times), np.zeros(backend.n_steps, dtype=int)
+    n, costs, rounds = backend.n_steps, problem.cost_table(backend.float_times).array(), np.zeros(backend.n_steps, dtype=int)
     table, zs, ytildes = problem.driver_table(backend), {}, {}
 
     def rate(k, y, z):

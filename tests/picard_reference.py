@@ -69,13 +69,18 @@ def tabulate(driver, times):
     tests (``_ShiftedDriver``, ``_MinDriver``) bring their own ``tabulate``."""
     if not isinstance(driver, Driver):
         return driver.tabulate(times)
-    c0 = np.asarray(driver.c0(times))
+    c0 = on_times(driver.c0, times)
 
     def rate(k, x, y, z):
         base = c0[k] * x if driver.state_feature == "x" else c0[k]
         return base + driver.c1 * y + driver.c2 * z
 
     return rate
+
+
+def on_times(coeff: CoefficientFunction, times):
+    """A catalog coefficient at ``times``, an array or one number, shaped like them (the catalog reads a list of floats)."""
+    return np.reshape(coeff(np.ravel(times).tolist()), np.shape(times))
 
 
 def derivative(coeff: CoefficientFunction, t):
@@ -122,7 +127,7 @@ class ReferenceSolution(BalanceSheetSolution):
     own_z: np.ndarray
     own_dk: np.ndarray
 
-    def increments(self, start, stop):
+    def increments(self, start, stop, table):
         nodes = slice(self.backend.offsets[start], self.backend.offsets[stop])
         return self.own_z[..., nodes], self.own_dk[..., nodes]
 
@@ -135,7 +140,7 @@ class _ShiftedDriver:
 
     def tabulate(self, times):
         base = tabulate(self.base, times)
-        b, db = np.asarray(self.b_coeff(times)), derivative(self.b_coeff, times)
+        b, db = on_times(self.b_coeff, times), derivative(self.b_coeff, times)
         return lambda k, x, l, z: base(k, x, l - b[k], z) - db[k]
 
 
@@ -206,7 +211,7 @@ def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str,
 
 def node_costs(problem: SwitchingProblem, backend: Lattice):
     """The six costs at every lattice node, from one table on the grid times."""
-    return problem.cost_table(backend.times).at(backend.step_of_node)
+    return problem.cost_table(backend.float_times).array().at(backend.step_of_node)
 
 
 def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
@@ -219,7 +224,7 @@ def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, 
 
 def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation."""
-    _require_admissible(problem, backend, problem.cost_table(backend.times))
+    _require_admissible(problem, backend, problem.cost_table(backend.float_times))
     costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.n_steps))
     y_plus0 = {mode: reflect(problem.driver(PLUS, mode), xi[0, mode - 1], None, backend) for mode in MODES}
     big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}
@@ -228,7 +233,7 @@ def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStar
     alpha = _MinDriver(shifted + [problem.driver(MINUS, mode) for mode in MODES])
 
     T = problem.horizon
-    dot_terminal = np.minimum.reduce([xi[0, mode - 1] + problem.b[mode - 1](T) for mode in MODES] + list(xi[1]))
+    dot_terminal = np.minimum.reduce([xi[0, mode - 1] + problem.b[mode - 1]([T])[0] for mode in MODES] + list(xi[1]))
     dot_y = reflect(alpha, dot_terminal, None, backend).y
 
     # Lower-bound inequality seeding the cost side: dotY <= L^i and (with

@@ -73,7 +73,7 @@ class TestProblemLoading:
         reference = counterexample_problem(1.0)
         assert problem.horizon == reference.horizon
         assert driver_rate(problem.driver("plus", 2), 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
-        assert problem.ell[0](1.0) == pytest.approx(np.exp(-4.0))
+        assert problem.ell[0]([1.0]) == [pytest.approx(np.exp(-4.0))]
 
     def test_json_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -588,6 +588,38 @@ class TestErrorBoundary:
             "error: Euler value not finite at step 263, node 0: (plus,1) is nan; the data overflows float64"
         ]
 
+    # data whose catalog or terminals leave float64, on the switching problem, binomial, N = 50
+    OVERFLOWS = {
+        "ell_1": (lambda doc: doc["costs"].update(ell_1={"kind": "exponential", "params": [1.0, 800.0]}),
+                  ["[FAIL] A2 switching cost ell_1 > 0 at t=0.9 (value inf): strictly positive at every grid time"]),
+        "a_1": (lambda doc: doc["costs"].update(a_1={"kind": "polynomial", "params": [1e308, 1e308]}),
+                ["[FAIL] A2 cost a_1 finite at t=0.8 (value inf)"]),
+        "plus_1": (lambda doc: doc["terminals"].update(plus_1={"intercept": 0.0, "slope": 1e308}), [
+            "[FAIL] A3 terminal xi_plus_1 square integrable (value inf): not finite at node 0",
+            "[FAIL] BC terminal xi_plus_1 at t=1 (value -2.82843e+307): margin -2.83e+307 at node 26",
+            "[FAIL] BC terminal xi_plus_2 at t=1 (value -inf): margin -inf at node 0",
+            "[FAIL] BC terminal xi_minus_1 at t=1 (value -2.82843e+307): margin -2.83e+307 at node 26",
+        ]),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("warnings_flag", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "strict"])
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_data_that_overflows_fails_its_check_and_warns_nothing(self, tmp_path, case, warnings_flag):
+        # the catalog, the terminals and the validator run in Python floats: an overflow is inf, not a
+        # numpy warning, so stderr holds the failing checks' report alone, and no traceback under strict warnings
+        change, failing = self.OVERFLOWS[case]
+        doc = switching_doc()
+        change(doc)
+        args = ["--problem", write_doc(tmp_path, doc), "--backend", "binomial", "--steps", "50", "--out", str(tmp_path)]
+        check = run_python(*warnings_flag, "-m", "modeswitch.cli", "check-assumptions", *args)
+        assert check.returncode == 1 and check.stderr == ""
+        report = check.stdout.splitlines()
+        assert [line for line in report if line.startswith("[FAIL]")] == failing and len(report) == 31
+        solve = run_python(*warnings_flag, "-m", "modeswitch.cli", "solve", *args)
+        names = "; ".join(line[len("[FAIL] "):].split(" at t=")[0].split(" (value")[0] for line in failing)
+        assert solve.returncode == 1 and solve.stdout == ""
+        assert solve.stderr.splitlines() == [f"error: assumption validation failed: {names}", *report]
+
     # numpy's message for the int64 index array of the binomial lattice of N = 200 000 (20 000 300 001 nodes)
     NO_MEMORY = "Unable to allocate 149. GiB for an array with shape (20000300001,) and data type int64"
 
@@ -717,25 +749,28 @@ def fresh_interpreter(code: str, *args) -> str:
 
 class TestImportScope:
     """A command loads only the modules it runs, in a fresh interpreter; ``csv``
-    is read by ``read_surface_csv`` alone, which no command calls, and no
-    command loads ``dataclasses``: a record generates no code (``model.Record``)."""
+    is read by ``read_surface_csv`` alone, which no command calls, no
+    command loads ``dataclasses``: a record generates no code (``model.Record``),
+    and ``check-assumptions`` loads no numpy: it validates in Python floats."""
 
     REPORT = (
         "import json, sys\n"
         "from modeswitch.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy.random', 'csv', 'dataclasses')\n"
+        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy', 'numpy.random', 'csv', 'dataclasses')\n"
         "print(json.dumps([code, [name for name in watched if name in sys.modules]]))"
     )
     FIXTURE = ["--problem", "problems/counterexample.json"]
+    LATTICE = ["--problem", "bench/problems/switching_lattice.json", "--backend", "binomial"]
 
     @pytest.mark.parametrize(
         "command, loaded",
         [
             (["check-assumptions", *FIXTURE], []),
-            (["solve", *FIXTURE], []),
-            (["simulate", *FIXTURE, "--paths", "100"], ["modeswitch.strategy"]),
-            (["verify-fixtures"], ["modeswitch.verify"]),
+            (["solve", *FIXTURE], ["numpy"]),
+            (["simulate", *FIXTURE, "--paths", "100"], ["modeswitch.strategy", "numpy"]),
+            (["verify-fixtures"], ["modeswitch.verify", "numpy"]),
+            (["check-assumptions", *LATTICE], []),
         ],
     )
     def test_fixture_command_loads_only_what_it_runs(self, tmp_path, command, loaded):
@@ -765,7 +800,7 @@ class TestImportScope:
         # the profit leg of the switching problem leaves its root: the law needs no generator
         args = ["simulate", "--problem", "bench/problems/switching_lattice.json", "--backend", "binomial",
                 "--steps", "50", "--paths", "100000", "--out", str(tmp_path)]
-        assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, ["modeswitch.strategy"]]
+        assert json.loads(fresh_interpreter(self.REPORT, *args)) == [0, ["modeswitch.strategy", "numpy"]]
 
     def test_every_public_name_resolves_lazily(self):
         code = (

@@ -49,6 +49,41 @@ class TestLatticeParameters:
             Lattice("trinomial", 4, 1.0)
 
 
+class TestFloatsAndLazyArrays:
+    """A lattice computes its scalars and offsets at construction and its numpy arrays at their
+    first read; its float times and states are the arrays' bits, so a reader in floats needs no numpy."""
+
+    ARRAYS = ("times", "step_of_node", "node_index", "states", "_up")
+
+    @pytest.mark.parametrize("horizon", [1e-3, 0.37, 1.0, 2.0, 7.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 997, 2000, 12345])
+    def test_float_times_are_linspaces_bits(self, n, horizon):
+        lattice = Lattice("deterministic", n, horizon)
+        times = lattice.float_times
+        assert all(type(t) is float for t in times) and times[-1] == horizon
+        assert np.array(times).tobytes() == np.linspace(0.0, horizon, n + 1).tobytes() == lattice.times.tobytes()
+
+    @pytest.mark.parametrize("horizon", [1e-3, 0.37, 1.0, 7.0])
+    @pytest.mark.parametrize("kind, n", [("deterministic", 50), ("binomial", 1), ("binomial", 7), ("binomial", 400)])
+    def test_float_states_are_the_states_bits(self, kind, n, horizon):
+        lattice = Lattice(kind, n, horizon)
+        for k in range(n + 1):
+            states = lattice.float_states(k)
+            assert all(type(x) is float for x in states)
+            assert np.array(states).tobytes() == lattice.state(k).tobytes(), k
+
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_arrays_are_built_at_their_first_read(self, kind):
+        lattice = Lattice(kind, 6, 1.0)
+        assert lattice.offsets == ((0, 1, 3, 6, 10, 15, 21, 28) if kind == "binomial" else tuple(range(8)))
+        assert lattice.size == lattice.offsets[-1] and type(lattice.spread) is float
+        assert not set(self.ARRAYS) & set(vars(lattice))
+        step_of_node = lattice.step_of_node
+        assert set(self.ARRAYS) <= set(vars(lattice)) and lattice.step_of_node is step_of_node
+        with pytest.raises(AttributeError, match="'Lattice' object has no attribute 'grid'"):
+            lattice.grid
+
+
 class TestLatticeLayout:
     def test_recombining_node_counts(self):
         be = bin_backend(6)

@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -46,32 +48,60 @@ def keyed(values):
     return dict(zip(COMPONENTS, values.reshape(4, *values.shape[2:])))
 
 
+# Times of the catalog's bit tests: a lattice's, and the points where an exponential overflows.
+BIT_TIMES = [*Lattice("deterministic", 997, 7.0).float_times, 0.0, 1e-300, 3.5e2, 7e2, 1e300]
+
+
 class TestCoefficientFunction:
+    """The catalog evaluates a list of times in Python floats, one call per coefficient."""
+
     def test_constant(self):
         f = CoefficientFunction.constant(2.5)
-        assert f(0.0) == 2.5
-        assert f(1.7) == 2.5
+        assert f([0.0, 1.7]) == [2.5, 2.5] and f([]) == []
         assert derivative(f, 0.3) == 0.0
 
     def test_exponential(self):
         f = CoefficientFunction.exponential(1.0, -4.0)
-        assert f(0.0) == pytest.approx(1.0)
-        assert f(1.0) == pytest.approx(np.exp(-4.0))
+        assert f([0.0, 1.0]) == [1.0, pytest.approx(np.exp(-4.0))]
         assert derivative(f, 0.5) == pytest.approx(-4.0 * np.exp(-2.0))
 
     def test_polynomial(self):
         f = CoefficientFunction.polynomial([1.0, 2.0, 3.0])
-        assert f(2.0) == pytest.approx(1 + 4 + 12)
+        assert f([2.0]) == [1 + 4 + 12]
         assert derivative(f, 2.0) == pytest.approx(2 + 12)
 
     def test_vectorized_evaluation(self):
         f = CoefficientFunction.exponential(2.0, 1.0)
         t = np.linspace(0, 1, 5)
-        np.testing.assert_allclose(f(t), 2.0 * np.exp(t))
+        np.testing.assert_allclose(f(t.tolist()), 2.0 * np.exp(t))
+
+    @pytest.mark.parametrize("params", [(0.3,), (-1.5, 2.0), (1.0, -2.0, 0.5, 1e-3), (-0.0, 1e308), (1e308, 1e308)])
+    def test_polynomial_is_polyvals_bits(self, params):
+        values = CoefficientFunction.polynomial(params)(BIT_TIMES)
+        assert all(type(v) is float for v in values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array(values).tobytes() == np.polynomial.polynomial.polyval(BIT_TIMES, params).tobytes()
+
+    @pytest.mark.parametrize("c", [2.5, -0.0, 0.0, -1e308, float("inf"), float("nan")])
+    def test_constant_is_c_times_ones_bits(self, c):
+        values = CoefficientFunction.constant(c)(BIT_TIMES)
+        assert np.array(values).tobytes() == (c * np.ones(len(BIT_TIMES))).tobytes()
+
+    @pytest.mark.parametrize("c, gamma", [(1.0, -4.0), (-2.0, 0.4), (3.0, 800.0), (-3.0, 800.0), (0.0, 800.0)])
+    def test_exponential_is_c_times_libm_exp(self, c, gamma):
+        values = CoefficientFunction.exponential(c, gamma)(BIT_TIMES)
+        for t, value in zip(BIT_TIMES, values):
+            if gamma * t > 709.8:  # past float64: inf times c, as numpy reads an overflow
+                expected = c * float("inf")
+            else:
+                expected = c * math.exp(gamma * t)
+            assert type(value) is float and np.array(value).tobytes() == np.array(expected).tobytes(), t
+        if gamma == 800.0:  # the overflow gives inf of c's sign, and nan for c = 0
+            assert values[-1] == c * float("inf") or (c == 0.0 and math.isnan(values[-1]))
 
     def test_missing_ito_data(self):
         f = CoefficientFunction.constant(1.0, has_ito_data=False)
-        assert f(0.0) == 1.0
+        assert f([0.0]) == [1.0]
         with pytest.raises(ProblemError):
             derivative(f, 0.0)
 
@@ -109,7 +139,7 @@ class TestDriver:
             here, x = slice(lattice.offsets[k], lattice.offsets[k + 1]), lattice.state(k)
             rate = table.rate(slice(k, k + 1), x, y[..., here], z[..., here])
             for key, index in zip(COMPONENTS, np.ndindex(2, 2)):
-                base = c0(t) * x if features[key] == "x" else c0(t)
+                base = c0([t])[0] * x if features[key] == "x" else c0([t])[0]
                 expected = base + c1 * y[index][here] + c2 * z[index][here]
                 assert rate[index].tobytes() == expected.tobytes(), (k, key)
 
@@ -256,6 +286,19 @@ class TestBarrierAlgebra:
 
 
 class TestValidateAssumptions:
+    def test_validation_builds_no_lattice_array(self):
+        # O(N) floats on a new lattice: at N = 2000 its node arrays (2 001 000 nodes) would take 76 MiB
+        problem = load_problem(ROOT / "bench/problems/switching_lattice.json")
+        lattice = Lattice("binomial", 2000, problem.horizon)
+        tracemalloc.start()
+        try:
+            report = validate_assumptions(problem, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed, report.lines()
+        assert peak <= 2 * 2**20 and not {"times", "states", "step_of_node"} & set(vars(lattice))
+
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0])
     def test_feasibility_example_passes(self, horizon):
         problem = remark_problem(horizon)

@@ -146,7 +146,7 @@ def sweep_moves(solution) -> bool:
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    table, costs = problem.driver_table(backend), problem.cost_table(backend.times)
+    table, costs = problem.driver_table(backend), problem.cost_table(backend.float_times).array()
     _certify_fixed_point(solution, table, costs)
     assert not sweep_moves(solution)
 

@@ -478,7 +478,7 @@ class TestOnePassAgainstPicard:
         backend = bin_backend(400, problem.horizon)
         assert len(backend.step_chunks(400)) == 3
         solution, _ = solve_system(problem, backend)
-        return solution, problem.driver_table(backend), problem.cost_table(backend.times)
+        return solution, problem.driver_table(backend), problem.cost_table(backend.float_times).array()
 
     def test_certificate_names_the_first_component_at_its_first_node_across_chunks(self):
         solution, table, costs = self.chunked_case()
@@ -581,7 +581,7 @@ class TestWidthOnePass:
         drivers = {key: (0.0, 1.0, 0.0) for key in COMPONENTS}
         problem = build_problem(horizon=0.25, drivers=drivers, terminals=terminal)
         backend, rounds = det_backend(n, 0.25), np.zeros(n, dtype=int)
-        tables = problem.driver_table(backend), problem.cost_table(backend.times)
+        tables = problem.driver_table(backend), problem.cost_table(backend.float_times).array()
         with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
             y = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
             derived = BalanceSheetSolution(problem, backend, y)
@@ -724,6 +724,7 @@ class TestSolutionRecord:
         # driver table peaked at 9.5x
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(1000, problem.horizon)
+        backend.states  # the lattice's own node arrays, built at their first read, are not the solve's
         tracemalloc.start()
         try:
             solution, _ = solve_system(problem, backend)

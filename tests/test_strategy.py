@@ -153,7 +153,7 @@ class TestBranchTable:
         # profit in mode i switches where Y+_j - ell_i >= Y-_i - a_i, cost in
         # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
         solution, _ = solve_system(problem, backend)
-        costs = problem.cost_table(solution.backend.times)
+        costs = problem.cost_table(solution.backend.float_times).array()
         nodes = solution.backend.step_of_node
         y = {key: solution.y[row(*key)] for key in COMPONENTS}
         _, table = evaluate_obstacles(solution.y, costs.at(nodes))
@@ -176,7 +176,7 @@ class TestClassifyAction:
     def test_agrees_with_the_branch_table_at_every_contact_node(self):
         # one node's branches against the whole-block evaluation
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
-        costs = solution.problem.cost_table(solution.backend.times).at(solution.backend.step_of_node)
+        costs = solution.problem.cost_table(solution.backend.float_times).array().at(solution.backend.step_of_node)
         barrier, switches = evaluate_obstacles(solution.y, costs)
         contact = solution.y == barrier
         assert contact.any() and not contact.all()
@@ -195,10 +195,10 @@ class TestClassifyAction:
     ])
     def test_costs_of_one_time_equal_the_whole_grid_table_bit_for_bit(self, problem, backend):
         # classify_action tabulates the costs at its own step only
-        times = backend.times
-        table = problem.cost_table(times)
+        times = backend.float_times
+        table = problem.cost_table(times).array()
         for step in range(backend.n_steps + 1):
-            one, column = problem.cost_table(times[step : step + 1]).at(0), table.at(step)
+            one, column = problem.cost_table(times[step : step + 1]).array().at(0), table.at(step)
             for mine, theirs in zip(one, column):
                 assert mine.tobytes() == theirs.tobytes(), step
 
@@ -376,7 +376,7 @@ class TestStreamingReplay:
         end = backend.offsets[backend.n_steps]
         for mode in (1, 2):
             stops, switches, rates, _ = replay_tables(solution, mode)
-            mine = strategy._mode_tables(solution, mode)
+            mine = strategy._mode_tables(solution, mode, solution.problem.cost_table(backend.float_times).array())
             assert mine[0].tobytes() == stops.tobytes() and mine[2].tobytes() == rates.tobytes(), mode
             assert mine[1][:, :end].tobytes() == switches[:, :end].tobytes(), mode
 

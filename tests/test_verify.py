@@ -27,7 +27,7 @@ class TestCounterexampleProblem:
 
     def test_switching_cost_at_horizon(self):
         problem = counterexample_problem(1.0)
-        assert problem.ell[0](1.0) == pytest.approx(np.exp(-4.0), abs=1e-12)
+        assert problem.ell[0]([1.0]) == [pytest.approx(np.exp(-4.0), abs=1e-12)]
 
     def test_terminal_inequalities_hold(self):
         problem = counterexample_problem(1.0)
@@ -179,8 +179,8 @@ class TestAuditSolution:
         clean = audit_solution(solution).max_over("max_step_residual")
 
         class DoubledZ(BalanceSheetSolution):
-            def increments(self, start, stop):
-                z, dk = super().increments(start, stop)
+            def increments(self, start, stop, table):
+                z, dk = super().increments(start, stop, table)
                 z[0, 0] *= 2.0  # (plus, 1)
                 return z, dk
 
