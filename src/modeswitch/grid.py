@@ -11,17 +11,19 @@ sends j to j+1. The deterministic kind is its width-1 case (``down = 0``,
 conditional expectation is the identity.
 
 Node data is a flat buffer of ``size`` values (or a block of them along its
-last axis); step k occupies ``offsets[k]:offsets[k+1]``, and ``step_of_node``
-/ ``node_index`` map a flat index back to its step and its node within it.
-Whole buffers are read in ``step_chunks`` of at most ``CHUNK_NODES`` nodes,
-so a reader's temporaries stay small. The numpy arrays are built at their first read, and
-``np`` imports numpy at its first use. This module imports no other module of the package.
+last axis); step k occupies ``offsets[k]:offsets[k+1]``. The lattice keeps no
+node-sized array: ``nodes`` computes the node data of a range of steps from
+the offsets, and whole buffers are read in ``step_chunks`` of at most
+``CHUNK_NODES`` nodes, so a reader's node data and temporaries stay small.
+``times`` is built at its first read, and ``np`` imports numpy at its first
+use. This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 from numbers import Integral, Real
 
 # Down-move index offset of each lattice kind.
@@ -73,19 +75,20 @@ class Lattice:
         # The step times as floats, k * dt and T at the horizon: the bits of ``np.linspace(0, T, N + 1)``.
         self.float_times = (*map(self.dt.__mul__, range(n_steps)), horizon)
 
-    def __getattr__(self, name):
-        """The numpy arrays, all built at the first read of one of them."""
-        if name not in ("times", "step_of_node", "node_index", "states", "_up"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.times = np.array(self.float_times, dtype=float)
-        self.times.flags.writeable = False  # built once and shared by every reader
-        offsets = np.array(self.offsets)
-        self.step_of_node = np.repeat(np.arange(self.n_steps + 1), np.diff(offsets))
-        self.node_index = np.arange(self.size) - offsets[self.step_of_node]
-        self.states = (self.step_of_node - 2 * self.node_index) * self.spread
-        # Flat index of the up child of every node before the horizon: its step's node count further on.
-        self._up = np.arange(self.offsets[-2]) + 1 + self.down * self.step_of_node[: self.offsets[-2]]
-        return vars(self)[name]
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The step times as a numpy array, built at its first read and shared by every reader."""
+        times = np.array(self.float_times, dtype=float)
+        times.flags.writeable = False
+        return times
+
+    def nodes(self, start: int, stop: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+        """The flat slice of steps start..stop-1, and the step k, index j and state (k - 2j) * spread of its nodes."""
+        lo, hi, ks = self.offsets[start], self.offsets[stop], np.arange(start, stop)
+        counts = 1 + self.down * ks
+        steps, firsts = np.repeat(ks, counts), np.repeat(ks + self.down * (ks * (ks - 1) // 2), counts)
+        index = np.arange(lo, hi) - firsts  # each node's flat index less its step's offset
+        return slice(lo, hi), steps, index, (steps - 2 * index) * self.spread
 
     def float_states(self, k: int) -> list[float]:
         """The states (k - 2j) * spread of step k as floats: the bits of ``state(k)``."""
@@ -95,11 +98,14 @@ class Lattice:
         return 1 + self.down * k
 
     def state(self, k: int) -> np.ndarray:
-        return self.states[self.offsets[k] : self.offsets[k + 1]]
+        return (k - 2 * np.arange(self.n_nodes(k))) * self.spread
 
     def locate(self, flat: int) -> tuple[int, int]:
-        """(step, node) of a flat index."""
-        return int(self.step_of_node[flat]), int(self.node_index[flat])
+        """(step, node) of a flat index, the inverse of ``flat_index``; refuses an index that is not on the lattice."""
+        if not 0 <= flat < self.size:
+            raise ValueError(f"flat index {flat} is not on the lattice")
+        k = bisect_right(self.offsets, flat) - 1
+        return k, int(flat) - self.offsets[k]
 
     def flat_index(self, steps, nodes) -> np.ndarray:
         """Flat index of each (step, node) pair, the inverse of ``locate``;
@@ -111,25 +117,19 @@ class Lattice:
             raise ValueError(f"step {steps[i]}, node {nodes[i]} is not on the lattice")
         return steps + self.down * (steps * (steps - 1) // 2) + nodes
 
-    def _check(self, next_values, k):
-        """Node values of step k+1 along the last axis; leading axes are separate equations."""
-        next_values = np.asarray(next_values, dtype=float)
-        if next_values.shape[-1:] != (self.n_nodes(k + 1),):
-            raise ValueError(
-                f"expected {self.n_nodes(k + 1)} node values at step {k + 1}, got shape {next_values.shape}"
-            )
-        return next_values
-
     def moments(self, next_values, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """E_k[V_{k+1}] and the martingale projection of V_{k+1} at the nodes
-        of step k, from one shape check and one pair of child views."""
-        v, m = self._check(next_values, k), self.n_nodes(k)
+        """E_k[V_{k+1}] and the martingale projection of V_{k+1} at the nodes of step k, from one pair of
+        child views; node values of step k+1 along the last axis, leading axes separate equations."""
+        v, m = np.asarray(next_values, dtype=float), self.n_nodes(k)
+        if v.shape[-1:] != (m + self.down,):
+            raise ValueError(f"expected {m + self.down} node values at step {k + 1}, got shape {v.shape}")
         up, down = v[..., :m], v[..., self.down : self.down + m]
         return (up + down) * 0.5, (up - down) / self._twice_sqrt_dt
 
     def flat_moments(self, data: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """``moments`` at every node of steps start..stop-1 (stop <= N) of flat buffers: the same bits."""
-        up = self._up[self.offsets[start] : self.offsets[stop]]
+        counts = 1 + self.down * np.arange(start, stop)  # a node's up child is its step's node count further on
+        up = np.arange(self.offsets[start], self.offsets[stop]) + np.repeat(counts, counts)
         u, d = data[..., up], data[..., up + self.down]
         return (u + d) * 0.5, (u - d) / self._twice_sqrt_dt
 

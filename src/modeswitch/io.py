@@ -152,9 +152,8 @@ def write_surfaces(paths, lattice: Lattice, rows):
         for fh in files:
             fh.write("step,node,value\r\n")
         for start, stop in lattice.step_chunks(lattice.n_steps + 1):
-            nodes = slice(lattice.offsets[start], lattice.offsets[stop])
-            places = zip(lattice.step_of_node[nodes].tolist(), lattice.node_index[nodes].tolist())
-            heads = [f"{k},{j}," for k, j in places]
+            steps, index = lattice.nodes(start, stop)[1:3]
+            heads = [f"{k},{j}," for k, j in zip(steps.tolist(), index.tolist())]
             for fh, values in zip(files, rows(start, stop)):
                 fh.write("".join([head + repr(v) + "\r\n" for head, v in zip(heads, values.tolist())]))
 

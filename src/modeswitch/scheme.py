@@ -95,7 +95,7 @@ class BalanceSheetSolution(Record):
 def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
     costs = solution.problem.cost_table(solution.backend.float_times).array()
-    return evaluate_obstacles(solution.y, costs.at(solution.backend.step_of_node))
+    return evaluate_obstacles(solution.y, costs.at(solution.backend.nodes(0, solution.backend.n_steps + 1)[1]))
 
 
 def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> np.ndarray:
@@ -129,9 +129,9 @@ def _require_admissible(problem: SwitchingProblem, backend: Lattice, costs: Cost
 def _euler(table: DriverTable, backend: Lattice, y: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The Euler values E_k[Y_{k+1}] + psi dt of a (side, mode, node) block,
     and its Z, at the nodes of steps start..stop-1 (stop <= N), with the rate of ``table``."""
-    lo, hi = backend.offsets[start], backend.offsets[stop]
+    _, steps, _, states = backend.nodes(start, stop)
     e, z = backend.flat_moments(y, start, stop)
-    return e + table.rate(backend.step_of_node[lo:hi], backend.states[lo:hi], e, z) * backend.dt, z
+    return e + table.rate(steps, states, e, z) * backend.dt, z
 
 
 def _certify_fixed_point(solution: BalanceSheetSolution, table: DriverTable, costs: CostSlice):
@@ -143,15 +143,15 @@ def _certify_fixed_point(solution: BalanceSheetSolution, table: DriverTable, cos
     backend, y = solution.backend, solution.y
     moves = [None] * len(COMPONENTS)  # (flat index, move) of each component's first moving node
     for start, stop in reversed(backend.step_chunks(backend.n_steps)):
-        lo, hi = backend.offsets[start], backend.offsets[stop]
-        here, (euler, _) = y[..., lo:hi], _euler(table, backend, y, start, stop)
-        _require_finite(np.abs(here - euler), "push", lambda i: backend.locate(lo + i))
-        barrier = evaluate_obstacles(here, costs.at(backend.step_of_node[lo:hi]))[0]
+        nodes, steps = backend.nodes(start, stop)[:2]
+        here, (euler, _) = y[..., nodes], _euler(table, backend, y, start, stop)
+        _require_finite(np.abs(here - euler), "push", lambda i: backend.locate(nodes.start + i))
+        barrier = evaluate_obstacles(here, costs.at(steps))[0]
         settled = by_side("better", euler, barrier)
         miss = np.where(settled == here, 0.0, np.abs(settled - here))
         for c, moved in enumerate(miss.reshape(4, -1)):
             if moved[i := int(np.argmax(moved))]:
-                moves[c] = (lo + i, moved[i])
+                moves[c] = (nodes.start + i, moved[i])
     for (side, mode), move in zip(COMPONENTS, moves):
         if move:
             (k, j), by = backend.locate(move[0]), move[1]
@@ -197,7 +197,7 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
     it returns the same Y bits and round counts. A step that reaches the
     round cap is handed to ``_project``, which raises its error."""
     n, dt, s = backend.n_steps, backend.dt, backend._twice_sqrt_dt
-    bases = list(zip(*table.base(slice(None), backend.states).reshape(4, -1).tolist()))
+    bases = list(zip(*table.base(slice(None), backend.nodes(0, n + 1)[3]).reshape(4, -1).tolist()))
     cols = list(zip(*(r for c in costs for r in c.tolist())))
     (c1, c2, c3, c4), (d1, d2, d3, d4) = table.c1.ravel().tolist(), table.c2.ravel().tolist()
     y1, y2, y3, y4 = y = terminal.ravel().tolist()

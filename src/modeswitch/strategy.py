@@ -112,14 +112,14 @@ def _mode_tables(solution: BalanceSheetSolution, mode: int, costs) -> tuple[np.n
     where a path stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
     horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver."""
     backend, y, m = solution.backend, solution.y, mode - 1
-    n, off, steps, states = backend.n_steps, backend.offsets, backend.step_of_node, backend.states
+    n, off = backend.n_steps, backend.offsets
     table = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend)))
     stops, switches, rates = np.ones((2, backend.size), bool), np.zeros((2, backend.size), bool), np.empty((2, off[n]))
     for start, stop in backend.step_chunks(n):
-        nodes = slice(off[start], off[stop])
-        barrier, switches[:, nodes] = mode_obstacles(y[..., nodes], costs.at(steps[nodes]), mode)
+        nodes, steps, _, states = backend.nodes(start, stop)
+        barrier, switches[:, nodes] = mode_obstacles(y[..., nodes], costs.at(steps), mode)
         stops[:, nodes], (e, z) = y[:, m, nodes] == barrier, backend.flat_moments(y[:, m], start, stop)
-        rates[:, nodes] = table.rate(steps[nodes], states[nodes], e, z)
+        rates[:, nodes] = table.rate(steps, states, e, z)
     return stops, switches, rates
 
 
@@ -169,7 +169,7 @@ def _leg(side, mode, backend, stops, mass, acc, prefer, payoff) -> LegReport:
     nodes: each pays its yield times dt plus its mass times Y there. The action
     is the one branch that a reached stop takes (switch or terminate before
     the horizon, hold at it), or ``mixed``."""
-    n, steps = backend.n_steps, backend.step_of_node[stops]
+    n, steps = backend.n_steps, np.searchsorted(backend.offsets, stops, side="right") - 1  # each stop's step
     held = steps == n
     switch, terminate = ~held & prefer[stops], ~held & ~prefer[stops]
     realized = float(np.sum(acc * backend.dt + mass * payoff[stops]))

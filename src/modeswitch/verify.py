@@ -91,7 +91,7 @@ class ClosedFormFamily(Record):
         """Sampling at the lattice's times as a solution record of
         ``counterexample_problem``, which refuses a lattice on another horizon;
         increments use the trapezoid rule on the analytic reflection density."""
-        times, at = backend.times, backend.step_of_node
+        times, at = backend.times, backend.nodes(0, backend.n_steps + 1)[1]
         y, dens = (np.array([[f(s, m, times) for m in MODES] for s in SIDES]) for f in (self.y, self.k_density))
         dk = np.zeros_like(dens)
         dk[..., :-1] = 0.5 * (dens[..., :-1] + dens[..., 1:]) * backend.dt
@@ -173,11 +173,11 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     signs = np.reshape([_PUSH[side].sign for side in SIDES], (2, 1, 1))
     maxima, terms = [], []  # per chunk: the largest |residual|, -gap, -dK and dK; each step's largest |gap| * dK
     for start, stop in backend.step_chunks(n):
-        nodes, steps = slice(off[start], off[stop]), backend.step_of_node[off[start] : off[stop]]
+        nodes, steps, _, states = backend.nodes(start, stop)
         y, (z, dk) = solution.y[..., nodes], solution.increments(start, stop, table)
         cont = backend.flat_moments(solution.y, start, stop)[0]
         gaps = by_side("inside", y, evaluate_obstacles(y, costs.at(steps))[0])
-        resid = (y - cont - table.rate(steps, backend.states[nodes], 0.5 * (y + cont), z) * dt - signs * dk) / dt
+        resid = (y - cont - table.rate(steps, states, 0.5 * (y + cont), z) * dt - signs * dk) / dt
         maxima.append([np.max(block, axis=-1) for block in (np.abs(resid), -gaps, -dk, dk)])
         terms.append(np.maximum.reduceat(np.abs(gaps) * dk, np.subtract(off[start:stop], off[start]), axis=-1))
     y_T = solution.y[..., off[n] :]

@@ -236,8 +236,8 @@ def replay_tables(solution, start_mode):
     backend, m = solution.backend, start_mode - 1
     n, before = backend.n_steps, slice(0, backend.offsets[backend.n_steps])
     table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
-    at = backend.step_of_node[before], backend.states[before]
-    rates = table.rate(*at, backend.flat_moments(y, 0, n)[0], solution.z[:, m, before])
+    _, steps, _, states = backend.nodes(0, n)
+    rates = table.rate(steps, states, backend.flat_moments(y, 0, n)[0], solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))
     return stops, switches, rates, y
 
@@ -367,7 +367,7 @@ def leg_moments(solution, start_mode):
     second moments accordingly). Maps side -> {"stop_step": (mean, var),
     "realized": (mean, var)}."""
     backend, (stops, _, rates, y) = solution.backend, replay_tables(solution, start_mode)
-    steps = np.broadcast_to(backend.step_of_node.astype(float), stops.shape)
+    steps = np.broadcast_to(backend.nodes(0, backend.n_steps + 1)[1].astype(float), stops.shape)
     tau, tau_sq, value, value_sq = (np.where(stops, x, 0.0) for x in (steps, steps**2, y, y**2))
     for k in range(backend.n_steps - 1, -1, -1):
         here, gain = at(stops, backend, k), at(rates, backend, k) * backend.dt

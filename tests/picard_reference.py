@@ -211,7 +211,7 @@ def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str,
 
 def node_costs(problem: SwitchingProblem, backend: Lattice):
     """The six costs at every lattice node, from one table on the grid times."""
-    return problem.cost_table(backend.float_times).array().at(backend.step_of_node)
+    return problem.cost_table(backend.float_times).array().at(backend.nodes(0, backend.n_steps + 1)[1])
 
 
 def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):

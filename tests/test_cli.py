@@ -452,9 +452,29 @@ class TestSurfaceRoundTrip:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["step", "node", "value"])
-        writer.writerows(zip(be.step_of_node.tolist(), be.node_index.tolist(), map(repr, data.tolist())))
+        _, steps, index, _ = be.nodes(0, n + 1)
+        writer.writerows(zip(steps.tolist(), index.tolist(), map(repr, data.tolist())))
         assert path.read_bytes() == expected.getvalue().encode()
         assert read_surface_csv(path, be).tobytes() == data.tobytes()
+
+    def test_solve_writes_csv_writer_bytes_across_step_chunks(self, tmp_path):
+        # N = 400 binomial: 80 601 nodes in three step chunks, so the writer hands over chunk boundaries
+        path = Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json"
+        out, be = tmp_path / "out", Lattice("binomial", 400, 1.0)
+        assert be.step_chunks(401) == [(0, 255), (255, 361), (361, 401)]
+        args = ["solve", "--problem", str(path), "--backend", "binomial", "--steps", "400", "--out", str(out)]
+        assert main(args) == 0
+        solution, _ = solve_system(load_problem(path), be)
+        places = [(k, j) for k in range(401) for j in range(k + 1)]
+        for name, block in (("Y", solution.y), ("Z", solution.z), ("K", solution.dk)):
+            for side, mode in COMPONENTS:
+                file, values = out / f"{name}_{side}_{mode}.csv", block[row(side, mode)]
+                expected = io.StringIO(newline="")
+                writer = csv.writer(expected)
+                writer.writerow(["step", "node", "value"])
+                writer.writerows((k, j, repr(v)) for (k, j), v in zip(places, values.tolist()))
+                assert file.read_bytes() == expected.getvalue().encode(), file.name
+                assert read_surface_csv(file, be).tobytes() == values.tobytes(), file.name
 
     def test_refuses_a_buffer_of_the_wrong_shape(self, tmp_path):
         be = Lattice("binomial", 3, 1.0)

@@ -50,10 +50,9 @@ class TestLatticeParameters:
 
 
 class TestFloatsAndLazyArrays:
-    """A lattice computes its scalars and offsets at construction and its numpy arrays at their
-    first read; its float times and states are the arrays' bits, so a reader in floats needs no numpy."""
-
-    ARRAYS = ("times", "step_of_node", "node_index", "states", "_up")
+    """A lattice computes its scalars and offsets at construction, its times array at its first read and
+    the node data of a range of steps on each call; its float times and states are the arrays' bits, so a
+    reader in floats needs no numpy."""
 
     @pytest.mark.parametrize("horizon", [1e-3, 0.37, 1.0, 2.0, 7.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 997, 2000, 12345])
@@ -71,17 +70,40 @@ class TestFloatsAndLazyArrays:
             states = lattice.float_states(k)
             assert all(type(x) is float for x in states)
             assert np.array(states).tobytes() == lattice.state(k).tobytes(), k
+            assert lattice.nodes(k, k + 1)[3].tobytes() == lattice.state(k).tobytes(), k
+
+    @pytest.mark.parametrize("kind, n", [("deterministic", 9), ("binomial", 9), ("binomial", 400)])
+    def test_node_data_of_any_step_range(self, kind, n):
+        # each range reads the bits of the whole-lattice maps the lattice once kept, built as they were built
+        lattice = Lattice(kind, n, 0.37)
+        offsets = np.array(lattice.offsets)
+        step_of_node = np.repeat(np.arange(n + 1), np.diff(offsets))
+        node_index = np.arange(lattice.size) - offsets[step_of_node]
+        states = (step_of_node - 2 * node_index) * lattice.spread
+        for start, stop in ((0, n + 1), (0, 1), (3, 7), (n, n + 1), (5, 5), *lattice.step_chunks(n + 1)):
+            nodes, steps, index, state = lattice.nodes(start, stop)
+            assert nodes == slice(lattice.offsets[start], lattice.offsets[stop])
+            assert steps.dtype == index.dtype == step_of_node.dtype and state.dtype == float
+            assert steps.tobytes() == step_of_node[nodes].tobytes(), (start, stop)
+            assert index.tobytes() == node_index[nodes].tobytes(), (start, stop)
+            assert state.tobytes() == states[nodes].tobytes(), (start, stop)
 
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
     def test_arrays_are_built_at_their_first_read(self, kind):
+        # the times array alone; the node data (steps, node indices, states, children) is never kept
         lattice = Lattice(kind, 6, 1.0)
         assert lattice.offsets == ((0, 1, 3, 6, 10, 15, 21, 28) if kind == "binomial" else tuple(range(8)))
         assert lattice.size == lattice.offsets[-1] and type(lattice.spread) is float
-        assert not set(self.ARRAYS) & set(vars(lattice))
-        step_of_node = lattice.step_of_node
-        assert set(self.ARRAYS) <= set(vars(lattice)) and lattice.step_of_node is step_of_node
-        with pytest.raises(AttributeError, match="'Lattice' object has no attribute 'grid'"):
-            lattice.grid
+        arrays = lambda: [name for name, value in vars(lattice).items() if isinstance(value, np.ndarray)]  # noqa: E731
+        assert not arrays()
+        lattice.nodes(0, 7), lattice.state(6), lattice.locate(lattice.size - 1)
+        lattice.flat_moments(np.zeros(lattice.size), 0, 6)
+        assert not arrays()
+        times = lattice.times
+        assert arrays() == ["times"] and lattice.times is times
+        for name in ("step_of_node", "node_index", "states", "_up", "grid"):
+            with pytest.raises(AttributeError, match=f"'Lattice' object has no attribute '{name}'"):
+                getattr(lattice, name)
 
 
 class TestLatticeLayout:
@@ -100,7 +122,8 @@ class TestLatticeLayout:
     @pytest.mark.parametrize("be", [bin_backend(6), det_backend(6)])
     def test_flat_index_inverts_locate(self, be):
         every = np.arange(be.size)
-        np.testing.assert_array_equal(be.flat_index(be.step_of_node, be.node_index), every)
+        _, steps, index, _ = be.nodes(0, be.n_steps + 1)
+        np.testing.assert_array_equal(be.flat_index(steps, index), every)
         assert all(be.flat_index(*be.locate(i)) == i for i in every)
 
     @pytest.mark.parametrize("step,node", [(2, 3), (2, -1), (-1, 0), (7, 0)])
@@ -109,6 +132,18 @@ class TestLatticeLayout:
             bin_backend(6).flat_index([0, step], [0, node])
         with pytest.raises(ValueError, match="not on the lattice"):
             det_backend(6).flat_index(1, 1)  # the width-1 lattice has node 0 only
+
+    @pytest.mark.parametrize("be", [bin_backend(4), det_backend(4)])
+    @pytest.mark.parametrize("end", ["before", "after"])
+    @pytest.mark.parametrize("by", [1, 3])
+    def test_locate_refuses_an_index_off_the_lattice(self, be, end, by):
+        # a negative index read a node from the end, and one past the end raised numpy's IndexError
+        flat = -by if end == "before" else be.size - 1 + by
+        with pytest.raises(ValueError, match=rf"^flat index {flat} is not on the lattice$"):
+            be.locate(flat)
+        with pytest.raises(ValueError, match=rf"^flat index {flat} is not on the lattice$"):
+            be.locate(np.int64(flat))
+        assert be.locate(0) == (0, 0) and be.locate(np.int64(be.size - 1)) == (4, be.n_nodes(4) - 1)
 
 
 class TestCondexp:
@@ -258,7 +293,7 @@ class TestFieldSurface:
         surf = np.concatenate([np.full(k + 1, float(k)) for k in range(4)])
         assert surf.shape == (be.size,) == (10,)
         np.testing.assert_array_equal(be.offsets, [0, 1, 3, 6, 10])
-        np.testing.assert_array_equal(surf, be.step_of_node)
+        np.testing.assert_array_equal(surf, be.nodes(0, 4)[1])
         assert at(surf, be, 2).shape == (3,) and np.shares_memory(at(surf, be, 2), surf)
         assert be.locate(7) == (3, 1)
 
@@ -268,8 +303,10 @@ class TestWidthOneLattice:
         be = det_backend(4)
         assert be.down == 0 and be.spread == 0.0
         np.testing.assert_array_equal(be.offsets, np.arange(6))
-        np.testing.assert_array_equal(be.step_of_node, np.arange(5))
-        np.testing.assert_array_equal(be.states, np.zeros(5))
+        _, steps, index, states = be.nodes(0, 5)
+        np.testing.assert_array_equal(steps, np.arange(5))
+        np.testing.assert_array_equal(index, np.zeros(5))
+        np.testing.assert_array_equal(states, np.zeros(5))
 
     def test_continuation_matches_stepwise_condexp(self):
         # ``flat_moments`` over any range of steps gives the bits of ``moments`` step by step

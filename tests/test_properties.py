@@ -126,7 +126,7 @@ def test_sampled_family_keeps_its_analytic_trapezoid(family_id, kind, steps, hor
     density = np.array([[family.k_density(side, mode, backend.times) for mode in MODES] for side in SIDES])
     trapezoid = np.zeros_like(density)
     trapezoid[..., :-1] = 0.5 * (density[..., :-1] + density[..., 1:]) * backend.dt
-    assert sample.dk.tobytes() == trapezoid[..., backend.step_of_node].tobytes()
+    assert sample.dk.tobytes() == trapezoid[..., backend.nodes(0, steps + 1)[1]].tobytes()
     assert sample.z.tobytes() == np.zeros((2, 2, backend.size)).tobytes()
     assert not np.array_equal(BalanceSheetSolution(sample.problem, backend, sample.y).dk, sample.dk)
 

@@ -133,7 +133,7 @@ class TestSolveRbsdeLower:
         T = 2.0
         be = det_backend(4, T)
         drv = Driver(1, PLUS, CoefficientFunction.constant(0.0))
-        barrier = 1.0 - be.times[be.step_of_node] / T
+        barrier = 1.0 - be.times[be.nodes(0, be.n_steps + 1)[1]] / T
         sol = reflect(drv, 0.0, barrier, be)
         for k in range(4):
             assert float(at(sol.y, be, k)[0]) == pytest.approx(1.0 - be.times[k] / T, abs=1e-15)
@@ -169,7 +169,7 @@ class TestSolveRbsdeUpper:
         T = 1.0
         be = det_backend(512, T)
         drv = Driver(1, MINUS, CoefficientFunction.constant(0.0), c1=2.0)
-        sol = reflect(drv, 1.0, np.exp(T - be.times[be.step_of_node]), be, lower=False)
+        sol = reflect(drv, 1.0, np.exp(T - be.times[be.nodes(0, be.n_steps + 1)[1]]), be, lower=False)
         dt = be.dt
         for k in range(0, 512, 50):
             assert float(at(sol.y, be, k)[0]) == pytest.approx(np.exp(T - be.times[k]), abs=1e-12)
@@ -232,7 +232,7 @@ class TestAprioriBound:
         energies = {}
         for n in (256, 512):
             be = det_backend(n, T)
-            sol = reflect(drv, 1.0, np.exp(T - be.times[be.step_of_node]), be, lower=False)
+            sol = reflect(drv, 1.0, np.exp(T - be.times[be.nodes(0, be.n_steps + 1)[1]]), be, lower=False)
             z_energy = sum(float(np.mean(at(sol.z, be, k) ** 2)) * be.dt for k in range(n))
             energies[n] = np.max(np.abs(sol.y)) ** 2 + z_energy + sol.dk.sum() ** 2
         ratio = energies[512] / energies[256]
@@ -242,7 +242,7 @@ class TestAprioriBound:
 class TestSnellEnvelope:
     def test_nonincreasing_payoff_stops_immediately(self):
         be = det_backend(10)
-        payoff = 2.0 - be.times[be.step_of_node]
+        payoff = 2.0 - be.times[be.nodes(0, be.n_steps + 1)[1]]
         env, stops = snell_envelope(payoff, be)
         assert np.max(np.abs(env - payoff)) <= 1e-12
         for k in range(11):

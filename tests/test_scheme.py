@@ -25,7 +25,8 @@ from modeswitch.model import (
     validate_assumptions,
 )
 from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system, system_obstacles
-from modeswitch.verify import ClosedFormFamily, SampledFamily, counterexample_problem
+from modeswitch.strategy import simulate_policy
+from modeswitch.verify import ClosedFormFamily, SampledFamily, audit_solution, counterexample_problem
 
 from conftest import (
     assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, numpy_pass,
@@ -721,10 +722,9 @@ class TestSolutionRecord:
     def test_a_solve_peaks_near_its_y_block(self):
         # the pass writes Y into one buffer and keeps no Z or Y~ block, the certificate runs in step
         # chunks and the driver rates are built per step: 1.7x Y, where keeping Z, dK and a node-sized
-        # driver table peaked at 9.5x
+        # driver table peaked at 9.5x; the lattice computes its node data per chunk, inside the window
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(1000, problem.horizon)
-        backend.states  # the lattice's own node arrays, built at their first read, are not the solve's
         tracemalloc.start()
         try:
             solution, _ = solve_system(problem, backend)
@@ -744,3 +744,13 @@ class TestSolutionRecord:
         solution, _ = solve_system(problem, Lattice(kind, n, problem.horizon))
         assert type(solution)._fields == ("problem", "backend", "y")
         assert [name for name, value in vars(solution).items() if isinstance(value, np.ndarray)] == ["y"]
+
+    def test_the_lattice_keeps_no_array_through_solve_replay_and_audit(self):
+        # the readers compute the node data of each step chunk from the offsets; Y is the one node-sized array
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
+        backend = bin_backend(400, problem.horizon)
+        solution, _ = solve_system(problem, backend)
+        reports = [simulate_policy(solution, mode) for mode in (1, 2)]
+        assert any(leg.stop_step > 0 for report in reports for leg in report.legs.values())  # a leg leaves its root
+        assert audit_solution(solution).passed
+        assert not [name for name, value in vars(backend).items() if isinstance(value, np.ndarray)]

@@ -154,7 +154,7 @@ class TestBranchTable:
         # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
         solution, _ = solve_system(problem, backend)
         costs = problem.cost_table(solution.backend.float_times).array()
-        nodes = solution.backend.step_of_node
+        nodes = solution.backend.nodes(0, solution.backend.n_steps + 1)[1]
         y = {key: solution.y[row(*key)] for key in COMPONENTS}
         _, table = evaluate_obstacles(solution.y, costs.at(nodes))
         for i, (mode, other) in enumerate(((1, 2), (2, 1))):
@@ -176,7 +176,8 @@ class TestClassifyAction:
     def test_agrees_with_the_branch_table_at_every_contact_node(self):
         # one node's branches against the whole-block evaluation
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
-        costs = solution.problem.cost_table(solution.backend.float_times).array().at(solution.backend.step_of_node)
+        steps = solution.backend.nodes(0, 41)[1]
+        costs = solution.problem.cost_table(solution.backend.float_times).array().at(steps)
         barrier, switches = evaluate_obstacles(solution.y, costs)
         contact = solution.y == barrier
         assert contact.any() and not contact.all()

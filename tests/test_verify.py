@@ -208,7 +208,8 @@ def whole_block_audit(solution):
     gaps = by_side("inside", y, system_obstacles(solution)[0])
     sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.flat_moments(y, 0, n)[0]
     yk, dk_k = y[..., before], dk[..., before]
-    psi = problem.driver_table(backend).rate(backend.step_of_node[before], backend.states[before], 0.5 * (yk + cont), z)
+    _, steps, _, states = backend.nodes(0, n)
+    psi = problem.driver_table(backend).rate(steps, states, 0.5 * (yk + cont), z)
     resid = (yk - cont - psi * dt - np.reshape([1.0, -1.0], (2, 1, 1)) * dk_k) / dt
     mismatch = np.abs(y[..., backend.offsets[n] :] - problem.terminal_block(backend.state(n)))
     return {
