@@ -61,10 +61,9 @@ def cmd_solve(args) -> int:
     solution, trace = solve_system(problem, backend)
     out = _ensure_outdir(args)
     (out / "summary.json").unlink(missing_ok=True)  # written last, so it sits only beside a whole run's files
-    table, off = problem.driver_table(backend), backend.offsets
 
-    def rows(start, stop):  # Y, Z and K of each component in turn, Z and K derived from Y
-        blocks = (solution.y[..., off[start] : off[stop]], *solution.increments(start, stop, table))
+    def rows(start, stop, nodes, steps, states):  # Y, Z and K of each component in turn, Z and K derived from Y
+        blocks = (solution.y[..., nodes], *solution.increments(start, stop, steps, states)[2:])
         return [block[row(*key)] for key in COMPONENTS for block in blocks]
 
     write_surfaces([out / f"{name}_{side}_{mode}.csv" for side, mode in COMPONENTS for name in "YZK"], backend, rows)

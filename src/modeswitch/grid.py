@@ -109,8 +109,11 @@ class Lattice:
 
     def flat_index(self, steps, nodes) -> np.ndarray:
         """Flat index of each (step, node) pair, the inverse of ``locate``;
-        refuses a pair that is not on the lattice."""
-        steps, nodes = np.broadcast_arrays(np.asarray(steps, dtype=np.int64), np.asarray(nodes, dtype=np.int64))
+        refuses a pair that is not on the lattice, one past int64 included."""
+        try:
+            steps, nodes = np.broadcast_arrays(np.asarray(steps, dtype=np.int64), np.asarray(nodes, dtype=np.int64))
+        except OverflowError:
+            raise ValueError(f"step {steps}, node {nodes} is not on the lattice") from None
         outside = (steps < 0) | (steps > self.n_steps) | (nodes < 0) | (nodes >= 1 + self.down * steps)
         if outside.any():
             i = np.unravel_index(np.argmax(outside), outside.shape)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack
+from itertools import islice
 from pathlib import Path
 
-from .grid import Lattice, np
+from .grid import CHUNK_NODES, Lattice, np
 from .model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, ProblemError, SwitchingProblem, Terminal
 
 _SIDES = {PLUS: PLUS, MINUS: MINUS, "+": PLUS, "-": MINUS}
@@ -63,6 +64,20 @@ def _terminal(spec, where: str) -> Terminal:
     return Terminal(_number(spec["intercept"], f"{where}.intercept"), _number(spec.get("slope", 0.0), f"{where}.slope"))
 
 
+def _entries(doc: dict, key: str, names, parse) -> list:
+    """The entries ``names`` of the object ``doc[key]``, parsed in turn; one missing or unknown is refused by name."""
+    raw = doc.get(key)
+    if not isinstance(raw, dict):
+        raise ProblemError(f"{key!r} must be an object with keys {names[0]}..{names[-1]}")
+    _known(raw, names, key)
+    entries = []
+    for name in names:
+        if name not in raw:
+            raise ProblemError(f"{key!r} missing entry {name!r}")
+        entries.append(parse(raw[name], f"{key}.{name}"))
+    return entries
+
+
 def problem_from_dict(doc: dict) -> SwitchingProblem:
     if not isinstance(doc, dict):
         raise ProblemError("problem document must be a JSON object")
@@ -96,30 +111,10 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
             raise ProblemError(f"{where}: duplicate driver for ({drv.side}, {drv.mode})")
         drivers[(drv.side, drv.mode)] = drv
 
-    raw_costs = doc.get("costs")
-    if not isinstance(raw_costs, dict):
-        raise ProblemError("'costs' must be an object with keys ell_1..b_2")
     names = ("ell_1", "ell_2", "a_1", "a_2", "b_1", "b_2")
-    _known(raw_costs, names, "costs")
-    cost = {}
-    for name in names:
-        if name not in raw_costs:
-            raise ProblemError(f"'costs' missing entry {name!r}")
-        cost[name] = _coefficient(raw_costs[name], f"costs.{name}")
-
-    raw_terms = doc.get("terminals")
-    if not isinstance(raw_terms, dict):
-        raise ProblemError("'terminals' must be an object with keys plus_1..minus_2")
-    _known(raw_terms, [f"{side}_{mode}" for side, mode in COMPONENTS], "terminals")
-    terminals = {}
-    for side, mode in COMPONENTS:
-        name = f"{side}_{mode}"
-        if name not in raw_terms:
-            raise ProblemError(f"'terminals' missing entry {name!r}")
-        terminals[(side, mode)] = _terminal(raw_terms[name], f"terminals.{name}")
-
-    ell, a, b = ((cost[f"{name}_1"], cost[f"{name}_2"]) for name in ("ell", "a", "b"))
-    return SwitchingProblem(horizon, drivers, ell, a, b, terminals)
+    ell_1, ell_2, a_1, a_2, b_1, b_2 = _entries(doc, "costs", names, _coefficient)
+    terminals = _entries(doc, "terminals", [f"{side}_{mode}" for side, mode in COMPONENTS], _terminal)
+    return SwitchingProblem(horizon, drivers, (ell_1, ell_2), (a_1, a_2), (b_1, b_2), dict(zip(COMPONENTS, terminals)))
 
 
 def load_problem(path) -> SwitchingProblem:
@@ -139,12 +134,13 @@ def write_surface_csv(path, lattice: Lattice, values: np.ndarray):
     """One ``step,node,value`` row per node of a flat buffer of node values (``write_surfaces``, one file)."""
     if values.shape != (lattice.size,):
         raise ValueError(f"flat surface needs {lattice.size} node values, got shape {values.shape}")
-    write_surfaces([path], lattice, lambda start, stop: [values[lattice.offsets[start] : lattice.offsets[stop]]])
+    write_surfaces([path], lattice, lambda start, stop, nodes, *_: [values[nodes]])
 
 
 def write_surfaces(paths, lattice: Lattice, rows):
-    """Surface files side by side, by step chunks (``Lattice.step_chunks``): ``rows(start, stop)``
-    gives each file's values at the nodes of steps start..stop-1, in the order of ``paths``. A file
+    """Surface files side by side, by step chunks (``Lattice.step_chunks``): ``rows(start, stop, nodes,
+    steps, states)`` gives each file's values at the nodes of steps start..stop-1, whose flat slice, steps
+    and states (``Lattice.nodes``) it is handed, in the order of ``paths``. A file
     holds one ``step,node,value`` row per node, the bytes ``csv.writer`` writes (CRLF line ends,
     ``repr`` values); the ``step,node,`` heads of a chunk's rows are built once for all files."""
     with ExitStack() as stack:
@@ -152,16 +148,16 @@ def write_surfaces(paths, lattice: Lattice, rows):
         for fh in files:
             fh.write("step,node,value\r\n")
         for start, stop in lattice.step_chunks(lattice.n_steps + 1):
-            steps, index = lattice.nodes(start, stop)[1:3]
+            nodes, steps, index, states = lattice.nodes(start, stop)
             heads = [f"{k},{j}," for k, j in zip(steps.tolist(), index.tolist())]
-            for fh, values in zip(files, rows(start, stop)):
+            for fh, values in zip(files, rows(start, stop, nodes, steps, states)):
                 fh.write("".join([head + repr(v) + "\r\n" for head, v in zip(heads, values.tolist())]))
 
 
 def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
-    """The flat buffer written by ``write_surface_csv``: every lattice node exactly once.
-    A wrong header and a row that is short, long, not numeric or off the lattice
-    raise ``ValueError`` naming the file and the line."""
+    """The flat buffer written by ``write_surface_csv``: every lattice node exactly once, mapped by
+    ``CHUNK_NODES`` rows per ``Lattice.flat_index`` call. A wrong header and a row that is short, long,
+    not numeric or off the lattice raise ``ValueError`` naming the file and the first such line."""
     import csv  # the one reader of CSV; the commands write their files as strings
 
     path = Path(path)
@@ -170,13 +166,20 @@ def read_surface_csv(path, lattice: Lattice) -> np.ndarray:
         reader = csv.reader(fh)
         if next(reader, None) != ["step", "node", "value"]:
             raise ValueError(f"{path}: line 1: expected the header step,node,value")
-        for line in filter(None, reader):  # blank lines skipped
+        lines = ((reader.line_num, line) for line in reader if line)  # blank lines skipped
+        while batch := list(islice(lines, CHUNK_NODES)):
             try:
-                k, j, value = line
-                i, value = int(lattice.flat_index(int(k), int(j))), float(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            data[i], rows[i] = value, rows[i] + 1
+                steps, nodes, values = zip(*[(int(k), int(j), float(value)) for _, (k, j, value) in batch])
+                flat = lattice.flat_index(steps, nodes)
+            except ValueError:  # the first failing row names its line, read alone as in a row-by-row read
+                for number, line in batch:
+                    try:
+                        k, j, value = line
+                        lattice.flat_index(int(k), int(j)), float(value)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {number}: {exc}") from None
+            data[flat] = values
+            np.add.at(rows, flat, 1)
     i = int(np.argmax(rows != 1))
     if rows[i] != 1:
         k, j = lattice.locate(i)

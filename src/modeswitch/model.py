@@ -13,9 +13,10 @@ the cost side, where it is a cap, and a tie between the branches switches.
 module reads the direction of a side from here.
 The four components form one (side, mode, node) block, ``COMPONENTS`` its
 rows in C order; costs are stacked by mode, and the other mode of a side is
-its reversed mode axis, a view. ``DriverTable`` holds the four drivers.
-The catalog, the terminals and the validator compute in Python floats, so
-that validating loads no numpy; the array algebra reaches it by ``grid.np``.
+its reversed mode axis, a view. ``SwitchingProblem.tabulate`` evaluates the
+four drivers (``DriverTable``) and the six costs once. The catalog, the
+terminals and the validator compute in Python floats, so that validating
+loads no numpy; the array algebra reaches it by ``grid.np``.
 Every record of the package is a ``Record``: a frozen value class that
 inherits its methods, so that defining one compiles no code at import.
 """
@@ -76,7 +77,8 @@ class Record:
     from these shared methods rather than from generated code. A record's
     fields are its class body's annotated names, in order, and a class
     attribute of the same name is a field's default; its instance dict holds
-    its fields. The constructor binds by position or keyword, then runs the
+    its fields, and a ``cached_property`` once read, which no method here
+    reads. The constructor binds by position or keyword, then runs the
     class's ``__post_init__`` if it has one. Records are equal when of one
     type with equal fields."""
 
@@ -96,19 +98,20 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot {'set' if value else 'delete'} {key!r}")
 
     __delattr__ = __setattr__
+    _values = property(lambda self: {key: vars(self)[key] for key in self._fields})  # the fields by name
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        return self._values == other._values if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(tuple(self._values.values()))
 
     def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{key}={value!r}' for key, value in vars(self).items())})"
+        return f"{type(self).__qualname__}({', '.join(f'{key}={value!r}' for key, value in self._values.items())})"
 
     def as_dict(self) -> dict:
         """The fields by name; a record among them, or in a dict among them, as its own ``as_dict``."""
-        return _plain(vars(self))
+        return _plain(self._values)
 
 
 def _plain(value):
@@ -119,7 +122,7 @@ def _plain(value):
 
 def replace(rec: Record, **changes) -> Record:
     """A copy of ``rec`` with ``changes``, built by its constructor, so every field check runs again."""
-    return type(rec)(**{**vars(rec), **changes})
+    return type(rec)(**{**rec._values, **changes})
 
 
 class CoefficientFunction(Record):
@@ -214,8 +217,8 @@ class Driver(Record):
 
 
 class DriverTable(NamedTuple):
-    """The four drivers as one table on a lattice's times: c0(t_k), whether
-    each scales it by the state x, and c1, c2 columns. ``rate`` is the
+    """The four drivers as one table on a lattice's times, in float rows or (``array``) numpy arrays:
+    c0(t_k), whether each scales it by the state x, and c1, c2 columns. ``rate`` is the
     package's one formula of the affine rate: the backward pass, the
     certificate, the derived dK, the audit and the policy replay all evaluate
     the driver through it, at nodes given by their steps and states."""
@@ -225,13 +228,14 @@ class DriverTable(NamedTuple):
     c1: np.ndarray  # (2, 2, 1)
     c2: np.ndarray  # (2, 2, 1)
 
-    def base(self, steps, x):
-        """c0(t_k) * feature(x) at nodes of ``steps`` (an index of the times) and states ``x``; feature 1.0 or x."""
-        return self.c0[..., steps] * np.where(self.on_state, x, 1.0)
+    def array(self) -> "DriverTable":
+        """The same table as numpy arrays, each (2, 2, ...), the copy that array code reads."""
+        return DriverTable(*(np.reshape(f, (2, 2, -1)) for f in self))
 
     def rate(self, steps, x, y, z):
-        """The four rates at nodes of ``steps`` and states ``x``, for (2, 2, nodes) blocks y and z."""
-        return (self.base(steps, x) + self.c1 * y) + self.c2 * z
+        """The four rates c0(t_k) * feature(x) + c1 y + c2 z (feature 1.0 or x) at nodes of ``steps`` (an
+        index of the times) and states ``x``, for (2, 2, nodes) blocks y and z."""
+        return (self.c0[..., steps] * np.where(self.on_state, x, 1.0) + self.c1 * y) + self.c2 * z
 
 
 class Terminal(Record):
@@ -282,17 +286,12 @@ class SwitchingProblem(Record):
         """The four horizon values at states ``x`` (floats), as a (side, mode, node) block."""
         return np.array([[self.terminal(side, mode)(x) for mode in MODES] for side in SIDES], dtype=float)
 
-    def cost_table(self, times) -> "CostSlice":
-        """The six costs at ``times`` (floats), one call per coefficient, stacked by mode, in float rows."""
-        return CostSlice(*((first(times), second(times)) for first, second in (self.ell, self.a, self.b)))
-
-    def driver_table(self, lattice) -> DriverTable:
-        """The four drivers as one table on ``lattice``; c0 is evaluated once on the lattice's times."""
-        rows, times = [self.driver(side, mode) for side, mode in COMPONENTS], lattice.float_times
-        column = lambda values: np.reshape(values, (2, 2, -1))  # noqa: E731
-        c0 = column(np.array([d.c0(times) for d in rows], dtype=float))
-        on_state = column([d.state_feature == "x" for d in rows])
-        return DriverTable(c0, on_state, column([d.c1 for d in rows]), column([d.c2 for d in rows]))
+    def tabulate(self, times) -> tuple[DriverTable, "CostSlice"]:
+        """The four drivers and the six costs (stacked by mode) at ``times`` (floats), in float rows, one
+        call per coefficient: the validator reads them, and their ``array`` copies feed the array code."""
+        drivers = [self.driver(side, mode) for side, mode in COMPONENTS]
+        table = DriverTable(*zip(*((d.c0(times), d.state_feature == "x", d.c1, d.c2) for d in drivers)))
+        return table, CostSlice(*((first(times), second(times)) for first, second in (self.ell, self.a, self.b)))
 
 
 class CostSlice(NamedTuple):
@@ -307,7 +306,7 @@ class CostSlice(NamedTuple):
         return CostSlice(*(c[..., index] for c in self))
 
     def array(self) -> "CostSlice":
-        """The same costs as numpy arrays: the copy of ``SwitchingProblem.cost_table``'s rows that array code reads."""
+        """The same costs as numpy arrays: the copy of ``SwitchingProblem.tabulate``'s rows that array code reads."""
         return CostSlice(*(np.array(c, dtype=float) for c in self))
 
 
@@ -434,13 +433,13 @@ def _first_violation(where, values, ok) -> tuple:
 
 
 def validate_assumptions(problem: SwitchingProblem, lattice) -> ValidationReport:
-    """Check the admissibility of a problem on a given lattice: ``validate`` with the costs on its times."""
-    return validate(problem, lattice, problem.cost_table(lattice.float_times))
+    """Check the admissibility of a problem on a given lattice: ``validate`` with the tables on its times."""
+    return validate(problem, lattice, *problem.tabulate(lattice.float_times))
 
 
-def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> ValidationReport:
-    """Check the admissibility of a problem on a given lattice, in Python floats: its six
-    costs on the lattice's times are the float rows ``costs``; a solve passes its own table.
+def validate(problem: SwitchingProblem, lattice, table: DriverTable, costs: CostSlice) -> ValidationReport:
+    """Check the admissibility of a problem on a given lattice, in Python floats, from its tables
+    on the lattice's times (``SwitchingProblem.tabulate``'s float rows); a solve passes its own.
 
     Covers: a lattice that spans the problem's horizon, Lipschitz/
     integrability of the four drivers, positivity of the switching costs,
@@ -460,10 +459,10 @@ def validate(problem: SwitchingProblem, lattice, costs: CostSlice) -> Validation
 
     times, T = lattice.float_times, lattice.horizon
 
-    for side, mode in COMPONENTS:
+    for (side, mode), c0 in zip(COMPONENTS, table.c0):
         drv = problem.driver(side, mode)
         finite = math.isfinite if math.isfinite(drv.lipschitz) else lambda v: False  # else the check fails at t = 0
-        t_bad, v_bad = _first_violation(times, drv.c0(times), finite)
+        t_bad, v_bad = _first_violation(times, c0, finite)
         detail = f"Lipschitz constant {drv.lipschitz:g}; psi(.,0,0) finite on grid"
         add(f"A1 driver psi_{side}_{mode}", t_bad is None, detail, t_bad, v_bad)
 

@@ -15,20 +15,20 @@ itself (the discrete reflection relation of El Karoui et al., "Reflected
 solutions of backward SDE's", 1997). Where it holds, every value sits inside
 its barrier and every push dK = |Y - y~| meets it, so the constraint and
 complementarity relations need no check of their own. The certificate runs
-step chunk by step chunk (``Lattice.step_chunks``); one cost table serves
-the validator, in floats, and the pass and the certificate, as numpy arrays.
+step chunk by step chunk (``Lattice.step_chunks``).
 
-``backward_pass`` is the pass, on any block of equations, and returns Y; the
-binomial lattice runs it with ``_project`` on the costs of step k. On the
-width-1 (deterministic) lattice ``_width_one_pass`` runs the same pass in
-Python floats, each operation spelled out in the same order, so the same Y
-and round counts, bit for bit; its max and min are numpy's (``model._max``).
-The solution is one record, ``BalanceSheetSolution``: the problem, its
-lattice and Y, the one lattice-sized block a solve keeps. Z and dK follow
-from Y by the scheme's relations, so ``BalanceSheetSolution.increments``
-derives them for a range of steps, in the pass's bits, with the driver table
-its reader builds once; a sampled fixture family (``verify``) is a subclass
-that stores its analytic dK. Every reader takes the record alone.
+A solve tabulates its problem once (``SwitchingProblem.tabulate``): the
+validator reads the float rows, and their numpy copy feeds the pass, the
+certificate and the record (``BalanceSheetSolution.tables``).
+``backward_pass`` is the binomial lattice's pass, with ``_project`` on the
+costs of step k; on the width-1 (deterministic) lattice ``_width_one_pass``
+runs it in Python floats, each operation spelled out in the same order, so
+the same Y and round counts, bit for bit; its max and min are numpy's
+(``model._max``). The solution is one record, ``BalanceSheetSolution``: the
+problem, its lattice and Y, the one lattice-sized block a solve keeps. Z and
+dK follow from Y by the scheme's relations, so its ``increments`` derives
+them in the pass's bits; a sampled fixture family (``verify``) is a subclass
+that stores its analytic dK. Every reader takes the record alone, tables too.
 
 A solve first validates its problem on its lattice; a failed check raises
 ``SchemeError`` (of ``model``, as is ``LocalSweepError``) with the report
@@ -38,6 +38,8 @@ step, node and component.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +60,8 @@ class PassTrace(Record):
 class BalanceSheetSolution(Record):
     """One solution of ``problem`` on ``backend``, which spans its horizon:
     the (side, mode, node) block of Y, shaped (2, 2, backend.size), from which
-    ``increments`` derives Z and dK (``z`` and ``dk``, whole). Every block of a
-    subclass must fit the lattice too."""
+    ``increments`` derives Z and dK (``z`` and ``dk``, whole), with ``tables``.
+    Every block of a subclass must fit the lattice too."""
 
     problem: SwitchingProblem
     backend: Lattice
@@ -76,76 +78,75 @@ class BalanceSheetSolution(Record):
     def y0(self, side: str, mode: int) -> float:
         return float(self.y[row(side, mode)][0])
 
-    def increments(self, start: int, stop: int, table: DriverTable) -> tuple[np.ndarray, np.ndarray]:
-        """Z and dK at the nodes of steps start..stop-1 (stop <= N + 1), each a
-        (side, mode, node) block: Z the martingale projection of Y_{k+1} and
-        dK = |Y - y~|, y~ the certificate's Euler value (``_euler``) with the problem's
-        ``driver_table``, both +0.0 at the horizon; the bits the pass formed at each step."""
+    @cached_property
+    def tables(self) -> tuple[DriverTable, CostSlice]:
+        """The problem's driver and cost tables on the lattice's times, as numpy arrays; a solve seeds its own."""
+        return tuple(rows.array() for rows in self.problem.tabulate(self.backend.float_times))
+
+    def increments(self, start: int, stop: int, steps=None, states=None) -> tuple[np.ndarray, ...]:
+        """E_k[Y_{k+1}], the Euler value y~ = E_k[Y_{k+1}] + psi dt (the record's driver table), Z (the martingale
+        projection of Y_{k+1}) and dK = |Y - y~| at the nodes of steps start..stop-1 (stop <= N + 1), the pass's bits,
+        +0.0 at the horizon, where E and y~ end; a chunk's reader passes its ``Lattice.nodes`` steps and states."""
         backend, off = self.backend, self.backend.offsets
         first, last = min(start, backend.n_steps), min(stop, backend.n_steps)
-        euler, z = _euler(table, backend, self.y, first, last)
+        if steps is None:
+            _, steps, _, states = backend.nodes(first, last)
+        e, z = backend.flat_moments(self.y, first, last)
+        euler = e + self.tables[0].rate(steps[: e.shape[-1]], states[: e.shape[-1]], e, z) * backend.dt
         dk = np.abs(self.y[..., off[first] : off[last]] - euler)
+        if stop <= backend.n_steps:  # no horizon node to pad: no copy
+            return e, euler, z, dk
         horizon = np.zeros((2, 2, off[stop] - off[max(start, last)]))
-        return np.concatenate((z, horizon), axis=-1), np.concatenate((dk, horizon), axis=-1)
+        return e, euler, np.concatenate((z, horizon), axis=-1), np.concatenate((dk, horizon), axis=-1)
 
-    z = property(lambda self: self.increments(0, self.backend.n_steps + 1, self.problem.driver_table(self.backend))[0])
-    dk = property(lambda self: self.increments(0, self.backend.n_steps + 1, self.problem.driver_table(self.backend))[1])
+    z = property(lambda self: self.increments(0, self.backend.n_steps + 1)[2])
+    dk = property(lambda self: self.increments(0, self.backend.n_steps + 1)[3])
 
 
 def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
     """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
-    costs = solution.problem.cost_table(solution.backend.float_times).array()
-    return evaluate_obstacles(solution.y, costs.at(solution.backend.nodes(0, solution.backend.n_steps + 1)[1]))
+    costs = solution.tables[1].at(solution.backend.nodes(0, solution.backend.n_steps + 1)[1])
+    return evaluate_obstacles(solution.y, costs)
 
 
-def backward_pass(rate, terminal: np.ndarray, project, backend: Lattice) -> np.ndarray:
-    """Explicit backward Euler for a block of equations at once; returns its Y.
+def backward_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, backend: Lattice, rounds: np.ndarray):
+    """Explicit backward Euler for the (side, mode, node) block; returns its Y.
 
-    ``terminal`` holds the horizon values, nodes on the last axis; its
-    leading axes are the equations (none for one equation). ``rate(k, y, z)``
-    is every equation's rate at the nodes of step k. Each step reads
-    E_k[Y_{k+1}] and Z_k from the block Y_{k+1}, forms the Euler values
-    Y~_k = E_k[Y_{k+1}] + psi dt, and ``project(ytilde_k, k)`` returns Y_k,
-    written into one buffer shaped like ``terminal`` with the node axis
-    widened to the lattice size. No step keeps its Z or Y~."""
+    ``terminal`` holds the horizon values. Each step reads E_k[Y_{k+1}] and
+    Z_k from the block Y_{k+1}, forms the Euler values y~_k = E_k[Y_{k+1}] +
+    psi dt with the rate of ``table``, and ``_project`` on the costs of step
+    k returns Y_k, written into one buffer, its round count into ``rounds``.
+    No step keeps its Z or y~."""
     off, dt = backend.offsets, backend.dt
-    y = np.empty((*np.shape(terminal)[:-1], backend.size))
+    y = np.empty((2, 2, backend.size))
     y[..., off[-2] :] = nxt = terminal
     for k in range(backend.n_steps - 1, -1, -1):
         e, z = backend.moments(nxt, k)
-        y[..., off[k] : off[k + 1]] = nxt = project(e + rate(k, e, z) * dt, k)
+        ytilde = e + table.rate(slice(k, k + 1), backend.state(k), e, z) * dt
+        y[..., off[k] : off[k + 1]] = nxt = _project(ytilde, costs.at(slice(k, k + 1)), k, rounds)
     return y
 
 
-def _require_admissible(problem: SwitchingProblem, backend: Lattice, costs: CostSlice):
-    """Abort with the validation report attached if the problem is inadmissible (its costs are ``costs``)."""
-    report = validate(problem, backend, costs)
+def _require_admissible(report):
+    """Abort with the validation ``report`` of a problem on a lattice attached if it failed."""
     if not report.all_passed:
         err = SchemeError(f"assumption validation failed: {'; '.join(c.name for c in report.failures())}")
         err.report = report
         raise err
 
 
-def _euler(table: DriverTable, backend: Lattice, y: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Euler values E_k[Y_{k+1}] + psi dt of a (side, mode, node) block,
-    and its Z, at the nodes of steps start..stop-1 (stop <= N), with the rate of ``table``."""
-    _, steps, _, states = backend.nodes(start, stop)
-    e, z = backend.flat_moments(y, start, stop)
-    return e + table.rate(steps, states, e, z) * backend.dt, z
-
-
-def _certify_fixed_point(solution: BalanceSheetSolution, table: DriverTable, costs: CostSlice):
+def _certify_fixed_point(solution: BalanceSheetSolution):
     """Raise SchemeError unless one Picard sweep from the solution would move
     no node (see the module notes), naming the first component that moves, at
     its first node; a push |Y - y~| that is not finite fails first, as a
     ProblemError at its last node. Each term is the expression the reference
     sweep evaluates at that node, so bitwise equality is exactly as strict."""
-    backend, y = solution.backend, solution.y
+    backend, y, costs = solution.backend, solution.y, solution.tables[1]
     moves = [None] * len(COMPONENTS)  # (flat index, move) of each component's first moving node
     for start, stop in reversed(backend.step_chunks(backend.n_steps)):
-        nodes, steps = backend.nodes(start, stop)[:2]
-        here, (euler, _) = y[..., nodes], _euler(table, backend, y, start, stop)
-        _require_finite(np.abs(here - euler), "push", lambda i: backend.locate(nodes.start + i))
+        nodes, steps, _, states = backend.nodes(start, stop)
+        here, (_, euler, _, push) = y[..., nodes], solution.increments(start, stop, steps, states)
+        _require_finite(push, "push", lambda i: backend.locate(nodes.start + i))
         barrier = evaluate_obstacles(here, costs.at(steps))[0]
         settled = by_side("better", euler, barrier)
         miss = np.where(settled == here, 0.0, np.abs(settled - here))
@@ -197,7 +198,7 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
     it returns the same Y bits and round counts. A step that reaches the
     round cap is handed to ``_project``, which raises its error."""
     n, dt, s = backend.n_steps, backend.dt, backend._twice_sqrt_dt
-    bases = list(zip(*table.base(slice(None), backend.nodes(0, n + 1)[3]).reshape(4, -1).tolist()))
+    bases = list(zip(*(table.c0 * np.where(table.on_state, 0.0, 1.0)).reshape(4, -1).tolist()))  # every state is 0.0
     cols = list(zip(*(r for c in costs for r in c.tolist())))
     (c1, c2, c3, c4), (d1, d2, d3, d4) = table.c1.ravel().tolist(), table.c2.ravel().tolist()
     y1, y2, y3, y4 = y = terminal.ravel().tolist()
@@ -227,18 +228,14 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
     """The minimal system solution in one backward pass (see the module notes)."""
-    n, rows = backend.n_steps, problem.cost_table(backend.float_times)  # one cost table per solve
-    _require_admissible(problem, backend, rows)
-    costs, table, rounds = rows.array(), problem.driver_table(backend), np.zeros(n, dtype=int)
+    n, rows = backend.n_steps, problem.tabulate(backend.float_times)  # one tabulation per solve
+    _require_admissible(validate(problem, backend, *rows))
+    tables, rounds = tuple(r.array() for r in rows), np.zeros(n, dtype=int)
     terminal = problem.terminal_block(backend.float_states(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        if backend.down:
-            project = lambda ytilde, k: _project(ytilde, costs.at(slice(k, k + 1)), k, rounds)  # noqa: E731
-            rate = lambda k, y, z: table.rate(slice(k, k + 1), backend.state(k), y, z)  # noqa: E731
-            y = backward_pass(rate, terminal, project, backend)
-        else:
-            y = _width_one_pass(table, costs, terminal, backend, rounds)
+        y = (backward_pass if backend.down else _width_one_pass)(*tables, terminal, backend, rounds)
         _require_finite(y, "value", backend.locate)
         solution = BalanceSheetSolution(problem, backend, y)
-        _certify_fixed_point(solution, table, costs)
+        vars(solution)["tables"] = tables  # seeds ``BalanceSheetSolution.tables`` with the pass's own
+        _certify_fixed_point(solution)
     return solution, PassTrace(rounds)

@@ -6,13 +6,14 @@ of the barrier is binding (switch to the other mode, or terminate; a tie
 switches), as ``model.evaluate_obstacles`` reads it on the Y block
 (``contact_masks``) or at one node (``classify_action``), and
 ``model.mode_obstacles`` for the start mode of a replay, by step chunks
-(``_mode_tables``). Contact is exact: the solver stores the barrier's own
-bits wherever it pushes, so a path stops where Y == S and nowhere else before
-the horizon (``stop_mask``), and collects Y there. The running yield is a
-left-endpoint sum, in step order, of the rate the backward solver evaluates
-(its driver table at E_k[Y_{k+1}] and Z_k, both derived from Y). On the
-fair-coin lattice the law of the rule is computed, not sampled: one forward
-pass per leg carries the mass of its paths and their yield (``simulate_policy``).
+(``_mode_tables``), each with the record's tables. Contact is exact: the
+solver stores the barrier's own bits wherever it pushes, so a path stops
+where Y == S and nowhere else before the horizon (``stop_mask``), and
+collects Y there. The running yield is a left-endpoint sum, in step order,
+of the rate the backward solver evaluates (its driver table at E_k[Y_{k+1}]
+and Z_k, both derived from Y). On the fair-coin lattice the law of the rule
+is computed, not sampled: one forward pass per leg carries the mass of its
+paths and their yield (``simulate_policy``).
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: 
     """Branch decision at a barrier-contact point, by ``model.evaluate_obstacles`` at that node alone."""
     backend, here = solution.backend, row(side, mode)
     y = solution.y[..., int(backend.flat_index(step, node))]
-    costs = solution.problem.cost_table(backend.float_times[step : step + 1]).array()
-    barrier, switches = evaluate_obstacles(y, costs.at(0))
+    barrier, switches = evaluate_obstacles(y, solution.tables[1].at(step))
     gap = float(y[here]) - float(barrier[here])
     if y[here] != barrier[here]:
         raise ValueError(f"({side},{mode}) does not touch its barrier at step {step}, node {node}: gap {gap:g}")
@@ -107,13 +107,13 @@ class StrategyReport(Record):
         return self.legs[side]
 
 
-def _mode_tables(solution: BalanceSheetSolution, mode: int, costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The replay's (side, node) rows of one mode, built for it alone by step chunks with the numpy ``costs``:
+def _mode_tables(solution: BalanceSheetSolution, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The replay's (side, node) rows of one mode, built for it alone by step chunks from the record's tables:
     where a path stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
     horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver."""
     backend, y, m = solution.backend, solution.y, mode - 1
-    n, off = backend.n_steps, backend.offsets
-    table = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend)))
+    n, off, (drivers, costs) = backend.n_steps, backend.offsets, solution.tables
+    table = DriverTable(*(f[:, m] for f in drivers))
     stops, switches, rates = np.ones((2, backend.size), bool), np.zeros((2, backend.size), bool), np.empty((2, off[n]))
     for start, stop in backend.step_chunks(n):
         nodes, steps, _, states = backend.nodes(start, stop)
@@ -199,11 +199,10 @@ def simulate_policy(solution: BalanceSheetSolution, start_mode: int) -> Strategy
     if not _is_mode(start_mode):  # a bool or float is not a mode
         raise ValueError(f"start_mode must be the integer 1 or 2, got {start_mode!r}")
     backend, y = solution.backend, solution.y[:, start_mode - 1]
-    costs = solution.problem.cost_table(backend.float_times).array()
-    barrier, switches = mode_obstacles(solution.y[..., :1], costs.at(slice(0, 1)), start_mode)
+    barrier, switches = mode_obstacles(solution.y[..., :1], solution.tables[1].at(slice(0, 1)), start_mode)
     moves = y[:, 0] != barrier[:, 0]
     if moves.any():
-        stops, prefers, rates = _mode_tables(solution, start_mode, costs)
+        stops, prefers, rates = _mode_tables(solution, start_mode)
     legs = {}
     for s, side in enumerate(SIDES):
         if not moves[s]:

@@ -4,12 +4,12 @@ Houses the closed-form non-uniqueness fixture (two exact solutions of the same
 problem, one where the cost side carries the reflection mass and one where the
 profit side does), and an auditor that recomputes every defining relation of
 the system on the (side, mode, node) blocks of Y, Z and dK of one
-``scheme.BalanceSheetSolution`` (Z and dK as its ``increments`` gives them):
-per-step equation residuals, barrier inequalities, complementarity sums,
-increment signs, and the empirical reflection density. A family sampled on a
-lattice is such a record of the fixture problem (``SampledFamily``, whose
-dK is the trapezoid of the analytic density, stored, not derived from Y), as
-is a solve.
+``scheme.BalanceSheetSolution`` (E_k[Y_{k+1}], Z and dK as its ``increments``
+gives them for a step chunk's nodes, with its tables): per-step equation
+residuals, barrier inequalities, complementarity sums, increment signs, and
+the empirical reflection density. A family sampled on a lattice is such a
+record of the fixture problem (``SampledFamily``, whose dK is the trapezoid
+of the analytic density, stored, not derived from Y), as is a solve.
 
 The auditor reports, it never judges; thresholds are evaluated separately so
 the same numbers can back both CI gating and diagnostics.
@@ -104,9 +104,9 @@ class SampledFamily(BalanceSheetSolution):
 
     trapezoid: np.ndarray
 
-    def increments(self, start: int, stop: int, table) -> tuple[np.ndarray, np.ndarray]:
+    def increments(self, start: int, stop: int, steps=None, states=None) -> tuple[np.ndarray, ...]:
         off = self.backend.offsets
-        return super().increments(start, stop, table)[0], self.trapezoid[..., off[start] : off[stop]]
+        return *super().increments(start, stop, steps, states)[:3], self.trapezoid[..., off[start] : off[stop]]
 
 
 class ComponentResiduals(Record):
@@ -169,13 +169,12 @@ def audit_solution(solution: BalanceSheetSolution) -> ResidualReport:
     martingale increment term. It runs by step chunks, then the horizon; the
     complementarity sum adds each step's largest |gap| * dK in step order."""
     problem, backend, dt, n = solution.problem, solution.backend, solution.backend.dt, solution.backend.n_steps
-    off, table, costs = backend.offsets, problem.driver_table(backend), problem.cost_table(backend.float_times).array()
+    off, (table, costs) = backend.offsets, solution.tables
     signs = np.reshape([_PUSH[side].sign for side in SIDES], (2, 1, 1))
     maxima, terms = [], []  # per chunk: the largest |residual|, -gap, -dK and dK; each step's largest |gap| * dK
     for start, stop in backend.step_chunks(n):
         nodes, steps, _, states = backend.nodes(start, stop)
-        y, (z, dk) = solution.y[..., nodes], solution.increments(start, stop, table)
-        cont = backend.flat_moments(solution.y, start, stop)[0]
+        y, (cont, _, z, dk) = solution.y[..., nodes], solution.increments(start, stop, steps, states)
         gaps = by_side("inside", y, evaluate_obstacles(y, costs.at(steps))[0])
         resid = (y - cont - table.rate(steps, states, 0.5 * (y + cont), z) * dt - signs * dk) / dt
         maxima.append([np.max(block, axis=-1) for block in (np.abs(resid), -gaps, -dk, dk)])

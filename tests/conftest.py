@@ -15,7 +15,7 @@ from modeswitch.model import (
     Terminal,
 )
 from modeswitch import scheme
-from modeswitch.scheme import LOCAL_SWEEP_CAP, _euler, solve_system
+from modeswitch.scheme import LOCAL_SWEEP_CAP, solve_system
 from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, contact_masks, simulate_policy
 
 from picard_reference import tabulate
@@ -155,7 +155,7 @@ def pinned_pass(problem, backend):
     closure changes no node. Returns the Y, Z and dK buffers and the round
     count of each step."""
     n, dt, off, lag = backend.n_steps, backend.dt, backend.offsets, backend.down
-    costs, table = problem.cost_table(backend.float_times).array(), problem.driver_table(backend)
+    table, costs = (rows.array() for rows in problem.tabulate(backend.float_times))
     y, z, ytilde = (np.zeros((2, 2, backend.size)) for _ in range(3))
     y[..., off[n] :] = ytilde[..., off[n] :] = problem.terminal_block(backend.state(n))
     rounds = np.zeros(n, dtype=int)
@@ -165,7 +165,8 @@ def pinned_pass(problem, backend):
         up, down = v[..., :m], v[..., lag : lag + m]
         e, zk = 0.5 * (up + down), (up - down) / (2.0 * np.sqrt(dt))
         z[..., here] = zk
-        ytilde[..., here] = e + ((table.base(slice(k, k + 1), backend.state(k)) + table.c1 * e) + table.c2 * zk) * dt
+        base = table.c0[..., k : k + 1] * np.where(table.on_state, backend.state(k), 1.0)
+        ytilde[..., here] = e + ((base + table.c1 * e) + table.c2 * zk) * dt
         ell, a, b = (c[..., k : k + 1] for c in costs)
         profit = ytilde[0, :, here]
         while rounds[k] < LOCAL_SWEEP_CAP:
@@ -181,25 +182,23 @@ def pinned_pass(problem, backend):
 
 
 def numpy_pass(problem, backend):
-    """``backward_pass`` with ``_project``, the binomial lattice's pass, on
-    any lattice: its Y block; the Z and dK blocks of the Z_k and Euler values
-    y~_k it formed at each step, joined, as the pass kept them before Z and
-    dK were derived from Y (Z 0 and y~ = Y at the horizon); and the round
-    count of each step."""
-    n, costs, rounds = backend.n_steps, problem.cost_table(backend.float_times).array(), np.zeros(backend.n_steps, dtype=int)
-    table, zs, ytildes = problem.driver_table(backend), {}, {}
+    """``backward_pass``, the binomial lattice's pass, on any lattice: its Y
+    block; the Z and dK blocks of the Z_k and Euler values y~_k it formed at
+    each step, read off its driver table's rate and joined, as the pass kept
+    them before Z and dK were derived from Y (Z 0 and y~ = Y at the
+    horizon); and the round count of each step."""
+    n, rounds, zs, ytildes = backend.n_steps, np.zeros(backend.n_steps, dtype=int), {}, {}
+    table, costs = (rows.array() for rows in problem.tabulate(backend.float_times))
 
-    def rate(k, y, z):
-        zs[k] = z
-        return table.rate(slice(k, k + 1), backend.state(k), y, z)
-
-    def project(ytilde, k):
-        ytildes[k] = ytilde
-        return scheme._project(ytilde, costs.at(slice(k, k + 1)), k, rounds)
+    class Recorded:  # the driver table, keeping the Z_k it is given and the y~_k = E_k[Y_{k+1}] + psi dt it gives
+        def rate(self, steps, x, y, z):
+            psi = table.rate(steps, x, y, z)
+            zs[steps.start], ytildes[steps.start] = z, y + psi * backend.dt
+            return psi
 
     terminal = problem.terminal_block(backend.state(n))
     with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
-        y = scheme.backward_pass(rate, terminal, project, backend)
+        y = scheme.backward_pass(Recorded(), costs, terminal, backend, rounds)
         z = np.concatenate([zs[k] for k in range(n)] + [np.zeros_like(terminal)], axis=-1)
         ytilde = np.concatenate([ytildes[k] for k in range(n)] + [terminal], axis=-1)
         return (y, z, np.abs(y - ytilde)), rounds
@@ -223,7 +222,7 @@ def assert_certificate_premise(problem, backend):
     certificate holds, every push then sits on its barrier."""
     solution, _ = solve_system(problem, backend)
     y, dk, end = solution.y, solution.dk, backend.offsets[backend.n_steps]
-    euler, _ = _euler(problem.driver_table(backend), backend, y, 0, backend.n_steps)
+    euler = solution.increments(0, backend.n_steps)[1]
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - euler).tobytes()
     assert (dk[..., end:] == 0.0).all()
 
@@ -235,7 +234,7 @@ def replay_tables(solution, start_mode):
     and the record's Z, and Y, each a (side, node) block."""
     backend, m = solution.backend, start_mode - 1
     n, before = backend.n_steps, slice(0, backend.offsets[backend.n_steps])
-    table, y = DriverTable(*(f[:, m] for f in solution.problem.driver_table(backend))), solution.y[:, m]
+    table, y = DriverTable(*(f[:, m] for f in solution.tables[0])), solution.y[:, m]
     _, steps, _, states = backend.nodes(0, n)
     rates = table.rate(steps, states, backend.flat_moments(y, 0, n)[0], solution.z[:, m, before])
     stops, switches = (block[:, m] for block in contact_masks(solution))

@@ -37,6 +37,7 @@ from modeswitch.model import (
     ProblemError,
     SwitchingProblem,
     by_side,
+    validate_assumptions,
 )
 from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
 
@@ -127,9 +128,10 @@ class ReferenceSolution(BalanceSheetSolution):
     own_z: np.ndarray
     own_dk: np.ndarray
 
-    def increments(self, start, stop, table):
+    def increments(self, start, stop, steps=None, states=None):
         nodes = slice(self.backend.offsets[start], self.backend.offsets[stop])
-        return self.own_z[..., nodes], self.own_dk[..., nodes]
+        e, euler = super().increments(start, stop, steps, states)[:2]
+        return e, euler, self.own_z[..., nodes], self.own_dk[..., nodes]
 
 
 class _ShiftedDriver:
@@ -211,7 +213,7 @@ def _check_order(low: np.ndarray, high: np.ndarray, backend: Lattice, what: str,
 
 def node_costs(problem: SwitchingProblem, backend: Lattice):
     """The six costs at every lattice node, from one table on the grid times."""
-    return problem.cost_table(backend.float_times).array().at(backend.nodes(0, backend.n_steps + 1)[1])
+    return problem.tabulate(backend.float_times)[1].array().at(backend.nodes(0, backend.n_steps + 1)[1])
 
 
 def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, barrier, terminal=None):
@@ -224,7 +226,7 @@ def _reflect(problem: SwitchingProblem, backend: Lattice, side: str, mode: int, 
 
 def initialize_scheme(problem: SwitchingProblem, backend: Lattice) -> SchemeStart:
     """Warm-start stage: unreflected profit equations and the minimum equation."""
-    _require_admissible(problem, backend, problem.cost_table(backend.float_times))
+    _require_admissible(validate_assumptions(problem, backend))
     costs, xi = node_costs(problem, backend), problem.terminal_block(backend.state(backend.n_steps))
     y_plus0 = {mode: reflect(problem.driver(PLUS, mode), xi[0, mode - 1], None, backend) for mode in MODES}
     big_l = {mode: y_plus0[mode].y + costs.b[mode - 1] for mode in MODES}

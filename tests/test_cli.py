@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from modeswitch import cli
 from modeswitch.cli import main
 from modeswitch.grid import Lattice
 from modeswitch.io import load_problem, read_surface_csv, write_surface_csv
-from modeswitch.model import COMPONENTS, ProblemError, row
+from modeswitch.model import COMPONENTS, CoefficientFunction, ProblemError, row
 from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.verify import audit_solution, counterexample_problem
 
@@ -354,6 +355,39 @@ class TestVerifyCommand:
         assert cli.build_parser().parse_args(["verify-fixtures", "--seed", "3"]).seed == 3
 
 
+class TestOneTabulationPerRecord:
+    """Each command evaluates each of its problem's ten coefficients (four driver c0 and six costs)
+    once per solution record: the record carries its tables, and no reader builds them again."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        called, call = [], CoefficientFunction.__call__
+        counted = lambda self, times: called.append(self) or call(self, times)  # noqa: E731
+        monkeypatch.setattr(CoefficientFunction, "__call__", counted)
+        return called
+
+    @staticmethod
+    def coefficients(problem) -> Counter:
+        return Counter([problem.driver(*key).c0 for key in COMPONENTS] + [*problem.ell, *problem.a, *problem.b])
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("path, kind, n", [
+        ("problems/counterexample.json", "deterministic", 2000),
+        ("bench/problems/switching_lattice.json", "binomial", 100),
+    ])  # fmt: skip
+    def test_solve_and_simulate_evaluate_each_coefficient_once(self, tmp_path, monkeypatch, command, path, kind, n):
+        called = self.counted(monkeypatch)
+        args = [command, "--problem", str(ROOT / path), "--backend", kind, "--steps", str(n), "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert len(called) == 10 and Counter(called) == self.coefficients(load_problem(ROOT / path))
+
+    def test_verify_fixtures_evaluates_each_coefficient_once_per_family(self, tmp_path, monkeypatch):
+        called = self.counted(monkeypatch)
+        assert main(["verify-fixtures", "--steps", "200", "--out", str(tmp_path)]) == 0
+        once = self.coefficients(counterexample_problem(1.0))
+        assert 0 < len(called) <= 20 and Counter(called) <= once + once  # two family records
+
+
 class TestSimulateCommand:
     def test_counterexample_immediate_termination(self, tmp_path):
         path = write_doc(tmp_path, counterexample_doc())
@@ -407,9 +441,15 @@ class TestCheckAssumptionsCommand:
 
 
 class TestSurfaceRoundTrip:
-    def test_reaudit_from_csv_matches(self, tmp_path):
-        problem = counterexample_problem(1.0)
-        be = Lattice("deterministic", 300, 1.0)
+    @pytest.mark.parametrize("path, kind, n", [
+        (None, "deterministic", 300),
+        ("bench/problems/switching_lattice.json", "binomial", 400),  # 80 601 nodes: the audit crosses two chunk ends
+    ], ids=["fixture", "switching-binomial-400"])  # fmt: skip
+    def test_reaudit_from_csv_matches(self, tmp_path, path, kind, n):
+        # the read-back record tabulates its own tables at its first read
+        problem = counterexample_problem(1.0) if path is None else load_problem(ROOT / path)
+        be = Lattice(kind, n, 1.0)
+        assert len(be.step_chunks(n)) == (1 if path is None else 3)
         solution, _ = solve_system(problem, be)
         original = audit_solution(solution)
 
@@ -522,6 +562,25 @@ class TestSurfaceRoundTrip:
         path.write_text("".join(lines + ["2,3,0.5\r\n"]))  # step 2 has nodes 0..2
         with pytest.raises(ValueError, match="step 2, node 3 is not on the lattice"):
             read_surface_csv(path, be)
+        path.write_text("".join(lines[:4] + ["99999999999999999999,0,1.0\r\n"] + lines[4:]))  # past int64
+        past = rf"^{re.escape(str(path))}: line 5: step 99999999999999999999, node 0 is not on the lattice$"
+        with pytest.raises(ValueError, match=past):
+            read_surface_csv(path, be)
+
+    def test_the_first_failing_line_is_named_whatever_its_fault(self, tmp_path):
+        # the rows are parsed, then mapped by batches: a row off the lattice before a malformed one is
+        # named, and so is a malformed row before one off the lattice; a row off the lattice is named before
+        # its value is read
+        be = Lattice("binomial", 4, 1.0)
+        path, lines = self.written_lines(tmp_path, be)
+        for edit, message in (
+            ([*lines[:3], "9,0,1.0\r\n", *lines[4:7], "1,0,abc\r\n", *lines[7:]], "line 4: step 9, node 0 is not on"),
+            ([*lines[:3], "1,0,abc\r\n", *lines[4:7], "9,0,1.0\r\n", *lines[7:]], "line 4: could not convert"),
+            ([*lines[:3], "9,0,abc\r\n", *lines[4:]], "line 4: step 9, node 0 is not on"),
+        ):
+            path.write_text("".join(edit))
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}"):
+                read_surface_csv(path, be)
 
 
 def switching_doc():

@@ -134,6 +134,13 @@ class TestLatticeLayout:
             det_backend(6).flat_index(1, 1)  # the width-1 lattice has node 0 only
 
     @pytest.mark.parametrize("be", [bin_backend(4), det_backend(4)])
+    @pytest.mark.parametrize("step,node", [(2**63, 0), (0, 2**63), (-(2**63) - 1, 0), (99999999999999999999, 0)])
+    def test_flat_index_refuses_a_pair_past_int64(self, be, step, node):
+        # numpy's conversion to int64 raised OverflowError, naming no pair
+        with pytest.raises(ValueError, match=rf"^step {step}, node {node} is not on the lattice$"):
+            be.flat_index(step, node)
+
+    @pytest.mark.parametrize("be", [bin_backend(4), det_backend(4)])
     @pytest.mark.parametrize("end", ["before", "after"])
     @pytest.mark.parametrize("by", [1, 3])
     def test_locate_refuses_an_index_off_the_lattice(self, be, end, by):

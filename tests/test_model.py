@@ -133,7 +133,7 @@ class TestDriver:
         lattice = Lattice("binomial" if n <= 400 else "deterministic", n, 1.0)
         features, c1, c2 = dict(zip(COMPONENTS, ("x", "one", "x", "one"))), 0.3, -0.2
         drivers = {(side, mode): Driver(mode, side, c0, c1, c2, features[(side, mode)]) for side, mode in COMPONENTS}
-        table = build_problem(drivers=drivers).driver_table(lattice)
+        table = build_problem(drivers=drivers).tabulate(lattice.float_times)[0].array()
         y, z = np.random.default_rng(11).normal(size=(2, 2, 2, lattice.size))
         for k, t in enumerate(lattice.times.tolist()):
             here, x = slice(lattice.offsets[k], lattice.offsets[k + 1]), lattice.state(k)
@@ -159,7 +159,7 @@ class TestDriver:
         }
         problem = build_problem(drivers=drivers)
         lattice = Lattice(kind, 50, 1.0)
-        table = problem.driver_table(lattice)
+        table = problem.tabulate(lattice.float_times)[0].array()
         y, z = np.random.default_rng(3).normal(size=(2, 2, 2, lattice.size))
         for k in range(51):
             here = slice(lattice.offsets[k], lattice.offsets[k + 1])

@@ -146,8 +146,7 @@ def sweep_moves(solution) -> bool:
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    table, costs = problem.driver_table(backend), problem.cost_table(backend.float_times).array()
-    _certify_fixed_point(solution, table, costs)
+    _certify_fixed_point(solution)
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
@@ -157,7 +156,7 @@ def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
     assert sweep_moves(solution)
     k, _ = backend.locate(i)
     with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution, table, costs)
+        _certify_fixed_point(solution)
 
 
 @given(admissible_problems(), KINDS, STEPS)

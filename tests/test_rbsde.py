@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, Driver, Terminal, row
+from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, CostSlice, Driver, Terminal, row
 from modeswitch.scheme import BalanceSheetSolution, backward_pass
 from modeswitch.strategy import first_stop, flat_path, stop_mask
 
@@ -320,11 +320,12 @@ class TestBlockPass:
         drivers = {(side, mode): random_affine_driver(rng, mode, side, max_slope=0.4) for side, mode in COMPONENTS}
         terminals = {key: Terminal(*rng.uniform(-1, 1, size=2)) for key in COMPONENTS}
         problem = build_problem(drivers=drivers, terminals=terminals)
-        keep = lambda ytilde, k: ytilde  # noqa: E731
-        x_T = backend.state(backend.n_steps)
-        table = problem.driver_table(backend)
-        rate = lambda k, y, z: table.rate(slice(k, k + 1), backend.state(k), y, z)  # noqa: E731
-        y = backward_pass(rate, problem.terminal_block(x_T), keep, backend)
+        x_T, rounds = backend.state(backend.n_steps), np.zeros(backend.n_steps, dtype=int)
+        # infinite costs put every barrier out of reach: each projection keeps y~ in one round
+        unreflected = CostSlice(*np.full((3, 2, backend.n_steps + 1), np.inf))
+        table = problem.tabulate(backend.float_times)[0].array()
+        y = backward_pass(table, unreflected, problem.terminal_block(x_T), backend, rounds)
+        assert (rounds == 1).all()
         derived = BalanceSheetSolution(problem, backend, y)  # Z and dK follow from Y
         block = {"y": y, "z": derived.z, "dk": derived.dk}
         for key in COMPONENTS:

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch import scheme
+from modeswitch.cli import main
 from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import (
@@ -478,25 +479,26 @@ class TestOnePassAgainstPicard:
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(400, problem.horizon)
         assert len(backend.step_chunks(400)) == 3
-        solution, _ = solve_system(problem, backend)
-        return solution, problem.driver_table(backend), problem.cost_table(backend.float_times).array()
+        return solve_system(problem, backend)[0]
 
     def test_certificate_names_the_first_component_at_its_first_node_across_chunks(self):
-        solution, table, costs = self.chunked_case()
+        solution = self.chunked_case()
         for key, k in (((PLUS, 1), 390), ((PLUS, 1), 100), ((MINUS, 2), 5)):
             y = solution.y[row(*key)]
             i = solution.backend.flat_index(k, 3)
             y[i] = np.nextafter(y[i], np.inf)
         with pytest.raises(SchemeError, match=r"^one Picard sweep would move \(plus,1\) at step (100|99), node "):
-            scheme._certify_fixed_point(solution, table, costs)
+            scheme._certify_fixed_point(solution)
 
     def test_a_push_that_is_not_finite_fails_first_at_its_last_node(self):
-        solution, table, costs = self.chunked_case()
+        solution = self.chunked_case()
         solution.y[row(PLUS, 1)][0] += 1.0  # a move in the first chunk, which the certificate reads last
-        c0 = table.c0.copy()
+        (table, costs), c0 = solution.tables, solution.tables[0].c0.copy()
         c0[row(MINUS, 1)][[100, 390]] = np.inf
+        tampered = BalanceSheetSolution(solution.problem, solution.backend, solution.y)
+        vars(tampered)["tables"] = table._replace(c0=c0), costs  # seeded as a solve seeds its record
         with pytest.raises(ProblemError, match=r"^push not finite at step 390, node 390: \(minus,1\) is inf;"):
-            scheme._certify_fixed_point(solution, table._replace(c0=c0), costs)
+            scheme._certify_fixed_point(tampered)
 
     def test_complementarity_failure_names_the_largest_term(self):
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
@@ -534,12 +536,19 @@ class TestStepKernelPinned:
         assert_certificate_premise(*self.case(path, kind, n))
 
     @pytest.mark.parametrize("path, kind, n", CASES[:2])
-    def test_solve_builds_one_driver_table(self, path, kind, n, monkeypatch):
-        # the backward pass and the certificate read the same table
-        built, build = [], SwitchingProblem.driver_table
-        monkeypatch.setattr(SwitchingProblem, "driver_table", lambda *args: built.append(args) or build(*args))
+    def test_solve_builds_one_driver_table(self, path, kind, n, monkeypatch, tmp_path):
+        # the validator, the backward pass, the certificate and every reader of the record read one tabulation,
+        # in ``solve_system`` and in the whole ``solve`` and ``simulate`` commands
+        built, build = [], SwitchingProblem.tabulate
+        monkeypatch.setattr(SwitchingProblem, "tabulate", lambda *args: built.append(args) or build(*args))
         solve_system(*self.case(path, kind, n))
         assert len(built) == 1
+        problem_file = Path(__file__).resolve().parents[1] / path
+        for command in ("solve", "simulate"):
+            built.clear()
+            args = ["--problem", str(problem_file), "--backend", kind, "--steps", str(n), "--out", str(tmp_path)]
+            assert main([command, *args]) == 0
+            assert len(built) == 1, command
 
 
 def creep_problem(b):
@@ -582,7 +591,7 @@ class TestWidthOnePass:
         drivers = {key: (0.0, 1.0, 0.0) for key in COMPONENTS}
         problem = build_problem(horizon=0.25, drivers=drivers, terminals=terminal)
         backend, rounds = det_backend(n, 0.25), np.zeros(n, dtype=int)
-        tables = problem.driver_table(backend), problem.cost_table(backend.float_times).array()
+        tables = (rows.array() for rows in problem.tabulate(backend.float_times))
         with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
             y = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
             derived = BalanceSheetSolution(problem, backend, y)

@@ -153,7 +153,7 @@ class TestBranchTable:
         # profit in mode i switches where Y+_j - ell_i >= Y-_i - a_i, cost in
         # mode i where Y-_j + ell_i <= Y+_i + b_i (a tie switches)
         solution, _ = solve_system(problem, backend)
-        costs = problem.cost_table(solution.backend.float_times).array()
+        costs = solution.tables[1]
         nodes = solution.backend.nodes(0, solution.backend.n_steps + 1)[1]
         y = {key: solution.y[row(*key)] for key in COMPONENTS}
         _, table = evaluate_obstacles(solution.y, costs.at(nodes))
@@ -169,7 +169,7 @@ class TestClassifyAction:
     def test_refuses_a_node_off_its_step(self):
         # step 2 has 3 nodes on the binomial lattice: node 7 would read a node of step 4
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(20))
-        for step, node in ((2, 7), (2, 3), (2, -1), (-1, 0), (21, 0)):
+        for step, node in ((2, 7), (2, 3), (2, -1), (-1, 0), (21, 0), (2**63, 0)):
             with pytest.raises(ValueError, match=f"step {step}, node {node} is not on the lattice"):
                 classify_action(solution, MINUS, 1, node=node, step=step)
 
@@ -177,7 +177,7 @@ class TestClassifyAction:
         # one node's branches against the whole-block evaluation
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(40))
         steps = solution.backend.nodes(0, 41)[1]
-        costs = solution.problem.cost_table(solution.backend.float_times).array().at(steps)
+        costs = solution.tables[1].at(steps)
         barrier, switches = evaluate_obstacles(solution.y, costs)
         contact = solution.y == barrier
         assert contact.any() and not contact.all()
@@ -195,11 +195,11 @@ class TestClassifyAction:
         (load_problem(SWITCHING_LATTICE), bin_backend(40)),
     ])
     def test_costs_of_one_time_equal_the_whole_grid_table_bit_for_bit(self, problem, backend):
-        # classify_action tabulates the costs at its own step only
+        # the costs tabulated at one time alone are the column of that time in the whole-lattice table
         times = backend.float_times
-        table = problem.cost_table(times).array()
+        table = problem.tabulate(times)[1].array()
         for step in range(backend.n_steps + 1):
-            one, column = problem.cost_table(times[step : step + 1]).array().at(0), table.at(step)
+            one, column = problem.tabulate(times[step : step + 1])[1].array().at(0), table.at(step)
             for mine, theirs in zip(one, column):
                 assert mine.tobytes() == theirs.tobytes(), step
 
@@ -377,7 +377,7 @@ class TestStreamingReplay:
         end = backend.offsets[backend.n_steps]
         for mode in (1, 2):
             stops, switches, rates, _ = replay_tables(solution, mode)
-            mine = strategy._mode_tables(solution, mode, solution.problem.cost_table(backend.float_times).array())
+            mine = strategy._mode_tables(solution, mode)
             assert mine[0].tobytes() == stops.tobytes() and mine[2].tobytes() == rates.tobytes(), mode
             assert mine[1][:, :end].tobytes() == switches[:, :end].tobytes(), mode
 
@@ -505,7 +505,7 @@ class TestRootContact:
 
         monkeypatch.setattr(strategy, "_mass_pass", refuse)
         monkeypatch.setattr(strategy, "contact_masks", refuse)
-        monkeypatch.setattr(type(solution.problem), "driver_table", refuse)
+        monkeypatch.setattr(type(solution.problem), "tabulate", refuse)
         for mode in (1, 2):
             tracemalloc.start()
             try:

@@ -179,10 +179,10 @@ class TestAuditSolution:
         clean = audit_solution(solution).max_over("max_step_residual")
 
         class DoubledZ(BalanceSheetSolution):
-            def increments(self, start, stop, table):
-                z, dk = super().increments(start, stop, table)
+            def increments(self, start, stop, steps=None, states=None):
+                e, euler, z, dk = super().increments(start, stop, steps, states)
                 z[0, 0] *= 2.0  # (plus, 1)
-                return z, dk
+                return e, euler, z, dk
 
         tampered = DoubledZ(problem, be, solution.y)
         assert (tampered.z[0, 0] == 2.0 * solution.z[0, 0]).all() and tampered.z[0, 0].any()
@@ -209,7 +209,7 @@ def whole_block_audit(solution):
     sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.flat_moments(y, 0, n)[0]
     yk, dk_k = y[..., before], dk[..., before]
     _, steps, _, states = backend.nodes(0, n)
-    psi = problem.driver_table(backend).rate(steps, states, 0.5 * (yk + cont), z)
+    psi = solution.tables[0].rate(steps, states, 0.5 * (yk + cont), z)
     resid = (yk - cont - psi * dt - np.reshape([1.0, -1.0], (2, 1, 1)) * dk_k) / dt
     mismatch = np.abs(y[..., backend.offsets[n] :] - problem.terminal_block(backend.state(n)))
     return {
