@@ -120,13 +120,13 @@ def problem_from_dict(doc: dict) -> SwitchingProblem:
 def load_problem(path) -> SwitchingProblem:
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ProblemError(f"cannot read problem file {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the digit limit, or nested too deep
+        raise ProblemError(f"{path}: {exc}") from None
     return problem_from_dict(doc)
 
 

@@ -26,9 +26,9 @@ runs it in Python floats, each operation spelled out in the same order, so
 the same Y and round counts, bit for bit; its max and min are numpy's
 (``model._max``). The solution is one record, ``BalanceSheetSolution``: the
 problem, its lattice and Y, the one lattice-sized block a solve keeps. Z and
-dK follow from Y by the scheme's relations, so its ``increments`` derives
-them in the pass's bits; a sampled fixture family (``verify``) is a subclass
-that stores its analytic dK. Every reader takes the record alone, tables too.
+dK follow from Y by the scheme's relations: ``increments`` derives them in
+the pass's bits, by step chunks; a sampled fixture family (``verify``), a
+subclass, stores its analytic dK. Every reader takes the record alone.
 
 A solve first validates its problem on its lattice; a failed check raises
 ``SchemeError`` (of ``model``, as is ``LocalSweepError``) with the report
@@ -99,14 +99,15 @@ class BalanceSheetSolution(Record):
         horizon = np.zeros((2, 2, off[stop] - off[max(start, last)]))
         return e, euler, np.concatenate((z, horizon), axis=-1), np.concatenate((dk, horizon), axis=-1)
 
-    z = property(lambda self: self.increments(0, self.backend.n_steps + 1)[2])
-    dk = property(lambda self: self.increments(0, self.backend.n_steps + 1)[3])
+    def _whole(self, block: int) -> np.ndarray:
+        """One block of ``increments`` (2: Z, 3: dK) at every node, filled step chunk by step chunk."""
+        backend, out = self.backend, np.empty((2, 2, self.backend.size))
+        for start, stop in backend.step_chunks(backend.n_steps + 1):
+            out[..., backend.offsets[start] : backend.offsets[stop]] = self.increments(start, stop)[block]
+        return out
 
-
-def system_obstacles(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The barrier and switch blocks (``model.evaluate_obstacles``) implied by the solution's Y block."""
-    costs = solution.tables[1].at(solution.backend.nodes(0, solution.backend.n_steps + 1)[1])
-    return evaluate_obstacles(solution.y, costs)
+    z = property(lambda self: self._whole(2))
+    dk = property(lambda self: self._whole(3))
 
 
 def backward_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, backend: Lattice, rounds: np.ndarray):

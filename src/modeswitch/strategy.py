@@ -3,17 +3,17 @@
 A solved system encodes its own optimal first action: stop at the first time
 the value touches its barrier, or at the horizon, then take whichever branch
 of the barrier is binding (switch to the other mode, or terminate; a tie
-switches), as ``model.evaluate_obstacles`` reads it on the Y block
-(``contact_masks``) or at one node (``classify_action``), and
+switches), as ``model.evaluate_obstacles`` reads it at the nodes of one path
+(``extract_stopping_times``) or of one node (``classify_action``), and
 ``model.mode_obstacles`` for the start mode of a replay, by step chunks
-(``_mode_tables``), each with the record's tables. Contact is exact: the
-solver stores the barrier's own bits wherever it pushes, so a path stops
-where Y == S and nowhere else before the horizon (``stop_mask``), and
-collects Y there. The running yield is a left-endpoint sum, in step order,
-of the rate the backward solver evaluates (its driver table at E_k[Y_{k+1}]
-and Z_k, both derived from Y). On the fair-coin lattice the law of the rule
-is computed, not sampled: one forward pass per leg carries the mass of its
-paths and their yield (``simulate_policy``).
+(``_mode_tables``), each with the record's tables: no barrier is built over
+the whole lattice. Contact is exact: the solver stores the barrier's own
+bits wherever it pushes, so a path stops where Y == S and nowhere else
+before the horizon, and collects Y there. The running yield is a
+left-endpoint sum, in step order, of the rate the backward solver evaluates
+(its driver table at E_k[Y_{k+1}] and Z_k, both derived from Y). On the
+fair-coin lattice the law of the rule is computed, not sampled: one forward
+pass per leg carries the mass of its paths and their yield (``simulate_policy``).
 """
 
 from __future__ import annotations
@@ -21,32 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .model import COMPONENTS, SIDES, DriverTable, Record, _is_mode, evaluate_obstacles, mode_obstacles, row
-from .scheme import BalanceSheetSolution, system_obstacles
+from .scheme import BalanceSheetSolution
 
 SWITCH = "switch"
 TERMINATE = "terminate"
 HOLD = "hold-to-horizon"
 MIXED = "mixed"
-
-
-def stop_mask(y: np.ndarray, barrier: np.ndarray, backend) -> np.ndarray:
-    """Flat boolean mask (or block of them) of where a path of one component
-    stops: every node where ``y`` equals its barrier bit for bit, and every horizon node."""
-    mask = y == barrier
-    mask[..., backend.offsets[backend.n_steps] :] = True
-    return mask
-
-
-def contact_masks(solution: BalanceSheetSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The ``stop_mask`` and switch blocks of all four components, by ``scheme.system_obstacles``."""
-    barrier, switches = system_obstacles(solution)
-    return stop_mask(solution.y, barrier, solution.backend), switches
-
-
-def first_stop(mask: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Position along the last axis of ``flat`` (flat node indices of paths)
-    of the first node where ``mask`` holds; a path that never meets it reads 0."""
-    return np.argmax(mask[flat], axis=-1)
 
 
 def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
@@ -69,10 +49,13 @@ def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
 
 
 def extract_stopping_times(solution: BalanceSheetSolution, from_step: int = 0, path=None) -> dict:
-    """First step at or after ``from_step`` where each component's stop mask
-    holds along ``path`` (see ``flat_path``): its first barrier contact, else N."""
-    flat, stops = flat_path(solution.backend, from_step, path), contact_masks(solution)[0]
-    return {key: from_step + int(first_stop(stops[row(*key)], flat)) for key in COMPONENTS}
+    """First step at or after ``from_step`` where each component's Y along ``path`` (see ``flat_path``) equals
+    its barrier, by ``model.evaluate_obstacles`` at the path's nodes alone: its first barrier contact, else N."""
+    flat = flat_path(solution.backend, from_step, path)
+    y = solution.y[..., flat]
+    stops = y == evaluate_obstacles(y, solution.tables[1].at(slice(from_step, None)))[0]
+    stops[..., -1] = True  # every path stops at the horizon
+    return {key: from_step + int(np.argmax(stops[row(*key)])) for key in COMPONENTS}
 
 
 def classify_action(solution: BalanceSheetSolution, side: str, mode: int, node: int, step: int) -> str:
@@ -109,8 +92,8 @@ class StrategyReport(Record):
 
 def _mode_tables(solution: BalanceSheetSolution, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The replay's (side, node) rows of one mode, built for it alone by step chunks from the record's tables:
-    where a path stops (``stop_mask``), where a stop before the horizon switches, and the running rate before the
-    horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), where and as the backward scheme evaluates the driver."""
+    where a path stops (Y on its barrier, and the horizon), where a stop before the horizon switches, and the
+    running rate before the horizon at (t_k, x_k, E_k[Y_{k+1}], Z_k), as the backward scheme evaluates the driver."""
     backend, y, m = solution.backend, solution.y, mode - 1
     n, off, (drivers, costs) = backend.n_steps, backend.offsets, solution.tables
     table = DriverTable(*(f[:, m] for f in drivers))

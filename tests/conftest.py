@@ -13,10 +13,12 @@ from modeswitch.model import (
     DriverTable,
     SwitchingProblem,
     Terminal,
+    evaluate_obstacles,
+    row,
 )
 from modeswitch import scheme
 from modeswitch.scheme import LOCAL_SWEEP_CAP, solve_system
-from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, contact_masks, simulate_policy
+from modeswitch.strategy import HOLD, MIXED, SWITCH, TERMINATE, flat_path, simulate_policy
 
 from picard_reference import tabulate
 
@@ -227,17 +229,44 @@ def assert_certificate_premise(problem, backend):
     assert (dk[..., end:] == 0.0).all()
 
 
+def stop_block(y, barrier, backend):
+    """Where a path stops, on flat node buffers (or blocks of them): every node
+    where ``y`` equals its barrier bit for bit, and every horizon node."""
+    mask = y == barrier
+    mask[..., backend.offsets[backend.n_steps] :] = True
+    return mask
+
+
+def whole_block_contacts(solution):
+    """The barrier, stop and switch blocks of all four components over the
+    whole lattice at once: ``model.evaluate_obstacles`` on the Y block with
+    the record's costs at every node, and ``stop_block``. The package reads
+    them by step chunks, along one path or at one node; this is the
+    reference those readers are tested against."""
+    backend = solution.backend
+    costs = solution.tables[1].at(backend.nodes(0, backend.n_steps + 1)[1])
+    barrier, switches = evaluate_obstacles(solution.y, costs)
+    return barrier, stop_block(solution.y, barrier, backend), switches
+
+
+def reference_stopping_times(solution, from_step=0, path=None):
+    """The first stop of each component along a path (``strategy.flat_path``),
+    read from the stop block of ``whole_block_contacts``."""
+    flat, stops = flat_path(solution.backend, from_step, path), whole_block_contacts(solution)[1]
+    return {key: from_step + int(np.argmax(stops[row(*key)][flat])) for key in COMPONENTS}
+
+
 def replay_tables(solution, start_mode):
     """The replay's node tables of each leg from ``start_mode``, built on the
-    whole lattice from the whole blocks: the stop mask and the switch flag of
-    ``contact_masks``, the running rate before the horizon at E_k[Y_{k+1}]
-    and the record's Z, and Y, each a (side, node) block."""
+    whole lattice from the whole blocks: the stop and switch blocks of
+    ``whole_block_contacts``, the running rate before the horizon at
+    E_k[Y_{k+1}] and the record's Z, and Y, each a (side, node) block."""
     backend, m = solution.backend, start_mode - 1
     n, before = backend.n_steps, slice(0, backend.offsets[backend.n_steps])
     table, y = DriverTable(*(f[:, m] for f in solution.tables[0])), solution.y[:, m]
     _, steps, _, states = backend.nodes(0, n)
     rates = table.rate(steps, states, backend.flat_moments(y, 0, n)[0], solution.z[:, m, before])
-    stops, switches = (block[:, m] for block in contact_masks(solution))
+    stops, switches = (block[:, m] for block in whole_block_contacts(solution)[1:])
     return stops, switches, rates, y
 
 

@@ -39,7 +39,7 @@ from modeswitch.model import (
     by_side,
     validate_assumptions,
 )
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _require_admissible
 
 # Pointwise slack for the order assertions (float noise only; the discrete
 # comparison argument is exact in exact arithmetic).
@@ -302,8 +302,8 @@ def skorokhod_sum(gap: np.ndarray, dk: np.ndarray, backend: Lattice, n_steps: in
 
 def _assert_system_constraints(solution: BalanceSheetSolution, obstacles: np.ndarray):
     """Barrier inequalities, increment signs, and complementarity sums on the
-    converged block, against the barriers ``scheme.system_obstacles``; a failure
-    names the first failing component in ``COMPONENTS`` order."""
+    converged block, against the barriers of ``conftest.whole_block_contacts``;
+    a failure names the first failing component in ``COMPONENTS`` order."""
     backend = solution.backend
     gap, dk = by_side("inside", solution.y, obstacles), solution.dk
     sko, terms = skorokhod_sum(gap, dk, backend, backend.n_steps + 1), np.abs(gap) * dk
@@ -346,5 +346,7 @@ def picard_system(problem: SwitchingProblem, backend: Lattice, tol: float | None
 
     solution = ReferenceSolution(problem, backend, *map(current.stacked, ("y", "z", "dk")))
     if trace.converged:
-        _assert_system_constraints(solution, system_obstacles(solution)[0])
+        from conftest import whole_block_contacts  # conftest imports this module
+
+        _assert_system_constraints(solution, whole_block_contacts(solution)[0])
     return solution, trace

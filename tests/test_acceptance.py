@@ -125,9 +125,10 @@ def test_criterion_3_minimality():
 
 
 def test_criterion_4_snell_oracle():
-    """The envelope from the production reflected solver (zero driver) equals
-    exhaustive stopping enumeration on 100 random depth-4 payoff surfaces, and
-    the production stop rule (exact contact, first stop) attains it."""
+    """The envelope from the Picard reference's reflected solve (zero driver)
+    equals exhaustive stopping enumeration on 100 random depth-4 payoff
+    surfaces, and the stop rule (exact contact, first stop), evaluated in law
+    by the replay's mass pass, attains it."""
     rng = np.random.default_rng(2024)
     backend = bin_backend(4)
     ok = True
@@ -137,7 +138,7 @@ def test_criterion_4_snell_oracle():
         env, stops = snell_envelope(payoff, backend)
         best = brute_force_optimal_stopping(payoff, backend, 4)
         root = float(at(env, backend, 0)[0])
-        rule = first_stop_rule_value(payoff, backend, stops, 4)
+        rule = first_stop_rule_value(payoff, backend, stops)
         worst = max(worst, abs(root - best), abs(rule - best))
         ok &= abs(root - best) <= 1e-12 and abs(rule - best) <= 1e-12
     report("criterion 4: stopping oracle equivalence", ok, f"worst gap {worst:.2e}")

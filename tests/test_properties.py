@@ -37,11 +37,12 @@ from modeswitch.model import (
     row,
     validate_assumptions,
 )
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _certify_fixed_point, solve_system, system_obstacles
-from modeswitch.strategy import contact_masks, simulate_policy
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, _certify_fixed_point, solve_system
+from modeswitch.strategy import extract_stopping_times, simulate_policy
 from modeswitch.verify import ClosedFormFamily, audit_solution
 
 from conftest import assert_certificate_premise, assert_law_matches_enumeration, assert_matches_pinned
+from conftest import reference_stopping_times, whole_block_contacts
 from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -173,13 +174,22 @@ def test_audit_relations_hold(problem, kind, steps):
 def test_paths_stop_exactly_on_contact(problem, kind, steps):
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    obstacles = system_obstacles(solution)[0]
+    obstacles, stops, _ = whole_block_contacts(solution)
     horizon = np.arange(backend.size) >= backend.offsets[steps]
-    stops, _ = contact_masks(solution)
     rows = (b.reshape(4, -1) for b in (stops, solution.y, obstacles, solution.dk))
     for key, mask, y, barrier, dk in zip(COMPONENTS, *rows):
         np.testing.assert_array_equal(mask, (y == barrier) | horizon)
         assert mask[dk > 0].all(), key
+
+
+@given(admissible_problems(), KINDS, STEPS, st.data())
+def test_stopping_times_equal_the_whole_block_reference(problem, kind, steps, data):
+    # the path's own nodes alone give the first stop the whole-lattice stop block gives
+    backend = admissible_case(problem, kind, steps)
+    solution, _ = solve_system(problem, backend)
+    coins = data.draw(st.lists(st.integers(0, backend.down), min_size=steps, max_size=steps))
+    path, start = np.concatenate(([0], np.cumsum(coins))), data.draw(st.integers(0, steps))
+    assert extract_stopping_times(solution, start, path) == reference_stopping_times(solution, start, path)
 
 
 @given(admissible_problems(), STEPS)

@@ -3,11 +3,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from modeswitch import strategy
 from modeswitch.model import COMPONENTS, MINUS, PLUS, CoefficientFunction, CostSlice, Driver, Terminal, row
 from modeswitch.scheme import BalanceSheetSolution, backward_pass
-from modeswitch.strategy import first_stop, flat_path, stop_mask
+from modeswitch.strategy import flat_path
 
-from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver
+from conftest import at, bin_backend, build_problem, det_backend, driver_rate, random_affine_driver, stop_block
 from picard_reference import reflect, tabulate
 
 
@@ -38,26 +39,26 @@ def brute_force_optimal_stopping(payoff: np.ndarray, backend, depth: int) -> flo
 
 
 def snell_envelope(payoff: np.ndarray, be):
-    """The smallest supermartingale dominating a payoff, from the production
-    solver (lower reflection, zero driver, the payoff as barrier and horizon
-    value), and its stop mask: where the envelope equals the payoff, and N."""
+    """The smallest supermartingale dominating a payoff, from the Picard
+    reference's ``reflect`` (lower reflection, zero driver, the payoff as
+    barrier and horizon value), and its stop mask (``conftest.stop_block``):
+    where the envelope equals the payoff, and N."""
     zero = Driver(1, PLUS, CoefficientFunction.constant(0.0))
     env = reflect(zero, at(payoff, be, be.n_steps), payoff, be).y
-    return env, stop_mask(env, payoff, be)
+    return env, stop_block(env, payoff, be)
 
 
 def stop_step(stops, backend, from_step: int = 0, path=None) -> int:
     """First step at or after ``from_step`` where a stop mask holds along a path."""
-    return from_step + int(first_stop(stops, flat_path(backend, from_step, path)))
+    return from_step + int(np.argmax(stops[flat_path(backend, from_step, path)]))
 
 
-def first_stop_rule_value(payoff: np.ndarray, backend, stops, depth: int) -> float:
-    total = 0.0
-    for moves in product([0, 1], repeat=depth):
-        path = np.concatenate(([0], np.cumsum(moves)))
-        tau = stop_step(stops, backend, 0, path)
-        total += at(payoff, backend, tau)[path[tau]]
-    return total / 2**depth
+def first_stop_rule_value(payoff: np.ndarray, backend, stops) -> float:
+    """E[U_tau] of the rule that stops at the first node of ``stops``, in law:
+    the pass the policy replay runs (``strategy._mass_pass``, with no running
+    rate) gives each reached stop node's mass, which collects the payoff there."""
+    index, mass, _ = strategy._mass_pass(backend, stops, np.zeros(backend.offsets[backend.n_steps]))
+    return float(mass @ payoff[index])
 
 
 def negated_driver(drv: Driver) -> Driver:
@@ -265,7 +266,7 @@ class TestSnellEnvelope:
             env, stops = snell_envelope(payoff, be)
             best = brute_force_optimal_stopping(payoff, be, 4)
             assert float(at(env, be, 0)[0]) == pytest.approx(best, abs=1e-12)
-            assert first_stop_rule_value(payoff, be, stops, 4) == pytest.approx(best, abs=1e-12)
+            assert first_stop_rule_value(payoff, be, stops) == pytest.approx(best, abs=1e-12)
 
     def test_dominates_and_supermartingale(self):
         rng = np.random.default_rng(55)

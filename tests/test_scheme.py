@@ -25,13 +25,13 @@ from modeswitch.model import (
     row,
     validate_assumptions,
 )
-from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, LocalSweepError, SchemeError, solve_system
 from modeswitch.strategy import simulate_policy
 from modeswitch.verify import ClosedFormFamily, SampledFamily, audit_solution, counterexample_problem
 
 from conftest import (
     assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, numpy_pass,
-    random_affine_driver,
+    random_affine_driver, whole_block_contacts,
 )
 from picard_reference import (
     Component, Iterate, ReferenceSolution, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once,
@@ -368,7 +368,7 @@ class TestRandomizedMonotoneConvergence:
         assert delta < 1e-6
 
         converged = BalanceSheetSolution(problem, backend, current.stacked("y"))
-        obstacles = system_obstacles(converged)[0].reshape(4, -1)
+        obstacles = whole_block_contacts(converged)[0].reshape(4, -1)
         slack = 10 * delta + 1e-10
         for (side, mode), barrier in zip(COMPONENTS, obstacles):
             comp = current.sol[(side, mode)]
@@ -504,7 +504,7 @@ class TestOnePassAgainstPicard:
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(100, problem.horizon)
         solution, _ = solve_system(problem, backend)
-        obstacles = system_obstacles(solution)[0]
+        obstacles = whole_block_contacts(solution)[0]
         k, j = 50, 20  # the profit in mode 1 sits 0.1 above its floor here
         z, dk = solution.z, solution.dk
         dk[0, 0, backend.offsets[k] + j] += 1.0
@@ -742,6 +742,24 @@ class TestSolutionRecord:
             tracemalloc.stop()
         assert peak <= 2.5 * solution.y.nbytes
         assert [name for name, value in vars(solution).items() if isinstance(value, np.ndarray)] == ["y"]
+
+    def test_whole_z_and_dk_are_filled_by_step_chunks(self):
+        # one output block, filled chunk by chunk with the bits of one ``increments`` call over the whole
+        # range; that call holds E, the Euler value, Z and dK of every node at once and peaked at 6.75x Y
+        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
+        backend = bin_backend(1000, problem.horizon)
+        solution, _ = solve_system(problem, backend)
+        derived = {}
+        for name in ("z", "dk"):
+            tracemalloc.start()
+            try:
+                derived[name] = getattr(solution, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * solution.y.nbytes, name
+        _, _, z, dk = solution.increments(0, backend.n_steps + 1)
+        assert derived["z"].tobytes() == z.tobytes() and derived["dk"].tobytes() == dk.tobytes()
 
     @pytest.mark.parametrize("path, kind, n", [
         ("problems/counterexample.json", "deterministic", 400),

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from modeswitch import strategy
+from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS, SIDES, evaluate_obstacles, row
-from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.strategy import (
     HOLD,
     SWITCH,
     TERMINATE,
     classify_action,
-    contact_masks,
     extract_stopping_times,
     simulate_policy,
 )
@@ -29,8 +29,10 @@ from conftest import (
     driver_rate,
     leg_moments,
     pinned_replay,
+    reference_stopping_times,
     replay_tables,
     smoke_problem,
+    whole_block_contacts,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,12 +122,38 @@ class TestExtractStoppingTimes:
         with pytest.raises(ValueError, match="one node per step"):
             extract_stopping_times(solution, 0, path=path[:10])
 
+    @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE, COUNTEREXAMPLE])
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_equals_the_whole_block_reference(self, path, kind):
+        # random paths and start steps on each bundled problem, against the first stop read off the stop block
+        problem = load_problem(path)
+        backend = Lattice(kind, 60, problem.horizon)
+        solution, _ = solve_system(problem, backend)
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            walk = np.concatenate(([0], np.cumsum(rng.integers(0, 2, 60) * backend.down)))
+            start = int(rng.integers(0, 61))
+            assert extract_stopping_times(solution, start, walk) == reference_stopping_times(solution, start, walk)
+
+    def test_reads_only_its_path(self):
+        # the barrier at the path's N + 1 nodes, not at the lattice's 80 601
+        solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(400))
+        walk = np.concatenate(([0], np.cumsum(np.random.default_rng(4).integers(0, 2, 400))))
+        tracemalloc.start()
+        try:
+            stops = extract_stopping_times(solution, 0, walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stops == reference_stopping_times(solution, 0, walk)
+        assert peak < 0.5 * 2**20
+
     @pytest.mark.parametrize("backend", [det_backend(16), bin_backend(16)])
     def test_masks_are_closed_at_the_horizon(self, far_obstacle_problem, backend):
         # no barrier is ever touched, so the only stops are the horizon nodes
         solution, _ = solve_system(far_obstacle_problem, backend)
         horizon = backend.offsets[16]
-        for mask in contact_masks(solution)[0].reshape(4, -1):
+        for mask in whole_block_contacts(solution)[1].reshape(4, -1):
             assert mask[horizon:].all() and not mask[:horizon].any()
 
 
@@ -135,9 +163,8 @@ class TestContactIsExact:
         # node per profit component at N = 100 whose gap to the barrier was
         # 2.53e-4: paths stopped there and collected S < Y
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
-        obstacles = system_obstacles(solution)[0]
+        obstacles, masks, _ = whole_block_contacts(solution)
         horizon = solution.backend.offsets[100]
-        masks, _ = contact_masks(solution)
         inside = solution.y[..., :horizon] != obstacles[..., :horizon]
         for key in COMPONENTS:
             assert not (masks[row(*key)][:horizon] & inside[row(*key)]).any(), key
@@ -371,7 +398,7 @@ class TestStreamingReplay:
     @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE])
     @pytest.mark.parametrize("backend", [det_backend(300), bin_backend(300)])
     def test_start_mode_tables_are_the_whole_block_rows(self, path, backend):
-        # one mode's rows, built step chunk by step chunk, against contact_masks and
+        # one mode's rows, built step chunk by step chunk, against the whole-block stop and switch blocks and
         # the whole-lattice rate; where a stop at the horizon switches is not read
         solution, _ = solve_system(load_problem(path), backend)
         end = backend.offsets[backend.n_steps]
@@ -445,7 +472,7 @@ class TestReplayAgainstExactMeans:
         solution, _ = solve_system(load_problem(SWITCHING_LATTICE), bin_backend(100))
         moments = leg_moments(solution, mode)
         # the cost leg stops at the root in mode 1 and holds to the horizon in mode 2
-        stops = contact_masks(solution)[0][:, mode - 1]
+        stops = whole_block_contacts(solution)[1][:, mode - 1]
         moving = [s for s in range(2) if not stops[s][0]]
         assert moving == ([0] if mode == 1 else [0, 1])
         report = simulate_policy(solution, mode)
@@ -487,7 +514,7 @@ class TestPinnedReplay:
         y = np.zeros((2, 2, be.size))
         y[row(PLUS, 1)][0] = 5.0
         solution = given_solution(problem, be, y)
-        stops, _ = contact_masks(solution)
+        stops = whole_block_contacts(solution)[1]
         assert not stops[row(PLUS, 1)][0] and stops[row(PLUS, 1)][1]
         law = simulate_policy(solution, 1).as_dict()
         assert law == pinned_replay(solution, 1, 0, 1) and repr(law) == repr(pinned_replay(solution, 1, 0, 1))
@@ -504,7 +531,6 @@ class TestRootContact:
             raise AssertionError("the replay ran a pass or built a whole-lattice table")
 
         monkeypatch.setattr(strategy, "_mass_pass", refuse)
-        monkeypatch.setattr(strategy, "contact_masks", refuse)
         monkeypatch.setattr(type(solution.problem), "tabulate", refuse)
         for mode in (1, 2):
             tracemalloc.start()

@@ -6,7 +6,7 @@ import pytest
 from modeswitch.grid import Lattice
 from modeswitch.io import load_problem
 from modeswitch.model import COMPONENTS, MINUS, PLUS, by_side, validate_assumptions
-from modeswitch.scheme import BalanceSheetSolution, solve_system, system_obstacles
+from modeswitch.scheme import BalanceSheetSolution, solve_system
 from modeswitch.verify import (
     ClosedFormFamily,
     audit_solution,
@@ -14,7 +14,7 @@ from modeswitch.verify import (
     counterexample_problem,
 )
 
-from conftest import det_backend, driver_rate
+from conftest import det_backend, driver_rate, whole_block_contacts
 from picard_reference import skorokhod_sum
 
 
@@ -205,7 +205,7 @@ def whole_block_audit(solution):
     problem, backend = solution.problem, solution.backend
     dt, n, before = backend.dt, backend.n_steps, slice(0, backend.offsets[backend.n_steps])
     y, z, dk = solution.y, solution.z[..., before], solution.dk
-    gaps = by_side("inside", y, system_obstacles(solution)[0])
+    gaps = by_side("inside", y, whole_block_contacts(solution)[0])
     sums, cont = skorokhod_sum(gaps, dk, backend, n), backend.flat_moments(y, 0, n)[0]
     yk, dk_k = y[..., before], dk[..., before]
     _, steps, _, states = backend.nodes(0, n)
