@@ -16,11 +16,19 @@ Each command imports what it runs: ``scheme`` loads with ``solve``,
 ``simulate`` and ``verify-fixtures``, ``strategy`` with ``simulate`` and
 ``verify`` with ``verify-fixtures``, so ``check-assumptions`` loads none of
 them, nor numpy. ``solve`` writes Z and K from Y, step chunk by step chunk.
+
+``run`` is the process entry (``python -m modeswitch.cli`` and the installed
+``modeswitch`` script): it returns ``main``'s exit code after ``gc.freeze()``.
+At exit the interpreter runs full collections over every object the command
+created, numpy and its results included, and that buys nothing once the
+process ends; frozen objects are skipped. ``main`` is the in-process API: it
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -175,5 +183,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run(argv=None) -> int:
+    """``main(argv)``'s exit code, for a process that exits next: everything the command created is frozen,
+    so the collections at interpreter shutdown skip it."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -55,6 +55,18 @@ def _is_horizon(horizon) -> bool:
     return isinstance(horizon, Real) and not isinstance(horizon, bool) and 0 < horizon < float("inf")
 
 
+def _integers(values, what: str):
+    """``values`` as an array of integers, refusing a bool or a value that is not an integer (a whole
+    float included) by name; numpy's integer arrays pass as they are, a list is read value by value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    items = np.asarray(values, dtype=object)  # keeps each value's type: a bool among ints is not cast
+    bad = {kind for kind in set(map(type, items.flat)) if issubclass(kind, bool) or not issubclass(kind, Integral)}
+    if bad:
+        raise ValueError(f"{what} {next(v for v in items.flat if type(v) in bad)!r} is not an integer")
+    return items
+
+
 class Lattice:
     """Recombining fair-coin lattice with 1 + down * k nodes at step k."""
 
@@ -101,7 +113,10 @@ class Lattice:
         return (k - 2 * np.arange(self.n_nodes(k))) * self.spread
 
     def locate(self, flat: int) -> tuple[int, int]:
-        """(step, node) of a flat index, the inverse of ``flat_index``; refuses an index that is not on the lattice."""
+        """(step, node) of a flat index, the inverse of ``flat_index``; refuses a bool, a value that is
+        not an integer and an index that is not on the lattice."""
+        if isinstance(flat, bool) or not isinstance(flat, Integral):  # numpy's integers are Integral, its bool is not
+            raise ValueError(f"flat index {flat!r} is not an integer")
         if not 0 <= flat < self.size:
             raise ValueError(f"flat index {flat} is not on the lattice")
         k = bisect_right(self.offsets, flat) - 1
@@ -109,9 +124,11 @@ class Lattice:
 
     def flat_index(self, steps, nodes) -> np.ndarray:
         """Flat index of each (step, node) pair, the inverse of ``locate``;
-        refuses a pair that is not on the lattice, one past int64 included."""
+        refuses a bool or a value that is not an integer (``_integers``), and a pair that is not on the
+        lattice, one past int64 included."""
+        exact = _integers(steps, "step"), _integers(nodes, "node")
         try:
-            steps, nodes = np.broadcast_arrays(np.asarray(steps, dtype=np.int64), np.asarray(nodes, dtype=np.int64))
+            steps, nodes = np.broadcast_arrays(*(np.asarray(values, dtype=np.int64) for values in exact))
         except OverflowError:
             raise ValueError(f"step {steps}, node {nodes} is not on the lattice") from None
         outside = (steps < 0) | (steps > self.n_steps) | (nodes < 0) | (nodes >= 1 + self.down * steps)

@@ -18,6 +18,8 @@ pass per leg carries the mass of its paths and their yield (``simulate_policy``)
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .model import COMPONENTS, SIDES, DriverTable, Record, _is_mode, evaluate_obstacles, mode_obstacles, row
@@ -34,15 +36,18 @@ def flat_path(backend, from_step: int = 0, path=None) -> np.ndarray:
 
     ``path[k]`` is the node at step k. The width-1 lattice has a single path,
     so ``path`` may be omitted there; on the binomial lattice it is required.
+    ``flat_index`` refuses a bool or a node that is not an integer by name; entries before ``from_step``
+    are not read.
     """
     n = backend.n_steps
-    if not 0 <= from_step <= n:
-        raise ValueError(f"from_step must lie in [0, {n}]")
+    if isinstance(from_step, bool) or not isinstance(from_step, Integral) or not 0 <= from_step <= n:
+        raise ValueError(f"from_step must be an integer in [0, {n}], got {from_step!r}")
     if path is None:
         if backend.down:
             raise ValueError("a node-index path is required on the lattice backend")
         path = np.zeros(n + 1, dtype=np.int64)
-    nodes = np.asarray(path, dtype=np.int64)[from_step : n + 1]
+    # a list keeps each value's type, so that flat_index sees a bool or a float among its nodes
+    nodes = np.asarray(path, dtype=None if isinstance(path, np.ndarray) else object)[from_step : n + 1]
     if nodes.shape != (n + 1 - from_step,):
         raise ValueError(f"a path needs one node per step 0..{n}, got shape {np.shape(path)}")
     return backend.flat_index(np.arange(from_step, n + 1), nodes)

@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import importlib
 import io
 import json
@@ -54,6 +55,20 @@ def smoke_doc():
             f"{side}_{mode}": {"intercept": 0.0, "slope": 1.0} for side, mode in COMPONENTS
         },
     }
+
+
+def creep_doc(b):
+    """Zero profit, cost rate 10, free termination and switching cost b: see ``test_nonconvergence_exits_two``."""
+    doc = counterexample_doc()
+    doc["drivers"] = [
+        {"mode": 1, "side": "plus", "c0": 0.0},
+        {"mode": 2, "side": "plus", "c0": 0.0},
+        {"mode": 1, "side": "minus", "c0": 10.0},
+        {"mode": 2, "side": "minus", "c0": 10.0},
+    ]
+    doc["terminals"] = {f"{s}_{m}": 0.0 for s, m in COMPONENTS}
+    doc["costs"] = {"ell_1": 0.05, "ell_2": 0.05, "a_1": 0.0, "a_2": 0.0, "b_1": b, "b_2": b}
+    return doc
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -318,18 +333,9 @@ class TestSolveCommand:
         # switch/terminate chain lifts the cost value by b - a per local sweep
         # until it meets the Euler value, about 0.1 / b sweeps. At b = 1e-4
         # that passes the sweep cap; at b = 1e-3 it settles.
-        doc = counterexample_doc()
-        doc["drivers"] = [
-            {"mode": 1, "side": "plus", "c0": 0.0},
-            {"mode": 2, "side": "plus", "c0": 0.0},
-            {"mode": 1, "side": "minus", "c0": 10.0},
-            {"mode": 2, "side": "minus", "c0": 10.0},
-        ]
-        doc["terminals"] = {f"{s}_{m}": 0.0 for s, m in COMPONENTS}
         runs = {}
         for b in (1e-4, 1e-3):
-            doc["costs"] = {"ell_1": 0.05, "ell_2": 0.05, "a_1": 0.0, "a_2": 0.0, "b_1": b, "b_2": b}
-            path = write_doc(tmp_path, doc, name=f"creep-{b}.json")
+            path = write_doc(tmp_path, creep_doc(b), name=f"creep-{b}.json")
             out = tmp_path / f"nc-{b}"
             runs[b] = main(["solve", "--problem", path, "--steps", "100", "--out", str(out)]), out
             runs[b] += (capsys.readouterr().err,)
@@ -920,3 +926,53 @@ class TestImportScope:
             assert getattr(modeswitch, name) is getattr(module, name), name
         with pytest.raises(AttributeError, match="has no attribute 'solve'"):
             modeswitch.solve  # noqa: B018
+
+
+class TestProcessEntry:
+    """``run`` is the process entry: ``main``'s exit code, after ``gc.freeze()``, so the collections at
+    interpreter shutdown skip what the command made. ``main`` leaves the collector alone."""
+
+    FIXTURE = ["--problem", str(ROOT / "problems/counterexample.json"), "--steps", "100"]
+
+    def commands(self, tmp_path):
+        """An exit-0, an exit-1 and an exit-2 command line, by their code."""
+        creep = write_doc(tmp_path, creep_doc(1e-4), name="creep.json")
+        return {
+            0: ["solve", *self.FIXTURE, "--out", str(tmp_path / "ok")],
+            1: ["solve", *self.FIXTURE[:2], "--steps", "1", "--out", str(tmp_path / "one")],
+            2: ["solve", "--problem", creep, "--steps", "100", "--out", str(tmp_path / "creep")],
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for code, argv in self.commands(tmp_path).items():
+                before = gc.get_freeze_count()
+                assert main(argv) == code
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before), code
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    RUN = (
+        "import gc, json, sys\n"
+        "from modeswitch.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(json.dumps([code, gc.get_freeze_count() > 0, gc.isenabled()]))"
+    )
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_run_returns_mains_code_and_freezes(self, tmp_path, code):
+        argv = self.commands(tmp_path)[code]
+        assert json.loads(fresh_interpreter(self.RUN, *argv)) == [code, True, True]
+        assert main(argv) == code
+
+    def test_module_exits_with_runs_code(self, tmp_path):
+        for code, argv in self.commands(tmp_path).items():
+            assert run_python("-m", "modeswitch.cli", *argv).returncode == code
+
+    def test_the_installed_script_is_run(self):
+        # read as text: Python 3.10 has no tomllib
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip().splitlines() == ['modeswitch = "modeswitch.cli:run"']

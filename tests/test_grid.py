@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -151,6 +152,32 @@ class TestLatticeLayout:
         with pytest.raises(ValueError, match=rf"^flat index {flat} is not on the lattice$"):
             be.locate(np.int64(flat))
         assert be.locate(0) == (0, 0) and be.locate(np.int64(be.size - 1)) == (4, be.n_nodes(4) - 1)
+
+    @pytest.mark.parametrize("step,node,named", [
+        (True, 0, "step True"), (0, False, "node False"), (np.True_, 0, "step np.True_"),
+        (1.7, 0, "step 1.7"), (1.0, 0, "step 1.0"), (2, np.float64(0.0), "node np.float64(0.0)"),
+        ([0, True], [0, 0], "step True"), ([0, 2], [0, 0.9], "node 0.9"),
+        (np.array([1.0, 2.0]), 0, "step 1.0"), (np.array([True, False]), 0, "step True"),
+    ])  # fmt: skip
+    def test_flat_index_refuses_a_bool_or_a_non_integer(self, step, node, named):
+        # np.asarray(..., dtype=np.int64) read True as step 1 and truncated 1.7 to step 1
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+            bin_backend(4).flat_index(step, node)
+
+    def test_flat_index_takes_numpy_integers(self):
+        be = bin_backend(4)
+        assert be.flat_index(np.int64(2), np.uint8(1)) == be.flat_index(2, 1) == 4
+        for dtype in (np.int8, np.int32, np.uint16, np.int64):
+            np.testing.assert_array_equal(be.flat_index(np.array([0, 2, 4], dtype=dtype), [0, 1, 4]), [0, 4, 14])
+        np.testing.assert_array_equal(be.flat_index([np.int64(3), 1], (2, 0)), [8, 1])
+
+    @pytest.mark.parametrize("flat,named", [
+        (True, "True"), (np.False_, "np.False_"), (2.5, "2.5"), (3.0, "3.0"), (np.float64(1.0), "np.float64(1.0)"),
+    ])  # fmt: skip
+    def test_locate_refuses_a_bool_or_a_non_integer(self, flat, named):
+        # locate(2.5) read (1, 1), and locate(True) read (1, 0)
+        with pytest.raises(ValueError, match=rf"^flat index {re.escape(named)} is not an integer$"):
+            bin_backend(4).locate(flat)
 
 
 class TestCondexp:

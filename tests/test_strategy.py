@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -121,6 +122,27 @@ class TestExtractStoppingTimes:
         assert extract_stopping_times(solution, 6, path=path)[(PLUS, 1)] == 16
         with pytest.raises(ValueError, match="one node per step"):
             extract_stopping_times(solution, 0, path=path[:10])
+
+    @pytest.mark.parametrize("path,named", [
+        ([0, 0.9, 1.99, 2.5], "0.9"), ([0, 1, 1, 2.0], "2.0"), ([0, True, 1, 2], "True"),
+        (np.array([0.0, 1.0, 1.0, 2.0]), "0.0"), (np.array([False, True, True, True]), "False"),
+    ])  # fmt: skip
+    def test_flat_path_refuses_a_bool_or_a_non_integer_node(self, path, named):
+        # np.asarray(path, dtype=np.int64) truncated [0, 0.9, 1.99, 2.5] to the nodes of [0, 0, 1, 2]
+        with pytest.raises(ValueError, match=rf"^node {re.escape(named)} is not an integer$"):
+            strategy.flat_path(Lattice("binomial", 3, 1.0), 0, path)
+
+    @pytest.mark.parametrize("from_step", [True, 0.5, 1.0, -1, 4])
+    def test_flat_path_refuses_a_from_step_that_is_not_a_step(self, from_step):
+        # True read from step 1, and 0.5 raised TypeError from the slice
+        with pytest.raises(ValueError, match=rf"^from_step must be an integer in \[0, 3\], got {from_step!r}$"):
+            strategy.flat_path(Lattice("binomial", 3, 1.0), from_step, [0, 1, 1, 2])
+
+    def test_flat_path_takes_numpy_integers(self):
+        lattice = Lattice("binomial", 3, 1.0)
+        for path in ([0, 1, 1, 2], (np.int64(0), 1, np.uint8(1), 2), np.array([0, 1, 1, 2], dtype=np.int32)):
+            np.testing.assert_array_equal(strategy.flat_path(lattice, np.int64(0), path), [0, 2, 4, 8])
+        np.testing.assert_array_equal(strategy.flat_path(lattice, 2, np.array([9.5, True, 1, 2], dtype=object)), [4, 8])
 
     @pytest.mark.parametrize("path", [SWITCHING_LATTICE, SMOKE_LATTICE, COUNTEREXAMPLE])
     @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
