@@ -3,14 +3,17 @@
 Commands: ``solve`` (run the system solver and persist surfaces/summary),
 ``verify-fixtures`` (audit the closed-form fixtures and the non-uniqueness
 check), ``simulate`` (solve, then replay the extracted policy), and
-``check-assumptions`` (run the validator and print its report).
+``check-assumptions`` (run the validator and print its report). ``parse_args``
+reads them from ``COMMANDS`` and ``OPTIONS``: ``--name value`` or
+``--name=value``, the last one wins, no abbreviations; ``-h`` prints help.
 
 Exit codes: 0 success, 1 input or validation error (a field of the wrong JSON
 type included, and data whose solve overflows float64), an output that
 cannot be written (``error: cannot write <path>: <reason>``) or a lattice too
 large for the memory (``error: out of memory on the <kind> lattice of N =
 <steps> steps (<nodes> nodes): <reason>``), 2 a node whose projection did
-not settle in ``scheme.LOCAL_SWEEP_CAP`` rounds.
+not settle in ``scheme.LOCAL_SWEEP_CAP`` rounds or a usage error, which alone
+prints a ``usage:`` line.
 
 Each command imports what it runs: ``scheme`` loads with ``solve``,
 ``simulate`` and ``verify-fixtures``, ``strategy`` with ``simulate`` and
@@ -27,10 +30,11 @@ leaves the collector as it found it.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .grid import Lattice, node_count
 from .io import load_problem, write_json, write_surfaces, write_trace_csv
@@ -120,31 +124,84 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_INPUT
 
 
-def _add_common(parser, needs_problem: bool):
-    if needs_problem:
-        parser.add_argument("--problem", required=True, help="problem definition file (JSON)")
-        parser.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
-    parser.add_argument("--steps", type=int, default=2000, help="number of time steps N")
-    parser.add_argument("--seed", type=int, default=0, help="accepted and not read: every command is deterministic")
-    parser.add_argument("--out", default="out", help="output directory")
+# The CLI's one declaration: each option's conversion (int, str, or its choices, checked after converting to
+# their type), default (None: required) and help; each command's help and options.
+OPTIONS = {
+    "--problem": (str, None, "problem definition file (JSON)"),
+    "--backend": (("deterministic", "binomial"), "deterministic", "lattice kind: deterministic or binomial"),
+    "--steps": (int, 2000, "number of time steps N"),
+    "--seed": (int, 0, "accepted and not read: every command is deterministic"),
+    "--out": (str, "out", "output directory"),
+    "--mode": ((1, 2), 1, "starting mode: 1 or 2"),
+    "--paths": (int, 10000, "accepted and not read: the replay is exact"),
+}
+_LATTICE = ("--problem", "--backend", "--steps", "--seed", "--out")
+COMMANDS = {
+    "solve": ("solve the coupled system and write surfaces", _LATTICE),
+    "verify-fixtures": ("audit the closed-form fixtures", _LATTICE[2:]),
+    "simulate": ("solve, then replay the extracted policy", (*_LATTICE, "--mode", "--paths")),
+    "check-assumptions": ("run the problem validator", _LATTICE),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    description = "Two-modes switch/terminate valuation on the full balance sheet"
-    parser = argparse.ArgumentParser(prog="modeswitch", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "solve the coupled system and write surfaces"),
-        ("verify-fixtures", "audit the closed-form fixtures"),
-        ("simulate", "solve, then replay the extracted policy"),
-        ("check-assumptions", "run the problem validator"),
-    ):
-        command = sub.add_parser(name, help=text)
-        _add_common(command, needs_problem=name != "verify-fixtures")
-        if name == "simulate":
-            command.add_argument("--mode", type=int, choices=(1, 2), default=1, help="starting mode")
-            command.add_argument("--paths", type=int, default=10000, help="accepted and not read: the replay is exact")
-    return parser
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: modeswitch {{{','.join(COMMANDS)}}} ..."
+    words = [(f"{n} {n[2:].upper()}", OPTIONS[n][1]) for n in COMMANDS[command][1]]
+    return " ".join([f"usage: modeswitch {command} [-h]", *(w if d is None else f"[{w}]" for w, d in words)])
+
+
+def _refuse(message: str, command=None):
+    print(_usage(command), f"modeswitch{f' {command}' if command else ''}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _convert(kind, name: str, value: str, command=None):
+    try:
+        converted = (type(kind[0]) if isinstance(kind, tuple) else kind)(value)
+    except ValueError:
+        _refuse(f"argument {name}: invalid int value: {value!r}", command)
+    if isinstance(kind, tuple) and converted not in kind:
+        _refuse(f"argument {name}: invalid choice: {converted!r} (choose from {', '.join(map(repr, kind))})", command)
+    return converted
+
+
+def _is_option(token: str, names) -> bool:
+    """Whether argparse reads ``token`` as an option, so as no value and no command: it names one of ``names``,
+    alone or before ``=``, or it starts with ``-`` and is neither ``-`` alone, a negative number nor holds a space."""
+    dash = token[:1] == "-" and len(token) > 1 and not re.fullmatch(r"-\d+|-\d*\.\d+", token) and " " not in token
+    return dash or token.partition("=")[0] in names
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """``command`` and each of its options, from ``argv`` (default ``sys.argv[1:]``), read left to right
+    as argparse does. ``-h`` prints help and exits 0; a usage error exits 2 with argparse's message."""
+    tokens, extras, args, names = list(sys.argv[1:] if argv is None else argv), [], None, ()
+    while tokens:
+        token = tokens.pop(0)
+        name, explicit, value = token.partition("=")
+        if token in ("-h", "--help"):
+            rows = {n: text for n, (text, _) in COMMANDS.items()} if args is None else {n: OPTIONS[n][2] for n in names}
+            print(_usage(args and args.command), "", *(f"  {n:<19} {text}" for n, text in rows.items()), sep="\n")
+            raise SystemExit(EXIT_OK)
+        if args is None and not _is_option(token, ()):  # the command, checked as argparse checks a choice
+            names = COMMANDS[_convert(tuple(COMMANDS), "command", token)][1]
+            args = SimpleNamespace(command=token, **{n[2:]: OPTIONS[n][1] for n in names})
+        elif name not in names:
+            extras.append(token)
+        elif not explicit and (not tokens or _is_option(tokens[0], names)):
+            _refuse(f"argument {name}: expected one argument", args.command)
+        else:
+            value = value if explicit else tokens.pop(0)
+            setattr(args, name[2:], _convert(OPTIONS[name][0], name, value, args.command))
+    if args is None:
+        _refuse("the following arguments are required: command")
+    missing = [name for name in names if getattr(args, name[2:]) is None]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}", args.command)
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -155,8 +212,9 @@ def main(argv=None) -> int:
     it cannot read itself) and prints ``error: cannot write <path>: <reason>``,
     exit 1; a failed write that names no file names ``--out``. A
     ``MemoryError`` names the lattice it ran out on, its kind, step count
-    and node count, and exits 1."""
-    args = build_parser().parse_args(argv)
+    and node count, and exits 1. A usage error raises ``SystemExit(2)``,
+    and ``-h`` ``SystemExit(0)``, from ``parse_args``."""
+    args = parse_args(argv)
     dispatch = {
         "solve": cmd_solve,
         "verify-fixtures": cmd_verify,

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import errno
 import gc
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modeswitch
 from modeswitch import cli
@@ -383,7 +387,7 @@ class TestVerifyCommand:
             main(["verify-fixtures", "--backend", "binomial", "--out", str(tmp_path / "v")])
         assert exc.value.code == 2 and "unrecognized arguments: --backend binomial" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
-        assert cli.build_parser().parse_args(["verify-fixtures", "--seed", "3"]).seed == 3
+        assert cli.parse_args(["verify-fixtures", "--seed", "3"]).seed == 3
 
 
 class TestOneTabulationPerRecord:
@@ -861,13 +865,15 @@ class TestImportScope:
     """A command loads only the modules it runs, in a fresh interpreter; ``csv``
     is read by ``read_surface_csv`` alone, which no command calls, no
     command loads ``dataclasses``: a record generates no code (``model.Record``),
+    nor ``argparse``, ``gettext`` or ``locale``: ``cli.parse_args`` reads the option table,
     and ``check-assumptions`` loads no numpy: it validates in Python floats."""
 
     REPORT = (
         "import json, sys\n"
         "from modeswitch.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy', 'numpy.random', 'csv', 'dataclasses')\n"
+        "watched = ('modeswitch.strategy', 'modeswitch.verify', 'numpy', 'numpy.random', 'csv', 'dataclasses',\n"
+        "           'argparse', 'gettext', 'locale')\n"
         "print(json.dumps([code, [name for name in watched if name in sys.modules]]))"
     )
     FIXTURE = ["--problem", "problems/counterexample.json"]
@@ -976,3 +982,112 @@ class TestProcessEntry:
         # read as text: Python 3.10 has no tomllib
         scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert scripts.strip().splitlines() == ['modeswitch = "modeswitch.cli:run"']
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.OPTIONS`` and ``cli.COMMANDS`` replaced, less its help text and
+    with no abbreviations: the reference that ``cli.parse_args`` is held to."""
+    parser = argparse.ArgumentParser(prog="modeswitch", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("solve", "verify-fixtures", "simulate", "check-assumptions"):
+        command = sub.add_parser(name, allow_abbrev=False)
+        if name != "verify-fixtures":
+            command.add_argument("--problem", required=True)
+            command.add_argument("--backend", choices=("deterministic", "binomial"), default="deterministic")
+        command.add_argument("--steps", type=int, default=2000)
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--out", default="out")
+        if name == "simulate":
+            command.add_argument("--mode", type=int, choices=(1, 2), default=1)
+            command.add_argument("--paths", type=int, default=10000)
+    return parser
+
+
+def parsed(parse, argv):
+    """``(0, namespace dict)``, or ``(exit code, the lines of stderr that hold "error:")``."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            return 0, vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, [line for line in err.getvalue().splitlines() if "error:" in line]
+
+
+COMMAND_WORDS = ["solve", "verify-fixtures", "simulate", "check-assumptions", "bogus"]
+OPTION_WORDS = ["--problem", "--backend", "--steps", "--seed", "--out", "--mode", "--paths",
+                "--prob", "--verbose", "-x"]
+VALUE_WORDS = ["p.json", "deterministic", "binomial", "gpu", "1", "2", "3", "-1", "0x1", " 7", "1.5", "-2.5", "", "x",
+               "a b", "-a b", "-"]
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command line: maybe a stray word before the command, maybe a command, then options with good or bad
+    values, ``=`` forms, options with no value, repeats and stray words."""
+    one = st.sampled_from
+    items = st.one_of(
+        st.tuples(one(OPTION_WORDS), one(VALUE_WORDS)).map(list),
+        st.tuples(one(OPTION_WORDS), one(VALUE_WORDS)).map(lambda pair: ["=".join(pair)]),
+        st.lists(one(OPTION_WORDS + VALUE_WORDS + COMMAND_WORDS), min_size=1, max_size=1),
+    )
+    head = draw(st.lists(one(OPTION_WORDS + VALUE_WORDS), max_size=1)) + draw(st.lists(one(COMMAND_WORDS), max_size=1))
+    return head + [word for item in draw(st.lists(items, max_size=6)) for word in item]
+
+
+class TestOptionTable:
+    """``cli.parse_args`` reads ``cli.OPTIONS`` and ``cli.COMMANDS`` as argparse read the parser it replaced:
+    the same namespace, or exit 2 with the same error line; ``-h`` prints help from the table."""
+
+    REFERENCE = reference_parser()
+
+    @settings(max_examples=1000)
+    @given(argv=argvs())
+    def test_same_namespace_or_same_error_as_argparse(self, argv):
+        assert parsed(cli.parse_args, argv) == parsed(self.REFERENCE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv, namespace", [
+        (["solve", "--problem=p", "--steps", "5", "--steps=7", "--out", "a", "--out", "b"],
+         {"command": "solve", "problem": "p", "backend": "deterministic", "steps": 7, "seed": 0, "out": "b"}),
+        (["verify-fixtures", "--seed", "-1", "--steps", "-3"],
+         {"command": "verify-fixtures", "steps": -3, "seed": -1, "out": "out"}),
+        (["simulate", "--problem", "p", "--mode=2", "--backend=binomial", "--paths", "0", "--out="],
+         {"command": "simulate", "problem": "p", "backend": "binomial", "steps": 2000, "seed": 0, "out": "",
+          "mode": 2, "paths": 0}),
+    ])  # fmt: skip
+    def test_accepted_forms(self, argv, namespace):
+        assert vars(cli.parse_args(argv)) == namespace
+
+    def test_abbreviations_are_unrecognized(self):
+        argv = ["solve", "--problem", "p", "--st", "5"]
+        assert parsed(cli.parse_args, argv) == (2, ["modeswitch: error: unrecognized arguments: --st 5"])
+
+    FIXTURE = ["--problem", "problems/counterexample.json"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["solve", *FIXTURE, "--steps", "x"], "modeswitch solve: error: argument --steps: invalid int value: 'x'"),
+        (["solve", *FIXTURE, "--backend", "gpu"],
+         "modeswitch solve: error: argument --backend: invalid choice: 'gpu' "
+         "(choose from 'deterministic', 'binomial')"),
+        (["simulate", *FIXTURE, "--mode", "3"],
+         "modeswitch simulate: error: argument --mode: invalid choice: 3 (choose from 1, 2)"),
+        (["solve", "--steps", "100"], "modeswitch solve: error: the following arguments are required: --problem"),
+        ([], "modeswitch: error: the following arguments are required: command"),
+    ])  # fmt: skip
+    def test_usage_error_through_the_process_entry(self, tmp_path, argv, error):
+        out = tmp_path / "out"
+        done = run_python("-m", "modeswitch.cli", *argv, f"--out={out}")  # one word: no command reads it as one
+        assert (done.returncode, done.stdout) == (2, "")
+        usage, message = done.stderr.splitlines()
+        assert usage.startswith("usage: modeswitch ") and message == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, listed", [
+        (["-h"], list(cli.COMMANDS)),
+        (["--help"], list(cli.COMMANDS)),
+        *(([command, "stray", "-h"], list(cli.COMMANDS[command][1])) for command in cli.COMMANDS),
+    ])  # fmt: skip
+    def test_help_lists_the_table(self, argv, listed):
+        done = run_python("-m", "modeswitch.cli", *argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = [line.split()[0] for line in done.stdout.splitlines()[1:] if line]
+        assert done.stdout.startswith("usage: modeswitch ") and rows == listed
