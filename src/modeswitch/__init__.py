@@ -4,8 +4,8 @@ Solves the coupled system of four reflected backward equations in which the
 expected profit and expected cost of each operating mode act as each other's
 barriers (switch to the other mode or terminate, on either side of the
 balance sheet), in one backward pass with a per-step barrier projection
-(``solve_system``), certified a fixed point of the paper's Picard iteration.
-Ships a closed-form non-uniqueness fixture, a residual auditor,
+(``solve_system``), each step checked a fixed point of the paper's Picard
+iteration. Ships a closed-form non-uniqueness fixture, a residual auditor,
 stopping-rule extraction with forward policy replay, and a CLI.
 
 The public names below are resolved lazily (PEP 562): ``import modeswitch``

@@ -212,9 +212,11 @@ def main(argv=None) -> int:
     it cannot read itself) and prints ``error: cannot write <path>: <reason>``,
     exit 1; a failed write that names no file names ``--out``. A
     ``MemoryError`` names the lattice it ran out on, its kind, step count
-    and node count, and exits 1. A usage error raises ``SystemExit(2)``,
-    and ``-h`` ``SystemExit(0)``, from ``parse_args``."""
-    args = parse_args(argv)
+    and node count, and exits 1. A usage error (``parse_args``) exits 2, ``-h`` 0."""
+    try:
+        args = parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     dispatch = {
         "solve": cmd_solve,
         "verify-fixtures": cmd_verify,

@@ -219,9 +219,9 @@ class Driver(Record):
 class DriverTable(NamedTuple):
     """The four drivers as one table on a lattice's times, in float rows or (``array``) numpy arrays:
     c0(t_k), whether each scales it by the state x, and c1, c2 columns. ``rate`` is the
-    package's one formula of the affine rate: the backward pass, the
-    certificate, the derived dK, the audit and the policy replay all evaluate
-    the driver through it, at nodes given by their steps and states."""
+    package's one formula of the affine rate: the backward pass, the derived
+    dK, the audit and the policy replay all evaluate the driver through it,
+    at nodes given by their steps and states."""
 
     c0: np.ndarray  # (2, 2, N + 1)
     on_state: np.ndarray  # (2, 2, 1), bool
@@ -379,6 +379,11 @@ def evaluate_obstacles(y: np.ndarray, costs: CostSlice) -> tuple[np.ndarray, np.
     and the boolean block of where a stop switches rather than terminates:
     where the barrier is the switch branch, so a tie switches."""
     return _obstacles(y, y[:, ::-1], costs)
+
+
+def barrier_of(y: np.ndarray, costs: CostSlice) -> list[np.ndarray]:
+    """The barrier block of ``evaluate_obstacles`` alone, the same bits, as the side rows ``by_side`` reads."""
+    return [_PUSH[side].better(*branches(y, y[:, ::-1], costs, side)) for side in SIDES]
 
 
 def mode_obstacles(y: np.ndarray, costs: CostSlice, mode: int) -> tuple[np.ndarray, np.ndarray]:

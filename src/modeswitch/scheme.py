@@ -8,27 +8,26 @@ side for that cost row, from Y+ = y~+ until a profit closure changes no node.
 The one-step map is monotone (the comparison check), so this gives the
 smallest solution of each step and, by backward induction, the minimal
 discrete solution, which the paper reaches as the limit of its Picard scheme.
-The solve then certifies, without running it, that one Picard sweep from the
-solution would move no node: at every node before the horizon Y must equal
-its reflected Euler value better(E_k[Y_{k+1}] + psi dt, S(Y)), built from Y
-itself (the discrete reflection relation of El Karoui et al., "Reflected
-solutions of backward SDE's", 1997). Where it holds, every value sits inside
-its barrier and every push dK = |Y - y~| meets it, so the constraint and
-complementarity relations need no check of their own. The certificate runs
-step chunk by step chunk (``Lattice.step_chunks``).
+The pass certifies, without running it, that one Picard sweep from the
+solution would move no node (``_require_fixed_point``): at every node before
+the horizon Y must equal better(y~, S(Y)), with the y~ the pass formed (the
+discrete reflection relation of El Karoui et al., "Reflected solutions of
+backward SDE's", 1997). Where it holds, every value sits inside its barrier
+and every push dK = |Y - y~| meets it, so the constraint and complementarity
+relations need no check of their own.
 
 A solve tabulates its problem once (``SwitchingProblem.tabulate``): the
-validator reads the float rows, and their numpy copy feeds the pass, the
-certificate and the record (``BalanceSheetSolution.tables``).
-``backward_pass`` is the binomial lattice's pass, with ``_project`` on the
-costs of step k; on the width-1 (deterministic) lattice ``_width_one_pass``
-runs it in Python floats, each operation spelled out in the same order, so
-the same Y and round counts, bit for bit; its max and min are numpy's
-(``model._max``). The solution is one record, ``BalanceSheetSolution``: the
-problem, its lattice and Y, the one lattice-sized block a solve keeps. Z and
-dK follow from Y by the scheme's relations: ``increments`` derives them in
-the pass's bits, by step chunks; a sampled fixture family (``verify``), a
-subclass, stores its analytic dK. Every reader takes the record alone.
+validator reads the float rows, and their numpy copy feeds the pass and the
+record (``BalanceSheetSolution.tables``). ``backward_pass`` is the binomial
+lattice's pass, with ``_project`` on the costs of step k; on the width-1
+(deterministic) lattice ``_width_one_pass`` runs it in Python floats, each
+operation spelled out in the same order, so the same Y and round counts, bit
+for bit; its max and min are numpy's (``model._max``). The solution is one
+record, ``BalanceSheetSolution``: the problem, its lattice and Y, the one
+lattice-sized block a solve keeps. Z and dK follow from Y by the scheme's
+relations: ``increments`` derives them in the pass's bits, by step chunks; a
+sampled fixture family (``verify``), a subclass, stores its analytic dK.
+Every reader takes the record alone.
 
 A solve first validates its problem on its lattice; a failed check raises
 ``SchemeError`` (of ``model``, as is ``LocalSweepError``) with the report
@@ -45,7 +44,7 @@ import numpy as np
 
 from .grid import Lattice
 from .model import COMPONENTS, MINUS, MODES, PLUS, CostSlice, DriverTable, LocalSweepError, ProblemError, Record
-from .model import SchemeError, SwitchingProblem, _max, _min, by_side, closure, evaluate_obstacles, row, validate
+from .model import SchemeError, SwitchingProblem, _max, _min, barrier_of, by_side, closure, row, validate
 
 LOCAL_SWEEP_CAP = 500
 
@@ -54,7 +53,7 @@ class PassTrace(Record):
     """Projection round count of the one-pass solver at each step before the horizon."""
 
     local_sweeps: np.ndarray
-    converged = True  # a class constant, not a field: a solve returns only once it settled and certified
+    converged = True  # a class constant, not a field: a solve returns only once every step settled and checked
 
 
 class BalanceSheetSolution(Record):
@@ -116,15 +115,16 @@ def backward_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, ba
     ``terminal`` holds the horizon values. Each step reads E_k[Y_{k+1}] and
     Z_k from the block Y_{k+1}, forms the Euler values y~_k = E_k[Y_{k+1}] +
     psi dt with the rate of ``table``, and ``_project`` on the costs of step
-    k returns Y_k, written into one buffer, its round count into ``rounds``.
-    No step keeps its Z or y~."""
+    k returns Y_k, written into one buffer, its round count into ``rounds``,
+    and checked (``_require_fixed_point``). No step keeps its Z or y~."""
     off, dt = backend.offsets, backend.dt
     y = np.empty((2, 2, backend.size))
     y[..., off[-2] :] = nxt = terminal
     for k in range(backend.n_steps - 1, -1, -1):
         e, z = backend.moments(nxt, k)
-        ytilde = e + table.rate(slice(k, k + 1), backend.state(k), e, z) * dt
-        y[..., off[k] : off[k + 1]] = nxt = _project(ytilde, costs.at(slice(k, k + 1)), k, rounds)
+        ytilde, at_k = e + table.rate(slice(k, k + 1), backend.state(k), e, z) * dt, costs.at(slice(k, k + 1))
+        y[..., off[k] : off[k + 1]] = nxt = _project(ytilde, at_k, k, rounds)
+        _require_fixed_point(ytilde, nxt, at_k, lambda i: (k, i))
     return y
 
 
@@ -136,41 +136,32 @@ def _require_admissible(report):
         raise err
 
 
-def _certify_fixed_point(solution: BalanceSheetSolution):
-    """Raise SchemeError unless one Picard sweep from the solution would move
-    no node (see the module notes), naming the first component that moves, at
-    its first node; a push |Y - y~| that is not finite fails first, as a
-    ProblemError at its last node. Each term is the expression the reference
-    sweep evaluates at that node, so bitwise equality is exactly as strict."""
-    backend, y, costs = solution.backend, solution.y, solution.tables[1]
-    moves = [None] * len(COMPONENTS)  # (flat index, move) of each component's first moving node
-    for start, stop in reversed(backend.step_chunks(backend.n_steps)):
-        nodes, steps, _, states = backend.nodes(start, stop)
-        here, (_, euler, _, push) = y[..., nodes], solution.increments(start, stop, steps, states)
-        _require_finite(push, "push", lambda i: backend.locate(nodes.start + i))
-        barrier = evaluate_obstacles(here, costs.at(steps))[0]
-        settled = by_side("better", euler, barrier)
-        miss = np.where(settled == here, 0.0, np.abs(settled - here))
-        for c, moved in enumerate(miss.reshape(4, -1)):
-            if moved[i := int(np.argmax(moved))]:
-                moves[c] = (nodes.start + i, moved[i])
-    for (side, mode), move in zip(COMPONENTS, moves):
-        if move:
-            (k, j), by = backend.locate(move[0]), move[1]
-            raise SchemeError(f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {by:g}")
+def _require_fixed_point(ytilde: np.ndarray, y: np.ndarray, costs: CostSlice, locate):
+    """Raise unless one Picard sweep would move no node of the (side, mode, node) block ``y`` settled from ``ytilde``:
+    a value, then a push |Y - y~|, not finite (ProblemError), then Y != better(y~, S(Y)) bit for bit (SchemeError)."""
+    if not np.isfinite(y - ytilde).all():  # a finite push |Y - y~| has a finite value and y~
+        _require_finite(y, "value", locate)
+        _require_finite(np.abs(y - ytilde), "push", locate)
+    settled = by_side("better", ytilde, barrier_of(y, costs))
+    if not (held := settled == y).all():
+        name, (k, j), by = _last_fault(held, np.abs(settled - y), locate)
+        raise SchemeError(f"one Picard sweep would move {name} at step {k}, node {j} by {by:g}")
+
+
+def _last_fault(ok: np.ndarray, values: np.ndarray, locate):
+    """The first component that fails at the last node of a boolean (side, mode, node) block ``ok`` where
+    one fails: "(side,mode)", its (step, node) by ``locate`` and its entry of ``values``; else None."""
+    rows = ok.reshape(4, -1)
+    if (bad := np.flatnonzero(~rows.all(axis=0))).size:
+        c = int(np.argmin(rows[:, i := int(bad[-1])]))
+        return "({},{})".format(*COMPONENTS[c]), locate(i), values.reshape(4, -1)[c, i]
 
 
 def _require_finite(block: np.ndarray, what: str, locate):
-    """Raise ProblemError at the last node of a (side, mode, node) block with a value that is not
-    finite, naming the first such component there; ``locate`` maps a node index to its (step, node)."""
-    rows = block.reshape(4, -1)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))
-    if bad.size:
-        i = int(bad[-1])
-        c = int(np.argmin(np.isfinite(rows[:, i])))
-        (side, mode), (k, j) = COMPONENTS[c], locate(i)
-        where = f"at step {k}, node {j}: ({side},{mode}) is {rows[c, i]:g}"
-        raise ProblemError(f"{what} not finite {where}; the data overflows float64")
+    """Raise ProblemError for a value of a (side, mode, node) block that is not finite (``_last_fault``)."""
+    if fault := _last_fault(np.isfinite(block), block, locate):
+        name, (k, j), value = fault
+        raise ProblemError(f"{what} not finite at step {k}, node {j}: {name} is {value:g}; the data overflows float64")
 
 
 def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray) -> np.ndarray:
@@ -194,16 +185,16 @@ def _project(ytilde: np.ndarray, costs: CostSlice, step: int, rounds: np.ndarray
 
 
 def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, backend: Lattice, rounds: np.ndarray):
-    """``backward_pass`` with ``_project`` on the width-1 lattice, in Python
-    floats: each step spells out the same operations in the same order, so
-    it returns the same Y bits and round counts. A step that reaches the
-    round cap is handed to ``_project``, which raises its error."""
+    """``backward_pass`` with ``_project`` on the width-1 lattice, in Python floats: each step spells out
+    the same operations in the same order, so it returns the same Y bits and round counts; it keeps the
+    Euler values beside Y and checks the whole block once, at the end. A step that reaches the round cap
+    is handed to ``_project``, which raises its error."""
     n, dt, s = backend.n_steps, backend.dt, backend._twice_sqrt_dt
     bases = list(zip(*(table.c0 * np.where(table.on_state, 0.0, 1.0)).reshape(4, -1).tolist()))  # every state is 0.0
     cols = list(zip(*(r for c in costs for r in c.tolist())))
     (c1, c2, c3, c4), (d1, d2, d3, d4) = table.c1.ravel().tolist(), table.c2.ravel().tolist()
     y1, y2, y3, y4 = y = terminal.ravel().tolist()
-    steps = [y]
+    steps = [(*y, *y)]  # each step's Y, then its Euler values; the horizon has none and repeats its Y
     for k in range(n - 1, -1, -1):
         (g1, g2, g3, g4), (l1, l2, a1, a2, b1, b2) = bases[k], cols[k]
         e1, e2, e3, e4 = (y1 + y1) * 0.5, (y2 + y2) * 0.5, (y3 + y3) * 0.5, (y4 + y4) * 0.5
@@ -223,8 +214,11 @@ def _width_one_pass(table: DriverTable, costs: CostSlice, terminal: np.ndarray, 
         else:
             ytilde = np.reshape((tp1, tp2, tm1, tm2), (2, 2, 1))
             y1, y2, y3, y4 = _project(ytilde, costs.at(slice(k, k + 1)), k, rounds).ravel().tolist()
-        steps.append((y1, y2, y3, y4))
-    return np.array(steps[::-1]).T.reshape(2, 2, n + 1).copy()
+        steps.append((y1, y2, y3, y4, tp1, tp2, tm1, tm2))
+    rows = np.array(steps[::-1]).T
+    y = rows[:4].reshape(2, 2, n + 1).copy()
+    _require_fixed_point(rows[4:, :n].reshape(2, 2, n), y[..., :n], costs.at(slice(0, n)), backend.locate)
+    return y
 
 
 def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSheetSolution, PassTrace]:
@@ -235,8 +229,6 @@ def solve_system(problem: SwitchingProblem, backend: Lattice) -> tuple[BalanceSh
     terminal = problem.terminal_block(backend.float_states(n))
     with np.errstate(over="ignore", invalid="ignore"):
         y = (backward_pass if backend.down else _width_one_pass)(*tables, terminal, backend, rounds)
-        _require_finite(y, "value", backend.locate)
-        solution = BalanceSheetSolution(problem, backend, y)
-        vars(solution)["tables"] = tables  # seeds ``BalanceSheetSolution.tables`` with the pass's own
-        _certify_fixed_point(solution)
+    solution = BalanceSheetSolution(problem, backend, y)
+    vars(solution)["tables"] = tables  # seeds ``BalanceSheetSolution.tables`` with the pass's own
     return solution, PassTrace(rounds)

@@ -219,14 +219,43 @@ def assert_matches_pinned(problem, backend):
 
 
 def assert_certificate_premise(problem, backend):
-    """The derived dK is |Y - y~| with y~ the Euler value the fixed-point
-    certificate builds from Y, bit for bit, and 0 at the horizon: where the
-    certificate holds, every push then sits on its barrier."""
+    """The derived dK is |Y - y~| with y~ the Euler value ``increments``
+    builds from Y, bit for bit, and 0 at the horizon. ``assert_matches_pinned``
+    pins that dK to the pass's own |Y - y~|, the y~ its fixed-point check
+    reads, so where that check holds every push sits on its barrier."""
     solution, _ = solve_system(problem, backend)
     y, dk, end = solution.y, solution.dk, backend.offsets[backend.n_steps]
     euler = solution.increments(0, backend.n_steps)[1]
     assert dk[..., :end].tobytes() == np.abs(y[..., :end] - euler).tobytes()
     assert (dk[..., end:] == 0.0).all()
+
+
+def settle_off(monkeypatch, kind, moves):
+    """Make the solve's pass settle Y one ulp off, towards ``towards``, at each
+    (component, step, node, towards) of ``moves``, before its fixed-point
+    check reads it: the binomial pass through the block ``scheme._project``
+    returns at that step, the width-1 pass, which projects in Python floats,
+    through the Y block it hands ``scheme._require_fixed_point``."""
+    if kind == "binomial":
+        project = scheme._project
+
+        def off(ytilde, costs, step, rounds):
+            block = project(ytilde, costs, step, rounds)
+            for key, k, j, towards in moves:
+                if k == step:
+                    block[row(*key)][j] = np.nextafter(block[row(*key)][j], towards)
+            return block
+
+        monkeypatch.setattr(scheme, "_project", off)
+    else:
+        check = scheme._require_fixed_point
+
+        def off(ytilde, y, costs, locate):
+            for key, k, _, towards in moves:  # node k of the width-1 block is step k
+                y[row(*key)][k] = np.nextafter(y[row(*key)][k], towards)
+            return check(ytilde, y, costs, locate)
+
+        monkeypatch.setattr(scheme, "_require_fixed_point", off)
 
 
 def stop_block(y, barrier, backend):

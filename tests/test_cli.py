@@ -383,9 +383,8 @@ class TestVerifyCommand:
 
     def test_backend_is_not_an_option(self, tmp_path, capsys):
         # the fixtures are deterministic; the command takes --seed like every other
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-fixtures", "--backend", "binomial", "--out", str(tmp_path / "v")])
-        assert exc.value.code == 2 and "unrecognized arguments: --backend binomial" in capsys.readouterr().err
+        assert main(["verify-fixtures", "--backend", "binomial", "--out", str(tmp_path / "v")]) == 2
+        assert "unrecognized arguments: --backend binomial" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
         assert cli.parse_args(["verify-fixtures", "--seed", "3"]).seed == 3
 
@@ -960,6 +959,13 @@ class TestProcessEntry:
                 assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before), code
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [(["solve", "--steps", "x"], 2), ([], 2), (["solve", "-h"], 0)])
+    def test_main_returns_the_code_of_a_usage_error_or_help(self, argv, code, capsys):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        shown, silent = (err, out) if code else (out, err)  # a usage error goes to stderr, help to stdout
+        assert shown.startswith("usage: modeswitch ") and silent == ""
 
     RUN = (
         "import gc, json, sys\n"

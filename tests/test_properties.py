@@ -2,8 +2,8 @@
 
 The one-pass solver equals the Picard reference bit for bit, its Y and the Z
 and dK derived from it equal the reference passes' blocks (``pinned_pass``,
-``numpy_pass``) bit for bit, a sampled family keeps its analytic dK, its fixed-point
-certificate passes exactly when one Picard sweep moves no node, its solution
+``numpy_pass``) bit for bit, a sampled family keeps its analytic dK, its pass's fixed-point
+check passes exactly when one Picard sweep moves no node, its solution
 satisfies the audit's constraint, K-sign and complementarity relations, paths
 stop exactly where Y equals its barrier (and every push is such a stop), the
 width-1 replay realizes Y_0, no Y drops when the data gives more to collect
@@ -33,16 +33,17 @@ from modeswitch.model import (
     Driver,
     SwitchingProblem,
     Terminal,
+    by_side,
     replace,
     row,
     validate_assumptions,
 )
-from modeswitch.scheme import BalanceSheetSolution, SchemeError, _certify_fixed_point, solve_system
+from modeswitch.scheme import BalanceSheetSolution, SchemeError, solve_system
 from modeswitch.strategy import extract_stopping_times, simulate_policy
 from modeswitch.verify import ClosedFormFamily, audit_solution
 
 from conftest import assert_certificate_premise, assert_law_matches_enumeration, assert_matches_pinned
-from conftest import reference_stopping_times, whole_block_contacts
+from conftest import reference_stopping_times, settle_off, whole_block_contacts
 from picard_reference import Iterate, iterate_once, picard_system
 
 KINDS = st.sampled_from(("deterministic", "binomial"))
@@ -145,19 +146,31 @@ def sweep_moves(solution) -> bool:
 
 @given(admissible_problems(), KINDS, STEPS, st.data())
 def test_certificate_agrees_with_one_picard_sweep(problem, kind, steps, data):
+    # a solve returns only where its pass's fixed-point check held; a Y the pass settles one ulp off at one
+    # node moves one reference sweep, and the check names the first component that the relation
+    # Y = better(y~, S(Y)) of the reference (the Euler value and whole-lattice barrier of that Y) moves there
     backend = admissible_case(problem, kind, steps)
     solution, _ = solve_system(problem, backend)
-    _certify_fixed_point(solution)
     assert not sweep_moves(solution)
 
     key = data.draw(st.sampled_from(COMPONENTS))
     i = data.draw(st.integers(0, backend.offsets[steps] - 1))  # a node before the horizon
-    y = solution.y[row(*key)]
-    y[i] = np.nextafter(y[i], data.draw(st.sampled_from((-np.inf, np.inf))))
-    assert sweep_moves(solution)
-    k, _ = backend.locate(i)
-    with pytest.raises(SchemeError, match=rf"at step ({k}|{k - 1}), node "):
-        _certify_fixed_point(solution)
+    towards = data.draw(st.sampled_from((-np.inf, np.inf)))
+    (k, j), y = backend.locate(i), solution.y.copy()
+    y[row(*key)][i] = np.nextafter(y[row(*key)][i], towards)
+    off = BalanceSheetSolution(problem, backend, y)
+    assert sweep_moves(off)
+    here = slice(backend.offsets[k], backend.offsets[k + 1])
+    settled = by_side("better", off.increments(k, k + 1)[1], whole_block_contacts(off)[0][..., here])
+    moves = np.abs(settled - y[..., here]).reshape(4, -1)[:, j]
+    c = int(np.argmax(moves > 0.0))
+    assert moves[c] > 0.0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        settle_off(monkeypatch, kind, [(key, k, j, towards)])
+        with pytest.raises(SchemeError) as refused:
+            solve_system(problem, backend)
+    (side, mode) = COMPONENTS[c]
+    assert str(refused.value) == f"one Picard sweep would move ({side},{mode}) at step {k}, node {j} by {moves[c]:g}"
 
 
 @given(admissible_problems(), KINDS, STEPS)

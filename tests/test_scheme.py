@@ -18,6 +18,7 @@ from modeswitch.model import (
     CoefficientFunction,
     CostSlice,
     Driver,
+    DriverTable,
     ProblemError,
     SwitchingProblem,
     Terminal,
@@ -31,7 +32,7 @@ from modeswitch.verify import ClosedFormFamily, SampledFamily, audit_solution, c
 
 from conftest import (
     assert_certificate_premise, assert_matches_pinned, at, bin_backend, build_problem, det_backend, numpy_pass,
-    random_affine_driver, whole_block_contacts,
+    random_affine_driver, settle_off, whole_block_contacts,
 )
 from picard_reference import (
     Component, Iterate, ReferenceSolution, _assert_system_constraints, first_iterate, initialize_scheme, iterate_once,
@@ -439,14 +440,7 @@ class TestOnePassAgainstPicard:
 
     @pytest.mark.parametrize("path, kind, n", BOTH_KINDS)
     def test_solver_refuses_a_solution_that_a_sweep_moves(self, path, kind, n, monkeypatch):
-        one_pass = getattr(scheme, PASS_OF[kind])
-
-        def nudged(*args):
-            y = one_pass(*args)
-            y[0, 0, 0] += 1e-12
-            return y
-
-        monkeypatch.setattr(scheme, PASS_OF[kind], nudged)
+        settle_off(monkeypatch, kind, [((PLUS, 1), 0, 0, np.inf)])
         problem = load_problem(Path(__file__).resolve().parents[1] / path)
         with pytest.raises(SchemeError, match=r"one Picard sweep would move \(plus,1\) at step 0, node 0 by"):
             solve_system(problem, Lattice(kind, n, problem.horizon))
@@ -473,32 +467,48 @@ class TestOnePassAgainstPicard:
             f"modeswitch.scheme.{name}": int(other == kind) for other, name in PASS_OF.items()
         }
 
+    # N = 400 on both kinds: the binomial pass checks each step's block as it settles it, from the horizon down;
+    # the width-1 pass checks its whole block once, where node k is step k
+    FAULT_CASES = [
+        ("problems/counterexample.json", "deterministic", 0),
+        ("bench/problems/switching_lattice.json", "binomial", 3),
+    ]
+
     @staticmethod
-    def chunked_case():
-        # 80 601 nodes: the certificate runs in three step chunks, the last one first
-        problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
-        backend = bin_backend(400, problem.horizon)
-        assert len(backend.step_chunks(400)) == 3
-        return solve_system(problem, backend)[0]
+    def case400(path, kind):
+        problem = load_problem(Path(__file__).resolve().parents[1] / path)
+        return problem, Lattice(kind, 400, problem.horizon)
 
-    def test_certificate_names_the_first_component_at_its_first_node_across_chunks(self):
-        solution = self.chunked_case()
-        for key, k in (((PLUS, 1), 390), ((PLUS, 1), 100), ((MINUS, 2), 5)):
-            y = solution.y[row(*key)]
-            i = solution.backend.flat_index(k, 3)
-            y[i] = np.nextafter(y[i], np.inf)
-        with pytest.raises(SchemeError, match=r"^one Picard sweep would move \(plus,1\) at step (100|99), node "):
-            scheme._certify_fixed_point(solution)
+    @pytest.mark.parametrize("path, kind, j", FAULT_CASES)
+    @pytest.mark.parametrize("moves, named", [
+        ([((PLUS, 1), 390, np.inf), ((PLUS, 1), 100, np.inf), ((MINUS, 2), 5, np.inf)], ((PLUS, 1), 390)),
+        ([((MINUS, 2), 5, -np.inf), ((PLUS, 2), 100, np.inf)], ((PLUS, 2), 100)),
+        ([((MINUS, 1), 5, -np.inf)], ((MINUS, 1), 5)),
+    ], ids=["three", "two", "one"])  # fmt: skip
+    def test_the_move_at_the_last_node_is_named(self, path, kind, j, moves, named, monkeypatch):
+        problem, backend = self.case400(path, kind)
+        settle_off(monkeypatch, kind, [(key, k, j, towards) for key, k, towards in moves])
+        (side, mode), k = named
+        with pytest.raises(SchemeError, match=rf"^one Picard sweep would move \({side},{mode}\) at step {k}, node {j} by "):
+            solve_system(problem, backend)
 
-    def test_a_push_that_is_not_finite_fails_first_at_its_last_node(self):
-        solution = self.chunked_case()
-        solution.y[row(PLUS, 1)][0] += 1.0  # a move in the first chunk, which the certificate reads last
-        (table, costs), c0 = solution.tables, solution.tables[0].c0.copy()
-        c0[row(MINUS, 1)][[100, 390]] = np.inf
-        tampered = BalanceSheetSolution(solution.problem, solution.backend, solution.y)
-        vars(tampered)["tables"] = table._replace(c0=c0), costs  # seeded as a solve seeds its record
-        with pytest.raises(ProblemError, match=r"^push not finite at step 390, node 390: \(minus,1\) is inf;"):
-            scheme._certify_fixed_point(tampered)
+    @pytest.mark.parametrize("path, kind, j", FAULT_CASES)
+    def test_a_push_that_is_not_finite_fails_first_at_its_last_node(self, path, kind, j, monkeypatch):
+        # a rate that is not finite at steps 100 and 390, past the validator, and a move at step 390:
+        # the cost settles on its finite cap, so the push is named, at the later step, before the move
+        problem, backend = self.case400(path, kind)
+        array = DriverTable.array
+
+        def tampered(table):
+            c0 = (arrays := array(table)).c0.copy()
+            c0[row(MINUS, 1)][[100, 390]] = np.inf
+            return arrays._replace(c0=c0)
+
+        monkeypatch.setattr(DriverTable, "array", tampered)
+        settle_off(monkeypatch, kind, [((PLUS, 1), 390, j, np.inf)])
+        node = 390 if kind == "binomial" else 0  # the last node of step 390
+        with pytest.raises(ProblemError, match=rf"^push not finite at step 390, node {node}: \(minus,1\) is inf;"):
+            solve_system(problem, backend)
 
     def test_complementarity_failure_names_the_largest_term(self):
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
@@ -537,7 +547,7 @@ class TestStepKernelPinned:
 
     @pytest.mark.parametrize("path, kind, n", CASES[:2])
     def test_solve_builds_one_driver_table(self, path, kind, n, monkeypatch, tmp_path):
-        # the validator, the backward pass, the certificate and every reader of the record read one tabulation,
+        # the validator, the backward pass and its check, and every reader of the record read one tabulation,
         # in ``solve_system`` and in the whole ``solve`` and ``simulate`` commands
         built, build = [], SwitchingProblem.tabulate
         monkeypatch.setattr(SwitchingProblem, "tabulate", lambda *args: built.append(args) or build(*args))
@@ -585,29 +595,50 @@ class TestWidthOnePass:
         assert 50 <= solve_system(problem, backend)[1].local_sweeps.max() <= scheme.LOCAL_SWEEP_CAP
 
     @pytest.mark.parametrize("terminal, n", [(1e308, 1), (-1e308, 1), (-0.0, 4), (5e-324, 4)])
-    def test_pass_equals_the_numpy_pass_at_the_edges_of_float64(self, terminal, n):
+    def test_pass_equals_the_numpy_pass_at_the_edges_of_float64(self, terminal, n, monkeypatch):
         # at 1e308, y + y overflows: E_k[Y_{k+1}] is inf, where Y_{k+1} + c1 Y_{k+1} dt
-        # would be 1.25e308 (c1 = 1, as 0 * inf is nan; dt = 0.25)
+        # would be 1.25e308 (c1 = 1, as 0 * inf is nan; dt = 0.25); both passes refuse
+        # that Y by one message, and without their fixed-point check return the same bits
         drivers = {key: (0.0, 1.0, 0.0) for key in COMPONENTS}
         problem = build_problem(horizon=0.25, drivers=drivers, terminals=terminal)
-        backend, rounds = det_backend(n, 0.25), np.zeros(n, dtype=int)
-        tables = (rows.array() for rows in problem.tabulate(backend.float_times))
-        with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
-            y = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
-            derived = BalanceSheetSolution(problem, backend, y)
-            blocks = (y, derived.z, derived.dk)
-        numpy_blocks, numpy_rounds = numpy_pass(problem, backend)
+        backend = det_backend(n, 0.25)
+
+        def width_one():
+            rounds, tables = np.zeros(n, dtype=int), (rows.array() for rows in problem.tabulate(backend.float_times))
+            with np.errstate(over="ignore", invalid="ignore"):  # as in ``solve_system``
+                y = scheme._width_one_pass(*tables, problem.terminal_block(backend.state(n)), backend, rounds)
+                derived = BalanceSheetSolution(problem, backend, y)
+                return (y, derived.z, derived.dk), rounds
+
+        if abs(terminal) == 1e308:
+            with pytest.raises(ProblemError, match=r"^value not finite at step 0, node 0: ") as refused:
+                width_one()
+            with pytest.raises(ProblemError) as projected:
+                numpy_pass(problem, backend)
+            assert str(projected.value) == str(refused.value)
+            monkeypatch.setattr(scheme, "_require_fixed_point", lambda *args: None)
+        (blocks, rounds), (numpy_blocks, numpy_rounds) = width_one(), numpy_pass(problem, backend)
         for field, block, pinned in zip(("y", "z", "dk"), blocks, numpy_blocks):
             assert block.tobytes() == pinned.tobytes(), field
         np.testing.assert_array_equal(rounds, numpy_rounds)
 
-    @pytest.mark.parametrize("problem, n, error", [
-        (creep_problem(1e-4), 100, LocalSweepError),
-        (build_problem(drivers={key: (0.0, 999.0, 0.0) for key in COMPONENTS}, terminals=1.0), 2000, ProblemError),
+    @pytest.mark.parametrize("problem, n, error, checked", [
+        (creep_problem(1e-4), 100, LocalSweepError, None),
+        (build_problem(drivers={key: (0.0, 999.0, 0.0) for key in COMPONENTS}, terminals=1.0), 2000, ProblemError,
+         "value not finite at step 264, node 0: (plus,1) is inf; the data overflows float64"),
     ], ids=["creep", "overflow"])  # fmt: skip
-    def test_a_step_that_does_not_settle_raises_the_projections_error(self, problem, n, error):
-        with pytest.raises(error) as projected:
-            numpy_pass(problem, det_backend(n))
+    def test_a_step_that_does_not_settle_raises_the_projections_error(self, problem, n, error, checked, monkeypatch):
+        # the width-1 pass checks its Y once, after its last step, so past an overflow it runs on to the step
+        # whose NaN Euler value does not settle, as the numpy pass does without its check; with its check, the
+        # numpy pass refuses the first value that is not finite, one step nearer the horizon
+        if checked:
+            with pytest.raises(ProblemError) as refused:
+                numpy_pass(problem, det_backend(n))
+            assert str(refused.value) == checked
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(scheme, "_require_fixed_point", lambda *args: None)
+            with pytest.raises(error) as projected:
+                numpy_pass(problem, det_backend(n))
         with pytest.raises(error) as solved:
             solve_system(problem, det_backend(n))
         assert str(solved.value) == str(projected.value)
@@ -729,9 +760,9 @@ class TestSolutionRecord:
                 record(problem, backend, **blocks)
 
     def test_a_solve_peaks_near_its_y_block(self):
-        # the pass writes Y into one buffer and keeps no Z or Y~ block, the certificate runs in step
-        # chunks and the driver rates are built per step: 1.7x Y, where keeping Z, dK and a node-sized
-        # driver table peaked at 9.5x; the lattice computes its node data per chunk, inside the window
+        # the pass writes Y into one buffer, keeps no Z or Y~ block, checks each step's block as it settles
+        # it and builds the driver rates per step: 1.03x Y, where keeping Z, dK and a node-sized driver
+        # table peaked at 9.5x, and reading Y again by step chunks after the pass at 1.8x
         problem = load_problem(Path(__file__).resolve().parents[1] / "bench/problems/switching_lattice.json")
         backend = bin_backend(1000, problem.horizon)
         tracemalloc.start()
