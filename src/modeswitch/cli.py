@@ -21,16 +21,16 @@ Each command imports what it runs: ``scheme`` loads with ``solve``,
 them, nor numpy. ``solve`` writes Z and K from Y, step chunk by step chunk.
 
 ``run`` is the process entry (``python -m modeswitch.cli`` and the installed
-``modeswitch`` script): it returns ``main``'s exit code after ``gc.freeze()``.
-At exit the interpreter runs full collections over every object the command
-created, numpy and its results included, and that buys nothing once the
-process ends; frozen objects are skipped. ``main`` is the in-process API: it
-leaves the collector as it found it.
+``modeswitch`` script) and owns the process: no collection runs from its entry,
+numpy's import included, and once both streams are flushed ``os._exit`` ends
+it with no interpreter teardown (a command leaves no array in reference cycles).
+Code that embeds the package calls ``main``: it leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import re
 import sys
 from pathlib import Path
@@ -244,11 +244,16 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """``main(argv)``'s exit code, for a process that exits next: everything the command created is frozen,
-    so the collections at interpreter shutdown skip it."""
+    """End the process with ``main(argv)``'s code: no collection runs, and ``os._exit`` skips the teardown once
+    both streams are flushed. If one cannot be (closed, a broken pipe), return the code; the interpreter reports it."""
+    gc.disable()
     code = main(argv)
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # stdout is None when fd 1 is closed
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -395,13 +395,13 @@ def mode_obstacles(y: np.ndarray, costs: CostSlice, mode: int) -> tuple[np.ndarr
 def _obstacles(own, switched, costs: CostSlice):
     """Barrier and switch blocks from the ``branches`` of both sides."""
     pairs = [branches(own, switched, costs, side) for side in SIDES]
-    barrier = np.stack([_PUSH[side].better(*pair) for side, pair in zip(SIDES, pairs)])
-    return barrier, np.stack([s == switch for s, (switch, _) in zip(barrier, pairs)])
+    barrier = np.array([_PUSH[side].better(*pair) for side, pair in zip(SIDES, pairs)])
+    return barrier, np.array([s == switch for s, (switch, _) in zip(barrier, pairs)])
 
 
 def by_side(name: str, *blocks) -> np.ndarray:
     """``_PUSH[side].<name>`` applied to each side's rows of (side, mode, ...) blocks, stacked back."""
-    return np.stack([getattr(_PUSH[side], name)(*(b[s] for b in blocks)) for s, side in enumerate(SIDES)])
+    return np.array([getattr(_PUSH[side], name)(*(b[s] for b in blocks)) for s, side in enumerate(SIDES)])
 
 
 class CheckResult(Record):

@@ -847,10 +847,14 @@ class TestFailedWrites:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def tree_env() -> dict:
+    """This process's environment with this source tree first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+
+
 def run_python(*argv) -> subprocess.CompletedProcess:
     """``python argv...`` in a new interpreter on this source tree."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=tree_env(), capture_output=True, text=True)
 
 
 def fresh_interpreter(code: str, *args) -> str:
@@ -934,8 +938,8 @@ class TestImportScope:
 
 
 class TestProcessEntry:
-    """``run`` is the process entry: ``main``'s exit code, after ``gc.freeze()``, so the collections at
-    interpreter shutdown skip what the command made. ``main`` leaves the collector alone."""
+    """``run`` is the process entry: it turns the collector off, runs ``main`` and ends the process with its code
+    through ``os._exit``, so no collection and no interpreter teardown runs. ``main`` leaves the collector alone."""
 
     FIXTURE = ["--problem", str(ROOT / "problems/counterexample.json"), "--steps", "100"]
 
@@ -968,17 +972,72 @@ class TestProcessEntry:
         assert shown.startswith("usage: modeswitch ") and silent == ""
 
     RUN = (
-        "import gc, json, sys\n"
+        "import sys\n"
         "from modeswitch.cli import run\n"
-        "code = run(sys.argv[1:])\n"
-        "print(json.dumps([code, gc.get_freeze_count() > 0, gc.isenabled()]))"
+        "run(sys.argv[1:])\n"
+        "print('run returned')"
     )
 
-    @pytest.mark.parametrize("code", [0, 1])
-    def test_run_returns_mains_code_and_freezes(self, tmp_path, code):
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_run_ends_the_process_with_mains_code(self, tmp_path, code):
         argv = self.commands(tmp_path)[code]
-        assert json.loads(fresh_interpreter(self.RUN, *argv)) == [code, True, True]
+        done = run_python("-c", self.RUN, *argv)
+        assert (done.returncode, done.stdout) == (code, "")
         assert main(argv) == code
+
+    WATCH = (
+        "import gc, os, sys\n"
+        "from modeswitch import cli\n"
+        "log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and os.write(log, b'%d\\n' % info['generation']))\n"
+        "sys.exit(getattr(cli, sys.argv[2])(sys.argv[3:]))"
+    )
+    LATTICE = ["--problem", str(ROOT / "bench/problems/switching_lattice.json"), "--steps", "100"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", *FIXTURE],
+        ["simulate", *FIXTURE],
+        ["verify-fixtures", "--steps", "100"],
+        ["simulate", *LATTICE, "--backend", "binomial"],
+    ])  # fmt: skip
+    def test_no_collection_starts_from_runs_entry_to_the_end(self, tmp_path, argv):
+        # a gc.callbacks hook, set after the import of cli, logs each collection that starts; the same child
+        # entered through main logs numpy's import ones and more
+        logs = {}
+        for entry in ("run", "main"):
+            log = tmp_path / f"{entry}.log"
+            log.touch()
+            assert run_python("-c", self.WATCH, str(log), entry, *argv, "--out", str(tmp_path / entry)).returncode == 0
+            logs[entry] = log.read_text().split()
+        assert logs["run"] == [] and len(logs["main"]) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", *LATTICE, "--backend", "deterministic"],
+        ["solve", *LATTICE, "--backend", "binomial"],
+        ["simulate", *LATTICE, "--backend", "deterministic"],
+        ["simulate", *LATTICE, "--backend", "binomial"],
+        ["verify-fixtures", "--steps", "100"],
+    ])  # fmt: skip
+    def test_a_command_leaves_no_array_and_no_file_in_cyclic_garbage(self, tmp_path, argv):
+        # with the collector off for the whole process, what a command leaves in reference cycles is never freed,
+        # and os._exit flushes no file that only a collection would close. A float array is not tracked by the
+        # collector, so it is never in gc.garbage itself: what the garbage holds untracked is read too
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            held, parts = [], list(gc.garbage)
+            while parts:
+                held += parts
+                parts = [part for part in gc.get_referents(*parts) if not gc.is_tracked(part)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            (gc.enable if was_enabled else gc.disable)()
+        assert [type(thing) for thing in held if isinstance(thing, (np.ndarray, io.IOBase))] == []
 
     def test_module_exits_with_runs_code(self, tmp_path):
         for code, argv in self.commands(tmp_path).items():
@@ -988,6 +1047,64 @@ class TestProcessEntry:
         # read as text: Python 3.10 has no tomllib
         scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert scripts.strip().splitlines() == ['modeswitch = "modeswitch.cli:run"']
+
+
+class TestStdoutOfTheProcess:
+    """What ``python -m modeswitch.cli`` prints and returns however its stdout is set up, as it did before ``run``
+    ended the process with ``os._exit``: ``run`` flushes both streams first, and leaves a stream it cannot flush to
+    the interpreter's exit, which reports it."""
+
+    FIXTURE = ["--problem", "problems/counterexample.json", "--steps", "200"]
+    PRINTING = {"verify-fixtures": ["verify-fixtures", "--steps", "200"], "simulate": ["simulate", *FIXTURE]}
+
+    def start(self, argv, buffered, stdout, close_stdout=False) -> subprocess.CompletedProcess:
+        """The command with ``PYTHONUNBUFFERED`` unset (``buffered``) or set, and stdout sent to ``stdout``
+        or closed (``>&-``)."""
+        env = tree_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        env.update({} if buffered else {"PYTHONUNBUFFERED": "1"})
+        command = [sys.executable, "-m", "modeswitch.cli", *argv]
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command] if close_stdout else command
+        return subprocess.run(command, cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    def into_a_closed_pipe(self, argv, buffered) -> subprocess.CompletedProcess:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return self.start(argv, buffered, write)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("argv", [["check-assumptions", *FIXTURE], *PRINTING.values()])
+    def test_closed_stdout_exits_zero(self, tmp_path, argv):
+        done = self.start([*argv, "--out", str(tmp_path)], buffered=False, stdout=None, close_stdout=True)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("command", PRINTING)
+    def test_an_unbuffered_write_into_a_closed_pipe_exits_one_naming_out(self, tmp_path, command):
+        done = self.into_a_closed_pipe([*self.PRINTING[command], "--out", str(tmp_path)], buffered=False)
+        assert (done.returncode, done.stderr) == (1, f"error: cannot write {tmp_path}: Broken pipe\n")
+
+    @pytest.mark.parametrize("command", PRINTING)
+    def test_a_buffered_flush_into_a_closed_pipe_exits_120_with_only_the_interpreters_lines(self, tmp_path, command):
+        done = self.into_a_closed_pipe([*self.PRINTING[command], "--out", str(tmp_path)], buffered=True)
+        first, *rest = done.stderr.splitlines()
+        assert done.returncode == 120
+        assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert rest == ["BrokenPipeError: [Errno 32] Broken pipe"]
+
+    @pytest.mark.parametrize("command, heads", [
+        ("verify-fixtures", ["[pass] family 1: ", "[pass] family 2: ", "sup distance between families: "]),
+        ("simulate", ["plus leg: ", "minus leg: "]),
+    ])  # fmt: skip
+    def test_buffered_output_into_a_file_arrives_whole(self, tmp_path, command, heads):
+        argv = [*self.PRINTING[command], "--out", str(tmp_path)]
+        with open(tmp_path / "stdout", "w") as stdout:
+            done = self.start(argv, buffered=True, stdout=stdout)
+        lines = (tmp_path / "stdout").read_text().splitlines()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(lines) == len(heads) and all(line.startswith(head) for line, head in zip(lines, heads))
+        assert lines == self.start(argv, buffered=False, stdout=subprocess.PIPE).stdout.splitlines()
 
 
 def reference_parser() -> argparse.ArgumentParser:

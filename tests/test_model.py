@@ -22,7 +22,9 @@ from modeswitch.model import (
     ProblemError,
     Record,
     Terminal,
+    barrier_of,
     branches,
+    by_side,
     evaluate_obstacles,
     mode_obstacles,
     replace,
@@ -251,6 +253,29 @@ class TestBarrierAlgebra:
         rows = mode_obstacles(y, costs, mode)
         assert rows[0].tobytes() == barrier[:, mode - 1].tobytes()
         assert rows[1].tobytes() == switches[:, mode - 1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["deterministic", "binomial"])
+    def test_side_rows_join_with_the_bits_of_np_stack(self, kind):
+        # by_side and the obstacle blocks join their two side rows with np.array, which is faster than np.stack
+        # on small rows: the same bits and dtypes, on a solved lattice's blocks with signed zeros and NaN put in
+        problem = load_problem(ROOT / "bench/problems/switching_lattice.json")
+        solution, _ = solve_system(problem, Lattice(kind, 20, problem.horizon))
+        nodes, steps, _, _ = solution.backend.nodes(0, 20)
+        y, costs = solution.y[..., nodes].copy(), solution.tables[1].at(steps)
+        y.reshape(-1)[::5], y.reshape(-1)[2::7], y.reshape(-1)[3::11] = 0.0, -0.0, np.nan
+        other = np.roll(y, 1, axis=-1)
+        rows = barrier_of(y, costs)
+        switch_rows = [b == branches(y, y[:, ::-1], costs, side)[0] for b, side in zip(rows, SIDES)]
+        by_name = {name: [getattr(_PUSH[side], name)(y[s], other[s]) for s, side in enumerate(SIDES)]
+                   for name in ("better", "inside")}
+        pairs = [*zip(evaluate_obstacles(y, costs), (rows, switch_rows)),
+                 *((by_side(name, y, other), joined) for name, joined in by_name.items())]
+        for joined, side_rows in pairs:
+            stacked = np.stack(side_rows)
+            assert (joined.dtype, joined.shape, joined.tobytes()) == (stacked.dtype, stacked.shape, stacked.tobytes())
+        assert [joined.dtype for joined, _ in pairs] == [np.float64, np.bool_, np.float64, np.float64]
+        better = pairs[2][0]
+        assert np.isnan(pairs[0][0]).any() and np.isnan(better).any() and (np.signbit(better) & (better == 0)).any()
 
     def test_other_mode_is_a_reversed_view(self):
         y = block(self.Y)
